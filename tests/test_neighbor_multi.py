@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from linkcov import neighbor_multi
 from linkcov._optim import FitOptions
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, RuleIndexSet,
@@ -16,6 +17,7 @@ from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     sample_multi_counts, select_G_multi,
                                     single_class_p_hat)
 from linkcov.neighbor_uni import mix_pmf
+from test_neighbor_uni import assert_gradient_matches, captured_objective
 
 
 def brute_pmf(t, p, lam):
@@ -319,6 +321,32 @@ class TestFitMulti:
         u = fit.params.u
         assert np.allclose(u[:3], u[0]) and np.allclose(u[3:], u[3])
         assert fit.params.phi == pytest.approx(0.9, abs=0.02)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("constraint", [
+        "free", "shared_p", LogLinear(1), LogLinear(2),
+        LogLinear(2, tie_symmetric=True)], ids=str)
+    def test_matches_finite_differences(self, monkeypatch, constraint):
+        rules = binary_rules(3)
+        p = np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25])
+        truth = MultiMixtureParams(
+            alpha=[0.6, 0.4], p=[p, p],
+            lam=[np.full(7, 0.1), np.full(7, 0.7)], rules=rules,
+            constraint="shared_p",
+        )
+        draws = sample_multi_counts(truth, 5000, np.random.default_rng(51))
+        hist = MultiCountHistogram.from_observations(draws)
+        tau = 4
+        assert hist.keys.sum(axis=1).max() > tau    # tail cell active
+        init = {"lambda": np.linspace(0.2, 0.5, 7), "p": p,
+                "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
+                "phi": 0.8, "flagged": False}
+        fun, x0, args = captured_objective(
+            monkeypatch, neighbor_multi, fit_multi, hist, 2,
+            constraint=constraint, tau=tau, opts=FitOptions(n_starts=1),
+            init=init)
+        assert_gradient_matches(fun, x0, args, seed=52)
 
 
 class TestSelection:

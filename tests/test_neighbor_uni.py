@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult, approx_fprime
 
+from linkcov import neighbor_uni
 from linkcov._optim import FitOptions, stick_break, stick_break_inverse
 from linkcov.neighbor_uni import (AccuracySummary, CountHistogram,
                                   UniMixtureParams, accuracy_from_fit,
@@ -116,6 +118,59 @@ class TestFit:
         hist = CountHistogram.from_observations(draws)
         fit = fit_uni(hist, 2, tau=10, shared_p=True)
         assert fit.loglik >= fit.init_loglik
+
+
+def captured_objective(monkeypatch, module, fit, *fit_args, **fit_kwargs):
+    """The objective and arguments that ``fit`` hands to L-BFGS-B.
+
+    The module's ``minimize`` is replaced by a stub that records its
+    first call and returns the start point, so the fit runs no search.
+    """
+    seen = []
+
+    def stub(fun, x0, args=(), **kwargs):
+        seen.append((fun, x0, args))
+        return OptimizeResult(x=x0, fun=fun(x0, *args)[0], success=True,
+                              nit=0, nfev=1)
+
+    monkeypatch.setattr(module, "minimize", stub)
+    fit(*fit_args, **fit_kwargs)
+    return seen[0]
+
+
+def assert_gradient_matches(fun, x0, args, seed, n_points=4, atol=1e-7):
+    """Analytic gradient vs central differences at jittered points.
+
+    Central differences are the mean of a forward and a backward
+    ``approx_fprime``; their own error stays below 1e-8 here.
+    """
+    rng = np.random.default_rng(seed)
+
+    def value(z):
+        return fun(z, *args)[0]
+
+    for _ in range(n_points):
+        x = x0 + 0.5 * rng.standard_normal(x0.size)
+        _, grad = fun(x, *args)
+        numeric = 0.5 * (approx_fprime(x, value, 1e-6)
+                         + approx_fprime(x, value, -1e-6))
+        np.testing.assert_allclose(grad, numeric, rtol=0, atol=atol)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("shared_p", [True, False])
+    def test_matches_finite_differences(self, monkeypatch, g, shared_p):
+        truth = UniMixtureParams(alpha=[0.6, 0.4], p=[0.8, 0.9],
+                                 lam=[0.3, 2.5])
+        draws = sample_counts(truth, 5000, np.random.default_rng(5))
+        hist = CountHistogram.from_observations(draws)
+        tau = 3
+        assert hist.values.max() > tau      # the tail cell is active
+        fun, x0, args = captured_objective(
+            monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau,
+            shared_p=shared_p, opts=FitOptions(n_starts=1))
+        assert_gradient_matches(fun, x0, args, seed=10 * g + shared_p)
 
 
 class TestSelection:
