@@ -26,7 +26,8 @@ from .neighbor_multi import (DesignMatrix, LogLinear, MultiCountHistogram,
                              MultiMixtureParams, RuleIndexSet, binary_rules,
                              build_design, coverage_from_fit, fit_multi,
                              init_appendix_c, loglinear_invert,
-                             loglinear_probs, multi_comp_pmf, multi_mix_pmf,
+                             loglinear_probs, marginal_rates,
+                             multi_comp_pmf, multi_mix_pmf,
                              sample_multi_counts, select_G_multi,
                              single_class_p_hat)
 from .baselines import (CoverageEstimate, df_dt_estimators, lincoln_petersen,

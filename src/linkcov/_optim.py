@@ -15,14 +15,13 @@ gradients back to the unconstrained coordinates.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = [
     "FitOptions",
-    "sigmoid",
     "logit",
     "interval_from_real",
     "real_from_interval",
-    "interval_jacobian",
     "stick_break",
     "stick_break_inverse",
     "stick_break_vjp",
@@ -49,17 +48,6 @@ class FitOptions:
     lambda_max: float = 100.0
 
 
-def sigmoid(x):
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def logit(p):
     p = np.asarray(p, dtype=float)
     return np.log(p) - np.log1p(-p)
@@ -69,22 +57,20 @@ def interval_from_real(x, lo, hi):
     """Map R -> (lo, hi) by logistic interpolation on the log scale.
 
     Requires 0 < lo < hi.  Values cluster log-uniformly, which suits rate
-    parameters spanning several orders of magnitude.
+    parameters spanning several orders of magnitude.  Returns the values
+    and their elementwise derivatives d value / dx, which share one
+    logistic evaluation.
     """
-    return np.exp(np.log(lo) + (np.log(hi) - np.log(lo)) * sigmoid(x))
+    span = np.log(hi) - np.log(lo)
+    s = expit(x)
+    v = np.exp(np.log(lo) + span * s)
+    return v, v * span * s * (1.0 - s)
 
 
 def real_from_interval(v, lo, hi):
     frac = (np.log(v) - np.log(lo)) / (np.log(hi) - np.log(lo))
     frac = np.clip(frac, 1e-12, 1.0 - 1e-12)
     return logit(frac)
-
-
-def interval_jacobian(x, lo, hi):
-    """d interval_from_real / dx, elementwise."""
-    s = sigmoid(x)
-    v = np.exp(np.log(lo) + (np.log(hi) - np.log(lo)) * s)
-    return v * (np.log(hi) - np.log(lo)) * s * (1.0 - s)
 
 
 def stick_break(x, floor=0.0):
@@ -95,7 +81,7 @@ def stick_break(x, floor=0.0):
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     g = x.size + 1
-    v = sigmoid(x)
+    v = expit(x)
     s = np.empty(g)
     rest = 1.0
     for i in range(g - 1):
@@ -133,7 +119,7 @@ def stick_break_vjp(x, grad_s, floor=0.0):
     g = x.size + 1
     if g == 1:
         return np.empty(0)
-    v = sigmoid(x)
+    v = expit(x)
     s = np.empty(g)
     c = np.empty(g - 1)
     rest = 1.0

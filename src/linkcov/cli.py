@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +95,11 @@ def parse_config(source=None):
 
     Unknown keys are rejected by name; omitted keys take defaults.
     """
+    return _config_from(_read_config(source))
+
+
+def _read_config(source):
+    """The JSON object a config source holds; {} for None."""
     data = {}
     if source is not None:
         if hasattr(source, "read"):
@@ -108,6 +113,11 @@ def parse_config(source=None):
                     data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
+    return data
+
+
+def _config_from(data):
+    """Validate config keys, fill defaults and derive the linkage rule."""
     unknown = set(data) - set(_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -363,24 +373,20 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        overrides = {}
+        # flags override config keys before validation, so --scenario
+        # derives the rule only when the config leaves rule_variant unset
+        data = _read_config(args.config)
         if args.seed is not None:
-            overrides["seed"] = args.seed
+            data["seed"] = args.seed
         if args.out is not None:
-            overrides["out_dir"] = args.out
+            data["out_dir"] = args.out
         if args.threads is not None:
-            overrides["threads"] = args.threads
+            data["threads"] = args.threads
         if args.scenario is not None:
-            overrides["scenario"] = args.scenario
-            if "rule_variant" not in overrides:
-                overrides["rule_variant"] = (
-                    lk.RULE_BASELINE_AND_ANY_EXACT
-                    if args.scenario in (4, 5) else lk.RULE_BASELINE_ONLY)
+            data["scenario"] = args.scenario
         if args.full_scale:
-            overrides["full_scale"] = True
-        if overrides:
-            cfg = replace(cfg, **overrides)
+            data["full_scale"] = True
+        cfg = _config_from(data)
         status = dispatch(args.command, cfg)
     except Exception as exc:  # surface the failing stage, nonzero exit
         print(f"error [{args.command}]: {exc}", file=sys.stderr)

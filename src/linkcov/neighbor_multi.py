@@ -16,14 +16,12 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln, pdtr
+from scipy.special import expit, gammaln, pdtr
 
 from ._optim import (
     FitOptions,
     interval_from_real,
-    interval_jacobian,
     real_from_interval,
-    sigmoid,
     logit,
     stick_break,
     stick_break_inverse,
@@ -49,6 +47,7 @@ __all__ = [
     "marginal_params",
     "single_class_p_hat",
     "init_appendix_c",
+    "marginal_rates",
     "fit_multi",
     "select_G_multi",
     "coverage_from_fit",
@@ -353,21 +352,19 @@ def sample_multi_counts(params, size, rng):
 
 # ----------------------------------------------------------------- fitting
 
-def _layout(g, m, constraint, du):
-    """Slice boundaries of the packed parameter vector."""
-    n_alpha = g - 1
+def _n_p(g, m, constraint, du):
+    """Length of the packed true-positive block (du: free coefficients)."""
     if constraint == "free":
-        n_p = g * m
-    elif constraint == "shared_p":
-        n_p = m
-    else:
-        n_p = 1 + du
-    return n_alpha, n_p
+        return g * m
+    if constraint == "shared_p":
+        return m
+    return 1 + du
 
 
-def _unpack_multi(x, g, m, constraint, design, M_tie, nu, lam_max):
-    n_alpha, n_p = _layout(g, m, constraint, 0 if design is None else
-                           (M_tie.shape[1] if M_tie is not None else design.Z.shape[1]))
+def _unpack_multi(x, g, m, n_p, constraint, Zv, nu, lam_max):
+    """Parameters at x, plus d lam / dx.  Zv maps the free log-linear
+    coefficients to eta (the design, times the tie matrix when tied)."""
+    n_alpha = g - 1
     alpha = stick_break(x[:n_alpha], floor=nu) if g > 1 else np.ones(1)
     xp = x[n_alpha:n_alpha + n_p]
     aux = {}
@@ -378,18 +375,17 @@ def _unpack_multi(x, g, m, constraint, design, M_tie, nu, lam_max):
             p[comp] = (1.0 - nu) * cells[:m]
     elif constraint == "shared_p":
         cells = stick_break(xp)
-        p = np.tile((1.0 - nu) * cells[:m], (g, 1))
+        p = ((1.0 - nu) * cells[None, :m]).repeat(g, axis=0)
     else:
-        phi = float(sigmoid(xp[:1])[0])
-        v = xp[1:]
-        u = M_tie @ v if M_tie is not None else v
-        eta = design.Z @ u
+        phi = float(expit(xp[0]))
+        eta = Zv @ xp[1:]
         mx = max(0.0, float(eta.max()))
-        r = np.exp(eta - mx) / (np.exp(-mx) + np.exp(eta - mx).sum())
-        p = np.tile(phi * r, (g, 1))
-        aux = {"phi": phi, "u": u, "r": r}
-    lam = interval_from_real(x[n_alpha + n_p:], nu, lam_max).reshape(g, m)
-    return alpha, p, lam, aux
+        e = np.exp(eta - mx)
+        r = e / (np.exp(-mx) + e.sum())
+        p = (phi * r[None, :]).repeat(g, axis=0)
+        aux = {"phi": phi, "v": xp[1:], "r": r}
+    lam, dlam_dx = interval_from_real(x[n_alpha + n_p:], nu, lam_max)
+    return alpha, p, lam.reshape(g, m), dlam_dx, aux
 
 
 def _pack_multi(alpha, p_block, lam, constraint, nu, lam_max):
@@ -416,35 +412,32 @@ def _pack_multi(alpha, p_block, lam, constraint, nu, lam_max):
     return np.concatenate(parts)
 
 
-def _objective_multi(x, keys, cnts, tail_count, total, g, m, constraint,
-                     design, M_tie, tau, nu, lam_max):
-    """Negative mean capped log-likelihood with analytic gradient."""
-    alpha, p, lam, aux = _unpack_multi(x, g, m, constraint, design, M_tie,
-                                       nu, lam_max)
-    n_keys = keys.shape[0]
-    log_lam = np.log(lam)
+def _objective_multi(x, keys, log_fact, cnts, tail_count, total, g, m, n_p,
+                     constraint, Zv, tau, nu, lam_max):
+    """Negative mean capped log-likelihood with analytic gradient.
 
-    # a[k, g] = prod_gamma Pois(t / lam_g); bracket adds the TP shift
-    log_a = keys @ log_lam.T - lam.sum(axis=1)[None, :] \
-        - gammaln(keys + 1.0).sum(axis=1)[:, None]
-    a = np.exp(log_a)
-    ratio = keys[:, None, :] / lam[None, :, :]          # (k, g, m)
-    bracket = (1.0 - p.sum(axis=1))[None, :] + np.einsum(
-        "kgm,gm->kg", ratio, p)
-    mix = a * bracket                                   # (k, g)
+    Every per-count sum is a (k, g) or (g, m) matrix product; nothing of
+    size k * g * m is formed.
+    """
+    alpha, p, lam, dlam_dx, aux = _unpack_multi(x, g, m, n_p, constraint,
+                                                Zv, nu, lam_max)
+    psum = p.sum(axis=1)
+
+    # a[k, g] = prod_gamma Pois(t / lam_g); the bracket adds the TP shift
+    a = np.exp(keys @ np.log(lam).T - lam.sum(axis=1) - log_fact[:, None])
+    mix = a * ((1.0 - psum) + keys @ (p / lam).T)      # (k, g)
     q = np.maximum(mix @ alpha, 1e-300)
     w = cnts / q                                        # (k,)
     ll = float(cnts @ np.log(q))
 
-    d_alpha = mix.T @ w                                 # (g,)
-    # dq/dp_g,gamma = alpha_g a (t_gamma/lam - 1)
-    d_p = alpha[:, None] * np.einsum("k,kg,kgm->gm", w, a, ratio - 1.0)
-    # dq/dlam: mix * (t/lam - 1) - a * p * t / lam^2
-    d_lam = alpha[:, None] * (
-        np.einsum("k,kg,kgm->gm", w, mix, ratio - 1.0)
-        - np.einsum("k,kg,kgm->gm", w, a, ratio / lam[None, :, :])
-        * p
-    )
+    d_alpha = w @ mix                                   # (g,)
+    # sum_k w a t / lam and sum_k w mix t / lam, per class and rule
+    wat = ((w[:, None] * a).T @ keys) / lam             # (g, m)
+    wmt = ((w[:, None] * mix).T @ keys) / lam
+    # dq/dp = alpha a (t/lam - 1); dq/dlam = alpha (mix (t/lam - 1)
+    # - a p t / lam^2)
+    d_p = alpha[:, None] * (wat - (w @ a)[:, None])
+    d_lam = alpha[:, None] * (wmt - d_alpha[:, None] - p * wat / lam)
 
     if tail_count:
         s = lam.sum(axis=1)
@@ -452,19 +445,16 @@ def _objective_multi(x, keys, cnts, tail_count, total, g, m, constraint,
         cdf_tm1 = pdtr(tau - 1, s)
         pmf_t = np.exp(tau * np.log(s) - s - gammaln(tau + 1.0))
         pmf_tm1 = pmf_t * tau / s
-        psum = p.sum(axis=1)
-        T = 1.0 - float(alpha @ ((1.0 - psum) * cdf_t + psum * cdf_tm1))
-        T = max(T, 1e-300)
+        below = (1.0 - psum) * cdf_t + psum * cdf_tm1
+        T = max(1.0 - float(alpha @ below), 1e-300)
         ll += tail_count * np.log(T)
         wt = tail_count / T
-        d_alpha += wt * -((1.0 - psum) * cdf_t + psum * cdf_tm1)
+        d_alpha -= wt * below
         d_p += wt * (alpha * (cdf_t - cdf_tm1))[:, None]
         d_lam += wt * (alpha * ((1.0 - psum) * pmf_t + psum * pmf_tm1))[:, None]
 
     # chain rules
-    n_alpha, n_p = _layout(g, m, constraint,
-                           0 if design is None else
-                           (M_tie.shape[1] if M_tie is not None else design.Z.shape[1]))
+    n_alpha = g - 1
     grad = np.empty_like(x)
     if g > 1:
         grad[:n_alpha] = stick_break_vjp(x[:n_alpha], d_alpha, floor=nu)
@@ -478,26 +468,23 @@ def _objective_multi(x, keys, cnts, tail_count, total, g, m, constraint,
         gs = np.append((1.0 - nu) * d_p.sum(axis=0), 0.0)
         grad[n_alpha:n_alpha + n_p] = stick_break_vjp(xp, gs)
     else:
+        # p = phi * softmax(eta), shared across classes
         phi, r = aux["phi"], aux["r"]
-        dldp = d_p.sum(axis=0)                          # shared across classes
-        grad_phi = float(dldp @ r) * phi * (1.0 - phi)
-        inner = float(dldp @ (phi * r))
-        d_eta = phi * r * dldp - r * inner
-        d_u = design.Z.T @ d_eta
-        if M_tie is not None:
-            d_u = M_tie.T @ d_u
-        grad[n_alpha] = grad_phi
-        grad[n_alpha + 1:n_alpha + n_p] = d_u
-    grad[n_alpha + n_p:] = d_lam.ravel() * interval_jacobian(
-        x[n_alpha + n_p:], nu, lam_max)
+        dldp = d_p.sum(axis=0)
+        dldr = float(dldp @ r)
+        grad[n_alpha] = dldr * phi * (1.0 - phi)
+        grad[n_alpha + 1:n_alpha + n_p] = Zv.T @ (phi * r * (dldp - dldr))
+    grad[n_alpha + n_p:] = d_lam.ravel() * dlam_dx
     return -ll / total, -grad / total
 
 
 def _split_multi(hist, tau):
-    l1 = hist.keys.sum(axis=1)
-    low = l1 <= tau
-    return (hist.keys[low].astype(float), hist.counts[low].astype(float),
-            float(hist.counts[~low].sum()))
+    """Count vectors with |t| <= tau, their summed log factorials, their
+    multiplicities, and the tail count."""
+    low = hist.keys.sum(axis=1) <= tau
+    keys = hist.keys[low].astype(float)
+    return (keys, gammaln(keys + 1.0).sum(axis=1),
+            hist.counts[low].astype(float), float(hist.counts[~low].sum()))
 
 
 def single_class_p_hat(hist, lambda_fixed, tau=10, nu=1e-4, gtol=1e-8,
@@ -510,9 +497,9 @@ def single_class_p_hat(hist, lambda_fixed, tau=10, nu=1e-4, gtol=1e-8,
     """
     lam = np.asarray(lambda_fixed, dtype=float)
     m = lam.size
-    keys, cnts, tail_count = _split_multi(hist, tau)
+    keys, log_fact, cnts, tail_count = _split_multi(hist, tau)
     total = float(hist.total)
-    log_a = keys @ np.log(lam) - lam.sum() - gammaln(keys + 1.0).sum(axis=1)
+    log_a = keys @ np.log(lam) - lam.sum() - log_fact
     a = np.exp(log_a)
     ratio = keys / lam[None, :]
     if tail_count:
@@ -621,14 +608,31 @@ def _constraint_key(constraint):
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
-def _default_init(hist, rules, tau, opts, uni_g_max=2):
-    """Per-rule univariate rates, then the moment bundle (binary K=3)."""
+def marginal_rates(hist, tau=10, opts=FitOptions()):
+    """Per-rule rates lambda_bar from univariate shared-p fits (G = 1..2,
+    AIC) of each rule's marginal counts; they seed the Appendix-C start.
+    One set serves every constraint fitted to the same histogram."""
     lam_bar = []
-    for coord in range(rules.size):
+    for coord in range(hist.width):
         mh = marginal_histogram(hist, coord)
-        sel = select_G(mh, uni_g_max, tau=tau, shared_p=True, opts=opts)
+        sel = select_G(mh, 2, tau=tau, shared_p=True, opts=opts)
         lam_bar.append(sel.fit.params.lambda_bar)
     return np.asarray(lam_bar)
+
+
+def _appendix_c_start(hist, constraint, rules, tau, opts, lambda_bar):
+    """The Appendix-C start bundle, or None unless rules are three binary
+    groups; lambda_bar=None fits the marginal rates here."""
+    if rules.patterns != _BIN3:
+        if lambda_bar is not None:
+            raise ValueError("lambda_bar needs three binary rule groups")
+        return None
+    if lambda_bar is None:
+        lambda_bar = marginal_rates(hist, tau, opts)
+    with_interactions = isinstance(constraint, LogLinear) and constraint.d >= 2
+    mode = "with_interactions" if with_interactions else "no_interactions"
+    return init_appendix_c(hist, lambda_bar, mode, rules=rules, tau=tau,
+                           nu=opts.nu)
 
 
 def fit_multi(hist, g, constraint="shared_p", tau=10, rules=None,
@@ -645,26 +649,23 @@ def fit_multi(hist, g, constraint="shared_p", tau=10, rules=None,
     key = _constraint_key(constraint)
     nu, lam_max = opts.nu, opts.lambda_max
 
-    design = M_tie = None
+    design = M_tie = Zv = None
     if key == "loglinear":
         design = build_design(rules, constraint.d)
+        Zv = design.Z
         if constraint.tie_symmetric:
             M_tie = tie_matrix(design)
+            Zv = design.Z @ M_tie
+    n_p = _n_p(g, m, key, None if Zv is None else Zv.shape[1])
 
     if init is None:
-        if rules.patterns == _BIN3:
-            lam_bar = _default_init(hist, rules, tau, opts)
-            mode = ("with_interactions"
-                    if key == "loglinear" and constraint.d >= 2
-                    else "no_interactions")
-            init = init_appendix_c(hist, lam_bar, mode, rules=rules, tau=tau,
-                                   nu=nu)
-        else:
-            mean = (hist.keys * hist.counts[:, None]).sum(axis=0) / hist.total
-            p0 = np.clip(mean * 0.5, 1e-4, 0.9 / m)
-            init = {"lambda": np.clip(mean - p0, 0.02, None), "p": p0,
-                    "u": None, "phi": min(0.9, float(p0.sum()) + 0.1),
-                    "flagged": False}
+        init = _appendix_c_start(hist, constraint, rules, tau, opts, None)
+    if init is None:
+        mean = (hist.keys * hist.counts[:, None]).sum(axis=0) / hist.total
+        p0 = np.clip(mean * 0.5, 1e-4, 0.9 / m)
+        init = {"lambda": np.clip(mean - p0, 0.02, None), "p": p0,
+                "u": None, "phi": min(0.9, float(p0.sum()) + 0.1),
+                "flagged": False}
 
     alpha0 = np.full(g, 1.0 / g)
     lam0 = np.tile(np.clip(init["lambda"], nu * 2, lam_max), (g, 1))
@@ -678,23 +679,22 @@ def fit_multi(hist, g, constraint="shared_p", tau=10, rules=None,
         p_block = init["p"]
     else:
         u0 = init["u"]
+        n_u = design.Z.shape[1]
         if u0 is None:
-            u0 = np.zeros(design.Z.shape[1])
+            u0 = np.zeros(n_u)
         else:
             u0 = np.asarray(u0, dtype=float)
-            du = design.Z.shape[1]
-            if u0.size != du:
+            if u0.size != n_u:
                 # bundle coefficients are d=2 sized; main terms lead
-                u0 = u0[:du] if u0.size > du else np.pad(u0, (0, du - u0.size))
+                u0 = u0[:n_u] if u0.size > n_u else np.pad(u0, (0, n_u - u0.size))
         v0 = (np.linalg.lstsq(M_tie, u0, rcond=None)[0]
               if M_tie is not None else u0)
         p_block = (init["phi"], v0)
 
     x0 = _pack_multi(alpha0, p_block, lam0, key, nu, lam_max)
-    keys, cnts, tail_count = _split_multi(hist, tau)
     total = float(hist.total)
-    args = (keys, cnts, tail_count, total, g, m, key, design, M_tie, tau,
-            nu, lam_max)
+    args = (*_split_multi(hist, tau), total, g, m, n_p, key, Zv, tau, nu,
+            lam_max)
     init_loglik = -_objective_multi(x0, *args)[0] * total
 
     best = None
@@ -712,11 +712,14 @@ def fit_multi(hist, g, constraint="shared_p", tau=10, rules=None,
         if best is None or res.fun < best.fun:
             best = res
 
-    alpha, p, lam, aux = _unpack_multi(best.x, g, m, key, design, M_tie,
-                                       nu, lam_max)
+    alpha, p, lam, _, aux = _unpack_multi(best.x, g, m, n_p, key, Zv, nu,
+                                          lam_max)
+    u = None
+    if key == "loglinear":
+        u = M_tie @ aux["v"] if M_tie is not None else aux["v"]
     params = MultiMixtureParams(
         alpha=alpha, p=p, lam=lam, rules=rules, constraint=key,
-        phi=aux.get("phi"), u=aux.get("u"),
+        phi=aux.get("phi"), u=u,
         u_labels=design.labels if design is not None else None,
     )
     return MultiFitResult(
@@ -737,17 +740,16 @@ class MultiSelectionResult:
 
 
 def n_free_params_multi(g, m, constraint, du=None):
-    key = _constraint_key(constraint)
-    if key == "free":
-        return (g - 1) + 2 * g * m
-    if key == "shared_p":
-        return (g - 1) + m + g * m
-    return (g - 1) + (1 + du) + g * m
+    return (g - 1) + _n_p(g, m, _constraint_key(constraint), du) + g * m
 
 
 def select_G_multi(hist, g_max, constraint="shared_p", tau=10, rules=None,
-                   opts=FitOptions()):
-    """AIC selection of the class count (ties -> smallest G)."""
+                   opts=FitOptions(), lambda_bar=None):
+    """AIC selection of the class count (ties -> smallest G).
+
+    lambda_bar: marginal_rates(hist, tau, opts) computed once and shared
+    between constraints fitted to one histogram; None computes them.
+    """
     rules = rules or binary_rules(3)
     key = _constraint_key(constraint)
     du = None
@@ -755,13 +757,7 @@ def select_G_multi(hist, g_max, constraint="shared_p", tau=10, rules=None,
         design = build_design(rules, constraint.d)
         du = (tie_matrix(design).shape[1] if constraint.tie_symmetric
               else design.Z.shape[1])
-    init = None
-    if rules.patterns == _BIN3:
-        lam_bar = _default_init(hist, rules, tau, opts)
-        mode = ("with_interactions" if key == "loglinear" and constraint.d >= 2
-                else "no_interactions")
-        init = init_appendix_c(hist, lam_bar, mode, rules=rules, tau=tau,
-                               nu=opts.nu)
+    init = _appendix_c_start(hist, constraint, rules, tau, opts, lambda_bar)
     trace = []
     best = None
     for g in range(1, g_max + 1):

@@ -14,14 +14,12 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln, pdtr
+from scipy.special import expit, gammaln, pdtr
 
 from ._optim import (
     FitOptions,
     interval_from_real,
-    interval_jacobian,
     real_from_interval,
-    sigmoid,
     logit,
     stick_break,
     stick_break_inverse,
@@ -174,21 +172,24 @@ def sample_counts(params, size, rng):
 # ----------------------------------------------------------------- fitting
 
 def _split_hist(hist, tau):
+    """Counts up to tau with their log factorials, and the tail count."""
     low = hist.values <= tau
-    return (hist.values[low].astype(float), hist.counts[low].astype(float),
+    vals = hist.values[low].astype(float)
+    return (vals, gammaln(vals + 1.0), hist.counts[low].astype(float),
             float(hist.counts[~low].sum()))
 
 
 def _unpack(x, g, shared_p, nu, lam_max):
+    """Parameters at x, plus d lam / dx for the gradient."""
     pos = g - 1
     alpha = stick_break(x[:pos], floor=nu) if g > 1 else np.ones(1)
     np_p = 1 if shared_p else g
     p_raw = x[pos:pos + np_p]
-    p = nu + (1.0 - 2.0 * nu) * sigmoid(p_raw)
+    p = nu + (1.0 - 2.0 * nu) * expit(p_raw)
     if shared_p:
         p = np.full(g, p[0])
-    lam = interval_from_real(x[pos + np_p:], nu, lam_max)
-    return alpha, p, lam
+    lam, dlam_dx = interval_from_real(x[pos + np_p:], nu, lam_max)
+    return alpha, p, lam, dlam_dx
 
 
 def _pack(alpha, p, lam, shared_p, nu, lam_max):
@@ -203,14 +204,15 @@ def _pack(alpha, p, lam, shared_p, nu, lam_max):
     return np.concatenate(parts)
 
 
-def _objective(x, vals, cnts, tail_count, total, g, shared_p, tau, nu, lam_max):
+def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
+               nu, lam_max):
     """Negative mean capped log-likelihood and its gradient."""
-    alpha, p, lam = _unpack(x, g, shared_p, nu, lam_max)
+    alpha, p, lam, dlam_dx = _unpack(x, g, shared_p, nu, lam_max)
 
     # pois[g, v] = Poisson(v; lam_g); shifted variant via v / lam
     logl = np.log(lam)
-    pois = np.exp(np.outer(logl, vals) - lam[:, None] - gammaln(vals + 1.0)[None, :])
-    shift = pois * vals[None, :] / lam[:, None]
+    pois = np.exp(np.outer(logl, vals) - lam[:, None] - log_fact)
+    shift = pois * vals / lam[:, None]
     comp = (1.0 - p)[:, None] * pois + p[:, None] * shift
     q = np.maximum(alpha @ comp, 1e-300)
 
@@ -218,9 +220,9 @@ def _objective(x, vals, cnts, tail_count, total, g, shared_p, tau, nu, lam_max):
     ll = float(cnts @ np.log(q))
     d_alpha = comp @ wv
     d_p = alpha * ((shift - pois) @ wv)
-    dpois = pois * (vals[None, :] / lam[:, None] - 1.0)
-    dshift = np.where(vals[None, :] > 0,
-                      shift * ((vals[None, :] - 1.0) / lam[:, None] - 1.0), 0.0)
+    dpois = pois * (vals / lam[:, None] - 1.0)
+    # shift is 0 at v = 0, so dshift is too
+    dshift = shift * ((vals - 1.0) / lam[:, None] - 1.0)
     d_lam = alpha * (((1.0 - p)[:, None] * dpois + p[:, None] * dshift) @ wv)
 
     if tail_count:
@@ -242,10 +244,10 @@ def _objective(x, vals, cnts, tail_count, total, g, shared_p, tau, nu, lam_max):
     grad = np.empty_like(x)
     if g > 1:
         grad[:pos] = stick_break_vjp(x[:pos], d_alpha, floor=nu)
-    sp = sigmoid(x[pos:pos + np_p])
+    sp = expit(x[pos:pos + np_p])
     dp_dx = (1.0 - 2.0 * nu) * sp * (1.0 - sp)
     grad[pos:pos + np_p] = (d_p.sum() if shared_p else d_p) * dp_dx
-    grad[pos + np_p:] = d_lam * interval_jacobian(x[pos + np_p:], nu, lam_max)
+    grad[pos + np_p:] = d_lam * dlam_dx
     return -ll / total, -grad / total
 
 
@@ -282,10 +284,9 @@ def fit_uni(hist, g, tau=10, shared_p=False, opts=FitOptions()):
     """
     if g < 1:
         raise ValueError("need at least one class")
-    vals, cnts, tail_count = _split_hist(hist, tau)
     total = float(hist.total)
     nu, lam_max = opts.nu, opts.lambda_max
-    args = (vals, cnts, tail_count, total, g, shared_p, tau, nu, lam_max)
+    args = (*_split_hist(hist, tau), total, g, shared_p, tau, nu, lam_max)
 
     alpha0, p0, lam0 = _moment_init(hist, g, shared_p, nu)
     x0 = _pack(alpha0, p0, lam0, shared_p, nu, lam_max)
@@ -305,7 +306,7 @@ def fit_uni(hist, g, tau=10, shared_p=False, opts=FitOptions()):
         )
         if best is None or res.fun < best.fun:
             best = res
-    alpha, p, lam = _unpack(best.x, g, shared_p, nu, lam_max)
+    alpha, p, lam, _ = _unpack(best.x, g, shared_p, nu, lam_max)
     params = UniMixtureParams(alpha=alpha, p=p, lam=lam, shared_p=shared_p)
     return FitResult(
         params=params,

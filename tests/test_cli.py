@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from linkcov import cli
 from linkcov.cli import main, parse_config
 from linkcov.linkage import RULE_BASELINE_AND_ANY_EXACT, RULE_BASELINE_ONLY
 
@@ -43,6 +44,33 @@ class TestParseConfig:
         monkeypatch.setenv("LINKCOV_CENSUS_DIR", str(tmp_path))
         cfg = parse_config('{"surname_csv": "names.csv"}')
         assert cfg.surname_csv == str(tmp_path / "names.csv")
+
+
+class TestScenarioFlag:
+    """--scenario derives the linkage rule only when the config leaves
+    rule_variant unset."""
+
+    @staticmethod
+    def config_seen(monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(cli, "dispatch",
+                            lambda command, cfg: seen.append(cfg) or 0)
+        assert main(argv) == 0
+        return seen[0]
+
+    def test_rule_derived_when_config_leaves_it_unset(self, monkeypatch):
+        cfg = self.config_seen(monkeypatch, [
+            "link", "--config", '{"scenario": 1}', "--scenario", "4"])
+        assert cfg.scenario == 4
+        assert cfg.rule_variant == RULE_BASELINE_AND_ANY_EXACT
+
+    def test_rule_set_in_config_is_kept(self, monkeypatch):
+        config = json.dumps({"scenario": 1,
+                             "rule_variant": RULE_BASELINE_ONLY})
+        cfg = self.config_seen(monkeypatch, [
+            "link", "--config", config, "--scenario", "5"])
+        assert cfg.scenario == 5
+        assert cfg.rule_variant == RULE_BASELINE_ONLY
 
 
 @pytest.fixture

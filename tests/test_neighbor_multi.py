@@ -12,8 +12,9 @@ from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     coverage_from_fit, fit_multi,
                                     init_appendix_c, loglinear_invert,
                                     loglinear_probs, marginal_histogram,
-                                    marginal_params, multi_comp_pmf,
-                                    multi_mix_pmf, n_free_params_multi,
+                                    marginal_params, marginal_rates,
+                                    multi_comp_pmf, multi_mix_pmf,
+                                    n_free_params_multi,
                                     sample_multi_counts, select_G_multi,
                                     single_class_p_hat)
 from linkcov.neighbor_uni import mix_pmf
@@ -383,6 +384,37 @@ class TestSelection:
         sel = select_G_multi(hist, 2, constraint="shared_p", tau=10)
         assert sel.fit.params.p.shape == (sel.g_hat, 7)
         assert sel.fit.params.lam.shape == (sel.g_hat, 7)
+
+
+class TestSharedRates:
+    def test_passed_rates_reproduce_the_selection_exactly(self):
+        rules = binary_rules(3)
+        design = build_design(rules, 2)
+        p = loglinear_probs(0.9, np.array([1.0, 0.5, 0.8, 0.3, 0, 0.2]),
+                            design)
+        truth = MultiMixtureParams(
+            alpha=[0.7, 0.3], p=[p, p],
+            lam=[np.full(7, 0.03), np.full(7, 0.3)], rules=rules,
+            constraint="shared_p",
+        )
+        draws = sample_multi_counts(truth, 20000, np.random.default_rng(61))
+        hist = MultiCountHistogram.from_observations(draws)
+        opts = FitOptions()
+        rates = marginal_rates(hist, 10, opts)
+        for d in (1, 2):
+            shared = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10,
+                                    opts=opts, lambda_bar=rates)
+            own = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10,
+                                 opts=opts)
+            assert shared.g_hat == own.g_hat
+            assert shared.fit.loglik == own.fit.loglik
+            assert shared.fit.params.phi == own.fit.params.phi
+
+    def test_rates_need_three_binary_groups(self):
+        hist = MultiCountHistogram(keys=[[0, 1], [1, 0]], counts=[5, 3])
+        with pytest.raises(ValueError, match="binary"):
+            select_G_multi(hist, 1, rules=RuleIndexSet(H=(2,)),
+                           lambda_bar=np.ones(2))
 
 
 class TestCoverage:
