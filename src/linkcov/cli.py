@@ -12,7 +12,24 @@ stages compose through files:
   experiment  replication log (JSONL) and comparison reports
   report      re-render reports from an existing replication log
 
-Census CSV paths resolve against $LINKCOV_CENSUS_DIR when relative.
+Artifacts, by the stage that writes them.  CSV files have one header
+row; popsim owns the population format and linkage the other two.
+
+  simulate    population.csv: unit_id, surname_a, day_a, month_a, year_a,
+              surname_b, day_b, month_b, year_b, in_a, in_b
+  link        links_rule1.csv, links_rule2.csv: b_unit_id, a_unit_id,
+              g1, g2, g3, sorted by (b_unit_id, a_unit_id);
+              counts.csv: b_unit_id, n_total, n_001, n_010, ..., n_111
+              (reads population.csv)
+  fit-uni     fit_uni.json (reads counts.csv)
+  fit-multi   fit_multi.json (reads counts.csv)
+  baselines   baselines.json (reads population.csv)
+  experiment  replications.jsonl, report.md, report.csv, report.json
+  report      report.md, report.csv, report.json (reads replications.jsonl)
+
+The population_csv, counts_csv and log_jsonl config keys point a stage
+at inputs outside the output directory.  Census CSV paths resolve
+against $LINKCOV_CENSUS_DIR when relative.
 """
 
 import argparse
@@ -35,6 +52,10 @@ from .neighbor_uni import CountHistogram, fit_document, select_G
 from .popsim import dump_population, load_population
 
 CENSUS_DIR_ENV = "LINKCOV_CENSUS_DIR"
+
+# The stages read counts.csv through this module-level name, which
+# perfbench/layers.py wraps to time the CSV reads.
+_counts_from_csv = lk.load_counts
 
 _DEFAULTS = {
     "scenario": 1,
@@ -223,23 +244,10 @@ def cmd_link(cfg):
     return 0
 
 
-def _counts_from_csv(path):
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        rows = [list(map(int, row)) for row in reader if row]
-    mat = np.array(rows, dtype=np.int64)
-    n_total = mat[:, 1]
-    patterns = mat[:, 2:]
-    return n_total, patterns, header
-
-
 def cmd_fit_uni(cfg):
     out = _outdir(cfg)
     path = cfg.counts_csv or out / "counts.csv"
-    n_total, _, _ = _counts_from_csv(path)
+    _, n_total, _ = _counts_from_csv(path)
     hist = CountHistogram.from_observations(n_total)
     sel = select_G(hist, cfg.g_max, tau=cfg.tau, shared_p=True)
     doc = fit_document(sel.fit, aic=sel.trace[sel.g_hat - 1]["aic"])
@@ -251,7 +259,7 @@ def cmd_fit_uni(cfg):
 def cmd_fit_multi(cfg):
     out = _outdir(cfg)
     path = cfg.counts_csv or out / "counts.csv"
-    _, patterns, _ = _counts_from_csv(path)
+    _, _, patterns = _counts_from_csv(path)
     hist = MultiCountHistogram.from_observations(patterns)
     sel = select_G_multi(hist, cfg.g_max, constraint=LogLinear(cfg.d),
                          tau=cfg.tau)

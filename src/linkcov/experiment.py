@@ -264,12 +264,25 @@ def _rep_worker(payload):
     return run_replication(cfg, rep)
 
 
+def _replications(cfg, todo, workers):
+    """Yield the replications of ``todo`` in order, as each finishes."""
+    if workers > 1:
+        payloads = [(asdict(cfg), r) for r in todo]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_rep_worker, payloads)
+    else:
+        for r in todo:
+            yield run_replication(cfg, r)
+
+
 def run_experiment(cfg, workers=1, log_path=None, resume=False,
                    progress=None):
     """Run all replications and aggregate the comparison metrics.
 
     With log_path, per-replication records append to a JSONL file; with
     resume=True, replication indices already present are not rerun.
+    progress(rep_index) is called as each fresh replication arrives, in
+    index order, with any number of workers.
     """
     if cfg.replications < 2:
         raise ValueError("need at least two replications")
@@ -283,17 +296,10 @@ def run_experiment(cfg, workers=1, log_path=None, resume=False,
 
     results = list(done.values())
     if todo:
-        if workers > 1:
-            payloads = [(asdict(cfg), r) for r in todo]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                fresh = list(pool.map(_rep_worker, payloads))
-        else:
-            fresh = []
-            for r in todo:
-                fresh.append(run_replication(cfg, r))
-                if progress:
-                    progress(r)
-        results.extend(fresh)
+        for res in _replications(cfg, todo, workers):
+            results.append(res)
+            if progress:
+                progress(res.rep_index)
         if log_path:
             write_replication_log(
                 sorted(results, key=lambda x: x.rep_index), log_path)

@@ -37,6 +37,7 @@ __all__ = [
     "clerical_sample",
     "dump_linkset",
     "dump_counts",
+    "load_counts",
 ]
 
 RULE_BASELINE_ONLY = "baseline_only"
@@ -339,12 +340,17 @@ def dump_linkset(links, dest):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("b_unit_id", "a_unit_id", "g1", "g2", "g3"))
         order = np.lexsort((links.a_unit, links.b_unit))
-        for i in order:
-            g1, g2, g3 = PATTERNS[links.pattern_code[i]]
-            writer.writerow([links.b_unit[i], links.a_unit[i], g1, g2, g3])
+        gammas = np.asarray(PATTERNS)[links.pattern_code[order]]
+        writer.writerows(zip(links.b_unit[order].tolist(),
+                             links.a_unit[order].tolist(),
+                             *gammas.T.tolist()))
     finally:
         if own:
             fh.close()
+
+
+_COUNTS_HEADER = ("b_unit_id", "n_total") + tuple(
+    "n_" + "".join(map(str, p)) for p in PATTERNS[1:])
 
 
 def dump_counts(cv, b_unit_ids, dest):
@@ -353,14 +359,32 @@ def dump_counts(cv, b_unit_ids, dest):
     fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["b_unit_id", "n_total"] + [
-            "n_" + "".join(map(str, p)) for p in PATTERNS[1:]
-        ]
-        writer.writerow(header)
-        for i in range(cv.size):
-            writer.writerow(
-                [b_unit_ids[i], cv.n_total[i]] + cv.pattern_counts[i, 1:].tolist()
-            )
+        writer.writerow(_COUNTS_HEADER)
+        writer.writerows(zip(np.asarray(b_unit_ids).tolist(),
+                             cv.n_total.tolist(),
+                             *cv.pattern_counts[:, 1:].T.tolist()))
     finally:
         if own:
             fh.close()
+
+
+def load_counts(source):
+    """Read a `dump_counts` file back.
+
+    source is a path or an open text file.  Returns (b_unit_ids,
+    n_total, patterns) as int64 arrays: patterns has one column per
+    nonzero agreement pattern, PATTERNS[1:] order, as the file holds
+    them.  A file whose header is not the `dump_counts` one raises
+    ValueError.
+    """
+    own = not hasattr(source, "read")
+    fh = open(source, "r", encoding="utf-8", newline="") if own else source
+    try:
+        header = next(csv.reader([fh.readline()]), None)
+        if header is None or tuple(header) != _COUNTS_HEADER:
+            raise ValueError("unexpected counts header")
+        mat = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
+    finally:
+        if own:
+            fh.close()
+    return mat[:, 0], mat[:, 1], mat[:, 2:]

@@ -270,9 +270,14 @@ class MultiCountHistogram:
 
     @classmethod
     def from_observations(cls, count_matrix):
+        """Distinct rows in lexicographic order with their multiplicities,
+        as ``np.unique(axis=0, return_counts=True)`` gives them."""
         mat = np.atleast_2d(np.asarray(count_matrix, dtype=np.int64))
-        keys, counts = np.unique(mat, axis=0, return_counts=True)
-        return cls(keys, counts)
+        rows = mat[np.lexsort(mat.T[::-1])]
+        first = np.ones(rows.shape[0], dtype=bool)
+        first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        starts = np.flatnonzero(first)
+        return cls(rows[starts], np.diff(np.append(starts, rows.shape[0])))
 
     @property
     def total(self):

@@ -40,6 +40,9 @@ PATTERNS = tuple(
 )
 PATTERN_INDEX = {p: i for i, p in enumerate(PATTERNS)}
 
+# Surname labels are stored as fixed-width strings of this many characters.
+LABEL_WIDTH = 16
+
 
 @dataclass(frozen=True)
 class Record:
@@ -225,9 +228,11 @@ def generate_population(n, surnames, years, params, soundex_index, rng):
     The draw order is fixed (surnames, years, months, days, patterns,
     day shifts, month shifts, surname redraws grouped by name index), so
     identical generator states give bitwise-identical populations.
+    A surname label longer than LABEL_WIDTH characters raises ValueError.
     """
     if n < 1:
         raise ValueError("population size must be at least 1")
+    labels = _labels(surnames.labels)
     sidx_a = rng.choice(surnames.size, size=n, p=surnames.probs).astype(np.int32)
     year_labels = np.asarray([int(y) for y in years.labels])
     year_a = year_labels[rng.choice(years.size, size=n, p=years.probs)]
@@ -256,7 +261,6 @@ def generate_population(n, surnames, years, params, soundex_index, rng):
         others, oprobs = alt
         sidx_b[slots] = others[rng.choice(others.size, size=slots.size, p=oprobs)]
 
-    labels = np.asarray(surnames.labels, dtype="U16")
     codes = np.asarray([soundex(l) for l in surnames.labels], dtype="U4")
     return Population(
         surname_labels=labels, surname_codes=codes,
@@ -280,6 +284,26 @@ def draw_samples(pop, pi_a, pi_b, rng):
 _DUMP_COLUMNS = ("unit_id", "surname_a", "day_a", "month_a", "year_a",
                  "surname_b", "day_b", "month_b", "year_b", "in_a", "in_b")
 
+# Row layout of the dump body.  Surnames are read one character wider
+# than a label may be, so that an overlong one is caught, not truncated.
+_DUMP_DTYPE = np.dtype([
+    ("unit_id", np.int64), ("surname_a", f"U{LABEL_WIDTH + 1}"),
+    ("day_a", np.int16), ("month_a", np.int16), ("year_a", np.int32),
+    ("surname_b", f"U{LABEL_WIDTH + 1}"),
+    ("day_b", np.int16), ("month_b", np.int16), ("year_b", np.int32),
+    ("in_a", np.int8), ("in_b", np.int8),
+])
+
+
+def _labels(names):
+    """Surname labels as a fixed-width array; overlong ones are refused."""
+    names = np.asarray(names, dtype=str)
+    long = names[np.char.str_len(names) > LABEL_WIDTH]
+    if long.size:
+        raise ValueError(f"surname {str(long[0])!r} is longer than "
+                         f"{LABEL_WIDTH} characters")
+    return names.astype(f"U{LABEL_WIDTH}")
+
 
 def dump_population(pop, flags, dest):
     """Write the population and sample flags as delimited text."""
@@ -288,14 +312,15 @@ def dump_population(pop, flags, dest):
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_DUMP_COLUMNS)
-        names_a = pop.surname_labels[pop.sidx_a]
-        names_b = pop.surname_labels[pop.sidx_b]
-        for i in range(pop.n):
-            writer.writerow([
-                i + 1, names_a[i], pop.day_a[i], pop.month_a[i],
-                pop.year_a[i], names_b[i], pop.day_b[i], pop.month_b[i],
-                pop.year_b[i], int(flags.in_a[i]), int(flags.in_b[i]),
-            ])
+        writer.writerows(zip(
+            range(1, pop.n + 1),
+            pop.surname_labels[pop.sidx_a].tolist(), pop.day_a.tolist(),
+            pop.month_a.tolist(), pop.year_a.tolist(),
+            pop.surname_labels[pop.sidx_b].tolist(), pop.day_b.tolist(),
+            pop.month_b.tolist(), pop.year_b.tolist(),
+            flags.in_a.astype(np.int8).tolist(),
+            flags.in_b.astype(np.int8).tolist(),
+        ))
     finally:
         if own:
             fh.close()
@@ -306,34 +331,29 @@ def load_population(source, pi_a=None, pi_b=None):
     own = not hasattr(source, "read")
     fh = open(source, "r", encoding="utf-8", newline="") if own else source
     try:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != _DUMP_COLUMNS:
+        header = next(csv.reader([fh.readline()]), None)
+        if header is None or tuple(header) != _DUMP_COLUMNS:
             raise ValueError("unexpected population dump header")
-        rows = [row for row in reader if row]
+        body = np.loadtxt(fh, dtype=_DUMP_DTYPE, delimiter=",",
+                          quotechar='"', comments=None, ndmin=1)
     finally:
         if own:
             fh.close()
 
-    labels = sorted({r[1] for r in rows} | {r[5] for r in rows})
-    lookup = {l: i for i, l in enumerate(labels)}
-    n = len(rows)
-    cols = {
-        "sidx_a": np.array([lookup[r[1]] for r in rows], dtype=np.int32),
-        "day_a": np.array([int(r[2]) for r in rows], dtype=np.int16),
-        "month_a": np.array([int(r[3]) for r in rows], dtype=np.int16),
-        "year_a": np.array([int(r[4]) for r in rows], dtype=np.int32),
-        "sidx_b": np.array([lookup[r[5]] for r in rows], dtype=np.int32),
-        "day_b": np.array([int(r[6]) for r in rows], dtype=np.int16),
-        "month_b": np.array([int(r[7]) for r in rows], dtype=np.int16),
-        "year_b": np.array([int(r[8]) for r in rows], dtype=np.int32),
-    }
-    in_a = np.array([r[9] == "1" for r in rows])
-    in_b = np.array([r[10] == "1" for r in rows])
+    labels, sidx = np.unique(
+        np.concatenate([body["surname_a"], body["surname_b"]]),
+        return_inverse=True)
+    labels = _labels(labels)
+    sidx = sidx.astype(np.int32)
+    in_a = body["in_a"] == 1
+    in_b = body["in_b"] == 1
     pop = Population(
-        surname_labels=np.asarray(labels, dtype="U16"),
-        surname_codes=np.asarray([soundex(l) for l in labels], dtype="U4"),
-        **cols,
+        surname_labels=labels,
+        surname_codes=np.asarray([soundex(l) for l in labels.tolist()],
+                                 dtype="U4"),
+        sidx_a=sidx[:body.size], sidx_b=sidx[body.size:],
+        **{c: body[c].copy() for c in ("day_a", "month_a", "year_a",
+                                       "day_b", "month_b", "year_b")},
     )
     flags = SampleFlags(
         in_a=in_a, in_b=in_b,

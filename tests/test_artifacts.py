@@ -7,16 +7,18 @@ and rule 2 drops most of them.
 """
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
-from linkcov import cli
 from linkcov import linkage as lk
 from linkcov.experiment import ScenarioConfig
 from linkcov.frequencies import FrequencyTable, build_soundex_index
-from linkcov.popsim import (draw_samples, dump_population,
+from linkcov.popsim import (PerturbationParams, Population, SampleFlags,
+                            draw_samples, dump_population,
                             generate_population, load_population)
+from linkcov.soundex import soundex
 
 NAMES = ("SMITH", "SMYTH", "SMITHE", "SCHMIDT", "JONES", "JOHNS", "JANES",
          "BROWN", "BRAUN", "BROWNE", "LEE", "LEIGH")
@@ -117,7 +119,81 @@ class TestReaders:
 
     def test_counts(self, artifacts):
         out, _, _, panel_b, cv = artifacts
-        n_total, patterns, _ = cli._counts_from_csv(out / "counts.csv")
-        assert n_total.dtype == patterns.dtype == np.int64
+        ids, n_total, patterns = lk.load_counts(out / "counts.csv")
+        assert ids.dtype == n_total.dtype == patterns.dtype == np.int64
+        np.testing.assert_array_equal(ids, panel_b.unit_id)
         np.testing.assert_array_equal(n_total, cv.n_total)
         np.testing.assert_array_equal(patterns, cv.pattern_counts[:, 1:])
+
+
+def _population(labels, sidx_a, sidx_b):
+    """A population over the given labels, with fixed dates."""
+    n = len(sidx_a)
+    return Population(
+        surname_labels=np.asarray(labels, dtype="U16"),
+        surname_codes=np.asarray([soundex(l) for l in labels], dtype="U4"),
+        sidx_a=np.asarray(sidx_a, dtype=np.int32),
+        day_a=np.full(n, 3, dtype=np.int16),
+        month_a=np.full(n, 4, dtype=np.int16),
+        year_a=np.full(n, 1980, dtype=np.int32),
+        sidx_b=np.asarray(sidx_b, dtype=np.int32),
+        day_b=np.full(n, 4, dtype=np.int16),
+        month_b=np.full(n, 4, dtype=np.int16),
+        year_b=np.full(n, 1980, dtype=np.int32),
+    )
+
+
+def _round_trip(pop):
+    flags = SampleFlags(in_a=np.arange(pop.n) % 2 == 0,
+                        in_b=np.ones(pop.n, dtype=bool), pi_a=0.5, pi_b=1.0)
+    buf = io.StringIO()
+    dump_population(pop, flags, buf)
+    buf.seek(0)
+    return load_population(buf)
+
+
+class TestAwkwardSurnames:
+    LABELS = ("SMITH,JR", 'O"NEIL', "#HASH", "O'BRIEN", "VAN DYKE",
+              " LEADING", "TRAILING ", '"QUOTED"', "A,B#C'D \"E")
+
+    def test_round_trip_unchanged(self):
+        k = len(self.LABELS)
+        pop = _population(self.LABELS, np.arange(k), np.arange(k)[::-1])
+        pop2, _ = _round_trip(pop)
+        assert pop2.surname_labels.tolist() == sorted(self.LABELS)
+        for side in ("sidx_a", "sidx_b"):
+            assert (pop2.surname_labels[getattr(pop2, side)].tolist()
+                    == pop.surname_labels[getattr(pop, side)].tolist())
+
+
+class TestLabelWidth:
+    def test_sixteen_characters_round_trip(self):
+        labels = ("ABCDEFGHIJKLMNOP", "ABCDEFGHIJKLMNOQ")
+        surnames = FrequencyTable(labels, np.array([0.5, 0.5]))
+        ages = FrequencyTable((1980,), np.array([1.0]))
+        pop = generate_population(20, surnames, ages, PerturbationParams(),
+                                  build_soundex_index(surnames),
+                                  np.random.default_rng(0))
+        assert pop.surname_labels.tolist() == list(labels)
+        pop2, _ = _round_trip(pop)
+        assert (pop2.surname_labels[pop2.sidx_b].tolist()
+                == pop.surname_labels[pop.sidx_b].tolist())
+
+    def test_seventeen_characters_rejected_by_generator(self):
+        labels = ("ABCDEFGHIJKLMNOPQ", "ABCDEFGHIJKLMNOPR")
+        surnames = FrequencyTable(labels, np.array([0.5, 0.5]))
+        ages = FrequencyTable((1980,), np.array([1.0]))
+        with pytest.raises(ValueError, match="ABCDEFGHIJKLMNOPQ"):
+            generate_population(5, surnames, ages, PerturbationParams(),
+                                build_soundex_index(surnames),
+                                np.random.default_rng(0))
+
+    def test_seventeen_characters_rejected_by_loader(self):
+        pop = _population(("SMITH", "JONES"), [0, 1], [1, 0])
+        flags = SampleFlags(in_a=np.ones(2, dtype=bool),
+                            in_b=np.ones(2, dtype=bool), pi_a=1.0, pi_b=1.0)
+        buf = io.StringIO()
+        dump_population(pop, flags, buf)
+        text = buf.getvalue().replace("JONES", "JONESABCDEFGHIJKL")
+        with pytest.raises(ValueError, match="JONESABCDEFGHIJKL"):
+            load_population(io.StringIO(text))

@@ -114,6 +114,17 @@ class TestRunExperiment:
         # the first two records were reused verbatim
         assert log.read_text().startswith(first.rsplit("\n", 1)[0][:200])
 
+    def test_workers_report_progress_in_order(self):
+        cfg = ScenarioConfig.from_scenario(
+            1, estimators=("naive", "un"), **{**TINY, "replications": 3})
+        seen = {1: [], 2: []}
+        m = {w: run_experiment(cfg, workers=w, progress=seen[w].append)
+             for w in (1, 2)}
+        assert seen[1] == seen[2] == [0, 1, 2]
+        for name in ("naive", "un"):
+            np.testing.assert_array_equal(m[2].estimates[name],
+                                          m[1].estimates[name])
+
 
 class TestAdjustIncomplete:
     def test_arithmetic(self):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import poisson
 
 from linkcov import neighbor_multi
@@ -213,6 +215,31 @@ class TestInversion:
         rules = binary_rules(3)
         design = build_design(rules, 2)
         assert design.Z.shape[1] + 1 == rules.size
+
+
+_COUNT_MATRICES = st.tuples(
+    st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**63 - 1),
+).flatmap(lambda shape_hi: arrays(
+    np.int64, shape_hi[:2],
+    elements=st.one_of(st.integers(0, 2), st.integers(0, shape_hi[2]))))
+
+
+class TestHistogramFromObservations:
+    """Same keys, order and counts as np.unique(axis=0)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_COUNT_MATRICES)
+    @example(np.array([[3, 0, 1]]))
+    @example(np.full((6, 4), 7))
+    @example(np.array([[2], [0], [2], [1], [0]]))
+    @example(np.array([[2**63 - 1, 0], [2**62, 5], [2**63 - 1, 0]]))
+    def test_matches_unique(self, mat):
+        keys, counts = np.unique(mat, axis=0, return_counts=True)
+        hist = MultiCountHistogram.from_observations(mat)
+        assert hist.keys.dtype == keys.dtype
+        assert hist.counts.dtype == np.int64
+        np.testing.assert_array_equal(hist.keys, keys)
+        np.testing.assert_array_equal(hist.counts, counts)
 
 
 class TestSingleClassP:
