@@ -327,7 +327,11 @@ def dump_population(pop, flags, dest):
 
 
 def load_population(source, pi_a=None, pi_b=None):
-    """Read a population dump; defaults pi to the empirical rates."""
+    """Read a population dump; defaults pi to the empirical rates.
+
+    An unexpected header, or a surname longer than LABEL_WIDTH
+    characters, raises ValueError.
+    """
     own = not hasattr(source, "read")
     fh = open(source, "r", encoding="utf-8", newline="") if own else source
     try:
