@@ -13,6 +13,7 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,17 +107,26 @@ class ScenarioConfig:
                                   u_triple=self.u_triple)
 
     def tables(self):
-        """Surname/age tables: ingested census files or synthetic."""
+        """Surname/age tables: ingested census files or synthetic.
+
+        Each census file is parsed once per process, so replications
+        share one table object and the soundex index kept with it.
+        """
         if self.surname_csv:
-            surnames = load_frequency_table(self.surname_csv, "surname")
+            surnames = _census_table(self.surname_csv, "surname")
         else:
             ref = self.table_reference_size or self.n_population
             surnames = synthetic_surname_table(ref)
         if self.age_csv:
-            ages = load_frequency_table(self.age_csv, "age")
+            ages = _census_table(self.age_csv, "age")
         else:
             ages = synthetic_age_table()
         return surnames, ages
+
+
+@lru_cache(maxsize=None)
+def _census_table(path, kind):
+    return load_frequency_table(path, kind)
 
 
 @dataclass

@@ -16,8 +16,9 @@ ones.
 
 import csv
 import io
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -26,6 +27,7 @@ from .soundex import soundex
 
 __all__ = [
     "FrequencyTable",
+    "SoundexIndex",
     "load_frequency_table",
     "build_soundex_index",
     "synthetic_age_table",
@@ -63,9 +65,7 @@ class FrequencyTable:
             raise ValueError("all probabilities must be strictly positive")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-12:
-            object.__setattr__(self, "probs", probs / total)
+        object.__setattr__(self, "probs", _renormalized(probs))
 
     @classmethod
     def from_counts(cls, labels, counts):
@@ -82,6 +82,78 @@ class FrequencyTable:
     @property
     def size(self):
         return len(self.labels)
+
+    @cached_property
+    def soundex_index(self):
+        """The table grouped by soundex code; see build_soundex_index."""
+        return SoundexIndex(self)
+
+
+def _renormalized(probs):
+    """probs, divided by their sum unless that is within 1e-12 of one."""
+    total = probs.sum()
+    return probs / total if abs(total - 1.0) > 1e-12 else probs
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class SoundexIndex(Mapping):
+    """A surname table grouped by soundex code, as read-only arrays.
+
+    Classes are numbered in the order of their first label in the table.
+
+    - ``codes``: the U4 soundex code of each label, in table order;
+    - ``label_class``: the class of each label;
+    - ``members``, ``starts``: label indices grouped by class, in table
+      order within a class; class c holds
+      ``members[starts[c]:starts[c + 1]]``;
+    - ``within``: the probability of each member within its class,
+      aligned with ``members``; the arithmetic is that of
+      ``FrequencyTable.from_counts`` on the members' probabilities.
+
+    ``labels`` and ``probs`` are the table's own.  As a mapping, the
+    index takes a code to the FrequencyTable of its class.
+    """
+
+    def __init__(self, table):
+        self.labels = table.labels
+        self.probs = table.probs
+        codes = np.array([soundex(label) for label in table.labels],
+                         dtype="U4")
+        uniq, first, inv = np.unique(codes, return_index=True,
+                                     return_inverse=True)
+        class_of_code = np.empty(uniq.size, dtype=np.int32)
+        class_of_code[np.argsort(first)] = np.arange(uniq.size)
+        label_class = class_of_code[inv]
+        members = np.argsort(label_class, kind="stable").astype(np.int32)
+        starts = np.zeros(uniq.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(label_class), out=starts[1:])
+        within = np.empty(members.size)
+        for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+            counts = table.probs[members[lo:hi]]
+            within[lo:hi] = _renormalized(counts / counts.sum())
+        self.codes = _read_only(codes)
+        self.label_class = _read_only(label_class)
+        self.members = _read_only(members)
+        self.starts = _read_only(starts)
+        self.within = _read_only(within)
+        self._class_of = dict(zip(uniq.tolist(), class_of_code.tolist()))
+
+    def __getitem__(self, code):
+        c = self._class_of[code]
+        lo, hi = self.starts[c], self.starts[c + 1]
+        return FrequencyTable(
+            tuple(self.labels[m] for m in self.members[lo:hi].tolist()),
+            self.within[lo:hi])
+
+    def __iter__(self):
+        return iter(self.codes[self.members[self.starts[:-1]]].tolist())
+
+    def __len__(self):
+        return self.starts.size - 1
 
 
 def _open_text(source):
@@ -162,18 +234,13 @@ def load_frequency_table(source, kind, column_map=None, delimiter=",",
 def build_soundex_index(table):
     """Group a surname table by soundex code.
 
-    Returns a dict mapping each code to the FrequencyTable of surnames
-    sharing it (probabilities renormalized within the code class).
+    Returns the table's SoundexIndex: a mapping from each code to the
+    FrequencyTable of the surnames sharing it (probabilities
+    renormalized within the class), backed by read-only arrays.  It is
+    built on the first call and kept with the table, so later calls on
+    the same table return the same object.
     """
-    groups = {}
-    for label, prob in zip(table.labels, table.probs):
-        groups.setdefault(soundex(label), []).append((label, prob))
-    return {
-        code: FrequencyTable.from_counts(
-            [l for l, _ in members], [p for _, p in members]
-        )
-        for code, members in groups.items()
-    }
+    return table.soundex_index
 
 
 @lru_cache(maxsize=None)

@@ -106,20 +106,44 @@ class CandidatePairs:
         return self.b_pos.size
 
 
+def _block_ids(panel_b, panel_a):
+    """Dense (soundex, year) block number of every record, b then a.
+
+    A code's four ASCII characters pack into one 28-bit integer; the
+    block key is that integer times the year span plus the year's offset
+    from the earliest year.
+    """
+    codes = np.concatenate([panel_b.code, panel_a.code])
+    if codes.dtype.kind != "U" or codes.dtype.itemsize > 16:
+        raise ValueError("soundex codes must be strings of at most four "
+                         "characters")
+    chars = codes.astype("U4").view(np.uint32).reshape(-1, 4)
+    if chars.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if chars.max() > 0x7F:
+        raise ValueError("soundex codes must be ASCII")
+    packed = ((chars[:, 0].astype(np.int64) << 21) | (chars[:, 1] << 14)
+              | (chars[:, 2] << 7) | chars[:, 3])
+    years = np.concatenate([panel_b.year, panel_a.year]).astype(np.int64)
+    offset = years - years.min()
+    span = int(offset.max()) + 1
+    if span > 1 << 35:
+        raise ValueError("birth years span more than 2**35")
+    return np.unique(packed * span + offset, return_inverse=True)[1]
+
+
 def block_pairs(panel_b, panel_a):
-    """Emit every pair agreeing on surname soundex and birth year."""
-    key_b = np.char.add(np.char.add(panel_b.code, "|"), panel_b.year.astype("U8"))
-    key_a = np.char.add(np.char.add(panel_a.code, "|"), panel_a.year.astype("U8"))
-    uniq, inv = np.unique(np.concatenate([key_b, key_a]), return_inverse=True)
-    inv_b = inv[: key_b.size]
-    inv_a = inv[key_b.size:]
+    """Emit every pair agreeing on surname soundex and birth year.
 
-    order_a = np.argsort(inv_a, kind="stable")
-    sorted_gids = inv_a[order_a]
-    starts = np.searchsorted(sorted_gids, np.arange(uniq.size))
-    sizes = np.diff(np.append(starts, sorted_gids.size))
+    Pairs come in b order, and for one b record in a order.
+    """
+    ids = _block_ids(panel_b, panel_a)
+    id_b, id_a = ids[:panel_b.size], ids[panel_b.size:]
+    order_a = np.argsort(id_a, kind="stable")
+    sizes = np.bincount(id_a, minlength=ids.size)
+    starts = np.cumsum(sizes) - sizes
 
-    per_b = sizes[inv_b]
+    per_b = sizes[id_b]
     total = int(per_b.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -128,7 +152,7 @@ def block_pairs(panel_b, panel_a):
     offsets = np.arange(total, dtype=np.int64) - np.repeat(
         np.cumsum(per_b) - per_b, per_b
     )
-    a_pos = order_a[np.repeat(starts[inv_b], per_b) + offsets]
+    a_pos = order_a[np.repeat(starts[id_b], per_b) + offsets]
     return CandidatePairs(b_pos, a_pos.astype(np.int64))
 
 

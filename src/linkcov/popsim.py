@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequencies import FrequencyTable, build_soundex_index
 from .soundex import soundex
 
 __all__ = [
@@ -169,22 +168,6 @@ def _shift_by_one(values, keep, lo, hi, rng):
     return out
 
 
-def _redraw_alternatives(table, soundex_index):
-    """Per-name redraw distributions within each soundex class."""
-    label_to_idx = {lab: i for i, lab in enumerate(table.labels)}
-    alternatives = {}
-    for sub in soundex_index.values():
-        idxs = np.array([label_to_idx[l] for l in sub.labels])
-        if idxs.size == 1:
-            alternatives[int(idxs[0])] = None
-            continue
-        for j in range(idxs.size):
-            others = np.delete(idxs, j)
-            oprobs = np.delete(sub.probs, j)
-            alternatives[int(idxs[j])] = (others, oprobs / oprobs.sum())
-    return alternatives
-
-
 def perturb_record(rec, gamma, soundex_index, rng, day_max=30):
     """Produce the second-register record for one unit.
 
@@ -222,16 +205,31 @@ def perturb_record(rec, gamma, soundex_index, rng, day_max=30):
     return Record(surname, day, month, rec.year)
 
 
+def _check_index(index, table):
+    """Refuse a soundex index that was built from another table."""
+    if index.labels != table.labels:
+        raise ValueError("soundex index was built from a surname table "
+                         "with other labels")
+    if not np.array_equal(index.probs, table.probs):
+        raise ValueError("soundex index was built from a surname table "
+                         "with other probabilities")
+
+
 def generate_population(n, surnames, years, params, soundex_index, rng):
     """Generate N units with both registers.
 
     The draw order is fixed (surnames, years, months, days, patterns,
-    day shifts, month shifts, surname redraws grouped by name index), so
-    identical generator states give bitwise-identical populations.
-    A surname label longer than LABEL_WIDTH characters raises ValueError.
+    day shifts, month shifts, surname redraws), so identical generator
+    states give bitwise-identical populations.  Surnames are redrawn
+    one name at a time, in ascending name index, with one draw for all
+    of that name's affected units in ascending unit order.
+    soundex_index must be build_soundex_index(surnames).  A mismatched
+    index, or a surname label longer than LABEL_WIDTH characters, raises
+    ValueError.
     """
     if n < 1:
         raise ValueError("population size must be at least 1")
+    _check_index(soundex_index, surnames)
     labels = _labels(surnames.labels)
     sidx_a = rng.choice(surnames.size, size=n, p=surnames.probs).astype(np.int32)
     year_labels = np.asarray([int(y) for y in years.labels])
@@ -247,23 +245,27 @@ def generate_population(n, surnames, years, params, soundex_index, rng):
     day_b = _shift_by_one(day_a, g2 == 1, 1, 30, rng)
     month_b = _shift_by_one(month_a, g3 == 1, 1, 12, rng)
 
-    alternatives = _redraw_alternatives(surnames, soundex_index)
+    index = soundex_index
     sidx_b = sidx_a.copy()
     fallbacks = 0
-    redraw_mask = g1 == 0
-    affected = np.flatnonzero(redraw_mask)
-    for name_idx in np.unique(sidx_a[affected]):
-        slots = affected[sidx_a[affected] == name_idx]
-        alt = alternatives[int(name_idx)]
-        if alt is None:
+    affected = np.flatnonzero(g1 == 0)
+    order = np.argsort(sidx_a[affected], kind="stable")
+    names, first = np.unique(sidx_a[affected[order]], return_index=True)
+    for name_idx, slots in zip(names.tolist(),
+                               np.split(affected[order], first[1:])):
+        c = index.label_class[name_idx]
+        lo, hi = index.starts[c], index.starts[c + 1]
+        if hi - lo == 1:
             fallbacks += slots.size
             continue
-        others, oprobs = alt
-        sidx_b[slots] = others[rng.choice(others.size, size=slots.size, p=oprobs)]
+        keep = index.members[lo:hi] != name_idx
+        others = index.members[lo:hi][keep]
+        oprobs = index.within[lo:hi][keep]
+        sidx_b[slots] = others[rng.choice(others.size, size=slots.size,
+                                          p=oprobs / oprobs.sum())]
 
-    codes = np.asarray([soundex(l) for l in surnames.labels], dtype="U4")
     return Population(
-        surname_labels=labels, surname_codes=codes,
+        surname_labels=labels, surname_codes=index.codes,
         sidx_a=sidx_a, day_a=day_a, month_a=month_a,
         year_a=year_a.astype(np.int32),
         sidx_b=sidx_b, day_b=day_b, month_b=month_b,

@@ -9,6 +9,7 @@ from linkcov.experiment import (ALL_ESTIMATORS, MetricsTable, ScenarioConfig,
                                 render_report, run_experiment,
                                 run_replication, stratified_fit,
                                 write_replication_log)
+from linkcov.frequencies import load_frequency_table
 from linkcov.linkage import CountVector, RULE_BASELINE_AND_ANY_EXACT
 from linkcov.neighbor_uni import UniMixtureParams, sample_counts
 
@@ -29,6 +30,34 @@ class TestScenarioConfig:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             ScenarioConfig.from_scenario(9)
+
+
+class TestCensusTables:
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch):
+        from linkcov import experiment
+        from linkcov.frequencies import synthetic_surname_table
+
+        table = synthetic_surname_table(20000)
+        path = tmp_path / "names.csv"
+        path.write_text("name,count\n" + "".join(
+            f"{label},{round(p * 1e9)}\n"
+            for label, p in zip(table.labels, table.probs)))
+        parsed = []
+
+        def counting_load(source, kind, *args, **kwargs):
+            parsed.append((source, kind))
+            return load_frequency_table(source, kind, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "load_frequency_table", counting_load)
+        cfg = ScenarioConfig.from_scenario(1, surname_csv=str(path),
+                                           estimators=("naive",), **TINY)
+        a = run_replication(cfg, 0)
+        b = run_replication(cfg, 0)
+        assert parsed == [(str(path), "surname")]
+        assert cfg.tables()[0] is cfg.tables()[0]
+        assert a.estimates["naive"].coverage_hat \
+            == b.estimates["naive"].coverage_hat
+        assert a.accuracy == b.accuracy
 
 
 class TestReplication:

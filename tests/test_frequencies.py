@@ -98,6 +98,56 @@ class TestSoundexIndex:
         assert total == pytest.approx(1.0)
 
 
+def grouped_by_code(table):
+    """The code -> FrequencyTable dict that the index must act as."""
+    groups = {}
+    for label, prob in zip(table.labels, table.probs):
+        groups.setdefault(soundex(label), []).append((label, prob))
+    return {code: FrequencyTable.from_counts([l for l, _ in members],
+                                             [p for _, p in members])
+            for code, members in groups.items()}
+
+
+class TestSoundexIndexArrays:
+    @pytest.fixture(scope="class")
+    def table(self):
+        base = synthetic_surname_table(20000)
+        extra = ("ANDERSON", "ANDERSEN", "ANDERSSON", "ANDRESEN", "ANDRESS",
+                 "ANTERO", "ANDRE", "ANDREW", "ANDREWS", "ANDROS", "ABE")
+        probs = np.concatenate([base.probs, np.linspace(0.01, 0.03, 11)])
+        return FrequencyTable(base.labels + extra, probs)
+
+    def test_built_once_per_table(self, table):
+        assert build_soundex_index(table) is build_soundex_index(table)
+
+    def test_matches_per_code_tables_bit_for_bit(self, table):
+        idx = build_soundex_index(table)
+        ref = grouped_by_code(table)
+        assert list(idx) == list(ref) and len(idx) == len(ref)
+        assert max(sub.size for sub in ref.values()) > 8
+        assert min(sub.size for sub in ref.values()) == 1
+        for code, sub in ref.items():
+            assert idx[code].labels == sub.labels
+            assert idx[code].probs.tobytes() == sub.probs.tobytes()
+
+    def test_csr_layout(self, table):
+        idx = build_soundex_index(table)
+        assert idx.codes.tolist() == [soundex(l) for l in table.labels]
+        assert idx.codes.dtype == np.dtype("U4")
+        for c, code in enumerate(idx):
+            members = idx.members[idx.starts[c]:idx.starts[c + 1]]
+            assert np.all(np.diff(members) > 0)
+            assert np.all(idx.label_class[members] == c)
+            assert np.all(idx.codes[members] == code)
+        assert idx.starts[-1] == len(table.labels)
+
+    def test_read_only(self, table):
+        idx = build_soundex_index(table)
+        for name in ("codes", "label_class", "members", "starts", "within"):
+            with pytest.raises(ValueError):
+                getattr(idx, name)[0] = getattr(idx, name)[1]
+
+
 class TestSyntheticTables:
     def test_deterministic(self):
         a = synthetic_surname_table(20000)

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linkcov import linkage as lk
 from linkcov.frequencies import build_soundex_index, synthetic_age_table, synthetic_surname_table
@@ -54,6 +55,52 @@ class TestBlocking:
         cand = set(zip(pairs.b_pos.tolist(), pairs.a_pos.tolist()))
         linked = set(zip(links1.b_pos.tolist(), links1.a_pos.tolist()))
         assert linked <= cand
+
+
+# codes that differ in one character or in the order of their characters,
+# and years at both ends of int32 beside two neighbouring ones
+CODES = ("A536", "A535", "A563", "A356", "B536", "Z000", "A500")
+YEARS = (1979, 1980, -2 ** 31, 2 ** 31 - 1)
+BLOCK_RECORDS = st.lists(st.tuples(st.sampled_from(CODES),
+                                   st.sampled_from(YEARS)), max_size=25)
+
+
+def code_panel(records):
+    """A panel from (code, year) records; the other fields are fixed."""
+    n = len(records)
+    return lk.RecordPanel(
+        unit_id=np.arange(1, n + 1),
+        surname=np.array(["X"] * n, dtype="U16"),
+        code=np.array([c for c, _ in records], dtype="U4"),
+        day=np.ones(n, dtype=np.int32), month=np.ones(n, dtype=np.int32),
+        year=np.array([y for _, y in records], dtype=np.int32),
+    )
+
+
+class TestBlockPairsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(BLOCK_RECORDS, BLOCK_RECORDS)
+    @example([], [])
+    @example([("A536", 1980)], [])
+    @example([], [("A536", 1980)])
+    @example([("A536", 1980)] * 4, [("A536", 1980)] * 3)
+    @example([("A536", -2 ** 31), ("A536", 2 ** 31 - 1)],
+             [("A536", 2 ** 31 - 1), ("A536", -2 ** 31)])
+    def test_matches_brute_force(self, recs_b, recs_a):
+        pairs = lk.block_pairs(code_panel(recs_b), code_panel(recs_a))
+        expected = [(i, j) for i, rb in enumerate(recs_b)
+                    for j, ra in enumerate(recs_a) if rb == ra]
+        assert list(zip(pairs.b_pos.tolist(), pairs.a_pos.tolist())) \
+            == expected
+        assert pairs.b_pos.dtype == pairs.a_pos.dtype == np.int64
+
+    @pytest.mark.parametrize("code", ["A5361", "\u00c4536"])
+    def test_refuses_codes_it_cannot_pack(self, code):
+        pb = code_panel([("A536", 1980)])
+        pa = code_panel([("A536", 1980)])
+        pa.code = np.array([code])
+        with pytest.raises(ValueError, match="soundex codes"):
+            lk.block_pairs(pb, pa)
 
 
 class TestBaselineAndAgreement:

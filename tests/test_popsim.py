@@ -113,6 +113,34 @@ class TestGeneratePopulation:
                     "day_b", "month_b", "year_b"):
             np.testing.assert_array_equal(getattr(a, fld), getattr(b, fld))
 
+    def test_index_of_another_table_refused(self, small_world):
+        surnames, ages, _ = small_world
+        other = FrequencyTable(("ABLE", "APPLE"), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="other labels"):
+            generate_population(100, surnames, ages, SCEN1,
+                                build_soundex_index(other),
+                                np.random.default_rng(0))
+
+    def test_index_with_other_probabilities_refused(self, small_world):
+        surnames, ages, _ = small_world
+        probs = surnames.probs.copy()
+        probs[[0, 1]] = probs[[1, 0]]
+        other = FrequencyTable(surnames.labels, probs)
+        with pytest.raises(ValueError, match="other probabilities"):
+            generate_population(100, surnames, ages, SCEN1,
+                                build_soundex_index(other),
+                                np.random.default_rng(0))
+
+    def test_index_of_an_equal_table_accepted(self, small_world):
+        surnames, ages, idx = small_world
+        twin = FrequencyTable(surnames.labels, surnames.probs.copy())
+        a = generate_population(500, surnames, ages, SCEN1, idx,
+                                np.random.default_rng(5))
+        b = generate_population(500, surnames, ages, SCEN1,
+                                build_soundex_index(twin),
+                                np.random.default_rng(5))
+        np.testing.assert_array_equal(a.sidx_b, b.sidx_b)
+
     def test_single_unit_degenerate_table(self):
         surnames = FrequencyTable(("ABLE", "APPLE"), np.array([0.999, 0.001]))
         ages = FrequencyTable((1980,), np.array([1.0]))
