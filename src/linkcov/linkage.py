@@ -140,7 +140,7 @@ def block_pairs(panel_b, panel_a):
     ids = _block_ids(panel_b, panel_a)
     id_b, id_a = ids[:panel_b.size], ids[panel_b.size:]
     order_a = np.argsort(id_a, kind="stable")
-    sizes = np.bincount(id_a, minlength=ids.size)
+    sizes = np.bincount(id_a, minlength=ids.max(initial=-1) + 1)
     starts = np.cumsum(sizes) - sizes
 
     per_b = sizes[id_b]

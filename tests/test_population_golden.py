@@ -2,10 +2,12 @@
 
 The surname table is the 20k synthetic table plus eight names whose
 soundex codes no other name shares (so their units fall back to keeping
-the surname) and twelve names sharing code A536.  The redraw
-probabilities of that class are summed over more than eight terms, where
-the order of a floating-point sum shows in the last bits, so any change
-to how the within-class distributions are formed moves these digests.
+the surname) and twelve names sharing code A536, whose redraw
+probabilities are summed over more than eight terms.  The digests move
+when the draw order, a redraw distribution or the singleton fallback
+changes.  A last-bit change in a sum rarely moves a draw, so the
+bitwise arithmetic of the within-class probabilities is checked in
+test_frequencies.py instead.
 """
 
 import hashlib
