@@ -2,7 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from linkcov import frequencies as freq
 from linkcov.frequencies import (FrequencyTable, build_soundex_index,
                                  load_frequency_table, synthetic_age_table,
                                  synthetic_surname_table, _operating_point)
@@ -182,3 +184,79 @@ class TestSyntheticTables:
         t = synthetic_age_table()
         years = sorted(t.labels)
         assert years[0] == 1925 and years[-1] == 2010
+
+
+# The operating point and the calibration loop as they were before the
+# calibration reused its arrays, kept verbatim as the oracle that the
+# calibrated table must reproduce bit for bit.
+def reference_operating_point(code_probs, year_probs, n_population):
+    class_mass = np.outer(code_probs, year_probs)
+    lam = (freq.SAMPLING_RATE * (n_population - 1) * freq.DATE_WINDOW
+           * class_mass)
+    fp_per_record = float((class_mass * lam).sum())
+    survival = float((class_mass * np.exp(-2.0 * lam)).sum())
+    return fp_per_record, survival
+
+
+def reference_surname_table(reference_size, n_cold=3600):
+    year_probs = synthetic_age_table().probs
+    cold_raw = (np.arange(1, n_cold + 1) + 10.0) ** -0.3
+
+    def assemble(n_hot, hot_mass):
+        code_probs = np.empty(n_hot + n_cold)
+        code_probs[:n_hot] = hot_mass / n_hot
+        code_probs[n_hot:] = (1.0 - hot_mass) * cold_raw / cold_raw.sum()
+        return code_probs
+
+    def survival_gap(hot_mass, n_hot):
+        probs = assemble(n_hot, hot_mass)
+        _, surv = reference_operating_point(probs, year_probs,
+                                            reference_size)
+        return surv - freq.TARGET_MATCH_SURVIVAL
+
+    best = None
+    for n_hot in range(1, 13):
+        lo, hi = 1e-4, 0.6
+        if survival_gap(lo, n_hot) < 0 or survival_gap(hi, n_hot) > 0:
+            continue
+        hot_mass = brentq(survival_gap, lo, hi, args=(n_hot,), xtol=1e-12)
+        probs = assemble(n_hot, hot_mass)
+        fp_rate, _ = reference_operating_point(probs, year_probs,
+                                               reference_size)
+        err = abs(fp_rate - freq.TARGET_FP_PER_RECORD)
+        if best is None or err < best[0]:
+            best = (err, n_hot, hot_mass)
+    assert best is not None
+    _, n_hot, hot_mass = best
+
+    family_probs = assemble(n_hot, hot_mass)
+    labels = []
+    probs = []
+    for f, fam_prob in enumerate(family_probs):
+        for name, share in zip(freq._family_names(f), freq._VARIANT_SHARES):
+            labels.append(name)
+            probs.append(fam_prob * share)
+    return FrequencyTable(tuple(labels), np.asarray(probs))
+
+
+class TestCalibrationOracle:
+    """Compared with the oracle at run time, not with stored digests, so
+    that a platform whose exp rounds a last bit differently still
+    agrees with itself."""
+
+    @pytest.mark.parametrize("reference_size", [20000, 100000])
+    def test_table_bit_identical(self, reference_size):
+        got = synthetic_surname_table(reference_size)
+        want = reference_surname_table(reference_size)
+        assert got.labels == want.labels
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+    def test_operating_point_bit_identical(self):
+        rng = np.random.default_rng(11)
+        year_probs = synthetic_age_table().probs
+        for n_codes in (1, 7, 3601, 3612):
+            for n_population in (1000, 100000, 1000000):
+                code_probs = rng.dirichlet(np.full(n_codes, 0.5))
+                assert (_operating_point(code_probs, year_probs, n_population)
+                        == reference_operating_point(code_probs, year_probs,
+                                                     n_population))
