@@ -277,6 +277,11 @@ def _rep_worker(payload):
 def _replications(cfg, todo, workers):
     """Yield the replications of ``todo`` in order, as each finishes."""
     if workers > 1:
+        # Calibrate the tables and build the soundex index here, before
+        # the pool starts: forked workers inherit both from the caches
+        # instead of each calibrating its own.
+        surnames, _ = cfg.tables()
+        build_soundex_index(surnames)
         payloads = [(asdict(cfg), r) for r in todo]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_rep_worker, payloads)

@@ -283,19 +283,112 @@ def _family_names(family_index):
     return names
 
 
-def _operating_point(code_probs, year_probs, n_population):
-    """Expected FP links per record and matched-link survival rate.
+class _OperatingPoint:
+    """The operating point of code-probability vectors, in reused arrays.
 
     A record in soundex/year class (c, y) accrues false positives at
     Poisson rate lam(c,y) = rate * (N-1) * P(c) * P(y) * date window,
     on each side of the linkage; a matched link survives the strict
     one-to-one dedupe when neither side has extra links.
+
+    Each method fills the class masses of its vector into one array and
+    works in a second, both sized once for up to max_codes codes, so
+    that an evaluation allocates nothing.
     """
-    class_mass = np.outer(code_probs, year_probs)
-    lam = SAMPLING_RATE * (n_population - 1) * DATE_WINDOW * class_mass
-    fp_per_record = float((class_mass * lam).sum())
-    survival = float((class_mass * np.exp(-2.0 * lam)).sum())
-    return fp_per_record, survival
+
+    def __init__(self, year_probs, n_population, max_codes):
+        self.year_probs = year_probs
+        self.rate = SAMPLING_RATE * (n_population - 1) * DATE_WINDOW
+        self._mass = np.empty(max_codes * year_probs.size)
+        self._work = np.empty_like(self._mass)
+
+    def _mass_and_lam(self, code_probs):
+        shape = (code_probs.size, self.year_probs.size)
+        size = shape[0] * shape[1]
+        mass = self._mass[:size].reshape(shape)
+        lam = self._work[:size].reshape(shape)
+        np.outer(code_probs, self.year_probs, out=mass)
+        np.multiply(self.rate, mass, out=lam)
+        return mass, lam
+
+    def fp_per_record(self, code_probs):
+        """Expected false-positive links per record."""
+        mass, lam = self._mass_and_lam(code_probs)
+        return float(np.multiply(mass, lam, out=lam).sum())
+
+    def survival(self, code_probs):
+        """Share of matched links that survive the one-to-one dedupe."""
+        mass, work = self._mass_and_lam(code_probs)
+        np.multiply(-2.0, work, out=work)
+        np.exp(work, out=work)
+        return float(np.multiply(mass, work, out=work).sum())
+
+
+def _operating_point(code_probs, year_probs, n_population):
+    """Expected FP links per record and matched-link survival rate."""
+    code_probs = np.asarray(code_probs)
+    op = _OperatingPoint(year_probs, n_population, code_probs.size)
+    return op.fp_per_record(code_probs), op.survival(code_probs)
+
+
+# The calibration tries each count of hot families, and brackets the hot
+# mass by these ends.
+_HOT_COUNTS = range(1, 13)
+_HOT_MASS_BRACKET = (1e-4, 0.6)
+# The calibration-limit hint names a reference size to this precision.
+_SIZE_STEP = 10000
+
+
+class _Calibration:
+    """Survival gaps of hot-plus-cold code tables at one reference size.
+
+    Each distinct (n_hot, hot_mass) is evaluated once and remembered, so
+    brentq's first two evaluations reuse the bracket check's.
+    """
+
+    def __init__(self, reference_size, n_cold):
+        self.n_cold = n_cold
+        self.cold_raw = (np.arange(1, n_cold + 1) + 10.0) ** -0.3
+        self.op = _OperatingPoint(synthetic_age_table().probs,
+                                  reference_size, _HOT_COUNTS[-1] + n_cold)
+        self._gaps = {}
+
+    def assemble(self, n_hot, hot_mass):
+        code_probs = np.empty(n_hot + self.n_cold)
+        code_probs[:n_hot] = hot_mass / n_hot
+        code_probs[n_hot:] = ((1.0 - hot_mass) * self.cold_raw
+                              / self.cold_raw.sum())
+        return code_probs
+
+    def survival_gap(self, hot_mass, n_hot):
+        key = (n_hot, hot_mass)
+        if key not in self._gaps:
+            surv = self.op.survival(self.assemble(n_hot, hot_mass))
+            self._gaps[key] = surv - TARGET_MATCH_SURVIVAL
+        return self._gaps[key]
+
+    def bracketed(self, n_hot):
+        """Whether the survival target lies between the bracket ends."""
+        lo, hi = _HOT_MASS_BRACKET
+        return not (self.survival_gap(lo, n_hot) < 0
+                    or self.survival_gap(hi, n_hot) > 0)
+
+
+def _largest_calibrated_size(reference_size, n_cold):
+    """The largest multiple of _SIZE_STEP below reference_size whose
+    table calibrates, or None; bisects on the bracket checks alone."""
+    def calibrates(k):
+        cal = _Calibration(k * _SIZE_STEP, n_cold)
+        return any(cal.bracketed(n_hot) for n_hot in _HOT_COUNTS)
+
+    lo, hi = 0, -(-reference_size // _SIZE_STEP)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if calibrates(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo * _SIZE_STEP if lo else None
 
 
 @lru_cache(maxsize=None)
@@ -307,38 +400,40 @@ def synthetic_surname_table(reference_size=50000, n_cold=3600):
     family count are solved so the linkage operating point at the
     reference population size matches the calibration targets.
     """
-    year_probs = synthetic_age_table().probs
-    cold_raw = (np.arange(1, n_cold + 1) + 10.0) ** -0.3
-
-    def assemble(n_hot, hot_mass):
-        code_probs = np.empty(n_hot + n_cold)
-        code_probs[:n_hot] = hot_mass / n_hot
-        code_probs[n_hot:] = (1.0 - hot_mass) * cold_raw / cold_raw.sum()
-        return code_probs
-
-    def survival_gap(hot_mass, n_hot):
-        probs = assemble(n_hot, hot_mass)
-        _, surv = _operating_point(probs, year_probs, reference_size)
-        return surv - TARGET_MATCH_SURVIVAL
-
+    # The calibrated probabilities are pinned bit for bit, because the
+    # population digests in tests/test_population_golden.py and
+    # perfbench/reference.json depend on them.  So every evaluation runs
+    # the same products in the same order and sums the whole C-contiguous
+    # class-mass array with one .sum(), which fixes numpy's pairwise
+    # summation order; only the arrays are reused.
+    cal = _Calibration(reference_size, n_cold)
     best = None
-    for n_hot in range(1, 13):
-        lo, hi = 1e-4, 0.6
-        if survival_gap(lo, n_hot) < 0 or survival_gap(hi, n_hot) > 0:
+    for n_hot in _HOT_COUNTS:
+        if not cal.bracketed(n_hot):
             continue
-        hot_mass = brentq(survival_gap, lo, hi, args=(n_hot,), xtol=1e-12)
-        probs = assemble(n_hot, hot_mass)
-        fp_rate, _ = _operating_point(probs, year_probs, reference_size)
+        hot_mass = brentq(cal.survival_gap, *_HOT_MASS_BRACKET,
+                          args=(n_hot,), xtol=1e-12)
+        fp_rate = cal.op.fp_per_record(cal.assemble(n_hot, hot_mass))
         err = abs(fp_rate - TARGET_FP_PER_RECORD)
         if best is None or err < best[0]:
             best = (err, n_hot, hot_mass)
+    # brentq wraps survival_gap in a closure that refers to itself, which
+    # would keep the evaluation arrays (5 MB) until the next garbage
+    # collection; drop them now.
+    cal.op = None
     if best is None:
-        raise RuntimeError(
-            f"cannot calibrate synthetic table at size {reference_size}"
-        )
+        message = (f"cannot calibrate synthetic table at size "
+                   f"{reference_size} with n_cold={n_cold}")
+        largest = _largest_calibrated_size(reference_size, n_cold)
+        if largest is not None:
+            message += (f"; the largest reference size that calibrates is "
+                        f"{largest} (to the nearest {_SIZE_STEP}), so set "
+                        f"the table_reference_size config key to at most "
+                        f"that to borrow its table")
+        raise RuntimeError(message)
     _, n_hot, hot_mass = best
 
-    family_probs = assemble(n_hot, hot_mass)
+    family_probs = cal.assemble(n_hot, hot_mass)
     labels = []
     probs = []
     for f, fam_prob in enumerate(family_probs):

@@ -1,8 +1,10 @@
 import io
 import json
+import os
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from linkcov.experiment import (ALL_ESTIMATORS, MetricsTable, ScenarioConfig,
                                 adjust_incomplete, read_replication_log,
@@ -153,6 +155,25 @@ class TestRunExperiment:
         for name in ("naive", "un"):
             np.testing.assert_array_equal(m[2].estimates[name],
                                           m[1].estimates[name])
+
+    def test_workers_inherit_the_calibrated_table(self, tmp_path,
+                                                  monkeypatch):
+        # brentq runs only in a cold calibration; each call appends the
+        # pid of the process making it, forked workers included.
+        from linkcov import frequencies
+        pids = tmp_path / "calibrating_pids"
+
+        def logging_brentq(*args, **kwargs):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(frequencies, "brentq", logging_brentq)
+        frequencies.synthetic_surname_table.cache_clear()
+        cfg = ScenarioConfig.from_scenario(1, estimators=("naive",), **TINY)
+        run_experiment(cfg, workers=2)
+        assert set(pids.read_text().split()) == {str(os.getpid())}
+        assert frequencies.synthetic_surname_table.cache_info().misses == 1
 
 
 class TestAdjustIncomplete:

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -260,3 +261,21 @@ class TestCalibrationOracle:
                 assert (_operating_point(code_probs, year_probs, n_population)
                         == reference_operating_point(code_probs, year_probs,
                                                      n_population))
+
+
+class TestCalibrationLimit:
+    def test_too_large_a_size_names_the_largest_that_calibrates(self):
+        with pytest.raises(RuntimeError,
+                           match=r"size 500000 with n_cold=3600") as exc:
+            synthetic_surname_table(500000)
+        assert "table_reference_size" in str(exc.value)
+        found = re.search(r"largest reference size that calibrates is (\d+)",
+                          str(exc.value))
+        largest = int(found.group(1))
+        assert largest % 10000 == 0 and 300000 <= largest < 500000
+        assert synthetic_surname_table(largest).size > 0
+        with pytest.raises(RuntimeError):
+            synthetic_surname_table(largest + 10000)
+
+    def test_300k_calibrates(self):
+        assert synthetic_surname_table(300000).size > 0
