@@ -426,10 +426,10 @@ def synthetic_surname_table(reference_size=50000, n_cold=3600):
                    f"{reference_size} with n_cold={n_cold}")
         largest = _largest_calibrated_size(reference_size, n_cold)
         if largest is not None:
-            message += (f"; the largest reference size that calibrates is "
-                        f"{largest} (to the nearest {_SIZE_STEP}), so set "
-                        f"the table_reference_size config key to at most "
-                        f"that to borrow its table")
+            message += (f"; the largest reference size that calibrates, "
+                        f"in steps of {_SIZE_STEP}, is {largest}: set the "
+                        f"table_reference_size config key to at most that "
+                        f"to borrow its table")
         raise RuntimeError(message)
     _, n_hot, hot_mass = best
 

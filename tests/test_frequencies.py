@@ -269,8 +269,8 @@ class TestCalibrationLimit:
                            match=r"size 500000 with n_cold=3600") as exc:
             synthetic_surname_table(500000)
         assert "table_reference_size" in str(exc.value)
-        found = re.search(r"largest reference size that calibrates is (\d+)",
-                          str(exc.value))
+        found = re.search(r"largest reference size that calibrates, "
+                          r"in steps of 10000, is (\d+)", str(exc.value))
         largest = int(found.group(1))
         assert largest % 10000 == 0 and 300000 <= largest < 500000
         assert synthetic_surname_table(largest).size > 0
