@@ -23,7 +23,8 @@ from .neighbor_uni import (AccuracySummary, CountHistogram, UniMixtureParams,
                            accuracy_from_fit, capped_loglik, comp_pmf,
                            fit_uni, mix_pmf, sample_counts, select_G)
 from .neighbor_multi import (DesignMatrix, LogLinear, MultiCountHistogram,
-                             MultiMixtureParams, RuleIndexSet, binary_rules,
+                             MultiMixtureParams, RuleIndexSet,
+                             appendix_c_cells, binary_rules,
                              build_design, coverage_from_fit, fit_multi,
                              init_appendix_c, loglinear_invert,
                              loglinear_probs, marginal_rates,

@@ -25,6 +25,8 @@ __all__ = [
     "stick_break",
     "stick_break_inverse",
     "stick_break_vjp",
+    "stick_pieces",
+    "stick_pieces_vjp",
 ]
 
 
@@ -135,4 +137,38 @@ def stick_break_vjp(x, grad_s, floor=0.0):
         for i in range(h + 1, g):
             acc -= grad_s[i] * s[i] * v[h]
         out[h] = scale * acc
+    return out
+
+
+def stick_pieces(v):
+    """Stick-breaking over logistic values v, in Python floats.
+
+    Returns the stick left before each break and the len(v) + 1 pieces
+    (summing to one); stick_break is floor + (1 - G floor) * pieces.
+    The count-mixture objectives use it on lists of a few elements,
+    where an array version would spend its time on per-call overhead.
+    """
+    stick, pieces = [], []
+    rest = 1.0
+    for vi in v:
+        stick.append(rest)
+        pieces.append(vi * rest)
+        rest *= 1.0 - vi
+    pieces.append(rest)
+    return stick, pieces
+
+
+def stick_pieces_vjp(v, stick, pieces, grad_s):
+    """Pull a gradient w.r.t. the pieces back to the logits behind v.
+
+    The float counterpart of stick_break_vjp without the floor scale;
+    grad_s may omit the last piece, whose entry is then taken as 0.
+    """
+    n = len(v)
+    out = [0.0] * n
+    later = grad_s[n] * pieces[n] if len(grad_s) > n else 0.0
+    for h in range(n - 1, -1, -1):
+        vh = v[h]
+        out[h] = grad_s[h] * stick[h] * vh * (1.0 - vh) - vh * later
+        later += grad_s[h] * pieces[h]
     return out

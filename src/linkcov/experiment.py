@@ -22,8 +22,8 @@ from ._optim import FitOptions
 from .baselines import CoverageEstimate, df_dt_estimators, lincoln_petersen, racinskij_fit
 from .frequencies import (build_soundex_index, load_frequency_table,
                           synthetic_age_table, synthetic_surname_table)
-from .neighbor_multi import (LogLinear, MultiCountHistogram, marginal_rates,
-                             select_G_multi)
+from .neighbor_multi import (LogLinear, MultiCountHistogram,
+                             appendix_c_cells, marginal_rates, select_G_multi)
 from .neighbor_uni import (CountHistogram, accuracy_from_fit, select_G)
 from .popsim import PerturbationParams, draw_samples, generate_population
 
@@ -210,13 +210,15 @@ def run_replication(cfg, rep_index, opts=None):
                 ("mn_with_interactions", LogLinear(2))]
     if wanted & {m for m, _ in mn_modes}:
         mh = MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
-        # both modes start from the same per-rule rates
+        # both modes start from the same per-rule rates and plug-in cells
         lam_bar = marginal_rates(mh, cfg.tau, opts)
+        p_hat = appendix_c_cells(mh, lam_bar, cfg.tau, opts.nu)
         for name, constraint in mn_modes:
             if name not in wanted:
                 continue
             sel = select_G_multi(mh, cfg.g_max, constraint=constraint,
-                                 tau=cfg.tau, opts=opts, lambda_bar=lam_bar)
+                                 tau=cfg.tau, opts=opts, lambda_bar=lam_bar,
+                                 p_hat=p_hat)
             estimates[name] = CoverageEstimate(
                 name, float(sel.fit.params.phi),
                 diagnostics={"G": sel.g_hat,

@@ -7,10 +7,18 @@ independent Poisson false-positive counts per rule.  The true-positive
 cells can be left free, shared across classes, or constrained through a
 log-linear design with a coverage factor, in which case the fitted
 coverage is the estimator of P(i in S_A).
+
+The objective is built once per fit (``_objective_multi``).  It keeps
+the per-fit constants, and each call spends two matrix products on the
+k distinct count vectors: one for the exponents of every class's
+Poisson product and true-positive bracket, one for all weighted sums of
+the gradient.  The weights, phi and the cells are Python floats.  Every
+constraint (free, shared_p, log-linear, tied) runs through it.
 """
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,6 +34,8 @@ from ._optim import (
     stick_break,
     stick_break_inverse,
     stick_break_vjp,
+    stick_pieces,
+    stick_pieces_vjp,
 )
 from .neighbor_uni import CountHistogram, select_G
 
@@ -47,6 +57,7 @@ __all__ = [
     "marginal_params",
     "single_class_p_hat",
     "init_appendix_c",
+    "appendix_c_cells",
     "marginal_rates",
     "fit_multi",
     "select_G_multi",
@@ -417,70 +428,134 @@ def _pack_multi(alpha, p_block, lam, constraint, nu, lam_max):
     return np.concatenate(parts)
 
 
-def _objective_multi(x, keys, log_fact, cnts, tail_count, total, g, m, n_p,
-                     constraint, Zv, tau, nu, lam_max):
-    """Negative mean capped log-likelihood with analytic gradient.
+def _objective_multi(hist, tau, g, m, n_p, constraint, Zv, nu, lam_max):
+    """The objective of one fit_multi call: x -> (negative mean capped
+    log-likelihood, its analytic gradient).
 
-    Every per-count sum is a (k, g) or (g, m) matrix product; nothing of
-    size k * g * m is formed.
+    It holds the per-fit constants: the columns [t | 1 | log t!] of the
+    k count vectors with |t| <= tau, contiguous and transposed, their
+    multiplicities, log nu and the log-span of the rates.  Per call, one
+    product of a (2g, m + 2) coefficient block with the transposed
+    columns gives, for each class c, the exponent of alpha_c a_c, where
+    a_c = prod_gamma Pois(t_gamma; lam_c,gamma) and the weight enters as
+    log alpha_c, and the true-positive bracket 1 - |p_c| + t . p_c / lam_c.
+    [alpha a | alpha mix] fill one (2g, k) buffer; q is the column sum
+    of its mix rows, and one product of the w-weighted buffer with the
+    columns gives the four weighted sums of the gradient.  The weights,
+    phi, the softmax and the stick-breaking of the cells are Python
+    floats; the logistic of x is one array call, which saturates where
+    exp(-x) would overflow.  Nothing of size k * g * m is formed.
     """
-    alpha, p, lam, dlam_dx, aux = _unpack_multi(x, g, m, n_p, constraint,
-                                                Zv, nu, lam_max)
-    psum = p.sum(axis=1)
-
-    # a[k, g] = prod_gamma Pois(t / lam_g); the bracket adds the TP shift
-    a = np.exp(keys @ np.log(lam).T - lam.sum(axis=1) - log_fact[:, None])
-    mix = a * ((1.0 - psum) + keys @ (p / lam).T)      # (k, g)
-    q = np.maximum(mix @ alpha, 1e-300)
-    w = cnts / q                                        # (k,)
-    ll = float(cnts @ np.log(q))
-
-    d_alpha = w @ mix                                   # (g,)
-    # sum_k w a t / lam and sum_k w mix t / lam, per class and rule
-    wat = ((w[:, None] * a).T @ keys) / lam             # (g, m)
-    wmt = ((w[:, None] * mix).T @ keys) / lam
-    # dq/dp = alpha a (t/lam - 1); dq/dlam = alpha (mix (t/lam - 1)
-    # - a p t / lam^2)
-    d_p = alpha[:, None] * (wat - (w @ a)[:, None])
-    d_lam = alpha[:, None] * (wmt - d_alpha[:, None] - p * wat / lam)
-
-    if tail_count:
-        s = lam.sum(axis=1)
-        cdf_t = pdtr(tau, s)
-        cdf_tm1 = pdtr(tau - 1, s)
-        pmf_t = np.exp(tau * np.log(s) - s - gammaln(tau + 1.0))
-        pmf_tm1 = pmf_t * tau / s
-        below = (1.0 - psum) * cdf_t + psum * cdf_tm1
-        T = max(1.0 - float(alpha @ below), 1e-300)
-        ll += tail_count * np.log(T)
-        wt = tail_count / T
-        d_alpha -= wt * below
-        d_p += wt * (alpha * (cdf_t - cdf_tm1))[:, None]
-        d_lam += wt * (alpha * ((1.0 - psum) * pmf_t + psum * pmf_tm1))[:, None]
-
-    # chain rules
+    keys, log_fact, cnts, tail_count = _split_multi(hist, tau)
+    k = keys.shape[0]
+    total = float(hist.total)
+    cols = np.empty((k, m + 2))
+    cols[:, :m] = keys
+    cols[:, m] = 1.0
+    cols[:, m + 1] = log_fact
+    cols_t = np.ascontiguousarray(cols.T)
+    cols = np.ascontiguousarray(cols[:, :m + 1])
+    # rows [log lam_c | log alpha_c - |lam_c| | -1] for c < g, then
+    # [p_c / lam_c | 1 - |p_c| | 0]
+    coef = np.zeros((2 * g, m + 2))
+    coef[:g, m + 1] = -1.0
+    a_mix = np.empty((2 * g, k))
+    grad = np.empty((g - 1) + n_p + g * m)
+    log_lo = math.log(nu)
+    span = math.log(lam_max) - log_lo
+    log_fact_tau = math.lgamma(tau + 1.0)
     n_alpha = g - 1
-    grad = np.empty_like(x)
-    if g > 1:
-        grad[:n_alpha] = stick_break_vjp(x[:n_alpha], d_alpha, floor=nu)
-    xp = x[n_alpha:n_alpha + n_p]
-    if constraint == "free":
-        for comp in range(g):
-            gs = np.append((1.0 - nu) * d_p[comp], 0.0)
-            grad[n_alpha + comp * m:n_alpha + (comp + 1) * m] = stick_break_vjp(
-                xp[comp * m:(comp + 1) * m], gs)
-    elif constraint == "shared_p":
-        gs = np.append((1.0 - nu) * d_p.sum(axis=0), 0.0)
-        grad[n_alpha:n_alpha + n_p] = stick_break_vjp(xp, gs)
-    else:
-        # p = phi * softmax(eta), shared across classes
-        phi, r = aux["phi"], aux["r"]
-        dldp = d_p.sum(axis=0)
-        dldr = float(dldp @ r)
-        grad[n_alpha] = dldr * phi * (1.0 - phi)
-        grad[n_alpha + 1:n_alpha + n_p] = Zv.T @ (phi * r * (dldp - dldr))
-    grad[n_alpha + n_p:] = d_lam.ravel() * dlam_dx
-    return -ll / total, -grad / total
+    n_head = n_alpha + n_p
+    scale = 1.0 - g * nu
+    keep = 1.0 - nu
+
+    def objective(x):
+        sig = expit(x)
+        s = sig[:n_head].tolist()
+        stick, pieces = stick_pieces(s[:n_alpha])
+        alpha = [nu + scale * piece for piece in pieces]
+        if constraint == "loglinear":
+            # p = phi * softmax(eta), shared across classes
+            phi = s[n_alpha]
+            eta = (Zv @ x[n_alpha + 1:n_head]).tolist()
+            mx = max(0.0, max(eta))
+            e = [math.exp(et - mx) for et in eta]
+            den = math.exp(-mx) + sum(e)
+            r = np.array([ei / den for ei in e])
+            p = phi * r
+            psum = [float(p.sum())] * g
+        else:
+            n_rows = g if constraint == "free" else 1
+            cells = [stick_pieces(s[n_alpha + c * m:n_alpha + (c + 1) * m])
+                     for c in range(n_rows)]
+            p_rows = [[keep * piece for piece in pc[:m]] for _, pc in cells]
+            p = np.array(p_rows if n_rows > 1 else p_rows[0])
+            psum = [sum(row) for row in p_rows] * (g // n_rows)
+        sig_lam = sig[n_head:]
+        log_lam = log_lo + span * sig_lam
+        lam_flat = np.exp(log_lam)
+        lam = lam_flat.reshape(g, m)
+        lam_sum = lam.sum(axis=1).tolist()
+
+        coef[:g, :m] = log_lam.reshape(g, m)
+        coef[g:, :m] = p / lam
+        coef[:, m] = ([math.log(ac) - ls for ac, ls in zip(alpha, lam_sum)]
+                      + [1.0 - ps for ps in psum])
+        expo = coef @ cols_t
+        a = np.exp(expo[:g], out=a_mix[:g])
+        mix = np.multiply(a, expo[g:], out=a_mix[g:])
+        q = mix.sum(axis=0)
+        np.maximum(q, 1e-300, out=q)
+        w = cnts / q
+        ll = float(cnts @ np.log(q))
+        # sums[c, gamma] = alpha_c sum_k w [a | mix]_c t_gamma, and in
+        # column m alpha_c sum_k w [a | mix]_c
+        sums = (a_mix * w) @ cols
+        # dq/dp = alpha a (t/lam - 1); dq/dlam = alpha (mix (t/lam - 1)
+        # - a p t / lam^2)
+        wat = sums[:g, :m] / lam
+        d_p = wat - sums[:g, m:]
+        d_lam = sums[g:, :m] / lam - sums[g:, m:] - p * wat / lam
+        d_alpha = [sm / ac for sm, ac in zip(sums[g:, m].tolist(), alpha)]
+        if tail_count:
+            cdf_t = pdtr(tau, lam_sum).tolist()
+            cdf_tm1 = pdtr(tau - 1, lam_sum).tolist()
+            below = [(1.0 - ps) * ct + ps * cm
+                     for ps, ct, cm in zip(psum, cdf_t, cdf_tm1)]
+            T = max(1.0 - sum([ac * b for ac, b in zip(alpha, below)]),
+                    1e-300)
+            ll += tail_count * math.log(T)
+            wt = tail_count / T
+            tail_p, tail_lam = [], []
+            for c in range(g):
+                ls, ps = lam_sum[c], psum[c]
+                pmf_t = math.exp(tau * math.log(ls) - ls - log_fact_tau)
+                d_alpha[c] -= wt * below[c]
+                tail_p.append(wt * (alpha[c] * (cdf_t[c] - cdf_tm1[c])))
+                tail_lam.append(wt * (alpha[c] * ((1.0 - ps) * pmf_t
+                                                  + ps * pmf_t * tau / ls)))
+            d_p += np.array(tail_p)[:, None]
+            d_lam += np.array(tail_lam)[:, None]
+
+        # chain rules
+        grad[:n_alpha] = [scale * gv for gv in
+                          stick_pieces_vjp(s[:n_alpha], stick, pieces, d_alpha)]
+        if constraint == "loglinear":
+            dldp = d_p.sum(axis=0)
+            dldr = float(dldp @ r)
+            grad[n_alpha] = dldr * phi * (1.0 - phi)
+            grad[n_alpha + 1:n_head] = (p * (dldp - dldr)) @ Zv
+        else:
+            rows = (d_p if constraint == "free" else d_p.sum(axis=0)[None]).tolist()
+            for c, (stick_c, pieces_c) in enumerate(cells):
+                lo = n_alpha + c * m
+                grad[lo:lo + m] = stick_pieces_vjp(
+                    s[lo:lo + m], stick_c, pieces_c, [keep * d for d in rows[c]])
+        grad[n_head:] = d_lam.ravel() * (lam_flat * span * sig_lam
+                                         * (1.0 - sig_lam))
+        return -ll / total, grad / -total
+
+    return objective
 
 
 def _split_multi(hist, tau):
@@ -539,16 +614,27 @@ _BIN3 = ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0),
          (1, 1, 1))
 
 
+def appendix_c_cells(hist, lambda_bar_by_rule, tau=10, nu=1e-4):
+    """The plug-in true-positive cells of the Appendix-C start: the
+    single-class cells with the per-rule rates (floored at nu) plugged
+    in.  They depend on neither the constraint nor G, so one set serves
+    every constraint fitted to the same histogram."""
+    lam = np.clip(np.asarray(lambda_bar_by_rule, dtype=float), nu, None)
+    return single_class_p_hat(hist, lam, tau=tau, nu=nu)
+
+
 def init_appendix_c(hist, lambda_bar_by_rule, mode, rules=None, tau=10,
-                    nu=1e-4):
+                    nu=1e-4, p_hat=None):
     """Moment-based starting values for the constrained multivariate fit.
 
     lambda_bar_by_rule supplies, per rule, the aggregate rate from a
     univariate fit of that rule's marginal counts.  The true-positive
-    cells come from the plug-in convex step; the starting log-linear
-    coefficients follow the stated moment formulas (logit-averaged
-    ratios without interactions, log-ratio sums with them), and the
-    starting coverage is sum(p) / sum(r) at those coefficients.
+    cells come from the plug-in convex step (``appendix_c_cells``; pass
+    them as p_hat when they are already computed); the starting
+    log-linear coefficients follow the stated moment formulas
+    (logit-averaged ratios without interactions, log-ratio sums with
+    them), and the starting coverage is sum(p) / sum(r) at those
+    coefficients.
     """
     if mode not in ("no_interactions", "with_interactions"):
         raise ValueError(f"unknown initialization mode {mode!r}")
@@ -556,7 +642,8 @@ def init_appendix_c(hist, lambda_bar_by_rule, mode, rules=None, tau=10,
     if rules.patterns != _BIN3:
         raise ValueError("moment initialization requires three binary groups")
     lam = np.clip(np.asarray(lambda_bar_by_rule, dtype=float), nu, None)
-    p_hat = single_class_p_hat(hist, lam, tau=tau, nu=nu)
+    if p_hat is None:
+        p_hat = appendix_c_cells(hist, lam, tau=tau, nu=nu)
     flagged = False
 
     pat = dict(zip(rules.patterns, p_hat))
@@ -625,19 +712,22 @@ def marginal_rates(hist, tau=10, opts=FitOptions()):
     return np.asarray(lam_bar)
 
 
-def _appendix_c_start(hist, constraint, rules, tau, opts, lambda_bar):
+def _appendix_c_start(hist, constraint, rules, tau, opts, lambda_bar,
+                      p_hat=None):
     """The Appendix-C start bundle, or None unless rules are three binary
-    groups; lambda_bar=None fits the marginal rates here."""
+    groups; lambda_bar=None fits the marginal rates here, p_hat=None
+    computes the plug-in cells."""
     if rules.patterns != _BIN3:
-        if lambda_bar is not None:
-            raise ValueError("lambda_bar needs three binary rule groups")
+        if lambda_bar is not None or p_hat is not None:
+            raise ValueError("lambda_bar and p_hat need three binary rule "
+                             "groups")
         return None
     if lambda_bar is None:
         lambda_bar = marginal_rates(hist, tau, opts)
     with_interactions = isinstance(constraint, LogLinear) and constraint.d >= 2
     mode = "with_interactions" if with_interactions else "no_interactions"
     return init_appendix_c(hist, lambda_bar, mode, rules=rules, tau=tau,
-                           nu=opts.nu)
+                           nu=opts.nu, p_hat=p_hat)
 
 
 def fit_multi(hist, g, constraint="shared_p", tau=10, rules=None,
@@ -698,9 +788,8 @@ def fit_multi(hist, g, constraint="shared_p", tau=10, rules=None,
 
     x0 = _pack_multi(alpha0, p_block, lam0, key, nu, lam_max)
     total = float(hist.total)
-    args = (*_split_multi(hist, tau), total, g, m, n_p, key, Zv, tau, nu,
-            lam_max)
-    init_loglik = -_objective_multi(x0, *args)[0] * total
+    objective = _objective_multi(hist, tau, g, m, n_p, key, Zv, nu, lam_max)
+    init_loglik = -objective(x0)[0] * total
 
     best = None
     for start in range(opts.n_starts):
@@ -710,7 +799,7 @@ def fit_multi(hist, g, constraint="shared_p", tau=10, rules=None,
             jrng = np.random.default_rng([opts.seed, 71, start])
             x_start = x0 + opts.jitter * jrng.standard_normal(x0.size)
         res = minimize(
-            _objective_multi, x_start, args=args, jac=True, method="L-BFGS-B",
+            objective, x_start, args=(), jac=True, method="L-BFGS-B",
             options={"maxiter": opts.max_iter, "ftol": opts.ftol,
                      "gtol": opts.gtol},
         )
@@ -749,11 +838,13 @@ def n_free_params_multi(g, m, constraint, du=None):
 
 
 def select_G_multi(hist, g_max, constraint="shared_p", tau=10, rules=None,
-                   opts=FitOptions(), lambda_bar=None):
+                   opts=FitOptions(), lambda_bar=None, p_hat=None):
     """AIC selection of the class count (ties -> smallest G).
 
     lambda_bar: marginal_rates(hist, tau, opts) computed once and shared
     between constraints fitted to one histogram; None computes them.
+    p_hat: appendix_c_cells(hist, lambda_bar, tau, opts.nu), shared the
+    same way; None computes them.
     """
     rules = rules or binary_rules(3)
     key = _constraint_key(constraint)
@@ -762,7 +853,8 @@ def select_G_multi(hist, g_max, constraint="shared_p", tau=10, rules=None,
         design = build_design(rules, constraint.d)
         du = (tie_matrix(design).shape[1] if constraint.tie_symmetric
               else design.Z.shape[1])
-    init = _appendix_c_start(hist, constraint, rules, tau, opts, lambda_bar)
+    init = _appendix_c_start(hist, constraint, rules, tau, opts, lambda_bar,
+                             p_hat)
     trace = []
     best = None
     for g in range(1, g_max + 1):

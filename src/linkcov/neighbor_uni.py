@@ -6,9 +6,16 @@ with weights alpha_g.  Parameters are estimated by maximizing the capped
 composite log-likelihood of the observed counts, the number of classes
 is chosen by AIC, and the fitted aggregates p_bar / lambda_bar translate
 into precision, coverage and recall estimates.
+
+The objective that L-BFGS-B calls (``_objective``) is a scalar kernel.
+A histogram holds a handful of distinct counts (3 to 11), so its sums
+over (class, value) run in Python floats; the only array call is one
+saturating logistic of all coordinates.  It serves shared and free p,
+every G and the tail cell.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,7 +30,8 @@ from ._optim import (
     logit,
     stick_break,
     stick_break_inverse,
-    stick_break_vjp,
+    stick_pieces,
+    stick_pieces_vjp,
 )
 
 __all__ = [
@@ -172,15 +180,17 @@ def sample_counts(params, size, rng):
 # ----------------------------------------------------------------- fitting
 
 def _split_hist(hist, tau):
-    """Counts up to tau with their log factorials, and the tail count."""
+    """Counts up to tau with their log factorials and multiplicities, as
+    lists of floats, and the tail count."""
     low = hist.values <= tau
     vals = hist.values[low].astype(float)
-    return (vals, gammaln(vals + 1.0), hist.counts[low].astype(float),
+    return (vals.tolist(), gammaln(vals + 1.0).tolist(),
+            hist.counts[low].astype(float).tolist(),
             float(hist.counts[~low].sum()))
 
 
 def _unpack(x, g, shared_p, nu, lam_max):
-    """Parameters at x, plus d lam / dx for the gradient."""
+    """Parameters at x, plus d lam / dx."""
     pos = g - 1
     alpha = stick_break(x[:pos], floor=nu) if g > 1 else np.ones(1)
     np_p = 1 if shared_p else g
@@ -206,49 +216,95 @@ def _pack(alpha, p, lam, shared_p, nu, lam_max):
 
 def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
                nu, lam_max):
-    """Negative mean capped log-likelihood and its gradient."""
-    alpha, p, lam, dlam_dx = _unpack(x, g, shared_p, nu, lam_max)
+    """Negative mean capped log-likelihood and its gradient.
 
-    # pois[g, v] = Poisson(v; lam_g); shifted variant via v / lam
-    logl = np.log(lam)
-    pois = np.exp(np.outer(logl, vals) - lam[:, None] - log_fact)
-    shift = pois * vals / lam[:, None]
-    comp = (1.0 - p)[:, None] * pois + p[:, None] * shift
-    q = np.maximum(alpha @ comp, 1e-300)
-
-    wv = cnts / q
-    ll = float(cnts @ np.log(q))
-    d_alpha = comp @ wv
-    d_p = alpha * ((shift - pois) @ wv)
-    dpois = pois * (vals / lam[:, None] - 1.0)
-    # shift is 0 at v = 0, so dshift is too
-    dshift = shift * ((vals - 1.0) / lam[:, None] - 1.0)
-    d_lam = alpha * (((1.0 - p)[:, None] * dpois + p[:, None] * dshift) @ wv)
-
-    if tail_count:
-        cdf_t = pdtr(tau, lam)
-        cdf_tm1 = pdtr(tau - 1, lam)
-        pmf_t = np.exp(tau * logl - lam - gammaln(tau + 1.0))
-        pmf_tm1 = pmf_t * tau / lam
-        T = 1.0 - float(alpha @ ((1.0 - p) * cdf_t + p * cdf_tm1))
-        T = max(T, 1e-300)
-        ll += tail_count * np.log(T)
-        wt = tail_count / T
-        d_alpha += wt * -((1.0 - p) * cdf_t + p * cdf_tm1)
-        d_p += wt * alpha * (cdf_t - cdf_tm1)
-        d_lam += wt * alpha * ((1.0 - p) * pmf_t + p * pmf_tm1)
-
-    # chain to unconstrained coordinates
+    A scalar kernel: vals, log_fact and cnts are the short lists of
+    ``_split_hist``, and every sum runs over (class, value) in Python
+    floats.  The one array call is the logistic of all coordinates; it
+    saturates where exp(-x) would overflow.  Per class, with
+    t_v = cnts_v / q_v * Pois(v; lam), the gradient needs only
+    T0 = sum t_v, T1 = sum t_v v and T2 = sum t_v v (v - 1).
+    """
+    sig = expit(x).tolist()
     pos = g - 1
     np_p = 1 if shared_p else g
-    grad = np.empty_like(x)
-    if g > 1:
-        grad[:pos] = stick_break_vjp(x[:pos], d_alpha, floor=nu)
-    sp = expit(x[pos:pos + np_p])
-    dp_dx = (1.0 - 2.0 * nu) * sp * (1.0 - sp)
-    grad[pos:pos + np_p] = (d_p.sum() if shared_p else d_p) * dp_dx
-    grad[pos + np_p:] = d_lam * dlam_dx
-    return -ll / total, -grad / total
+
+    # weights: stick-breaking above the floor nu, as stick_break
+    stick, pieces = stick_pieces(sig[:pos])
+    scale = 1.0 - g * nu
+    alpha = [nu + scale * s for s in pieces]
+    p_sig = sig[pos:pos + np_p]
+    p = [nu + (1.0 - 2.0 * nu) * s for s in p_sig]
+    if shared_p:
+        p = p * g
+    # rates: logistic interpolation on the log scale, as interval_from_real
+    log_lo = math.log(nu)
+    span = math.log(lam_max) - log_lo
+    lam_sig = sig[pos + np_p:]
+    log_lam = [log_lo + span * s for s in lam_sig]
+    exp, log = math.exp, math.log
+    lam = [exp(y) for y in log_lam]
+
+    # pois[c][v] = Poisson(v; lam_c);  q_v = sum_c alpha_c pois (1 - p + p v / lam)
+    pois = []
+    q = None
+    for a, pc, y, l in zip(alpha, p, log_lam, lam):
+        base, slope = a * (1.0 - pc), a * pc / l
+        row = [exp(v * y - l - lf) for v, lf in zip(vals, log_fact)]
+        pois.append(row)
+        if q is None:
+            q = [pz * (base + slope * v) for pz, v in zip(row, vals)]
+        else:
+            q = [qv + pz * (base + slope * v)
+                 for qv, pz, v in zip(q, row, vals)]
+    ll = 0.0
+    w = []
+    for c, qv in zip(cnts, q):
+        if qv < 1e-300:
+            qv = 1e-300
+        ll += c * log(qv)
+        w.append(c / qv)
+
+    d_alpha, d_p, d_lam = [], [], []
+    for a, pc, l, row in zip(alpha, p, lam, pois):
+        t0 = t1 = t2 = 0.0
+        for wv, pz, v in zip(w, row, vals):
+            t = wv * pz
+            t0 += t
+            t *= v
+            t1 += t
+            t2 += t * (v - 1.0)
+        r = t1 / l
+        d_alpha.append((1.0 - pc) * t0 + pc * r)
+        d_p.append(a * (r - t0))
+        d_lam.append(a * ((1.0 - pc) * (r - t0) + pc / l * (t2 / l - t1)))
+
+    if tail_count:
+        cdf_t = pdtr(tau, lam).tolist()
+        cdf_tm1 = pdtr(tau - 1, lam).tolist()
+        log_fact_tau = math.lgamma(tau + 1.0)
+        below = [(1.0 - pc) * ct + pc * cm
+                 for pc, ct, cm in zip(p, cdf_t, cdf_tm1)]
+        T = max(1.0 - sum([a * b for a, b in zip(alpha, below)]), 1e-300)
+        ll += tail_count * log(T)
+        wt = tail_count / T
+        for c in range(g):
+            a, pc, l = alpha[c], p[c], lam[c]
+            pmf_t = exp(tau * log_lam[c] - l - log_fact_tau)
+            d_alpha[c] -= wt * below[c]
+            d_p[c] += wt * a * (cdf_t[c] - cdf_tm1[c])
+            d_lam[c] += wt * a * ((1.0 - pc) * pmf_t + pc * pmf_t * tau / l)
+
+    # chain to unconstrained coordinates
+    grad = [scale * gv
+            for gv in stick_pieces_vjp(sig[:pos], stick, pieces, d_alpha)]
+    if shared_p:
+        d_p = [sum(d_p)]
+    grad += [dp * (1.0 - 2.0 * nu) * s * (1.0 - s)
+             for dp, s in zip(d_p, p_sig)]
+    grad += [dl * l * span * s * (1.0 - s)
+             for dl, l, s in zip(d_lam, lam, lam_sig)]
+    return -ll / total, np.array(grad) / -total
 
 
 def _moment_init(hist, g, shared_p, nu):

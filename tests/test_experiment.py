@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from linkcov import neighbor_multi
 from linkcov.experiment import (ALL_ESTIMATORS, MetricsTable, ScenarioConfig,
                                 adjust_incomplete, read_replication_log,
                                 render_report, run_experiment,
@@ -85,6 +86,23 @@ class TestReplication:
         for name, est in res.estimates.items():
             assert est.coverage_hat == pytest.approx(1.0, abs=0.02), name
         assert res.accuracy["rule1_recall"] == 1.0
+
+    def test_both_mn_modes_share_one_plug_in_step(self, monkeypatch):
+        calls = []
+        real = neighbor_multi.single_class_p_hat
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].total)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(neighbor_multi, "single_class_p_hat", counting)
+        cfg = ScenarioConfig.from_scenario(
+            3, estimators=("mn_no_interactions", "mn_with_interactions"),
+            **TINY)
+        res = run_replication(cfg, 0)
+        assert set(res.estimates) == {"mn_no_interactions",
+                                      "mn_with_interactions"}
+        assert len(calls) == 1
 
     def test_accuracy_record_fields(self):
         cfg = ScenarioConfig.from_scenario(1, estimators=("naive",), **TINY)

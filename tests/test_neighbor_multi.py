@@ -10,7 +10,8 @@ from linkcov import neighbor_multi
 from linkcov._optim import FitOptions
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, RuleIndexSet,
-                                    binary_rules, build_design,
+                                    appendix_c_cells, binary_rules,
+                                    build_design,
                                     coverage_from_fit, fit_multi,
                                     init_appendix_c, loglinear_invert,
                                     loglinear_probs, marginal_histogram,
@@ -436,6 +437,35 @@ class TestSharedRates:
             assert shared.g_hat == own.g_hat
             assert shared.fit.loglik == own.fit.loglik
             assert shared.fit.params.phi == own.fit.params.phi
+
+    def test_passed_cells_reproduce_the_selection_exactly(self):
+        rules = binary_rules(3)
+        p = loglinear_probs(0.85, np.array([0.8, 0.4, 1.0, 0.2, 0.1, 0]),
+                            build_design(rules, 2))
+        truth = MultiMixtureParams(
+            alpha=[0.6, 0.4], p=[p, p],
+            lam=[np.full(7, 0.05), np.full(7, 0.4)], rules=rules,
+            constraint="shared_p",
+        )
+        draws = sample_multi_counts(truth, 20000, np.random.default_rng(62))
+        hist = MultiCountHistogram.from_observations(draws)
+        opts = FitOptions()
+        rates = marginal_rates(hist, 10, opts)
+        cells = appendix_c_cells(hist, rates, 10, opts.nu)
+        for d in (1, 2):
+            shared = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10,
+                                    opts=opts, lambda_bar=rates, p_hat=cells)
+            own = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10,
+                                 opts=opts, lambda_bar=rates)
+            assert shared.g_hat == own.g_hat
+            assert shared.trace == own.trace
+            assert shared.fit.params.phi == own.fit.params.phi
+
+    def test_cells_need_three_binary_groups(self):
+        hist = MultiCountHistogram(keys=[[0, 1], [1, 0]], counts=[5, 3])
+        with pytest.raises(ValueError, match="binary"):
+            select_G_multi(hist, 1, rules=RuleIndexSet(H=(2,)),
+                           p_hat=np.full(2, 0.1))
 
     def test_rates_need_three_binary_groups(self):
         hist = MultiCountHistogram(keys=[[0, 1], [1, 0]], counts=[5, 3])

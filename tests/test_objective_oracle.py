@@ -9,6 +9,15 @@ and gradient.  Values agree within rtol 1e-12; gradient components
 within rtol 1e-12 of the gradient's largest component, because a
 component that is a difference of large terms carries the rounding of
 those terms, not of itself.
+
+At saturated points (|x| up to 800: weights, cells, phi and rates on
+their bounds) both objectives must return finite values and gradients
+and warn of nothing; this pins the overflow of a scalar logistic
+written as 1 / (1 + exp(-x)).  There the values are compared with the
+oracle's.  The gradients are not: with densities down to 1e-300, a
+component is the difference of terms as large as cnts / q, and both
+forms carry rounding far above its size (0.27 against 0.07 at one
+tied LogLinear(2) point).
 """
 
 import warnings
@@ -324,6 +333,13 @@ def oracle_at(oracle, x, args):
         return oracle(x, *args)
 
 
+def assert_value_matches(value, oracle_result):
+    """Finite value and gradient; the value matches a finite oracle's."""
+    ref_value = oracle_result[0]
+    if np.isfinite(ref_value):
+        assert value == pytest.approx(ref_value, rel=RTOL, abs=0)
+
+
 # ------------------------------------------------------------------- tests
 
 GS = [1, 2, 3]
@@ -349,9 +365,8 @@ class TestUniObjectiveOracle:
         for x in saturated(x0.size, seed=200 * g + 10 * shared_p + tail):
             value, grad = evaluate_quietly(fun, x, args)
             assert np.isfinite(value) and np.all(np.isfinite(grad))
-            ref_value, ref_grad = oracle_at(_oracle_objective, x, oracle_args)
-            if np.isfinite(ref_value) and np.all(np.isfinite(ref_grad)):
-                assert_matches_oracle(value, grad, ref_value, ref_grad)
+            assert_value_matches(value, oracle_at(_oracle_objective, x,
+                                                  oracle_args))
 
 
 class TestMultiObjectiveOracle:
@@ -375,7 +390,5 @@ class TestMultiObjectiveOracle:
         for x in saturated(x0.size, seed=400 * g + tail):
             value, grad = evaluate_quietly(fun, x, args)
             assert np.isfinite(value) and np.all(np.isfinite(grad))
-            ref_value, ref_grad = oracle_at(_oracle_objective_multi, x,
-                                            oracle_args)
-            if np.isfinite(ref_value) and np.all(np.isfinite(ref_grad)):
-                assert_matches_oracle(value, grad, ref_value, ref_grad)
+            assert_value_matches(value, oracle_at(_oracle_objective_multi, x,
+                                                  oracle_args))
