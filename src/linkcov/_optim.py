@@ -75,6 +75,41 @@ def real_from_interval(v, lo, hi):
     return logit(frac)
 
 
+def stick_pieces(v):
+    """Stick-breaking over logistic values v, in Python floats.
+
+    Returns the stick left before each break and the len(v) + 1 pieces
+    (summing to one); stick_break is floor + (1 - G floor) * pieces.
+    The lists hold a few elements, where array calls would cost more
+    than the arithmetic.
+    """
+    stick, pieces = [], []
+    rest = 1.0
+    for vi in v:
+        stick.append(rest)
+        pieces.append(vi * rest)
+        rest *= 1.0 - vi
+    pieces.append(rest)
+    return stick, pieces
+
+
+def stick_pieces_vjp(v, stick, pieces, grad_s):
+    """Pull a gradient w.r.t. the pieces back to the logits behind v.
+
+    Uses d piece_h / dx_h = stick_h v_h (1 - v_h) and, for i > h,
+    d piece_i / dx_h = -piece_i v_h.  grad_s may omit the last piece,
+    whose entry is then taken as 0.
+    """
+    n = len(v)
+    out = [0.0] * n
+    later = grad_s[n] * pieces[n] if len(grad_s) > n else 0.0
+    for h in range(n - 1, -1, -1):
+        vh = v[h]
+        out[h] = grad_s[h] * stick[h] * vh * (1.0 - vh) - vh * later
+        later += grad_s[h] * pieces[h]
+    return out
+
+
 def stick_break(x, floor=0.0):
     """Map G-1 free logits to a point of the G-simplex.
 
@@ -82,15 +117,8 @@ def stick_break(x, floor=0.0):
     to one; floor * G must stay below 1.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = x.size + 1
-    v = expit(x)
-    s = np.empty(g)
-    rest = 1.0
-    for i in range(g - 1):
-        s[i] = v[i] * rest
-        rest *= 1.0 - v[i]
-    s[g - 1] = rest
-    return floor + (1.0 - g * floor) * s
+    _, pieces = stick_pieces(expit(x).tolist())
+    return floor + (1.0 - len(pieces) * floor) * np.array(pieces)
 
 
 def stick_break_inverse(weights, floor=0.0):
@@ -112,63 +140,10 @@ def stick_break_inverse(weights, floor=0.0):
 
 
 def stick_break_vjp(x, grad_s, floor=0.0):
-    """Pull a gradient w.r.t. the weights back to the free logits.
-
-    Uses ds_h/dx_h = c_h * v_h * (1 - v_h) with c_h the remaining stick,
-    and ds_i/dx_h = -s_i * v_h for i > h.
-    """
+    """Pull a gradient w.r.t. the weights back to the free logits."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = x.size + 1
-    if g == 1:
-        return np.empty(0)
-    v = expit(x)
-    s = np.empty(g)
-    c = np.empty(g - 1)
-    rest = 1.0
-    for i in range(g - 1):
-        c[i] = rest
-        s[i] = v[i] * rest
-        rest *= 1.0 - v[i]
-    s[g - 1] = rest
-    scale = 1.0 - g * floor
-    out = np.zeros(g - 1)
-    for h in range(g - 1):
-        acc = grad_s[h] * c[h] * v[h] * (1.0 - v[h])
-        for i in range(h + 1, g):
-            acc -= grad_s[i] * s[i] * v[h]
-        out[h] = scale * acc
-    return out
-
-
-def stick_pieces(v):
-    """Stick-breaking over logistic values v, in Python floats.
-
-    Returns the stick left before each break and the len(v) + 1 pieces
-    (summing to one); stick_break is floor + (1 - G floor) * pieces.
-    The count-mixture objectives use it on lists of a few elements,
-    where an array version would spend its time on per-call overhead.
-    """
-    stick, pieces = [], []
-    rest = 1.0
-    for vi in v:
-        stick.append(rest)
-        pieces.append(vi * rest)
-        rest *= 1.0 - vi
-    pieces.append(rest)
-    return stick, pieces
-
-
-def stick_pieces_vjp(v, stick, pieces, grad_s):
-    """Pull a gradient w.r.t. the pieces back to the logits behind v.
-
-    The float counterpart of stick_break_vjp without the floor scale;
-    grad_s may omit the last piece, whose entry is then taken as 0.
-    """
-    n = len(v)
-    out = [0.0] * n
-    later = grad_s[n] * pieces[n] if len(grad_s) > n else 0.0
-    for h in range(n - 1, -1, -1):
-        vh = v[h]
-        out[h] = grad_s[h] * stick[h] * vh * (1.0 - vh) - vh * later
-        later += grad_s[h] * pieces[h]
-    return out
+    v = expit(x).tolist()
+    stick, pieces = stick_pieces(v)
+    grad_s = np.asarray(grad_s, dtype=float).tolist()
+    return ((1.0 - len(pieces) * floor)
+            * np.array(stick_pieces_vjp(v, stick, pieces, grad_s)))

@@ -538,19 +538,22 @@ def _objective_multi(hist, tau, g, m, n_p, constraint, Zv, nu, lam_max):
             d_lam += np.array(tail_lam)[:, None]
 
         # chain rules
-        grad[:n_alpha] = [scale * gv for gv in
-                          stick_pieces_vjp(s[:n_alpha], stick, pieces, d_alpha)]
+        grad[:n_alpha] = [
+            scale * gv
+            for gv in stick_pieces_vjp(s[:n_alpha], stick, pieces, d_alpha)]
         if constraint == "loglinear":
             dldp = d_p.sum(axis=0)
             dldr = float(dldp @ r)
             grad[n_alpha] = dldr * phi * (1.0 - phi)
             grad[n_alpha + 1:n_head] = (p * (dldp - dldr)) @ Zv
         else:
-            rows = (d_p if constraint == "free" else d_p.sum(axis=0)[None]).tolist()
-            for c, (stick_c, pieces_c) in enumerate(cells):
+            if constraint == "shared_p":
+                d_p = d_p.sum(axis=0)[None]
+            for c, (row, (stick_c, pieces_c)) in enumerate(
+                    zip(d_p.tolist(), cells)):
                 lo = n_alpha + c * m
                 grad[lo:lo + m] = stick_pieces_vjp(
-                    s[lo:lo + m], stick_c, pieces_c, [keep * d for d in rows[c]])
+                    s[lo:lo + m], stick_c, pieces_c, [keep * d for d in row])
         grad[n_head:] = d_lam.ravel() * (lam_flat * span * sig_lam
                                          * (1.0 - sig_lam))
         return -ll / total, grad / -total

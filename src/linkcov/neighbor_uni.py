@@ -190,7 +190,7 @@ def _split_hist(hist, tau):
 
 
 def _unpack(x, g, shared_p, nu, lam_max):
-    """Parameters at x, plus d lam / dx."""
+    """Parameters at x, plus d lam / dx for the gradient."""
     pos = g - 1
     alpha = stick_break(x[:pos], floor=nu) if g > 1 else np.ones(1)
     np_p = 1 if shared_p else g
@@ -245,18 +245,15 @@ def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
     exp, log = math.exp, math.log
     lam = [exp(y) for y in log_lam]
 
-    # pois[c][v] = Poisson(v; lam_c);  q_v = sum_c alpha_c pois (1 - p + p v / lam)
+    # pois[c][v] = Poisson(v; lam_c);
+    # q_v = sum_c alpha_c pois[c][v] (1 - p_c + p_c v / lam_c)
     pois = []
-    q = None
+    q = [0.0] * len(vals)
     for a, pc, y, l in zip(alpha, p, log_lam, lam):
         base, slope = a * (1.0 - pc), a * pc / l
         row = [exp(v * y - l - lf) for v, lf in zip(vals, log_fact)]
         pois.append(row)
-        if q is None:
-            q = [pz * (base + slope * v) for pz, v in zip(row, vals)]
-        else:
-            q = [qv + pz * (base + slope * v)
-                 for qv, pz, v in zip(q, row, vals)]
+        q = [qv + pz * (base + slope * v) for qv, pz, v in zip(q, row, vals)]
     ll = 0.0
     w = []
     for c, qv in zip(cnts, q):

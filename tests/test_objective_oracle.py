@@ -1,14 +1,15 @@
 """The count-mixture objectives against frozen copies of their numpy form.
 
-``_oracle_objective`` and ``_oracle_objective_multi`` (with the helpers
-they call) are verbatim copies of the numpy objectives the fits used
-before the per-call kernels, kept here as test-only oracles.  The
-objectives that ``fit_uni`` and ``fit_multi`` hand to L-BFGS-B are
-captured through a stub ``minimize`` and must give the oracle's value
-and gradient.  Values agree within rtol 1e-12; gradient components
-within rtol 1e-12 of the gradient's largest component, because a
-component that is a difference of large terms carries the rounding of
-those terms, not of itself.
+``_oracle_objective`` and ``_oracle_objective_multi``, with the helpers
+they call (stick_break and stick_break_vjp among them), are verbatim
+copies of the numpy objectives the fits used before the per-call
+kernels, kept here as test-only oracles.  The objectives that
+``fit_uni`` and ``fit_multi`` hand to L-BFGS-B are captured through a
+stub ``minimize`` and must give the oracle's value and gradient.
+Values agree within rtol 1e-12; gradient components within rtol 1e-12
+of the gradient's largest component, because a component that is a
+difference of large terms carries the rounding of those terms, not of
+itself.
 
 At saturated points (|x| up to 800: weights, cells, phi and rates on
 their bounds) both objectives must return finite values and gradients
@@ -27,8 +28,7 @@ import pytest
 from scipy.special import expit, gammaln, pdtr
 
 from linkcov import neighbor_multi, neighbor_uni
-from linkcov._optim import (FitOptions, interval_from_real, stick_break,
-                            stick_break_vjp)
+from linkcov._optim import FitOptions, interval_from_real
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, binary_rules,
                                     build_design, fit_multi,
@@ -38,6 +38,55 @@ from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
 from test_neighbor_uni import captured_objective
 
 RTOL = 1e-12
+
+
+# ------------------------------------------- stick-breaking the oracles use
+
+def stick_break(x, floor=0.0):
+    """Map G-1 free logits to a point of the G-simplex.
+
+    With a positive floor the weights live in [floor, 1] and still sum
+    to one; floor * G must stay below 1.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    g = x.size + 1
+    v = expit(x)
+    s = np.empty(g)
+    rest = 1.0
+    for i in range(g - 1):
+        s[i] = v[i] * rest
+        rest *= 1.0 - v[i]
+    s[g - 1] = rest
+    return floor + (1.0 - g * floor) * s
+
+
+def stick_break_vjp(x, grad_s, floor=0.0):
+    """Pull a gradient w.r.t. the weights back to the free logits.
+
+    Uses ds_h/dx_h = c_h * v_h * (1 - v_h) with c_h the remaining stick,
+    and ds_i/dx_h = -s_i * v_h for i > h.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    g = x.size + 1
+    if g == 1:
+        return np.empty(0)
+    v = expit(x)
+    s = np.empty(g)
+    c = np.empty(g - 1)
+    rest = 1.0
+    for i in range(g - 1):
+        c[i] = rest
+        s[i] = v[i] * rest
+        rest *= 1.0 - v[i]
+    s[g - 1] = rest
+    scale = 1.0 - g * floor
+    out = np.zeros(g - 1)
+    for h in range(g - 1):
+        acc = grad_s[h] * c[h] * v[h] * (1.0 - v[h])
+        for i in range(h + 1, g):
+            acc -= grad_s[i] * s[i] * v[h]
+        out[h] = scale * acc
+    return out
 
 
 # ------------------------------------------------------- univariate oracle
