@@ -17,7 +17,7 @@ and warn of nothing; this pins the overflow of a scalar logistic
 written as 1 / (1 + exp(-x)).  There the values are compared with the
 oracle's.  The gradients are not: with densities down to 1e-300, a
 component is the difference of terms as large as cnts / q, and both
-forms carry rounding far above its size (0.27 against 0.07 at one
+forms carry rounding far above its size (0.20 against 0.07 at one
 tied LogLinear(2) point).
 """
 
