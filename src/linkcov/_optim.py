@@ -1,4 +1,10 @@
-"""Reparameterizations and shared optimizer settings for the mixture fits.
+"""The fit engine of the univariate and multivariate count mixtures.
+
+The two mixtures differ only in their parameters and in the objective
+kernel that L-BFGS-B calls.  They share the settings (FitOptions), the
+result types (FitResult, SelectionResult), the deterministic multi-start
+search (fit_starts), the AIC selection of the class count (select_aic)
+and the JSON of a result (result_document).
 
 All model parameters live in boxes or simplices; the fits run an
 unconstrained quasi-Newton search, so each constrained quantity is mapped
@@ -12,13 +18,20 @@ Every forward map comes with the Jacobian pieces needed to chain analytic
 gradients back to the unconstrained coordinates.
 """
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
 __all__ = [
     "FitOptions",
+    "FitResult",
+    "SelectionResult",
+    "fit_starts",
+    "select_aic",
+    "result_document",
     "logit",
     "interval_from_real",
     "real_from_interval",
@@ -48,6 +61,95 @@ class FitOptions:
     seed: int = 0
     nu: float = 1e-4
     lambda_max: float = 100.0
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """Outcome of one maximum-composite-likelihood fit.
+
+    n_params is the length of the packed parameter vector, the k that
+    AIC charges; a result built by hand may leave it unset.
+    """
+
+    params: object
+    loglik: float
+    init_loglik: float
+    converged: bool
+    n_iter: int
+    tau: int
+    n_params: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class SelectionResult:
+    """AIC model selection outcome."""
+
+    g_hat: int
+    fit: FitResult
+    trace: list = field(default_factory=list)
+
+
+def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
+               salt=()):
+    """Fit by L-BFGS-B from x0 and n_starts - 1 jittered copies of it.
+
+    objective(x, *args) gives the negative mean log-likelihood of total
+    observations and its gradient; start s > 0 adds jitter times normals
+    seeded by (seed, *salt, s); params_at maps the best end point to the
+    model.  minimize is scipy's, as the calling module names it, so that
+    a stub or a counter put in that module's place sees every call.
+    """
+    init_loglik = -objective(x0, *args)[0] * total
+    best = None
+    for start in range(opts.n_starts):
+        if start == 0:
+            x_start = x0
+        else:
+            jrng = np.random.default_rng([opts.seed, *salt, start])
+            x_start = x0 + opts.jitter * jrng.standard_normal(x0.size)
+        res = minimize(
+            objective, x_start, args=args, jac=True, method="L-BFGS-B",
+            options={"maxiter": opts.max_iter, "ftol": opts.ftol,
+                     "gtol": opts.gtol},
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    return FitResult(
+        params=params_at(best.x),
+        loglik=float(-best.fun * total),
+        init_loglik=float(init_loglik),
+        converged=bool(best.success),
+        n_iter=int(best.nit),
+        tau=tau,
+        n_params=x0.size,
+    )
+
+
+def select_aic(fit, g_max):
+    """Fit G = 1..g_max with fit(G) and keep the AIC minimizer (ties ->
+    smallest G); AIC charges each fit its n_params."""
+    if g_max < 1:
+        raise ValueError("g_max must be at least 1")
+    trace = []
+    best = None
+    for g in range(1, g_max + 1):
+        res = fit(g)
+        k = res.n_params
+        aic = 2.0 * k - 2.0 * res.loglik
+        trace.append({"G": g, "loglik": res.loglik, "k": k, "aic": aic})
+        if best is None or aic < best[0] - 1e-12:
+            best = (aic, g, res)
+    return SelectionResult(g_hat=best[1], fit=best[2], trace=trace)
+
+
+def result_document(fit, doc, aic=None):
+    """Structured-text (JSON) rendering of a fit result: the model's own
+    fields in doc, plus the fields every fit shares."""
+    doc.update(tau=fit.tau, loglik=fit.loglik, init_loglik=fit.init_loglik,
+               converged=fit.converged, n_iter=fit.n_iter)
+    if aic is not None:
+        doc["aic"] = aic
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def logit(p):

@@ -14,12 +14,15 @@ k distinct count vectors: one for the exponents of every class's
 Poisson product and true-positive bracket, one for all weighted sums of
 the gradient.  The weights, phi and the cells are Python floats.  Every
 constraint (free, shared_p, log-linear, tied) runs through it.
+
+The starts, the result types, the AIC selection and the JSON document
+come from the fit engine in ``_optim``.  The univariate kernel stays
+apart: its p map nu + (1 - 2 nu) sigma(x) is not the cell map here.
 """
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,16 +31,19 @@ from scipy.special import expit, gammaln, pdtr
 
 from ._optim import (
     FitOptions,
+    fit_starts,
     interval_from_real,
     real_from_interval,
     logit,
+    result_document,
+    select_aic,
     stick_break,
     stick_break_inverse,
     stick_break_vjp,
     stick_pieces,
     stick_pieces_vjp,
 )
-from .neighbor_uni import CountHistogram, select_G
+from .neighbor_uni import CountHistogram, UniMixtureParams, select_G
 
 __all__ = [
     "RuleIndexSet",
@@ -45,8 +51,6 @@ __all__ = [
     "MultiMixtureParams",
     "MultiCountHistogram",
     "LogLinear",
-    "MultiFitResult",
-    "MultiSelectionResult",
     "binary_rules",
     "build_design",
     "loglinear_probs",
@@ -309,8 +313,6 @@ def marginal_histogram(hist, coord):
 
 def marginal_params(params, coord):
     """Univariate mixture implied for one rule's marginal counts."""
-    from .neighbor_uni import UniMixtureParams
-
     return UniMixtureParams(
         alpha=params.alpha.copy(),
         p=params.p[:, coord].copy(),
@@ -377,55 +379,30 @@ def _n_p(g, m, constraint, du):
     return 1 + du
 
 
-def _unpack_multi(x, g, m, n_p, constraint, Zv, nu, lam_max):
-    """Parameters at x, plus d lam / dx.  Zv maps the free log-linear
-    coefficients to eta (the design, times the tie matrix when tied)."""
+def _unpack_multi(x, g, rules, n_p, constraint, Zv, M_tie, labels, nu,
+                  lam_max):
+    """Parameters at x.  Zv maps the free log-linear coefficients v to eta
+    (the design, times the tie matrix M_tie when tied); u = M_tie v."""
+    m = rules.size
     n_alpha = g - 1
     alpha = stick_break(x[:n_alpha], floor=nu) if g > 1 else np.ones(1)
     xp = x[n_alpha:n_alpha + n_p]
-    aux = {}
-    if constraint == "free":
-        p = np.empty((g, m))
-        for comp in range(g):
-            cells = stick_break(xp[comp * m:(comp + 1) * m])
-            p[comp] = (1.0 - nu) * cells[:m]
-    elif constraint == "shared_p":
-        cells = stick_break(xp)
-        p = ((1.0 - nu) * cells[None, :m]).repeat(g, axis=0)
-    else:
+    phi = u = None
+    if constraint == "loglinear":
         phi = float(expit(xp[0]))
         eta = Zv @ xp[1:]
         mx = max(0.0, float(eta.max()))
         e = np.exp(eta - mx)
-        r = e / (np.exp(-mx) + e.sum())
-        p = (phi * r[None, :]).repeat(g, axis=0)
-        aux = {"phi": phi, "v": xp[1:], "r": r}
-    lam, dlam_dx = interval_from_real(x[n_alpha + n_p:], nu, lam_max)
-    return alpha, p, lam.reshape(g, m), dlam_dx, aux
-
-
-def _pack_multi(alpha, p_block, lam, constraint, nu, lam_max):
-    """p_block: per-mode payload (p matrix, shared p vector, or (phi, v))."""
-    g = alpha.size
-    parts = []
-    if g > 1:
-        parts.append(stick_break_inverse(alpha, floor=nu))
-    if constraint == "free":
-        for comp in range(g):
-            cells = np.append(p_block[comp] / (1.0 - nu), 0.0)
-            cells[-1] = max(1.0 - cells[:-1].sum(), 1e-12)
-            parts.append(stick_break_inverse(cells / cells.sum()))
-    elif constraint == "shared_p":
-        cells = np.append(np.asarray(p_block) / (1.0 - nu), 0.0)
-        cells[-1] = max(1.0 - cells[:-1].sum(), 1e-12)
-        parts.append(stick_break_inverse(cells / cells.sum()))
+        p = phi * (e / (np.exp(-mx) + e.sum()))[None, :]
+        u = M_tie @ xp[1:] if M_tie is not None else xp[1:]
     else:
-        phi, v = p_block
-        parts.append(np.atleast_1d(logit(np.clip(phi, 1e-6, 1 - 1e-6))))
-        parts.append(np.asarray(v, dtype=float))
-    parts.append(real_from_interval(
-        np.clip(np.asarray(lam).ravel(), nu * (1 + 1e-9), lam_max), nu, lam_max))
-    return np.concatenate(parts)
+        # one row of cells per class, or the one shared row
+        p = np.array([(1.0 - nu) * stick_break(xp[c * m:(c + 1) * m])[:m]
+                      for c in range(n_p // m)])
+    lam, _ = interval_from_real(x[n_alpha + n_p:], nu, lam_max)
+    return MultiMixtureParams(
+        alpha=alpha, p=p.repeat(g // len(p), axis=0), lam=lam.reshape(g, m),
+        rules=rules, constraint=constraint, phi=phi, u=u, u_labels=labels)
 
 
 def _objective_multi(hist, tau, g, m, n_p, constraint, Zv, nu, lam_max):
@@ -685,16 +662,6 @@ def init_appendix_c(hist, lambda_bar_by_rule, mode, rules=None, tau=10,
     return {"lambda": lam, "p": p_hat, "u": u, "phi": phi, "flagged": flagged}
 
 
-@dataclass(frozen=True)
-class MultiFitResult:
-    params: MultiMixtureParams
-    loglik: float
-    init_loglik: float
-    converged: bool
-    n_iter: int
-    tau: int
-
-
 def _constraint_key(constraint):
     if isinstance(constraint, LogLinear):
         return "loglinear"
@@ -765,75 +732,40 @@ def fit_multi(hist, g, constraint="shared_p", tau=10, rules=None,
                 "u": None, "phi": min(0.9, float(p0.sum()) + 0.1),
                 "flagged": False}
 
-    alpha0 = np.full(g, 1.0 / g)
     lam0 = np.tile(np.clip(init["lambda"], nu * 2, lam_max), (g, 1))
     # spread duplicated rate vectors a little so classes can separate
     if g > 1:
         scales = np.linspace(0.6, 1.6, g)[:, None]
         lam0 = np.clip(lam0 * scales, nu * 2, lam_max)
-    if key == "free":
-        p_block = np.tile(init["p"], (g, 1))
-    elif key == "shared_p":
-        p_block = init["p"]
-    else:
-        u0 = init["u"]
-        n_u = design.Z.shape[1]
-        if u0 is None:
-            u0 = np.zeros(n_u)
-        else:
-            u0 = np.asarray(u0, dtype=float)
-            if u0.size != n_u:
-                # bundle coefficients are d=2 sized; main terms lead
-                u0 = u0[:n_u] if u0.size > n_u else np.pad(u0, (0, n_u - u0.size))
+    if key == "loglinear":
+        # bundle coefficients are d=2 sized; main terms lead
+        u0 = np.zeros(design.Z.shape[1])
+        if init["u"] is not None:
+            u_init = np.asarray(init["u"], dtype=float)[:u0.size]
+            u0[:u_init.size] = u_init
         v0 = (np.linalg.lstsq(M_tie, u0, rcond=None)[0]
               if M_tie is not None else u0)
-        p_block = (init["phi"], v0)
-
-    x0 = _pack_multi(alpha0, p_block, lam0, key, nu, lam_max)
-    total = float(hist.total)
+        middle = [np.atleast_1d(logit(np.clip(init["phi"], 1e-6, 1 - 1e-6))),
+                  v0]
+    else:
+        # one row of cells per class, or the one shared row
+        middle = []
+        for row in np.tile(init["p"], (g if key == "free" else 1, 1)):
+            cells = np.append(row / (1.0 - nu), 0.0)
+            cells[-1] = max(1.0 - cells[:-1].sum(), 1e-12)
+            middle.append(stick_break_inverse(cells / cells.sum()))
+    x0 = np.concatenate([
+        stick_break_inverse(np.full(g, 1.0 / g), floor=nu), *middle,
+        real_from_interval(np.clip(lam0.ravel(), nu * (1 + 1e-9), lam_max),
+                           nu, lam_max)])
     objective = _objective_multi(hist, tau, g, m, n_p, key, Zv, nu, lam_max)
-    init_loglik = -objective(x0)[0] * total
 
-    best = None
-    for start in range(opts.n_starts):
-        if start == 0:
-            x_start = x0
-        else:
-            jrng = np.random.default_rng([opts.seed, 71, start])
-            x_start = x0 + opts.jitter * jrng.standard_normal(x0.size)
-        res = minimize(
-            objective, x_start, args=(), jac=True, method="L-BFGS-B",
-            options={"maxiter": opts.max_iter, "ftol": opts.ftol,
-                     "gtol": opts.gtol},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-
-    alpha, p, lam, _, aux = _unpack_multi(best.x, g, m, n_p, key, Zv, nu,
-                                          lam_max)
-    u = None
-    if key == "loglinear":
-        u = M_tie @ aux["v"] if M_tie is not None else aux["v"]
-    params = MultiMixtureParams(
-        alpha=alpha, p=p, lam=lam, rules=rules, constraint=key,
-        phi=aux.get("phi"), u=u,
-        u_labels=design.labels if design is not None else None,
-    )
-    return MultiFitResult(
-        params=params,
-        loglik=float(-best.fun * total),
-        init_loglik=float(init_loglik),
-        converged=bool(best.success),
-        n_iter=int(best.nit),
-        tau=tau,
-    )
-
-
-@dataclass(frozen=True)
-class MultiSelectionResult:
-    g_hat: int
-    fit: MultiFitResult
-    trace: list = field(default_factory=list)
+    labels = getattr(design, "labels", None)
+    return fit_starts(
+        minimize, objective, x0, (), float(hist.total), tau,
+        lambda x: _unpack_multi(x, g, rules, n_p, key, Zv, M_tie, labels, nu,
+                                lam_max),
+        opts, salt=(71,))
 
 
 def n_free_params_multi(g, m, constraint, du=None):
@@ -850,25 +782,12 @@ def select_G_multi(hist, g_max, constraint="shared_p", tau=10, rules=None,
     same way; None computes them.
     """
     rules = rules or binary_rules(3)
-    key = _constraint_key(constraint)
-    du = None
-    if key == "loglinear":
-        design = build_design(rules, constraint.d)
-        du = (tie_matrix(design).shape[1] if constraint.tie_symmetric
-              else design.Z.shape[1])
     init = _appendix_c_start(hist, constraint, rules, tau, opts, lambda_bar,
                              p_hat)
-    trace = []
-    best = None
-    for g in range(1, g_max + 1):
-        fit = fit_multi(hist, g, constraint=constraint, tau=tau, rules=rules,
-                        opts=opts, init=init)
-        k = n_free_params_multi(g, rules.size, constraint, du)
-        aic = 2.0 * k - 2.0 * fit.loglik
-        trace.append({"G": g, "loglik": fit.loglik, "k": k, "aic": aic})
-        if best is None or aic < best[0] - 1e-12:
-            best = (aic, g, fit)
-    return MultiSelectionResult(g_hat=best[1], fit=best[2], trace=trace)
+    return select_aic(
+        lambda g: fit_multi(hist, g, constraint=constraint, tau=tau,
+                            rules=rules, opts=opts, init=init),
+        g_max)
 
 
 def coverage_from_fit(params):
@@ -885,19 +804,12 @@ def multi_fit_document(fit, aic=None):
         "model": "count-mixture-multivariate",
         "constraint": p.constraint,
         "rule_levels": list(p.rules.H),
-        "tau": fit.tau,
         "components": [
             {"alpha": float(a), "p": p.p[g].tolist(), "lambda": p.lam[g].tolist()}
             for g, a in enumerate(p.alpha)
         ],
-        "loglik": fit.loglik,
-        "init_loglik": fit.init_loglik,
-        "converged": fit.converged,
-        "n_iter": fit.n_iter,
     }
     if p.phi is not None:
         doc["coverage"] = float(p.phi)
         doc["u"] = dict(zip(p.u_labels, np.asarray(p.u).tolist()))
-    if aic is not None:
-        doc["aic"] = aic
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return result_document(fit, doc, aic)

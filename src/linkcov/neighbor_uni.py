@@ -11,12 +11,12 @@ The objective that L-BFGS-B calls (``_objective``) is a scalar kernel.
 A histogram holds a handful of distinct counts (3 to 11), so its sums
 over (class, value) run in Python floats; the only array call is one
 saturating logistic of all coordinates.  It serves shared and free p,
-every G and the tail cell.
+every G and the tail cell.  The starts, the result types, the AIC
+selection and the JSON document come from the fit engine in ``_optim``.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,9 +25,14 @@ from scipy.special import expit, gammaln, pdtr
 
 from ._optim import (
     FitOptions,
+    FitResult,
+    SelectionResult,
+    fit_starts,
     interval_from_real,
     real_from_interval,
     logit,
+    result_document,
+    select_aic,
     stick_break,
     stick_break_inverse,
     stick_pieces,
@@ -190,7 +195,7 @@ def _split_hist(hist, tau):
 
 
 def _unpack(x, g, shared_p, nu, lam_max):
-    """Parameters at x, plus d lam / dx for the gradient."""
+    """Parameters at x."""
     pos = g - 1
     alpha = stick_break(x[:pos], floor=nu) if g > 1 else np.ones(1)
     np_p = 1 if shared_p else g
@@ -198,20 +203,8 @@ def _unpack(x, g, shared_p, nu, lam_max):
     p = nu + (1.0 - 2.0 * nu) * expit(p_raw)
     if shared_p:
         p = np.full(g, p[0])
-    lam, dlam_dx = interval_from_real(x[pos + np_p:], nu, lam_max)
-    return alpha, p, lam, dlam_dx
-
-
-def _pack(alpha, p, lam, shared_p, nu, lam_max):
-    g = alpha.size
-    parts = []
-    if g > 1:
-        parts.append(stick_break_inverse(alpha, floor=nu))
-    p_use = p[:1] if shared_p else p
-    frac = np.clip((p_use - nu) / (1.0 - 2.0 * nu), 1e-12, 1 - 1e-12)
-    parts.append(logit(frac))
-    parts.append(real_from_interval(np.clip(lam, nu * (1 + 1e-9), lam_max), nu, lam_max))
-    return np.concatenate(parts)
+    lam, _ = interval_from_real(x[pos + np_p:], nu, lam_max)
+    return UniMixtureParams(alpha=alpha, p=p, lam=lam, shared_p=shared_p)
 
 
 def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
@@ -304,28 +297,21 @@ def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
     return -ll / total, np.array(grad) / -total
 
 
-def _moment_init(hist, g, shared_p, nu):
+def _start(hist, g, shared_p, nu, lam_max):
+    """The moment initialization, packed: equal weights, p from the share
+    of nonzero counts, rates spread evenly about the mean count minus p."""
     total = hist.total
     frac_pos = float(hist.counts[hist.values >= 1].sum()) / total
     p0 = float(np.clip(frac_pos, nu, 1.0 - nu))
     mean_n = float(hist.values @ hist.counts) / total
     base = max(mean_n - p0, 0.05)
     lam = base * 2.0 * np.arange(1, g + 1) / (g + 1.0)
-    alpha = np.full(g, 1.0 / g)
-    p = np.full(g, p0)
-    return alpha, p, lam
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Outcome of one maximum-composite-likelihood fit."""
-
-    params: UniMixtureParams
-    loglik: float
-    init_loglik: float
-    converged: bool
-    n_iter: int
-    tau: int
+    p = np.full(1 if shared_p else g, p0)
+    frac = np.clip((p - nu) / (1.0 - 2.0 * nu), 1e-12, 1 - 1e-12)
+    return np.concatenate([
+        stick_break_inverse(np.full(g, 1.0 / g), floor=nu), logit(frac),
+        real_from_interval(np.clip(lam, nu * (1 + 1e-9), lam_max), nu,
+                           lam_max)])
 
 
 def fit_uni(hist, g, tau=10, shared_p=False, opts=FitOptions()):
@@ -341,43 +327,9 @@ def fit_uni(hist, g, tau=10, shared_p=False, opts=FitOptions()):
     nu, lam_max = opts.nu, opts.lambda_max
     args = (*_split_hist(hist, tau), total, g, shared_p, tau, nu, lam_max)
 
-    alpha0, p0, lam0 = _moment_init(hist, g, shared_p, nu)
-    x0 = _pack(alpha0, p0, lam0, shared_p, nu, lam_max)
-    init_loglik = -_objective(x0, *args)[0] * total
-
-    best = None
-    for start in range(opts.n_starts):
-        if start == 0:
-            x_start = x0
-        else:
-            jrng = np.random.default_rng([opts.seed, start])
-            x_start = x0 + opts.jitter * jrng.standard_normal(x0.size)
-        res = minimize(
-            _objective, x_start, args=args, jac=True, method="L-BFGS-B",
-            options={"maxiter": opts.max_iter, "ftol": opts.ftol,
-                     "gtol": opts.gtol},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    alpha, p, lam, _ = _unpack(best.x, g, shared_p, nu, lam_max)
-    params = UniMixtureParams(alpha=alpha, p=p, lam=lam, shared_p=shared_p)
-    return FitResult(
-        params=params,
-        loglik=float(-best.fun * total),
-        init_loglik=float(init_loglik),
-        converged=bool(best.success),
-        n_iter=int(best.nit),
-        tau=tau,
-    )
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """AIC model selection outcome."""
-
-    g_hat: int
-    fit: FitResult
-    trace: list = field(default_factory=list)
+    x0 = _start(hist, g, shared_p, nu, lam_max)
+    return fit_starts(minimize, _objective, x0, args, total, tau,
+                      lambda x: _unpack(x, g, shared_p, nu, lam_max), opts)
 
 
 def n_free_params(g, shared_p):
@@ -387,18 +339,9 @@ def n_free_params(g, shared_p):
 
 def select_G(hist, g_max, tau=10, shared_p=False, opts=FitOptions()):
     """Fit G = 1..g_max and keep the AIC minimizer (ties -> smallest G)."""
-    if g_max < 1:
-        raise ValueError("g_max must be at least 1")
-    trace = []
-    best = None
-    for g in range(1, g_max + 1):
-        fit = fit_uni(hist, g, tau=tau, shared_p=shared_p, opts=opts)
-        k = n_free_params(g, shared_p)
-        aic = 2.0 * k - 2.0 * fit.loglik
-        trace.append({"G": g, "loglik": fit.loglik, "k": k, "aic": aic})
-        if best is None or aic < best[0] - 1e-12:
-            best = (aic, g, fit)
-    return SelectionResult(g_hat=best[1], fit=best[2], trace=trace)
+    return select_aic(
+        lambda g: fit_uni(hist, g, tau=tau, shared_p=shared_p, opts=opts),
+        g_max)
 
 
 @dataclass(frozen=True)
@@ -443,19 +386,11 @@ def accuracy_from_fit(params, known_recall=None, known_coverage=None):
 
 def fit_document(fit, aic=None):
     """Structured-text (JSON) rendering of a fit result."""
-    doc = {
+    return result_document(fit, {
         "model": "count-mixture-univariate",
         "shared_p": fit.params.shared_p,
-        "tau": fit.tau,
         "components": [
             {"alpha": float(a), "p": float(p), "lambda": float(l)}
             for a, p, l in zip(fit.params.alpha, fit.params.p, fit.params.lam)
         ],
-        "loglik": fit.loglik,
-        "init_loglik": fit.init_loglik,
-        "converged": fit.converged,
-        "n_iter": fit.n_iter,
-    }
-    if aic is not None:
-        doc["aic"] = aic
-    return json.dumps(doc, indent=2, sort_keys=True)
+    }, aic)

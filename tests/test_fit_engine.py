@@ -220,3 +220,13 @@ class TestAicParameterCount:
                              opts=QUICK, lambda_bar=np.full(7, 0.1))
         assert [row["k"] for row in sel.trace] == [
             n_free_params_multi(g, 7, constraint, du) for g in (1, 2, 3)]
+
+
+class TestClassCountBound:
+    def test_univariate(self):
+        with pytest.raises(ValueError, match="g_max"):
+            select_G(CountHistogram([0, 1], [5, 3]), 0)
+
+    def test_multivariate(self, multi_hist):
+        with pytest.raises(ValueError, match="g_max"):
+            select_G_multi(multi_hist, 0)
