@@ -43,9 +43,9 @@ import numpy as np
 
 from . import linkage as lk
 from .baselines import df_dt_estimators, lincoln_petersen, racinskij_fit
-from .experiment import (ALL_ESTIMATORS, MetricsTable, ScenarioConfig,
-                         read_replication_log, render_report, run_experiment,
-                         run_replication)
+from .experiment import (ALL_ESTIMATORS, ScenarioConfig,
+                         aggregate_replications, read_replication_log,
+                         render_report, run_experiment)
 from .neighbor_multi import (LogLinear, MultiCountHistogram,
                              multi_fit_document, select_G_multi)
 from .neighbor_uni import CountHistogram, fit_document, select_G
@@ -320,23 +320,7 @@ def cmd_report(cfg):
     results = read_replication_log(path)
     if not results:
         raise ValueError(f"no replication records in {path}")
-    names = sorted(results[0].estimates)
-    estimates = {
-        n: np.array([r.estimates[n].coverage_hat for r in results])
-        for n in names
-    }
-    acc_keys = results[0].accuracy.keys()
-    accuracy_means = {
-        k: float(np.mean([r.accuracy[k] for r in results
-                          if r.accuracy[k] is not None]))
-        for k in acc_keys
-    }
-    metrics = MetricsTable(
-        true_coverage=cfg.pi_a,
-        replications=len(results),
-        estimates=estimates,
-        accuracy_means=accuracy_means,
-    )
+    metrics = aggregate_replications(results, cfg.pi_a)
     _write_reports(metrics, out)
     print(render_report(metrics, "markdown"))
     return 0

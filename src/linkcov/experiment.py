@@ -32,6 +32,7 @@ __all__ = [
     "ScenarioConfig",
     "ReplicationResult",
     "MetricsTable",
+    "aggregate_replications",
     "run_replication",
     "run_experiment",
     "adjust_incomplete",
@@ -270,6 +271,31 @@ class MetricsTable:
         self.rows = rows
 
 
+def aggregate_replications(results, true_coverage, estimators=None):
+    """The comparison metrics over replication results, in index order.
+
+    estimators restricts the table to those names; None keeps every
+    estimator of the first result.  Accuracy means skip missing values.
+    """
+    results = sorted(results, key=lambda res: res.rep_index)
+    first = results[0]
+    estimates = {
+        name: np.array([res.estimates[name].coverage_hat for res in results])
+        for name in (estimators or first.estimates) if name in first.estimates
+    }
+    accuracy_means = {
+        k: float(np.mean([res.accuracy[k] for res in results
+                          if res.accuracy[k] is not None]))
+        for k in first.accuracy
+    }
+    return MetricsTable(
+        true_coverage=true_coverage,
+        replications=len(results),
+        estimates=estimates,
+        accuracy_means=accuracy_means,
+    )
+
+
 def _rep_worker(payload):
     cfg_dict, rep = payload
     cfg = ScenarioConfig(**cfg_dict)
@@ -297,7 +323,9 @@ def run_experiment(cfg, workers=1, log_path=None, resume=False,
     """Run all replications and aggregate the comparison metrics.
 
     With log_path, per-replication records append to a JSONL file; with
-    resume=True, replication indices already present are not rerun.
+    resume=True, replication indices already present are not rerun, and
+    logged indices at or past cfg.replications stay in the log but out of
+    the metrics.
     progress(rep_index) is called as each fresh replication arrives, in
     index order, with any number of workers.
     """
@@ -320,24 +348,10 @@ def run_experiment(cfg, workers=1, log_path=None, resume=False,
         if log_path:
             write_replication_log(
                 sorted(results, key=lambda x: x.rep_index), log_path)
-    results.sort(key=lambda x: x.rep_index)
-
-    estimates = {
-        name: np.array([res.estimates[name].coverage_hat for res in results])
-        for name in cfg.estimators if name in results[0].estimates
-    }
-    acc_keys = results[0].accuracy.keys()
-    accuracy_means = {
-        k: float(np.mean([res.accuracy[k] for res in results
-                          if res.accuracy[k] is not None]))
-        for k in acc_keys
-    }
-    return MetricsTable(
-        true_coverage=cfg.pi_a,
-        replications=cfg.replications,
-        estimates=estimates,
-        accuracy_means=accuracy_means,
-    )
+    wanted = range(cfg.replications)
+    return aggregate_replications(
+        [res for res in results if res.rep_index in wanted], cfg.pi_a,
+        cfg.estimators)
 
 
 def adjust_incomplete(size_a_full, size_a_complete, phi_complete):

@@ -7,7 +7,9 @@ import pytest
 from scipy.optimize import brentq
 
 from linkcov import neighbor_multi
-from linkcov.experiment import (ALL_ESTIMATORS, MetricsTable, ScenarioConfig,
+from linkcov.baselines import CoverageEstimate
+from linkcov.experiment import (ALL_ESTIMATORS, MetricsTable,
+                                ReplicationResult, ScenarioConfig,
                                 adjust_incomplete, read_replication_log,
                                 render_report, run_experiment,
                                 run_replication, stratified_fit,
@@ -162,6 +164,20 @@ class TestRunExperiment:
         assert len(m.estimates["naive"]) == 3
         # the first two records were reused verbatim
         assert log.read_text().startswith(first.rsplit("\n", 1)[0][:200])
+
+    def test_resume_aggregates_only_configured_reps(self, tmp_path):
+        log = tmp_path / "reps.jsonl"
+        write_replication_log(
+            [ReplicationResult(r, {"naive": CoverageEstimate("naive", v)},
+                               {"rule1_recall": v})
+             for r, v in enumerate((0.8, 0.9, 1.0, 1.1))], log)
+        cfg = ScenarioConfig.from_scenario(1, estimators=("naive",), **TINY)
+        m = run_experiment(cfg, log_path=log, resume=True)
+        assert m.replications == 2
+        np.testing.assert_array_equal(m.estimates["naive"], [0.8, 0.9])
+        assert m.rows["naive"]["mean"] == pytest.approx(0.85)
+        assert m.accuracy_means["rule1_recall"] == pytest.approx(0.85)
+        assert len(read_replication_log(log)) == 4
 
     def test_workers_report_progress_in_order(self):
         cfg = ScenarioConfig.from_scenario(
