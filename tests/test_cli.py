@@ -4,6 +4,7 @@ import pytest
 
 from linkcov import cli
 from linkcov.cli import main, parse_config
+from linkcov.experiment import run_replication
 from linkcov.linkage import RULE_BASELINE_AND_ANY_EXACT, RULE_BASELINE_ONLY
 
 
@@ -133,3 +134,42 @@ class TestCommands:
         base = (art / "population.csv").read_bytes()
         main(["simulate", "--config", cfg_path, "--seed", "999"])
         assert (art / "population.csv").read_bytes() != base
+
+
+def _data_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for _ in fh) - 1
+
+
+class TestOnePipeline:
+    """The staged commands produce what run_replication computes."""
+
+    def test_chain_matches_run_replication(self, tmp_path):
+        config = json.dumps({"scenario": 5, "seed": 11, "n_population": 3000,
+                             "g_max": 1, "clerical_m": 200, "rep_index": 1,
+                             "out_dir": str(tmp_path)})
+        for command in ("simulate", "link", "fit-uni", "fit-multi",
+                        "baselines"):
+            assert main([command, "--config", config]) == 0
+        res = run_replication(cli._scenario_config(parse_config(config)), 1)
+
+        d = res.diagnostics
+        assert _data_rows(tmp_path / "links_rule1.csv") == d["links_rule1"]
+        assert _data_rows(tmp_path / "links_rule2.csv") == d["links_rule2"]
+        assert _data_rows(tmp_path / "counts.csv") == d["size_b"]
+
+        base = json.loads((tmp_path / "baselines.json").read_text())
+        assert sorted(base) == ["df", "dt", "naive", "racinskij"]
+        for name, doc in base.items():
+            est = res.estimates[name]
+            assert doc == json.loads(json.dumps({
+                "coverage_hat": est.coverage_hat, "n_hat": est.n_hat,
+                "diagnostics": est.diagnostics})), name
+
+        multi = json.loads((tmp_path / "fit_multi.json").read_text())
+        assert multi["coverage"] == \
+            res.estimates["mn_with_interactions"].coverage_hat
+        uni = json.loads((tmp_path / "fit_uni.json").read_text())
+        p_bar = sum(c["alpha"] * c["p"] for c in uni["components"])
+        assert p_bar == pytest.approx(res.estimates["un"].coverage_hat,
+                                      rel=1e-12)

@@ -16,6 +16,10 @@ from linkcov.experiment import (ALL_ESTIMATORS, MetricsTable,
                                 write_replication_log)
 from linkcov.frequencies import load_frequency_table
 from linkcov.linkage import CountVector, RULE_BASELINE_AND_ANY_EXACT
+from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
+                                    MultiMixtureParams, binary_rules,
+                                    build_design, loglinear_probs,
+                                    sample_multi_counts, select_G_multi)
 from linkcov.neighbor_uni import UniMixtureParams, sample_counts
 
 TINY = dict(n_population=4000, replications=2, g_max=2, master_seed=3,
@@ -265,6 +269,16 @@ class TestStratified:
         assert res.skipped == ("tiny",)
         assert "tiny" not in res.per_stratum
 
+    @pytest.mark.parametrize("estimator, d", [("mn_no_interactions", 1),
+                                              ("mn_with_interactions", 2)])
+    def test_mn_stratum_is_the_mn_selection(self, estimator, d):
+        cv = make_multi_stratum(0.9, 0.05, 5000, 7)
+        res = stratified_fit({"all": cv}, estimator=estimator, g_max=1,
+                             min_size=100)
+        hist = MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
+        sel = select_G_multi(hist, 1, constraint=LogLinear(d), tau=10)
+        assert res.per_stratum["all"] == float(sel.fit.params.phi)
+
 
 class TestRender:
     @pytest.fixture
@@ -306,3 +320,15 @@ class TestRender:
     def test_unknown_format(self, metrics):
         with pytest.raises(ValueError):
             render_report(metrics, "yaml")
+
+
+def make_multi_stratum(phi, lam, n, seed):
+    rules = binary_rules(3)
+    p = loglinear_probs(phi, np.array([1.0, 1, 1, 0, 0, 0]),
+                        build_design(rules, 2))
+    params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[np.full(7, lam)],
+                                rules=rules)
+    patterns = sample_multi_counts(params, n, np.random.default_rng(seed))
+    return CountVector(n_total=patterns.sum(axis=1),
+                       pattern_counts=np.column_stack(
+                           [np.zeros(n, dtype=np.int64), patterns]))
