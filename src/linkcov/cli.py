@@ -23,7 +23,8 @@ row; popsim owns the population format and linkage the other two.
               (reads population.csv)
   fit-uni     fit_uni.json (reads counts.csv)
   fit-multi   fit_multi.json (reads counts.csv)
-  baselines   baselines.json (reads population.csv)
+  baselines   baselines.json: the estimates named in the estimators key
+              among naive, racinskij, df and dt (reads population.csv)
   experiment  replications.jsonl, report.md, report.csv, report.json
   report      report.md, report.csv, report.json (reads replications.jsonl)
 
@@ -36,16 +37,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import linkage as lk
+# Not called here: perfbench/layers.py hooks these names in this module.
 from .baselines import df_dt_estimators, lincoln_petersen, racinskij_fit
 from .experiment import (ALL_ESTIMATORS, ScenarioConfig,
-                         aggregate_replications, read_replication_log,
-                         render_report, run_experiment)
+                         aggregate_replications, baseline_estimates,
+                         estimates_document, link, read_replication_log,
+                         render_report, replication_rngs, run_experiment,
+                         simulate)
 from .neighbor_multi import (LogLinear, MultiCountHistogram,
                              multi_fit_document, select_G_multi)
 from .neighbor_uni import CountHistogram, fit_document, select_G
@@ -57,58 +59,33 @@ CENSUS_DIR_ENV = "LINKCOV_CENSUS_DIR"
 # perfbench/layers.py wraps to time the CSV reads.
 _counts_from_csv = lk.load_counts
 
-_DEFAULTS = {
-    "scenario": 1,
-    "seed": 20259,
-    "out_dir": "linkcov-out",
-    "n_population": 20000,
-    "pi_a": 0.9,
-    "pi_b": 0.9,
-    "replications": 30,
-    "tau": 10,
-    "g_max": 5,
-    "d": 2,
-    "clerical_m": 1000,
-    "estimators": list(ALL_ESTIMATORS),
-    "rule_variant": None,
-    "table_reference_size": None,
-    "surname_csv": None,
-    "age_csv": None,
-    "threads": 1,
-    "full_scale": False,
-    "rep_index": 0,
-    "population_csv": None,
-    "counts_csv": None,
-    "log_jsonl": None,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated flat configuration for all commands."""
+    """Validated flat configuration: the config keys and their defaults."""
 
-    scenario: int
-    seed: int
-    out_dir: str
-    n_population: int
-    pi_a: float
-    pi_b: float
-    replications: int
-    tau: int
-    g_max: int
-    d: int
-    clerical_m: int
-    estimators: tuple
-    rule_variant: str
-    table_reference_size: int
-    surname_csv: str
-    age_csv: str
-    threads: int
-    full_scale: bool
-    rep_index: int
-    population_csv: str
-    counts_csv: str
-    log_jsonl: str
+    scenario: int = 1
+    seed: int = 20259
+    out_dir: str = "linkcov-out"
+    n_population: int = 20000
+    pi_a: float = 0.9
+    pi_b: float = 0.9
+    replications: int = 30
+    tau: int = 10
+    g_max: int = 5
+    d: int = 2
+    clerical_m: int = 1000
+    estimators: tuple = ALL_ESTIMATORS
+    rule_variant: str = None
+    table_reference_size: int = None
+    surname_csv: str = None
+    age_csv: str = None
+    threads: int = 1
+    full_scale: bool = False
+    rep_index: int = 0
+    population_csv: str = None
+    counts_csv: str = None
+    log_jsonl: str = None
 
 
 def parse_config(source=None):
@@ -121,17 +98,14 @@ def parse_config(source=None):
 
 def _read_config(source):
     """The JSON object a config source holds; {} for None."""
-    data = {}
-    if source is not None:
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            text = str(source)
-            if text.lstrip().startswith("{"):
-                data = json.loads(text)
-            else:
-                with open(text, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
+    if source is None:
+        data = {}
+    elif hasattr(source, "read"):
+        data = json.load(source)
+    elif str(source).lstrip().startswith("{"):
+        data = json.loads(str(source))
+    else:
+        data = json.loads(Path(source).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     return data
@@ -139,10 +113,11 @@ def _read_config(source):
 
 def _config_from(data):
     """Validate config keys, fill defaults and derive the linkage rule."""
-    unknown = set(data) - set(_DEFAULTS)
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    merged = {**_DEFAULTS, **data}
+    merged = {**defaults, **data}
 
     if merged["scenario"] not in (1, 2, 3, 4, 5):
         raise ValueError("config key 'scenario' must be 1..5")
@@ -169,32 +144,20 @@ def _config_from(data):
 def _resolve_census(path):
     if path is None:
         return None
-    base = os.environ.get(CENSUS_DIR_ENV)
-    p = Path(path)
-    if base and not p.is_absolute():
-        return str(Path(base) / p)
-    return str(p)
+    # an absolute path stays as it is: joining it drops the directory
+    return str(Path(os.environ.get(CENSUS_DIR_ENV, "")) / path)
 
 
 def _scenario_config(cfg):
-    n_pop = 100000 if cfg.full_scale else cfg.n_population
-    reps = 100 if cfg.full_scale else cfg.replications
-    return ScenarioConfig.from_scenario(
-        cfg.scenario,
-        rule_variant=cfg.rule_variant,
-        n_population=n_pop,
-        pi_a=cfg.pi_a,
-        pi_b=cfg.pi_b,
-        replications=reps,
-        master_seed=cfg.seed,
-        estimators=cfg.estimators,
-        tau=cfg.tau,
-        g_max=cfg.g_max,
-        clerical_m=cfg.clerical_m,
-        table_reference_size=cfg.table_reference_size,
-        surname_csv=cfg.surname_csv,
-        age_csv=cfg.age_csv,
-    )
+    """The scenario settings, with every key the two configs share."""
+    shared = ({f.name for f in fields(ScenarioConfig)}
+              & {f.name for f in fields(RunConfig)})
+    scn = ScenarioConfig.from_scenario(
+        cfg.scenario, master_seed=cfg.seed,
+        **{key: getattr(cfg, key) for key in shared})
+    if cfg.full_scale:
+        return replace(scn, n_population=100000, replications=100)
+    return scn
 
 
 def _outdir(cfg):
@@ -203,30 +166,11 @@ def _outdir(cfg):
     return out
 
 
-def _pipeline_from_dump(cfg, out):
-    path = cfg.population_csv or out / "population.csv"
-    pop, flags = load_population(path)
-    panel_b, panel_a = lk.sample_records(pop, flags)
-    pairs = lk.block_pairs(panel_b, panel_a)
-    base = lk.baseline_pairs(panel_b, panel_a, pairs)
-    links1 = lk.link_rule1(panel_b, panel_a, pairs,
-                           lk.LinkageRuleSpec(cfg.rule_variant))
-    links2 = lk.dedupe_rule2(links1)
-    return pop, flags, panel_b, panel_a, base, links1, links2
-
-
 def cmd_simulate(cfg):
     out = _outdir(cfg)
     scn = _scenario_config(cfg)
-    ss = np.random.SeedSequence([scn.master_seed, cfg.rep_index])
-    pop_rng, sample_rng, _ = map(np.random.default_rng, ss.spawn(3))
-    surnames, ages = scn.tables()
-    from .frequencies import build_soundex_index
-    from .popsim import draw_samples, generate_population
-    pop = generate_population(scn.n_population, surnames, ages,
-                              scn.perturbation, build_soundex_index(surnames),
-                              pop_rng)
-    flags = draw_samples(pop, scn.pi_a, scn.pi_b, sample_rng)
+    pop_rng, sample_rng, _ = replication_rngs(scn.master_seed, cfg.rep_index)
+    pop, flags = simulate(scn, pop_rng, sample_rng)
     dump_population(pop, flags, out / "population.csv")
     print(f"wrote {out / 'population.csv'} ({pop.n} units)")
     return 0
@@ -234,11 +178,13 @@ def cmd_simulate(cfg):
 
 def cmd_link(cfg):
     out = _outdir(cfg)
-    _, _, panel_b, _, _, links1, links2 = _pipeline_from_dump(cfg, out)
-    cv = lk.counts(links1, panel_b.size)
+    dump = cfg.population_csv or out / "population.csv"
+    linked = link(*load_population(dump), cfg.rule_variant)
+    links1, links2 = linked.links1, linked.links2
+    cv = lk.counts(links1, linked.panel_b.size)
     lk.dump_linkset(links1, out / "links_rule1.csv")
     lk.dump_linkset(links2, out / "links_rule2.csv")
-    lk.dump_counts(cv, panel_b.unit_id, out / "counts.csv")
+    lk.dump_counts(cv, linked.panel_b.unit_id, out / "counts.csv")
     print(f"wrote {out / 'links_rule1.csv'} ({links1.size} links), "
           f"{out / 'links_rule2.csv'} ({links2.size}), {out / 'counts.csv'}")
     return 0
@@ -246,8 +192,7 @@ def cmd_link(cfg):
 
 def cmd_fit_uni(cfg):
     out = _outdir(cfg)
-    path = cfg.counts_csv or out / "counts.csv"
-    _, n_total, _ = _counts_from_csv(path)
+    _, n_total, _ = _counts_from_csv(cfg.counts_csv or out / "counts.csv")
     hist = CountHistogram.from_observations(n_total)
     sel = select_G(hist, cfg.g_max, tau=cfg.tau, shared_p=True)
     doc = fit_document(sel.fit, aic=sel.trace[sel.g_hat - 1]["aic"])
@@ -258,8 +203,7 @@ def cmd_fit_uni(cfg):
 
 def cmd_fit_multi(cfg):
     out = _outdir(cfg)
-    path = cfg.counts_csv or out / "counts.csv"
-    _, _, patterns = _counts_from_csv(path)
+    _, _, patterns = _counts_from_csv(cfg.counts_csv or out / "counts.csv")
     hist = MultiCountHistogram.from_observations(patterns)
     sel = select_G_multi(hist, cfg.g_max, constraint=LogLinear(cfg.d),
                          tau=cfg.tau)
@@ -272,24 +216,14 @@ def cmd_fit_multi(cfg):
 
 def cmd_baselines(cfg):
     out = _outdir(cfg)
-    _, flags, panel_b, panel_a, base, links1, links2 = _pipeline_from_dump(
-        cfg, out)
-    ss = np.random.SeedSequence([cfg.seed, cfg.rep_index])
-    clerical_rng = np.random.default_rng(ss.spawn(3)[2])
-    naive = lincoln_petersen(panel_a.size, panel_b.size, links2.size)
-    phist = np.bincount(base.pattern_code, minlength=8)
-    r = racinskij_fit(phist, panel_b.size)
-    clerical = lk.clerical_sample(base, links2, cfg.clerical_m, clerical_rng)
-    df, dt = df_dt_estimators(links2.size, clerical, panel_a.size,
-                              panel_b.size)
-    doc = {
-        est.estimator_id: {"coverage_hat": est.coverage_hat,
-                           "n_hat": est.n_hat,
-                           "diagnostics": est.diagnostics}
-        for est in (naive, r, df, dt)
-    }
+    dump = cfg.population_csv or out / "population.csv"
+    linked = link(*load_population(dump), cfg.rule_variant)
+    _, _, clerical_rng = replication_rngs(cfg.seed, cfg.rep_index)
+    estimates = baseline_estimates(linked, cfg.estimators, cfg.clerical_m,
+                                   clerical_rng)
     (out / "baselines.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(estimates_document(estimates), indent=2, sort_keys=True)
+        + "\n", encoding="utf-8")
     print(f"wrote {out / 'baselines.json'}")
     return 0
 
@@ -345,14 +279,18 @@ def dispatch(command, cfg):
 
 
 def build_parser():
+    # a flag left unset stays out of the namespace, and every other flag
+    # is stored under the config key it overrides
     parser = argparse.ArgumentParser(
         prog="linkcov",
         description="Linkage-accuracy and coverage estimation pipeline",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON config file or inline JSON")
     parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--out", help="output directory override")
+    parser.add_argument("--out", dest="out_dir",
+                        help="output directory override")
     parser.add_argument("--threads", type=int,
                         help="worker cap for replications")
     parser.add_argument("--scenario", type=int, choices=range(1, 6),
@@ -363,25 +301,16 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    command = flags.pop("command")
     try:
         # flags override config keys before validation, so --scenario
         # derives the rule only when the config leaves rule_variant unset
-        data = _read_config(args.config)
-        if args.seed is not None:
-            data["seed"] = args.seed
-        if args.out is not None:
-            data["out_dir"] = args.out
-        if args.threads is not None:
-            data["threads"] = args.threads
-        if args.scenario is not None:
-            data["scenario"] = args.scenario
-        if args.full_scale:
-            data["full_scale"] = True
-        cfg = _config_from(data)
-        status = dispatch(args.command, cfg)
+        data = _read_config(flags.pop("config", None))
+        cfg = _config_from({**data, **flags})
+        status = dispatch(command, cfg)
     except Exception as exc:  # surface the failing stage, nonzero exit
-        print(f"error [{args.command}]: {exc}", file=sys.stderr)
+        print(f"error [{command}]: {exc}", file=sys.stderr)
         return 1
     return status
 

@@ -4,7 +4,8 @@ Runs replications of the generate -> sample -> link -> estimate pipeline
 for the five predefined scenarios (or custom settings), scores every
 configured coverage estimator against the true sampling rate, and
 renders the comparison table.  Replications are pure functions of
-(config, replication index), with RNG streams split per stage.
+(config, replication index), with RNG streams split per stage.  The
+stage functions serve both run_replication and the CLI commands.
 """
 
 import csv
@@ -12,8 +13,10 @@ import io
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -33,11 +36,17 @@ __all__ = [
     "ReplicationResult",
     "MetricsTable",
     "aggregate_replications",
+    "replication_rngs",
+    "simulate",
+    "link",
+    "baseline_estimates",
+    "count_estimates",
     "run_replication",
     "run_experiment",
     "adjust_incomplete",
     "stratified_fit",
     "render_report",
+    "estimates_document",
     "write_replication_log",
     "read_replication_log",
 ]
@@ -149,57 +158,77 @@ def _accuracy_record(cm1, cm2):
     }
 
 
-def run_replication(cfg, rep_index, opts=None):
-    """Execute one full pipeline pass.
+def replication_rngs(seed, rep_index):
+    """The population, sampling and clerical generators, spawned in that
+    order from one root seeded by (seed, rep_index), so a stage draws the
+    same numbers whether the harness or a CLI command runs it."""
+    ss = np.random.SeedSequence([seed, rep_index])
+    return tuple(map(np.random.default_rng, ss.spawn(3)))
 
-    Deterministic given (cfg, rep_index): the RNG root seeds from
-    (master_seed, rep_index) and splits into population, sampling and
-    clerical children in that order.
-    """
-    opts = opts or FitOptions()
-    ss = np.random.SeedSequence([cfg.master_seed, rep_index])
-    pop_rng, sample_rng, clerical_rng = map(np.random.default_rng, ss.spawn(3))
 
+def simulate(cfg, pop_rng, sample_rng):
+    """The population of a replication and its sample flags."""
     surnames, ages = cfg.tables()
-    soundex_index = build_soundex_index(surnames)
     pop = generate_population(cfg.n_population, surnames, ages,
-                              cfg.perturbation, soundex_index, pop_rng)
-    flags = draw_samples(pop, cfg.pi_a, cfg.pi_b, sample_rng)
+                              cfg.perturbation, build_soundex_index(surnames),
+                              pop_rng)
+    return pop, draw_samples(pop, cfg.pi_a, cfg.pi_b, sample_rng)
 
+
+@dataclass(frozen=True)
+class Linked:
+    """What linking the two samples leaves for the estimators."""
+
+    panel_b: lk.RecordPanel
+    panel_a: lk.RecordPanel
+    candidate_pairs: int
+    base: lk.LinkSet
+    links1: lk.LinkSet
+    links2: lk.LinkSet
+
+
+def link(pop, flags, rule_variant):
+    """Panels, blocking, baseline pairs, rule 1 and rule 2."""
     panel_b, panel_a = lk.sample_records(pop, flags)
     pairs = lk.block_pairs(panel_b, panel_a)
     base = lk.baseline_pairs(panel_b, panel_a, pairs)
     links1 = lk.link_rule1(panel_b, panel_a, pairs,
-                           lk.LinkageRuleSpec(cfg.rule_variant))
-    links2 = lk.dedupe_rule2(links1)
-    cv = lk.counts(links1, panel_b.size)
+                           lk.LinkageRuleSpec(rule_variant))
+    return Linked(panel_b, panel_a, pairs.size, base, links1,
+                  lk.dedupe_rule2(links1))
 
-    n_matched = int((flags.in_a & flags.in_b).sum())
-    cm1 = lk.confusion(links1, n_matched, panel_b.size, panel_a.size)
-    cm2 = lk.confusion(links2, n_matched, panel_b.size, panel_a.size)
 
+def baseline_estimates(linked, estimators, clerical_m, clerical_rng):
+    """The naive, Racinskij, DF and DT estimates named in estimators."""
+    size_a, size_b = linked.panel_a.size, linked.panel_b.size
+    wanted = set(estimators)
     estimates = {}
-    wanted = set(cfg.estimators)
-
     if "naive" in wanted:
-        est = lincoln_petersen(panel_a.size, panel_b.size, links2.size)
-        estimates["naive"] = CoverageEstimate("naive", est.coverage_hat,
-                                              est.n_hat, est.diagnostics)
+        est = lincoln_petersen(size_a, size_b, linked.links2.size)
+        estimates["naive"] = replace(est, estimator_id="naive")
     if "racinskij" in wanted:
-        phist = np.bincount(base.pattern_code, minlength=8)
-        estimates["racinskij"] = racinskij_fit(phist, panel_b.size)
-    if "df" in wanted or "dt" in wanted:
-        clerical = lk.clerical_sample(base, links2, cfg.clerical_m,
+        phist = np.bincount(linked.base.pattern_code, minlength=8)
+        estimates["racinskij"] = racinskij_fit(phist, size_b)
+    if wanted & {"df", "dt"}:
+        clerical = lk.clerical_sample(linked.base, linked.links2, clerical_m,
                                       clerical_rng)
-        df, dt = df_dt_estimators(links2.size, clerical, panel_a.size,
-                                  panel_b.size)
-        if "df" in wanted:
-            estimates["df"] = df
-        if "dt" in wanted:
-            estimates["dt"] = dt
-    if "un" in wanted:
+        for est in df_dt_estimators(linked.links2.size, clerical, size_a,
+                                    size_b):
+            if est.estimator_id in wanted:
+                estimates[est.estimator_id] = est
+    return estimates
+
+
+_MN_CONSTRAINTS = {"mn_no_interactions": LogLinear(1),
+                   "mn_with_interactions": LogLinear(2)}
+
+
+def count_estimates(cv, estimators, tau, g_max, opts):
+    """The UN and MN estimates named in estimators, from link counts."""
+    estimates = {}
+    if "un" in estimators:
         uh = CountHistogram.from_observations(cv.n_total)
-        sel = select_G(uh, cfg.g_max, tau=cfg.tau, shared_p=True, opts=opts)
+        sel = select_G(uh, g_max, tau=tau, shared_p=True, opts=opts)
         acc = accuracy_from_fit(sel.fit.params, known_recall=1.0)
         estimates["un"] = CoverageEstimate(
             "un", acc.coverage_hat,
@@ -207,34 +236,55 @@ def run_replication(cfg, rep_index, opts=None):
                          "lambda_bar": acc.lambda_bar,
                          "precision_hat": acc.precision_hat},
         )
-    mn_modes = [("mn_no_interactions", LogLinear(1)),
-                ("mn_with_interactions", LogLinear(2))]
-    if wanted & {m for m, _ in mn_modes}:
+    modes = [name for name in _MN_CONSTRAINTS if name in estimators]
+    if modes:
         mh = MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
         # both modes start from the same per-rule rates and plug-in cells
-        lam_bar = marginal_rates(mh, cfg.tau, opts)
-        p_hat = appendix_c_cells(mh, lam_bar, cfg.tau, opts.nu)
-        for name, constraint in mn_modes:
-            if name not in wanted:
-                continue
-            sel = select_G_multi(mh, cfg.g_max, constraint=constraint,
-                                 tau=cfg.tau, opts=opts, lambda_bar=lam_bar,
+        lam_bar = marginal_rates(mh, tau, opts)
+        p_hat = appendix_c_cells(mh, lam_bar, tau, opts.nu)
+        for name in modes:
+            sel = select_G_multi(mh, g_max, constraint=_MN_CONSTRAINTS[name],
+                                 tau=tau, opts=opts, lambda_bar=lam_bar,
                                  p_hat=p_hat)
             estimates[name] = CoverageEstimate(
                 name, float(sel.fit.params.phi),
-                diagnostics={"G": sel.g_hat,
-                             "converged": sel.fit.converged},
+                diagnostics={"G": sel.g_hat, "converged": sel.fit.converged},
             )
+    return estimates
 
+
+def run_replication(cfg, rep_index, opts=None):
+    """Execute one full pipeline pass.
+
+    Deterministic given (cfg, rep_index): the stages draw from the
+    generators of ``replication_rngs(cfg.master_seed, rep_index)``.
+    """
+    opts = opts or FitOptions()
+    pop_rng, sample_rng, clerical_rng = replication_rngs(cfg.master_seed,
+                                                         rep_index)
+    pop, flags = simulate(cfg, pop_rng, sample_rng)
+    linked = link(pop, flags, cfg.rule_variant)
+    panel_b, panel_a = linked.panel_b, linked.panel_a
+    cv = lk.counts(linked.links1, panel_b.size)
+
+    n_matched = int((flags.in_a & flags.in_b).sum())
+    cm1 = lk.confusion(linked.links1, n_matched, panel_b.size, panel_a.size)
+    cm2 = lk.confusion(linked.links2, n_matched, panel_b.size, panel_a.size)
+
+    estimates = baseline_estimates(linked, cfg.estimators, cfg.clerical_m,
+                                   clerical_rng)
+    estimates.update(count_estimates(cv, cfg.estimators, cfg.tau, cfg.g_max,
+                                     opts))
     return ReplicationResult(
         rep_index=rep_index,
         estimates=estimates,
         accuracy=_accuracy_record(cm1, cm2),
         diagnostics={
             "size_a": panel_a.size, "size_b": panel_b.size,
-            "n_matched": n_matched, "candidate_pairs": pairs.size,
-            "baseline_pairs": base.size, "links_rule1": links1.size,
-            "links_rule2": links2.size,
+            "n_matched": n_matched, "candidate_pairs": linked.candidate_pairs,
+            "baseline_pairs": linked.base.size,
+            "links_rule1": linked.links1.size,
+            "links_rule2": linked.links2.size,
         },
     )
 
@@ -296,12 +346,6 @@ def aggregate_replications(results, true_coverage, estimators=None):
     )
 
 
-def _rep_worker(payload):
-    cfg_dict, rep = payload
-    cfg = ScenarioConfig(**cfg_dict)
-    return run_replication(cfg, rep)
-
-
 def _replications(cfg, todo, workers):
     """Yield the replications of ``todo`` in order, as each finishes."""
     if workers > 1:
@@ -310,9 +354,8 @@ def _replications(cfg, todo, workers):
         # instead of each calibrating its own.
         surnames, _ = cfg.tables()
         build_soundex_index(surnames)
-        payloads = [(asdict(cfg), r) for r in todo]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_rep_worker, payloads)
+            yield from pool.map(run_replication, repeat(cfg), todo)
     else:
         for r in todo:
             yield run_replication(cfg, r)
@@ -322,12 +365,13 @@ def run_experiment(cfg, workers=1, log_path=None, resume=False,
                    progress=None):
     """Run all replications and aggregate the comparison metrics.
 
-    With log_path, per-replication records append to a JSONL file; with
-    resume=True, replication indices already present are not rerun, and
-    logged indices at or past cfg.replications stay in the log but out of
-    the metrics.
+    With log_path, each replication's record is written to a JSONL file
+    and flushed as it arrives, so a killed run keeps what it finished.
+    A fresh run truncates the log; resume=True appends to it, does not
+    rerun the indices already present, and keeps logged indices at or
+    past cfg.replications in the log but out of the metrics.
     progress(rep_index) is called as each fresh replication arrives, in
-    index order, with any number of workers.
+    index order, with any number of workers, after its record is written.
     """
     if cfg.replications < 2:
         raise ValueError("need at least two replications")
@@ -341,13 +385,15 @@ def run_experiment(cfg, workers=1, log_path=None, resume=False,
 
     results = list(done.values())
     if todo:
-        for res in _replications(cfg, todo, workers):
-            results.append(res)
-            if progress:
-                progress(res.rep_index)
-        if log_path:
-            write_replication_log(
-                sorted(results, key=lambda x: x.rep_index), log_path)
+        with (open(log_path, "a" if resume else "w", encoding="utf-8")
+              if log_path else nullcontext()) as log:
+            for res in _replications(cfg, todo, workers):
+                results.append(res)
+                if log:
+                    write_replication_log([res], log)
+                    log.flush()
+                if progress:
+                    progress(res.rep_index)
     wanted = range(cfg.replications)
     return aggregate_replications(
         [res for res in results if res.rep_index in wanted], cfg.pi_a,
@@ -390,7 +436,7 @@ def stratified_fit(strata, estimator="un", tau=10, g_max=3, min_size=500,
     counts).  Undersized strata are skipped with a warning; the pooled
     coverage weights per-stratum estimates by stratum size.
     """
-    if estimator not in ("un", "mn_no_interactions", "mn_with_interactions"):
+    if estimator != "un" and estimator not in _MN_CONSTRAINTS:
         raise ValueError(f"unknown stratified estimator {estimator!r}")
     per = {}
     skipped = []
@@ -400,16 +446,8 @@ def stratified_fit(strata, estimator="un", tau=10, g_max=3, min_size=500,
                           stacklevel=2)
             skipped.append(label)
             continue
-        if estimator == "un":
-            hist = CountHistogram.from_observations(cv.n_total)
-            sel = select_G(hist, g_max, tau=tau, shared_p=True, opts=opts)
-            per[label] = (sel.fit.params.p_bar, cv.size)
-        else:
-            d = 1 if estimator == "mn_no_interactions" else 2
-            hist = MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
-            sel = select_G_multi(hist, g_max, constraint=LogLinear(d),
-                                 tau=tau, opts=opts)
-            per[label] = (float(sel.fit.params.phi), cv.size)
+        est = count_estimates(cv, (estimator,), tau, g_max, opts)[estimator]
+        per[label] = (est.coverage_hat, cv.size)
     if not per:
         raise ValueError("all strata skipped; nothing to pool")
     weights = np.array([n for _, n in per.values()], dtype=float)
@@ -465,35 +503,32 @@ def render_report(metrics, fmt="markdown"):
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+def estimates_document(estimates):
+    """Each estimate's coverage_hat, n_hat and diagnostics, by name."""
+    return {k: {"coverage_hat": v.coverage_hat, "n_hat": v.n_hat,
+                "diagnostics": v.diagnostics}
+            for k, v in estimates.items()}
+
+
 def write_replication_log(results, dest):
     """Line-delimited JSON records, one per replication."""
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w", encoding="utf-8") if own else dest
-    try:
+    with (nullcontext(dest) if hasattr(dest, "write")
+          else open(dest, "w", encoding="utf-8")) as fh:
         for res in results:
             rec = {
                 "rep_index": res.rep_index,
-                "estimates": {
-                    k: {"coverage_hat": v.coverage_hat,
-                        "n_hat": v.n_hat,
-                        "diagnostics": v.diagnostics}
-                    for k, v in res.estimates.items()
-                },
+                "estimates": estimates_document(res.estimates),
                 "accuracy": res.accuracy,
                 "diagnostics": res.diagnostics,
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_replication_log(source):
     """Parse a replication JSONL log back into result objects."""
-    own = not hasattr(source, "read")
-    fh = open(source, "r", encoding="utf-8") if own else source
-    try:
-        out = []
+    out = []
+    with (nullcontext(source) if hasattr(source, "read")
+          else open(source, "r", encoding="utf-8")) as fh:
         for line in fh:
             if not line.strip():
                 continue
@@ -509,7 +544,4 @@ def read_replication_log(source):
                 accuracy=rec["accuracy"],
                 diagnostics=rec.get("diagnostics", {}),
             ))
-        return out
-    finally:
-        if own:
-            fh.close()
+    return out

@@ -7,7 +7,7 @@ and scores everything against the simulation truth deck (unit ids).
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -207,33 +207,35 @@ class LinkSet:
         return set(zip(self.b_unit.tolist(), self.a_unit.tolist()))
 
 
-def link_rule1(panel_b, panel_a, pairs, spec=LinkageRuleSpec()):
-    """Apply the first linkage rule to blocked candidate pairs."""
+def _baseline_links(panel_b, panel_a, pairs):
+    """The baseline-satisfying pairs; link_rule1 calls this, not
+    baseline_pairs, so a wrapper of either sees only its own calls."""
     keep = _baseline_mask(panel_b, panel_a, pairs)
     b_pos = pairs.b_pos[keep]
     a_pos = pairs.a_pos[keep]
-    codes = _pattern_codes(panel_b, panel_a, b_pos, a_pos)
-    if spec.variant == RULE_BASELINE_AND_ANY_EXACT:
-        nz = codes != 0
-        b_pos, a_pos, codes = b_pos[nz], a_pos[nz], codes[nz]
     return LinkSet(
         b_pos=b_pos, a_pos=a_pos,
         b_unit=panel_b.unit_id[b_pos], a_unit=panel_a.unit_id[a_pos],
-        pattern_code=codes,
+        pattern_code=_pattern_codes(panel_b, panel_a, b_pos, a_pos),
     )
+
+
+def _subset(links, keep):
+    """The links selected by a boolean mask, in their order."""
+    return LinkSet(*(getattr(links, f.name)[keep] for f in fields(LinkSet)))
+
+
+def link_rule1(panel_b, panel_a, pairs, spec=LinkageRuleSpec()):
+    """Apply the first linkage rule to blocked candidate pairs."""
+    links = _baseline_links(panel_b, panel_a, pairs)
+    if spec.variant == RULE_BASELINE_AND_ANY_EXACT:
+        return _subset(links, links.pattern_code != 0)
+    return links
 
 
 def baseline_pairs(panel_b, panel_a, pairs):
     """All baseline-satisfying pairs with their agreement patterns."""
-    keep = _baseline_mask(panel_b, panel_a, pairs)
-    b_pos = pairs.b_pos[keep]
-    a_pos = pairs.a_pos[keep]
-    codes = _pattern_codes(panel_b, panel_a, b_pos, a_pos)
-    return LinkSet(
-        b_pos=b_pos, a_pos=a_pos,
-        b_unit=panel_b.unit_id[b_pos], a_unit=panel_a.unit_id[a_pos],
-        pattern_code=codes,
-    )
+    return _baseline_links(panel_b, panel_a, pairs)
 
 
 @dataclass
@@ -272,11 +274,7 @@ def dedupe_rule2(links):
     deg_b = np.bincount(links.b_pos)
     deg_a = np.bincount(links.a_pos)
     keep = (deg_b[links.b_pos] == 1) & (deg_a[links.a_pos] == 1)
-    return LinkSet(
-        b_pos=links.b_pos[keep], a_pos=links.a_pos[keep],
-        b_unit=links.b_unit[keep], a_unit=links.a_unit[keep],
-        pattern_code=links.pattern_code[keep],
-    )
+    return _subset(links, keep)
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,37 @@ class TestRunExperiment:
         assert m.accuracy_means["rule1_recall"] == pytest.approx(0.85)
         assert len(read_replication_log(log)) == 4
 
+    def test_killed_run_keeps_its_records_and_resumes(self, tmp_path,
+                                                      monkeypatch):
+        from linkcov import experiment
+        cfg = ScenarioConfig.from_scenario(
+            1, estimators=("naive", "un"), **{**TINY, "replications": 4})
+        log = tmp_path / "reps.jsonl"
+
+        def killed_after_two(rep_index):
+            if rep_index == 1:
+                raise RuntimeError("killed")
+
+        with pytest.raises(RuntimeError, match="killed"):
+            run_experiment(cfg, log_path=log, progress=killed_after_two)
+        assert [r.rep_index for r in read_replication_log(log)] == [0, 1]
+
+        ran = []
+        real = experiment.run_replication
+        monkeypatch.setattr(experiment, "run_replication",
+                            lambda c, r: ran.append(r) or real(c, r))
+        resumed = run_experiment(cfg, log_path=log, resume=True)
+        assert ran == [2, 3]
+        logged = [r.rep_index for r in read_replication_log(log)]
+        assert logged == [0, 1, 2, 3]
+        monkeypatch.undo()
+        whole = run_experiment(cfg)
+        assert resumed.rows == whole.rows
+        assert resumed.accuracy_means == whole.accuracy_means
+        for name in ("naive", "un"):
+            np.testing.assert_array_equal(resumed.estimates[name],
+                                          whole.estimates[name])
+
     def test_workers_report_progress_in_order(self):
         cfg = ScenarioConfig.from_scenario(
             1, estimators=("naive", "un"), **{**TINY, "replications": 3})
