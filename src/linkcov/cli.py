@@ -14,6 +14,10 @@ stages compose through files:
 
 Artifacts, by the stage that writes them.  CSV files have one header
 row; popsim owns the population format and linkage the other two.
+The CSV bytes are a contract: UTF-8, every line ending in "\n",
+integers in plain decimal, and surnames quoted exactly as the csv
+module's QUOTE_MINIMAL quotes them under a "\n" line terminator.  The
+golden SHA-256 digests in tests/test_artifacts.py pin them.
 
   simulate    population.csv: unit_id, surname_a, day_a, month_a, year_a,
               surname_b, day_b, month_b, year_b, in_a, in_b

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .soundex import soundex
+from .soundex import soundex_array
 
 __all__ = [
     "FrequencyTable",
@@ -121,8 +121,7 @@ class SoundexIndex(Mapping):
     def __init__(self, table):
         self.labels = table.labels
         self.probs = table.probs
-        codes = np.array([soundex(label) for label in table.labels],
-                         dtype="U4")
+        codes = soundex_array(table.labels)
         uniq, first, inv = np.unique(codes, return_index=True,
                                      return_inverse=True)
         class_of_code = np.empty(uniq.size, dtype=np.int32)

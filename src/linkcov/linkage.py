@@ -6,12 +6,12 @@ one of two simple rules, optionally dedupes to a one-to-one link set,
 and scores everything against the simulation truth deck (unit ids).
 """
 
-import csv
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from ._csvio import int_text, read_rows, write_columns
 from .popsim import PATTERNS, Record
 from .soundex import soundex
 
@@ -354,40 +354,32 @@ def clerical_sample(base_pairs, links2, m, rng):
     return ClericalEstimates(recall_hat, precision_hat, m)
 
 
+# "g1,g2,g3" of each pattern code
+_PATTERN_TEXT = np.array([",".join(map(str, p)) for p in PATTERNS],
+                         dtype=object)
+
+
 def dump_linkset(links, dest):
     """Write links as (b_unit_id, a_unit_id, g1, g2, g3) rows."""
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("b_unit_id", "a_unit_id", "g1", "g2", "g3"))
-        order = np.lexsort((links.a_unit, links.b_unit))
-        gammas = np.asarray(PATTERNS)[links.pattern_code[order]]
-        writer.writerows(zip(links.b_unit[order].tolist(),
-                             links.a_unit[order].tolist(),
-                             *gammas.T.tolist()))
-    finally:
-        if own:
-            fh.close()
+    order = np.lexsort((links.a_unit, links.b_unit))
+    # the pattern column's text fills the three gamma fields
+    write_columns(dest, ("b_unit_id", "a_unit_id", "g1", "g2", "g3"), [
+        int_text(links.b_unit[order]), int_text(links.a_unit[order]),
+        _PATTERN_TEXT[links.pattern_code[order]].tolist(),
+    ])
 
 
 _COUNTS_HEADER = ("b_unit_id", "n_total") + tuple(
     "n_" + "".join(map(str, p)) for p in PATTERNS[1:])
+_COUNTS_DTYPE = np.dtype([(name, np.int64) for name in _COUNTS_HEADER])
 
 
 def dump_counts(cv, b_unit_ids, dest):
     """Write per-record counts: total plus the seven nonzero patterns."""
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_COUNTS_HEADER)
-        writer.writerows(zip(np.asarray(b_unit_ids).tolist(),
-                             cv.n_total.tolist(),
-                             *cv.pattern_counts[:, 1:].T.tolist()))
-    finally:
-        if own:
-            fh.close()
+    write_columns(dest, _COUNTS_HEADER, [
+        int_text(b_unit_ids), int_text(cv.n_total),
+        *map(int_text, cv.pattern_counts[:, 1:].T),
+    ])
 
 
 def load_counts(source):
@@ -396,17 +388,9 @@ def load_counts(source):
     source is a path or an open text file.  Returns (b_unit_ids,
     n_total, patterns) as int64 arrays: patterns has one column per
     nonzero agreement pattern, PATTERNS[1:] order, as the file holds
-    them.  A file whose header is not the `dump_counts` one raises
-    ValueError.
+    them, and shape (0, 7) for a file with no rows.  A file whose
+    header is not the `dump_counts` one raises ValueError.
     """
-    own = not hasattr(source, "read")
-    fh = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
-        header = next(csv.reader([fh.readline()]), None)
-        if header is None or tuple(header) != _COUNTS_HEADER:
-            raise ValueError("unexpected counts header")
-        mat = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
-    finally:
-        if own:
-            fh.close()
+    rows = read_rows(source, _COUNTS_HEADER, _COUNTS_DTYPE, "counts")
+    mat = rows.view(np.int64).reshape(rows.size, len(_COUNTS_HEADER))
     return mat[:, 0], mat[:, 1], mat[:, 2:]

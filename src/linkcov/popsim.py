@@ -10,12 +10,12 @@ birth year, date components within one), so a baseline-criterion linkage
 has no false negatives.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .soundex import soundex
+from ._csvio import int_text, quoted_text, read_rows, write_columns
+from .soundex import soundex, soundex_array
 
 __all__ = [
     "PATTERNS",
@@ -309,55 +309,72 @@ def _labels(names):
 
 def dump_population(pop, flags, dest):
     """Write the population and sample flags as delimited text."""
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_DUMP_COLUMNS)
-        writer.writerows(zip(
-            range(1, pop.n + 1),
-            pop.surname_labels[pop.sidx_a].tolist(), pop.day_a.tolist(),
-            pop.month_a.tolist(), pop.year_a.tolist(),
-            pop.surname_labels[pop.sidx_b].tolist(), pop.day_b.tolist(),
-            pop.month_b.tolist(), pop.year_b.tolist(),
-            flags.in_a.astype(np.int8).tolist(),
-            flags.in_b.astype(np.int8).tolist(),
-        ))
-    finally:
-        if own:
-            fh.close()
+    # each surname in use is quoted once
+    k = pop.surname_labels.size
+    used = np.flatnonzero(np.bincount(
+        np.concatenate([pop.sidx_a, pop.sidx_b]), minlength=k))
+    surname = np.empty(k, dtype=object)
+    surname[used] = quoted_text(pop.surname_labels[used].tolist())
+    write_columns(dest, _DUMP_COLUMNS, [
+        int_text(pop.unit_ids),
+        surname[pop.sidx_a].tolist(), int_text(pop.day_a),
+        int_text(pop.month_a), int_text(pop.year_a),
+        surname[pop.sidx_b].tolist(), int_text(pop.day_b),
+        int_text(pop.month_b), int_text(pop.year_b),
+        int_text(flags.in_a), int_text(flags.in_b),
+    ])
+
+
+def _factorize(*columns):
+    """The sorted distinct labels of surname columns, and the index of
+    each entry among them (int32, the columns one after the other).
+
+    A dict finds the distinct labels, and only they are sorted.  The
+    index array is made before the per-entry Python strings and the
+    label array after they are freed: a lasting object allocated among
+    them would keep their memory from going back to the system.
+    """
+    sidx = np.empty(sum(c.size for c in columns), dtype=np.int32)
+    names = [name for c in columns for name in c.tolist()]
+    distinct = sorted(dict.fromkeys(names))
+    rank = dict(zip(distinct, range(len(distinct))))
+    sidx[:] = np.fromiter(map(rank.__getitem__, names), dtype=np.int32,
+                          count=sidx.size)
+    del names, rank
+    return _labels(distinct), sidx
 
 
 def load_population(source, pi_a=None, pi_b=None):
     """Read a population dump; defaults pi to the empirical rates.
 
-    An unexpected header, or a surname longer than LABEL_WIDTH
-    characters, raises ValueError.
+    Raises ValueError for an unexpected header, a dump with no rows, a
+    unit_id column other than 1..n in file order, an in_a or in_b value
+    other than 0 or 1, or a surname longer than LABEL_WIDTH characters;
+    a bad row is named by its number, counting from 1 after the header.
     """
-    own = not hasattr(source, "read")
-    fh = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
-        header = next(csv.reader([fh.readline()]), None)
-        if header is None or tuple(header) != _DUMP_COLUMNS:
-            raise ValueError("unexpected population dump header")
-        body = np.loadtxt(fh, dtype=_DUMP_DTYPE, delimiter=",",
-                          quotechar='"', comments=None, ndmin=1)
-    finally:
-        if own:
-            fh.close()
+    body = read_rows(source, _DUMP_COLUMNS, _DUMP_DTYPE, "population dump")
+    n = body.size
+    if n == 0:
+        raise ValueError("population dump has no rows")
+    ids = body["unit_id"]
+    bad = np.flatnonzero(ids != np.arange(1, n + 1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"population dump row {i + 1}: unit_id "
+                         f"{int(ids[i])}, expected {i + 1}")
+    for side in ("in_a", "in_b"):
+        bad = np.flatnonzero((body[side] != 0) & (body[side] != 1))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"population dump row {i + 1}: {side} "
+                             f"{int(body[side][i])}, expected 0 or 1")
 
-    labels, sidx = np.unique(
-        np.concatenate([body["surname_a"], body["surname_b"]]),
-        return_inverse=True)
-    labels = _labels(labels)
-    sidx = sidx.astype(np.int32)
+    labels, sidx = _factorize(body["surname_a"], body["surname_b"])
     in_a = body["in_a"] == 1
     in_b = body["in_b"] == 1
     pop = Population(
-        surname_labels=labels,
-        surname_codes=np.asarray([soundex(l) for l in labels.tolist()],
-                                 dtype="U4"),
-        sidx_a=sidx[:body.size], sidx_b=sidx[body.size:],
+        surname_labels=labels, surname_codes=soundex_array(labels),
+        sidx_a=sidx[:n], sidx_b=sidx[n:],
         **{c: body[c].copy() for c in ("day_a", "month_a", "year_a",
                                        "day_b", "month_b", "year_b")},
     )

@@ -8,6 +8,7 @@ and rule 2 drops most of them.
 
 import hashlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -197,3 +198,60 @@ class TestLabelWidth:
         text = buf.getvalue().replace("JONES", "JONESABCDEFGHIJKL")
         with pytest.raises(ValueError, match="JONESABCDEFGHIJKL"):
             load_population(io.StringIO(text))
+
+
+def _dump_text(pop, in_a):
+    flags = SampleFlags(in_a=np.asarray(in_a, dtype=bool),
+                        in_b=np.ones(pop.n, dtype=bool), pi_a=1.0, pi_b=1.0)
+    buf = io.StringIO()
+    dump_population(pop, flags, buf)
+    return buf.getvalue()
+
+
+class TestReaderErrors:
+    def test_unit_ids_other_than_one_to_n(self):
+        lines = _dump_text(_population(("SMITH", "JONES"), [0, 1], [1, 0]),
+                           [1, 1]).splitlines(keepends=True)
+        assert lines[1].startswith("1,") and lines[2].startswith("2,")
+        text = lines[0] + "7" + lines[1][1:] + "9" + lines[2][1:]
+        with pytest.raises(ValueError, match="row 1: unit_id 7, expected 1"):
+            load_population(io.StringIO(text))
+
+    def test_unit_ids_out_of_file_order(self):
+        lines = _dump_text(_population(("SMITH", "JONES", "LEE"), [0, 1, 2],
+                                       [2, 1, 0]),
+                           [1, 1, 1]).splitlines(keepends=True)
+        text = lines[0] + lines[1] + lines[3] + lines[2]
+        with pytest.raises(ValueError, match="row 2: unit_id 3, expected 2"):
+            load_population(io.StringIO(text))
+
+    @pytest.mark.parametrize("side,fields,value", [
+        ("in_a", ",2,1\n", 2), ("in_b", ",1,-1\n", -1)])
+    def test_flags_other_than_zero_or_one(self, side, fields, value):
+        lines = _dump_text(_population(("SMITH", "JONES"), [0, 1], [1, 0]),
+                           [1, 1]).splitlines(keepends=True)
+        assert lines[2].endswith(",1,1\n")
+        text = "".join(lines[:2]) + lines[2][:-len(",1,1\n")] + fields
+        with pytest.raises(ValueError,
+                           match=f"row 2: {side} {value}, expected 0 or 1"):
+            load_population(io.StringIO(text))
+
+    def test_population_with_no_rows(self):
+        text = _dump_text(_population(("SMITH",), [], []), [])
+        assert text.count("\n") == 1
+        with pytest.raises(ValueError, match="no rows"):
+            load_population(io.StringIO(text))
+
+    def test_counts_with_no_rows(self):
+        cv = lk.CountVector(n_total=np.zeros(0, dtype=np.int64),
+                            pattern_counts=np.zeros((0, 8), dtype=np.int64))
+        buf = io.StringIO()
+        lk.dump_counts(cv, np.zeros(0, dtype=np.int64), buf)
+        assert buf.getvalue().count("\n") == 1
+        buf.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids, n_total, patterns = lk.load_counts(buf)
+        assert ids.dtype == n_total.dtype == patterns.dtype == np.int64
+        assert ids.shape == n_total.shape == (0,)
+        assert patterns.shape == (0, 7)
