@@ -10,7 +10,7 @@ reads the body with one ``np.loadtxt`` call.
 """
 
 import csv
-import io
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,11 +82,11 @@ def read_rows(source, header, dtype, what):
         first = next(csv.reader([fh.readline()]), None)
         if first is None or tuple(first) != header:
             raise ValueError(f"unexpected {what} header")
-        body = fh.read()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore",
+                                    "loadtxt: input contained no data")
+            return np.loadtxt(fh, dtype=dtype, delimiter=",",
+                              quotechar='"', comments=None, ndmin=1)
     finally:
         if own:
             fh.close()
-    if not body or body.isspace():
-        return np.empty(0, dtype=dtype)
-    return np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
-                      quotechar='"', comments=None, ndmin=1)
