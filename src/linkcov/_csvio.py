@@ -1,12 +1,13 @@
 """The text codec the CSV artifacts share.
 
 Writers hand ``write_columns`` a header and equal-length columns of
-field text; the body is built with one join per row, not one
-``csv.writer`` call per row.  Integer fields are spelled by
-``int_text``, and surnames are quoted by ``quoted_text``, which asks the
-``csv`` module itself, once per distinct label, so that the quoting is
-exactly ``csv``'s QUOTE_MINIMAL.  ``read_rows`` checks a header and
-reads the body with one ``np.loadtxt`` call.
+field text, or ``write_rows`` the text of each row; the body is built
+with one join per row, not one ``csv.writer`` call per row.  Integer
+fields are spelled by ``int_text``, and surnames are quoted by
+``quoted_text``, which asks the ``csv`` module itself, once per distinct
+label, so that the quoting is exactly ``csv``'s QUOTE_MINIMAL.
+``read_rows`` checks a header and reads the body with one ``np.loadtxt``
+call.
 """
 
 import csv
@@ -28,7 +29,13 @@ def write_columns(dest, header, columns):
     dest is a path or an open text file; columns are lists of field text.
     Rows end in "\\n"; header names must need no quoting.
     """
-    rows = "\n".join(map(",".join, zip(*columns)))
+    write_rows(dest, header, map(",".join, zip(*columns)))
+
+
+def write_rows(dest, header, rows):
+    """Write a header row, then rows, each the text of one row without its
+    line end."""
+    rows = "\n".join(rows)
     fh, own = _open(dest, "w")
     try:
         fh.write(",".join(header) + "\n")

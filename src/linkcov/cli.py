@@ -21,20 +21,27 @@ golden SHA-256 digests in tests/test_artifacts.py pin them.
 
   simulate    population.csv: unit_id, surname_a, day_a, month_a, year_a,
               surname_b, day_b, month_b, year_b, in_a, in_b
-  link        links_rule1.csv, links_rule2.csv: b_unit_id, a_unit_id,
-              g1, g2, g3, sorted by (b_unit_id, a_unit_id);
-              counts.csv: b_unit_id, n_total, n_001, n_010, ..., n_111
+  link        baseline_pairs.csv, links_rule1.csv, links_rule2.csv:
+              b_unit_id, a_unit_id, g1, g2, g3, sorted by (b_unit_id,
+              a_unit_id), the pairs meeting the baseline criterion and
+              the links of rule 1 and rule 2;
+              counts.csv: b_unit_id, n_total, n_001, n_010, ..., n_111;
+              linkage.json: size_a, size_b, candidate_pairs,
+              baseline_pairs, links_rule1, links_rule2 and rule_variant
               (reads population.csv)
   fit-uni     fit_uni.json (reads counts.csv)
   fit-multi   fit_multi.json (reads counts.csv)
   baselines   baselines.json: the estimates named in the estimators key
-              among naive, racinskij, df and dt (reads population.csv)
+              among naive, racinskij, df and dt (reads linkage.json,
+              baseline_pairs.csv and links_rule2.csv, and refuses a
+              linkage.json written under another rule_variant)
   experiment  replications.jsonl, report.md, report.csv, report.json
   report      report.md, report.csv, report.json (reads replications.jsonl)
 
 The population_csv, counts_csv and log_jsonl config keys point a stage
-at inputs outside the output directory.  Census CSV paths resolve
-against $LINKCOV_CENSUS_DIR when relative.
+at inputs outside the output directory: population_csv the link stage,
+counts_csv the two fits and log_jsonl the report.  Census CSV paths
+resolve against $LINKCOV_CENSUS_DIR when relative.
 """
 
 import argparse
@@ -185,12 +192,20 @@ def cmd_link(cfg):
     dump = cfg.population_csv or out / "population.csv"
     linked = link(*load_population(dump), cfg.rule_variant)
     links1, links2 = linked.links1, linked.links2
-    cv = lk.counts(links1, linked.panel_b.size)
-    lk.dump_linkset(links1, out / "links_rule1.csv")
-    lk.dump_linkset(links2, out / "links_rule2.csv")
-    lk.dump_counts(cv, linked.panel_b.unit_id, out / "counts.csv")
-    print(f"wrote {out / 'links_rule1.csv'} ({links1.size} links), "
-          f"{out / 'links_rule2.csv'} ({links2.size}), {out / 'counts.csv'}")
+    lk.dump_counts(lk.counts(links1, linked.panel_b.size),
+                   linked.panel_b.unit_id, out / "counts.csv")
+    # both rules keep a subset of the baseline pairs, so their rows are
+    # formatted once
+    rows = lk.linkset_rows(linked.base)
+    lk.dump_linkset(linked.base, out / "baseline_pairs.csv", rows)
+    lk.dump_linkset(links1, out / "links_rule1.csv", rows)
+    lk.dump_linkset(links2, out / "links_rule2.csv", rows)
+    _write_json(out / "linkage.json",
+                {**linked.sizes(), "rule_variant": cfg.rule_variant})
+    print(f"wrote {out / 'baseline_pairs.csv'} ({linked.base.size} pairs), "
+          f"{out / 'links_rule1.csv'} ({links1.size} links), "
+          f"{out / 'links_rule2.csv'} ({links2.size}), {out / 'counts.csv'}, "
+          f"{out / 'linkage.json'}")
     return 0
 
 
@@ -218,18 +233,40 @@ def cmd_fit_multi(cfg):
     return 0
 
 
+def _linkage_sizes(out, rule_variant):
+    """The linkage.json counts of out, checked against rule_variant."""
+    path = out / "linkage.json"
+    if not path.exists():
+        raise FileNotFoundError(f"{path} is missing: run link first")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if doc.get("rule_variant") != rule_variant:
+        raise ValueError(f"{path} was written under rule_variant "
+                         f"{doc.get('rule_variant')!r}, the config has "
+                         f"{rule_variant!r}: run link again")
+    return doc
+
+
 def cmd_baselines(cfg):
     out = _outdir(cfg)
-    dump = cfg.population_csv or out / "population.csv"
-    linked = link(*load_population(dump), cfg.rule_variant)
+    sizes = _linkage_sizes(out, cfg.rule_variant)
+    base = lk.load_linkset(out / "baseline_pairs.csv")
+    links2 = lk.load_linkset(out / "links_rule2.csv")
+    if (base.size, links2.size) != (sizes["baseline_pairs"],
+                                    sizes["links_rule2"]):
+        raise ValueError(f"baseline_pairs.csv and links_rule2.csv in {out} "
+                         f"do not match linkage.json: run link again")
     _, _, clerical_rng = replication_rngs(cfg.seed, cfg.rep_index)
-    estimates = baseline_estimates(linked, cfg.estimators, cfg.clerical_m,
+    estimates = baseline_estimates(sizes["size_a"], sizes["size_b"], base,
+                                   links2, cfg.estimators, cfg.clerical_m,
                                    clerical_rng)
-    (out / "baselines.json").write_text(
-        json.dumps(estimates_document(estimates), indent=2, sort_keys=True)
-        + "\n", encoding="utf-8")
+    _write_json(out / "baselines.json", estimates_document(estimates))
     print(f"wrote {out / 'baselines.json'}")
     return 0
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
 def _write_reports(metrics, out):

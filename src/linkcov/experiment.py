@@ -186,6 +186,14 @@ class Linked:
     links1: lk.LinkSet
     links2: lk.LinkSet
 
+    def sizes(self):
+        """The sample sizes and the pair and link counts."""
+        return {"size_a": self.panel_a.size, "size_b": self.panel_b.size,
+                "candidate_pairs": self.candidate_pairs,
+                "baseline_pairs": self.base.size,
+                "links_rule1": self.links1.size,
+                "links_rule2": self.links2.size}
+
 
 def link(pop, flags, rule_variant):
     """Panels, blocking, baseline pairs, rule 1 and rule 2."""
@@ -198,22 +206,21 @@ def link(pop, flags, rule_variant):
                   lk.dedupe_rule2(links1))
 
 
-def baseline_estimates(linked, estimators, clerical_m, clerical_rng):
-    """The naive, Racinskij, DF and DT estimates named in estimators."""
-    size_a, size_b = linked.panel_a.size, linked.panel_b.size
+def baseline_estimates(size_a, size_b, base, links2, estimators, clerical_m,
+                       clerical_rng):
+    """The naive, Racinskij, DF and DT estimates named in estimators,
+    from the sample sizes, the baseline pairs and the rule-2 links."""
     wanted = set(estimators)
     estimates = {}
     if "naive" in wanted:
-        est = lincoln_petersen(size_a, size_b, linked.links2.size)
+        est = lincoln_petersen(size_a, size_b, links2.size)
         estimates["naive"] = replace(est, estimator_id="naive")
     if "racinskij" in wanted:
-        phist = np.bincount(linked.base.pattern_code, minlength=8)
+        phist = np.bincount(base.pattern_code, minlength=8)
         estimates["racinskij"] = racinskij_fit(phist, size_b)
     if wanted & {"df", "dt"}:
-        clerical = lk.clerical_sample(linked.base, linked.links2, clerical_m,
-                                      clerical_rng)
-        for est in df_dt_estimators(linked.links2.size, clerical, size_a,
-                                    size_b):
+        clerical = lk.clerical_sample(base, links2, clerical_m, clerical_rng)
+        for est in df_dt_estimators(links2.size, clerical, size_a, size_b):
             if est.estimator_id in wanted:
                 estimates[est.estimator_id] = est
     return estimates
@@ -271,21 +278,16 @@ def run_replication(cfg, rep_index, opts=None):
     cm1 = lk.confusion(linked.links1, n_matched, panel_b.size, panel_a.size)
     cm2 = lk.confusion(linked.links2, n_matched, panel_b.size, panel_a.size)
 
-    estimates = baseline_estimates(linked, cfg.estimators, cfg.clerical_m,
-                                   clerical_rng)
+    estimates = baseline_estimates(panel_a.size, panel_b.size, linked.base,
+                                   linked.links2, cfg.estimators,
+                                   cfg.clerical_m, clerical_rng)
     estimates.update(count_estimates(cv, cfg.estimators, cfg.tau, cfg.g_max,
                                      opts))
     return ReplicationResult(
         rep_index=rep_index,
         estimates=estimates,
         accuracy=_accuracy_record(cm1, cm2),
-        diagnostics={
-            "size_a": panel_a.size, "size_b": panel_b.size,
-            "n_matched": n_matched, "candidate_pairs": linked.candidate_pairs,
-            "baseline_pairs": linked.base.size,
-            "links_rule1": linked.links1.size,
-            "links_rule2": linked.links2.size,
-        },
+        diagnostics={**linked.sizes(), "n_matched": n_matched},
     )
 
 

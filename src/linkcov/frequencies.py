@@ -16,6 +16,7 @@ ones.
 
 import csv
 import io
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -65,6 +66,7 @@ class FrequencyTable:
             raise ValueError("all probabilities must be strictly positive")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
+        _refuse_control_characters(self.labels)
         object.__setattr__(self, "probs", _renormalized(probs))
 
     @classmethod
@@ -87,6 +89,18 @@ class FrequencyTable:
     def soundex_index(self):
         """The table grouped by soundex code; see build_soundex_index."""
         return SoundexIndex(self)
+
+
+# C0 control characters; csv leaves a lone CR unquoted, so a surname
+# holding one could not be read back from a population dump
+_CONTROL = re.compile(r"[\x00-\x1f]")
+
+
+def _refuse_control_characters(labels):
+    text = [label for label in labels if isinstance(label, str)]
+    if _CONTROL.search("".join(text)):
+        bad = next(label for label in text if _CONTROL.search(label))
+        raise ValueError(f"label {bad!r} holds a control character")
 
 
 def _renormalized(probs):

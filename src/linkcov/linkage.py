@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._csvio import int_text, read_rows, write_columns
+from ._csvio import int_text, read_rows, write_columns, write_rows
 from .popsim import PATTERNS, Record
 from .soundex import soundex
 
@@ -35,7 +35,10 @@ __all__ = [
     "dedupe_rule2",
     "confusion",
     "clerical_sample",
+    "LinksetRows",
+    "linkset_rows",
     "dump_linkset",
+    "load_linkset",
     "dump_counts",
     "load_counts",
 ]
@@ -190,17 +193,21 @@ def _pattern_codes(panel_b, panel_a, b_pos, a_pos):
 
 @dataclass
 class LinkSet:
-    """Links as parallel arrays of panel positions, unit ids, patterns."""
+    """Links as parallel arrays of panel positions, unit ids, patterns.
 
-    b_pos: np.ndarray
-    a_pos: np.ndarray
+    A link set read from a file carries no panel positions: b_pos and
+    a_pos are None, and counts and dedupe_rule2 cannot take it.
+    """
+
+    b_pos: Optional[np.ndarray]
+    a_pos: Optional[np.ndarray]
     b_unit: np.ndarray
     a_unit: np.ndarray
     pattern_code: np.ndarray
 
     @property
     def size(self):
-        return self.b_pos.size
+        return self.b_unit.size
 
     def pairs(self):
         """Set view over (b_unit, a_unit), for small examples."""
@@ -341,9 +348,8 @@ def clerical_sample(base_pairs, links2, m, rng):
         raise ValueError(f"clerical sample size {m} exceeds {n_pairs} pairs")
     chosen = rng.choice(n_pairs, size=m, replace=False)
 
-    width = int(base_pairs.a_pos.max()) + 1 if n_pairs else 1
-    key = base_pairs.b_pos.astype(np.int64) * width + base_pairs.a_pos
-    key2 = links2.b_pos.astype(np.int64) * width + links2.a_pos
+    # pairs are keyed on unit ids, which a link set read from a file has
+    key, key2 = _pair_keys(base_pairs, links2)
     linked = np.isin(key[chosen], key2)
 
     matched = base_pairs.b_unit[chosen] == base_pairs.a_unit[chosen]
@@ -354,19 +360,85 @@ def clerical_sample(base_pairs, links2, m, rng):
     return ClericalEstimates(recall_hat, precision_hat, m)
 
 
+def _pair_keys(*linksets):
+    """One int64 per (b_unit, a_unit) pair of each link set, on one
+    scale for all of them, increasing in (b_unit, a_unit) order."""
+    a_unit = np.concatenate([links.a_unit for links in linksets])
+    lo = int(a_unit.min(initial=0))
+    width = int(a_unit.max(initial=0)) - lo + 1
+    return [links.b_unit.astype(np.int64) * width + (links.a_unit - lo)
+            for links in linksets]
+
+
+_LINKSET_HEADER = ("b_unit_id", "a_unit_id", "g1", "g2", "g3")
+_LINKSET_DTYPE = np.dtype([(name, np.int64) for name in _LINKSET_HEADER])
 # "g1,g2,g3" of each pattern code
 _PATTERN_TEXT = np.array([",".join(map(str, p)) for p in PATTERNS],
                          dtype=object)
 
 
-def dump_linkset(links, dest):
-    """Write links as (b_unit_id, a_unit_id, g1, g2, g3) rows."""
+@dataclass(frozen=True)
+class LinksetRows:
+    """A link set in file order, with the text of each of its rows."""
+
+    links: LinkSet
+    text: np.ndarray
+
+    def lookup(self, links):
+        """The row numbers of links, which must each be one of these
+        links with the same pattern, in file order."""
+        ours, theirs = _pair_keys(self.links, links)
+        rows = np.searchsorted(ours, theirs)
+        codes = self.links.pattern_code
+        if ((rows == ours.size).any() or (ours[rows] != theirs).any()
+                or (codes[rows] != links.pattern_code).any()):
+            raise ValueError("links not in the formatted link set")
+        return np.sort(rows)
+
+
+def linkset_rows(links):
+    """The rows dump_linkset writes for links, formatted once, so that
+    a subset's rows can be looked up rather than formatted again."""
     order = np.lexsort((links.a_unit, links.b_unit))
-    # the pattern column's text fills the three gamma fields
-    write_columns(dest, ("b_unit_id", "a_unit_id", "g1", "g2", "g3"), [
-        int_text(links.b_unit[order]), int_text(links.a_unit[order]),
-        _PATTERN_TEXT[links.pattern_code[order]].tolist(),
-    ])
+    ordered = LinkSet(None, None, links.b_unit[order], links.a_unit[order],
+                      links.pattern_code[order])
+    # the pattern column's text fills the three gamma fields; unit ids
+    # are spelled as int_text spells a wide range, one str per value
+    text = [f"{b},{a},{g}" for b, a, g in zip(
+        ordered.b_unit.tolist(), ordered.a_unit.tolist(),
+        _PATTERN_TEXT[ordered.pattern_code].tolist())]
+    return LinksetRows(ordered, np.array(text, dtype=object))
+
+
+def dump_linkset(links, dest, rows=None):
+    """Write links as (b_unit_id, a_unit_id, g1, g2, g3) rows.
+
+    rows, the linkset_rows of a link set holding every link of links,
+    gives the rows' text; by default it is formatted here.
+    """
+    if rows is None:
+        text = linkset_rows(links).text
+    else:
+        text = rows.text[rows.lookup(links)]
+    write_rows(dest, _LINKSET_HEADER, text.tolist())
+
+
+def load_linkset(source):
+    """Read a `dump_linkset` file back, in file order.
+
+    source is a path or an open text file.  The links carry unit ids and
+    patterns, not panel positions (b_pos and a_pos are None).  A header
+    other than the `dump_linkset` one, or an agreement field other than
+    0 or 1, raises ValueError.
+    """
+    rows = read_rows(source, _LINKSET_HEADER, _LINKSET_DTYPE, "link set")
+    mat = rows.view(np.int64).reshape(rows.size, len(_LINKSET_HEADER))
+    gamma = mat[:, 2:]
+    if ((gamma != 0) & (gamma != 1)).any():
+        raise ValueError("link set agreement fields must be 0 or 1")
+    code = (gamma[:, 0] << 2) | (gamma[:, 1] << 1) | gamma[:, 2]
+    return LinkSet(None, None, mat[:, 0].copy(), mat[:, 1].copy(),
+                   code.astype(np.int8))
 
 
 _COUNTS_HEADER = ("b_unit_id", "n_total") + tuple(

@@ -81,6 +81,19 @@ class TestFrequencyTable:
         with pytest.raises(ValueError):
             FrequencyTable(("A", "B"), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("label", ["A\rB", "A\nB", "\tAB", "AB\x00",
+                                       "A\x1fB"])
+    def test_rejects_control_characters(self, label):
+        # csv writes a lone CR unquoted, so a population dump holding one
+        # could not be read back
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            FrequencyTable(("ABLE", label), np.array([0.5, 0.5]))
+
+    def test_integer_labels_and_other_characters_kept(self):
+        FrequencyTable((1979, 1980), np.array([0.5, 0.5]))
+        FrequencyTable(("O'BRIEN", "SMITH,JR", "A\x7fB", "ØSTER"),
+                       np.full(4, 0.25))
+
 
 class TestSoundexIndex:
     def test_groups_share_code(self):
