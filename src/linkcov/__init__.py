@@ -10,15 +10,13 @@ from .frequencies import (FrequencyTable, build_soundex_index,
                           load_frequency_table, synthetic_age_table,
                           synthetic_surname_table)
 from .soundex import soundex
-from .popsim import (PATTERNS, PerturbationParams, Population, Record,
-                     SampleFlags, draw_pattern, draw_samples,
-                     generate_population, pattern_distribution,
-                     perturb_record)
+from .popsim import (PATTERNS, PerturbationParams, Population, SampleFlags,
+                     draw_samples, generate_population, pattern_distribution)
 from .linkage import (ClericalEstimates, ConfusionMatrix, CountVector,
                       LinkSet, LinkageRuleSpec, RULE_BASELINE_AND_ANY_EXACT,
-                      RULE_BASELINE_ONLY, agreement, baseline, baseline_pairs,
-                      block_pairs, clerical_sample, confusion, counts,
-                      dedupe_rule2, link_rule1, sample_records)
+                      RULE_BASELINE_ONLY, baseline_pairs, block_pairs,
+                      clerical_sample, confusion, counts, dedupe_rule2,
+                      link_rule1, sample_records)
 from .neighbor_uni import (AccuracySummary, CountHistogram, UniMixtureParams,
                            accuracy_from_fit, capped_loglik, comp_pmf,
                            fit_uni, mix_pmf, sample_counts, select_G)

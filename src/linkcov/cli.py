@@ -42,6 +42,11 @@ The population_csv, counts_csv and log_jsonl config keys point a stage
 at inputs outside the output directory: population_csv the link stage,
 counts_csv the two fits and log_jsonl the report.  Census CSV paths
 resolve against $LINKCOV_CENSUS_DIR when relative.
+
+Neither the commands nor run_experiment pin BLAS threads.  OpenBLAS then
+starts one thread per core for the fits' small matrix products, and on a
+2-vCPU machine fit-multi ran 3 to 29 times slower beside other load.
+Set OPENBLAS_NUM_THREADS=1 in the environment that runs them.
 """
 
 import argparse
@@ -130,6 +135,14 @@ def _config_from(data):
         raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     merged = {**defaults, **data}
 
+    # type(), not isinstance(): a JSON true is a bool, which is an int
+    for f in fields(RunConfig):
+        value = merged[f.name]
+        if f.type is int and type(value) is not int and not (
+                value is None and f.default is None):
+            raise ValueError(f"config key {f.name!r} must be an integer")
+    if type(merged["full_scale"]) is not bool:
+        raise ValueError("config key 'full_scale' must be true or false")
     if merged["scenario"] not in (1, 2, 3, 4, 5):
         raise ValueError("config key 'scenario' must be 1..5")
     for key in ("pi_a", "pi_b"):
@@ -137,7 +150,7 @@ def _config_from(data):
             raise ValueError(f"config key {key!r} must lie in (0, 1]")
     for key in ("n_population", "replications", "tau", "g_max", "d",
                 "clerical_m", "threads"):
-        if int(merged[key]) < 1:
+        if merged[key] < 1:
             raise ValueError(f"config key {key!r} must be a positive integer")
     bad = set(merged["estimators"]) - set(ALL_ESTIMATORS)
     if bad:

@@ -200,8 +200,7 @@ def link(pop, flags, rule_variant):
     panel_b, panel_a = lk.sample_records(pop, flags)
     pairs = lk.block_pairs(panel_b, panel_a)
     base = lk.baseline_pairs(panel_b, panel_a, pairs)
-    links1 = lk.link_rule1(panel_b, panel_a, pairs,
-                           lk.LinkageRuleSpec(rule_variant))
+    links1 = lk.link_rule1(base, lk.LinkageRuleSpec(rule_variant))
     return Linked(panel_b, panel_a, pairs.size, base, links1,
                   lk.dedupe_rule2(links1))
 
@@ -374,6 +373,8 @@ def run_experiment(cfg, workers=1, log_path=None, resume=False,
     past cfg.replications in the log but out of the metrics.
     progress(rep_index) is called as each fresh replication arrives, in
     index order, with any number of workers, after its record is written.
+    BLAS threads are not pinned: set OPENBLAS_NUM_THREADS=1, since the
+    fits ran 3 to 29 times slower beside other load (see linkcov.cli).
     """
     if cfg.replications < 2:
         raise ValueError("need at least two replications")

@@ -17,7 +17,6 @@ ones.
 import csv
 import io
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -114,7 +113,7 @@ def _read_only(a):
     return a
 
 
-class SoundexIndex(Mapping):
+class SoundexIndex:
     """A surname table grouped by soundex code, as read-only arrays.
 
     Classes are numbered in the order of their first label in the table.
@@ -128,8 +127,9 @@ class SoundexIndex(Mapping):
       aligned with ``members``; the arithmetic is that of
       ``FrequencyTable.from_counts`` on the members' probabilities.
 
-    ``labels`` and ``probs`` are the table's own.  As a mapping, the
-    index takes a code to the FrequencyTable of its class.
+    ``labels`` and ``probs`` are the table's own.  Class c's code is
+    ``codes[members[starts[c]]]``; generate_population redraws surnames
+    within a class from these arrays.
     """
 
     def __init__(self, table):
@@ -153,20 +153,6 @@ class SoundexIndex(Mapping):
         self.members = _read_only(members)
         self.starts = _read_only(starts)
         self.within = _read_only(within)
-        self._class_of = dict(zip(uniq.tolist(), class_of_code.tolist()))
-
-    def __getitem__(self, code):
-        c = self._class_of[code]
-        lo, hi = self.starts[c], self.starts[c + 1]
-        return FrequencyTable(
-            tuple(self.labels[m] for m in self.members[lo:hi].tolist()),
-            self.within[lo:hi])
-
-    def __iter__(self):
-        return iter(self.codes[self.members[self.starts[:-1]]].tolist())
-
-    def __len__(self):
-        return self.starts.size - 1
 
 
 def _open_text(source):
@@ -247,11 +233,11 @@ def load_frequency_table(source, kind, column_map=None, delimiter=",",
 def build_soundex_index(table):
     """Group a surname table by soundex code.
 
-    Returns the table's SoundexIndex: a mapping from each code to the
-    FrequencyTable of the surnames sharing it (probabilities
-    renormalized within the class), backed by read-only arrays.  It is
-    built on the first call and kept with the table, so later calls on
-    the same table return the same object.
+    Returns the table's SoundexIndex: read-only arrays that list the
+    surnames of each code's class, with their probabilities
+    renormalized within the class.  It is built on the first call and
+    kept with the table, so later calls on the same table return the
+    same object.
     """
     return table.soundex_index
 

@@ -12,8 +12,7 @@ from typing import Optional
 import numpy as np
 
 from ._csvio import int_text, read_rows, write_columns, write_rows
-from .popsim import PATTERNS, Record
-from .soundex import soundex
+from .popsim import PATTERNS
 
 __all__ = [
     "RULE_BASELINE_ONLY",
@@ -27,10 +26,8 @@ __all__ = [
     "ClericalEstimates",
     "sample_records",
     "block_pairs",
-    "baseline",
-    "agreement",
-    "link_rule1",
     "baseline_pairs",
+    "link_rule1",
     "counts",
     "dedupe_rule2",
     "confusion",
@@ -159,25 +156,6 @@ def block_pairs(panel_b, panel_a):
     return CandidatePairs(b_pos, a_pos.astype(np.int64))
 
 
-def baseline(rec_b: Record, rec_a: Record) -> bool:
-    """Same soundex and birth year, day and month each within one."""
-    return (
-        soundex(rec_b.surname) == soundex(rec_a.surname)
-        and rec_b.year == rec_a.year
-        and abs(rec_b.day - rec_a.day) <= 1
-        and abs(rec_b.month - rec_a.month) <= 1
-    )
-
-
-def agreement(rec_b: Record, rec_a: Record):
-    """Exact-agreement indicators (surname, day, month)."""
-    return (
-        int(rec_b.surname == rec_a.surname),
-        int(rec_b.day == rec_a.day),
-        int(rec_b.month == rec_a.month),
-    )
-
-
 def _baseline_mask(panel_b, panel_a, pairs):
     day_ok = np.abs(panel_b.day[pairs.b_pos] - panel_a.day[pairs.a_pos]) <= 1
     month_ok = np.abs(panel_b.month[pairs.b_pos] - panel_a.month[pairs.a_pos]) <= 1
@@ -214,9 +192,10 @@ class LinkSet:
         return set(zip(self.b_unit.tolist(), self.a_unit.tolist()))
 
 
-def _baseline_links(panel_b, panel_a, pairs):
-    """The baseline-satisfying pairs; link_rule1 calls this, not
-    baseline_pairs, so a wrapper of either sees only its own calls."""
+def baseline_pairs(panel_b, panel_a, pairs):
+    """The blocked candidate pairs that meet the baseline criterion (day
+    and month each within one), in pairs order, with their agreement
+    patterns.  Both linkage rules keep a subset of these."""
     keep = _baseline_mask(panel_b, panel_a, pairs)
     b_pos = pairs.b_pos[keep]
     a_pos = pairs.a_pos[keep]
@@ -232,17 +211,16 @@ def _subset(links, keep):
     return LinkSet(*(getattr(links, f.name)[keep] for f in fields(LinkSet)))
 
 
-def link_rule1(panel_b, panel_a, pairs, spec=LinkageRuleSpec()):
-    """Apply the first linkage rule to blocked candidate pairs."""
-    links = _baseline_links(panel_b, panel_a, pairs)
+def link_rule1(base, spec=LinkageRuleSpec()):
+    """Apply the first linkage rule to the baseline_pairs link set.
+
+    baseline_and_any_exact keeps the pairs agreeing exactly on at least
+    one field, in their order; baseline_only links every baseline pair
+    and returns base itself, not a copy.
+    """
     if spec.variant == RULE_BASELINE_AND_ANY_EXACT:
-        return _subset(links, links.pattern_code != 0)
-    return links
-
-
-def baseline_pairs(panel_b, panel_a, pairs):
-    """All baseline-satisfying pairs with their agreement patterns."""
-    return _baseline_links(panel_b, panel_a, pairs)
+        return _subset(base, base.pattern_code != 0)
+    return base
 
 
 @dataclass

@@ -15,17 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import int_text, quoted_text, read_rows, write_columns
-from .soundex import soundex, soundex_array
+from .soundex import soundex_array
 
 __all__ = [
     "PATTERNS",
-    "Record",
     "PerturbationParams",
     "Population",
     "SampleFlags",
     "pattern_distribution",
-    "draw_pattern",
-    "perturb_record",
     "generate_population",
     "draw_samples",
     "dump_population",
@@ -37,26 +34,9 @@ __all__ = [
 PATTERNS = tuple(
     (g1, g2, g3) for g1 in (0, 1) for g2 in (0, 1) for g3 in (0, 1)
 )
-PATTERN_INDEX = {p: i for i, p in enumerate(PATTERNS)}
 
 # Surname labels are stored as fixed-width strings of this many characters.
 LABEL_WIDTH = 16
-
-
-@dataclass(frozen=True)
-class Record:
-    """One register entry: surname plus birth date components."""
-
-    surname: str
-    day: int
-    month: int
-    year: int
-
-    def __post_init__(self):
-        if not 1 <= self.day <= 31:
-            raise ValueError(f"day {self.day} outside 1..31")
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month {self.month} outside 1..12")
 
 
 @dataclass(frozen=True)
@@ -106,16 +86,6 @@ class Population:
     def unit_ids(self):
         return np.arange(1, self.n + 1)
 
-    def record_a(self, i):
-        return Record(str(self.surname_labels[self.sidx_a[i]]),
-                      int(self.day_a[i]), int(self.month_a[i]),
-                      int(self.year_a[i]))
-
-    def record_b(self, i):
-        return Record(str(self.surname_labels[self.sidx_b[i]]),
-                      int(self.day_b[i]), int(self.month_b[i]),
-                      int(self.year_b[i]))
-
 
 @dataclass
 class SampleFlags:
@@ -148,11 +118,6 @@ def pattern_distribution(params):
     return w / w.sum()
 
 
-def draw_pattern(params, rng):
-    """Draw one agreement pattern."""
-    return PATTERNS[rng.choice(8, p=pattern_distribution(params))]
-
-
 def _draw_patterns(params, rng, n):
     return rng.choice(8, size=n, p=pattern_distribution(params))
 
@@ -166,43 +131,6 @@ def _shift_by_one(values, keep, lo, hi, rng):
     move = ~keep
     out[move] = values[move] + signs[move]
     return out
-
-
-def perturb_record(rec, gamma, soundex_index, rng, day_max=30):
-    """Produce the second-register record for one unit.
-
-    gamma components: 1 keeps the field, 0 perturbs it.  The birth year
-    never changes.  Surnames are redrawn among other census names with
-    the same soundex code, proportionally to their frequencies; a
-    surname with no alternative in its class keeps gamma_1 = 1.
-    """
-    g1, g2, g3 = gamma
-    surname = rec.surname
-    if g1 == 0:
-        code = soundex(surname)
-        sub = soundex_index[code]
-        if sub.size > 1:
-            others = [(l, p) for l, p in sub.entries if l != surname]
-            labels = [l for l, _ in others]
-            probs = np.array([p for _, p in others])
-            surname = labels[rng.choice(len(labels), p=probs / probs.sum())]
-    day = rec.day
-    if g2 == 0:
-        if day == 1:
-            day = 2
-        elif day == day_max:
-            day = day_max - 1
-        else:
-            day += int(rng.integers(0, 2)) * 2 - 1
-    month = rec.month
-    if g3 == 0:
-        if month == 1:
-            month = 2
-        elif month == 12:
-            month = 11
-        else:
-            month += int(rng.integers(0, 2)) * 2 - 1
-    return Record(surname, day, month, rec.year)
 
 
 def _check_index(index, table):
@@ -222,7 +150,9 @@ def generate_population(n, surnames, years, params, soundex_index, rng):
     day shifts, month shifts, surname redraws), so identical generator
     states give bitwise-identical populations.  Surnames are redrawn
     one name at a time, in ascending name index, with one draw for all
-    of that name's affected units in ascending unit order.
+    of that name's affected units in ascending unit order.  A shifted
+    day or month moves up from 1 and down from 30 or 12; a surname alone
+    in its soundex class is kept and counted in singleton_fallbacks.
     soundex_index must be build_soundex_index(surnames).  A mismatched
     index, or a surname label longer than LABEL_WIDTH characters, raises
     ValueError.

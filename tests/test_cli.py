@@ -41,6 +41,29 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             parse_config('{"estimators": ["un", "bogus"]}')
 
+    def test_fractional_tau_refused(self):
+        with pytest.raises(ValueError, match="'tau' must be an integer"):
+            parse_config('{"tau": 10.5}')
+
+    def test_string_full_scale_refused(self):
+        with pytest.raises(ValueError, match="'full_scale' must be true or"):
+            parse_config('{"full_scale": "false"}')
+
+    def test_fractional_population_refused(self):
+        with pytest.raises(ValueError,
+                           match="'n_population' must be an integer"):
+            parse_config('{"n_population": 3000.5}')
+
+    def test_boolean_integer_refused(self):
+        with pytest.raises(ValueError, match="'seed' must be an integer"):
+            parse_config('{"seed": true}')
+
+    def test_null_only_where_the_default_is_null(self):
+        assert parse_config(
+            '{"table_reference_size": null}').table_reference_size is None
+        with pytest.raises(ValueError, match="'g_max' must be an integer"):
+            parse_config('{"g_max": null}')
+
     def test_census_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("LINKCOV_CENSUS_DIR", str(tmp_path))
         cfg = parse_config('{"surname_csv": "names.csv"}')

@@ -6,13 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from linkcov import linkage as lk
 from linkcov.frequencies import build_soundex_index, synthetic_age_table, synthetic_surname_table
-from linkcov.popsim import PATTERNS, PerturbationParams, Record, draw_samples, generate_population
+from linkcov.popsim import PATTERNS, PerturbationParams, draw_samples, generate_population
+from linkcov.soundex import soundex
 
 
 def panel(rows):
     """rows: (unit_id, surname, day, month, year)"""
-    from linkcov.soundex import soundex
-
     return lk.RecordPanel(
         unit_id=np.array([r[0] for r in rows]),
         surname=np.array([r[1] for r in rows], dtype="U16"),
@@ -33,7 +32,7 @@ def replication():
     flags = draw_samples(pop, 0.9, 0.9, np.random.default_rng(78))
     panel_b, panel_a = lk.sample_records(pop, flags)
     pairs = lk.block_pairs(panel_b, panel_a)
-    links1 = lk.link_rule1(panel_b, panel_a, pairs)
+    links1 = lk.link_rule1(lk.baseline_pairs(panel_b, panel_a, pairs))
     n_matched = int((flags.in_a & flags.in_b).sum())
     return pop, flags, panel_b, panel_a, pairs, links1, n_matched
 
@@ -103,26 +102,68 @@ class TestBlockPairsProperty:
             lk.block_pairs(pb, pa)
 
 
-class TestBaselineAndAgreement:
+def linked(rows_b, rows_a, variant=lk.RULE_BASELINE_ONLY):
+    """Baseline pairs and rule-1 links of two panels, as lists of
+    (b_pos, a_pos, b_unit, a_unit, pattern) tuples."""
+    pb, pa = panel(rows_b), panel(rows_a)
+    base = lk.baseline_pairs(pb, pa, lk.block_pairs(pb, pa))
+    links = lk.link_rule1(base, lk.LinkageRuleSpec(variant))
+    return [list(zip(ls.b_pos.tolist(), ls.a_pos.tolist(), ls.b_unit.tolist(),
+                     ls.a_unit.tolist(),
+                     [PATTERNS[c] for c in ls.pattern_code.tolist()]))
+            for ls in (base, links)]
+
+
+def brute_force(rows_b, rows_a):
+    """The baseline pairs by the definition, pair by pair, in b order
+    and for one b record in a order."""
+    out = []
+    for i, (ub, sb, db, mb, yb) in enumerate(rows_b):
+        for j, (ua, sa, da, ma, ya) in enumerate(rows_a):
+            if (soundex(sb) == soundex(sa) and yb == ya
+                    and abs(db - da) <= 1 and abs(mb - ma) <= 1):
+                out.append((i, j, ub, ua,
+                            (int(sb == sa), int(db == da), int(mb == ma))))
+    return out
+
+
+# ABLE, APPLE and ABEL share code A140, BAKER and BECKER B260
+ROWS = st.lists(st.tuples(
+    st.integers(1, 9),
+    st.sampled_from(("ABLE", "APPLE", "ABEL", "BAKER", "BECKER", "ROBERT")),
+    st.integers(1, 4), st.integers(1, 3), st.sampled_from((1980, 1981))),
+    max_size=12)
+
+
+class TestBaselineAndRule1:
+    @settings(max_examples=300, deadline=None)
+    @given(ROWS, ROWS)
+    def test_matches_brute_force(self, rows_b, rows_a):
+        expected = brute_force(rows_b, rows_a)
+        base, links = linked(rows_b, rows_a)
+        assert base == links == expected
+        _, strict = linked(rows_b, rows_a, lk.RULE_BASELINE_AND_ANY_EXACT)
+        assert strict == [p for p in expected if p[4] != (0, 0, 0)]
+
     def test_identical_records(self):
-        r = Record("ABLE", 10, 6, 1980)
-        assert lk.baseline(r, r)
-        assert lk.agreement(r, r) == (1, 1, 1)
+        r = (1, "ABLE", 10, 6, 1980)
+        assert linked([r], [r])[0] == [(0, 0, 1, 1, (1, 1, 1))]
 
     def test_day_difference_two_rejected(self):
-        a = Record("ABLE", 10, 6, 1980)
-        b = Record("ABLE", 12, 6, 1980)
-        assert not lk.baseline(b, a)
+        a = (1, "ABLE", 10, 6, 1980)
+        b = (1, "ABLE", 12, 6, 1980)
+        assert linked([b], [a])[0] == []
 
     def test_year_mismatch_rejected(self):
-        a = Record("ABLE", 10, 6, 1980)
-        b = Record("ABLE", 10, 6, 1981)
-        assert not lk.baseline(b, a)
+        a = (1, "ABLE", 10, 6, 1980)
+        b = (1, "ABLE", 10, 6, 1981)
+        assert linked([b], [a])[0] == []
 
     def test_agreement_patterns(self):
-        a = Record("ABLE", 10, 6, 1980)
-        assert lk.agreement(Record("ABLE", 11, 6, 1980), a) == (1, 0, 1)
-        assert lk.agreement(Record("APPLE", 11, 7, 1980), a) == (0, 0, 0)
+        a = (1, "ABLE", 10, 6, 1980)
+        base, _ = linked([(1, "ABLE", 11, 6, 1980),
+                          (2, "APPLE", 11, 7, 1980)], [a])
+        assert [p[4] for p in base] == [(1, 0, 1), (0, 0, 0)]
 
 
 class TestRule1:
@@ -131,13 +172,13 @@ class TestRule1:
         pa = panel([(2, "ABLE", 4, 1, 1980)])   # same block, day gap 3
         pairs = lk.block_pairs(pb, pa)
         assert pairs.size == 1
-        assert lk.link_rule1(pb, pa, pairs).size == 0
+        assert lk.link_rule1(lk.baseline_pairs(pb, pa, pairs)).size == 0
 
     def test_any_exact_excludes_zero_pattern(self, replication):
         _, _, pb, pa, pairs, _, _ = replication
         base = lk.baseline_pairs(pb, pa, pairs)
         strict = lk.link_rule1(
-            pb, pa, pairs, lk.LinkageRuleSpec(lk.RULE_BASELINE_AND_ANY_EXACT))
+            base, lk.LinkageRuleSpec(lk.RULE_BASELINE_AND_ANY_EXACT))
         assert strict.size == base.size - int((base.pattern_code == 0).sum())
         assert (strict.pattern_code != 0).all()
 
@@ -149,7 +190,8 @@ class TestRule1:
         pa2 = lk.RecordPanel(**{f: getattr(pa, f)[perm] for f in
                                 ("unit_id", "surname", "code", "day",
                                  "month", "year")})
-        links2 = lk.link_rule1(pb, pa2, lk.block_pairs(pb, pa2))
+        links2 = lk.link_rule1(
+            lk.baseline_pairs(pb, pa2, lk.block_pairs(pb, pa2)))
         assert links1.pairs() == links2.pairs()
 
 

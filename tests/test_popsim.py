@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from linkcov.frequencies import (FrequencyTable, build_soundex_index,
                                  synthetic_age_table, synthetic_surname_table)
-from linkcov.popsim import (PATTERNS, PerturbationParams, Record,
-                            draw_pattern, draw_samples, dump_population,
-                            generate_population, load_population,
-                            pattern_distribution, perturb_record)
+from linkcov.popsim import (PATTERNS, PerturbationParams, draw_samples,
+                            dump_population, generate_population,
+                            load_population, pattern_distribution)
 from linkcov.soundex import soundex
 
 SCEN1 = PerturbationParams(u_main=(1.0, 1.0, 1.0))
@@ -51,11 +50,6 @@ class TestPatternDistribution:
 
 
 class TestDrawPattern:
-    def test_extreme_params_force_full_agreement(self):
-        params = PerturbationParams((1e6,) * 3)
-        rng = np.random.default_rng(0)
-        assert draw_pattern(params, rng) == (1, 1, 1)
-
     def test_empirical_frequencies(self):
         rng = np.random.default_rng(1)
         probs = pattern_distribution(SCEN1)
@@ -65,41 +59,58 @@ class TestDrawPattern:
         assert np.all(np.abs(freq - probs) < 3.5 * sigma + 1e-9)
 
 
-class TestPerturbRecord:
-    def test_identity_pattern(self, small_world):
-        _, _, idx = small_world
-        rec = Record(next(iter(idx.values())).labels[0], 15, 6, 1980)
-        out = perturb_record(rec, (1, 1, 1), idx, np.random.default_rng(0))
-        assert out == rec
+def perturbed(surnames, ages, u_main, n=3000, seed=0):
+    """A population whose patterns u_main forces: 1e6 keeps a field in
+    every unit, -1e6 perturbs it in every unit."""
+    return generate_population(n, surnames, ages, PerturbationParams(u_main),
+                               build_soundex_index(surnames),
+                               np.random.default_rng(seed))
+
+
+class TestPerturbation:
+    def test_full_agreement_keeps_every_field(self, small_world):
+        surnames, ages, _ = small_world
+        pop = perturbed(surnames, ages, (1e6,) * 3)
+        for a, b in (("sidx_a", "sidx_b"), ("day_a", "day_b"),
+                     ("month_a", "month_b"), ("year_a", "year_b")):
+            np.testing.assert_array_equal(getattr(pop, a), getattr(pop, b))
 
     def test_day_boundary_forced(self, small_world):
-        _, _, idx = small_world
-        name = next(iter(idx.values())).labels[0]
-        rec = Record(name, 30, 6, 1980)
-        out = perturb_record(rec, (1, 0, 1), idx, np.random.default_rng(0))
-        assert out.day == 29
-        rec = Record(name, 1, 6, 1980)
-        out = perturb_record(rec, (1, 0, 1), idx, np.random.default_rng(0))
-        assert out.day == 2
+        surnames, ages, _ = small_world
+        pop = perturbed(surnames, ages, (1e6, -1e6, 1e6))
+        assert (np.abs(pop.day_b - pop.day_a.astype(int)) == 1).all()
+        assert (pop.day_b[pop.day_a == 30] == 29).all()
+        assert (pop.day_b[pop.day_a == 1] == 2).all()
+        assert (pop.day_a == 30).any() and (pop.day_a == 1).any()
+        np.testing.assert_array_equal(pop.month_a, pop.month_b)
+        np.testing.assert_array_equal(pop.sidx_a, pop.sidx_b)
 
     def test_month_boundaries(self, small_world):
-        _, _, idx = small_world
-        name = next(iter(idx.values())).labels[0]
-        assert perturb_record(Record(name, 5, 12, 1980), (1, 1, 0), idx,
-                              np.random.default_rng(0)).month == 11
-        assert perturb_record(Record(name, 5, 1, 1980), (1, 1, 0), idx,
-                              np.random.default_rng(0)).month == 2
+        surnames, ages, _ = small_world
+        pop = perturbed(surnames, ages, (1e6, 1e6, -1e6))
+        assert (np.abs(pop.month_b - pop.month_a.astype(int)) == 1).all()
+        assert (pop.month_b[pop.month_a == 12] == 11).all()
+        assert (pop.month_b[pop.month_a == 1] == 2).all()
+        assert (pop.month_a == 12).any() and (pop.month_a == 1).any()
+        np.testing.assert_array_equal(pop.day_a, pop.day_b)
 
     def test_surname_redraw_keeps_code(self, small_world):
-        _, _, idx = small_world
-        rng = np.random.default_rng(7)
-        sub = max(idx.values(), key=lambda s: s.size)
-        rec = Record(sub.labels[0], 10, 5, 1970)
-        for _ in range(200):
-            out = perturb_record(rec, (0, 1, 1), idx, rng)
-            assert out.surname != rec.surname
-            assert soundex(out.surname) == soundex(rec.surname)
-            assert out.year == rec.year
+        base, ages, _ = small_world
+        # IRA and WU share their codes with no name of the base table
+        surnames = FrequencyTable(base.labels + ("IRA", "WU"),
+                                  np.concatenate([0.98 * base.probs,
+                                                  [0.01, 0.01]]))
+        pop = perturbed(surnames, ages, (-1e6, 1e6, 1e6))
+        idx = build_soundex_index(surnames)
+        alone = np.diff(idx.starts)[idx.label_class[pop.sidx_a]] == 1
+        names_a = pop.surname_labels[pop.sidx_a]
+        names_b = pop.surname_labels[pop.sidx_b]
+        assert 0 < alone.sum() < pop.n
+        assert (names_b[~alone] != names_a[~alone]).all()
+        assert [soundex(l) for l in names_b] == [soundex(l) for l in names_a]
+        assert (names_b[alone] == names_a[alone]).all()
+        assert pop.singleton_fallbacks == alone.sum()
+        np.testing.assert_array_equal(pop.year_a, pop.year_b)
 
 
 class TestGeneratePopulation:
