@@ -16,6 +16,10 @@ through a smooth bijection:
 
 Every forward map comes with the Jacobian pieces needed to chain analytic
 gradients back to the unconstrained coordinates.
+
+scipy.special and scipy.optimize are reached as attributes of scipy when
+a fit runs, not imported with the module, so that the commands that fit
+nothing never load them.
 """
 
 import json
@@ -23,13 +27,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
+import scipy
 
 __all__ = [
     "FitOptions",
     "FitResult",
     "SelectionResult",
     "fit_starts",
+    "minimize",
     "select_aic",
     "result_document",
     "logit",
@@ -89,6 +94,16 @@ class SelectionResult:
     trace: list = field(default_factory=list)
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, which scipy loads at its first call.
+
+    The fit modules import this name, and call it as their own
+    module-level minimize, so that a stub or a counter put in that
+    module's place sees every call.
+    """
+    return scipy.optimize.minimize(*args, **kwargs)
+
+
 def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
                salt=()):
     """Fit by L-BFGS-B from x0 and n_starts - 1 jittered copies of it.
@@ -96,8 +111,7 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
     objective(x, *args) gives the negative mean log-likelihood of total
     observations and its gradient; start s > 0 adds jitter times normals
     seeded by (seed, *salt, s); params_at maps the best end point to the
-    model.  minimize is scipy's, as the calling module names it, so that
-    a stub or a counter put in that module's place sees every call.
+    model.  minimize is the one the calling module names (see minimize).
     """
     init_loglik = -objective(x0, *args)[0] * total
     best = None
@@ -166,7 +180,7 @@ def interval_from_real(x, lo, hi):
     logistic evaluation.
     """
     span = np.log(hi) - np.log(lo)
-    s = expit(x)
+    s = scipy.special.expit(x)
     v = np.exp(np.log(lo) + span * s)
     return v, v * span * s * (1.0 - s)
 
@@ -219,7 +233,7 @@ def stick_break(x, floor=0.0):
     to one; floor * G must stay below 1.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _, pieces = stick_pieces(expit(x).tolist())
+    _, pieces = stick_pieces(scipy.special.expit(x).tolist())
     return floor + (1.0 - len(pieces) * floor) * np.array(pieces)
 
 
@@ -244,7 +258,7 @@ def stick_break_inverse(weights, floor=0.0):
 def stick_break_vjp(x, grad_s, floor=0.0):
     """Pull a gradient w.r.t. the weights back to the free logits."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = expit(x).tolist()
+    v = scipy.special.expit(x).tolist()
     stick, pieces = stick_pieces(v)
     grad_s = np.asarray(grad_s, dtype=float).tolist()
     return ((1.0 - len(pieces) * floor)

@@ -43,6 +43,12 @@ at inputs outside the output directory: population_csv the link stage,
 counts_csv the two fits and log_jsonl the report.  Census CSV paths
 resolve against $LINKCOV_CENSUS_DIR when relative.
 
+simulate, link, baselines and report load neither scipy.optimize nor
+scipy.special: the calibration solves its root in-repo, and the fits
+load both modules at their first call.  So only fit-uni, fit-multi and
+an experiment whose estimators include a mixture fit (un or an mn_*)
+pay their import time.
+
 Neither the commands nor run_experiment pin BLAS threads.  OpenBLAS then
 starts one thread per core for the fits' small matrix products, and on a
 2-vCPU machine fit-multi ran 3 to 29 times slower beside other load.
@@ -127,6 +133,20 @@ def _read_config(source):
     return data
 
 
+# The JSON values each RunConfig field type admits, and how an error
+# names them.  type(), not isinstance(): a JSON true is a bool, which
+# is an int.
+_JSON_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    tuple: ("a list of strings",
+            lambda v: type(v) in (list, tuple)
+            and all(type(item) is str for item in v)),
+}
+
+
 def _config_from(data):
     """Validate config keys, fill defaults and derive the linkage rule."""
     defaults = {f.name: f.default for f in fields(RunConfig)}
@@ -135,14 +155,11 @@ def _config_from(data):
         raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     merged = {**defaults, **data}
 
-    # type(), not isinstance(): a JSON true is a bool, which is an int
     for f in fields(RunConfig):
         value = merged[f.name]
-        if f.type is int and type(value) is not int and not (
-                value is None and f.default is None):
-            raise ValueError(f"config key {f.name!r} must be an integer")
-    if type(merged["full_scale"]) is not bool:
-        raise ValueError("config key 'full_scale' must be true or false")
+        kind, admits = _JSON_TYPES[f.type]
+        if not admits(value) and not (value is None and f.default is None):
+            raise ValueError(f"config key {f.name!r} must be {kind}")
     if merged["scenario"] not in (1, 2, 3, 4, 5):
         raise ValueError("config key 'scenario' must be 1..5")
     for key in ("pi_a", "pi_b"):
@@ -154,8 +171,12 @@ def _config_from(data):
             raise ValueError(f"config key {key!r} must be a positive integer")
     bad = set(merged["estimators"]) - set(ALL_ESTIMATORS)
     if bad:
-        raise ValueError(f"unknown estimator(s): {', '.join(sorted(bad))}")
+        raise ValueError(f"config key 'estimators' names unknown "
+                         f"estimator(s): {', '.join(sorted(bad))}")
     merged["estimators"] = tuple(merged["estimators"])
+    if merged["rule_variant"] not in (None, *lk.RULE_VARIANTS):
+        raise ValueError(f"config key 'rule_variant' must be one of "
+                         f"{', '.join(lk.RULE_VARIANTS)}")
     if merged["rule_variant"] is None:
         merged["rule_variant"] = (
             lk.RULE_BASELINE_AND_ANY_EXACT if merged["scenario"] in (4, 5)

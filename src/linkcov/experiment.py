@@ -350,11 +350,13 @@ def aggregate_replications(results, true_coverage, estimators=None):
 def _replications(cfg, todo, workers):
     """Yield the replications of ``todo`` in order, as each finishes."""
     if workers > 1:
-        # Calibrate the tables and build the soundex index here, before
-        # the pool starts: forked workers inherit both from the caches
-        # instead of each calibrating its own.
+        # Calibrate the tables, build the soundex index and load the
+        # scipy modules of the fits here, before the pool starts: forked
+        # workers inherit all three instead of each making its own.
         surnames, _ = cfg.tables()
         build_soundex_index(surnames)
+        import scipy.optimize  # noqa: F401
+        import scipy.special  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(run_replication, repeat(cfg), todo)
     else:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .soundex import soundex_array
 
@@ -330,6 +329,76 @@ def _operating_point(code_probs, year_probs, n_population):
     return op.fp_per_record(code_probs), op.survival(code_probs)
 
 
+# The relative tolerance and iteration cap of scipy.optimize.brentq.
+_BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, a, b, args=(), xtol=2e-12):
+    """A root of f(x, *args) in [a, b] by Brent's method.
+
+    A transcription of scipy.optimize.brentq (its C routine, with
+    rtol = 4 eps and 100 iterations): the same operations in the same
+    order, so it returns the same float, while the calibration need not
+    import scipy.optimize.  Raises ValueError when f is nan or has the
+    same sign at both ends, RuntimeError when it does not converge.
+    """
+    def call(x):
+        fx = f(x, *args)
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is nan")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"brentq failed to converge after {_BRENT_MAXITER} iterations")
+
+
 # The calibration tries each count of hot families, and brackets the hot
 # mass by these ends.
 _HOT_COUNTS = range(1, 13)
@@ -342,7 +411,7 @@ class _Calibration:
     """Survival gaps of hot-plus-cold code tables at one reference size.
 
     Each distinct (n_hot, hot_mass) is evaluated once and remembered, so
-    brentq's first two evaluations reuse the bracket check's.
+    _brentq's first two evaluations reuse the bracket check's.
     """
 
     def __init__(self, reference_size, n_cold):
@@ -410,16 +479,12 @@ def synthetic_surname_table(reference_size=50000, n_cold=3600):
     for n_hot in _HOT_COUNTS:
         if not cal.bracketed(n_hot):
             continue
-        hot_mass = brentq(cal.survival_gap, *_HOT_MASS_BRACKET,
-                          args=(n_hot,), xtol=1e-12)
+        hot_mass = _brentq(cal.survival_gap, *_HOT_MASS_BRACKET,
+                           args=(n_hot,), xtol=1e-12)
         fp_rate = cal.op.fp_per_record(cal.assemble(n_hot, hot_mass))
         err = abs(fp_rate - TARGET_FP_PER_RECORD)
         if best is None or err < best[0]:
             best = (err, n_hot, hot_mass)
-    # brentq wraps survival_gap in a closure that refers to itself, which
-    # would keep the evaluation arrays (5 MB) until the next garbage
-    # collection; drop them now.
-    cal.op = None
     if best is None:
         message = (f"cannot calibrate synthetic table at size "
                    f"{reference_size} with n_cold={n_cold}")

@@ -17,6 +17,7 @@ from .popsim import PATTERNS
 __all__ = [
     "RULE_BASELINE_ONLY",
     "RULE_BASELINE_AND_ANY_EXACT",
+    "RULE_VARIANTS",
     "LinkageRuleSpec",
     "RecordPanel",
     "CandidatePairs",
@@ -42,6 +43,7 @@ __all__ = [
 
 RULE_BASELINE_ONLY = "baseline_only"
 RULE_BASELINE_AND_ANY_EXACT = "baseline_and_any_exact"
+RULE_VARIANTS = (RULE_BASELINE_ONLY, RULE_BASELINE_AND_ANY_EXACT)
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class LinkageRuleSpec:
     variant: str = RULE_BASELINE_ONLY
 
     def __post_init__(self):
-        if self.variant not in (RULE_BASELINE_ONLY, RULE_BASELINE_AND_ANY_EXACT):
+        if self.variant not in RULE_VARIANTS:
             raise ValueError(f"unknown rule variant {self.variant!r}")
 
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit, gammaln, pdtr
+import scipy
 
 from ._optim import (
     FitOptions,
@@ -35,6 +34,7 @@ from ._optim import (
     interval_from_real,
     real_from_interval,
     logit,
+    minimize,
     result_document,
     select_aic,
     stick_break,
@@ -334,7 +334,8 @@ def multi_comp_pmf(t, p_vec, lambda_vec):
     if np.any(p < 0) or p.sum() > 1.0 + 1e-12:
         raise ValueError("cell probabilities must be >= 0 with sum <= 1")
     t = np.atleast_2d(np.asarray(t, dtype=float))
-    log_a = t @ np.log(lam) - lam.sum() - gammaln(t + 1.0).sum(axis=1)
+    log_a = (t @ np.log(lam) - lam.sum()
+             - scipy.special.gammaln(t + 1.0).sum(axis=1))
     bracket = (1.0 - p.sum()) + (t / lam) @ p
     out = np.exp(log_a) * bracket
     return float(out[0]) if out.size == 1 else out
@@ -389,7 +390,7 @@ def _unpack_multi(x, g, rules, n_p, constraint, Zv, M_tie, labels, nu,
     xp = x[n_alpha:n_alpha + n_p]
     phi = u = None
     if constraint == "loglinear":
-        phi = float(expit(xp[0]))
+        phi = float(scipy.special.expit(xp[0]))
         eta = Zv @ xp[1:]
         mx = max(0.0, float(eta.max()))
         e = np.exp(eta - mx)
@@ -445,6 +446,7 @@ def _objective_multi(hist, tau, g, m, n_p, constraint, Zv, nu, lam_max):
     n_head = n_alpha + n_p
     scale = 1.0 - g * nu
     keep = 1.0 - nu
+    expit, pdtr = scipy.special.expit, scipy.special.pdtr
 
     def objective(x):
         sig = expit(x)
@@ -543,7 +545,7 @@ def _split_multi(hist, tau):
     multiplicities, and the tail count."""
     low = hist.keys.sum(axis=1) <= tau
     keys = hist.keys[low].astype(float)
-    return (keys, gammaln(keys + 1.0).sum(axis=1),
+    return (keys, scipy.special.gammaln(keys + 1.0).sum(axis=1),
             hist.counts[low].astype(float), float(hist.counts[~low].sum()))
 
 
@@ -564,8 +566,8 @@ def single_class_p_hat(hist, lambda_fixed, tau=10, nu=1e-4, gtol=1e-8,
     ratio = keys / lam[None, :]
     if tail_count:
         s = lam.sum()
-        cdf_t = float(pdtr(tau, s))
-        cdf_tm1 = float(pdtr(tau - 1, s))
+        cdf_t = float(scipy.special.pdtr(tau, s))
+        cdf_tm1 = float(scipy.special.pdtr(tau - 1, s))
 
     def objective(xp):
         cells = stick_break(xp)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit, gammaln, pdtr
+import scipy
 
 from ._optim import (
     FitOptions,
@@ -31,6 +30,7 @@ from ._optim import (
     interval_from_real,
     real_from_interval,
     logit,
+    minimize,
     result_document,
     select_aic,
     stick_break,
@@ -140,7 +140,7 @@ def comp_pmf(n, p, lam):
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     n = np.asarray(n)
-    pois = np.exp(n * np.log(lam) - lam - gammaln(n + 1.0))
+    pois = np.exp(n * np.log(lam) - lam - scipy.special.gammaln(n + 1.0))
     pois_shift = pois * n / lam
     return (1.0 - p) * pois + p * pois_shift
 
@@ -189,7 +189,7 @@ def _split_hist(hist, tau):
     lists of floats, and the tail count."""
     low = hist.values <= tau
     vals = hist.values[low].astype(float)
-    return (vals.tolist(), gammaln(vals + 1.0).tolist(),
+    return (vals.tolist(), scipy.special.gammaln(vals + 1.0).tolist(),
             hist.counts[low].astype(float).tolist(),
             float(hist.counts[~low].sum()))
 
@@ -200,7 +200,7 @@ def _unpack(x, g, shared_p, nu, lam_max):
     alpha = stick_break(x[:pos], floor=nu) if g > 1 else np.ones(1)
     np_p = 1 if shared_p else g
     p_raw = x[pos:pos + np_p]
-    p = nu + (1.0 - 2.0 * nu) * expit(p_raw)
+    p = nu + (1.0 - 2.0 * nu) * scipy.special.expit(p_raw)
     if shared_p:
         p = np.full(g, p[0])
     lam, _ = interval_from_real(x[pos + np_p:], nu, lam_max)
@@ -218,7 +218,7 @@ def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
     t_v = cnts_v / q_v * Pois(v; lam), the gradient needs only
     T0 = sum t_v, T1 = sum t_v v and T2 = sum t_v v (v - 1).
     """
-    sig = expit(x).tolist()
+    sig = scipy.special.expit(x).tolist()
     pos = g - 1
     np_p = 1 if shared_p else g
 
@@ -270,6 +270,7 @@ def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
         d_lam.append(a * ((1.0 - pc) * (r - t0) + pc / l * (t2 / l - t1)))
 
     if tail_count:
+        pdtr = scipy.special.pdtr
         cdf_t = pdtr(tau, lam).tolist()
         cdf_tm1 = pdtr(tau - 1, lam).tolist()
         log_fact_tau = math.lgamma(tau + 1.0)

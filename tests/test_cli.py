@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linkcov
 from linkcov import cli
 from linkcov.cli import main, parse_config
 from linkcov.experiment import run_replication
@@ -63,6 +68,33 @@ class TestParseConfig:
             '{"table_reference_size": null}').table_reference_size is None
         with pytest.raises(ValueError, match="'g_max' must be an integer"):
             parse_config('{"g_max": null}')
+
+    @pytest.mark.parametrize("data, message", [
+        ('{"pi_a": "0.5"}', "'pi_a' must be a number"),
+        ('{"pi_a": true}', "'pi_a' must be a number"),
+        ('{"estimators": "un"}', "'estimators' must be a list of strings"),
+        ('{"estimators": ["un", 5]}',
+         "'estimators' must be a list of strings"),
+        ('{"surname_csv": 5}', "'surname_csv' must be a string"),
+        ('{"out_dir": null}', "'out_dir' must be a string"),
+        ('{"rule_variant": "bogus"}', "'rule_variant' must be one of"),
+        ('{"estimators": ["un", "bogus"]}',
+         "'estimators' names unknown estimator.*bogus"),
+    ])
+    def test_key_types_refused_by_name(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(data)
+
+    def test_integer_number_accepted(self):
+        assert parse_config('{"pi_a": 1}').pi_a == 1
+
+    def test_bad_rule_variant_refused_before_simulate(self, tmp_path,
+                                                      capsys):
+        cfg = json.dumps({"rule_variant": "bogus",
+                          "out_dir": str(tmp_path / "art")})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "'rule_variant'" in capsys.readouterr().err
+        assert not (tmp_path / "art").exists()
 
     def test_census_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("LINKCOV_CENSUS_DIR", str(tmp_path))
@@ -196,3 +228,47 @@ class TestOnePipeline:
         p_bar = sum(c["alpha"] * c["p"] for c in uni["components"])
         assert p_bar == pytest.approx(res.estimates["un"].coverage_hat,
                                       rel=1e-12)
+
+
+# Runs in a fresh process: prints, after each step, the scipy modules of
+# the fits that are loaded.
+_SCIPY_PROBE = """
+import json, sys
+from linkcov import cli
+from linkcov.experiment import ScenarioConfig
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+
+base = json.loads(sys.argv[1])
+seen = {"import": loaded()}
+ScenarioConfig.from_scenario(5, n_population=3000).tables()
+seen["tables"] = loaded()
+for command, extra in (("simulate", {}), ("link", {}), ("baselines", {}),
+                       ("experiment", {"estimators": ["naive"]}),
+                       ("report", {}), ("fit-uni", {})):
+    assert cli.main([command, "--config", json.dumps({**base, **extra})]) == 0
+    seen[command] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loaded_only_when_a_fit_runs(tmp_path):
+    """The commands that fit nothing start without scipy.optimize and
+    scipy.special; fit-uni loads both."""
+    config = {"scenario": 5, "seed": 11, "n_population": 3000,
+              "replications": 2, "g_max": 1, "clerical_m": 200,
+              "out_dir": str(tmp_path)}
+    src = str(Path(linkcov.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(config)],
+        env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(run.stdout.splitlines()[-1])
+    fits = seen.pop("fit-uni")
+    assert seen == {step: [] for step in seen}
+    assert list(seen) == ["import", "tables", "simulate", "link",
+                          "baselines", "experiment", "report"]
+    assert fits == ["scipy.optimize", "scipy.special"]

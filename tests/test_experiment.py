@@ -4,7 +4,6 @@ import os
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from linkcov import neighbor_multi
 from linkcov.baselines import CoverageEstimate
@@ -227,17 +226,18 @@ class TestRunExperiment:
 
     def test_workers_inherit_the_calibrated_table(self, tmp_path,
                                                   monkeypatch):
-        # brentq runs only in a cold calibration; each call appends the
+        # _brentq runs only in a cold calibration; each call appends the
         # pid of the process making it, forked workers included.
         from linkcov import frequencies
         pids = tmp_path / "calibrating_pids"
+        brentq = frequencies._brentq
 
         def logging_brentq(*args, **kwargs):
             with open(pids, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             return brentq(*args, **kwargs)
 
-        monkeypatch.setattr(frequencies, "brentq", logging_brentq)
+        monkeypatch.setattr(frequencies, "_brentq", logging_brentq)
         frequencies.synthetic_surname_table.cache_clear()
         cfg = ScenarioConfig.from_scenario(1, estimators=("naive",), **TINY)
         run_experiment(cfg, workers=2)

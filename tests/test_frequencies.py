@@ -301,3 +301,47 @@ class TestCalibrationLimit:
 
     def test_300k_calibrates(self):
         assert synthetic_surname_table(300000).size > 0
+
+
+class TestBrentqOracle:
+    """The calibration's _brentq returns scipy.optimize.brentq's float."""
+
+    @pytest.mark.parametrize("reference_size", [3000, 20000, 100000, 300000])
+    def test_calibration_roots_bit_identical(self, reference_size):
+        cal = freq._Calibration(reference_size, 3600)
+        bracketed = [n for n in freq._HOT_COUNTS if cal.bracketed(n)]
+        assert bracketed
+        for n_hot in bracketed:
+            solve = (cal.survival_gap, *freq._HOT_MASS_BRACKET)
+            assert (freq._brentq(*solve, args=(n_hot,), xtol=1e-12)
+                    == brentq(*solve, args=(n_hot,), xtol=1e-12))
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 0.0, 4.0),
+        (np.cos, 0.3, 2.9),
+        (lambda x: np.exp(x) - 3.0, -2.0, 5.0),
+        (lambda x: np.arctan(x - 0.3), -7.0, 1.0),
+        (lambda x: -1.0 if x < 0.25 else 1.0, 0.0, 1.0),
+        (lambda x: x - 1.0, 1.0, 3.0),
+        (lambda x: x - 3.0, 1.0, 3.0),
+    ])
+    @pytest.mark.parametrize("xtol", [2e-12, 1e-6, 0.1])
+    def test_plain_functions_bit_identical(self, f, a, b, xtol):
+        assert freq._brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+
+    def test_ends_of_the_same_sign_refused(self):
+        with pytest.raises(ValueError, match="different signs"):
+            freq._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match="nan"):
+            freq._brentq(lambda x: np.nan if x > 0 else -1.0, -1.0, 1.0)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(freq, "_BRENT_MAXITER", 2)
+        with pytest.raises(RuntimeError, match="2 iterations"):
+            freq._brentq(np.cos, 0.3, 2.9)
+        with pytest.raises(RuntimeError):
+            brentq(np.cos, 0.3, 2.9, maxiter=2)
