@@ -165,10 +165,12 @@ def _config_from(data):
     for key in ("pi_a", "pi_b"):
         if not 0 < merged[key] <= 1:
             raise ValueError(f"config key {key!r} must lie in (0, 1]")
-    for key in ("n_population", "replications", "tau", "g_max", "d",
+    for key in ("n_population", "replications", "tau", "g_max",
                 "clerical_m", "threads"):
         if merged[key] < 1:
             raise ValueError(f"config key {key!r} must be a positive integer")
+    if merged["d"] not in (1, 2):
+        raise ValueError("config key 'd' must be 1 or 2")
     bad = set(merged["estimators"]) - set(ALL_ESTIMATORS)
     if bad:
         raise ValueError(f"config key 'estimators' names unknown "

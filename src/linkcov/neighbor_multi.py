@@ -3,17 +3,18 @@
 For a family of mutually exclusive linkage rules indexed by Gamma, each
 latent class contributes an incomplete-multinomial true-positive vector
 (at most one TP overall, cell probabilities p^(gamma)) convolved with
-independent Poisson false-positive counts per rule.  The true-positive
-cells can be left free, shared across classes, or constrained through a
-log-linear design with a coverage factor, in which case the fitted
-coverage is the estimator of P(i in S_A).
+independent Poisson false-positive counts per rule.  The fits run on
+three binary agreement groups, and constrain the true-positive cells,
+shared by every class, through a log-linear design with a coverage
+factor, p = phi * softmax(Z u): without interactions (LogLinear(1)) or
+with 2nd-order interactions (LogLinear(2)).  The fitted coverage phi is
+the estimator of P(i in S_A).
 
 The objective is built once per fit (``_objective_multi``).  It keeps
 the per-fit constants, and each call spends two matrix products on the
 k distinct count vectors: one for the exponents of every class's
 Poisson product and true-positive bracket, one for all weighted sums of
-the gradient.  The weights, phi and the cells are Python floats.  Every
-constraint (free, shared_p, log-linear, tied) runs through it.
+the gradient.  The weights, phi and the softmax are Python floats.
 
 The starts, the result types, the AIC selection and the JSON document
 come from the fit engine in ``_optim``.  The univariate kernel stays
@@ -109,6 +110,9 @@ def binary_rules(k=3):
     return RuleIndexSet(H=(1,) * k)
 
 
+_RULES = binary_rules(3)
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """Dummy-coded covariate rows z^(gamma) for a log-linear p model."""
@@ -151,17 +155,6 @@ def build_design(rules, d):
                 labels.append(f"u_{ks}({ls})")
     Z = np.column_stack(columns)
     return DesignMatrix(Z=Z, labels=tuple(labels), order=d, rules=rules)
-
-
-def tie_matrix(design):
-    """Collapse coefficients of equal interaction order to one value."""
-    orders = [lbl.split("(")[0].split("_")[1] for lbl in design.labels]
-    sizes = [len(o) for o in orders]
-    uniq = sorted(set(sizes))
-    M = np.zeros((len(sizes), len(uniq)))
-    for i, s in enumerate(sizes):
-        M[i, uniq.index(s)] = 1.0
-    return M
 
 
 def loglinear_probs(phi, u, design):
@@ -208,10 +201,14 @@ def loglinear_invert(p, rules, d, tol=1e-8):
 
 @dataclass(frozen=True)
 class LogLinear:
-    """Log-linear constraint on the shared true-positive cells."""
+    """Log-linear constraint on the shared true-positive cells: main
+    effects only (d=1), or with their 2nd-order interactions (d=2)."""
 
     d: int = 2
-    tie_symmetric: bool = False
+
+    def __post_init__(self):
+        if self.d not in (1, 2):
+            raise ValueError(f"interaction order d={self.d!r} must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -371,42 +368,25 @@ def sample_multi_counts(params, size, rng):
 
 # ----------------------------------------------------------------- fitting
 
-def _n_p(g, m, constraint, du):
-    """Length of the packed true-positive block (du: free coefficients)."""
-    if constraint == "free":
-        return g * m
-    if constraint == "shared_p":
-        return m
-    return 1 + du
-
-
-def _unpack_multi(x, g, rules, n_p, constraint, Zv, M_tie, labels, nu,
-                  lam_max):
-    """Parameters at x.  Zv maps the free log-linear coefficients v to eta
-    (the design, times the tie matrix M_tie when tied); u = M_tie v."""
-    m = rules.size
+def _unpack_multi(x, g, design, nu, lam_max):
+    """Parameters at x = [weight logits | logit phi | u | rate reals]."""
     n_alpha = g - 1
+    n_head = n_alpha + 1 + design.Z.shape[1]
     alpha = stick_break(x[:n_alpha], floor=nu) if g > 1 else np.ones(1)
-    xp = x[n_alpha:n_alpha + n_p]
-    phi = u = None
-    if constraint == "loglinear":
-        phi = float(scipy.special.expit(xp[0]))
-        eta = Zv @ xp[1:]
-        mx = max(0.0, float(eta.max()))
-        e = np.exp(eta - mx)
-        p = phi * (e / (np.exp(-mx) + e.sum()))[None, :]
-        u = M_tie @ xp[1:] if M_tie is not None else xp[1:]
-    else:
-        # one row of cells per class, or the one shared row
-        p = np.array([(1.0 - nu) * stick_break(xp[c * m:(c + 1) * m])[:m]
-                      for c in range(n_p // m)])
-    lam, _ = interval_from_real(x[n_alpha + n_p:], nu, lam_max)
+    phi = float(scipy.special.expit(x[n_alpha]))
+    u = x[n_alpha + 1:n_head]
+    eta = design.Z @ u
+    mx = max(0.0, float(eta.max()))
+    e = np.exp(eta - mx)
+    p = phi * (e / (np.exp(-mx) + e.sum()))[None, :]
+    lam, _ = interval_from_real(x[n_head:], nu, lam_max)
     return MultiMixtureParams(
-        alpha=alpha, p=p.repeat(g // len(p), axis=0), lam=lam.reshape(g, m),
-        rules=rules, constraint=constraint, phi=phi, u=u, u_labels=labels)
+        alpha=alpha, p=p.repeat(g, axis=0), lam=lam.reshape(g, -1),
+        rules=_RULES, constraint="loglinear", phi=phi, u=u,
+        u_labels=design.labels)
 
 
-def _objective_multi(hist, tau, g, m, n_p, constraint, Zv, nu, lam_max):
+def _objective_multi(hist, tau, g, Z, nu, lam_max):
     """The objective of one fit_multi call: x -> (negative mean capped
     log-likelihood, its analytic gradient).
 
@@ -416,16 +396,17 @@ def _objective_multi(hist, tau, g, m, n_p, constraint, Zv, nu, lam_max):
     product of a (2g, m + 2) coefficient block with the transposed
     columns gives, for each class c, the exponent of alpha_c a_c, where
     a_c = prod_gamma Pois(t_gamma; lam_c,gamma) and the weight enters as
-    log alpha_c, and the true-positive bracket 1 - |p_c| + t . p_c / lam_c.
+    log alpha_c, and the true-positive bracket 1 - |p| + t . p / lam_c.
     [alpha a | alpha mix] fill one (2g, k) buffer; q is the column sum
     of its mix rows, and one product of the w-weighted buffer with the
     columns gives the four weighted sums of the gradient.  The weights,
-    phi, the softmax and the stick-breaking of the cells are Python
-    floats; the logistic of x is one array call, which saturates where
-    exp(-x) would overflow.  Nothing of size k * g * m is formed.
+    phi and the softmax are Python floats; the logistic of x is one array
+    call, which saturates where exp(-x) would overflow.  Nothing of size
+    k * g * m is formed.
     """
     keys, log_fact, cnts, tail_count = _split_multi(hist, tau)
     k = keys.shape[0]
+    m = Z.shape[0]
     total = float(hist.total)
     cols = np.empty((k, m + 2))
     cols[:, :m] = keys
@@ -434,42 +415,32 @@ def _objective_multi(hist, tau, g, m, n_p, constraint, Zv, nu, lam_max):
     cols_t = np.ascontiguousarray(cols.T)
     cols = np.ascontiguousarray(cols[:, :m + 1])
     # rows [log lam_c | log alpha_c - |lam_c| | -1] for c < g, then
-    # [p_c / lam_c | 1 - |p_c| | 0]
+    # [p / lam_c | 1 - |p| | 0]
     coef = np.zeros((2 * g, m + 2))
     coef[:g, m + 1] = -1.0
     a_mix = np.empty((2 * g, k))
-    grad = np.empty((g - 1) + n_p + g * m)
+    n_alpha = g - 1
+    n_head = n_alpha + 1 + Z.shape[1]
+    grad = np.empty(n_head + g * m)
     log_lo = math.log(nu)
     span = math.log(lam_max) - log_lo
     log_fact_tau = math.lgamma(tau + 1.0)
-    n_alpha = g - 1
-    n_head = n_alpha + n_p
     scale = 1.0 - g * nu
-    keep = 1.0 - nu
     expit, pdtr = scipy.special.expit, scipy.special.pdtr
 
     def objective(x):
         sig = expit(x)
-        s = sig[:n_head].tolist()
+        s = sig[:n_alpha + 1].tolist()
         stick, pieces = stick_pieces(s[:n_alpha])
         alpha = [nu + scale * piece for piece in pieces]
-        if constraint == "loglinear":
-            # p = phi * softmax(eta), shared across classes
-            phi = s[n_alpha]
-            eta = (Zv @ x[n_alpha + 1:n_head]).tolist()
-            mx = max(0.0, max(eta))
-            e = [math.exp(et - mx) for et in eta]
-            den = math.exp(-mx) + sum(e)
-            r = np.array([ei / den for ei in e])
-            p = phi * r
-            psum = [float(p.sum())] * g
-        else:
-            n_rows = g if constraint == "free" else 1
-            cells = [stick_pieces(s[n_alpha + c * m:n_alpha + (c + 1) * m])
-                     for c in range(n_rows)]
-            p_rows = [[keep * piece for piece in pc[:m]] for _, pc in cells]
-            p = np.array(p_rows if n_rows > 1 else p_rows[0])
-            psum = [sum(row) for row in p_rows] * (g // n_rows)
+        phi = s[n_alpha]
+        eta = (Z @ x[n_alpha + 1:n_head]).tolist()
+        mx = max(0.0, max(eta))
+        e = [math.exp(et - mx) for et in eta]
+        den = math.exp(-mx) + sum(e)
+        r = np.array([ei / den for ei in e])
+        p = phi * r
+        psum = [float(p.sum())] * g
         sig_lam = sig[n_head:]
         log_lam = log_lo + span * sig_lam
         lam_flat = np.exp(log_lam)
@@ -520,19 +491,10 @@ def _objective_multi(hist, tau, g, m, n_p, constraint, Zv, nu, lam_max):
         grad[:n_alpha] = [
             scale * gv
             for gv in stick_pieces_vjp(s[:n_alpha], stick, pieces, d_alpha)]
-        if constraint == "loglinear":
-            dldp = d_p.sum(axis=0)
-            dldr = float(dldp @ r)
-            grad[n_alpha] = dldr * phi * (1.0 - phi)
-            grad[n_alpha + 1:n_head] = (p * (dldp - dldr)) @ Zv
-        else:
-            if constraint == "shared_p":
-                d_p = d_p.sum(axis=0)[None]
-            for c, (row, (stick_c, pieces_c)) in enumerate(
-                    zip(d_p.tolist(), cells)):
-                lo = n_alpha + c * m
-                grad[lo:lo + m] = stick_pieces_vjp(
-                    s[lo:lo + m], stick_c, pieces_c, [keep * d for d in row])
+        dldp = d_p.sum(axis=0)
+        dldr = float(dldp @ r)
+        grad[n_alpha] = dldr * phi * (1.0 - phi)
+        grad[n_alpha + 1:n_head] = (p * (dldp - dldr)) @ Z
         grad[n_head:] = d_lam.ravel() * (lam_flat * span * sig_lam
                                          * (1.0 - sig_lam))
         return -ll / total, grad / -total
@@ -592,22 +554,24 @@ def single_class_p_hat(hist, lambda_fixed, tau=10, nu=1e-4, gtol=1e-8,
     return (1.0 - nu) * cells[:m]
 
 
-_BIN3 = ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0),
-         (1, 1, 1))
+def _require_three_binary_groups(hist):
+    if hist.width != _RULES.size:
+        raise ValueError(f"count vectors need 7 cells, one per pattern of "
+                         f"three binary rule groups; got {hist.width}")
 
 
 def appendix_c_cells(hist, lambda_bar_by_rule, tau=10, nu=1e-4):
     """The plug-in true-positive cells of the Appendix-C start: the
     single-class cells with the per-rule rates (floored at nu) plugged
-    in.  They depend on neither the constraint nor G, so one set serves
-    every constraint fitted to the same histogram."""
+    in.  They depend on neither the interaction order nor G, so one set
+    serves both orders fitted to the same histogram."""
     lam = np.clip(np.asarray(lambda_bar_by_rule, dtype=float), nu, None)
     return single_class_p_hat(hist, lam, tau=tau, nu=nu)
 
 
-def init_appendix_c(hist, lambda_bar_by_rule, mode, rules=None, tau=10,
-                    nu=1e-4, p_hat=None):
-    """Moment-based starting values for the constrained multivariate fit.
+def init_appendix_c(hist, lambda_bar_by_rule, mode, tau=10, nu=1e-4,
+                    p_hat=None):
+    """Moment-based starting values for the log-linear multivariate fit.
 
     lambda_bar_by_rule supplies, per rule, the aggregate rate from a
     univariate fit of that rule's marginal counts.  The true-positive
@@ -620,15 +584,12 @@ def init_appendix_c(hist, lambda_bar_by_rule, mode, rules=None, tau=10,
     """
     if mode not in ("no_interactions", "with_interactions"):
         raise ValueError(f"unknown initialization mode {mode!r}")
-    rules = rules or binary_rules(3)
-    if rules.patterns != _BIN3:
-        raise ValueError("moment initialization requires three binary groups")
+    _require_three_binary_groups(hist)
     lam = np.clip(np.asarray(lambda_bar_by_rule, dtype=float), nu, None)
     if p_hat is None:
         p_hat = appendix_c_cells(hist, lam, tau=tau, nu=nu)
-    flagged = False
 
-    pat = dict(zip(rules.patterns, p_hat))
+    pat = dict(zip(_RULES.patterns, p_hat))
     if mode == "no_interactions":
         q = {k: sum(v for g, v in pat.items() if g[k] == 1) for k in range(3)}
         qq = {(k1, k2): sum(v for g, v in pat.items() if g[k1] == 1 and g[k2] == 1)
@@ -657,25 +618,17 @@ def init_appendix_c(hist, lambda_bar_by_rule, mode, rules=None, tau=10,
             -bracket + lr[(0, 0, 1)],
         ])
 
-    design = build_design(rules, d=2)
+    design = build_design(_RULES, d=2)
     eta = design.Z @ u
     r = np.exp(eta) / (1.0 + np.exp(eta).sum())
     phi = float(np.clip(p_hat.sum() / r.sum(), 1e-3, 1.0 - 1e-3))
     return {"lambda": lam, "p": p_hat, "u": u, "phi": phi, "flagged": flagged}
 
 
-def _constraint_key(constraint):
-    if isinstance(constraint, LogLinear):
-        return "loglinear"
-    if constraint in ("free", "shared_p"):
-        return constraint
-    raise ValueError(f"unknown constraint {constraint!r}")
-
-
 def marginal_rates(hist, tau=10, opts=FitOptions()):
     """Per-rule rates lambda_bar from univariate shared-p fits (G = 1..2,
     AIC) of each rule's marginal counts; they seed the Appendix-C start.
-    One set serves every constraint fitted to the same histogram."""
+    One set serves both interaction orders fitted to the same histogram."""
     lam_bar = []
     for coord in range(hist.width):
         mh = marginal_histogram(hist, coord)
@@ -684,111 +637,71 @@ def marginal_rates(hist, tau=10, opts=FitOptions()):
     return np.asarray(lam_bar)
 
 
-def _appendix_c_start(hist, constraint, rules, tau, opts, lambda_bar,
-                      p_hat=None):
-    """The Appendix-C start bundle, or None unless rules are three binary
-    groups; lambda_bar=None fits the marginal rates here, p_hat=None
-    computes the plug-in cells."""
-    if rules.patterns != _BIN3:
-        if lambda_bar is not None or p_hat is not None:
-            raise ValueError("lambda_bar and p_hat need three binary rule "
-                             "groups")
-        return None
+def _appendix_c_start(hist, constraint, tau, opts, lambda_bar, p_hat=None):
+    """The Appendix-C start for the constraint's order; lambda_bar=None
+    fits the marginal rates, p_hat=None computes the plug-in cells."""
+    _require_three_binary_groups(hist)
     if lambda_bar is None:
         lambda_bar = marginal_rates(hist, tau, opts)
-    with_interactions = isinstance(constraint, LogLinear) and constraint.d >= 2
-    mode = "with_interactions" if with_interactions else "no_interactions"
-    return init_appendix_c(hist, lambda_bar, mode, rules=rules, tau=tau,
-                           nu=opts.nu, p_hat=p_hat)
+    mode = "with_interactions" if constraint.d == 2 else "no_interactions"
+    return init_appendix_c(hist, lambda_bar, mode, tau=tau, nu=opts.nu,
+                           p_hat=p_hat)
 
 
-def fit_multi(hist, g, constraint="shared_p", tau=10, rules=None,
-              opts=FitOptions(), init=None):
-    """Fit a G-class multivariate mixture under the given constraint.
+def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
+              init=None):
+    """Fit a G-class multivariate mixture whose shared true-positive cells
+    follow the log-linear constraint, on three binary rule groups.
 
-    constraint: "free", "shared_p", or a LogLinear(d, tie_symmetric)
-    spec.  init may carry a bundle from init_appendix_c; otherwise the
-    bundle is built internally (for three binary groups) from per-rule
-    univariate fits.
+    init may carry a bundle from init_appendix_c; otherwise the bundle is
+    built here from per-rule univariate fits.
     """
-    rules = rules or binary_rules(3)
-    m = rules.size
-    key = _constraint_key(constraint)
+    if g < 1:
+        raise ValueError("need at least one class")
+    _require_three_binary_groups(hist)
     nu, lam_max = opts.nu, opts.lambda_max
-
-    design = M_tie = Zv = None
-    if key == "loglinear":
-        design = build_design(rules, constraint.d)
-        Zv = design.Z
-        if constraint.tie_symmetric:
-            M_tie = tie_matrix(design)
-            Zv = design.Z @ M_tie
-    n_p = _n_p(g, m, key, None if Zv is None else Zv.shape[1])
-
+    design = build_design(_RULES, constraint.d)
     if init is None:
-        init = _appendix_c_start(hist, constraint, rules, tau, opts, None)
-    if init is None:
-        mean = (hist.keys * hist.counts[:, None]).sum(axis=0) / hist.total
-        p0 = np.clip(mean * 0.5, 1e-4, 0.9 / m)
-        init = {"lambda": np.clip(mean - p0, 0.02, None), "p": p0,
-                "u": None, "phi": min(0.9, float(p0.sum()) + 0.1),
-                "flagged": False}
+        init = _appendix_c_start(hist, constraint, tau, opts, None)
 
     lam0 = np.tile(np.clip(init["lambda"], nu * 2, lam_max), (g, 1))
     # spread duplicated rate vectors a little so classes can separate
     if g > 1:
         scales = np.linspace(0.6, 1.6, g)[:, None]
         lam0 = np.clip(lam0 * scales, nu * 2, lam_max)
-    if key == "loglinear":
-        # bundle coefficients are d=2 sized; main terms lead
-        u0 = np.zeros(design.Z.shape[1])
-        if init["u"] is not None:
-            u_init = np.asarray(init["u"], dtype=float)[:u0.size]
-            u0[:u_init.size] = u_init
-        v0 = (np.linalg.lstsq(M_tie, u0, rcond=None)[0]
-              if M_tie is not None else u0)
-        middle = [np.atleast_1d(logit(np.clip(init["phi"], 1e-6, 1 - 1e-6))),
-                  v0]
-    else:
-        # one row of cells per class, or the one shared row
-        middle = []
-        for row in np.tile(init["p"], (g if key == "free" else 1, 1)):
-            cells = np.append(row / (1.0 - nu), 0.0)
-            cells[-1] = max(1.0 - cells[:-1].sum(), 1e-12)
-            middle.append(stick_break_inverse(cells / cells.sum()))
+    # bundle coefficients are d=2 sized; main terms lead
     x0 = np.concatenate([
-        stick_break_inverse(np.full(g, 1.0 / g), floor=nu), *middle,
+        stick_break_inverse(np.full(g, 1.0 / g), floor=nu),
+        np.atleast_1d(logit(np.clip(init["phi"], 1e-6, 1 - 1e-6))),
+        np.asarray(init["u"], dtype=float)[:design.Z.shape[1]],
         real_from_interval(np.clip(lam0.ravel(), nu * (1 + 1e-9), lam_max),
                            nu, lam_max)])
-    objective = _objective_multi(hist, tau, g, m, n_p, key, Zv, nu, lam_max)
-
-    labels = getattr(design, "labels", None)
+    objective = _objective_multi(hist, tau, g, design.Z, nu, lam_max)
     return fit_starts(
         minimize, objective, x0, (), float(hist.total), tau,
-        lambda x: _unpack_multi(x, g, rules, n_p, key, Zv, M_tie, labels, nu,
-                                lam_max),
-        opts, salt=(71,))
+        lambda x: _unpack_multi(x, g, design, nu, lam_max), opts,
+        salt=(71,))
 
 
-def n_free_params_multi(g, m, constraint, du=None):
-    return (g - 1) + _n_p(g, m, _constraint_key(constraint), du) + g * m
+def n_free_params_multi(g, constraint=LogLinear(2)):
+    """Free parameters: (G-1) weights, phi, the u's and G x 7 rates."""
+    du = build_design(_RULES, constraint.d).Z.shape[1]
+    return (g - 1) + 1 + du + g * _RULES.size
 
 
-def select_G_multi(hist, g_max, constraint="shared_p", tau=10, rules=None,
+def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
                    opts=FitOptions(), lambda_bar=None, p_hat=None):
     """AIC selection of the class count (ties -> smallest G).
 
     lambda_bar: marginal_rates(hist, tau, opts) computed once and shared
-    between constraints fitted to one histogram; None computes them.
-    p_hat: appendix_c_cells(hist, lambda_bar, tau, opts.nu), shared the
-    same way; None computes them.
+    between the interaction orders fitted to one histogram; None computes
+    them.  p_hat: appendix_c_cells(hist, lambda_bar, tau, opts.nu), shared
+    the same way; None computes them.
     """
-    rules = rules or binary_rules(3)
-    init = _appendix_c_start(hist, constraint, rules, tau, opts, lambda_bar,
-                             p_hat)
+    init = _appendix_c_start(hist, constraint, tau, opts, lambda_bar, p_hat)
     return select_aic(
         lambda g: fit_multi(hist, g, constraint=constraint, tau=tau,
-                            rules=rules, opts=opts, init=init),
+                            opts=opts, init=init),
         g_max)
 
 

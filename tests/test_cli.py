@@ -80,6 +80,8 @@ class TestParseConfig:
         ('{"rule_variant": "bogus"}', "'rule_variant' must be one of"),
         ('{"estimators": ["un", "bogus"]}',
          "'estimators' names unknown estimator.*bogus"),
+        ('{"d": 0}', "'d' must be 1 or 2"),
+        ('{"d": 3}', "'d' must be 1 or 2"),
     ])
     def test_key_types_refused_by_name(self, data, message):
         with pytest.raises(ValueError, match=message):
@@ -94,6 +96,14 @@ class TestParseConfig:
                           "out_dir": str(tmp_path / "art")})
         assert main(["simulate", "--config", cfg]) == 1
         assert "'rule_variant'" in capsys.readouterr().err
+        assert not (tmp_path / "art").exists()
+
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_bad_interaction_order_refused_before_simulate(self, tmp_path,
+                                                           capsys, d):
+        cfg = json.dumps({"d": d, "out_dir": str(tmp_path / "art")})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "'d' must be 1 or 2" in capsys.readouterr().err
         assert not (tmp_path / "art").exists()
 
     def test_census_dir_env(self, monkeypatch, tmp_path):

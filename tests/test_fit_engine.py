@@ -11,9 +11,9 @@ import pytest
 from linkcov._optim import FitOptions
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, binary_rules,
-                                    build_design, multi_fit_document,
-                                    n_free_params_multi, sample_multi_counts,
-                                    select_G_multi, tie_matrix)
+                                    build_design, fit_multi,
+                                    multi_fit_document, n_free_params_multi,
+                                    sample_multi_counts, select_G_multi)
 from linkcov.neighbor_uni import (CountHistogram, FitResult,
                                   UniMixtureParams, fit_document,
                                   n_free_params, select_G)
@@ -206,20 +206,13 @@ class TestAicParameterCount:
         assert [row["k"] for row in sel.trace] == [
             n_free_params(g, shared_p) for g in (1, 2, 3)]
 
-    @pytest.mark.parametrize("constraint", [
-        "free", "shared_p", LogLinear(1), LogLinear(2),
-        LogLinear(1, tie_symmetric=True), LogLinear(2, tie_symmetric=True)],
-        ids=str)
+    @pytest.mark.parametrize("constraint", [LogLinear(1), LogLinear(2)],
+                             ids=str)
     def test_multivariate(self, multi_hist, constraint):
-        du = None
-        if isinstance(constraint, LogLinear):
-            design = build_design(RULES, constraint.d)
-            du = (tie_matrix(design).shape[1] if constraint.tie_symmetric
-                  else design.Z.shape[1])
         sel = select_G_multi(multi_hist, 3, constraint=constraint,
                              opts=QUICK, lambda_bar=np.full(7, 0.1))
         assert [row["k"] for row in sel.trace] == [
-            n_free_params_multi(g, 7, constraint, du) for g in (1, 2, 3)]
+            n_free_params_multi(g, constraint) for g in (1, 2, 3)]
 
 
 class TestClassCountBound:
@@ -230,3 +223,8 @@ class TestClassCountBound:
     def test_multivariate(self, multi_hist):
         with pytest.raises(ValueError, match="g_max"):
             select_G_multi(multi_hist, 0)
+
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_multivariate_fit(self, multi_hist, g):
+        with pytest.raises(ValueError, match="need at least one class"):
+            fit_multi(multi_hist, g)

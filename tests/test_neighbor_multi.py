@@ -149,6 +149,11 @@ class TestDesign:
         with pytest.raises(ValueError):
             build_design(rules, 0)
 
+    @pytest.mark.parametrize("d", [0, 3, -1])
+    def test_loglinear_order_refused(self, d):
+        with pytest.raises(ValueError, match=f"d={d} must be 1 or 2"):
+            LogLinear(d)
+
     def test_multilevel_dimension(self):
         rules = RuleIndexSet(H=(2, 1, 3))
         d2 = build_design(rules, 2)
@@ -314,75 +319,83 @@ class TestFitMulti:
         assert fit.params.phi == pytest.approx(0.9, abs=0.01)
         assert fit.loglik >= fit.init_loglik
 
-    def test_shared_p_mode(self):
-        rules = binary_rules(3)
-        p = np.array([0.1, 0.05, 0.05, 0.2, 0.1, 0.15, 0.25])
-        truth = MultiMixtureParams(
-            alpha=[0.5, 0.5], p=[p, p],
-            lam=[np.full(7, 0.05), np.full(7, 0.6)], rules=rules,
-            constraint="shared_p",
-        )
-        draws = sample_multi_counts(truth, 30000, np.random.default_rng(31))
-        hist = MultiCountHistogram.from_observations(draws)
-        fit = fit_multi(hist, 2, constraint="shared_p", tau=10)
-        assert np.allclose(fit.params.p[0], fit.params.p[1])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cells_follow_the_loglinear_model(self, d):
+        hist, init = _two_class_hist()
+        fit = fit_multi(hist, 2, constraint=LogLinear(d), tau=4,
+                        opts=FitOptions(n_starts=1), init=init)
+        params = fit.params
+        design = build_design(binary_rules(3), d)
+        assert params.constraint == "loglinear"
+        assert params.u_labels == design.labels
+        np.testing.assert_allclose(
+            params.p, np.tile(loglinear_probs(params.phi, params.u, design),
+                              (2, 1)), rtol=1e-12)
+        assert coverage_from_fit(params) == params.phi
 
-    def test_free_mode_runs(self):
-        rules = binary_rules(3)
-        p = np.full(7, 0.1)
-        truth = MultiMixtureParams(alpha=[1.0], p=[p],
-                                   lam=[np.full(7, 0.3)], rules=rules)
-        draws = sample_multi_counts(truth, 10000, np.random.default_rng(32))
-        hist = MultiCountHistogram.from_observations(draws)
-        fit = fit_multi(hist, 1, constraint="free", tau=10)
-        np.testing.assert_allclose(fit.params.p[0], p, atol=0.03)
+    @pytest.mark.parametrize("fit", [
+        lambda hist, init, **kw: fit_multi(hist, 2, tau=4, init=init,
+                                           opts=FitOptions(n_starts=1), **kw),
+        lambda hist, init, **kw: select_G_multi(
+            hist, 2, tau=4, opts=FitOptions(n_starts=1),
+            lambda_bar=init["lambda"], p_hat=init["p"], **kw).fit],
+        ids=["fit", "select"])
+    def test_default_constraint_is_second_order(self, fit):
+        hist, init = _two_class_hist()
+        default = fit(hist, init)
+        second = fit(hist, init, constraint=LogLinear(2))
+        assert default.params.u_labels == build_design(binary_rules(3),
+                                                       2).labels
+        assert default.loglik == second.loglik
+        np.testing.assert_array_equal(default.params.u, second.params.u)
 
-    def test_tie_symmetric_mode(self):
-        rules = binary_rules(3)
-        design = build_design(rules, 2)
-        p = loglinear_probs(0.9, np.ones(6), design)
-        truth = MultiMixtureParams(alpha=[1.0], p=[p],
-                                   lam=[np.full(7, 0.05)], rules=rules)
-        draws = sample_multi_counts(truth, 40000, np.random.default_rng(33))
-        hist = MultiCountHistogram.from_observations(draws)
-        fit = fit_multi(hist, 1, constraint=LogLinear(2, tie_symmetric=True),
-                        tau=10)
-        u = fit.params.u
-        assert np.allclose(u[:3], u[0]) and np.allclose(u[3:], u[3])
-        assert fit.params.phi == pytest.approx(0.9, abs=0.02)
+
+def _two_class_hist():
+    """5000 count vectors of two classes with shared cells, whose sums
+    exceed 4, and a start bundle for them."""
+    p = np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25])
+    truth = MultiMixtureParams(
+        alpha=[0.6, 0.4], p=[p, p],
+        lam=[np.full(7, 0.1), np.full(7, 0.7)], rules=binary_rules(3),
+        constraint="shared_p",
+    )
+    draws = sample_multi_counts(truth, 5000, np.random.default_rng(51))
+    init = {"lambda": np.linspace(0.2, 0.5, 7), "p": p,
+            "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
+            "phi": 0.8, "flagged": False}
+    return MultiCountHistogram.from_observations(draws), init
 
 
 class TestGradient:
-    @pytest.mark.parametrize("constraint", [
-        "free", "shared_p", LogLinear(1), LogLinear(2),
-        LogLinear(2, tie_symmetric=True)], ids=str)
-    def test_matches_finite_differences(self, monkeypatch, constraint):
-        rules = binary_rules(3)
-        p = np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25])
-        truth = MultiMixtureParams(
-            alpha=[0.6, 0.4], p=[p, p],
-            lam=[np.full(7, 0.1), np.full(7, 0.7)], rules=rules,
-            constraint="shared_p",
-        )
-        draws = sample_multi_counts(truth, 5000, np.random.default_rng(51))
-        hist = MultiCountHistogram.from_observations(draws)
+    @pytest.mark.parametrize("constraint", [LogLinear(1), LogLinear(2)],
+                             ids=str)
+    @pytest.mark.parametrize("g", [2, 1, 3])
+    def test_matches_finite_differences(self, monkeypatch, constraint, g):
+        hist, init = _two_class_hist()
         tau = 4
         assert hist.keys.sum(axis=1).max() > tau    # tail cell active
-        init = {"lambda": np.linspace(0.2, 0.5, 7), "p": p,
-                "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
-                "phi": 0.8, "flagged": False}
         fun, x0, args = captured_objective(
-            monkeypatch, neighbor_multi, fit_multi, hist, 2,
+            monkeypatch, neighbor_multi, fit_multi, hist, g,
             constraint=constraint, tau=tau, opts=FitOptions(n_starts=1),
             init=init)
-        assert_gradient_matches(fun, x0, args, seed=52)
+        assert_gradient_matches(fun, x0, args, seed=50 + g)
 
 
 class TestSelection:
     def test_parameter_counts(self):
-        assert n_free_params_multi(2, 7, "shared_p") == 22
-        assert n_free_params_multi(2, 7, "free") == 1 + 28
-        assert n_free_params_multi(2, 7, LogLinear(2), du=6) == 1 + 7 + 14
+        assert n_free_params_multi(2, LogLinear(1)) == 1 + 4 + 14
+        assert n_free_params_multi(2, LogLinear(2)) == 1 + 7 + 14
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_count_is_the_search_dimension(self, monkeypatch, g, d):
+        # AIC charges exactly the coordinates that L-BFGS-B moves
+        hist, init = _two_class_hist()
+        _, x0, _ = captured_objective(
+            monkeypatch, neighbor_multi, fit_multi, hist, g,
+            constraint=LogLinear(d), tau=4, opts=FitOptions(n_starts=1),
+            init=init)
+        assert x0.size == n_free_params_multi(g, LogLinear(d))
 
     def test_single_class_selected(self):
         rules = binary_rules(3)
@@ -394,7 +407,7 @@ class TestSelection:
             draws = sample_multi_counts(truth, 20000,
                                         np.random.default_rng(seed))
             hist = MultiCountHistogram.from_observations(draws)
-            sel = select_G_multi(hist, 2, constraint="shared_p", tau=10)
+            sel = select_G_multi(hist, 2, constraint=LogLinear(2), tau=10)
             hits += sel.g_hat == 1
         assert hits >= 4
 
@@ -409,7 +422,7 @@ class TestSelection:
         )
         draws = sample_multi_counts(truth, 30000, np.random.default_rng(41))
         hist = MultiCountHistogram.from_observations(draws)
-        sel = select_G_multi(hist, 2, constraint="shared_p", tau=10)
+        sel = select_G_multi(hist, 2, constraint=LogLinear(2), tau=10)
         assert sel.fit.params.p.shape == (sel.g_hat, 7)
         assert sel.fit.params.lam.shape == (sel.g_hat, 7)
 
@@ -461,17 +474,21 @@ class TestSharedRates:
             assert shared.trace == own.trace
             assert shared.fit.params.phi == own.fit.params.phi
 
-    def test_cells_need_three_binary_groups(self):
-        hist = MultiCountHistogram(keys=[[0, 1], [1, 0]], counts=[5, 3])
-        with pytest.raises(ValueError, match="binary"):
-            select_G_multi(hist, 1, rules=RuleIndexSet(H=(2,)),
-                           p_hat=np.full(2, 0.1))
+    @pytest.mark.parametrize("fit", [
+        lambda hist: select_G_multi(hist, 1),
+        lambda hist: select_G_multi(hist, 1, lambda_bar=np.ones(2),
+                                    p_hat=np.full(2, 0.1)),
+        lambda hist: fit_multi(hist, 1),
+        lambda hist: init_appendix_c(hist, np.ones(2), "no_interactions")],
+        ids=["select", "passed", "fit", "init"])
+    def test_counts_need_three_binary_groups(self, monkeypatch, fit):
+        def no_rates(*args, **kwargs):
+            raise AssertionError("marginal rates fitted before the check")
 
-    def test_rates_need_three_binary_groups(self):
+        monkeypatch.setattr(neighbor_multi, "marginal_rates", no_rates)
         hist = MultiCountHistogram(keys=[[0, 1], [1, 0]], counts=[5, 3])
-        with pytest.raises(ValueError, match="binary"):
-            select_G_multi(hist, 1, rules=RuleIndexSet(H=(2,)),
-                           lambda_bar=np.ones(2))
+        with pytest.raises(ValueError, match="three binary rule groups"):
+            fit(hist)
 
 
 class TestCoverage:

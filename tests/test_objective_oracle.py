@@ -32,7 +32,7 @@ from linkcov._optim import FitOptions, interval_from_real
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, binary_rules,
                                     build_design, fit_multi,
-                                    sample_multi_counts, tie_matrix)
+                                    loglinear_probs, sample_multi_counts)
 from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
                                   sample_counts)
 from test_neighbor_uni import captured_objective
@@ -279,8 +279,7 @@ MULTI_INIT = {"lambda": np.linspace(0.2, 0.5, 7),
               "p": np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25]),
               "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
               "phi": 0.8, "flagged": False}
-MULTI_CONSTRAINTS = ["free", "shared_p", LogLinear(1), LogLinear(2),
-                     LogLinear(2, tie_symmetric=True)]
+MULTI_CONSTRAINTS = [LogLinear(1), LogLinear(2)]
 
 
 def _uni_hist():
@@ -289,14 +288,29 @@ def _uni_hist():
     return CountHistogram.from_observations(draws)
 
 
-def _multi_hist():
-    p = MULTI_INIT["p"]
-    truth = MultiMixtureParams(
-        alpha=[0.6, 0.4], p=[p, p],
-        lam=[np.full(7, 0.1), np.full(7, 0.7)], rules=binary_rules(3),
-        constraint="shared_p",
-    )
-    draws = sample_multi_counts(truth, 5000, np.random.default_rng(51))
+def _multi_hist(data="flat"):
+    """Counts from two classes with flat rates ("flat"), or from three
+    classes whose rates differ by rule and whose log-linear cells carry
+    strong interactions, spanning 0.005 to 0.45 ("interacting")."""
+    if data == "flat":
+        p = MULTI_INIT["p"]
+        truth = MultiMixtureParams(
+            alpha=[0.6, 0.4], p=[p, p],
+            lam=[np.full(7, 0.1), np.full(7, 0.7)], rules=binary_rules(3),
+            constraint="shared_p",
+        )
+        draws = sample_multi_counts(truth, 5000, np.random.default_rng(51))
+    else:
+        design = build_design(binary_rules(3), 2)
+        p = loglinear_probs(0.7, np.array([2.0, -1.0, 0.5, -1.5, 1.0, 0.8]),
+                            design)
+        truth = MultiMixtureParams(
+            alpha=[0.5, 0.3, 0.2], p=[p, p, p],
+            lam=[np.linspace(0.02, 0.2, 7), np.linspace(0.9, 0.1, 7),
+                 np.full(7, 1.2)],
+            rules=binary_rules(3), constraint="loglinear",
+        )
+        draws = sample_multi_counts(truth, 4000, np.random.default_rng(53))
     return MultiCountHistogram.from_observations(draws)
 
 
@@ -318,9 +332,9 @@ def uni_pair(monkeypatch, g, shared_p, tail):
     return fun, x0, args, oracle_args
 
 
-def multi_pair(monkeypatch, g, constraint, tail):
+def multi_pair(monkeypatch, g, constraint, tail, data):
     """(objective, x0, args) as fit_multi runs it, and the oracle's args."""
-    hist = _multi_hist()
+    hist = _multi_hist(data)
     tau = _tau(hist.keys.sum(axis=1).max(), tail)
     fun, x0, args = captured_objective(
         monkeypatch, neighbor_multi, fit_multi, hist, g,
@@ -332,8 +346,6 @@ def multi_pair(monkeypatch, g, constraint, tail):
         key = "loglinear"
         design = build_design(rules, constraint.d)
         Zv = design.Z
-        if constraint.tie_symmetric:
-            Zv = design.Z @ tie_matrix(design)
         du = Zv.shape[1]
     oracle_args = (*_oracle_split_multi(hist, tau), float(hist.total), g, m,
                    _oracle_n_p(g, m, key, du), key, Zv, tau, OPTS.nu,
@@ -393,6 +405,7 @@ def assert_value_matches(value, oracle_result):
 
 GS = [1, 2, 3]
 TAILS = pytest.mark.parametrize("tail", [True, False], ids=["tail", "no_tail"])
+MULTI_DATA = pytest.mark.parametrize("data", ["flat", "interacting"])
 
 
 class TestUniObjectiveOracle:
@@ -419,23 +432,25 @@ class TestUniObjectiveOracle:
 
 
 class TestMultiObjectiveOracle:
+    @MULTI_DATA
     @TAILS
     @pytest.mark.parametrize("constraint", MULTI_CONSTRAINTS, ids=str)
     @pytest.mark.parametrize("g", GS)
-    def test_matches_oracle(self, monkeypatch, g, constraint, tail):
+    def test_matches_oracle(self, monkeypatch, g, constraint, tail, data):
         fun, x0, args, oracle_args = multi_pair(monkeypatch, g, constraint,
-                                                tail)
+                                                tail, data)
         for x in jittered(x0, seed=300 * g + tail):
             value, grad = evaluate_quietly(fun, x, args)
             assert_matches_oracle(value, grad,
                                   *_oracle_objective_multi(x, *oracle_args))
 
+    @MULTI_DATA
     @TAILS
     @pytest.mark.parametrize("constraint", MULTI_CONSTRAINTS, ids=str)
     @pytest.mark.parametrize("g", GS)
-    def test_saturated_points(self, monkeypatch, g, constraint, tail):
+    def test_saturated_points(self, monkeypatch, g, constraint, tail, data):
         fun, x0, args, oracle_args = multi_pair(monkeypatch, g, constraint,
-                                                tail)
+                                                tail, data)
         for x in saturated(x0.size, seed=400 * g + tail):
             value, grad = evaluate_quietly(fun, x, args)
             assert np.isfinite(value) and np.all(np.isfinite(grad))
