@@ -6,6 +6,16 @@ result types (FitResult, SelectionResult), the deterministic multi-start
 search (fit_starts), the AIC selection of the class count (select_aic)
 and the JSON of a result (result_document).
 
+Each search is unbounded L-BFGS-B, run by minimize: a short loop that
+calls scipy's own L-BFGS-B step routine (scipy.optimize._lbfgsb.setulb)
+exactly as scipy.optimize.minimize(method="L-BFGS-B", jac=True) does,
+so the fits end on the same points after the same evaluations.  scipy's
+loop wraps each evaluation in its ScalarFunction and MemoizeJac layers,
+which cost about as much as the fits' own objective kernels; this loop
+does not.  The routine is private to scipy and takes its current
+arguments from scipy 1.15 on, the floor pyproject.toml sets;
+tests/test_minimize_oracle.py pins the loop to scipy.optimize.minimize.
+
 All model parameters live in boxes or simplices; the fits run an
 unconstrained quasi-Newton search, so each constrained quantity is mapped
 through a smooth bijection:
@@ -17,9 +27,9 @@ through a smooth bijection:
 Every forward map comes with the Jacobian pieces needed to chain analytic
 gradients back to the unconstrained coordinates.
 
-scipy.special and scipy.optimize are reached as attributes of scipy when
-a fit runs, not imported with the module, so that the commands that fit
-nothing never load them.
+scipy.special is reached as an attribute of scipy, and scipy.optimize is
+imported by minimize, when a fit runs, not with the module, so that the
+commands that fit nothing never load them.
 """
 
 import json
@@ -55,7 +65,9 @@ class FitOptions:
     max_iter / ftol mirror the stated convergence rule (relative change in
     the mean log-likelihood below 1e-9, at most 1000 iterations).  n_starts
     counts the deterministic multi-starts: the moment initialization plus
-    n_starts - 1 jittered copies.
+    n_starts - 1 jittered copies.  nu floors the probabilities (kept in
+    [nu, 1 - nu]), the class weights and the rates, whose ceiling is
+    lambda_max.
     """
 
     max_iter: int = 1000
@@ -66,6 +78,29 @@ class FitOptions:
     seed: int = 0
     nu: float = 1e-4
     lambda_max: float = 100.0
+
+    def __post_init__(self):
+        for name in ("max_iter", "n_starts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("ftol", "gtol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.jitter >= 0:
+            raise ValueError("jitter must not be negative")
+        if not 0 < self.nu < 0.5:
+            raise ValueError("nu must lie in (0, 0.5)")
+        if not self.nu < self.lambda_max:
+            raise ValueError("nu must stay below lambda_max")
+
+    def check_class_count(self, g):
+        """Refuse a class count g that the fits cannot take: below 1, or
+        so large that g weights floored at nu would exceed 1."""
+        if g < 1:
+            raise ValueError("need at least one class")
+        if g * self.nu >= 1:
+            raise ValueError(f"{g} class weights floored at nu={self.nu} "
+                             "exceed 1; g * nu must stay below 1")
 
 
 @dataclass(frozen=True)
@@ -94,14 +129,73 @@ class SelectionResult:
     trace: list = field(default_factory=list)
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, which scipy loads at its first call.
+def minimize(fun, x0, args=(), *, jac, method, options):
+    """Unbounded L-BFGS-B from x0, bit for bit as scipy.optimize.minimize
+    runs it.
 
-    The fit modules import this name, and call it as their own
+    Takes what scipy.optimize.minimize takes for method="L-BFGS-B" and
+    jac=True (fun returns the value and the gradient), with the options
+    maxiter, ftol and gtol, and refuses anything else.  Returns an
+    OptimizeResult with x, fun, jac, nfev, nit and success.  The loop is
+    the reverse-communication loop of scipy's L-BFGS-B around its step
+    routine setulb, with scipy's maxcor 10, maxls 20 and maxfun 15000,
+    minus the ScalarFunction and MemoizeJac wrappers that scipy puts
+    around each evaluation.  setulb is private and takes these arguments
+    from scipy 1.15 on; tests/test_minimize_oracle.py pins the loop to
+    scipy.optimize.minimize.
+
+    The fit modules import this name and call it as their own
     module-level minimize, so that a stub or a counter put in that
     module's place sees every call.
     """
-    return scipy.optimize.minimize(*args, **kwargs)
+    if method != "L-BFGS-B" or jac is not True:
+        raise ValueError("minimize runs only method='L-BFGS-B' with "
+                         "jac=True")
+    if set(options) != {"maxiter", "ftol", "gtol"}:
+        raise ValueError("minimize takes exactly the options maxiter, ftol "
+                         "and gtol")
+    from scipy.optimize import OptimizeResult, _lbfgsb
+
+    m, maxls, maxfun = 10, 20, 15000
+    maxiter = options["maxiter"]
+    factr = options["ftol"] / np.finfo(float).eps
+    pgtol = options["gtol"]
+    x = np.array(x0, dtype=np.float64, ndmin=1)
+    n = x.size
+    # nbd 0 marks a coordinate without bounds, whose bound setulb never reads
+    bound = np.zeros(n)
+    nbd = np.zeros(n, np.int32)
+    f, g = 0.0, np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    x_eval = None
+    nfev = nit = 0
+    while True:
+        _lbfgsb.setulb(m, x, bound, bound, nbd, f, g, factr, pgtol, wa, iwa,
+                       task, lsave, isave, dsave, maxls, ln_task)
+        if task[0] == 3:
+            # scipy evaluates again only at a new point, and hands setulb
+            # a fresh copy of the last gradient either way
+            if x_eval is None or not (x == x_eval).all():
+                x_eval = x.copy()
+                f, grad = fun(x.copy(), *args)
+                nfev += 1
+            g = np.array(grad, dtype=np.float64)
+        elif task[0] == 1:
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            break
+    return OptimizeResult(x=x, fun=f, jac=g, nfev=nfev, nit=nit,
+                          success=bool(task[0] == 4))
 
 
 def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,

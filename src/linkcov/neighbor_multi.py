@@ -216,8 +216,10 @@ class MultiMixtureParams:
     """Multivariate mixture parameters in canonical class order.
 
     Classes sort by lexicographic comparison of their rate vectors.
-    For the shared_p and loglinear constraints every class carries the
-    same true-positive cells; loglinear params also store (phi, u).
+    Fits give the "loglinear" constraint: every class carries the same
+    true-positive cells, and the params also store (phi, u).  The
+    default, "free", marks hand-built cells, which coverage_from_fit
+    refuses.
     """
 
     alpha: np.ndarray
@@ -242,7 +244,7 @@ class MultiMixtureParams:
             raise ValueError("true-positive cells must be >= 0, summing <= 1")
         if np.any(lam <= 0):
             raise ValueError("false-positive rates must be positive")
-        if self.constraint in ("shared_p", "loglinear") and alpha.size > 1:
+        if self.constraint == "loglinear" and alpha.size > 1:
             if not np.allclose(p, p[0]):
                 raise ValueError("constraint requires shared p across classes")
         order = sorted(range(alpha.size), key=lambda g: tuple(lam[g]))
@@ -656,8 +658,7 @@ def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
     init may carry a bundle from init_appendix_c; otherwise the bundle is
     built here from per-rule univariate fits.
     """
-    if g < 1:
-        raise ValueError("need at least one class")
+    opts.check_class_count(g)
     _require_three_binary_groups(hist)
     nu, lam_max = opts.nu, opts.lambda_max
     design = build_design(_RULES, constraint.d)

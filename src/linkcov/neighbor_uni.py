@@ -322,8 +322,7 @@ def fit_uni(hist, g, tau=10, shared_p=False, opts=FitOptions()):
     and keeps the best local maximizer.  The achieved log-likelihood
     never falls below the initialization's.
     """
-    if g < 1:
-        raise ValueError("need at least one class")
+    opts.check_class_count(g)
     total = float(hist.total)
     nu, lam_max = opts.nu, opts.lambda_max
     args = (*_split_hist(hist, tau), total, g, shared_p, tau, nu, lam_max)

@@ -1,5 +1,6 @@
 """What the univariate and multivariate count-mixture fits share: the JSON
-documents of their results and the parameter count that AIC charges.
+documents of their results, the parameter count that AIC charges and the
+settings they accept.
 
 The documents are pinned for hand-built results, so the pins do not
 depend on the optimizer or on the platform's floating-point libraries.
@@ -15,7 +16,7 @@ from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     multi_fit_document, n_free_params_multi,
                                     sample_multi_counts, select_G_multi)
 from linkcov.neighbor_uni import (CountHistogram, FitResult,
-                                  UniMixtureParams, fit_document,
+                                  UniMixtureParams, fit_document, fit_uni,
                                   n_free_params, select_G)
 
 RULES = binary_rules(3)
@@ -228,3 +229,25 @@ class TestClassCountBound:
     def test_multivariate_fit(self, multi_hist, g):
         with pytest.raises(ValueError, match="need at least one class"):
             fit_multi(multi_hist, g)
+
+
+class TestFitOptionsValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("n_starts", 0), ("max_iter", 0), ("ftol", 0.0), ("gtol", -1e-7),
+        ("jitter", -0.1), ("nu", 0.0), ("nu", 0.5), ("nu", 0.6),
+        ("lambda_max", 1e-5),
+    ])
+    def test_refuses(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitOptions(**{field: value})
+
+    def test_univariate_class_count_against_the_floor(self):
+        opts = FitOptions(nu=0.4)
+        hist = CountHistogram([0, 1, 2, 3], [40, 30, 20, 10])
+        fit_uni(hist, 2, opts=opts)
+        with pytest.raises(ValueError, match="nu"):
+            fit_uni(hist, 3, opts=opts)
+
+    def test_multivariate_class_count_against_the_floor(self, multi_hist):
+        with pytest.raises(ValueError, match="nu"):
+            fit_multi(multi_hist, 3, opts=FitOptions(nu=0.4))
