@@ -206,7 +206,10 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
     observations and its gradient; start s > 0 adds jitter times normals
     seeded by (seed, *salt, s); params_at maps the best end point to the
     model.  minimize is the one the calling module names (see minimize).
+    tau, the cap of the fitted counts, must be at least 1.
     """
+    if tau < 1:
+        raise ValueError("tau must be at least 1")
     init_loglik = -objective(x0, *args)[0] * total
     best = None
     for start in range(opts.n_starts):

@@ -249,7 +249,7 @@ def cmd_fit_uni(cfg):
     out = _outdir(cfg)
     _, n_total, _ = _counts_from_csv(cfg.counts_csv or out / "counts.csv")
     hist = CountHistogram.from_observations(n_total)
-    sel = select_G(hist, cfg.g_max, tau=cfg.tau, shared_p=True)
+    sel = select_G(hist, cfg.g_max, tau=cfg.tau)
     doc = fit_document(sel.fit, aic=sel.trace[sel.g_hat - 1]["aic"])
     (out / "fit_uni.json").write_text(doc + "\n", encoding="utf-8")
     print(f"wrote {out / 'fit_uni.json'} (G={sel.g_hat})")

@@ -234,7 +234,7 @@ def count_estimates(cv, estimators, tau, g_max, opts):
     estimates = {}
     if "un" in estimators:
         uh = CountHistogram.from_observations(cv.n_total)
-        sel = select_G(uh, g_max, tau=tau, shared_p=True, opts=opts)
+        sel = select_G(uh, g_max, tau=tau, opts=opts)
         acc = accuracy_from_fit(sel.fit.params, known_recall=1.0)
         estimates["un"] = CoverageEstimate(
             "un", acc.coverage_hat,

@@ -1,14 +1,15 @@
 """Multivariate mixture model for pattern-indexed link counts.
 
-For a family of mutually exclusive linkage rules indexed by Gamma, each
-latent class contributes an incomplete-multinomial true-positive vector
-(at most one TP overall, cell probabilities p^(gamma)) convolved with
-independent Poisson false-positive counts per rule.  The fits run on
-three binary agreement groups, and constrain the true-positive cells,
-shared by every class, through a log-linear design with a coverage
-factor, p = phi * softmax(Z u): without interactions (LogLinear(1)) or
-with 2nd-order interactions (LogLinear(2)).  The fitted coverage phi is
-the estimator of P(i in S_A).
+A record's links are counted per agreement pattern of three binary rule
+groups, one cell for each of the seven nonzero patterns (PATTERNS).
+Each latent class contributes an incomplete-multinomial true-positive
+vector (at most one TP overall, cell probabilities p^(gamma)) convolved
+with independent Poisson false-positive counts per cell.  The fits
+constrain the true-positive cells, shared by every class, through a
+log-linear design with a coverage factor, p = phi * softmax(Z u):
+without interactions (LogLinear(1)) or with 2nd-order interactions
+(LogLinear(2)).  The fitted coverage phi is the estimator of
+P(i in S_A).
 
 The objective is built once per fit (``_objective_multi``).  It keeps
 the per-fit constants, and each call spends two matrix products on the
@@ -44,22 +45,20 @@ from ._optim import (
     stick_pieces,
     stick_pieces_vjp,
 )
-from .neighbor_uni import CountHistogram, UniMixtureParams, select_G
+from .neighbor_uni import CountHistogram, select_G
+from .popsim import PATTERNS as _ALL_PATTERNS
 
 __all__ = [
-    "RuleIndexSet",
+    "PATTERNS",
     "DesignMatrix",
     "MultiMixtureParams",
     "MultiCountHistogram",
     "LogLinear",
-    "binary_rules",
     "build_design",
     "loglinear_probs",
-    "loglinear_invert",
     "multi_comp_pmf",
     "multi_mix_pmf",
     "marginal_histogram",
-    "marginal_params",
     "single_class_p_hat",
     "init_appendix_c",
     "appendix_c_cells",
@@ -72,45 +71,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RuleIndexSet:
-    """Rule index set Gamma: levels 0..H_k per group, minus the zero tuple.
-
-    Patterns are ordered lexicographically; that order also defines the
-    lexicographic comparison of rate vectors used for canonical class
-    ordering.
-    """
-
-    H: tuple
-
-    def __post_init__(self):
-        if not self.H or any(int(h) < 1 for h in self.H):
-            raise ValueError("each rule group needs at least one level")
-        object.__setattr__(self, "H", tuple(int(h) for h in self.H))
-
-    @property
-    def K(self):
-        return len(self.H)
-
-    @property
-    def patterns(self):
-        full = itertools.product(*(range(h + 1) for h in self.H))
-        return tuple(p for p in full if any(p))
-
-    @property
-    def size(self):
-        out = 1
-        for h in self.H:
-            out *= h + 1
-        return out - 1
-
-
-def binary_rules(k=3):
-    """All-binary rule groups (exact agreement indicators)."""
-    return RuleIndexSet(H=(1,) * k)
-
-
-_RULES = binary_rules(3)
+# The seven nonzero agreement patterns of three binary rule groups, in
+# lexicographic order: the cells of a count vector (pattern_counts
+# without its all-disagree column) and the rows of a design.
+PATTERNS = _ALL_PATTERNS[1:]
 
 
 @dataclass(frozen=True)
@@ -120,45 +84,28 @@ class DesignMatrix:
     Z: np.ndarray
     labels: tuple
     order: int
-    rules: RuleIndexSet
 
 
-def build_design(rules, d):
+def build_design(d):
     """Main effects plus interactions up to order d, dummy coded.
 
-    Columns: main-term blocks for k = 1..K first, then interaction
-    blocks for index subsets in lexicographic order; within a block the
-    level of the earliest group varies fastest, matching the Kronecker
-    layout of the pairwise construction.
+    Columns: the main terms u_k(1) for k = 1..3, then for d = 2 the
+    pairwise terms u_kl(11) for the group pairs in lexicographic order.
+    Row gamma holds 1 where every group of the term agrees in gamma.
     """
-    if not 1 <= d <= rules.K - 1:
-        raise ValueError(f"interaction order d={d} outside 1..K-1")
-    patterns = rules.patterns
-    columns = []
-    labels = []
-    for t in range(1, d + 1):
-        for combo in itertools.combinations(range(rules.K), t):
-            level_ranges = [range(1, rules.H[k] + 1) for k in combo]
-            # earliest group's level varies fastest
-            for levels_rev in itertools.product(*reversed(level_ranges)):
-                levels = tuple(reversed(levels_rev))
-                col = np.array(
-                    [
-                        1.0 if all(g[k] == l for k, l in zip(combo, levels))
-                        else 0.0
-                        for g in patterns
-                    ]
-                )
-                columns.append(col)
-                ks = "".join(str(k + 1) for k in combo)
-                ls = "".join(str(l) for l in levels)
-                labels.append(f"u_{ks}({ls})")
-    Z = np.column_stack(columns)
-    return DesignMatrix(Z=Z, labels=tuple(labels), order=d, rules=rules)
+    if not 1 <= d <= 2:
+        raise ValueError(f"interaction order d={d} outside 1..2")
+    terms = [combo for t in range(1, d + 1)
+             for combo in itertools.combinations(range(3), t)]
+    Z = np.array([[1.0 if all(g[k] for k in combo) else 0.0
+                   for combo in terms] for g in PATTERNS])
+    labels = tuple("u_" + "".join(str(k + 1) for k in combo)
+                   + "(" + "1" * len(combo) + ")" for combo in terms)
+    return DesignMatrix(Z=Z, labels=labels, order=d)
 
 
 def loglinear_probs(phi, u, design):
-    """True-positive cell probabilities phi * softmax(Z u) over Gamma.
+    """True-positive cell probabilities phi * softmax(Z u) over PATTERNS.
 
     The implicit zero pattern carries the remaining softmax mass, so
     sum(p) = phi * (1 - r0) < phi.
@@ -169,34 +116,6 @@ def loglinear_probs(phi, u, design):
     m = max(0.0, float(eta.max()))
     denom = np.exp(-m) + np.exp(eta - m).sum()
     return phi * np.exp(eta - m) / denom
-
-
-@dataclass(frozen=True)
-class LogLinearInversion:
-    phi: float
-    u: np.ndarray
-    residual: float
-    exact: bool
-
-
-def loglinear_invert(p, rules, d, tol=1e-8):
-    """Recover (phi, u) from positive cell probabilities.
-
-    log p is affine in (intercept, u), so the unique preimage comes out
-    of a linear solve; when p admits no exact order-d representation the
-    least-squares solution is returned with its residual.
-    """
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("cell probabilities must be strictly positive")
-    design = build_design(rules, d)
-    A = np.column_stack([np.ones(p.size), design.Z])
-    coef, _, _, _ = np.linalg.lstsq(A, np.log(p), rcond=None)
-    resid = float(np.max(np.abs(A @ coef - np.log(p))))
-    u = coef[1:]
-    eta = design.Z @ u
-    phi = float(np.exp(coef[0]) * (1.0 + np.exp(eta).sum()))
-    return LogLinearInversion(phi=phi, u=u, residual=resid, exact=resid < tol)
 
 
 @dataclass(frozen=True)
@@ -215,18 +134,17 @@ class LogLinear:
 class MultiMixtureParams:
     """Multivariate mixture parameters in canonical class order.
 
-    Classes sort by lexicographic comparison of their rate vectors.
-    Fits give the "loglinear" constraint: every class carries the same
-    true-positive cells, and the params also store (phi, u).  The
-    default, "free", marks hand-built cells, which coverage_from_fit
-    refuses.
+    Classes sort by lexicographic comparison of their rate vectors.  p
+    and lam are G x m, with one column per cell; fits give m = 7, one
+    per pattern.  Fits also store the log-linear (phi, u), and params
+    that carry phi must give every class the same true-positive cells.
+    Hand-built params may leave phi unset, which coverage_from_fit and
+    multi_fit_document refuse.
     """
 
     alpha: np.ndarray
     p: np.ndarray
     lam: np.ndarray
-    rules: RuleIndexSet
-    constraint: str = "free"
     phi: Optional[float] = None
     u: Optional[np.ndarray] = None
     u_labels: Optional[tuple] = None
@@ -235,18 +153,17 @@ class MultiMixtureParams:
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         p = np.atleast_2d(np.asarray(self.p, dtype=float))
         lam = np.atleast_2d(np.asarray(self.lam, dtype=float))
-        m = self.rules.size
-        if p.shape != (alpha.size, m) or lam.shape != (alpha.size, m):
-            raise ValueError("parameter arrays inconsistent with G x |Gamma|")
+        if p.shape[0] != alpha.size or lam.shape != p.shape:
+            raise ValueError("parameter arrays inconsistent with G x cells")
         if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha <= 0):
             raise ValueError("invalid mixing weights")
         if np.any(p < 0) or np.any(p.sum(axis=1) > 1.0 + 1e-12):
             raise ValueError("true-positive cells must be >= 0, summing <= 1")
         if np.any(lam <= 0):
             raise ValueError("false-positive rates must be positive")
-        if self.constraint == "loglinear" and alpha.size > 1:
-            if not np.allclose(p, p[0]):
-                raise ValueError("constraint requires shared p across classes")
+        if self.phi is not None and not np.allclose(p, p[0]):
+            raise ValueError("log-linear params require shared p across "
+                             "classes")
         order = sorted(range(alpha.size), key=lambda g: tuple(lam[g]))
         object.__setattr__(self, "alpha", alpha[order])
         object.__setattr__(self, "p", p[order])
@@ -255,14 +172,6 @@ class MultiMixtureParams:
     @property
     def n_components(self):
         return self.alpha.size
-
-    @property
-    def p_bar(self):
-        return self.alpha @ self.p
-
-    @property
-    def lambda_bar(self):
-        return self.alpha @ self.lam
 
 
 @dataclass(frozen=True)
@@ -310,15 +219,6 @@ def marginal_histogram(hist, coord):
     return CountHistogram(vals, counts)
 
 
-def marginal_params(params, coord):
-    """Univariate mixture implied for one rule's marginal counts."""
-    return UniMixtureParams(
-        alpha=params.alpha.copy(),
-        p=params.p[:, coord].copy(),
-        lam=params.lam[:, coord].copy(),
-    )
-
-
 def multi_comp_pmf(t, p_vec, lambda_vec):
     """One-class PMF: incomplete multinomial * product of Poissons.
 
@@ -351,7 +251,7 @@ def multi_mix_pmf(t, params):
 
 def sample_multi_counts(params, size, rng):
     """Draw count vectors from the generative model."""
-    m = params.rules.size
+    m = params.p.shape[1]
     g = rng.choice(params.n_components, size=size, p=params.alpha)
     out = np.empty((size, m), dtype=np.int64)
     for comp in range(params.n_components):
@@ -383,9 +283,8 @@ def _unpack_multi(x, g, design, nu, lam_max):
     p = phi * (e / (np.exp(-mx) + e.sum()))[None, :]
     lam, _ = interval_from_real(x[n_head:], nu, lam_max)
     return MultiMixtureParams(
-        alpha=alpha, p=p.repeat(g, axis=0), lam=lam.reshape(g, -1),
-        rules=_RULES, constraint="loglinear", phi=phi, u=u,
-        u_labels=design.labels)
+        alpha=alpha, p=p.repeat(g, axis=0), lam=lam.reshape(g, -1), phi=phi,
+        u=u, u_labels=design.labels)
 
 
 def _objective_multi(hist, tau, g, Z, nu, lam_max):
@@ -513,8 +412,7 @@ def _split_multi(hist, tau):
             hist.counts[low].astype(float), float(hist.counts[~low].sum()))
 
 
-def single_class_p_hat(hist, lambda_fixed, tau=10, nu=1e-4, gtol=1e-8,
-                       max_iter=2000):
+def single_class_p_hat(hist, lambda_fixed, tau=10, nu=1e-4):
     """Single-class true-positive cells with the rates plugged in.
 
     The capped log-likelihood is concave in p, so this is a convex
@@ -551,13 +449,13 @@ def single_class_p_hat(hist, lambda_fixed, tau=10, nu=1e-4, gtol=1e-8,
 
     x0 = np.zeros(m) - 1.0
     res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "ftol": 1e-14, "gtol": gtol})
+                   options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-8})
     cells = stick_break(res.x)
     return (1.0 - nu) * cells[:m]
 
 
 def _require_three_binary_groups(hist):
-    if hist.width != _RULES.size:
+    if hist.width != len(PATTERNS):
         raise ValueError(f"count vectors need 7 cells, one per pattern of "
                          f"three binary rule groups; got {hist.width}")
 
@@ -571,28 +469,31 @@ def appendix_c_cells(hist, lambda_bar_by_rule, tau=10, nu=1e-4):
     return single_class_p_hat(hist, lam, tau=tau, nu=nu)
 
 
-def init_appendix_c(hist, lambda_bar_by_rule, mode, tau=10, nu=1e-4,
+def init_appendix_c(hist, lambda_bar_by_rule, d, tau=10, opts=FitOptions(),
                     p_hat=None):
-    """Moment-based starting values for the log-linear multivariate fit.
+    """Moment-based starting values for the log-linear multivariate fit
+    of interaction order d.
 
     lambda_bar_by_rule supplies, per rule, the aggregate rate from a
-    univariate fit of that rule's marginal counts.  The true-positive
-    cells come from the plug-in convex step (``appendix_c_cells``; pass
-    them as p_hat when they are already computed); the starting
-    log-linear coefficients follow the stated moment formulas
-    (logit-averaged ratios without interactions, log-ratio sums with
-    them), and the starting coverage is sum(p) / sum(r) at those
-    coefficients.
+    univariate fit of that rule's marginal counts (``marginal_rates``;
+    None fits them here).  The true-positive cells come from the plug-in
+    convex step (``appendix_c_cells``; pass them as p_hat when they are
+    already computed); the starting log-linear coefficients follow the
+    stated moment formulas (logit-averaged ratios without interactions,
+    log-ratio sums with them), and the starting coverage is
+    sum(p) / sum(r) at those coefficients.
     """
-    if mode not in ("no_interactions", "with_interactions"):
-        raise ValueError(f"unknown initialization mode {mode!r}")
+    LogLinear(d)    # refuses any order but 1 and 2
     _require_three_binary_groups(hist)
+    nu = opts.nu
+    if lambda_bar_by_rule is None:
+        lambda_bar_by_rule = marginal_rates(hist, tau, opts)
     lam = np.clip(np.asarray(lambda_bar_by_rule, dtype=float), nu, None)
     if p_hat is None:
         p_hat = appendix_c_cells(hist, lam, tau=tau, nu=nu)
 
-    pat = dict(zip(_RULES.patterns, p_hat))
-    if mode == "no_interactions":
+    pat = dict(zip(PATTERNS, p_hat))
+    if d == 1:
         q = {k: sum(v for g, v in pat.items() if g[k] == 1) for k in range(3)}
         qq = {(k1, k2): sum(v for g, v in pat.items() if g[k1] == 1 and g[k2] == 1)
               for k1, k2 in ((0, 1), (0, 2), (1, 2))}
@@ -620,7 +521,7 @@ def init_appendix_c(hist, lambda_bar_by_rule, mode, tau=10, nu=1e-4,
             -bracket + lr[(0, 0, 1)],
         ])
 
-    design = build_design(_RULES, d=2)
+    design = build_design(2)
     eta = design.Z @ u
     r = np.exp(eta) / (1.0 + np.exp(eta).sum())
     phi = float(np.clip(p_hat.sum() / r.sum(), 1e-3, 1.0 - 1e-3))
@@ -634,20 +535,9 @@ def marginal_rates(hist, tau=10, opts=FitOptions()):
     lam_bar = []
     for coord in range(hist.width):
         mh = marginal_histogram(hist, coord)
-        sel = select_G(mh, 2, tau=tau, shared_p=True, opts=opts)
+        sel = select_G(mh, 2, tau=tau, opts=opts)
         lam_bar.append(sel.fit.params.lambda_bar)
     return np.asarray(lam_bar)
-
-
-def _appendix_c_start(hist, constraint, tau, opts, lambda_bar, p_hat=None):
-    """The Appendix-C start for the constraint's order; lambda_bar=None
-    fits the marginal rates, p_hat=None computes the plug-in cells."""
-    _require_three_binary_groups(hist)
-    if lambda_bar is None:
-        lambda_bar = marginal_rates(hist, tau, opts)
-    mode = "with_interactions" if constraint.d == 2 else "no_interactions"
-    return init_appendix_c(hist, lambda_bar, mode, tau=tau, nu=opts.nu,
-                           p_hat=p_hat)
 
 
 def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
@@ -661,9 +551,9 @@ def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
     opts.check_class_count(g)
     _require_three_binary_groups(hist)
     nu, lam_max = opts.nu, opts.lambda_max
-    design = build_design(_RULES, constraint.d)
+    design = build_design(constraint.d)
     if init is None:
-        init = _appendix_c_start(hist, constraint, tau, opts, None)
+        init = init_appendix_c(hist, None, constraint.d, tau, opts)
 
     lam0 = np.tile(np.clip(init["lambda"], nu * 2, lam_max), (g, 1))
     # spread duplicated rate vectors a little so classes can separate
@@ -684,12 +574,6 @@ def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
         salt=(71,))
 
 
-def n_free_params_multi(g, constraint=LogLinear(2)):
-    """Free parameters: (G-1) weights, phi, the u's and G x 7 rates."""
-    du = build_design(_RULES, constraint.d).Z.shape[1]
-    return (g - 1) + 1 + du + g * _RULES.size
-
-
 def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
                    opts=FitOptions(), lambda_bar=None, p_hat=None):
     """AIC selection of the class count (ties -> smallest G).
@@ -699,7 +583,7 @@ def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
     them.  p_hat: appendix_c_cells(hist, lambda_bar, tau, opts.nu), shared
     the same way; None computes them.
     """
-    init = _appendix_c_start(hist, constraint, tau, opts, lambda_bar, p_hat)
+    init = init_appendix_c(hist, lambda_bar, constraint.d, tau, opts, p_hat)
     return select_aic(
         lambda g: fit_multi(hist, g, constraint=constraint, tau=tau,
                             opts=opts, init=init),
@@ -707,25 +591,27 @@ def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
 
 
 def coverage_from_fit(params):
-    """Fitted coverage P(i in S_A); only the log-linear mode carries it."""
-    if params.constraint != "loglinear" or params.phi is None:
-        raise ValueError("coverage requires a log-linear constrained fit")
+    """Fitted coverage P(i in S_A): the log-linear phi, which hand-built
+    params may lack."""
+    if params.phi is None:
+        raise ValueError("coverage requires log-linear params with phi")
     return float(params.phi)
 
 
 def multi_fit_document(fit, aic=None):
-    """Structured-text (JSON) rendering of a multivariate fit result."""
+    """Structured-text (JSON) rendering of a multivariate fit result.
+
+    Every fit is log-linear on three binary rule groups, which the
+    constant "constraint" and "rule_levels" fields state."""
     p = fit.params
-    doc = {
+    return result_document(fit, {
         "model": "count-mixture-multivariate",
-        "constraint": p.constraint,
-        "rule_levels": list(p.rules.H),
+        "constraint": "loglinear",
+        "rule_levels": [1, 1, 1],
+        "coverage": coverage_from_fit(p),
+        "u": dict(zip(p.u_labels, np.asarray(p.u).tolist())),
         "components": [
             {"alpha": float(a), "p": p.p[g].tolist(), "lambda": p.lam[g].tolist()}
             for g, a in enumerate(p.alpha)
         ],
-    }
-    if p.phi is not None:
-        doc["coverage"] = float(p.phi)
-        doc["u"] = dict(zip(p.u_labels, np.asarray(p.u).tolist()))
-    return result_document(fit, doc, aic)
+    }, aic)

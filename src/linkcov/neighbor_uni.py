@@ -2,17 +2,18 @@
 
 Each latent record class g contributes links as Bernoulli(p_g) true
 positives convolved with Poisson(lambda_g) false positives; classes mix
-with weights alpha_g.  Parameters are estimated by maximizing the capped
-composite log-likelihood of the observed counts, the number of classes
-is chosen by AIC, and the fitted aggregates p_bar / lambda_bar translate
-into precision, coverage and recall estimates.
+with weights alpha_g.  The fits share one p_g = p across the classes.
+Parameters are estimated by maximizing the capped composite
+log-likelihood of the observed counts, the number of classes is chosen
+by AIC, and the fitted aggregates p_bar / lambda_bar translate into
+precision, coverage and recall estimates.
 
 The objective that L-BFGS-B calls (``_objective``) is a scalar kernel.
 A histogram holds a handful of distinct counts (3 to 11), so its sums
 over (class, value) run in Python floats; the only array call is one
-saturating logistic of all coordinates.  It serves shared and free p,
-every G and the tail cell.  The starts, the result types, the AIC
-selection and the JSON document come from the fit engine in ``_optim``.
+saturating logistic of all coordinates.  It serves every G and the tail
+cell.  The starts, the result types, the AIC selection and the JSON
+document come from the fit engine in ``_optim``.
 """
 
 import math
@@ -58,12 +59,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UniMixtureParams:
-    """Mixture parameters, stored in canonical ascending-lambda order."""
+    """Mixture parameters, stored in canonical ascending-lambda order.
+
+    Fits share one p across the classes; a hand-built truth (for
+    sample_counts, mix_pmf or capped_loglik) may give each class its own.
+    """
 
     alpha: np.ndarray
     p: np.ndarray
     lam: np.ndarray
-    shared_p: bool = False
 
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
@@ -79,8 +83,6 @@ class UniMixtureParams:
             raise ValueError("true-positive probabilities outside [0, 1]")
         if np.any(lam <= 0):
             raise ValueError("false-positive rates must be positive")
-        if self.shared_p and np.any(p != p[0]):
-            raise ValueError("shared_p requires identical p across classes")
         order = np.lexsort((alpha, p, lam))
         object.__setattr__(self, "alpha", alpha[order])
         object.__setattr__(self, "p", p[order])
@@ -194,21 +196,17 @@ def _split_hist(hist, tau):
             float(hist.counts[~low].sum()))
 
 
-def _unpack(x, g, shared_p, nu, lam_max):
-    """Parameters at x."""
+def _unpack(x, g, nu, lam_max):
+    """Parameters at x = [weight logits | p logit | rate reals]."""
     pos = g - 1
     alpha = stick_break(x[:pos], floor=nu) if g > 1 else np.ones(1)
-    np_p = 1 if shared_p else g
-    p_raw = x[pos:pos + np_p]
-    p = nu + (1.0 - 2.0 * nu) * scipy.special.expit(p_raw)
-    if shared_p:
-        p = np.full(g, p[0])
-    lam, _ = interval_from_real(x[pos + np_p:], nu, lam_max)
-    return UniMixtureParams(alpha=alpha, p=p, lam=lam, shared_p=shared_p)
+    p = nu + (1.0 - 2.0 * nu) * scipy.special.expit(x[pos:pos + 1])
+    lam, _ = interval_from_real(x[pos + 1:], nu, lam_max)
+    return UniMixtureParams(alpha=alpha, p=np.full(g, p[0]), lam=lam)
 
 
-def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
-               nu, lam_max):
+def _objective(x, vals, log_fact, cnts, tail_count, total, g, tau, nu,
+               lam_max):
     """Negative mean capped log-likelihood and its gradient.
 
     A scalar kernel: vals, log_fact and cnts are the short lists of
@@ -220,20 +218,18 @@ def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
     """
     sig = scipy.special.expit(x).tolist()
     pos = g - 1
-    np_p = 1 if shared_p else g
 
     # weights: stick-breaking above the floor nu, as stick_break
     stick, pieces = stick_pieces(sig[:pos])
     scale = 1.0 - g * nu
     alpha = [nu + scale * s for s in pieces]
-    p_sig = sig[pos:pos + np_p]
-    p = [nu + (1.0 - 2.0 * nu) * s for s in p_sig]
-    if shared_p:
-        p = p * g
+    # one p, shared by every class
+    p_sig = sig[pos:pos + 1]
+    p = [nu + (1.0 - 2.0 * nu) * s for s in p_sig] * g
     # rates: logistic interpolation on the log scale, as interval_from_real
     log_lo = math.log(nu)
     span = math.log(lam_max) - log_lo
-    lam_sig = sig[pos + np_p:]
+    lam_sig = sig[pos + 1:]
     log_lam = [log_lo + span * s for s in lam_sig]
     exp, log = math.exp, math.log
     lam = [exp(y) for y in log_lam]
@@ -289,8 +285,7 @@ def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
     # chain to unconstrained coordinates
     grad = [scale * gv
             for gv in stick_pieces_vjp(sig[:pos], stick, pieces, d_alpha)]
-    if shared_p:
-        d_p = [sum(d_p)]
+    d_p = [sum(d_p)]
     grad += [dp * (1.0 - 2.0 * nu) * s * (1.0 - s)
              for dp, s in zip(d_p, p_sig)]
     grad += [dl * l * span * s * (1.0 - s)
@@ -298,7 +293,7 @@ def _objective(x, vals, log_fact, cnts, tail_count, total, g, shared_p, tau,
     return -ll / total, np.array(grad) / -total
 
 
-def _start(hist, g, shared_p, nu, lam_max):
+def _start(hist, g, nu, lam_max):
     """The moment initialization, packed: equal weights, p from the share
     of nonzero counts, rates spread evenly about the mean count minus p."""
     total = hist.total
@@ -307,16 +302,17 @@ def _start(hist, g, shared_p, nu, lam_max):
     mean_n = float(hist.values @ hist.counts) / total
     base = max(mean_n - p0, 0.05)
     lam = base * 2.0 * np.arange(1, g + 1) / (g + 1.0)
-    p = np.full(1 if shared_p else g, p0)
-    frac = np.clip((p - nu) / (1.0 - 2.0 * nu), 1e-12, 1 - 1e-12)
+    frac = np.clip((np.full(1, p0) - nu) / (1.0 - 2.0 * nu), 1e-12,
+                   1 - 1e-12)
     return np.concatenate([
         stick_break_inverse(np.full(g, 1.0 / g), floor=nu), logit(frac),
         real_from_interval(np.clip(lam, nu * (1 + 1e-9), lam_max), nu,
                            lam_max)])
 
 
-def fit_uni(hist, g, tau=10, shared_p=False, opts=FitOptions()):
-    """Fit a G-class mixture to a count histogram.
+def fit_uni(hist, g, tau=10, opts=FitOptions()):
+    """Fit a G-class mixture with one p shared by the classes to a count
+    histogram: 2G free parameters, G - 1 weights, p and G rates.
 
     Runs the moment initialization plus deterministic jittered restarts
     and keeps the best local maximizer.  The achieved log-likelihood
@@ -325,23 +321,16 @@ def fit_uni(hist, g, tau=10, shared_p=False, opts=FitOptions()):
     opts.check_class_count(g)
     total = float(hist.total)
     nu, lam_max = opts.nu, opts.lambda_max
-    args = (*_split_hist(hist, tau), total, g, shared_p, tau, nu, lam_max)
+    args = (*_split_hist(hist, tau), total, g, tau, nu, lam_max)
 
-    x0 = _start(hist, g, shared_p, nu, lam_max)
+    x0 = _start(hist, g, nu, lam_max)
     return fit_starts(minimize, _objective, x0, args, total, tau,
-                      lambda x: _unpack(x, g, shared_p, nu, lam_max), opts)
+                      lambda x: _unpack(x, g, nu, lam_max), opts)
 
 
-def n_free_params(g, shared_p):
-    """Free parameters: (G-1) weights + p's + G rates."""
-    return 2 * g if shared_p else 3 * g - 1
-
-
-def select_G(hist, g_max, tau=10, shared_p=False, opts=FitOptions()):
+def select_G(hist, g_max, tau=10, opts=FitOptions()):
     """Fit G = 1..g_max and keep the AIC minimizer (ties -> smallest G)."""
-    return select_aic(
-        lambda g: fit_uni(hist, g, tau=tau, shared_p=shared_p, opts=opts),
-        g_max)
+    return select_aic(lambda g: fit_uni(hist, g, tau=tau, opts=opts), g_max)
 
 
 @dataclass(frozen=True)
@@ -388,7 +377,7 @@ def fit_document(fit, aic=None):
     """Structured-text (JSON) rendering of a fit result."""
     return result_document(fit, {
         "model": "count-mixture-univariate",
-        "shared_p": fit.params.shared_p,
+        "shared_p": True,
         "components": [
             {"alpha": float(a), "p": float(p), "lambda": float(l)}
             for a, p, l in zip(fit.params.alpha, fit.params.p, fit.params.lam)

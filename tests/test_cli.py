@@ -209,10 +209,12 @@ def _data_rows(path):
 class TestOnePipeline:
     """The staged commands produce what run_replication computes."""
 
-    def test_chain_matches_run_replication(self, tmp_path):
+    @pytest.mark.parametrize("d, mn_name", [(1, "mn_no_interactions"),
+                                            (2, "mn_with_interactions")])
+    def test_chain_matches_run_replication(self, tmp_path, d, mn_name):
         config = json.dumps({"scenario": 5, "seed": 11, "n_population": 3000,
                              "g_max": 1, "clerical_m": 200, "rep_index": 1,
-                             "out_dir": str(tmp_path)})
+                             "d": d, "out_dir": str(tmp_path)})
         for command in ("simulate", "link", "fit-uni", "fit-multi",
                         "baselines"):
             assert main([command, "--config", config]) == 0
@@ -232,9 +234,11 @@ class TestOnePipeline:
                 "diagnostics": est.diagnostics})), name
 
         multi = json.loads((tmp_path / "fit_multi.json").read_text())
-        assert multi["coverage"] == \
-            res.estimates["mn_with_interactions"].coverage_hat
+        assert multi["coverage"] == res.estimates[mn_name].coverage_hat
+        assert multi["constraint"] == "loglinear"
+        assert multi["rule_levels"] == [1, 1, 1]
         uni = json.loads((tmp_path / "fit_uni.json").read_text())
+        assert uni["shared_p"] is True
         p_bar = sum(c["alpha"] * c["p"] for c in uni["components"])
         assert p_bar == pytest.approx(res.estimates["un"].coverage_hat,
                                       rel=1e-12)

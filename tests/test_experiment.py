@@ -16,8 +16,8 @@ from linkcov.experiment import (ALL_ESTIMATORS, MetricsTable,
 from linkcov.frequencies import load_frequency_table
 from linkcov.linkage import CountVector, RULE_BASELINE_AND_ANY_EXACT
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, binary_rules,
-                                    build_design, loglinear_probs,
+                                    MultiMixtureParams, build_design,
+                                    loglinear_probs,
                                     sample_multi_counts, select_G_multi)
 from linkcov.neighbor_uni import UniMixtureParams, sample_counts
 
@@ -108,6 +108,14 @@ class TestReplication:
         assert set(res.estimates) == {"mn_no_interactions",
                                       "mn_with_interactions"}
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("estimators", [("un", "mn_with_interactions"),
+                                            ("mn_no_interactions",)])
+    def test_count_cap_below_one_refused(self, estimators):
+        cfg = ScenarioConfig.from_scenario(3, tau=0, estimators=estimators,
+                                           **TINY)
+        with pytest.raises(ValueError, match="tau must be at least 1"):
+            run_replication(cfg, 0)
 
     def test_accuracy_record_fields(self):
         cfg = ScenarioConfig.from_scenario(1, estimators=("naive",), **TINY)
@@ -354,11 +362,8 @@ class TestRender:
 
 
 def make_multi_stratum(phi, lam, n, seed):
-    rules = binary_rules(3)
-    p = loglinear_probs(phi, np.array([1.0, 1, 1, 0, 0, 0]),
-                        build_design(rules, 2))
-    params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[np.full(7, lam)],
-                                rules=rules)
+    p = loglinear_probs(phi, np.array([1.0, 1, 1, 0, 0, 0]), build_design(2))
+    params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[np.full(7, lam)])
     patterns = sample_multi_counts(params, n, np.random.default_rng(seed))
     return CountVector(n_total=patterns.sum(axis=1),
                        pattern_counts=np.column_stack(

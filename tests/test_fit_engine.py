@@ -1,6 +1,6 @@
 """What the univariate and multivariate count-mixture fits share: the JSON
 documents of their results, the parameter count that AIC charges and the
-settings they accept.
+settings and count caps they accept.
 
 The documents are pinned for hand-built results, so the pins do not
 depend on the optimizer or on the platform's floating-point libraries.
@@ -11,15 +11,13 @@ import pytest
 
 from linkcov._optim import FitOptions
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, binary_rules,
-                                    build_design, fit_multi,
-                                    multi_fit_document, n_free_params_multi,
+                                    MultiMixtureParams, build_design,
+                                    fit_multi, multi_fit_document,
                                     sample_multi_counts, select_G_multi)
 from linkcov.neighbor_uni import (CountHistogram, FitResult,
                                   UniMixtureParams, fit_document, fit_uni,
-                                  n_free_params, select_G)
+                                  select_G)
 
-RULES = binary_rules(3)
 P7 = [0.125, 0.0625, 0.03125, 0.25, 0.015625, 0.0078125, 0.375]
 
 UNI_DOC = """\
@@ -116,51 +114,11 @@ LOGLINEAR_DOC = """\
   }
 }"""
 
-SHARED_P_DOC = """\
-{
-  "components": [
-    {
-      "alpha": 1.0,
-      "lambda": [
-        0.5,
-        0.25,
-        0.125,
-        1.0,
-        2.0,
-        0.0625,
-        4.0
-      ],
-      "p": [
-        0.125,
-        0.0625,
-        0.03125,
-        0.25,
-        0.015625,
-        0.0078125,
-        0.375
-      ]
-    }
-  ],
-  "constraint": "shared_p",
-  "converged": true,
-  "init_loglik": -640.125,
-  "loglik": -512.0,
-  "model": "count-mixture-multivariate",
-  "n_iter": 3,
-  "rule_levels": [
-    1,
-    1,
-    1
-  ],
-  "tau": 6
-}"""
-
-
 class TestDocuments:
     def test_univariate(self):
         fit = FitResult(
             params=UniMixtureParams(alpha=[0.75, 0.25], p=[0.875, 0.875],
-                                    lam=[0.5, 0.0625], shared_p=True),
+                                    lam=[0.5, 0.0625]),
             loglik=-1234.5, init_loglik=-1300.1234567890123, converged=True,
             n_iter=17, tau=10)
         assert fit_document(fit, aic=2477.0) == UNI_DOC
@@ -168,21 +126,22 @@ class TestDocuments:
     def test_multivariate_loglinear_with_aic(self):
         params = MultiMixtureParams(
             alpha=[0.5, 0.5], p=[P7, P7], lam=[[0.5] * 7, [0.25] * 7],
-            rules=RULES, constraint="loglinear", phi=0.875,
-            u=np.array([0.5, -1.0, 1.5, 0.0, 0.25, -0.75]),
-            u_labels=build_design(RULES, 2).labels)
+            phi=0.875, u=np.array([0.5, -1.0, 1.5, 0.0, 0.25, -0.75]),
+            u_labels=build_design(2).labels)
         fit = FitResult(params=params, loglik=-2048.75, init_loglik=-2100.5,
                         converged=False, n_iter=1000, tau=10)
         assert multi_fit_document(fit, aic=4157.5) == LOGLINEAR_DOC
 
-    def test_multivariate_shared_p_without_aic(self):
+    def test_multivariate_refuses_params_without_phi(self):
+        # every fit is log-linear; hand-built cells without a coverage
+        # would be written under the constant "constraint": "loglinear"
         params = MultiMixtureParams(
             alpha=[1.0], p=[P7], lam=[[0.5, 0.25, 0.125, 1.0, 2.0, 0.0625,
-                                       4.0]],
-            rules=RULES, constraint="shared_p")
+                                       4.0]])
         fit = FitResult(params=params, loglik=-512.0, init_loglik=-640.125,
                         converged=True, n_iter=3, tau=6)
-        assert multi_fit_document(fit) == SHARED_P_DOC
+        with pytest.raises(ValueError, match="phi"):
+            multi_fit_document(fit)
 
 
 # a few iterations from one start: the parameter count does not depend
@@ -193,27 +152,28 @@ QUICK = FitOptions(n_starts=1, max_iter=5)
 @pytest.fixture(scope="module")
 def multi_hist():
     truth = MultiMixtureParams(alpha=[1.0], p=[np.full(7, 0.1)],
-                               lam=[np.full(7, 0.1)], rules=RULES)
+                               lam=[np.full(7, 0.1)])
     draws = sample_multi_counts(truth, 3000, np.random.default_rng(8))
     return MultiCountHistogram.from_observations(draws)
 
 
 class TestAicParameterCount:
-    @pytest.mark.parametrize("shared_p", [True, False])
-    def test_univariate(self, shared_p):
+    def test_univariate(self):
+        # G - 1 weights, the shared p and G rates
         draws = np.random.default_rng(4).poisson(0.6, 3000)
         sel = select_G(CountHistogram.from_observations(draws), 3,
-                       shared_p=shared_p, opts=QUICK)
-        assert [row["k"] for row in sel.trace] == [
-            n_free_params(g, shared_p) for g in (1, 2, 3)]
+                       opts=QUICK)
+        assert [row["k"] for row in sel.trace] == [2, 4, 6]
 
     @pytest.mark.parametrize("constraint", [LogLinear(1), LogLinear(2)],
                              ids=str)
     def test_multivariate(self, multi_hist, constraint):
+        # G - 1 weights, phi, d_u coefficients and G x 7 rates
         sel = select_G_multi(multi_hist, 3, constraint=constraint,
                              opts=QUICK, lambda_bar=np.full(7, 0.1))
+        d_u = {1: 3, 2: 6}[constraint.d]
         assert [row["k"] for row in sel.trace] == [
-            n_free_params_multi(g, constraint) for g in (1, 2, 3)]
+            (g - 1) + 1 + d_u + 7 * g for g in (1, 2, 3)]
 
 
 class TestClassCountBound:
@@ -251,3 +211,24 @@ class TestFitOptionsValidation:
     def test_multivariate_class_count_against_the_floor(self, multi_hist):
         with pytest.raises(ValueError, match="nu"):
             fit_multi(multi_hist, 3, opts=FitOptions(nu=0.4))
+
+
+class TestCountCap:
+    """Count caps below 1 are refused: at tau = 0 every nonzero count
+    falls in the tail cell, which leaves p unidentified."""
+
+    @pytest.mark.parametrize("tau", [0, -1])
+    def test_univariate_fit(self, tau):
+        with pytest.raises(ValueError, match="tau must be at least 1"):
+            fit_uni(CountHistogram([0, 1, 2], [50, 30, 5]), 1, tau=tau)
+
+    def test_multivariate_fit(self, multi_hist):
+        init = {"lambda": np.full(7, 0.1), "p": np.full(7, 0.1),
+                "u": np.zeros(6), "phi": 0.7, "flagged": False}
+        with pytest.raises(ValueError, match="tau must be at least 1"):
+            fit_multi(multi_hist, 1, tau=0, init=init)
+
+    @pytest.mark.parametrize("tau", [0, -1])
+    def test_multivariate_selection(self, multi_hist, tau):
+        with pytest.raises(ValueError, match="tau must be at least 1"):
+            select_G_multi(multi_hist, 2, tau=tau)

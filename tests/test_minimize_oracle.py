@@ -15,8 +15,7 @@ from linkcov import _optim, neighbor_multi, neighbor_uni
 from linkcov._optim import FitOptions
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, appendix_c_cells,
-                                    binary_rules, fit_multi,
-                                    sample_multi_counts)
+                                    fit_multi, sample_multi_counts)
 from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
                                   sample_counts)
 
@@ -74,7 +73,7 @@ def wrong_gradient(x):
 
 def _uni_hist():
     truth = UniMixtureParams(alpha=[0.7, 0.3], p=[0.8, 0.8],
-                             lam=[0.1, 1.5], shared_p=True)
+                             lam=[0.1, 1.5])
     draws = sample_counts(truth, 2000, np.random.default_rng(3))
     return CountHistogram.from_observations(draws)
 
@@ -82,8 +81,7 @@ def _uni_hist():
 def _multi_hist():
     p = np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25])
     truth = MultiMixtureParams(alpha=[0.6, 0.4], p=[p, p],
-                               lam=[np.full(7, 0.1), np.full(7, 0.7)],
-                               rules=binary_rules(3))
+                               lam=[np.full(7, 0.1), np.full(7, 0.7)])
     draws = sample_multi_counts(truth, 1500, np.random.default_rng(5))
     return MultiCountHistogram.from_observations(draws)
 
@@ -95,9 +93,8 @@ MULTI_INIT = {"lambda": np.linspace(0.2, 0.5, 7),
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
-@pytest.mark.parametrize("shared_p", [True, False], ids=["shared", "free"])
-def test_univariate_fit(searches, g, shared_p):
-    fit_uni(_uni_hist(), g, tau=6, shared_p=shared_p, opts=OPTS)
+def test_univariate_fit(searches, g):
+    fit_uni(_uni_hist(), g, tau=6, opts=OPTS)
     assert len(searches) == OPTS.n_starts
 
 

@@ -8,19 +8,15 @@ from scipy.stats import poisson
 
 from linkcov import neighbor_multi
 from linkcov._optim import FitOptions
-from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, RuleIndexSet,
-                                    appendix_c_cells, binary_rules,
-                                    build_design,
-                                    coverage_from_fit, fit_multi,
-                                    init_appendix_c, loglinear_invert,
+from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
+                                    MultiMixtureParams, appendix_c_cells,
+                                    build_design, coverage_from_fit,
+                                    fit_multi, init_appendix_c,
                                     loglinear_probs, marginal_histogram,
-                                    marginal_params, marginal_rates,
-                                    multi_comp_pmf, multi_mix_pmf,
-                                    n_free_params_multi,
-                                    sample_multi_counts, select_G_multi,
-                                    single_class_p_hat)
-from linkcov.neighbor_uni import mix_pmf
+                                    marginal_rates, multi_comp_pmf,
+                                    multi_mix_pmf, sample_multi_counts,
+                                    select_G_multi, single_class_p_hat)
+from linkcov.neighbor_uni import UniMixtureParams, mix_pmf
 from test_neighbor_uni import assert_gradient_matches, captured_objective
 
 
@@ -79,28 +75,28 @@ class TestComponentPmf:
 
 class TestMixturePmf:
     def test_single_class_reduces(self):
-        rules = RuleIndexSet(H=(2,))
         p = np.array([[0.25, 0.3]])
         lam = np.array([[0.4, 0.9]])
-        params = MultiMixtureParams(alpha=[1.0], p=p, lam=lam, rules=rules)
+        params = MultiMixtureParams(alpha=[1.0], p=p, lam=lam)
         t = np.array([[0, 1], [2, 0]])
         np.testing.assert_allclose(multi_mix_pmf(t, params),
                                    multi_comp_pmf(t, p[0], lam[0]))
 
     def test_marginal_matches_univariate(self):
-        rules = RuleIndexSet(H=(2,))
         params = MultiMixtureParams(
             alpha=[0.4, 0.6],
             p=np.array([[0.2, 0.3], [0.5, 0.1]]),
             lam=np.array([[0.3, 0.8], [1.2, 0.2]]),
-            rules=rules,
         )
         # sum out the other coordinate far past the mass
         grid = np.arange(60)
         for coord in (0, 1):
-            uni = marginal_params(params, coord)
+            # one rule's marginal counts: the classes' p and rate there
+            uni = UniMixtureParams(alpha=params.alpha,
+                                   p=params.p[:, coord],
+                                   lam=params.lam[:, coord])
             for n in range(6):
-                t = np.zeros((60, rules.size), dtype=int)
+                t = np.zeros((60, 2), dtype=int)
                 t[:, coord] = n
                 t[:, 1 - coord] = grid
                 total = multi_mix_pmf(t, params).sum()
@@ -108,12 +104,10 @@ class TestMixturePmf:
                                               abs=1e-10)
 
     def test_sampling_oracle(self):
-        rules = RuleIndexSet(H=(2,))
         params = MultiMixtureParams(
             alpha=[0.7, 0.3],
             p=np.array([[0.4, 0.2], [0.4, 0.2]]),
             lam=np.array([[0.1, 0.3], [1.0, 0.8]]),
-            rules=rules,
         )
         rng = np.random.default_rng(17)
         draws = sample_multi_counts(params, 200000, rng)
@@ -128,49 +122,38 @@ class TestMixturePmf:
 
 class TestDesign:
     def test_main_terms_layout(self):
-        rules = binary_rules(3)
-        d1 = build_design(rules, 1)
-        row = d1.Z[rules.patterns.index((1, 0, 1))]
+        d1 = build_design(1)
+        row = d1.Z[PATTERNS.index((1, 0, 1))]
         np.testing.assert_array_equal(row, [1, 0, 1])
 
     def test_pairwise_layout(self):
-        rules = binary_rules(3)
-        d2 = build_design(rules, 2)
+        d2 = build_design(2)
         assert d2.Z.shape == (7, 6)
-        row = d2.Z[rules.patterns.index((1, 0, 1))]
+        row = d2.Z[PATTERNS.index((1, 0, 1))]
         np.testing.assert_array_equal(row, [1, 0, 1, 0, 1, 0])
         assert d2.labels == ("u_1(1)", "u_2(1)", "u_3(1)", "u_12(11)",
                              "u_13(11)", "u_23(11)")
 
     def test_order_bounds(self):
-        rules = binary_rules(3)
         with pytest.raises(ValueError):
-            build_design(rules, 3)
+            build_design(3)
         with pytest.raises(ValueError):
-            build_design(rules, 0)
+            build_design(0)
 
     @pytest.mark.parametrize("d", [0, 3, -1])
     def test_loglinear_order_refused(self, d):
         with pytest.raises(ValueError, match=f"d={d} must be 1 or 2"):
             LogLinear(d)
 
-    def test_multilevel_dimension(self):
-        rules = RuleIndexSet(H=(2, 1, 3))
-        d2 = build_design(rules, 2)
-        expect = (2 + 1 + 3) + (2 * 1 + 2 * 3 + 1 * 3)
-        assert d2.Z.shape == (rules.size, expect)
-
 
 class TestLogLinearProbs:
     def test_uniform_case(self):
-        rules = binary_rules(3)
-        design = build_design(rules, 2)
+        design = build_design(2)
         p = loglinear_probs(0.9, np.zeros(6), design)
         np.testing.assert_allclose(p, 0.9 / 8, rtol=1e-14)
 
     def test_softmax_normalization(self):
-        rules = binary_rules(3)
-        design = build_design(rules, 2)
+        design = build_design(2)
         rng = np.random.default_rng(4)
         u = rng.normal(size=6)
         p = loglinear_probs(0.9, u, design)
@@ -179,48 +162,19 @@ class TestLogLinearProbs:
 
     def test_interaction_ratio(self):
         # all coefficients one: p(111)/p(100) = exp(u2+u3+u12+u13+u23) = e^5
-        rules = binary_rules(3)
-        design = build_design(rules, 2)
+        design = build_design(2)
         p = loglinear_probs(0.9, np.ones(6), design)
-        i111 = rules.patterns.index((1, 1, 1))
-        i100 = rules.patterns.index((1, 0, 0))
+        i111 = PATTERNS.index((1, 1, 1))
+        i100 = PATTERNS.index((1, 0, 0))
         assert p[i111] / p[i100] == pytest.approx(np.exp(5.0), rel=1e-12)
 
 
 class TestInversion:
-    def test_round_trip(self):
-        rules = binary_rules(3)
-        rng = np.random.default_rng(6)
-        for d in (1, 2):
-            design = build_design(rules, d)
-            for _ in range(25):
-                u = rng.normal(0, 1.5, design.Z.shape[1])
-                phi = rng.uniform(0.3, 0.99)
-                p = loglinear_probs(phi, u, design)
-                inv = loglinear_invert(p, rules, d)
-                assert inv.exact
-                assert inv.phi == pytest.approx(phi, abs=1e-10)
-                np.testing.assert_allclose(inv.u, u, atol=1e-10)
-
-    def test_uniform_gives_zero(self):
-        rules = binary_rules(3)
-        inv = loglinear_invert(np.full(7, 0.9 / 8), rules, 2)
-        np.testing.assert_allclose(inv.u, 0.0, atol=1e-12)
-        assert inv.phi == pytest.approx(0.9, abs=1e-12)
-
-    def test_inconsistent_input_reports_residual(self):
-        rules = binary_rules(3)
-        rng = np.random.default_rng(9)
-        p = rng.uniform(0.01, 0.1, 7)
-        inv = loglinear_invert(p, rules, 1)
-        assert inv.residual > 1e-6
-        assert not inv.exact
+    """(phi, u) can be recovered from the cells they give."""
 
     def test_exactly_determined_at_second_order(self):
         # seven cells determine coverage plus six coefficients
-        rules = binary_rules(3)
-        design = build_design(rules, 2)
-        assert design.Z.shape[1] + 1 == rules.size
+        assert build_design(2).Z.shape[1] + 1 == len(PATTERNS)
 
 
 _COUNT_MATRICES = st.tuples(
@@ -250,7 +204,6 @@ class TestHistogramFromObservations:
 
 class TestSingleClassP:
     def test_zero_boundary(self):
-        rules = binary_rules(3)
         lam = np.full(7, 0.3)
         rng = np.random.default_rng(10)
         counts = rng.poisson(lam, size=(20000, 7))
@@ -259,11 +212,9 @@ class TestSingleClassP:
         assert np.all(p_hat < 0.01)
 
     def test_recovery(self):
-        rules = binary_rules(3)
         p = np.array([0.05, 0.1, 0.04, 0.2, 0.06, 0.15, 0.3])
         lam = np.full(7, 0.15)
-        params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam],
-                                    rules=rules)
+        params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam])
         draws = sample_multi_counts(params, 50000, np.random.default_rng(12))
         hist = MultiCountHistogram.from_observations(draws)
         p_hat = single_class_p_hat(hist, lam, tau=10)
@@ -272,32 +223,28 @@ class TestSingleClassP:
 
 class TestAppendixInit:
     def test_uniform_p_gives_zero_u(self):
-        rules = binary_rules(3)
         # build a histogram whose plug-in p_hat is (near) uniform
         p = np.full(7, 0.1)
         lam = np.full(7, 0.2)
-        params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam],
-                                    rules=rules)
+        params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam])
         draws = sample_multi_counts(params, 200000,
                                     np.random.default_rng(14))
         hist = MultiCountHistogram.from_observations(draws)
-        for mode in ("no_interactions", "with_interactions"):
-            init = init_appendix_c(hist, lam, mode, tau=10)
+        for d in (1, 2):
+            init = init_appendix_c(hist, lam, d, tau=10)
             assert np.max(np.abs(init["u"])) < 0.25
             assert init["phi"] == pytest.approx(0.8, abs=0.05)
 
     def test_exact_formula_values(self):
         # moment formulas applied to exact cell probabilities
-        rules = binary_rules(3)
-        design = build_design(rules, 2)
+        design = build_design(2)
         p = loglinear_probs(0.9, np.array([1.0, 1, 1, 0, 0, 0]), design)
         lam = np.full(7, 0.1)
-        params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam],
-                                    rules=rules)
+        params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam])
         draws = sample_multi_counts(params, 300000,
                                     np.random.default_rng(15))
         hist = MultiCountHistogram.from_observations(draws)
-        init = init_appendix_c(hist, lam, "no_interactions", tau=10)
+        init = init_appendix_c(hist, lam, 1, tau=10)
         # under a no-interaction truth the logit-average starts sit near
         # the generating main effects
         np.testing.assert_allclose(init["u"][:3], 1.0, atol=0.2)
@@ -306,13 +253,11 @@ class TestAppendixInit:
 
 class TestFitMulti:
     def test_loglinear_recovery(self):
-        rules = binary_rules(3)
-        design = build_design(rules, 2)
+        design = build_design(2)
         u = np.ones(6)
         p = loglinear_probs(0.9, u, design)
         lam = np.full(7, 0.05)
-        truth = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam],
-                                   rules=rules)
+        truth = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam])
         draws = sample_multi_counts(truth, 50000, np.random.default_rng(99))
         hist = MultiCountHistogram.from_observations(draws)
         fit = fit_multi(hist, 1, constraint=LogLinear(2), tau=10)
@@ -325,8 +270,7 @@ class TestFitMulti:
         fit = fit_multi(hist, 2, constraint=LogLinear(d), tau=4,
                         opts=FitOptions(n_starts=1), init=init)
         params = fit.params
-        design = build_design(binary_rules(3), d)
-        assert params.constraint == "loglinear"
+        design = build_design(d)
         assert params.u_labels == design.labels
         np.testing.assert_allclose(
             params.p, np.tile(loglinear_probs(params.phi, params.u, design),
@@ -344,8 +288,7 @@ class TestFitMulti:
         hist, init = _two_class_hist()
         default = fit(hist, init)
         second = fit(hist, init, constraint=LogLinear(2))
-        assert default.params.u_labels == build_design(binary_rules(3),
-                                                       2).labels
+        assert default.params.u_labels == build_design(2).labels
         assert default.loglik == second.loglik
         np.testing.assert_array_equal(default.params.u, second.params.u)
 
@@ -356,8 +299,7 @@ def _two_class_hist():
     p = np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25])
     truth = MultiMixtureParams(
         alpha=[0.6, 0.4], p=[p, p],
-        lam=[np.full(7, 0.1), np.full(7, 0.7)], rules=binary_rules(3),
-        constraint="shared_p",
+        lam=[np.full(7, 0.1), np.full(7, 0.7)],
     )
     draws = sample_multi_counts(truth, 5000, np.random.default_rng(51))
     init = {"lambda": np.linspace(0.2, 0.5, 7), "p": p,
@@ -380,11 +322,26 @@ class TestGradient:
             init=init)
         assert_gradient_matches(fun, x0, args, seed=50 + g)
 
+    def test_plug_in_cells_match_finite_differences(self, monkeypatch):
+        # the single-class cells' objective, with the rates plugged in
+        hist, init = _two_class_hist()
+        tau = 4
+        assert hist.keys.sum(axis=1).max() > tau    # tail cell active
+        fun, x0, args = captured_objective(
+            monkeypatch, neighbor_multi, single_class_p_hat, hist,
+            init["lambda"], tau=tau)
+        assert_gradient_matches(fun, x0, args, seed=60)
+
 
 class TestSelection:
     def test_parameter_counts(self):
-        assert n_free_params_multi(2, LogLinear(1)) == 1 + 4 + 14
-        assert n_free_params_multi(2, LogLinear(2)) == 1 + 7 + 14
+        # G - 1 weights, phi, d_u coefficients and G x 7 rates
+        hist, init = _two_class_hist()
+        quick = FitOptions(n_starts=1, max_iter=5)
+        for d, count in ((1, 1 + 4 + 14), (2, 1 + 7 + 14)):
+            fit = fit_multi(hist, 2, constraint=LogLinear(d), tau=4,
+                            opts=quick, init=init)
+            assert fit.n_params == count
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("g", [1, 2, 3])
@@ -395,13 +352,12 @@ class TestSelection:
             monkeypatch, neighbor_multi, fit_multi, hist, g,
             constraint=LogLinear(d), tau=4, opts=FitOptions(n_starts=1),
             init=init)
-        assert x0.size == n_free_params_multi(g, LogLinear(d))
+        assert x0.size == (g - 1) + 1 + {1: 3, 2: 6}[d] + 7 * g
 
     def test_single_class_selected(self):
-        rules = binary_rules(3)
         p = np.full(7, 0.12)
         truth = MultiMixtureParams(alpha=[1.0], p=[p],
-                                   lam=[np.full(7, 0.1)], rules=rules)
+                                   lam=[np.full(7, 0.1)])
         hits = 0
         for seed in range(5):
             draws = sample_multi_counts(truth, 20000,
@@ -413,12 +369,10 @@ class TestSelection:
 
     def test_common_classes_across_rules(self):
         # one G and one partition serve all rules simultaneously
-        rules = binary_rules(3)
         p = np.full(7, 0.1)
         truth = MultiMixtureParams(
             alpha=[0.6, 0.4], p=[p, p],
-            lam=[np.full(7, 0.05), np.full(7, 0.8)], rules=rules,
-            constraint="shared_p",
+            lam=[np.full(7, 0.05), np.full(7, 0.8)],
         )
         draws = sample_multi_counts(truth, 30000, np.random.default_rng(41))
         hist = MultiCountHistogram.from_observations(draws)
@@ -429,14 +383,11 @@ class TestSelection:
 
 class TestSharedRates:
     def test_passed_rates_reproduce_the_selection_exactly(self):
-        rules = binary_rules(3)
-        design = build_design(rules, 2)
         p = loglinear_probs(0.9, np.array([1.0, 0.5, 0.8, 0.3, 0, 0.2]),
-                            design)
+                            build_design(2))
         truth = MultiMixtureParams(
             alpha=[0.7, 0.3], p=[p, p],
-            lam=[np.full(7, 0.03), np.full(7, 0.3)], rules=rules,
-            constraint="shared_p",
+            lam=[np.full(7, 0.03), np.full(7, 0.3)],
         )
         draws = sample_multi_counts(truth, 20000, np.random.default_rng(61))
         hist = MultiCountHistogram.from_observations(draws)
@@ -452,13 +403,11 @@ class TestSharedRates:
             assert shared.fit.params.phi == own.fit.params.phi
 
     def test_passed_cells_reproduce_the_selection_exactly(self):
-        rules = binary_rules(3)
         p = loglinear_probs(0.85, np.array([0.8, 0.4, 1.0, 0.2, 0.1, 0]),
-                            build_design(rules, 2))
+                            build_design(2))
         truth = MultiMixtureParams(
             alpha=[0.6, 0.4], p=[p, p],
-            lam=[np.full(7, 0.05), np.full(7, 0.4)], rules=rules,
-            constraint="shared_p",
+            lam=[np.full(7, 0.05), np.full(7, 0.4)],
         )
         draws = sample_multi_counts(truth, 20000, np.random.default_rng(62))
         hist = MultiCountHistogram.from_observations(draws)
@@ -479,7 +428,7 @@ class TestSharedRates:
         lambda hist: select_G_multi(hist, 1, lambda_bar=np.ones(2),
                                     p_hat=np.full(2, 0.1)),
         lambda hist: fit_multi(hist, 1),
-        lambda hist: init_appendix_c(hist, np.ones(2), "no_interactions")],
+        lambda hist: init_appendix_c(hist, np.ones(2), 1)],
         ids=["select", "passed", "fit", "init"])
     def test_counts_need_three_binary_groups(self, monkeypatch, fit):
         def no_rates(*args, **kwargs):
@@ -493,36 +442,37 @@ class TestSharedRates:
 
 class TestCoverage:
     def test_requires_loglinear_mode(self):
-        rules = binary_rules(3)
         params = MultiMixtureParams(alpha=[1.0], p=[np.full(7, 0.1)],
-                                    lam=[np.full(7, 0.1)], rules=rules)
+                                    lam=[np.full(7, 0.1)])
         with pytest.raises(ValueError):
             coverage_from_fit(params)
 
     def test_returns_phi(self):
-        rules = binary_rules(3)
         params = MultiMixtureParams(
             alpha=[1.0], p=[np.full(7, 0.1)], lam=[np.full(7, 0.1)],
-            rules=rules, constraint="loglinear", phi=0.87,
-            u=np.zeros(6), u_labels=("a",) * 6,
+            phi=0.87, u=np.zeros(6), u_labels=("a",) * 6,
         )
         assert coverage_from_fit(params) == pytest.approx(0.87)
 
 
 class TestInvariants:
     def test_mutual_exclusivity_constraint(self):
-        rules = binary_rules(3)
         with pytest.raises(ValueError):
             MultiMixtureParams(alpha=[1.0], p=[np.full(7, 0.2)],
-                               lam=[np.full(7, 0.1)], rules=rules)
+                               lam=[np.full(7, 0.1)])
+
+    def test_phi_requires_shared_cells(self):
+        p = np.full(7, 0.1)
+        with pytest.raises(ValueError, match="shared p"):
+            MultiMixtureParams(alpha=[0.5, 0.5], p=[p, 0.5 * p],
+                               lam=[np.full(7, 0.1), np.full(7, 0.2)],
+                               phi=0.9)
 
     def test_canonical_ordering_invariance(self):
-        rules = RuleIndexSet(H=(2,))
         p = np.array([[0.1, 0.1], [0.1, 0.1]])
         lam_a = np.array([[0.5, 0.2], [0.1, 0.9]])
-        a = MultiMixtureParams(alpha=[0.3, 0.7], p=p, lam=lam_a, rules=rules)
-        b = MultiMixtureParams(alpha=[0.7, 0.3], p=p, lam=lam_a[::-1],
-                               rules=rules)
+        a = MultiMixtureParams(alpha=[0.3, 0.7], p=p, lam=lam_a)
+        b = MultiMixtureParams(alpha=[0.7, 0.3], p=p, lam=lam_a[::-1])
         np.testing.assert_array_equal(a.lam, b.lam)
         np.testing.assert_array_equal(a.alpha, b.alpha)
         assert tuple(a.lam[0]) < tuple(a.lam[1])

@@ -8,8 +8,7 @@ from linkcov._optim import FitOptions, stick_break, stick_break_inverse
 from linkcov.neighbor_uni import (AccuracySummary, CountHistogram,
                                   UniMixtureParams, accuracy_from_fit,
                                   capped_loglik, comp_pmf, fit_document,
-                                  fit_uni, mix_pmf, n_free_params,
-                                  sample_counts, select_G)
+                                  fit_uni, mix_pmf, sample_counts, select_G)
 
 
 class TestComponentPmf:
@@ -116,7 +115,7 @@ class TestFit:
                                  lam=[0.1, 1.5])
         draws = sample_counts(truth, 20000, np.random.default_rng(13))
         hist = CountHistogram.from_observations(draws)
-        fit = fit_uni(hist, 2, tau=10, shared_p=True)
+        fit = fit_uni(hist, 2, tau=10)
         assert fit.loglik >= fit.init_loglik
 
 
@@ -159,8 +158,7 @@ def assert_gradient_matches(fun, x0, args, seed, n_points=4, atol=1e-7):
 
 class TestGradient:
     @pytest.mark.parametrize("g", [1, 3])
-    @pytest.mark.parametrize("shared_p", [True, False])
-    def test_matches_finite_differences(self, monkeypatch, g, shared_p):
+    def test_matches_finite_differences(self, monkeypatch, g):
         truth = UniMixtureParams(alpha=[0.6, 0.4], p=[0.8, 0.9],
                                  lam=[0.3, 2.5])
         draws = sample_counts(truth, 5000, np.random.default_rng(5))
@@ -169,37 +167,48 @@ class TestGradient:
         assert hist.values.max() > tau      # the tail cell is active
         fun, x0, args = captured_objective(
             monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau,
-            shared_p=shared_p, opts=FitOptions(n_starts=1))
-        assert_gradient_matches(fun, x0, args, seed=10 * g + shared_p)
+            opts=FitOptions(n_starts=1))
+        assert_gradient_matches(fun, x0, args, seed=10 * g + 1)
 
 
 class TestSelection:
     def test_two_separated_classes_recovered(self):
         truth = UniMixtureParams(alpha=[0.5, 0.5], p=[0.9, 0.9],
                                  lam=[0.2, 5.0])
-        draws = sample_counts(truth, 50000, np.random.default_rng(21))
-        hist = CountHistogram.from_observations(draws)
-        sel = select_G(hist, 3, tau=10)
-        assert sel.g_hat == 2
-        np.testing.assert_allclose(sel.fit.params.lam, [0.2, 5.0], atol=0.3)
+        selections = {}
+        for seed in range(21, 41):
+            draws = sample_counts(truth, 50000, np.random.default_rng(seed))
+            selections[seed] = select_G(
+                CountHistogram.from_observations(draws), 3, tau=10)
+        # a third class adds two parameters, so AIC picks it when twice
+        # its log-lik gain exceeds 4; under two classes that gain is
+        # about chi2_2, and P(chi2_2 > 4) ~ 0.14 per seed.  Seed 21 is
+        # such a case: G = 3 gains 6.64 over a G = 2 fit at its optimum
+        two = [sel for sel in selections.values() if sel.g_hat == 2]
+        assert len(two) >= 15
+        for sel in two:
+            np.testing.assert_allclose(sel.fit.params.lam, [0.2, 5.0],
+                                       atol=0.3)
         # per-record mean p + lambda is tightly identified even where the
         # Bernoulli/Poisson split within the heavy class is not
-        mean_links = sel.fit.params.p_bar + sel.fit.params.lambda_bar
-        assert mean_links == pytest.approx(3.55, abs=0.05)
+        params = selections[21].fit.params
+        assert params.p_bar + params.lambda_bar == pytest.approx(3.55,
+                                                                 abs=0.05)
 
     def test_single_class_selected(self):
         hits = 0
         for seed in range(10):
             truth = UniMixtureParams(alpha=[1.0], p=[0.9], lam=[0.5])
             draws = sample_counts(truth, 20000, np.random.default_rng(seed))
-            sel = select_G(CountHistogram.from_observations(draws), 2, tau=10,
-                           shared_p=True)
+            sel = select_G(CountHistogram.from_observations(draws), 2, tau=10)
             hits += sel.g_hat == 1
         assert hits >= 9
 
     def test_parameter_count(self):
-        assert n_free_params(2, shared_p=False) == 5
-        assert n_free_params(2, shared_p=True) == 4
+        # G - 1 weights, the shared p and G rates
+        hist = CountHistogram([0, 1, 2, 3], [40, 30, 20, 10])
+        quick = FitOptions(n_starts=1, max_iter=5)
+        assert fit_uni(hist, 2, opts=quick).n_params == 4
 
 
 class TestAccuracy:

@@ -29,10 +29,10 @@ from scipy.special import expit, gammaln, pdtr
 
 from linkcov import neighbor_multi, neighbor_uni
 from linkcov._optim import FitOptions, interval_from_real
-from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, binary_rules,
-                                    build_design, fit_multi,
-                                    loglinear_probs, sample_multi_counts)
+from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
+                                    MultiMixtureParams, build_design,
+                                    fit_multi, loglinear_probs,
+                                    sample_multi_counts)
 from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
                                   sample_counts)
 from test_neighbor_uni import captured_objective
@@ -296,19 +296,17 @@ def _multi_hist(data="flat"):
         p = MULTI_INIT["p"]
         truth = MultiMixtureParams(
             alpha=[0.6, 0.4], p=[p, p],
-            lam=[np.full(7, 0.1), np.full(7, 0.7)], rules=binary_rules(3),
-            constraint="shared_p",
+            lam=[np.full(7, 0.1), np.full(7, 0.7)],
         )
         draws = sample_multi_counts(truth, 5000, np.random.default_rng(51))
     else:
-        design = build_design(binary_rules(3), 2)
+        design = build_design(2)
         p = loglinear_probs(0.7, np.array([2.0, -1.0, 0.5, -1.5, 1.0, 0.8]),
                             design)
         truth = MultiMixtureParams(
             alpha=[0.5, 0.3, 0.2], p=[p, p, p],
             lam=[np.linspace(0.02, 0.2, 7), np.linspace(0.9, 0.1, 7),
                  np.full(7, 1.2)],
-            rules=binary_rules(3), constraint="loglinear",
         )
         draws = sample_multi_counts(truth, 4000, np.random.default_rng(53))
     return MultiCountHistogram.from_observations(draws)
@@ -319,15 +317,15 @@ def _tau(max_count, tail):
     return 3 if tail else int(max_count)
 
 
-def uni_pair(monkeypatch, g, shared_p, tail):
-    """(objective, x0, args) as fit_uni runs it, and the oracle's args."""
+def uni_pair(monkeypatch, g, tail):
+    """(objective, x0, args) as fit_uni runs it, and the oracle's args:
+    fit_uni shares one p across the classes, the oracle's shared_p."""
     hist = _uni_hist()
     tau = _tau(hist.values.max(), tail)
     fun, x0, args = captured_objective(
-        monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau,
-        shared_p=shared_p, opts=OPTS)
+        monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau, opts=OPTS)
     oracle_args = (*_oracle_split_hist(hist, tau), float(hist.total), g,
-                   shared_p, tau, OPTS.nu, OPTS.lambda_max)
+                   True, tau, OPTS.nu, OPTS.lambda_max)
     assert (oracle_args[3] > 0) == tail
     return fun, x0, args, oracle_args
 
@@ -339,14 +337,10 @@ def multi_pair(monkeypatch, g, constraint, tail, data):
     fun, x0, args = captured_objective(
         monkeypatch, neighbor_multi, fit_multi, hist, g,
         constraint=constraint, tau=tau, opts=OPTS, init=MULTI_INIT)
-    rules = binary_rules(3)
-    m = rules.size
-    key, Zv, du = constraint, None, None
-    if isinstance(constraint, LogLinear):
-        key = "loglinear"
-        design = build_design(rules, constraint.d)
-        Zv = design.Z
-        du = Zv.shape[1]
+    m = len(PATTERNS)
+    key = "loglinear"
+    Zv = build_design(constraint.d).Z
+    du = Zv.shape[1]
     oracle_args = (*_oracle_split_multi(hist, tau), float(hist.total), g, m,
                    _oracle_n_p(g, m, key, du), key, Zv, tau, OPTS.nu,
                    OPTS.lambda_max)
@@ -410,21 +404,19 @@ MULTI_DATA = pytest.mark.parametrize("data", ["flat", "interacting"])
 
 class TestUniObjectiveOracle:
     @TAILS
-    @pytest.mark.parametrize("shared_p", [True, False], ids=["shared", "free"])
     @pytest.mark.parametrize("g", GS)
-    def test_matches_oracle(self, monkeypatch, g, shared_p, tail):
-        fun, x0, args, oracle_args = uni_pair(monkeypatch, g, shared_p, tail)
-        for x in jittered(x0, seed=100 * g + 10 * shared_p + tail):
+    def test_matches_oracle(self, monkeypatch, g, tail):
+        fun, x0, args, oracle_args = uni_pair(monkeypatch, g, tail)
+        for x in jittered(x0, seed=100 * g + 10 + tail):
             value, grad = evaluate_quietly(fun, x, args)
             assert_matches_oracle(value, grad,
                                   *_oracle_objective(x, *oracle_args))
 
     @TAILS
-    @pytest.mark.parametrize("shared_p", [True, False], ids=["shared", "free"])
     @pytest.mark.parametrize("g", GS)
-    def test_saturated_points(self, monkeypatch, g, shared_p, tail):
-        fun, x0, args, oracle_args = uni_pair(monkeypatch, g, shared_p, tail)
-        for x in saturated(x0.size, seed=200 * g + 10 * shared_p + tail):
+    def test_saturated_points(self, monkeypatch, g, tail):
+        fun, x0, args, oracle_args = uni_pair(monkeypatch, g, tail)
+        for x in saturated(x0.size, seed=200 * g + 10 + tail):
             value, grad = evaluate_quietly(fun, x, args)
             assert np.isfinite(value) and np.all(np.isfinite(grad))
             assert_value_matches(value, oracle_at(_oracle_objective, x,
