@@ -16,6 +16,16 @@ does not.  The routine is private to scipy and takes its current
 arguments from scipy 1.15 on, the floor pyproject.toml sets;
 tests/test_minimize_oracle.py pins the loop to scipy.optimize.minimize.
 
+A fit's starts run in lockstep: fit_starts hands minimize all of them
+as one block, minimize keeps one setulb state per start, and in each
+round the starts that ask for a new point are evaluated by one call of
+the objective on the block of their points.  A kernel whose cost is
+mostly per call, as the multivariate one is, pays that cost once per
+round instead of once per start; a point kernel joins through row_loop.
+Each start still ends on the point, after the evaluations and
+iterations, that its own search would give, and minimize reports the
+block's evaluations and iterations as sums over its starts.
+
 All model parameters live in boxes or simplices; the fits run an
 unconstrained quasi-Newton search, so each constrained quantity is mapped
 through a smooth bijection:
@@ -45,6 +55,7 @@ __all__ = [
     "SelectionResult",
     "fit_starts",
     "minimize",
+    "row_loop",
     "select_aic",
     "result_document",
     "logit",
@@ -131,18 +142,30 @@ class SelectionResult:
 
 def minimize(fun, x0, args=(), *, jac, method, options):
     """Unbounded L-BFGS-B from x0, bit for bit as scipy.optimize.minimize
-    runs it.
+    runs it, from each row of x0 in lockstep when x0 is a block.
 
     Takes what scipy.optimize.minimize takes for method="L-BFGS-B" and
-    jac=True (fun returns the value and the gradient), with the options
-    maxiter, ftol and gtol, and refuses anything else.  Returns an
-    OptimizeResult with x, fun, jac, nfev, nit and success.  The loop is
-    the reverse-communication loop of scipy's L-BFGS-B around its step
-    routine setulb, with scipy's maxcor 10, maxls 20 and maxfun 15000,
-    minus the ScalarFunction and MemoizeJac wrappers that scipy puts
-    around each evaluation.  setulb is private and takes these arguments
-    from scipy 1.15 on; tests/test_minimize_oracle.py pins the loop to
-    scipy.optimize.minimize.
+    jac=True, with the options maxiter, ftol and gtol, and refuses
+    anything else.  The loop is the reverse-communication loop of scipy's
+    L-BFGS-B around its step routine setulb, with scipy's maxcor 10,
+    maxls 20 and maxfun 15000, minus the ScalarFunction and MemoizeJac
+    wrappers that scipy puts around each evaluation.  setulb is private
+    and takes these arguments from scipy 1.15 on;
+    tests/test_minimize_oracle.py pins the loop to scipy.optimize.minimize.
+
+    With a 1-D x0, fun(x, *args) returns the value and the gradient at
+    one point, and the result is scipy's OptimizeResult with x, fun,
+    jac, nfev, nit and success.  With an (S, n) block of starts,
+    fun(X, *args) returns the values (S',) and the gradients (S', n) at
+    the S' rows of X, and each row's search runs its own setulb state.
+    In each round every running search that asks for a new point joins
+    one call of fun, and a finished search drops out; a search that asks
+    again for the point it last evaluated gets that evaluation back, as
+    scipy does, uncounted.  So each row ends where scipy would end from
+    it alone, after the same nfev and nit.  The result then lists one
+    such OptimizeResult per row in starts (as scipy.optimize.shgo lists
+    its local minima), with nfev and nit summed over the rows.  The 1-D
+    call is the one-row case of the same loop.
 
     The fit modules import this name and call it as their own
     module-level minimize, so that a stub or a counter put in that
@@ -156,75 +179,117 @@ def minimize(fun, x0, args=(), *, jac, method, options):
                          "and gtol")
     from scipy.optimize import OptimizeResult, _lbfgsb
 
+    setulb = _lbfgsb.setulb
     m, maxls, maxfun = 10, 20, 15000
     maxiter = options["maxiter"]
     factr = options["ftol"] / np.finfo(float).eps
     pgtol = options["gtol"]
-    x = np.array(x0, dtype=np.float64, ndmin=1)
-    n = x.size
+    block = np.ndim(x0) == 2
+    if not block:
+        fun = row_loop(fun)
+    starts = np.array(x0, dtype=np.float64, ndmin=2)
+    n = starts.shape[1]
     # nbd 0 marks a coordinate without bounds, whose bound setulb never reads
     bound = np.zeros(n)
     nbd = np.zeros(n, np.int32)
-    f, g = 0.0, np.zeros(n)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task = np.zeros(2, np.int32)
-    ln_task = np.zeros(2, np.int32)
-    lsave = np.zeros(4, np.int32)
-    isave = np.zeros(44, np.int32)
-    dsave = np.zeros(29)
-    x_eval = None
-    nfev = nit = 0
-    while True:
-        _lbfgsb.setulb(m, x, bound, bound, nbd, f, g, factr, pgtol, wa, iwa,
-                       task, lsave, isave, dsave, maxls, ln_task)
-        if task[0] == 3:
-            # scipy evaluates again only at a new point, and hands setulb
-            # a fresh copy of the last gradient either way
-            if x_eval is None or not (x == x_eval).all():
-                x_eval = x.copy()
-                f, grad = fun(x.copy(), *args)
-                nfev += 1
-            g = np.array(grad, dtype=np.float64)
-        elif task[0] == 1:
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504
-            elif nfev > maxfun:
-                task[:] = 5, 502
-        else:
-            break
-    return OptimizeResult(x=x, fun=f, jac=g, nfev=nfev, nit=nit,
-                          success=bool(task[0] == 4))
+    searches = [_Search(x, m) for x in starts]
+    running = searches
+    while running:
+        asking = []
+        for s in running:
+            while True:
+                setulb(m, s.x, bound, bound, nbd, s.f, s.g, factr, pgtol,
+                       s.wa, s.iwa, s.task, s.lsave, s.isave, s.dsave,
+                       maxls, s.ln_task)
+                task = s.task[0]
+                if task == 3:
+                    # scipy evaluates again only at a new point, and hands
+                    # setulb a fresh copy of the last gradient either way
+                    if s.x_eval is None or not (s.x == s.x_eval).all():
+                        asking.append(s)
+                        break
+                    s.g = np.array(s.grad, dtype=np.float64)
+                elif task == 1:
+                    s.nit += 1
+                    if s.nit >= maxiter:
+                        s.task[:] = 5, 504
+                    elif s.nfev > maxfun:
+                        s.task[:] = 5, 502
+                else:
+                    break
+        if asking:
+            X = np.array([s.x for s in asking])
+            values, grads = fun(X, *args)
+            for s, x, f, grad in zip(asking, X, values, grads):
+                s.x_eval, s.f, s.grad = x, f, grad
+                s.nfev += 1
+                s.g = np.array(grad, dtype=np.float64)
+        running = asking
+    results = [OptimizeResult(x=s.x, fun=s.f, jac=s.g, nfev=s.nfev,
+                              nit=s.nit, success=bool(s.task[0] == 4))
+               for s in searches]
+    if not block:
+        return results[0]
+    return OptimizeResult(nfev=sum(r.nfev for r in results),
+                          nit=sum(r.nit for r in results), starts=results)
+
+
+class _Search:
+    """The L-BFGS-B state of one start: setulb's work arrays, the point,
+    the last evaluation and the counts."""
+
+    __slots__ = ("x", "f", "g", "wa", "iwa", "task", "ln_task", "lsave",
+                 "isave", "dsave", "x_eval", "grad", "nfev", "nit")
+
+    def __init__(self, x0, m):
+        n = x0.size
+        self.x = x0.copy()
+        self.f, self.g = 0.0, np.zeros(n)
+        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task = np.zeros(2, np.int32)
+        self.ln_task = np.zeros(2, np.int32)
+        self.lsave = np.zeros(4, np.int32)
+        self.isave = np.zeros(44, np.int32)
+        self.dsave = np.zeros(29)
+        self.x_eval = self.grad = None
+        self.nfev = self.nit = 0
+
+
+def row_loop(point):
+    """The block form of a point kernel: point(x, *args) at each row."""
+    def block(X, *args):
+        return list(zip(*[point(x, *args) for x in X]))
+    return block
 
 
 def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
                salt=()):
     """Fit by L-BFGS-B from x0 and n_starts - 1 jittered copies of it.
 
-    objective(x, *args) gives the negative mean log-likelihood of total
-    observations and its gradient; start s > 0 adds jitter times normals
-    seeded by (seed, *salt, s); params_at maps the best end point to the
-    model.  minimize is the one the calling module names (see minimize).
-    tau, the cap of the fitted counts, must be at least 1.
+    objective(X, *args) gives, at each row x of X, the negative mean
+    log-likelihood of total observations and its gradient (row_loop
+    makes it from a point kernel); start s > 0 adds jitter times normals
+    seeded by (seed, *salt, s).  The starts go to minimize as one block,
+    so their searches run in lockstep; a later start replaces the best so
+    far only with a strictly lower value, and params_at maps the best end
+    point to the model.  minimize is the one the calling module names
+    (see minimize).  tau, the cap of the fitted counts, must be at least
+    1.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    init_loglik = -objective(x0, *args)[0] * total
-    best = None
-    for start in range(opts.n_starts):
-        if start == 0:
-            x_start = x0
-        else:
-            jrng = np.random.default_rng([opts.seed, *salt, start])
-            x_start = x0 + opts.jitter * jrng.standard_normal(x0.size)
-        res = minimize(
-            objective, x_start, args=args, jac=True, method="L-BFGS-B",
-            options={"maxiter": opts.max_iter, "ftol": opts.ftol,
-                     "gtol": opts.gtol},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
+    init_loglik = -objective(x0[None], *args)[0][0] * total
+    starts = [x0]
+    for start in range(1, opts.n_starts):
+        jrng = np.random.default_rng([opts.seed, *salt, start])
+        starts.append(x0 + opts.jitter * jrng.standard_normal(x0.size))
+    res = minimize(
+        objective, np.array(starts), args=args, jac=True, method="L-BFGS-B",
+        options={"maxiter": opts.max_iter, "ftol": opts.ftol,
+                 "gtol": opts.gtol},
+    )
+    best = min(res.starts, key=lambda end: end.fun)
     return FitResult(
         params=params_at(best.x),
         loglik=float(-best.fun * total),

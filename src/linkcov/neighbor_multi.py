@@ -11,11 +11,16 @@ without interactions (LogLinear(1)) or with 2nd-order interactions
 (LogLinear(2)).  The fitted coverage phi is the estimator of
 P(i in S_A).
 
-The objective is built once per fit (``_objective_multi``).  It keeps
-the per-fit constants, and each call spends two matrix products on the
-k distinct count vectors: one for the exponents of every class's
-Poisson product and true-positive bracket, one for all weighted sums of
-the gradient.  The weights, phi and the softmax are Python floats.
+The objective is built once per fit (``_objective_multi``).  It is a
+block kernel: one call evaluates the points of all the fit's starts
+that the lockstep search asks for in a round, and gives each the bits
+it would get alone.  It keeps the per-fit constants, and each call
+spends two stacked matrix products on the k distinct count vectors: one
+for the exponents of every class's Poisson product and true-positive
+bracket, one for all weighted sums of the gradient.  A call costs
+mostly its fixed overhead: a round of five points costs about twice a
+call on one.  The weights, phi and the softmax are Python floats, per
+point.
 
 The starts, the result types, the AIC selection and the JSON document
 come from the fit engine in ``_optim``.  The univariate kernel stays
@@ -288,22 +293,26 @@ def _unpack_multi(x, g, design, nu, lam_max):
 
 
 def _objective_multi(hist, tau, g, Z, nu, lam_max):
-    """The objective of one fit_multi call: x -> (negative mean capped
-    log-likelihood, its analytic gradient).
+    """The objective of one fit_multi call, a block kernel: X -> (the
+    negative mean capped log-likelihood at each row x of X, the analytic
+    gradients).  Each row gets the bits that the kernel gives it alone.
 
     It holds the per-fit constants: the columns [t | 1 | log t!] of the
     k count vectors with |t| <= tau, contiguous and transposed, their
     multiplicities, log nu and the log-span of the rates.  Per call, one
-    product of a (2g, m + 2) coefficient block with the transposed
-    columns gives, for each class c, the exponent of alpha_c a_c, where
-    a_c = prod_gamma Pois(t_gamma; lam_c,gamma) and the weight enters as
-    log alpha_c, and the true-positive bracket 1 - |p| + t . p / lam_c.
-    [alpha a | alpha mix] fill one (2g, k) buffer; q is the column sum
-    of its mix rows, and one product of the w-weighted buffer with the
-    columns gives the four weighted sums of the gradient.  The weights,
-    phi and the softmax are Python floats; the logistic of x is one array
-    call, which saturates where exp(-x) would overflow.  Nothing of size
-    k * g * m is formed.
+    stacked product of the (S, 2g, m + 2) coefficient block with the
+    transposed columns gives, for each row and class c, the exponent of
+    alpha_c a_c, where a_c = prod_gamma Pois(t_gamma; lam_c,gamma) and
+    the weight enters as log alpha_c, and the true-positive bracket
+    1 - |p| + t . p / lam_c.  [alpha a | alpha mix] fill one (S, 2g, k)
+    block; q is the class sum of its mix rows, and one stacked product
+    of the w-weighted block with the columns gives the four weighted
+    sums of the gradient.  Every product is stacked, one 2-D product per
+    row, because one flat product of all rows rounds differently.  The
+    weights, phi, the softmax and the tail's Poisson term are Python
+    floats per row (math.exp, not np.exp, whose bits differ); the
+    logistic of X is one array call, which saturates where exp(-x) would
+    overflow.  Nothing of size k * g * m is formed.
     """
     keys, log_fact, cnts, tail_count = _split_multi(hist, tau)
     k = keys.shape[0]
@@ -315,97 +324,132 @@ def _objective_multi(hist, tau, g, Z, nu, lam_max):
     cols[:, m + 1] = log_fact
     cols_t = np.ascontiguousarray(cols.T)
     cols = np.ascontiguousarray(cols[:, :m + 1])
-    # rows [log lam_c | log alpha_c - |lam_c| | -1] for c < g, then
-    # [p / lam_c | 1 - |p| | 0]
-    coef = np.zeros((2 * g, m + 2))
-    coef[:g, m + 1] = -1.0
-    a_mix = np.empty((2 * g, k))
+    # per row, rows [log lam_c | log alpha_c - |lam_c| | -1] for c < g,
+    # then [p / lam_c | 1 - |p| | 0], and the (2g, k) block of
+    # [alpha a | alpha mix]; views[S] holds the first S rows of buffers
+    # made for the largest block so far
     n_alpha = g - 1
     n_head = n_alpha + 1 + Z.shape[1]
-    grad = np.empty(n_head + g * m)
+    views = []
+
+    def grow(n_rows):
+        coef = np.zeros((n_rows, 2 * g, m + 2))
+        coef[:, :g, m + 1] = -1.0
+        a_mix = np.empty((n_rows, 2 * g, k))
+        views[:] = [(coef[:i], a_mix[:i]) for i in range(n_rows + 1)]
+
     log_lo = math.log(nu)
     span = math.log(lam_max) - log_lo
     log_fact_tau = math.lgamma(tau + 1.0)
     scale = 1.0 - g * nu
     expit, pdtr = scipy.special.expit, scipy.special.pdtr
+    exp, log = math.exp, math.log
 
-    def objective(x):
-        sig = expit(x)
-        s = sig[:n_alpha + 1].tolist()
-        stick, pieces = stick_pieces(s[:n_alpha])
-        alpha = [nu + scale * piece for piece in pieces]
-        phi = s[n_alpha]
-        eta = (Z @ x[n_alpha + 1:n_head]).tolist()
-        mx = max(0.0, max(eta))
-        e = [math.exp(et - mx) for et in eta]
-        den = math.exp(-mx) + sum(e)
-        r = np.array([ei / den for ei in e])
-        p = phi * r
-        psum = [float(p.sum())] * g
-        sig_lam = sig[n_head:]
-        log_lam = log_lo + span * sig_lam
-        lam_flat = np.exp(log_lam)
-        lam = lam_flat.reshape(g, m)
-        lam_sum = lam.sum(axis=1).tolist()
-
-        coef[:g, :m] = log_lam.reshape(g, m)
-        coef[g:, :m] = p / lam
-        coef[:, m] = ([math.log(ac) - ls for ac, ls in zip(alpha, lam_sum)]
-                      + [1.0 - ps for ps in psum])
-        expo = coef @ cols_t
-        a = np.exp(expo[:g], out=a_mix[:g])
-        mix = np.multiply(a, expo[g:], out=a_mix[g:])
-        q = mix.sum(axis=0)
+    def objective(X):
+        n_rows = X.shape[0]
+        if n_rows >= len(views):
+            grow(n_rows)
+        coef, a_mix = views[n_rows]
+        sig = expit(X)
+        etas = np.matmul(Z, X[:, n_alpha + 1:n_head, None])[:, :, 0].tolist()
+        sig_lam = sig[:, n_head:]
+        log_lam = np.add(log_lo, span * sig_lam.reshape(n_rows, g, m),
+                         out=coef[:, :g, :m])
+        lam = np.exp(log_lam)
+        lam_sums = lam.sum(axis=2).tolist()
+        heads, alphas, r, p, log_terms = [], [], [], [], []
+        for s, eta, lam_sum in zip(sig[:, :n_alpha + 1].tolist(), etas,
+                                   lam_sums):
+            stick, pieces = stick_pieces(s[:n_alpha])
+            alpha = [nu + scale * piece for piece in pieces]
+            phi = s[n_alpha]
+            mx = max(0.0, max(eta))
+            e = [exp(et - mx) for et in eta]
+            den = exp(-mx) + sum(e)
+            r_row = [ei / den for ei in e]
+            r += r_row
+            p += [phi * ri for ri in r_row]
+            heads.append((s, stick, pieces, phi))
+            alphas.append(alpha)
+            log_terms.append([log(ac) - ls for ac, ls in zip(alpha, lam_sum)])
+        r = np.array(r).reshape(n_rows, m, 1)
+        p = np.array(p).reshape(n_rows, 1, m)
+        psum = p.sum(axis=2)
+        coef[:, :g, m] = log_terms
+        coef[:, g:, m] = 1.0 - psum
+        np.divide(p, lam, out=coef[:, g:, :m])
+        expo = np.matmul(coef, cols_t)
+        a = np.exp(expo[:, :g], out=a_mix[:, :g])
+        mix = np.multiply(a, expo[:, g:], out=a_mix[:, g:])
+        q = mix.sum(axis=1)
         np.maximum(q, 1e-300, out=q)
         w = cnts / q
-        ll = float(cnts @ np.log(q))
-        # sums[c, gamma] = alpha_c sum_k w [a | mix]_c t_gamma, and in
+        ll = np.matmul(cnts, np.log(q, out=q)[:, :, None]).ravel().tolist()
+        # sums[., c, gamma] = alpha_c sum_k w [a | mix]_c t_gamma, and in
         # column m alpha_c sum_k w [a | mix]_c
-        sums = (a_mix * w) @ cols
+        sums = np.matmul(np.multiply(a_mix, w[:, None, :], out=a_mix), cols)
         # dq/dp = alpha a (t/lam - 1); dq/dlam = alpha (mix (t/lam - 1)
-        # - a p t / lam^2)
-        wat = sums[:g, :m] / lam
-        d_p = wat - sums[:g, m:]
-        d_lam = sums[g:, :m] / lam - sums[g:, m:] - p * wat / lam
-        d_alpha = [sm / ac for sm, ac in zip(sums[g:, m].tolist(), alpha)]
+        # - a p t / lam^2); ratios[:, 0] is wat = sums[:, :g, :m] / lam
+        ratios = sums[:, :, :m].reshape(n_rows, 2, g, m) / lam[:, None]
+        diffs = ratios - sums[:, :, m:].reshape(n_rows, 2, g, 1)
+        d_p = diffs[:, 0]
+        d_lam = diffs[:, 1] - p * ratios[:, 0] / lam
+        d_alphas = [[sm / ac for sm, ac in zip(row_sums, alpha)]
+                    for row_sums, alpha in zip(sums[:, g:, m].tolist(),
+                                               alphas)]
         if tail_count:
-            cdf_t = pdtr(tau, lam_sum).tolist()
-            cdf_tm1 = pdtr(tau - 1, lam_sum).tolist()
-            below = [(1.0 - ps) * ct + ps * cm
-                     for ps, ct, cm in zip(psum, cdf_t, cdf_tm1)]
-            T = max(1.0 - sum([ac * b for ac, b in zip(alpha, below)]),
-                    1e-300)
-            ll += tail_count * math.log(T)
-            wt = tail_count / T
+            cdf_ts = pdtr(tau, lam_sums).tolist()
+            cdf_tm1s = pdtr(tau - 1, lam_sums).tolist()
             tail_p, tail_lam = [], []
-            for c in range(g):
-                ls, ps = lam_sum[c], psum[c]
-                pmf_t = math.exp(tau * math.log(ls) - ls - log_fact_tau)
-                d_alpha[c] -= wt * below[c]
-                tail_p.append(wt * (alpha[c] * (cdf_t[c] - cdf_tm1[c])))
-                tail_lam.append(wt * (alpha[c] * ((1.0 - ps) * pmf_t
-                                                  + ps * pmf_t * tau / ls)))
-            d_p += np.array(tail_p)[:, None]
-            d_lam += np.array(tail_lam)[:, None]
+            rows = zip(alphas, d_alphas, lam_sums, psum.ravel().tolist(),
+                       cdf_ts, cdf_tm1s)
+            for i, row in enumerate(rows):
+                alpha, d_alpha, lam_sum, ps, cdf_t, cdf_tm1 = row
+                below = [(1.0 - ps) * ct + ps * cm
+                         for ct, cm in zip(cdf_t, cdf_tm1)]
+                T = max(1.0 - sum([ac * b for ac, b in zip(alpha, below)]),
+                        1e-300)
+                ll[i] += tail_count * log(T)
+                wt = tail_count / T
+                row_p, row_lam = [], []
+                for c in range(g):
+                    ls = lam_sum[c]
+                    pmf_t = exp(tau * log(ls) - ls - log_fact_tau)
+                    d_alpha[c] -= wt * below[c]
+                    row_p.append(wt * (alpha[c] * (cdf_t[c] - cdf_tm1[c])))
+                    row_lam.append(wt * (alpha[c] * ((1.0 - ps) * pmf_t
+                                                     + ps * pmf_t * tau / ls)))
+                tail_p.append(row_p)
+                tail_lam.append(row_lam)
+            d_p += np.array(tail_p)[:, :, None]
+            d_lam += np.array(tail_lam)[:, :, None]
 
         # chain rules
-        grad[:n_alpha] = [
-            scale * gv
-            for gv in stick_pieces_vjp(s[:n_alpha], stick, pieces, d_alpha)]
-        dldp = d_p.sum(axis=0)
-        dldr = float(dldp @ r)
-        grad[n_alpha] = dldr * phi * (1.0 - phi)
-        grad[n_alpha + 1:n_head] = (p * (dldp - dldr)) @ Z
-        grad[n_head:] = d_lam.ravel() * (lam_flat * span * sig_lam
-                                         * (1.0 - sig_lam))
-        return -ll / total, grad / -total
+        dldp = d_p.sum(axis=1, keepdims=True)
+        dldr = np.matmul(dldp, r)
+        grad = np.empty(X.shape)
+        grad[:, :n_alpha + 1] = [
+            [scale * gv for gv in stick_pieces_vjp(s[:n_alpha], stick, pieces,
+                                                   d_alpha)]
+            + [dr * phi * (1.0 - phi)]
+            for (s, stick, pieces, phi), d_alpha, ((dr,),) in zip(
+                heads, d_alphas, dldr.tolist())]
+        np.matmul(p * (dldp - dldr), Z, out=grad[:, None, n_alpha + 1:n_head])
+        np.multiply(d_lam.reshape(n_rows, -1),
+                    lam.reshape(n_rows, -1) * span * sig_lam
+                    * (1.0 - sig_lam),
+                    out=grad[:, n_head:])
+        return [-v / total for v in ll], np.divide(grad, -total, out=grad)
 
     return objective
 
 
 def _split_multi(hist, tau):
     """Count vectors with |t| <= tau, their summed log factorials, their
-    multiplicities, and the tail count."""
+    multiplicities, and the tail count.  Refuses a cap tau below 1, which
+    leaves the true-positive cells unidentified."""
+    if tau < 1:
+        raise ValueError("tau must be at least 1")
     low = hist.keys.sum(axis=1) <= tau
     keys = hist.keys[low].astype(float)
     return (keys, scipy.special.gammaln(keys + 1.0).sum(axis=1),

@@ -12,8 +12,9 @@ The objective that L-BFGS-B calls (``_objective``) is a scalar kernel.
 A histogram holds a handful of distinct counts (3 to 11), so its sums
 over (class, value) run in Python floats; the only array call is one
 saturating logistic of all coordinates.  It serves every G and the tail
-cell.  The starts, the result types, the AIC selection and the JSON
-document come from the fit engine in ``_optim``.
+cell, and meets the lockstep starts one row at a time (``row_loop``).
+The starts, the result types, the AIC selection and the JSON document
+come from the fit engine in ``_optim``.
 """
 
 import math
@@ -33,6 +34,7 @@ from ._optim import (
     logit,
     minimize,
     result_document,
+    row_loop,
     select_aic,
     stick_break,
     stick_break_inverse,
@@ -324,7 +326,7 @@ def fit_uni(hist, g, tau=10, opts=FitOptions()):
     args = (*_split_hist(hist, tau), total, g, tau, nu, lam_max)
 
     x0 = _start(hist, g, nu, lam_max)
-    return fit_starts(minimize, _objective, x0, args, total, tau,
+    return fit_starts(minimize, row_loop(_objective), x0, args, total, tau,
                       lambda x: _unpack(x, g, nu, lam_max), opts)
 
 

@@ -11,9 +11,10 @@ import pytest
 
 from linkcov._optim import FitOptions
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, build_design,
-                                    fit_multi, multi_fit_document,
-                                    sample_multi_counts, select_G_multi)
+                                    MultiMixtureParams, appendix_c_cells,
+                                    build_design, fit_multi,
+                                    multi_fit_document, sample_multi_counts,
+                                    select_G_multi, single_class_p_hat)
 from linkcov.neighbor_uni import (CountHistogram, FitResult,
                                   UniMixtureParams, fit_document, fit_uni,
                                   select_G)
@@ -225,8 +226,19 @@ class TestCountCap:
     def test_multivariate_fit(self, multi_hist):
         init = {"lambda": np.full(7, 0.1), "p": np.full(7, 0.1),
                 "u": np.zeros(6), "phi": 0.7, "flagged": False}
+        for tau in (0, -1):
+            with pytest.raises(ValueError, match="tau must be at least 1"):
+                fit_multi(multi_hist, 1, tau=tau, init=init)
+
+    @pytest.mark.parametrize("tau", [0, -1])
+    def test_start_cells(self, multi_hist, tau):
         with pytest.raises(ValueError, match="tau must be at least 1"):
-            fit_multi(multi_hist, 1, tau=0, init=init)
+            appendix_c_cells(multi_hist, np.full(7, 0.1), tau=tau)
+
+    @pytest.mark.parametrize("tau", [0, -1])
+    def test_single_class_cells(self, multi_hist, tau):
+        with pytest.raises(ValueError, match="tau must be at least 1"):
+            single_class_p_hat(multi_hist, np.full(7, 0.1), tau=tau)
 
     @pytest.mark.parametrize("tau", [0, -1])
     def test_multivariate_selection(self, multi_hist, tau):

@@ -1,15 +1,20 @@
 """The fits' L-BFGS-B loop against scipy.optimize.minimize.
 
 ``_optim.minimize`` runs scipy's private L-BFGS-B step routine in the
-loop of scipy's own L-BFGS-B.  Every search here must end where
-``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` ends, bit for
-bit, after the same numbers of evaluations and iterations, so a scipy
-release that changes the routine or its calling convention fails here.
+loop of scipy's own L-BFGS-B, for one start or for a block of starts in
+lockstep.  Every search here must end where
+``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` ends from that
+start alone, bit for bit, after the same numbers of evaluations and
+iterations, so a scipy release that changes the routine or its calling
+convention fails here, and so does a lockstep loop that mixes up its
+starts.
 """
+
+import collections
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize import _lbfgsb, minimize as scipy_minimize
 
 from linkcov import _optim, neighbor_multi, neighbor_uni
 from linkcov._optim import FitOptions
@@ -18,10 +23,18 @@ from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     fit_multi, sample_multi_counts)
 from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
                                   sample_counts)
+from test_neighbor_uni import one_row
 
 # the moment or Appendix-C start and two jittered copies of it
 OPTS = FitOptions(n_starts=3)
 LBFGSB = {"maxiter": OPTS.max_iter, "ftol": OPTS.ftol, "gtol": OPTS.gtol}
+
+
+def assert_same_end(ours, ref):
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert float(ours.fun).hex() == float(ref.fun).hex()
+    assert (ours.nfev, ours.nit, ours.success) == (
+        ref.nfev, ref.nit, ref.success)
 
 
 def assert_same_search(fun, x0, args=(), options=LBFGSB):
@@ -30,22 +43,45 @@ def assert_same_search(fun, x0, args=(), options=LBFGSB):
                            options=options)
     ref = scipy_minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
                          options=options)
-    assert ours.x.tobytes() == ref.x.tobytes()
-    assert float(ours.fun).hex() == float(ref.fun).hex()
-    assert (ours.nfev, ours.nit, ours.success) == (
-        ref.nfev, ref.nit, ref.success)
+    assert_same_end(ours, ref)
     return ours
+
+
+def assert_same_block(fun, starts, args=(), options=LBFGSB):
+    """Run _optim.minimize on the block kernel fun from the rows of
+    starts in lockstep; return its result after assert_ends_alone."""
+    ours = _optim.minimize(fun, starts, args=args, jac=True,
+                           method="L-BFGS-B", options=options)
+    assert_ends_alone(fun, starts, ours, args, options)
+    return ours
+
+
+def assert_ends_alone(fun, starts, ours, args=(), options=LBFGSB):
+    """Each start of the block result ours ends where scipy ends from
+    that start alone, on fun's one-row case; the block's counts are the
+    sums of the starts' counts."""
+    assert len(ours.starts) == len(starts)
+    for x0, end in zip(starts, ours.starts):
+        assert_same_end(end, scipy_minimize(
+            one_row(fun), x0, args=args, jac=True, method="L-BFGS-B",
+            options=options))
+    assert ours.nfev == sum(end.nfev for end in ours.starts)
+    assert ours.nit == sum(end.nit for end in ours.starts)
 
 
 @pytest.fixture
 def searches(monkeypatch):
     """Let every search of the fit modules run through both and compare;
-    returns the list of the starts compared."""
+    returns the list of the starts compared.  The fits hand over their
+    starts as one block, the plug-in cells their one start."""
     seen = []
 
     def both(fun, x0, args=(), **kwargs):
-        seen.append(x0)
-        return assert_same_search(fun, x0, args, kwargs["options"])
+        if x0.ndim == 1:
+            seen.append(x0)
+            return assert_same_search(fun, x0, args, kwargs["options"])
+        seen.extend(x0)
+        return assert_same_block(fun, x0, args, kwargs["options"])
 
     for module in (neighbor_uni, neighbor_multi):
         monkeypatch.setattr(module, "minimize", both)
@@ -134,6 +170,55 @@ def test_failed_line_search():
     res = assert_same_search(wrong_gradient, np.linspace(-1.0, 1.0, 5),
                              options={**LBFGSB, "ftol": 1e-12})
     assert not res.success
+
+
+def tagged(X, evaluated):
+    """A block kernel whose rows are rosenbrock (last coordinate 0) or
+    wrong_gradient (last coordinate 1) of the other coordinates.  The
+    last coordinate's gradient is 0, so no search moves it; each row
+    evaluated is appended to evaluated."""
+    values, grads = [], []
+    for x in X:
+        evaluated.append(x.copy())
+        f, grad = (wrong_gradient if x[-1] else rosenbrock)(x[:-1])
+        values.append(f)
+        grads.append(np.append(grad, 0.0))
+    return values, grads
+
+
+def test_lockstep_block(monkeypatch):
+    # four searches that end at very different iteration counts:
+    # rosenbrock converging from near its minimum and from a far point,
+    # rosenbrock stopped by maxiter, and wrong_gradient
+    options = {**LBFGSB, "maxiter": 40, "ftol": 1e-12}
+    starts = np.array([
+        np.append(np.linspace(0.9, 1.1, 5), 0.0),
+        np.append(np.linspace(2.0, -2.0, 5), 0.0),
+        np.append(np.linspace(-1.2, 1.0, 5), 0.0),
+        np.append(np.linspace(-1.0, 1.0, 5), 1.0),
+    ])
+    requests = collections.Counter()
+    setulb = _lbfgsb.setulb
+
+    def counting(m, x, *rest):
+        setulb(m, x, *rest)
+        requests[x[-1]] += rest[9][0] == 3      # task 3: evaluate at x
+
+    monkeypatch.setattr(_lbfgsb, "setulb", counting)
+    evaluated = []
+    res = _optim.minimize(tagged, starts, args=(evaluated,), jac=True,
+                          method="L-BFGS-B", options=options)
+    monkeypatch.undo()
+    wrong = [x for x in evaluated if x[-1] == 1.0]
+    assert_ends_alone(tagged, starts, res, (evaluated,), options)
+    ends = res.starts
+    assert len({end.nit for end in ends}) == len(ends)
+    assert [end.success for end in ends] == [True, True, False, False]
+    assert ends[2].nit == options["maxiter"]
+    assert [end.x[-1] for end in ends] == [0.0, 0.0, 0.0, 1.0]
+    # wrong_gradient's failed line searches asked again for points it
+    # had evaluated last, which it neither evaluated again nor counted
+    assert requests[1.0] > ends[3].nfev == len(wrong)
 
 
 @pytest.mark.parametrize("call", [

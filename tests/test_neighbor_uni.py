@@ -119,22 +119,42 @@ class TestFit:
         assert fit.loglik >= fit.init_loglik
 
 
-def captured_objective(monkeypatch, module, fit, *fit_args, **fit_kwargs):
-    """The objective and arguments that ``fit`` hands to L-BFGS-B.
+def captured_objective(monkeypatch, module, fit, *fit_args, block=False,
+                       **fit_kwargs):
+    """The objective and arguments that ``fit`` hands to L-BFGS-B, with
+    its first start.
 
     The module's ``minimize`` is replaced by a stub that records its
-    first call and returns the start point, so the fit runs no search.
+    first call and returns the start points, so the fit runs no search.
+    The fits hand over their starts as one (S, n) block and a block
+    kernel; unless block is True, that kernel comes back as its one-row
+    case, a point function, with the block's first row as the start.
     """
     seen = []
 
     def stub(fun, x0, args=(), **kwargs):
         seen.append((fun, x0, args))
-        return OptimizeResult(x=x0, fun=fun(x0, *args)[0], success=True,
-                              nit=0, nfev=1)
+        if x0.ndim == 1:
+            return OptimizeResult(x=x0, fun=fun(x0, *args)[0], success=True,
+                                  nit=0, nfev=1)
+        ends = [OptimizeResult(x=x, fun=f, success=True, nit=0, nfev=1)
+                for x, f in zip(x0, fun(x0, *args)[0])]
+        return OptimizeResult(nfev=len(ends), nit=0, starts=ends)
 
     monkeypatch.setattr(module, "minimize", stub)
     fit(*fit_args, **fit_kwargs)
-    return seen[0]
+    fun, x0, args = seen[0]
+    if block or x0.ndim == 1:
+        return fun, x0, args
+    return one_row(fun), x0[0], args
+
+
+def one_row(fun):
+    """The point function x -> (value, gradient) of a block kernel."""
+    def point(x, *args):
+        values, grads = fun(x[None], *args)
+        return values[0], grads[0]
+    return point
 
 
 def assert_gradient_matches(fun, x0, args, seed, n_points=4, atol=1e-7):

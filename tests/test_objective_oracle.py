@@ -11,6 +11,10 @@ of the gradient's largest component, because a component that is a
 difference of large terms carries the rounding of those terms, not of
 itself.
 
+``fit_multi``'s objective is a block kernel, captured here through its
+one-row case.  TestMultiBlockKernel checks that each row of a block
+gets the same bytes as that row alone, wherever it sits in the block.
+
 At saturated points (|x| up to 800: weights, cells, phi and rates on
 their bounds) both objectives must return finite values and gradients
 and warn of nothing; this pins the overflow of a scalar logistic
@@ -448,3 +452,36 @@ class TestMultiObjectiveOracle:
             assert np.isfinite(value) and np.all(np.isfinite(grad))
             assert_value_matches(value, oracle_at(_oracle_objective_multi, x,
                                                   oracle_args))
+
+
+def row_bytes(fun, X, args, row):
+    """The bytes of the value and the gradient that fun gives row of X."""
+    values, grads = fun(X, *args)
+    return float(values[row]).hex(), np.asarray(grads[row]).tobytes()
+
+
+class TestMultiBlockKernel:
+    @MULTI_DATA
+    @TAILS
+    @pytest.mark.parametrize("constraint", MULTI_CONSTRAINTS, ids=str)
+    @pytest.mark.parametrize("g", GS)
+    def test_rows_match_alone(self, monkeypatch, g, constraint, tail, data):
+        # each point first, in the middle and last of blocks of 2 to 5,
+        # beside the points after it
+        hist = _multi_hist(data)
+        tau = _tau(hist.keys.sum(axis=1).max(), tail)
+        fun, starts, args = captured_objective(
+            monkeypatch, neighbor_multi, fit_multi, hist, g,
+            constraint=constraint, tau=tau, opts=OPTS, init=MULTI_INIT,
+            block=True)
+        x0 = starts[0]
+        points = np.array([*jittered(x0, seed=500 * g + tail),
+                           *saturated(x0.size, seed=600 * g + tail)])
+        n = len(points)
+        alone = [row_bytes(fun, x[None], args, 0) for x in points]
+        for size in range(2, 6):
+            for pos in sorted({0, size // 2, size - 1}):
+                for i in range(n):
+                    rows = [(i - pos + j) % n for j in range(size)]
+                    assert row_bytes(fun, points[rows], args,
+                                     pos) == alone[i]
