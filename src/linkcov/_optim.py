@@ -1,4 +1,5 @@
-"""The fit engine of the univariate and multivariate count mixtures.
+"""The fit engine of the univariate and multivariate count mixtures,
+whose L-BFGS-B loop also fits the Racinskij baseline on the boundary.
 
 The two mixtures differ only in their parameters and in the objective
 kernel that L-BFGS-B calls.  They share the settings (FitOptions), the
@@ -6,15 +7,17 @@ result types (FitResult, SelectionResult), the deterministic multi-start
 search (fit_starts), the AIC selection of the class count (select_aic)
 and the JSON of a result (result_document).
 
-Each search is unbounded L-BFGS-B, run by minimize: a short loop that
-calls scipy's own L-BFGS-B step routine (scipy.optimize._lbfgsb.setulb)
+Each search is L-BFGS-B, run by minimize: a short loop that calls
+scipy's own L-BFGS-B step routine (scipy.optimize._lbfgsb.setulb)
 exactly as scipy.optimize.minimize(method="L-BFGS-B", jac=True) does,
-so the fits end on the same points after the same evaluations.  scipy's
-loop wraps each evaluation in its ScalarFunction and MemoizeJac layers,
-which cost about as much as the fits' own objective kernels; this loop
-does not.  The routine is private to scipy and takes its current
-arguments from scipy 1.15 on, the floor pyproject.toml sets;
-tests/test_minimize_oracle.py pins the loop to scipy.optimize.minimize.
+so the fits end on the same points after the same evaluations.  The
+count mixtures' searches are unbounded; the Racinskij boundary search
+(baselines) passes scipy's bounds.  scipy's loop wraps each evaluation
+in its ScalarFunction and MemoizeJac layers, which cost about as much as
+the fits' own objective kernels; this loop does not.  The routine is
+private to scipy and takes its current arguments from scipy 1.15 on, the
+floor pyproject.toml sets; tests/test_minimize_oracle.py pins the loop
+to scipy.optimize.minimize.
 
 A fit's starts run in lockstep: fit_starts hands minimize all of them
 as one block, minimize keeps one setulb state per start, and in each
@@ -26,9 +29,9 @@ Each start still ends on the point, after the evaluations and
 iterations, that its own search would give, and minimize reports the
 block's evaluations and iterations as sums over its starts.
 
-All model parameters live in boxes or simplices; the fits run an
-unconstrained quasi-Newton search, so each constrained quantity is mapped
-through a smooth bijection:
+All count-mixture parameters live in boxes or simplices; their fits run
+an unconstrained quasi-Newton search, so each constrained quantity is
+mapped through a smooth bijection:
 
 * probabilities in an interval -> logistic transform,
 * positive rates in [lo, hi]   -> logistic interpolation on the log scale,
@@ -53,6 +56,7 @@ __all__ = [
     "FitOptions",
     "FitResult",
     "SelectionResult",
+    "best_end",
     "fit_starts",
     "minimize",
     "row_loop",
@@ -140,18 +144,21 @@ class SelectionResult:
     trace: list = field(default_factory=list)
 
 
-def minimize(fun, x0, args=(), *, jac, method, options):
-    """Unbounded L-BFGS-B from x0, bit for bit as scipy.optimize.minimize
-    runs it, from each row of x0 in lockstep when x0 is a block.
+def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
+    """L-BFGS-B from x0, bit for bit as scipy.optimize.minimize runs it,
+    from each row of x0 in lockstep when x0 is a block.
 
     Takes what scipy.optimize.minimize takes for method="L-BFGS-B" and
     jac=True, with the options maxiter, ftol and gtol, and refuses
-    anything else.  The loop is the reverse-communication loop of scipy's
-    L-BFGS-B around its step routine setulb, with scipy's maxcor 10,
-    maxls 20 and maxfun 15000, minus the ScalarFunction and MemoizeJac
-    wrappers that scipy puts around each evaluation.  setulb is private
-    and takes these arguments from scipy 1.15 on;
-    tests/test_minimize_oracle.py pins the loop to scipy.optimize.minimize.
+    anything else.  bounds, as scipy takes it, is None or one (lo, hi)
+    pair per coordinate, where None or an infinite value leaves that side
+    free; as scipy does, each start is first clipped into the box.  The
+    loop is the reverse-communication loop of scipy's L-BFGS-B around its
+    step routine setulb, with scipy's maxcor 10, maxls 20 and maxfun
+    15000, minus the ScalarFunction and MemoizeJac wrappers that scipy
+    puts around each evaluation.  setulb is private and takes these
+    arguments from scipy 1.15 on; tests/test_minimize_oracle.py pins the
+    loop to scipy.optimize.minimize, with and without bounds.
 
     With a 1-D x0, fun(x, *args) returns the value and the gradient at
     one point, and the result is scipy's OptimizeResult with x, fun,
@@ -189,16 +196,22 @@ def minimize(fun, x0, args=(), *, jac, method, options):
         fun = row_loop(fun)
     starts = np.array(x0, dtype=np.float64, ndmin=2)
     n = starts.shape[1]
-    # nbd 0 marks a coordinate without bounds, whose bound setulb never reads
-    bound = np.zeros(n)
-    nbd = np.zeros(n, np.int32)
+    lower, upper, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
+    if bounds is not None:
+        lo, hi = _bound_arrays(bounds, n)
+        starts = np.clip(starts, lo, hi)
+        # setulb's nbd: 0 no bound, 1 lower only, 2 both, 3 upper only;
+        # it never reads the bound of a free side
+        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+        nbd[:] = np.where(has_lo, 1 + has_hi, 3 * has_hi)
+        lower[has_lo], upper[has_hi] = lo[has_lo], hi[has_hi]
     searches = [_Search(x, m) for x in starts]
     running = searches
     while running:
         asking = []
         for s in running:
             while True:
-                setulb(m, s.x, bound, bound, nbd, s.f, s.g, factr, pgtol,
+                setulb(m, s.x, lower, upper, nbd, s.f, s.g, factr, pgtol,
                        s.wa, s.iwa, s.task, s.lsave, s.isave, s.dsave,
                        maxls, s.ln_task)
                 task = s.task[0]
@@ -234,6 +247,19 @@ def minimize(fun, x0, args=(), *, jac, method, options):
                           nit=sum(r.nit for r in results), starts=results)
 
 
+def _bound_arrays(bounds, n):
+    """The lower and upper bounds of scipy's (lo, hi) pairs, a free side
+    infinite."""
+    if len(bounds) != n:
+        raise ValueError("bounds must give one (lo, hi) pair per coordinate")
+    lo, hi = (np.array([np.nan if v is None else v for v in side], float)
+              for side in zip(*bounds))
+    lo[np.isnan(lo)], hi[np.isnan(hi)] = -np.inf, np.inf
+    if (lo > hi).any():
+        raise ValueError("a lower bound exceeds its upper bound")
+    return lo, hi
+
+
 class _Search:
     """The L-BFGS-B state of one start: setulb's work arrays, the point,
     the last evaluation and the counts."""
@@ -263,6 +289,12 @@ def row_loop(point):
     return block
 
 
+def best_end(ends):
+    """The first of the searches' ends with the lowest fun; a NaN fun
+    ranks below every number."""
+    return min(ends, key=lambda end: (np.isnan(end.fun), end.fun))
+
+
 def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
                salt=()):
     """Fit by L-BFGS-B from x0 and n_starts - 1 jittered copies of it.
@@ -272,10 +304,10 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
     makes it from a point kernel); start s > 0 adds jitter times normals
     seeded by (seed, *salt, s).  The starts go to minimize as one block,
     so their searches run in lockstep; a later start replaces the best so
-    far only with a strictly lower value, and params_at maps the best end
-    point to the model.  minimize is the one the calling module names
-    (see minimize).  tau, the cap of the fitted counts, must be at least
-    1.
+    far only with a strictly lower value (see best_end), and params_at
+    maps the best end point to the model.  minimize is the one the
+    calling module names (see minimize).  tau, the cap of the fitted
+    counts, must be at least 1.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
@@ -289,7 +321,7 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
         options={"maxiter": opts.max_iter, "ftol": opts.ftol,
                  "gtol": opts.gtol},
     )
-    best = min(res.starts, key=lambda end: end.fun)
+    best = best_end(res.starts)
     return FitResult(
         params=params_at(best.x),
         loglik=float(-best.fun * total),

@@ -1,15 +1,17 @@
 """What the univariate and multivariate count-mixture fits share: the JSON
-documents of their results, the parameter count that AIC charges and the
-settings and count caps they accept.
+documents of their results, the parameter count that AIC charges, the
+settings and count caps they accept, and the choice of the best start.
 
 The documents are pinned for hand-built results, so the pins do not
 depend on the optimizer or on the platform's floating-point libraries.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from linkcov._optim import FitOptions
+from linkcov._optim import FitOptions, fit_starts
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, appendix_c_cells,
                                     build_design, fit_multi,
@@ -244,3 +246,25 @@ class TestCountCap:
     def test_multivariate_selection(self, multi_hist, tau):
         with pytest.raises(ValueError, match="tau must be at least 1"):
             select_G_multi(multi_hist, 2, tau=tau)
+
+
+class TestBestStart:
+    def test_nan_value_ranks_below_every_number(self):
+        # start 0's search ends on a NaN value, which must not hide the
+        # lower value of start 1
+        ends = [SimpleNamespace(x=np.full(2, float(s)), fun=fun, success=True,
+                                nit=s)
+                for s, fun in enumerate([np.nan, 1.0, 2.0])]
+
+        def stub(objective, x0, **kwargs):
+            assert len(x0) == len(ends)
+            return SimpleNamespace(starts=ends)
+
+        def objective(X):
+            return np.zeros(len(X)), np.zeros_like(X)
+
+        fit = fit_starts(stub, objective, np.zeros(2), (), 10.0, 1,
+                         lambda x: x, FitOptions(n_starts=3))
+        assert fit.loglik == -10.0
+        assert fit.n_iter == 1
+        np.testing.assert_array_equal(fit.params, [1.0, 1.0])

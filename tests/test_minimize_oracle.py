@@ -2,12 +2,12 @@
 
 ``_optim.minimize`` runs scipy's private L-BFGS-B step routine in the
 loop of scipy's own L-BFGS-B, for one start or for a block of starts in
-lockstep.  Every search here must end where
+lockstep, without or with bounds.  Every search here must end where
 ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` ends from that
-start alone, bit for bit, after the same numbers of evaluations and
-iterations, so a scipy release that changes the routine or its calling
-convention fails here, and so does a lockstep loop that mixes up its
-starts.
+start alone, under the same bounds, bit for bit, after the same numbers
+of evaluations and iterations, so a scipy release that changes the
+routine or its calling convention fails here, and so does a lockstep
+loop that mixes up its starts.
 """
 
 import collections
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.optimize import _lbfgsb, minimize as scipy_minimize
 
-from linkcov import _optim, neighbor_multi, neighbor_uni
+from linkcov import _optim, baselines, neighbor_multi, neighbor_uni
 from linkcov._optim import FitOptions
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, appendix_c_cells,
@@ -37,26 +37,27 @@ def assert_same_end(ours, ref):
         ref.nfev, ref.nit, ref.success)
 
 
-def assert_same_search(fun, x0, args=(), options=LBFGSB):
+def assert_same_search(fun, x0, args=(), options=LBFGSB, bounds=None):
     """Run _optim.minimize and scipy from x0; return the former's result."""
     ours = _optim.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
-                           options=options)
+                           options=options, bounds=bounds)
     ref = scipy_minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
-                         options=options)
+                         options=options, bounds=bounds)
     assert_same_end(ours, ref)
     return ours
 
 
-def assert_same_block(fun, starts, args=(), options=LBFGSB):
+def assert_same_block(fun, starts, args=(), options=LBFGSB, bounds=None):
     """Run _optim.minimize on the block kernel fun from the rows of
     starts in lockstep; return its result after assert_ends_alone."""
     ours = _optim.minimize(fun, starts, args=args, jac=True,
-                           method="L-BFGS-B", options=options)
-    assert_ends_alone(fun, starts, ours, args, options)
+                           method="L-BFGS-B", options=options, bounds=bounds)
+    assert_ends_alone(fun, starts, ours, args, options, bounds)
     return ours
 
 
-def assert_ends_alone(fun, starts, ours, args=(), options=LBFGSB):
+def assert_ends_alone(fun, starts, ours, args=(), options=LBFGSB,
+                      bounds=None):
     """Each start of the block result ours ends where scipy ends from
     that start alone, on fun's one-row case; the block's counts are the
     sums of the starts' counts."""
@@ -64,7 +65,7 @@ def assert_ends_alone(fun, starts, ours, args=(), options=LBFGSB):
     for x0, end in zip(starts, ours.starts):
         assert_same_end(end, scipy_minimize(
             one_row(fun), x0, args=args, jac=True, method="L-BFGS-B",
-            options=options))
+            options=options, bounds=bounds))
     assert ours.nfev == sum(end.nfev for end in ours.starts)
     assert ours.nit == sum(end.nit for end in ours.starts)
 
@@ -77,13 +78,15 @@ def searches(monkeypatch):
     seen = []
 
     def both(fun, x0, args=(), **kwargs):
+        bounds = kwargs.get("bounds")
         if x0.ndim == 1:
             seen.append(x0)
-            return assert_same_search(fun, x0, args, kwargs["options"])
+            return assert_same_search(fun, x0, args, kwargs["options"],
+                                      bounds)
         seen.extend(x0)
-        return assert_same_block(fun, x0, args, kwargs["options"])
+        return assert_same_block(fun, x0, args, kwargs["options"], bounds)
 
-    for module in (neighbor_uni, neighbor_multi):
+    for module in (neighbor_uni, neighbor_multi, baselines):
         monkeypatch.setattr(module, "minimize", both)
     return seen
 
@@ -170,6 +173,51 @@ def test_failed_line_search():
     res = assert_same_search(wrong_gradient, np.linspace(-1.0, 1.0, 5),
                              options={**LBFGSB, "ftol": 1e-12})
     assert not res.success
+
+
+# rosenbrock's minimum is at 1; these bounds leave sides free (None or
+# infinite) and cap the second coordinate at 0.8, where the minimum over
+# the box lies
+BOX = [(-0.5, None), (None, 0.8), (-np.inf, np.inf), (0.0, 2.0),
+       (None, None), (-2.0, 0.7)]
+INSIDE = np.linspace(-0.4, 0.6, 6)
+# coordinates 0, 1, 3 and 5 outside the box, so the start is clipped
+OUTSIDE = np.array([-1.2, 1.5, 0.3, 2.5, -0.7, 0.9])
+
+
+def test_bounded_start_outside_the_box():
+    res = assert_same_search(rosenbrock, OUTSIDE, bounds=BOX)
+    assert res.success
+
+
+def test_bounded_search_ends_on_a_bound():
+    res = assert_same_search(rosenbrock, INSIDE, bounds=BOX)
+    assert res.success
+    assert res.x[1] == BOX[1][1]
+
+
+def test_bounded_block():
+    starts = np.array([INSIDE, OUTSIDE, np.linspace(2.0, -2.0, 6),
+                       np.full(6, 0.5)])
+    res = assert_same_block(_optim.row_loop(rosenbrock), starts, bounds=BOX)
+    assert all(end.x[1] == BOX[1][1] for end in res.starts)
+
+
+def test_racinskij_boundary_search(searches):
+    # scenario 1, N=4k: the maximum lies on the box, so the fit runs its
+    # four starts as one bounded block
+    est = baselines.racinskij_fit([85, 179, 200, 473, 191, 490, 483, 1268],
+                                  size_b=3601)
+    assert est.diagnostics["method"] == "lbfgsb_box"
+    assert len(searches) == 4
+
+
+@pytest.mark.parametrize("bounds", [BOX[:5], [(1.0, 0.0)] * 6],
+                         ids=["length", "order"])
+def test_refuses_bad_bounds(bounds):
+    with pytest.raises(ValueError, match="bound"):
+        _optim.minimize(rosenbrock, INSIDE, jac=True, method="L-BFGS-B",
+                        options=LBFGSB, bounds=bounds)
 
 
 def tagged(X, evaluated):
