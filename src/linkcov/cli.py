@@ -43,11 +43,11 @@ at inputs outside the output directory: population_csv the link stage,
 counts_csv the two fits and log_jsonl the report.  Census CSV paths
 resolve against $LINKCOV_CENSUS_DIR when relative.
 
-simulate, link, baselines and report load neither scipy.optimize nor
-scipy.special: the calibration solves its root in-repo, and the fits
-load both modules at their first call.  So only fit-uni, fit-multi and
-an experiment whose estimators include a mixture fit (un or an mn_*)
-pay their import time.
+simulate, link and report load neither scipy.optimize nor
+scipy.special: the calibration solves its root in-repo, and each fit
+loads both at its first call: fit-uni, fit-multi, an experiment with
+un or an mn_* among its estimators, and a Racinskij fit whose maximum
+lies on the boundary (a bounded L-BFGS-B search), in baselines too.
 
 Neither the commands nor run_experiment pin BLAS threads.  OpenBLAS then
 starts one thread per core for the fits' small matrix products, and on a

@@ -102,14 +102,19 @@ def _refuse_control_characters(labels):
 
 
 def _renormalized(probs):
-    """probs, divided by their sum unless that is within 1e-12 of one."""
-    total = probs.sum()
-    return probs / total if abs(total - 1.0) > 1e-12 else probs
+    """probs, divided by their sum unless that is within 1e-12 of one;
+    each row on its own when probs is 2-D."""
+    total = probs.sum(axis=-1, keepdims=True)
+    return np.where(abs(total - 1.0) > 1e-12, probs / total, probs)
 
 
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+# The most label positions that SoundexIndex.blocks puts in one block.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class SoundexIndex:
@@ -127,8 +132,9 @@ class SoundexIndex:
       ``FrequencyTable.from_counts`` on the members' probabilities.
 
     ``labels`` and ``probs`` are the table's own.  Class c's code is
-    ``codes[members[starts[c]]]``; generate_population redraws surnames
-    within a class from these arrays.
+    ``codes[members[starts[c]]]``.  ``within`` is computed, and
+    generate_population builds its redraw cdfs, one class size at a
+    time over the classes of that size (see ``blocks``).
     """
 
     def __init__(self, table):
@@ -143,15 +149,34 @@ class SoundexIndex:
         members = np.argsort(label_class, kind="stable").astype(np.int32)
         starts = np.zeros(uniq.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(label_class), out=starts[1:])
+        self.starts = _read_only(starts)
         within = np.empty(members.size)
-        for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
-            counts = table.probs[members[lo:hi]]
-            within[lo:hi] = _renormalized(counts / counts.sum())
+        for _, _, pos in self.blocks(np.arange(uniq.size)):
+            counts = table.probs[members[pos]]
+            within[pos] = _renormalized(
+                counts / counts.sum(axis=1, keepdims=True))
         self.codes = _read_only(codes)
         self.label_class = _read_only(label_class)
         self.members = _read_only(members)
-        self.starts = _read_only(starts)
         self.within = _read_only(within)
+
+    def blocks(self, classes):
+        """Yield (k, i, pos) blocks of the given classes, by ascending
+        size k: i indexes classes of size k, ascending, and row r of the
+        (i.size, k) array pos holds the positions in members and within
+        of class classes[i[r]].  A block holds at most _BLOCK_ENTRIES
+        positions, or one row.
+
+        A row sum of a block along axis 1 adds the row as numpy adds the
+        row alone, so per-class arithmetic keeps its bits.
+        """
+        sizes = self.starts[classes + 1] - self.starts[classes]
+        order = np.argsort(sizes, kind="stable")
+        ks, first = np.unique(sizes[order], return_index=True)
+        for k, same in zip(ks.tolist(), np.split(order, first[1:])):
+            step = max(_BLOCK_ENTRIES // k, 1)
+            for i in np.split(same, range(step, same.size, step)):
+                yield k, i, self.starts[classes[i]][:, None] + np.arange(k)
 
 
 def _open_text(source):

@@ -143,14 +143,78 @@ def _check_index(index, table):
                          "with other probabilities")
 
 
+def _redraw_cdfs(index, names):
+    """The redraw cdf of each of the given names (distinct label
+    indices), as rng.choice builds it from the other names of its class:
+    p = oprobs / oprobs.sum(), then p.cumsum() divided by its last entry.
+
+    Returns one flat array of the cdfs, the label index of each entry,
+    and each name's segment start and width (its class size minus one;
+    a name alone in its class has an empty segment).  The cdfs are built
+    one class size at a time, for these names only.
+    """
+    classes = index.label_class[names]
+    width = np.diff(index.starts)[classes] - 1
+    start = np.zeros(names.size, dtype=np.int64)
+    cdf = np.empty(int(width.sum()))
+    cand = np.empty(cdf.size, dtype=np.int32)
+    base = 0
+    for k, i, pos in index.blocks(classes):
+        if k == 1:
+            continue
+        others = pos[index.members[pos] != names[i, None]].reshape(-1, k - 1)
+        oprobs = index.within[others]
+        rows = (oprobs / oprobs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        rows /= rows[:, -1:]
+        end = base + rows.size
+        cdf[base:end] = rows.ravel()
+        cand[base:end] = index.members[others].ravel()
+        start[i] = base + (k - 1) * np.arange(i.size)
+        base = end
+    return cdf, cand, start, width
+
+
+def _redraw_surnames(sidx_a, affected, index, rng):
+    """sidx_a with each affected unit's surname redrawn from the other
+    names of its soundex class, and the count of affected units kept
+    because their class holds one name.
+
+    The units are taken in (name, unit) order and draw one uniform each,
+    which a binary search places (side="right") in their name's cdf:
+    the draws of one rng.choice per name, in ascending name index.
+    """
+    units = affected[np.argsort(sidx_a[affected], kind="stable")]
+    names, counts = np.unique(sidx_a[units], return_counts=True)
+    cdf, cand, start, width = _redraw_cdfs(index, names)
+    name_of = np.repeat(np.arange(names.size), counts)
+    redraw = width[name_of] > 0
+    units, name_of = units[redraw], name_of[redraw]
+    u = rng.random(units.size)
+    lo = start[name_of]
+    hi = lo + width[name_of]
+    # a finished search (lo == hi) may point one past the end of cdf;
+    # its read is clamped and its outcome ignored
+    last = max(cdf.size - 1, 0)
+    for _ in range(int(width.max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        up = cdf[np.minimum(mid, last)] <= u
+        lo = np.where(up & (lo < hi), mid + 1, lo)
+        hi = np.where(up, hi, mid)
+    sidx_b = sidx_a.copy()
+    sidx_b[units] = cand[lo]
+    return sidx_b, int(counts[width == 0].sum())
+
+
 def generate_population(n, surnames, years, params, soundex_index, rng):
     """Generate N units with both registers.
 
     The draw order is fixed (surnames, years, months, days, patterns,
     day shifts, month shifts, surname redraws), so identical generator
-    states give bitwise-identical populations.  Surnames are redrawn
-    one name at a time, in ascending name index, with one draw for all
-    of that name's affected units in ascending unit order.  A shifted
+    states give bitwise-identical populations.  The surname redraws
+    consume the stream as one rng.choice per affected name would, in
+    ascending name index, each over that name's affected units in
+    ascending unit order, from the other names of its soundex class
+    with their within-class probabilities renormalized.  A shifted
     day or month moves up from 1 and down from 30 or 12; a surname alone
     in its soundex class is kept and counted in singleton_fallbacks.
     soundex_index must be build_soundex_index(surnames).  A mismatched
@@ -175,27 +239,11 @@ def generate_population(n, surnames, years, params, soundex_index, rng):
     day_b = _shift_by_one(day_a, g2 == 1, 1, 30, rng)
     month_b = _shift_by_one(month_a, g3 == 1, 1, 12, rng)
 
-    index = soundex_index
-    sidx_b = sidx_a.copy()
-    fallbacks = 0
-    affected = np.flatnonzero(g1 == 0)
-    order = np.argsort(sidx_a[affected], kind="stable")
-    names, first = np.unique(sidx_a[affected[order]], return_index=True)
-    for name_idx, slots in zip(names.tolist(),
-                               np.split(affected[order], first[1:])):
-        c = index.label_class[name_idx]
-        lo, hi = index.starts[c], index.starts[c + 1]
-        if hi - lo == 1:
-            fallbacks += slots.size
-            continue
-        keep = index.members[lo:hi] != name_idx
-        others = index.members[lo:hi][keep]
-        oprobs = index.within[lo:hi][keep]
-        sidx_b[slots] = others[rng.choice(others.size, size=slots.size,
-                                          p=oprobs / oprobs.sum())]
+    sidx_b, fallbacks = _redraw_surnames(
+        sidx_a, np.flatnonzero(g1 == 0), soundex_index, rng)
 
     return Population(
-        surname_labels=labels, surname_codes=index.codes,
+        surname_labels=labels, surname_codes=soundex_index.codes,
         sidx_a=sidx_a, day_a=day_a, month_a=month_a,
         year_a=year_a.astype(np.int32),
         sidx_b=sidx_b, day_b=day_b, month_b=month_b,

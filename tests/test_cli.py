@@ -256,33 +256,63 @@ def loaded():
 
 base = json.loads(sys.argv[1])
 seen = {"import": loaded()}
-ScenarioConfig.from_scenario(5, n_population=3000).tables()
+ScenarioConfig.from_scenario(base["scenario"],
+                             n_population=base["n_population"]).tables()
 seen["tables"] = loaded()
-for command, extra in (("simulate", {}), ("link", {}), ("baselines", {}),
-                       ("experiment", {"estimators": ["naive"]}),
-                       ("report", {}), ("fit-uni", {})):
+for command, extra in json.loads(sys.argv[2]):
     assert cli.main([command, "--config", json.dumps({**base, **extra})]) == 0
     seen[command] = loaded()
 print(json.dumps(seen))
 """
 
 
-def test_scipy_loaded_only_when_a_fit_runs(tmp_path):
-    """The commands that fit nothing start without scipy.optimize and
-    scipy.special; fit-uni loads both."""
-    config = {"scenario": 5, "seed": 11, "n_population": 3000,
-              "replications": 2, "g_max": 1, "clerical_m": 200,
-              "out_dir": str(tmp_path)}
+def scipy_modules_seen(config, steps):
+    """The scipy modules loaded after the import, the tables and each
+    (command, extra config) step, run in a fresh interpreter."""
     src = str(Path(linkcov.__file__).resolve().parent.parent)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     run = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(config)],
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(config),
+         json.dumps(steps)],
         env=env, capture_output=True, text=True, check=True)
-    seen = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_scipy_loaded_only_when_a_fit_runs(tmp_path):
+    """The commands that fit nothing start without scipy.optimize and
+    scipy.special; fit-uni loads both.  baselines fits nothing here:
+    this replication's Racinskij estimate is interior, in closed form."""
+    config = {"scenario": 5, "seed": 11, "n_population": 3000,
+              "replications": 2, "g_max": 1, "clerical_m": 200,
+              "out_dir": str(tmp_path)}
+    seen = scipy_modules_seen(config, [
+        ("simulate", {}), ("link", {}), ("baselines", {}),
+        ("experiment", {"estimators": ["naive"]}), ("report", {}),
+        ("fit-uni", {})])
+    racinskij = json.loads((tmp_path / "baselines.json").read_text())[
+        "racinskij"]["diagnostics"]
+    assert racinskij["method"] == "closed_form"
     fits = seen.pop("fit-uni")
     assert seen == {step: [] for step in seen}
     assert list(seen) == ["import", "tables", "simulate", "link",
                           "baselines", "experiment", "report"]
     assert fits == ["scipy.optimize", "scipy.special"]
+
+
+def test_baselines_loads_scipy_optimize_on_boundary_data(tmp_path):
+    """A Racinskij maximum on the boundary is found by a bounded
+    L-BFGS-B search, so baselines loads scipy.optimize (and with it
+    scipy.special) for it."""
+    config = {"scenario": 1, "seed": 11, "n_population": 4000,
+              "replications": 1, "clerical_m": 200,
+              "out_dir": str(tmp_path)}
+    seen = scipy_modules_seen(config, [("simulate", {}), ("link", {}),
+                                       ("baselines", {})])
+    racinskij = json.loads((tmp_path / "baselines.json").read_text())[
+        "racinskij"]["diagnostics"]
+    assert racinskij["method"] == "lbfgsb_box"
+    assert seen.pop("baselines") == ["scipy.optimize", "scipy.special"]
+    assert seen == {step: [] for step in ("import", "tables", "simulate",
+                                          "link")}

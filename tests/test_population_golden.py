@@ -6,8 +6,10 @@ the surname) and twelve names sharing code A536, whose redraw
 probabilities are summed over more than eight terms.  The digests move
 when the draw order, a redraw distribution or the singleton fallback
 changes.  A last-bit change in a sum rarely moves a draw, so the
-bitwise arithmetic of the within-class probabilities is checked in
-test_frequencies.py instead.
+bitwise arithmetic is checked on its own: that of the within-class
+probabilities in test_frequencies.py, and that of the redraw cdfs, with
+the redraw itself against the per-name rng.choice loop, in
+test_redraw_oracle.py.
 """
 
 import hashlib
