@@ -21,10 +21,10 @@ from .neighbor_uni import (AccuracySummary, CountHistogram, UniMixtureParams,
                            accuracy_from_fit, capped_loglik, comp_pmf,
                            fit_uni, mix_pmf, sample_counts, select_G)
 from .neighbor_multi import (DesignMatrix, LogLinear, MultiCountHistogram,
-                             MultiMixtureParams, appendix_c_cells,
+                             MultiMixtureParams, appendix_c_start,
                              build_design, coverage_from_fit, fit_multi,
                              init_appendix_c, loglinear_probs,
-                             marginal_rates, multi_comp_pmf, multi_mix_pmf,
+                             multi_comp_pmf, multi_mix_pmf,
                              sample_multi_counts, select_G_multi,
                              single_class_p_hat)
 from .baselines import (CoverageEstimate, df_dt_estimators, lincoln_petersen,

@@ -2,10 +2,18 @@
 whose L-BFGS-B loop also fits the Racinskij baseline on the boundary.
 
 The two mixtures differ only in their parameters and in the objective
-kernel that L-BFGS-B calls.  They share the settings (FitOptions), the
-result types (FitResult, SelectionResult), the deterministic multi-start
-search (fit_starts), the AIC selection of the class count (select_aic)
-and the JSON of a result (result_document).
+kernel that L-BFGS-B calls.  They share the settings (FitOptions and the
+constants below), the result types (FitResult, SelectionResult), the
+deterministic multi-start search (fit_starts), the AIC selection of the
+class count (select_aic) and the JSON of a result (result_document).
+
+The fixed settings are module constants.  FTOL and the default
+FitOptions.max_iter are the paper's stop rule: a relative change of the
+mean log-likelihood below 1e-9, at most 1,000 iterations; GTOL is
+scipy's projected-gradient tolerance for L-BFGS-B.  Start s > 0 of a fit
+adds JITTER times standard normals, seeded by (JITTER_SEED, *salt, s).
+NU floors the probabilities (kept in [NU, 1 - NU]), the class weights
+and the rates, whose ceiling is LAMBDA_MAX.
 
 Each search is L-BFGS-B, run by minimize: a short loop that calls
 scipy's own L-BFGS-B step routine (scipy.optimize._lbfgsb.setulb)
@@ -53,10 +61,17 @@ import numpy as np
 import scipy
 
 __all__ = [
+    "FTOL",
+    "GTOL",
+    "JITTER",
+    "JITTER_SEED",
+    "NU",
+    "LAMBDA_MAX",
     "FitOptions",
     "FitResult",
     "SelectionResult",
     "best_end",
+    "check_class_count",
     "fit_starts",
     "minimize",
     "row_loop",
@@ -73,49 +88,40 @@ __all__ = [
 ]
 
 
+FTOL = 1e-9
+GTOL = 1e-7
+JITTER = 0.3
+JITTER_SEED = 0
+NU = 1e-4
+LAMBDA_MAX = 100.0
+
+
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer settings shared by the univariate and multivariate fits.
-
-    max_iter / ftol mirror the stated convergence rule (relative change in
-    the mean log-likelihood below 1e-9, at most 1000 iterations).  n_starts
-    counts the deterministic multi-starts: the moment initialization plus
-    n_starts - 1 jittered copies.  nu floors the probabilities (kept in
-    [nu, 1 - nu]), the class weights and the rates, whose ceiling is
-    lambda_max.
+    """The search settings a caller may set: the iteration cap max_iter
+    (the paper's 1,000 by default) and n_starts, the number of
+    deterministic starts: the moment or Appendix-C start plus
+    n_starts - 1 jittered copies.  The other settings are the module's
+    constants.
     """
 
     max_iter: int = 1000
-    ftol: float = 1e-9
-    gtol: float = 1e-7
     n_starts: int = 5
-    jitter: float = 0.3
-    seed: int = 0
-    nu: float = 1e-4
-    lambda_max: float = 100.0
 
     def __post_init__(self):
         for name in ("max_iter", "n_starts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("ftol", "gtol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.jitter >= 0:
-            raise ValueError("jitter must not be negative")
-        if not 0 < self.nu < 0.5:
-            raise ValueError("nu must lie in (0, 0.5)")
-        if not self.nu < self.lambda_max:
-            raise ValueError("nu must stay below lambda_max")
 
-    def check_class_count(self, g):
-        """Refuse a class count g that the fits cannot take: below 1, or
-        so large that g weights floored at nu would exceed 1."""
-        if g < 1:
-            raise ValueError("need at least one class")
-        if g * self.nu >= 1:
-            raise ValueError(f"{g} class weights floored at nu={self.nu} "
-                             "exceed 1; g * nu must stay below 1")
+
+def check_class_count(g):
+    """Refuse a class count g that the fits cannot take: below 1, or so
+    large that g weights floored at NU would exceed 1."""
+    if g < 1:
+        raise ValueError("need at least one class")
+    if g * NU >= 1:
+        raise ValueError(f"{g} class weights floored at nu={NU} exceed 1; "
+                         "g * nu must stay below 1")
 
 
 @dataclass(frozen=True)
@@ -145,8 +151,8 @@ class SelectionResult:
 
 
 def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
-    """L-BFGS-B from x0, bit for bit as scipy.optimize.minimize runs it,
-    from each row of x0 in lockstep when x0 is a block.
+    """L-BFGS-B from each row of the (S, n) block x0, in lockstep, bit
+    for bit as scipy.optimize.minimize runs it from that row alone.
 
     Takes what scipy.optimize.minimize takes for method="L-BFGS-B" and
     jac=True, with the options maxiter, ftol and gtol, and refuses
@@ -160,19 +166,17 @@ def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
     arguments from scipy 1.15 on; tests/test_minimize_oracle.py pins the
     loop to scipy.optimize.minimize, with and without bounds.
 
-    With a 1-D x0, fun(x, *args) returns the value and the gradient at
-    one point, and the result is scipy's OptimizeResult with x, fun,
-    jac, nfev, nit and success.  With an (S, n) block of starts,
     fun(X, *args) returns the values (S',) and the gradients (S', n) at
-    the S' rows of X, and each row's search runs its own setulb state.
-    In each round every running search that asks for a new point joins
-    one call of fun, and a finished search drops out; a search that asks
-    again for the point it last evaluated gets that evaluation back, as
-    scipy does, uncounted.  So each row ends where scipy would end from
-    it alone, after the same nfev and nit.  The result then lists one
-    such OptimizeResult per row in starts (as scipy.optimize.shgo lists
-    its local minima), with nfev and nit summed over the rows.  The 1-D
-    call is the one-row case of the same loop.
+    the S' rows of X (row_loop makes it from a point function), and each
+    row's search runs its own setulb state.  In each round every running
+    search that asks for a new point joins one call of fun, and a
+    finished search drops out; a search that asks again for the point it
+    last evaluated gets that evaluation back, as scipy does, uncounted.
+    So each row ends where scipy would end from it alone, after the same
+    nfev and nit.  The result lists one scipy OptimizeResult per row in
+    starts (as scipy.optimize.shgo lists its local minima), each with x,
+    fun, jac, nfev, nit and success, and gives nfev and nit summed over
+    the rows.  A single search is a one-row block.
 
     The fit modules import this name and call it as their own
     module-level minimize, so that a stub or a counter put in that
@@ -191,10 +195,9 @@ def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
     maxiter = options["maxiter"]
     factr = options["ftol"] / np.finfo(float).eps
     pgtol = options["gtol"]
-    block = np.ndim(x0) == 2
-    if not block:
-        fun = row_loop(fun)
-    starts = np.array(x0, dtype=np.float64, ndmin=2)
+    starts = np.array(x0, dtype=np.float64)
+    if starts.ndim != 2:
+        raise ValueError("x0 must be an (S, n) block of starts")
     n = starts.shape[1]
     lower, upper, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
     if bounds is not None:
@@ -241,8 +244,6 @@ def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
     results = [OptimizeResult(x=s.x, fun=s.f, jac=s.g, nfev=s.nfev,
                               nit=s.nit, success=bool(s.task[0] == 4))
                for s in searches]
-    if not block:
-        return results[0]
     return OptimizeResult(nfev=sum(r.nfev for r in results),
                           nit=sum(r.nit for r in results), starts=results)
 
@@ -301,8 +302,9 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
 
     objective(X, *args) gives, at each row x of X, the negative mean
     log-likelihood of total observations and its gradient (row_loop
-    makes it from a point kernel); start s > 0 adds jitter times normals
-    seeded by (seed, *salt, s).  The starts go to minimize as one block,
+    makes it from a point kernel); start s > 0 adds JITTER times normals
+    seeded by (JITTER_SEED, *salt, s).  The search stops by FTOL, GTOL
+    and opts.max_iter.  The starts go to minimize as one block,
     so their searches run in lockstep; a later start replaces the best so
     far only with a strictly lower value (see best_end), and params_at
     maps the best end point to the model.  minimize is the one the
@@ -314,12 +316,11 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
     init_loglik = -objective(x0[None], *args)[0][0] * total
     starts = [x0]
     for start in range(1, opts.n_starts):
-        jrng = np.random.default_rng([opts.seed, *salt, start])
-        starts.append(x0 + opts.jitter * jrng.standard_normal(x0.size))
+        jrng = np.random.default_rng([JITTER_SEED, *salt, start])
+        starts.append(x0 + JITTER * jrng.standard_normal(x0.size))
     res = minimize(
         objective, np.array(starts), args=args, jac=True, method="L-BFGS-B",
-        options={"maxiter": opts.max_iter, "ftol": opts.ftol,
-                 "gtol": opts.gtol},
+        options={"maxiter": opts.max_iter, "ftol": FTOL, "gtol": GTOL},
     )
     best = best_end(res.starts)
     return FitResult(
@@ -449,11 +450,11 @@ def stick_break_inverse(weights, floor=0.0):
     return x
 
 
-def stick_break_vjp(x, grad_s, floor=0.0):
-    """Pull a gradient w.r.t. the weights back to the free logits."""
+def stick_break_vjp(x, grad_s):
+    """Pull a gradient w.r.t. the weights of stick_break(x) back to the
+    free logits x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = scipy.special.expit(x).tolist()
     stick, pieces = stick_pieces(v)
     grad_s = np.asarray(grad_s, dtype=float).tolist()
-    return ((1.0 - len(pieces) * floor)
-            * np.array(stick_pieces_vjp(v, stick, pieces, grad_s)))
+    return np.array(stick_pieces_vjp(v, stick, pieces, grad_s))

@@ -180,9 +180,8 @@ def _config_from(data):
         raise ValueError(f"config key 'rule_variant' must be one of "
                          f"{', '.join(lk.RULE_VARIANTS)}")
     if merged["rule_variant"] is None:
-        merged["rule_variant"] = (
-            lk.RULE_BASELINE_AND_ANY_EXACT if merged["scenario"] in (4, 5)
-            else lk.RULE_BASELINE_ONLY)
+        merged["rule_variant"] = ScenarioConfig.from_scenario(
+            merged["scenario"]).rule_variant
     merged["surname_csv"] = _resolve_census(merged["surname_csv"])
     merged["age_csv"] = _resolve_census(merged["age_csv"])
     return RunConfig(**merged)

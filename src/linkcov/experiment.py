@@ -21,12 +21,11 @@ from itertools import repeat
 import numpy as np
 
 from . import linkage as lk
-from ._optim import FitOptions
 from .baselines import CoverageEstimate, df_dt_estimators, lincoln_petersen, racinskij_fit
 from .frequencies import (build_soundex_index, load_frequency_table,
                           synthetic_age_table, synthetic_surname_table)
-from .neighbor_multi import (LogLinear, MultiCountHistogram,
-                             appendix_c_cells, marginal_rates, select_G_multi)
+from .neighbor_multi import (LogLinear, MultiCountHistogram, appendix_c_start,
+                             select_G_multi)
 from .neighbor_uni import (CountHistogram, accuracy_from_fit, select_G)
 from .popsim import PerturbationParams, draw_samples, generate_population
 
@@ -170,8 +169,7 @@ def simulate(cfg, pop_rng, sample_rng):
     """The population of a replication and its sample flags."""
     surnames, ages = cfg.tables()
     pop = generate_population(cfg.n_population, surnames, ages,
-                              cfg.perturbation, build_soundex_index(surnames),
-                              pop_rng)
+                              cfg.perturbation, pop_rng)
     return pop, draw_samples(pop, cfg.pi_a, cfg.pi_b, sample_rng)
 
 
@@ -229,12 +227,12 @@ _MN_CONSTRAINTS = {"mn_no_interactions": LogLinear(1),
                    "mn_with_interactions": LogLinear(2)}
 
 
-def count_estimates(cv, estimators, tau, g_max, opts):
+def count_estimates(cv, estimators, tau, g_max):
     """The UN and MN estimates named in estimators, from link counts."""
     estimates = {}
     if "un" in estimators:
         uh = CountHistogram.from_observations(cv.n_total)
-        sel = select_G(uh, g_max, tau=tau, opts=opts)
+        sel = select_G(uh, g_max, tau=tau)
         acc = accuracy_from_fit(sel.fit.params, known_recall=1.0)
         estimates["un"] = CoverageEstimate(
             "un", acc.coverage_hat,
@@ -246,12 +244,10 @@ def count_estimates(cv, estimators, tau, g_max, opts):
     if modes:
         mh = MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
         # both modes start from the same per-rule rates and plug-in cells
-        lam_bar = marginal_rates(mh, tau, opts)
-        p_hat = appendix_c_cells(mh, lam_bar, tau, opts.nu)
+        start = appendix_c_start(mh, tau)
         for name in modes:
             sel = select_G_multi(mh, g_max, constraint=_MN_CONSTRAINTS[name],
-                                 tau=tau, opts=opts, lambda_bar=lam_bar,
-                                 p_hat=p_hat)
+                                 tau=tau, start=start)
             estimates[name] = CoverageEstimate(
                 name, float(sel.fit.params.phi),
                 diagnostics={"G": sel.g_hat, "converged": sel.fit.converged},
@@ -259,13 +255,12 @@ def count_estimates(cv, estimators, tau, g_max, opts):
     return estimates
 
 
-def run_replication(cfg, rep_index, opts=None):
+def run_replication(cfg, rep_index):
     """Execute one full pipeline pass.
 
     Deterministic given (cfg, rep_index): the stages draw from the
     generators of ``replication_rngs(cfg.master_seed, rep_index)``.
     """
-    opts = opts or FitOptions()
     pop_rng, sample_rng, clerical_rng = replication_rngs(cfg.master_seed,
                                                          rep_index)
     pop, flags = simulate(cfg, pop_rng, sample_rng)
@@ -280,8 +275,7 @@ def run_replication(cfg, rep_index, opts=None):
     estimates = baseline_estimates(panel_a.size, panel_b.size, linked.base,
                                    linked.links2, cfg.estimators,
                                    cfg.clerical_m, clerical_rng)
-    estimates.update(count_estimates(cv, cfg.estimators, cfg.tau, cfg.g_max,
-                                     opts))
+    estimates.update(count_estimates(cv, cfg.estimators, cfg.tau, cfg.g_max))
     return ReplicationResult(
         rep_index=rep_index,
         estimates=estimates,
@@ -433,8 +427,7 @@ class StratifiedResult:
     skipped: tuple
 
 
-def stratified_fit(strata, estimator="un", tau=10, g_max=3, min_size=500,
-                   opts=FitOptions()):
+def stratified_fit(strata, estimator="un", tau=10, g_max=3, min_size=500):
     """Run a count-mixture estimator independently per post-stratum.
 
     strata maps a label to that stratum's CountVector (per-record link
@@ -451,7 +444,7 @@ def stratified_fit(strata, estimator="un", tau=10, g_max=3, min_size=500,
                           stacklevel=2)
             skipped.append(label)
             continue
-        est = count_estimates(cv, (estimator,), tau, g_max, opts)[estimator]
+        est = count_estimates(cv, (estimator,), tau, g_max)[estimator]
         per[label] = (est.coverage_hat, cv.size)
     if not per:
         raise ValueError("all strata skipped; nothing to pool")

@@ -39,6 +39,10 @@ TARGET_FP_PER_RECORD = 0.0454
 TARGET_MATCH_SURVIVAL = 0.944
 SAMPLING_RATE = 0.9
 
+# The year that census ages count back from, and that of the synthetic
+# age table.
+REFERENCE_YEAR = 2010
+
 # P(|day difference| <= 1) and P(|month difference| <= 1) for independent
 # uniform draws on 1..30 and 1..12.
 DAY_WINDOW = (28 * 3 + 2 * 2) / 30.0 ** 2
@@ -74,10 +78,6 @@ class FrequencyTable:
         if total <= 0:
             raise ValueError("zero total count")
         return cls(tuple(labels), counts / total)
-
-    @property
-    def entries(self):
-        return list(zip(self.labels, self.probs))
 
     @property
     def size(self):
@@ -188,38 +188,35 @@ def _open_text(source):
     return open(source, "r", encoding="utf-8", newline="")
 
 
-def load_frequency_table(source, kind, column_map=None, delimiter=",",
-                         reference_year=2010):
-    """Ingest a census-style CSV into a FrequencyTable.
+# The label and count columns of each kind of census file.
+_CENSUS_COLUMNS = {"surname": ("name", "count"),
+                   "age": ("AGE", "POPESTIMATE2010")}
 
-    kind="surname": expects label/count columns (default ``name`` and
-    ``count``); the "ALL OTHER NAMES" row is dropped before
-    normalization.  kind="age": expects ``AGE`` and ``POPESTIMATE2010``
-    columns, sums the counts per age over all strata rows and converts
-    ages to birth years as reference_year - age.
 
-    column_map remaps {"label": ..., "count": ...} to actual column
-    names.  Failures name the offending row.
+def load_frequency_table(source, kind):
+    """Ingest a comma-separated census file into a FrequencyTable.
+
+    kind="surname": expects ``name`` and ``count`` columns; the "ALL
+    OTHER NAMES" row is dropped before normalization.  kind="age":
+    expects ``AGE`` and ``POPESTIMATE2010`` columns, sums the counts per
+    age over all strata rows and converts ages to birth years as
+    REFERENCE_YEAR - age.  Column names match without regard to case or
+    surrounding spaces.  Failures name the offending row.
     """
-    if kind not in ("surname", "age"):
+    if kind not in _CENSUS_COLUMNS:
         raise ValueError(f"unknown table kind {kind!r}")
-    defaults = {"surname": {"label": "name", "count": "count"},
-                "age": {"label": "AGE", "count": "POPESTIMATE2010"}}[kind]
-    colmap = dict(defaults)
-    if column_map:
-        colmap.update(column_map)
 
     fh = _open_text(source)
     try:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError("empty input: no header row") from None
         lookup = {name.strip().lower(): i for i, name in enumerate(header)}
         try:
-            label_col = lookup[colmap["label"].strip().lower()]
-            count_col = lookup[colmap["count"].strip().lower()]
+            label_col, count_col = (lookup[name.lower()]
+                                    for name in _CENSUS_COLUMNS[kind])
         except KeyError as exc:
             raise ValueError(f"missing column {exc.args[0]!r} in header") from None
 
@@ -238,7 +235,7 @@ def load_frequency_table(source, kind, column_map=None, delimiter=",",
                     continue
             else:
                 try:
-                    label = reference_year - int(raw_label)
+                    label = REFERENCE_YEAR - int(raw_label)
                 except ValueError:
                     raise ValueError(
                         f"row {rownum}: age {raw_label!r} is not an integer"
@@ -267,12 +264,13 @@ def build_soundex_index(table):
 
 
 @lru_cache(maxsize=None)
-def synthetic_age_table(reference_year=2010):
-    """Mildly declining age pyramid over ages 0..85, as birth years."""
+def synthetic_age_table():
+    """Mildly declining age pyramid over ages 0..85, as birth years
+    counted back from REFERENCE_YEAR."""
     ages = np.arange(86)
     weights = np.where(ages < 50, 1.0, 1.0 - 0.025 * (ages - 49))
     weights = np.maximum(weights, 0.08)
-    years = tuple(int(reference_year - a) for a in ages)
+    years = tuple(int(REFERENCE_YEAR - a) for a in ages)
     return FrequencyTable.from_counts(years, weights)
 
 
@@ -424,8 +422,9 @@ def _brentq(f, a, b, args=(), xtol=2e-12):
         f"brentq failed to converge after {_BRENT_MAXITER} iterations")
 
 
-# The calibration tries each count of hot families, and brackets the hot
-# mass by these ends.
+# The calibration tries each count of hot families beside the _N_COLD
+# rare ones, and brackets the hot mass by these ends.
+_N_COLD = 3600
 _HOT_COUNTS = range(1, 13)
 _HOT_MASS_BRACKET = (1e-4, 0.6)
 # The calibration-limit hint names a reference size to this precision.
@@ -439,15 +438,14 @@ class _Calibration:
     _brentq's first two evaluations reuse the bracket check's.
     """
 
-    def __init__(self, reference_size, n_cold):
-        self.n_cold = n_cold
-        self.cold_raw = (np.arange(1, n_cold + 1) + 10.0) ** -0.3
+    def __init__(self, reference_size):
+        self.cold_raw = (np.arange(1, _N_COLD + 1) + 10.0) ** -0.3
         self.op = _OperatingPoint(synthetic_age_table().probs,
-                                  reference_size, _HOT_COUNTS[-1] + n_cold)
+                                  reference_size, _HOT_COUNTS[-1] + _N_COLD)
         self._gaps = {}
 
     def assemble(self, n_hot, hot_mass):
-        code_probs = np.empty(n_hot + self.n_cold)
+        code_probs = np.empty(n_hot + _N_COLD)
         code_probs[:n_hot] = hot_mass / n_hot
         code_probs[n_hot:] = ((1.0 - hot_mass) * self.cold_raw
                               / self.cold_raw.sum())
@@ -467,11 +465,11 @@ class _Calibration:
                     or self.survival_gap(hi, n_hot) > 0)
 
 
-def _largest_calibrated_size(reference_size, n_cold):
+def _largest_calibrated_size(reference_size):
     """The largest multiple of _SIZE_STEP below reference_size whose
     table calibrates, or None; bisects on the bracket checks alone."""
     def calibrates(k):
-        cal = _Calibration(k * _SIZE_STEP, n_cold)
+        cal = _Calibration(k * _SIZE_STEP)
         return any(cal.bracketed(n_hot) for n_hot in _HOT_COUNTS)
 
     lo, hi = 0, -(-reference_size // _SIZE_STEP)
@@ -485,12 +483,12 @@ def _largest_calibrated_size(reference_size, n_cold):
 
 
 @lru_cache(maxsize=None)
-def synthetic_surname_table(reference_size=50000, n_cold=3600):
+def synthetic_surname_table(reference_size=50000):
     """Deterministic census-like surname distribution.
 
-    The table holds a few "hot" families (common names) plus n_cold
-    rare families with a gentle power-law decay.  The hot mass and
-    family count are solved so the linkage operating point at the
+    The table holds a few "hot" families (common names) plus _N_COLD
+    (3,600) rare families with a gentle power-law decay.  The hot mass
+    and family count are solved so the linkage operating point at the
     reference population size matches the calibration targets.
     """
     # The calibrated probabilities are pinned bit for bit, because the
@@ -499,7 +497,7 @@ def synthetic_surname_table(reference_size=50000, n_cold=3600):
     # the same products in the same order and sums the whole C-contiguous
     # class-mass array with one .sum(), which fixes numpy's pairwise
     # summation order; only the arrays are reused.
-    cal = _Calibration(reference_size, n_cold)
+    cal = _Calibration(reference_size)
     best = None
     for n_hot in _HOT_COUNTS:
         if not cal.bracketed(n_hot):
@@ -512,8 +510,8 @@ def synthetic_surname_table(reference_size=50000, n_cold=3600):
             best = (err, n_hot, hot_mass)
     if best is None:
         message = (f"cannot calibrate synthetic table at size "
-                   f"{reference_size} with n_cold={n_cold}")
-        largest = _largest_calibrated_size(reference_size, n_cold)
+                   f"{reference_size} with n_cold={_N_COLD}")
+        largest = _largest_calibrated_size(reference_size)
         if largest is not None:
             message += (f"; the largest reference size that calibrates, "
                         f"in steps of {_SIZE_STEP}, is {largest}: set the "

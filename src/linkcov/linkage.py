@@ -189,10 +189,6 @@ class LinkSet:
     def size(self):
         return self.b_unit.size
 
-    def pairs(self):
-        """Set view over (b_unit, a_unit), for small examples."""
-        return set(zip(self.b_unit.tolist(), self.a_unit.tolist()))
-
 
 def baseline_pairs(panel_b, panel_a, pairs):
     """The blocked candidate pairs that meet the baseline criterion (day
@@ -310,7 +306,6 @@ class ClericalEstimates:
 
     recall_hat: Optional[float]
     precision_hat: Optional[float]
-    sample_size: int
 
 
 def clerical_sample(base_pairs, links2, m, rng):
@@ -337,7 +332,7 @@ def clerical_sample(base_pairs, links2, m, rng):
     n_linked = int(linked.sum())
     recall_hat = float((matched & linked).sum() / n_matched) if n_matched else None
     precision_hat = float((linked & matched).sum() / n_linked) if n_linked else None
-    return ClericalEstimates(recall_hat, precision_hat, m)
+    return ClericalEstimates(recall_hat, precision_hat)
 
 
 def _pair_keys(*linksets):

@@ -36,13 +36,17 @@ import numpy as np
 import scipy
 
 from ._optim import (
+    LAMBDA_MAX,
+    NU,
     FitOptions,
+    check_class_count,
     fit_starts,
     interval_from_real,
     real_from_interval,
     logit,
     minimize,
     result_document,
+    row_loop,
     select_aic,
     stick_break,
     stick_break_inverse,
@@ -65,9 +69,8 @@ __all__ = [
     "multi_mix_pmf",
     "marginal_histogram",
     "single_class_p_hat",
+    "appendix_c_start",
     "init_appendix_c",
-    "appendix_c_cells",
-    "marginal_rates",
     "fit_multi",
     "select_G_multi",
     "coverage_from_fit",
@@ -88,7 +91,6 @@ class DesignMatrix:
 
     Z: np.ndarray
     labels: tuple
-    order: int
 
 
 def build_design(d):
@@ -106,7 +108,7 @@ def build_design(d):
                    for combo in terms] for g in PATTERNS])
     labels = tuple("u_" + "".join(str(k + 1) for k in combo)
                    + "(" + "1" * len(combo) + ")" for combo in terms)
-    return DesignMatrix(Z=Z, labels=labels, order=d)
+    return DesignMatrix(Z=Z, labels=labels)
 
 
 def loglinear_probs(phi, u, design):
@@ -275,31 +277,31 @@ def sample_multi_counts(params, size, rng):
 
 # ----------------------------------------------------------------- fitting
 
-def _unpack_multi(x, g, design, nu, lam_max):
+def _unpack_multi(x, g, design):
     """Parameters at x = [weight logits | logit phi | u | rate reals]."""
     n_alpha = g - 1
     n_head = n_alpha + 1 + design.Z.shape[1]
-    alpha = stick_break(x[:n_alpha], floor=nu) if g > 1 else np.ones(1)
+    alpha = stick_break(x[:n_alpha], floor=NU) if g > 1 else np.ones(1)
     phi = float(scipy.special.expit(x[n_alpha]))
     u = x[n_alpha + 1:n_head]
     eta = design.Z @ u
     mx = max(0.0, float(eta.max()))
     e = np.exp(eta - mx)
     p = phi * (e / (np.exp(-mx) + e.sum()))[None, :]
-    lam, _ = interval_from_real(x[n_head:], nu, lam_max)
+    lam, _ = interval_from_real(x[n_head:], NU, LAMBDA_MAX)
     return MultiMixtureParams(
         alpha=alpha, p=p.repeat(g, axis=0), lam=lam.reshape(g, -1), phi=phi,
         u=u, u_labels=design.labels)
 
 
-def _objective_multi(hist, tau, g, Z, nu, lam_max):
+def _objective_multi(hist, tau, g, Z):
     """The objective of one fit_multi call, a block kernel: X -> (the
     negative mean capped log-likelihood at each row x of X, the analytic
     gradients).  Each row gets the bits that the kernel gives it alone.
 
     It holds the per-fit constants: the columns [t | 1 | log t!] of the
     k count vectors with |t| <= tau, contiguous and transposed, their
-    multiplicities, log nu and the log-span of the rates.  Per call, one
+    multiplicities, log NU and the log-span of the rates.  Per call, one
     stacked product of the (S, 2g, m + 2) coefficient block with the
     transposed columns gives, for each row and class c, the exponent of
     alpha_c a_c, where a_c = prod_gamma Pois(t_gamma; lam_c,gamma) and
@@ -338,8 +340,9 @@ def _objective_multi(hist, tau, g, Z, nu, lam_max):
         a_mix = np.empty((n_rows, 2 * g, k))
         views[:] = [(coef[:i], a_mix[:i]) for i in range(n_rows + 1)]
 
+    nu = NU
     log_lo = math.log(nu)
-    span = math.log(lam_max) - log_lo
+    span = math.log(LAMBDA_MAX) - log_lo
     log_fact_tau = math.lgamma(tau + 1.0)
     scale = 1.0 - g * nu
     expit, pdtr = scipy.special.expit, scipy.special.pdtr
@@ -456,13 +459,15 @@ def _split_multi(hist, tau):
             hist.counts[low].astype(float), float(hist.counts[~low].sum()))
 
 
-def single_class_p_hat(hist, lambda_fixed, tau=10, nu=1e-4):
+def single_class_p_hat(hist, lambda_fixed, tau=10):
     """Single-class true-positive cells with the rates plugged in.
 
     The capped log-likelihood is concave in p, so this is a convex
     problem; it is solved through the simplex reparameterization to a
-    tight gradient tolerance.
+    tight gradient tolerance, from one start.  The cells sum to at most
+    1 - NU.
     """
+    nu = NU
     lam = np.asarray(lambda_fixed, dtype=float)
     m = lam.size
     keys, log_fact, cnts, tail_count = _split_multi(hist, tau)
@@ -491,10 +496,10 @@ def single_class_p_hat(hist, lambda_fixed, tau=10, nu=1e-4):
         gs = np.append((1.0 - nu) * d_p, 0.0)
         return -ll / total, -stick_break_vjp(xp, gs) / total
 
-    x0 = np.zeros(m) - 1.0
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+    res = minimize(row_loop(objective), np.full((1, m), -1.0), jac=True,
+                   method="L-BFGS-B",
                    options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-8})
-    cells = stick_break(res.x)
+    cells = stick_break(res.starts[0].x)
     return (1.0 - nu) * cells[:m]
 
 
@@ -504,38 +509,40 @@ def _require_three_binary_groups(hist):
                          f"three binary rule groups; got {hist.width}")
 
 
-def appendix_c_cells(hist, lambda_bar_by_rule, tau=10, nu=1e-4):
-    """The plug-in true-positive cells of the Appendix-C start: the
-    single-class cells with the per-rule rates (floored at nu) plugged
-    in.  They depend on neither the interaction order nor G, so one set
-    serves both orders fitted to the same histogram."""
-    lam = np.clip(np.asarray(lambda_bar_by_rule, dtype=float), nu, None)
-    return single_class_p_hat(hist, lam, tau=tau, nu=nu)
+def appendix_c_start(hist, tau=10, opts=FitOptions()):
+    """What the Appendix-C start of both interaction orders rests on:
+    (rates, cells).
+
+    rates holds, per rule, the aggregate rate lambda_bar of a univariate
+    shared-p fit (G = 1..2, AIC) of that rule's marginal counts, floored
+    at NU; cells are the single-class true-positive cells with those
+    rates plugged in (single_class_p_hat).  Neither depends on the
+    interaction order or on G, so one start serves every fit of the
+    histogram (see init_appendix_c).
+    """
+    _require_three_binary_groups(hist)
+    rates = []
+    for coord in range(hist.width):
+        sel = select_G(marginal_histogram(hist, coord), 2, tau=tau,
+                       opts=opts)
+        rates.append(sel.fit.params.lambda_bar)
+    rates = np.clip(rates, NU, None)
+    return rates, single_class_p_hat(hist, rates, tau=tau)
 
 
-def init_appendix_c(hist, lambda_bar_by_rule, d, tau=10, opts=FitOptions(),
-                    p_hat=None):
+def init_appendix_c(start, d):
     """Moment-based starting values for the log-linear multivariate fit
-    of interaction order d.
+    of interaction order d, from the (rates, cells) of appendix_c_start.
 
-    lambda_bar_by_rule supplies, per rule, the aggregate rate from a
-    univariate fit of that rule's marginal counts (``marginal_rates``;
-    None fits them here).  The true-positive cells come from the plug-in
-    convex step (``appendix_c_cells``; pass them as p_hat when they are
-    already computed); the starting log-linear coefficients follow the
-    stated moment formulas (logit-averaged ratios without interactions,
+    The starting log-linear coefficients follow the stated moment
+    formulas on the cells (logit-averaged ratios without interactions,
     log-ratio sums with them), and the starting coverage is
-    sum(p) / sum(r) at those coefficients.
+    sum(p) / sum(r) at those coefficients.  Returns the bundle that
+    fit_multi takes as init: "lambda" the rates, "p" the cells, "u" the
+    coefficients (d=2 sized, the interactions 0 for d=1) and "phi".
     """
     LogLinear(d)    # refuses any order but 1 and 2
-    _require_three_binary_groups(hist)
-    nu = opts.nu
-    if lambda_bar_by_rule is None:
-        lambda_bar_by_rule = marginal_rates(hist, tau, opts)
-    lam = np.clip(np.asarray(lambda_bar_by_rule, dtype=float), nu, None)
-    if p_hat is None:
-        p_hat = appendix_c_cells(hist, lam, tau=tau, nu=nu)
-
+    lam, p_hat = start
     pat = dict(zip(PATTERNS, p_hat))
     if d == 1:
         q = {k: sum(v for g, v in pat.items() if g[k] == 1) for k in range(3)}
@@ -546,13 +553,10 @@ def init_appendix_c(hist, lambda_bar_by_rule, d, tau=10, opts=FitOptions(),
             0.5 * (qq[(0, 1)] / q[0] + qq[(1, 2)] / q[2]),
             0.5 * (qq[(0, 2)] / q[0] + qq[(1, 2)] / q[1]),
         ]
-        clipped = np.clip(ratios, 1e-6, 1.0 - 1e-6)
-        flagged = bool(np.any(clipped != np.asarray(ratios)))
-        u = np.concatenate([logit(clipped), np.zeros(3)])
+        u = np.concatenate([logit(np.clip(ratios, 1e-6, 1.0 - 1e-6)),
+                            np.zeros(3)])
     else:
-        floor = 1e-8
-        pv = {g: max(v, floor) for g, v in pat.items()}
-        flagged = any(v < floor for v in pat.values())
+        pv = {g: max(v, 1e-8) for g, v in pat.items()}
         ref = pv[(1, 1, 1)]
         lr = {g: np.log(pv[g] / ref) for g in pv}
         bracket = lr[(1, 1, 0)] + lr[(1, 0, 1)] + lr[(0, 1, 1)]
@@ -569,19 +573,7 @@ def init_appendix_c(hist, lambda_bar_by_rule, d, tau=10, opts=FitOptions(),
     eta = design.Z @ u
     r = np.exp(eta) / (1.0 + np.exp(eta).sum())
     phi = float(np.clip(p_hat.sum() / r.sum(), 1e-3, 1.0 - 1e-3))
-    return {"lambda": lam, "p": p_hat, "u": u, "phi": phi, "flagged": flagged}
-
-
-def marginal_rates(hist, tau=10, opts=FitOptions()):
-    """Per-rule rates lambda_bar from univariate shared-p fits (G = 1..2,
-    AIC) of each rule's marginal counts; they seed the Appendix-C start.
-    One set serves both interaction orders fitted to the same histogram."""
-    lam_bar = []
-    for coord in range(hist.width):
-        mh = marginal_histogram(hist, coord)
-        sel = select_G(mh, 2, tau=tau, opts=opts)
-        lam_bar.append(sel.fit.params.lambda_bar)
-    return np.asarray(lam_bar)
+    return {"lambda": lam, "p": p_hat, "u": u, "phi": phi}
 
 
 def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
@@ -590,14 +582,15 @@ def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
     follow the log-linear constraint, on three binary rule groups.
 
     init may carry a bundle from init_appendix_c; otherwise the bundle is
-    built here from per-rule univariate fits.
+    built here from appendix_c_start.
     """
-    opts.check_class_count(g)
+    check_class_count(g)
     _require_three_binary_groups(hist)
-    nu, lam_max = opts.nu, opts.lambda_max
+    nu, lam_max = NU, LAMBDA_MAX
     design = build_design(constraint.d)
     if init is None:
-        init = init_appendix_c(hist, None, constraint.d, tau, opts)
+        init = init_appendix_c(appendix_c_start(hist, tau, opts),
+                               constraint.d)
 
     lam0 = np.tile(np.clip(init["lambda"], nu * 2, lam_max), (g, 1))
     # spread duplicated rate vectors a little so classes can separate
@@ -611,23 +604,23 @@ def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
         np.asarray(init["u"], dtype=float)[:design.Z.shape[1]],
         real_from_interval(np.clip(lam0.ravel(), nu * (1 + 1e-9), lam_max),
                            nu, lam_max)])
-    objective = _objective_multi(hist, tau, g, design.Z, nu, lam_max)
+    objective = _objective_multi(hist, tau, g, design.Z)
     return fit_starts(
         minimize, objective, x0, (), float(hist.total), tau,
-        lambda x: _unpack_multi(x, g, design, nu, lam_max), opts,
-        salt=(71,))
+        lambda x: _unpack_multi(x, g, design), opts, salt=(71,))
 
 
 def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
-                   opts=FitOptions(), lambda_bar=None, p_hat=None):
+                   opts=FitOptions(), start=None):
     """AIC selection of the class count (ties -> smallest G).
 
-    lambda_bar: marginal_rates(hist, tau, opts) computed once and shared
-    between the interaction orders fitted to one histogram; None computes
-    them.  p_hat: appendix_c_cells(hist, lambda_bar, tau, opts.nu), shared
-    the same way; None computes them.
+    start: appendix_c_start(hist, tau, opts), computed once and shared
+    by the interaction orders fitted to one histogram; None computes it.
     """
-    init = init_appendix_c(hist, lambda_bar, constraint.d, tau, opts, p_hat)
+    _require_three_binary_groups(hist)
+    if start is None:
+        start = appendix_c_start(hist, tau, opts)
+    init = init_appendix_c(start, constraint.d)
     return select_aic(
         lambda g: fit_multi(hist, g, constraint=constraint, tau=tau,
                             opts=opts, init=init),

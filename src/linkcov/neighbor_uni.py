@@ -25,9 +25,12 @@ import numpy as np
 import scipy
 
 from ._optim import (
+    LAMBDA_MAX,
+    NU,
     FitOptions,
     FitResult,
     SelectionResult,
+    check_class_count,
     fit_starts,
     interval_from_real,
     real_from_interval,
@@ -133,9 +136,6 @@ class CountHistogram:
     def total(self):
         return int(self.counts.sum())
 
-    def as_dict(self):
-        return dict(zip(self.values.tolist(), self.counts.tolist()))
-
 
 def comp_pmf(n, p, lam):
     """Bernoulli(p) convolved with Poisson(lam), evaluated at n."""
@@ -198,17 +198,16 @@ def _split_hist(hist, tau):
             float(hist.counts[~low].sum()))
 
 
-def _unpack(x, g, nu, lam_max):
+def _unpack(x, g):
     """Parameters at x = [weight logits | p logit | rate reals]."""
     pos = g - 1
-    alpha = stick_break(x[:pos], floor=nu) if g > 1 else np.ones(1)
-    p = nu + (1.0 - 2.0 * nu) * scipy.special.expit(x[pos:pos + 1])
-    lam, _ = interval_from_real(x[pos + 1:], nu, lam_max)
+    alpha = stick_break(x[:pos], floor=NU) if g > 1 else np.ones(1)
+    p = NU + (1.0 - 2.0 * NU) * scipy.special.expit(x[pos:pos + 1])
+    lam, _ = interval_from_real(x[pos + 1:], NU, LAMBDA_MAX)
     return UniMixtureParams(alpha=alpha, p=np.full(g, p[0]), lam=lam)
 
 
-def _objective(x, vals, log_fact, cnts, tail_count, total, g, tau, nu,
-               lam_max):
+def _objective(x, vals, log_fact, cnts, tail_count, total, g, tau):
     """Negative mean capped log-likelihood and its gradient.
 
     A scalar kernel: vals, log_fact and cnts are the short lists of
@@ -220,6 +219,7 @@ def _objective(x, vals, log_fact, cnts, tail_count, total, g, tau, nu,
     """
     sig = scipy.special.expit(x).tolist()
     pos = g - 1
+    nu = NU
 
     # weights: stick-breaking above the floor nu, as stick_break
     stick, pieces = stick_pieces(sig[:pos])
@@ -230,7 +230,7 @@ def _objective(x, vals, log_fact, cnts, tail_count, total, g, tau, nu,
     p = [nu + (1.0 - 2.0 * nu) * s for s in p_sig] * g
     # rates: logistic interpolation on the log scale, as interval_from_real
     log_lo = math.log(nu)
-    span = math.log(lam_max) - log_lo
+    span = math.log(LAMBDA_MAX) - log_lo
     lam_sig = sig[pos + 1:]
     log_lam = [log_lo + span * s for s in lam_sig]
     exp, log = math.exp, math.log
@@ -295,21 +295,21 @@ def _objective(x, vals, log_fact, cnts, tail_count, total, g, tau, nu,
     return -ll / total, np.array(grad) / -total
 
 
-def _start(hist, g, nu, lam_max):
+def _start(hist, g):
     """The moment initialization, packed: equal weights, p from the share
     of nonzero counts, rates spread evenly about the mean count minus p."""
     total = hist.total
     frac_pos = float(hist.counts[hist.values >= 1].sum()) / total
-    p0 = float(np.clip(frac_pos, nu, 1.0 - nu))
+    p0 = float(np.clip(frac_pos, NU, 1.0 - NU))
     mean_n = float(hist.values @ hist.counts) / total
     base = max(mean_n - p0, 0.05)
     lam = base * 2.0 * np.arange(1, g + 1) / (g + 1.0)
-    frac = np.clip((np.full(1, p0) - nu) / (1.0 - 2.0 * nu), 1e-12,
+    frac = np.clip((np.full(1, p0) - NU) / (1.0 - 2.0 * NU), 1e-12,
                    1 - 1e-12)
     return np.concatenate([
-        stick_break_inverse(np.full(g, 1.0 / g), floor=nu), logit(frac),
-        real_from_interval(np.clip(lam, nu * (1 + 1e-9), lam_max), nu,
-                           lam_max)])
+        stick_break_inverse(np.full(g, 1.0 / g), floor=NU), logit(frac),
+        real_from_interval(np.clip(lam, NU * (1 + 1e-9), LAMBDA_MAX), NU,
+                           LAMBDA_MAX)])
 
 
 def fit_uni(hist, g, tau=10, opts=FitOptions()):
@@ -320,14 +320,11 @@ def fit_uni(hist, g, tau=10, opts=FitOptions()):
     and keeps the best local maximizer.  The achieved log-likelihood
     never falls below the initialization's.
     """
-    opts.check_class_count(g)
+    check_class_count(g)
     total = float(hist.total)
-    nu, lam_max = opts.nu, opts.lambda_max
-    args = (*_split_hist(hist, tau), total, g, tau, nu, lam_max)
-
-    x0 = _start(hist, g, nu, lam_max)
-    return fit_starts(minimize, row_loop(_objective), x0, args, total, tau,
-                      lambda x: _unpack(x, g, nu, lam_max), opts)
+    args = (*_split_hist(hist, tau), total, g, tau)
+    return fit_starts(minimize, row_loop(_objective), _start(hist, g), args,
+                      total, tau, lambda x: _unpack(x, g), opts)
 
 
 def select_G(hist, g_max, tau=10, opts=FitOptions()):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import frequencies
 from ._csvio import int_text, quoted_text, read_rows, write_columns
 from .soundex import soundex_array
 
@@ -89,18 +90,15 @@ class Population:
 
 @dataclass
 class SampleFlags:
-    """Bernoulli inclusion indicators for the two samples."""
+    """Inclusion indicators of the units in the two samples.  They hold
+    no inclusion rates: draw_samples takes and checks its own."""
 
     in_a: np.ndarray
     in_b: np.ndarray
-    pi_a: float
-    pi_b: float
 
     def __post_init__(self):
         if self.in_a.shape != self.in_b.shape:
             raise ValueError("flag arrays differ in length")
-        if not (0 < self.pi_a <= 1 and 0 < self.pi_b <= 1):
-            raise ValueError("inclusion probabilities must lie in (0, 1]")
 
 
 def pattern_distribution(params):
@@ -131,16 +129,6 @@ def _shift_by_one(values, keep, lo, hi, rng):
     move = ~keep
     out[move] = values[move] + signs[move]
     return out
-
-
-def _check_index(index, table):
-    """Refuse a soundex index that was built from another table."""
-    if index.labels != table.labels:
-        raise ValueError("soundex index was built from a surname table "
-                         "with other labels")
-    if not np.array_equal(index.probs, table.probs):
-        raise ValueError("soundex index was built from a surname table "
-                         "with other probabilities")
 
 
 def _redraw_cdfs(index, names):
@@ -205,7 +193,7 @@ def _redraw_surnames(sidx_a, affected, index, rng):
     return sidx_b, int(counts[width == 0].sum())
 
 
-def generate_population(n, surnames, years, params, soundex_index, rng):
+def generate_population(n, surnames, years, params, rng):
     """Generate N units with both registers.
 
     The draw order is fixed (surnames, years, months, days, patterns,
@@ -217,13 +205,16 @@ def generate_population(n, surnames, years, params, soundex_index, rng):
     with their within-class probabilities renormalized.  A shifted
     day or month moves up from 1 and down from 30 or 12; a surname alone
     in its soundex class is kept and counted in singleton_fallbacks.
-    soundex_index must be build_soundex_index(surnames).  A mismatched
-    index, or a surname label longer than LABEL_WIDTH characters, raises
-    ValueError.
+    The soundex classes are those of build_soundex_index(surnames),
+    which builds the index on the table's first use and keeps it with
+    the table.  A surname label longer than LABEL_WIDTH characters
+    raises ValueError.
     """
     if n < 1:
         raise ValueError("population size must be at least 1")
-    _check_index(soundex_index, surnames)
+    # looked up in frequencies at call time, so that a wrapper put on
+    # that name (perfbench/layers.py times it) sees the call
+    soundex_index = frequencies.build_soundex_index(surnames)
     labels = _labels(surnames.labels)
     sidx_a = rng.choice(surnames.size, size=n, p=surnames.probs).astype(np.int32)
     year_labels = np.asarray([int(y) for y in years.labels])
@@ -258,7 +249,7 @@ def draw_samples(pop, pi_a, pi_b, rng):
         raise ValueError("inclusion probabilities must lie in (0, 1]")
     in_a = rng.random(pop.n) < pi_a
     in_b = rng.random(pop.n) < pi_b
-    return SampleFlags(in_a=in_a, in_b=in_b, pi_a=pi_a, pi_b=pi_b)
+    return SampleFlags(in_a=in_a, in_b=in_b)
 
 
 _DUMP_COLUMNS = ("unit_id", "surname_a", "day_a", "month_a", "year_a",
@@ -322,8 +313,8 @@ def _factorize(*columns):
     return _labels(distinct), sidx
 
 
-def load_population(source, pi_a=None, pi_b=None):
-    """Read a population dump; defaults pi to the empirical rates.
+def load_population(source):
+    """Read a population dump: the Population and its SampleFlags.
 
     Raises ValueError for an unexpected header, a dump with no rows, a
     unit_id column other than 1..n in file order, an in_a or in_b value
@@ -348,17 +339,10 @@ def load_population(source, pi_a=None, pi_b=None):
                              f"{int(body[side][i])}, expected 0 or 1")
 
     labels, sidx = _factorize(body["surname_a"], body["surname_b"])
-    in_a = body["in_a"] == 1
-    in_b = body["in_b"] == 1
     pop = Population(
         surname_labels=labels, surname_codes=soundex_array(labels),
         sidx_a=sidx[:n], sidx_b=sidx[n:],
         **{c: body[c].copy() for c in ("day_a", "month_a", "year_a",
                                        "day_b", "month_b", "year_b")},
     )
-    flags = SampleFlags(
-        in_a=in_a, in_b=in_b,
-        pi_a=float(in_a.mean()) if pi_a is None else pi_a,
-        pi_b=float(in_b.mean()) if pi_b is None else pi_b,
-    )
-    return pop, flags
+    return pop, SampleFlags(in_a=body["in_a"] == 1, in_b=body["in_b"] == 1)

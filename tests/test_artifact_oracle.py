@@ -139,8 +139,7 @@ def populations(draw, labels=LABELS, min_units=0):
         day_b=column(*day, np.int16), month_b=column(*month, np.int16),
         year_b=column(*year, np.int32),
     )
-    flags = SampleFlags(in_a=column(0, 1, bool), in_b=column(0, 1, bool),
-                        pi_a=1.0, pi_b=1.0)
+    flags = SampleFlags(in_a=column(0, 1, bool), in_b=column(0, 1, bool))
     return pop, flags
 
 
@@ -189,8 +188,7 @@ def fixed_world(names, n):
         month_b=(k % 11 + 1).astype(np.int16),
         year_b=(k + 1980).astype(np.int32),
     )
-    flags = SampleFlags(in_a=k % 2 == 0, in_b=k % 3 != 1, pi_a=1.0,
-                        pi_b=1.0)
+    flags = SampleFlags(in_a=k % 2 == 0, in_b=k % 3 != 1)
     return pop, flags
 
 
@@ -267,7 +265,7 @@ class TestReadersRoundTrip:
         pop, flags = world
         buf = io.StringIO(_text(dump_population, pop, flags))
         # given rates: a sample of no units has no empirical rate
-        pop2, flags2 = load_population(buf, pi_a=1.0, pi_b=1.0)
+        pop2, flags2 = load_population(buf)
         assert pop2.n == pop.n
         for side in ("sidx_a", "sidx_b"):
             assert (pop2.surname_labels[getattr(pop2, side)].tolist()

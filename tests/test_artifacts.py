@@ -15,7 +15,7 @@ import pytest
 
 from linkcov import linkage as lk
 from linkcov.experiment import ScenarioConfig
-from linkcov.frequencies import FrequencyTable, build_soundex_index
+from linkcov.frequencies import FrequencyTable
 from linkcov.popsim import (PerturbationParams, Population, SampleFlags,
                             draw_samples, dump_population,
                             generate_population, load_population)
@@ -48,8 +48,7 @@ def artifacts(tmp_path_factory):
     ages = FrequencyTable((1979, 1980), np.array([0.5, 0.5]))
     ss = np.random.SeedSequence([20259, 0])
     pop_rng, sample_rng, _ = map(np.random.default_rng, ss.spawn(3))
-    pop = generate_population(300, surnames, ages, scn.perturbation,
-                              build_soundex_index(surnames), pop_rng)
+    pop = generate_population(300, surnames, ages, scn.perturbation, pop_rng)
     flags = draw_samples(pop, scn.pi_a, scn.pi_b, sample_rng)
 
     out = tmp_path_factory.mktemp("artifacts")
@@ -109,14 +108,6 @@ class TestReaders:
             got = getattr(flags2, side)
             assert got.dtype == np.bool_
             np.testing.assert_array_equal(got, getattr(flags, side))
-        assert flags2.pi_a == float(flags.in_a.mean())
-        assert flags2.pi_b == float(flags.in_b.mean())
-
-    def test_population_keeps_given_pi(self, artifacts):
-        out, _, flags = artifacts[:3]
-        _, flags2 = load_population(out / "population.csv",
-                                    pi_a=flags.pi_a, pi_b=flags.pi_b)
-        assert (flags2.pi_a, flags2.pi_b) == (flags.pi_a, flags.pi_b)
 
     def test_counts(self, artifacts):
         out, _, _, panel_b, cv = artifacts
@@ -146,7 +137,7 @@ def _population(labels, sidx_a, sidx_b):
 
 def _round_trip(pop):
     flags = SampleFlags(in_a=np.arange(pop.n) % 2 == 0,
-                        in_b=np.ones(pop.n, dtype=bool), pi_a=0.5, pi_b=1.0)
+                        in_b=np.ones(pop.n, dtype=bool))
     buf = io.StringIO()
     dump_population(pop, flags, buf)
     buf.seek(0)
@@ -173,7 +164,6 @@ class TestLabelWidth:
         surnames = FrequencyTable(labels, np.array([0.5, 0.5]))
         ages = FrequencyTable((1980,), np.array([1.0]))
         pop = generate_population(20, surnames, ages, PerturbationParams(),
-                                  build_soundex_index(surnames),
                                   np.random.default_rng(0))
         assert pop.surname_labels.tolist() == list(labels)
         pop2, _ = _round_trip(pop)
@@ -186,13 +176,12 @@ class TestLabelWidth:
         ages = FrequencyTable((1980,), np.array([1.0]))
         with pytest.raises(ValueError, match="ABCDEFGHIJKLMNOPQ"):
             generate_population(5, surnames, ages, PerturbationParams(),
-                                build_soundex_index(surnames),
                                 np.random.default_rng(0))
 
     def test_seventeen_characters_rejected_by_loader(self):
         pop = _population(("SMITH", "JONES"), [0, 1], [1, 0])
         flags = SampleFlags(in_a=np.ones(2, dtype=bool),
-                            in_b=np.ones(2, dtype=bool), pi_a=1.0, pi_b=1.0)
+                            in_b=np.ones(2, dtype=bool))
         buf = io.StringIO()
         dump_population(pop, flags, buf)
         text = buf.getvalue().replace("JONES", "JONESABCDEFGHIJKL")
@@ -202,7 +191,7 @@ class TestLabelWidth:
 
 def _dump_text(pop, in_a):
     flags = SampleFlags(in_a=np.asarray(in_a, dtype=bool),
-                        in_b=np.ones(pop.n, dtype=bool), pi_a=1.0, pi_b=1.0)
+                        in_b=np.ones(pop.n, dtype=bool))
     buf = io.StringIO()
     dump_population(pop, flags, buf)
     return buf.getvalue()

@@ -27,27 +27,26 @@ class TestLincolnPetersen:
 
 class TestDfDt:
     def test_consistency_example(self):
-        clerical = ClericalEstimates(recall_hat=0.95, precision_hat=1.0,
-                                     sample_size=1000)
+        clerical = ClericalEstimates(recall_hat=0.95, precision_hat=1.0)
         df, dt = df_dt_estimators(7695, clerical, 9000, 9000)
         assert dt.coverage_hat == pytest.approx((7695 / 0.95) / 9000)
         assert dt.coverage_hat == pytest.approx(0.9)
 
     def test_perfect_precision_identical(self):
-        clerical = ClericalEstimates(0.9, 1.0, 500)
+        clerical = ClericalEstimates(0.9, 1.0)
         df, dt = df_dt_estimators(4000, clerical, 5000, 5000)
         assert df.coverage_hat == pytest.approx(dt.coverage_hat)
 
     def test_dt_dominates_df(self):
-        clerical = ClericalEstimates(0.9, 0.97, 500)
+        clerical = ClericalEstimates(0.9, 0.97)
         df, dt = df_dt_estimators(4000, clerical, 5000, 5000)
         assert dt.coverage_hat >= df.coverage_hat
 
     def test_zero_recall_rejected(self):
         with pytest.raises(ValueError):
-            df_dt_estimators(100, ClericalEstimates(0.0, 1.0, 10), 50, 50)
+            df_dt_estimators(100, ClericalEstimates(0.0, 1.0), 50, 50)
         with pytest.raises(ValueError):
-            df_dt_estimators(100, ClericalEstimates(None, 1.0, 10), 50, 50)
+            df_dt_estimators(100, ClericalEstimates(None, 1.0), 50, 50)
 
 
 def ci_cells(w, theta, eta):

@@ -38,7 +38,7 @@ def oracle_clerical_sample(base_pairs, links2, m, rng):
     n_linked = int(linked.sum())
     recall_hat = float((matched & linked).sum() / n_matched) if n_matched else None
     precision_hat = float((linked & matched).sum() / n_linked) if n_linked else None
-    return lk.ClericalEstimates(recall_hat, precision_hat, m)
+    return lk.ClericalEstimates(recall_hat, precision_hat)
 
 
 @st.composite

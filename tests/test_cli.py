@@ -9,7 +9,7 @@ import pytest
 import linkcov
 from linkcov import cli
 from linkcov.cli import main, parse_config
-from linkcov.experiment import run_replication
+from linkcov.experiment import ScenarioConfig, run_replication
 from linkcov.linkage import RULE_BASELINE_AND_ANY_EXACT, RULE_BASELINE_ONLY
 
 
@@ -31,6 +31,17 @@ class TestParseConfig:
         assert cfg.rule_variant == RULE_BASELINE_AND_ANY_EXACT
         assert parse_config('{"scenario": 2}').rule_variant == \
             RULE_BASELINE_ONLY
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4, 5])
+    def test_rule_variant_from_the_scenario_table(self, scenario):
+        table = ScenarioConfig.from_scenario(scenario).rule_variant
+        assert parse_config(
+            json.dumps({"scenario": scenario})).rule_variant == table
+        other = ({RULE_BASELINE_ONLY, RULE_BASELINE_AND_ANY_EXACT}
+                 - {table}).pop()
+        cfg = parse_config(json.dumps({"scenario": scenario,
+                                       "rule_variant": other}))
+        assert cfg.rule_variant == other
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "cfg.json"

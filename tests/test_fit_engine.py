@@ -11,9 +11,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from linkcov._optim import FitOptions, fit_starts
+from linkcov._optim import NU, FitOptions, check_class_count, fit_starts
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, appendix_c_cells,
+                                    MultiMixtureParams, appendix_c_start,
                                     build_design, fit_multi,
                                     multi_fit_document, sample_multi_counts,
                                     select_G_multi, single_class_p_hat)
@@ -172,8 +172,10 @@ class TestAicParameterCount:
                              ids=str)
     def test_multivariate(self, multi_hist, constraint):
         # G - 1 weights, phi, d_u coefficients and G x 7 rates
+        rates = np.full(7, 0.1)
+        start = (rates, single_class_p_hat(multi_hist, rates))
         sel = select_G_multi(multi_hist, 3, constraint=constraint,
-                             opts=QUICK, lambda_bar=np.full(7, 0.1))
+                             opts=QUICK, start=start)
         d_u = {1: 3, 2: 6}[constraint.d]
         assert [row["k"] for row in sel.trace] == [
             (g - 1) + 1 + d_u + 7 * g for g in (1, 2, 3)]
@@ -196,24 +198,22 @@ class TestClassCountBound:
 
 class TestFitOptionsValidation:
     @pytest.mark.parametrize("field, value", [
-        ("n_starts", 0), ("max_iter", 0), ("ftol", 0.0), ("gtol", -1e-7),
-        ("jitter", -0.1), ("nu", 0.0), ("nu", 0.5), ("nu", 0.6),
-        ("lambda_max", 1e-5),
+        ("n_starts", 0), ("max_iter", 0),
     ])
     def test_refuses(self, field, value):
         with pytest.raises(ValueError, match=field):
             FitOptions(**{field: value})
 
+    # g weights floored at NU exceed 1 from g = 1 / NU on
     def test_univariate_class_count_against_the_floor(self):
-        opts = FitOptions(nu=0.4)
+        check_class_count(round(1 / NU) - 1)
         hist = CountHistogram([0, 1, 2, 3], [40, 30, 20, 10])
-        fit_uni(hist, 2, opts=opts)
         with pytest.raises(ValueError, match="nu"):
-            fit_uni(hist, 3, opts=opts)
+            fit_uni(hist, round(1 / NU))
 
     def test_multivariate_class_count_against_the_floor(self, multi_hist):
         with pytest.raises(ValueError, match="nu"):
-            fit_multi(multi_hist, 3, opts=FitOptions(nu=0.4))
+            fit_multi(multi_hist, round(1 / NU))
 
 
 class TestCountCap:
@@ -227,7 +227,7 @@ class TestCountCap:
 
     def test_multivariate_fit(self, multi_hist):
         init = {"lambda": np.full(7, 0.1), "p": np.full(7, 0.1),
-                "u": np.zeros(6), "phi": 0.7, "flagged": False}
+                "u": np.zeros(6), "phi": 0.7}
         for tau in (0, -1):
             with pytest.raises(ValueError, match="tau must be at least 1"):
                 fit_multi(multi_hist, 1, tau=tau, init=init)
@@ -235,7 +235,7 @@ class TestCountCap:
     @pytest.mark.parametrize("tau", [0, -1])
     def test_start_cells(self, multi_hist, tau):
         with pytest.raises(ValueError, match="tau must be at least 1"):
-            appendix_c_cells(multi_hist, np.full(7, 0.1), tau=tau)
+            appendix_c_start(multi_hist, tau=tau)
 
     @pytest.mark.parametrize("tau", [0, -1])
     def test_single_class_cells(self, multi_hist, tau):

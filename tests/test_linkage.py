@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linkcov import linkage as lk
-from linkcov.frequencies import build_soundex_index, synthetic_age_table, synthetic_surname_table
+from linkcov.frequencies import synthetic_age_table, synthetic_surname_table
 from linkcov.popsim import PATTERNS, PerturbationParams, draw_samples, generate_population
 from linkcov.soundex import soundex
 
@@ -22,12 +22,16 @@ def panel(rows):
     )
 
 
+def pair_set(links):
+    """The (b_unit, a_unit) pairs of a link set."""
+    return set(zip(links.b_unit.tolist(), links.a_unit.tolist()))
+
+
 @pytest.fixture(scope="module")
 def replication():
     surnames = synthetic_surname_table(20000)
-    idx = build_soundex_index(surnames)
     pop = generate_population(20000, surnames, synthetic_age_table(),
-                              PerturbationParams((1.0,) * 3), idx,
+                              PerturbationParams((1.0,) * 3),
                               np.random.default_rng(77))
     flags = draw_samples(pop, 0.9, 0.9, np.random.default_rng(78))
     panel_b, panel_a = lk.sample_records(pop, flags)
@@ -192,7 +196,7 @@ class TestRule1:
                                  "month", "year")})
         links2 = lk.link_rule1(
             lk.baseline_pairs(pb, pa2, lk.block_pairs(pb, pa2)))
-        assert links1.pairs() == links2.pairs()
+        assert pair_set(links1) == pair_set(links2)
 
 
 TOY_LINKS = lk.LinkSet(
@@ -229,7 +233,7 @@ class TestCountsAndDedupe:
         assert np.bincount(once.b_pos).max() == 1
         assert np.bincount(once.a_pos).max() == 1
         twice = lk.dedupe_rule2(once)
-        assert twice.pairs() == once.pairs()
+        assert pair_set(twice) == pair_set(once)
 
     def test_already_one_to_one_unchanged(self):
         ls = lk.LinkSet(
@@ -237,7 +241,7 @@ class TestCountsAndDedupe:
             b_unit=np.array([10, 11]), a_unit=np.array([11, 10]),
             pattern_code=np.array([7, 7], dtype=np.int8),
         )
-        assert lk.dedupe_rule2(ls).pairs() == ls.pairs()
+        assert pair_set(lk.dedupe_rule2(ls)) == pair_set(ls)
 
 
 class TestConfusion:

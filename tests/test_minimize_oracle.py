@@ -1,13 +1,13 @@
 """The fits' L-BFGS-B loop against scipy.optimize.minimize.
 
 ``_optim.minimize`` runs scipy's private L-BFGS-B step routine in the
-loop of scipy's own L-BFGS-B, for one start or for a block of starts in
-lockstep, without or with bounds.  Every search here must end where
-``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` ends from that
-start alone, under the same bounds, bit for bit, after the same numbers
-of evaluations and iterations, so a scipy release that changes the
-routine or its calling convention fails here, and so does a lockstep
-loop that mixes up its starts.
+loop of scipy's own L-BFGS-B, for a block of starts in lockstep (one
+start is a one-row block), without or with bounds.  Every search here
+must end where ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)``
+ends from that start alone, under the same bounds, bit for bit, after
+the same numbers of evaluations and iterations, so a scipy release that
+changes the routine or its calling convention fails here, and so does a
+lockstep loop that mixes up its starts.
 """
 
 import collections
@@ -17,17 +17,17 @@ import pytest
 from scipy.optimize import _lbfgsb, minimize as scipy_minimize
 
 from linkcov import _optim, baselines, neighbor_multi, neighbor_uni
-from linkcov._optim import FitOptions
+from linkcov._optim import FTOL, GTOL, FitOptions
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, appendix_c_cells,
-                                    fit_multi, sample_multi_counts)
+                                    MultiMixtureParams, fit_multi,
+                                    sample_multi_counts, single_class_p_hat)
 from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
                                   sample_counts)
 from test_neighbor_uni import one_row
 
 # the moment or Appendix-C start and two jittered copies of it
 OPTS = FitOptions(n_starts=3)
-LBFGSB = {"maxiter": OPTS.max_iter, "ftol": OPTS.ftol, "gtol": OPTS.gtol}
+LBFGSB = {"maxiter": OPTS.max_iter, "ftol": FTOL, "gtol": GTOL}
 
 
 def assert_same_end(ours, ref):
@@ -38,13 +38,15 @@ def assert_same_end(ours, ref):
 
 
 def assert_same_search(fun, x0, args=(), options=LBFGSB, bounds=None):
-    """Run _optim.minimize and scipy from x0; return the former's result."""
-    ours = _optim.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
-                           options=options, bounds=bounds)
+    """Run _optim.minimize from x0 as a one-row block of the point
+    function fun, and scipy from x0; return the former's one end."""
+    ours = _optim.minimize(_optim.row_loop(fun), x0[None], args=args,
+                           jac=True, method="L-BFGS-B", options=options,
+                           bounds=bounds)
     ref = scipy_minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
                          options=options, bounds=bounds)
-    assert_same_end(ours, ref)
-    return ours
+    assert_same_end(ours.starts[0], ref)
+    return ours.starts[0]
 
 
 def assert_same_block(fun, starts, args=(), options=LBFGSB, bounds=None):
@@ -73,18 +75,14 @@ def assert_ends_alone(fun, starts, ours, args=(), options=LBFGSB,
 @pytest.fixture
 def searches(monkeypatch):
     """Let every search of the fit modules run through both and compare;
-    returns the list of the starts compared.  The fits hand over their
-    starts as one block, the plug-in cells their one start."""
+    returns the list of the starts compared.  Every search hands over
+    its starts as one block, the plug-in cells a one-row block."""
     seen = []
 
     def both(fun, x0, args=(), **kwargs):
-        bounds = kwargs.get("bounds")
-        if x0.ndim == 1:
-            seen.append(x0)
-            return assert_same_search(fun, x0, args, kwargs["options"],
-                                      bounds)
         seen.extend(x0)
-        return assert_same_block(fun, x0, args, kwargs["options"], bounds)
+        return assert_same_block(fun, x0, args, kwargs["options"],
+                                 kwargs.get("bounds"))
 
     for module in (neighbor_uni, neighbor_multi, baselines):
         monkeypatch.setattr(module, "minimize", both)
@@ -128,7 +126,7 @@ def _multi_hist():
 MULTI_INIT = {"lambda": np.linspace(0.2, 0.5, 7),
               "p": np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25]),
               "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
-              "phi": 0.8, "flagged": False}
+              "phi": 0.8}
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -147,7 +145,7 @@ def test_multivariate_fit(searches, g, d):
 
 def test_start_cells(searches):
     # the plug-in cells' search asks for ftol 1e-14
-    appendix_c_cells(_multi_hist(), np.full(7, 0.3), tau=4)
+    single_class_p_hat(_multi_hist(), np.full(7, 0.3), tau=4)
     assert len(searches) == 1
 
 
@@ -216,8 +214,8 @@ def test_racinskij_boundary_search(searches):
                          ids=["length", "order"])
 def test_refuses_bad_bounds(bounds):
     with pytest.raises(ValueError, match="bound"):
-        _optim.minimize(rosenbrock, INSIDE, jac=True, method="L-BFGS-B",
-                        options=LBFGSB, bounds=bounds)
+        _optim.minimize(_optim.row_loop(rosenbrock), INSIDE[None], jac=True,
+                        method="L-BFGS-B", options=LBFGSB, bounds=bounds)
 
 
 def tagged(X, evaluated):
@@ -277,4 +275,10 @@ def test_lockstep_block(monkeypatch):
 ], ids=["method", "jac", "option"])
 def test_refuses_other_calls(call):
     with pytest.raises(ValueError):
-        _optim.minimize(rosenbrock, np.zeros(3), **call)
+        _optim.minimize(_optim.row_loop(rosenbrock), np.zeros((1, 3)), **call)
+
+
+def test_refuses_a_single_point():
+    with pytest.raises(ValueError, match="block"):
+        _optim.minimize(_optim.row_loop(rosenbrock), np.zeros(3), jac=True,
+                        method="L-BFGS-B", options=LBFGSB)

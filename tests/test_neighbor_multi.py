@@ -9,11 +9,11 @@ from scipy.stats import poisson
 from linkcov import neighbor_multi
 from linkcov._optim import FitOptions
 from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, appendix_c_cells,
+                                    MultiMixtureParams, appendix_c_start,
                                     build_design, coverage_from_fit,
                                     fit_multi, init_appendix_c,
                                     loglinear_probs, marginal_histogram,
-                                    marginal_rates, multi_comp_pmf,
+                                    multi_comp_pmf,
                                     multi_mix_pmf, sample_multi_counts,
                                     select_G_multi, single_class_p_hat)
 from linkcov.neighbor_uni import UniMixtureParams, mix_pmf
@@ -231,7 +231,8 @@ class TestAppendixInit:
                                     np.random.default_rng(14))
         hist = MultiCountHistogram.from_observations(draws)
         for d in (1, 2):
-            init = init_appendix_c(hist, lam, d, tau=10)
+            init = init_appendix_c(
+                (lam, single_class_p_hat(hist, lam, tau=10)), d)
             assert np.max(np.abs(init["u"])) < 0.25
             assert init["phi"] == pytest.approx(0.8, abs=0.05)
 
@@ -244,7 +245,8 @@ class TestAppendixInit:
         draws = sample_multi_counts(params, 300000,
                                     np.random.default_rng(15))
         hist = MultiCountHistogram.from_observations(draws)
-        init = init_appendix_c(hist, lam, 1, tau=10)
+        init = init_appendix_c((lam, single_class_p_hat(hist, lam, tau=10)),
+                               1)
         # under a no-interaction truth the logit-average starts sit near
         # the generating main effects
         np.testing.assert_allclose(init["u"][:3], 1.0, atol=0.2)
@@ -282,7 +284,7 @@ class TestFitMulti:
                                            opts=FitOptions(n_starts=1), **kw),
         lambda hist, init, **kw: select_G_multi(
             hist, 2, tau=4, opts=FitOptions(n_starts=1),
-            lambda_bar=init["lambda"], p_hat=init["p"], **kw).fit],
+            start=(init["lambda"], init["p"]), **kw).fit],
         ids=["fit", "select"])
     def test_default_constraint_is_second_order(self, fit):
         hist, init = _two_class_hist()
@@ -304,7 +306,7 @@ def _two_class_hist():
     draws = sample_multi_counts(truth, 5000, np.random.default_rng(51))
     init = {"lambda": np.linspace(0.2, 0.5, 7), "p": p,
             "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
-            "phi": 0.8, "flagged": False}
+            "phi": 0.8}
     return MultiCountHistogram.from_observations(draws), init
 
 
@@ -391,13 +393,11 @@ class TestSharedRates:
         )
         draws = sample_multi_counts(truth, 20000, np.random.default_rng(61))
         hist = MultiCountHistogram.from_observations(draws)
-        opts = FitOptions()
-        rates = marginal_rates(hist, 10, opts)
+        start = appendix_c_start(hist, 10)
         for d in (1, 2):
             shared = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10,
-                                    opts=opts, lambda_bar=rates)
-            own = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10,
-                                 opts=opts)
+                                    start=start)
+            own = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10)
             assert shared.g_hat == own.g_hat
             assert shared.fit.loglik == own.fit.loglik
             assert shared.fit.params.phi == own.fit.params.phi
@@ -411,30 +411,29 @@ class TestSharedRates:
         )
         draws = sample_multi_counts(truth, 20000, np.random.default_rng(62))
         hist = MultiCountHistogram.from_observations(draws)
-        opts = FitOptions()
-        rates = marginal_rates(hist, 10, opts)
-        cells = appendix_c_cells(hist, rates, 10, opts.nu)
+        rates, cells = appendix_c_start(hist, 10)
+        np.testing.assert_array_equal(
+            cells, single_class_p_hat(hist, rates, tau=10))
         for d in (1, 2):
             shared = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10,
-                                    opts=opts, lambda_bar=rates, p_hat=cells)
-            own = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10,
-                                 opts=opts, lambda_bar=rates)
+                                    start=(rates, cells))
+            own = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10)
             assert shared.g_hat == own.g_hat
             assert shared.trace == own.trace
             assert shared.fit.params.phi == own.fit.params.phi
 
     @pytest.mark.parametrize("fit", [
         lambda hist: select_G_multi(hist, 1),
-        lambda hist: select_G_multi(hist, 1, lambda_bar=np.ones(2),
-                                    p_hat=np.full(2, 0.1)),
+        lambda hist: select_G_multi(hist, 1, start=(np.ones(2),
+                                                    np.full(2, 0.1))),
         lambda hist: fit_multi(hist, 1),
-        lambda hist: init_appendix_c(hist, np.ones(2), 1)],
+        lambda hist: appendix_c_start(hist)],
         ids=["select", "passed", "fit", "init"])
     def test_counts_need_three_binary_groups(self, monkeypatch, fit):
         def no_rates(*args, **kwargs):
             raise AssertionError("marginal rates fitted before the check")
 
-        monkeypatch.setattr(neighbor_multi, "marginal_rates", no_rates)
+        monkeypatch.setattr(neighbor_multi, "select_G", no_rates)
         hist = MultiCountHistogram(keys=[[0, 1], [1, 0]], counts=[5, 3])
         with pytest.raises(ValueError, match="three binary rule groups"):
             fit(hist)
@@ -481,4 +480,4 @@ class TestInvariants:
         hist = MultiCountHistogram(keys=[[0, 1], [2, 1], [0, 3]],
                                    counts=[5, 2, 1])
         mh = marginal_histogram(hist, 0)
-        assert mh.as_dict() == {0: 6, 2: 2}
+        assert (mh.values.tolist(), mh.counts.tolist()) == ([0, 2], [6, 2])

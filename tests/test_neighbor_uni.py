@@ -134,9 +134,6 @@ def captured_objective(monkeypatch, module, fit, *fit_args, block=False,
 
     def stub(fun, x0, args=(), **kwargs):
         seen.append((fun, x0, args))
-        if x0.ndim == 1:
-            return OptimizeResult(x=x0, fun=fun(x0, *args)[0], success=True,
-                                  nit=0, nfev=1)
         ends = [OptimizeResult(x=x, fun=f, success=True, nit=0, nfev=1)
                 for x, f in zip(x0, fun(x0, *args)[0])]
         return OptimizeResult(nfev=len(ends), nit=0, starts=ends)
@@ -144,7 +141,7 @@ def captured_objective(monkeypatch, module, fit, *fit_args, block=False,
     monkeypatch.setattr(module, "minimize", stub)
     fit(*fit_args, **fit_kwargs)
     fun, x0, args = seen[0]
-    if block or x0.ndim == 1:
+    if block:
         return fun, x0, args
     return one_row(fun), x0[0], args
 

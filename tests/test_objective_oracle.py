@@ -32,7 +32,7 @@ import pytest
 from scipy.special import expit, gammaln, pdtr
 
 from linkcov import neighbor_multi, neighbor_uni
-from linkcov._optim import FitOptions, interval_from_real
+from linkcov._optim import LAMBDA_MAX, NU, FitOptions, interval_from_real
 from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, build_design,
                                     fit_multi, loglinear_probs,
@@ -282,7 +282,7 @@ OPTS = FitOptions(n_starts=1)
 MULTI_INIT = {"lambda": np.linspace(0.2, 0.5, 7),
               "p": np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25]),
               "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
-              "phi": 0.8, "flagged": False}
+              "phi": 0.8}
 MULTI_CONSTRAINTS = [LogLinear(1), LogLinear(2)]
 
 
@@ -329,7 +329,7 @@ def uni_pair(monkeypatch, g, tail):
     fun, x0, args = captured_objective(
         monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau, opts=OPTS)
     oracle_args = (*_oracle_split_hist(hist, tau), float(hist.total), g,
-                   True, tau, OPTS.nu, OPTS.lambda_max)
+                   True, tau, NU, LAMBDA_MAX)
     assert (oracle_args[3] > 0) == tail
     return fun, x0, args, oracle_args
 
@@ -346,8 +346,7 @@ def multi_pair(monkeypatch, g, constraint, tail, data):
     Zv = build_design(constraint.d).Z
     du = Zv.shape[1]
     oracle_args = (*_oracle_split_multi(hist, tau), float(hist.total), g, m,
-                   _oracle_n_p(g, m, key, du), key, Zv, tau, OPTS.nu,
-                   OPTS.lambda_max)
+                   _oracle_n_p(g, m, key, du), key, Zv, tau, NU, LAMBDA_MAX)
     assert (oracle_args[3] > 0) == tail
     return fun, x0, args, oracle_args
 

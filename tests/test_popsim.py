@@ -17,7 +17,7 @@ SCEN1 = PerturbationParams(u_main=(1.0, 1.0, 1.0))
 @pytest.fixture(scope="module")
 def small_world():
     surnames = synthetic_surname_table(20000)
-    return surnames, synthetic_age_table(), build_soundex_index(surnames)
+    return surnames, synthetic_age_table()
 
 
 class TestPatternDistribution:
@@ -63,20 +63,19 @@ def perturbed(surnames, ages, u_main, n=3000, seed=0):
     """A population whose patterns u_main forces: 1e6 keeps a field in
     every unit, -1e6 perturbs it in every unit."""
     return generate_population(n, surnames, ages, PerturbationParams(u_main),
-                               build_soundex_index(surnames),
                                np.random.default_rng(seed))
 
 
 class TestPerturbation:
     def test_full_agreement_keeps_every_field(self, small_world):
-        surnames, ages, _ = small_world
+        surnames, ages = small_world
         pop = perturbed(surnames, ages, (1e6,) * 3)
         for a, b in (("sidx_a", "sidx_b"), ("day_a", "day_b"),
                      ("month_a", "month_b"), ("year_a", "year_b")):
             np.testing.assert_array_equal(getattr(pop, a), getattr(pop, b))
 
     def test_day_boundary_forced(self, small_world):
-        surnames, ages, _ = small_world
+        surnames, ages = small_world
         pop = perturbed(surnames, ages, (1e6, -1e6, 1e6))
         assert (np.abs(pop.day_b - pop.day_a.astype(int)) == 1).all()
         assert (pop.day_b[pop.day_a == 30] == 29).all()
@@ -86,7 +85,7 @@ class TestPerturbation:
         np.testing.assert_array_equal(pop.sidx_a, pop.sidx_b)
 
     def test_month_boundaries(self, small_world):
-        surnames, ages, _ = small_world
+        surnames, ages = small_world
         pop = perturbed(surnames, ages, (1e6, 1e6, -1e6))
         assert (np.abs(pop.month_b - pop.month_a.astype(int)) == 1).all()
         assert (pop.month_b[pop.month_a == 12] == 11).all()
@@ -95,7 +94,7 @@ class TestPerturbation:
         np.testing.assert_array_equal(pop.day_a, pop.day_b)
 
     def test_surname_redraw_keeps_code(self, small_world):
-        base, ages, _ = small_world
+        base, ages = small_world
         # IRA and WU share their codes with no name of the base table
         surnames = FrequencyTable(base.labels + ("IRA", "WU"),
                                   np.concatenate([0.98 * base.probs,
@@ -115,56 +114,60 @@ class TestPerturbation:
 
 class TestGeneratePopulation:
     def test_deterministic(self, small_world):
-        surnames, ages, idx = small_world
-        a = generate_population(2000, surnames, ages, SCEN1, idx,
+        surnames, ages = small_world
+        a = generate_population(2000, surnames, ages, SCEN1,
                                 np.random.default_rng(42))
-        b = generate_population(2000, surnames, ages, SCEN1, idx,
+        b = generate_population(2000, surnames, ages, SCEN1,
                                 np.random.default_rng(42))
         for fld in ("sidx_a", "day_a", "month_a", "year_a", "sidx_b",
                     "day_b", "month_b", "year_b"):
             np.testing.assert_array_equal(getattr(a, fld), getattr(b, fld))
 
-    def test_index_of_another_table_refused(self, small_world):
-        surnames, ages, _ = small_world
-        other = FrequencyTable(("ABLE", "APPLE"), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="other labels"):
-            generate_population(100, surnames, ages, SCEN1,
-                                build_soundex_index(other),
-                                np.random.default_rng(0))
-
-    def test_index_with_other_probabilities_refused(self, small_world):
-        surnames, ages, _ = small_world
-        probs = surnames.probs.copy()
-        probs[[0, 1]] = probs[[1, 0]]
-        other = FrequencyTable(surnames.labels, probs)
-        with pytest.raises(ValueError, match="other probabilities"):
-            generate_population(100, surnames, ages, SCEN1,
-                                build_soundex_index(other),
-                                np.random.default_rng(0))
-
     def test_index_of_an_equal_table_accepted(self, small_world):
-        surnames, ages, idx = small_world
+        surnames, ages = small_world
         twin = FrequencyTable(surnames.labels, surnames.probs.copy())
-        a = generate_population(500, surnames, ages, SCEN1, idx,
+        a = generate_population(500, surnames, ages, SCEN1,
                                 np.random.default_rng(5))
-        b = generate_population(500, surnames, ages, SCEN1,
-                                build_soundex_index(twin),
+        b = generate_population(500, twin, ages, SCEN1,
                                 np.random.default_rng(5))
         np.testing.assert_array_equal(a.sidx_b, b.sidx_b)
+
+    def test_index_derived_from_the_table(self, small_world):
+        # the same population and generator state whether or not the
+        # table's soundex index was built before the call
+        base, ages = small_world
+        pops, states = [], []
+        for prebuilt in (False, True):
+            table = FrequencyTable(base.labels, base.probs.copy())
+            if prebuilt:
+                build_soundex_index(table)
+            assert ("soundex_index" in vars(table)) == prebuilt
+            rng = np.random.default_rng(8)
+            pop = generate_population(2000, table, ages, SCEN1, rng)
+            # the table keeps the index the population was built with
+            assert pop.surname_codes is vars(table)["soundex_index"].codes
+            pops.append(pop)
+            states.append(rng.bit_generator.state)
+        for fld in ("surname_labels", "surname_codes", "sidx_a", "day_a",
+                    "month_a", "year_a", "sidx_b", "day_b", "month_b",
+                    "year_b"):
+            np.testing.assert_array_equal(getattr(pops[0], fld),
+                                          getattr(pops[1], fld))
+        assert pops[0].singleton_fallbacks == pops[1].singleton_fallbacks
+        assert states[0] == states[1]
 
     def test_single_unit_degenerate_table(self):
         surnames = FrequencyTable(("ABLE", "APPLE"), np.array([0.999, 0.001]))
         ages = FrequencyTable((1980,), np.array([1.0]))
-        idx = build_soundex_index(surnames)
-        pop = generate_population(1, surnames, ages, SCEN1, idx,
+        pop = generate_population(1, surnames, ages, SCEN1,
                                   np.random.default_rng(0))
         assert pop.n == 1
         assert pop.year_a[0] == 1980
         assert 1 <= pop.day_a[0] <= 30 and 1 <= pop.month_a[0] <= 12
 
     def test_day_month_ranges_and_uniformity(self, small_world):
-        surnames, ages, idx = small_world
-        pop = generate_population(60000, surnames, ages, SCEN1, idx,
+        surnames, ages = small_world
+        pop = generate_population(60000, surnames, ages, SCEN1,
                                   np.random.default_rng(3))
         assert pop.day_a.min() >= 1 and pop.day_a.max() <= 30
         assert pop.month_a.min() >= 1 and pop.month_a.max() <= 12
@@ -175,8 +178,8 @@ class TestGeneratePopulation:
         assert chi2 < 30 + 4 * np.sqrt(2 * 29)   # ~4 sigma band
 
     def test_baseline_criterion_by_construction(self, small_world):
-        surnames, ages, idx = small_world
-        pop = generate_population(5000, surnames, ages, SCEN1, idx,
+        surnames, ages = small_world
+        pop = generate_population(5000, surnames, ages, SCEN1,
                                   np.random.default_rng(11))
         codes = pop.surname_codes
         assert (pop.year_a == pop.year_b).all()
@@ -185,9 +188,9 @@ class TestGeneratePopulation:
         assert (codes[pop.sidx_a] == codes[pop.sidx_b]).all()
 
     def test_empirical_pattern_frequencies(self, small_world):
-        surnames, ages, idx = small_world
+        surnames, ages = small_world
         params = PerturbationParams((1.0,) * 3, (1.0,) * 3, 0.25)
-        pop = generate_population(100000, surnames, ages, params, idx,
+        pop = generate_population(100000, surnames, ages, params,
                                   np.random.default_rng(5))
         g1 = (pop.sidx_a == pop.sidx_b)
         g2 = (pop.day_a == pop.day_b)
@@ -201,15 +204,15 @@ class TestGeneratePopulation:
 
 class TestDrawSamples:
     def test_full_inclusion(self, small_world):
-        surnames, ages, idx = small_world
-        pop = generate_population(500, surnames, ages, SCEN1, idx,
+        surnames, ages = small_world
+        pop = generate_population(500, surnames, ages, SCEN1,
                                   np.random.default_rng(1))
         flags = draw_samples(pop, 1.0, 1.0, np.random.default_rng(2))
         assert flags.in_a.all() and flags.in_b.all()
 
     def test_binomial_bounds_and_independence(self, small_world):
-        surnames, ages, idx = small_world
-        pop = generate_population(100000, surnames, ages, SCEN1, idx,
+        surnames, ages = small_world
+        pop = generate_population(100000, surnames, ages, SCEN1,
                                   np.random.default_rng(1))
         flags = draw_samples(pop, 0.9, 0.9, np.random.default_rng(3))
         n = pop.n
@@ -219,8 +222,8 @@ class TestDrawSamples:
         assert abs(both - 0.81) < 4 * sigma
 
     def test_invalid_probabilities(self, small_world):
-        surnames, ages, idx = small_world
-        pop = generate_population(10, surnames, ages, SCEN1, idx,
+        surnames, ages = small_world
+        pop = generate_population(10, surnames, ages, SCEN1,
                                   np.random.default_rng(1))
         with pytest.raises(ValueError):
             draw_samples(pop, 0.0, 0.9, np.random.default_rng(0))
@@ -228,8 +231,8 @@ class TestDrawSamples:
 
 class TestDump:
     def test_round_trip(self, small_world):
-        surnames, ages, idx = small_world
-        pop = generate_population(300, surnames, ages, SCEN1, idx,
+        surnames, ages = small_world
+        pop = generate_population(300, surnames, ages, SCEN1,
                                   np.random.default_rng(9))
         flags = draw_samples(pop, 0.8, 0.9, np.random.default_rng(10))
         buf = io.StringIO()

@@ -64,8 +64,7 @@ def world():
     ss = np.random.SeedSequence([20259, 11])
     pop_rng, sample_rng = map(np.random.default_rng, ss.spawn(2))
     pop = generate_population(20000, surnames, synthetic_age_table(),
-                              PerturbationParams((1.0,) * 3),
-                              build_soundex_index(surnames), pop_rng)
+                              PerturbationParams((1.0,) * 3), pop_rng)
     flags = draw_samples(pop, 0.9, 0.9, sample_rng)
     panel_b, panel_a = lk.sample_records(pop, flags)
     return surnames, pop, lk.block_pairs(panel_b, panel_a)

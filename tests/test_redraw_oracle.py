@@ -79,8 +79,7 @@ def both(table, n, seed, params=PerturbationParams((0.0, 1.0, 1.0))):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(popsim, "_redraw_surnames", redraw)
             pop = generate_population(n, table, synthetic_age_table(),
-                                      params, build_soundex_index(table),
-                                      rng)
+                                      params, rng)
         out.append((pop, rng.random(4)))
     return out
 
