@@ -33,9 +33,12 @@ round the starts that ask for a new point are evaluated by one call of
 the objective on the block of their points.  A kernel whose cost is
 mostly per call, as the multivariate one is, pays that cost once per
 round instead of once per start; a point kernel joins through row_loop.
-Each start still ends on the point, after the evaluations and
-iterations, that its own search would give, and minimize reports the
-block's evaluations and iterations as sums over its starts.
+Several fits whose points differ in length, such as the multivariate
+fits of both interaction orders at one class count, run in one lockstep
+as a tuple of blocks, one per fit, and share each round's call.  Each
+start still ends on the point, after the evaluations and iterations,
+that its own search would give, and minimize reports the evaluations
+and iterations as sums over its starts.
 
 All count-mixture parameters live in boxes or simplices; their fits run
 an unconstrained quasi-Newton search, so each constrained quantity is
@@ -178,6 +181,13 @@ def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
     fun, jac, nfev, nit and success, and gives nfev and nit summed over
     the rows.  A single search is a one-row block.
 
+    x0 may also be a tuple of blocks, whose widths may differ: the
+    searches of every block then run in one lockstep, fun takes the
+    tuple of each block's asking rows (an empty block has no rows) and
+    returns the values of all of them, block by block, and a tuple of
+    each block's gradients; starts lists the rows block by block, and
+    bounds apply to every block.
+
     The fit modules import this name and call it as their own
     module-level minimize, so that a stub or a counter put in that
     module's place sees every call.
@@ -195,33 +205,37 @@ def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
     maxiter = options["maxiter"]
     factr = options["ftol"] / np.finfo(float).eps
     pgtol = options["gtol"]
-    starts = np.array(x0, dtype=np.float64)
-    if starts.ndim != 2:
-        raise ValueError("x0 must be an (S, n) block of starts")
-    n = starts.shape[1]
-    lower, upper, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
-    if bounds is not None:
-        lo, hi = _bound_arrays(bounds, n)
-        starts = np.clip(starts, lo, hi)
-        # setulb's nbd: 0 no bound, 1 lower only, 2 both, 3 upper only;
-        # it never reads the bound of a free side
-        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-        nbd[:] = np.where(has_lo, 1 + has_hi, 3 * has_hi)
-        lower[has_lo], upper[has_hi] = lo[has_lo], hi[has_hi]
-    searches = [_Search(x, m) for x in starts]
+    many = isinstance(x0, tuple)
+    blocks = [np.array(b, dtype=np.float64) for b in (x0 if many else (x0,))]
+    if any(b.ndim != 2 for b in blocks):
+        raise ValueError("x0 must be an (S, n) block of starts, or a tuple "
+                         "of them")
+    searches = []
+    for b, starts in enumerate(blocks):
+        n = starts.shape[1]
+        box = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
+        if bounds is not None:
+            lo, hi = _bound_arrays(bounds, n)
+            starts = np.clip(starts, lo, hi)
+            # setulb's nbd: 0 no bound, 1 lower only, 2 both, 3 upper
+            # only; it never reads the bound of a free side
+            lower, upper, nbd = box
+            has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+            nbd[:] = np.where(has_lo, 1 + has_hi, 3 * has_hi)
+            lower[has_lo], upper[has_hi] = lo[has_lo], hi[has_hi]
+        searches += [_Search(x, m, b, box) for x in starts]
     running = searches
     while running:
         asking = []
         for s in running:
             while True:
-                setulb(m, s.x, lower, upper, nbd, s.f, s.g, factr, pgtol,
-                       s.wa, s.iwa, s.task, s.lsave, s.isave, s.dsave,
-                       maxls, s.ln_task)
+                setulb(m, s.x, *s.box, s.f, s.g, factr, pgtol, s.wa, s.iwa,
+                       s.task, s.lsave, s.isave, s.dsave, maxls, s.ln_task)
                 task = s.task[0]
                 if task == 3:
                     # scipy evaluates again only at a new point, and hands
                     # setulb a fresh copy of the last gradient either way
-                    if s.x_eval is None or not (s.x == s.x_eval).all():
+                    if _new_point(s.x, s.x_eval):
                         asking.append(s)
                         break
                     s.g = np.array(s.grad, dtype=np.float64)
@@ -234,18 +248,37 @@ def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
                 else:
                     break
         if asking:
-            X = np.array([s.x for s in asking])
-            values, grads = fun(X, *args)
-            for s, x, f, grad in zip(asking, X, values, grads):
-                s.x_eval, s.f, s.grad = x, f, grad
-                s.nfev += 1
-                s.g = np.array(grad, dtype=np.float64)
+            rows = [[s for s in asking if s.block == b]
+                    for b in range(len(blocks))]
+            X = [np.array([s.x for s in ask]) if ask
+                 else np.empty((0, b.shape[1]))
+                 for ask, b in zip(rows, blocks)]
+            values, grads = fun(tuple(X) if many else X[0], *args)
+            values = iter(values)
+            for ask, points, block_grads in zip(rows, X,
+                                                grads if many else (grads,)):
+                # setulb gets a copy of each gradient, made once per block
+                copies = np.array(block_grads, dtype=np.float64)
+                for s, x, grad, g in zip(ask, points, block_grads, copies):
+                    s.x_eval, s.f, s.grad, s.g = x, next(values), grad, g
+                    s.nfev += 1
         running = asking
     results = [OptimizeResult(x=s.x, fun=s.f, jac=s.g, nfev=s.nfev,
                               nit=s.nit, success=bool(s.task[0] == 4))
                for s in searches]
     return OptimizeResult(nfev=sum(r.nfev for r in results),
                           nit=sum(r.nit for r in results), starts=results)
+
+
+def _new_point(x, x_eval):
+    """Whether x differs from the last evaluated point x_eval (None when
+    none was), as scipy's not np.array_equal(x, x_eval) decides: a NaN
+    coordinate makes every point new, and -0.0 is the point 0.0.  The
+    first coordinate alone decides all but a few in a thousand checks
+    of the N=100k fits, at about 0.15 us, where the full comparison
+    takes about 1.5 us."""
+    return (x_eval is None or x[0] != x_eval[0]
+            or not (x == x_eval).all())
 
 
 def _bound_arrays(bounds, n):
@@ -262,15 +295,18 @@ def _bound_arrays(bounds, n):
 
 
 class _Search:
-    """The L-BFGS-B state of one start: setulb's work arrays, the point,
-    the last evaluation and the counts."""
+    """The L-BFGS-B state of one start: its block and that block's
+    (lower, upper, nbd) box, setulb's work arrays, the point, the last
+    evaluation and the counts."""
 
-    __slots__ = ("x", "f", "g", "wa", "iwa", "task", "ln_task", "lsave",
-                 "isave", "dsave", "x_eval", "grad", "nfev", "nit")
+    __slots__ = ("x", "block", "box", "f", "g", "wa", "iwa", "task",
+                 "ln_task", "lsave", "isave", "dsave", "x_eval", "grad",
+                 "nfev", "nit")
 
-    def __init__(self, x0, m):
+    def __init__(self, x0, m, block, box):
         n = x0.size
         self.x = x0.copy()
+        self.block, self.box = block, box
         self.f, self.g = 0.0, np.zeros(n)
         self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
         self.iwa = np.zeros(3 * n, np.int32)
@@ -310,28 +346,45 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
     maps the best end point to the model.  minimize is the one the
     calling module names (see minimize).  tau, the cap of the fitted
     counts, must be at least 1.
+
+    x0 and params_at may also be tuples, one entry per model, for an
+    objective that takes a tuple of blocks (see minimize): the models'
+    starts then run in one lockstep, each model's as one block, and the
+    result is the tuple of the models' FitResults, each the one that
+    fit_starts gives that model alone.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    init_loglik = -objective(x0[None], *args)[0][0] * total
-    starts = [x0]
-    for start in range(1, opts.n_starts):
-        jrng = np.random.default_rng([JITTER_SEED, *salt, start])
-        starts.append(x0 + JITTER * jrng.standard_normal(x0.size))
+    many = isinstance(x0, tuple)
+    x0s, params_ats = (x0, params_at) if many else ((x0,), (params_at,))
+    firsts = tuple(x[None] for x in x0s)
+    init_values = objective(firsts if many else firsts[0], *args)[0]
+    blocks = []
+    for x in x0s:
+        starts = [x]
+        for start in range(1, opts.n_starts):
+            jrng = np.random.default_rng([JITTER_SEED, *salt, start])
+            starts.append(x + JITTER * jrng.standard_normal(x.size))
+        blocks.append(np.array(starts))
     res = minimize(
-        objective, np.array(starts), args=args, jac=True, method="L-BFGS-B",
+        objective, tuple(blocks) if many else blocks[0], args=args, jac=True,
+        method="L-BFGS-B",
         options={"maxiter": opts.max_iter, "ftol": FTOL, "gtol": GTOL},
     )
-    best = best_end(res.starts)
-    return FitResult(
-        params=params_at(best.x),
-        loglik=float(-best.fun * total),
-        init_loglik=float(init_loglik),
-        converged=bool(best.success),
-        n_iter=int(best.nit),
-        tau=tau,
-        n_params=x0.size,
-    )
+    fits = []
+    for i, (x, at, init_value) in enumerate(zip(x0s, params_ats,
+                                                init_values)):
+        best = best_end(res.starts[i * opts.n_starts:(i + 1) * opts.n_starts])
+        fits.append(FitResult(
+            params=at(best.x),
+            loglik=float(-best.fun * total),
+            init_loglik=float(-init_value * total),
+            converged=bool(best.success),
+            n_iter=int(best.nit),
+            tau=tau,
+            n_params=x.size,
+        ))
+    return tuple(fits) if many else fits[0]
 
 
 def select_aic(fit, g_max):

@@ -228,7 +228,8 @@ _MN_CONSTRAINTS = {"mn_no_interactions": LogLinear(1),
 
 
 def count_estimates(cv, estimators, tau, g_max):
-    """The UN and MN estimates named in estimators, from link counts."""
+    """The UN and MN estimates named in estimators, from link counts; the
+    MN modes' fits at each G run as one lockstep search."""
     estimates = {}
     if "un" in estimators:
         uh = CountHistogram.from_observations(cv.n_total)
@@ -243,11 +244,11 @@ def count_estimates(cv, estimators, tau, g_max):
     modes = [name for name in _MN_CONSTRAINTS if name in estimators]
     if modes:
         mh = MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
-        # both modes start from the same per-rule rates and plug-in cells
+        # the modes start from the same per-rule rates and plug-in cells
         start = appendix_c_start(mh, tau)
-        for name in modes:
-            sel = select_G_multi(mh, g_max, constraint=_MN_CONSTRAINTS[name],
-                                 tau=tau, start=start)
+        orders = tuple(_MN_CONSTRAINTS[name] for name in modes)
+        for name, sel in zip(modes, select_G_multi(mh, g_max, orders,
+                                                   tau=tau, start=start)):
             estimates[name] = CoverageEstimate(
                 name, float(sel.fit.params.phi),
                 diagnostics={"G": sel.g_hat, "converged": sel.fit.converged},

@@ -325,7 +325,7 @@ def clerical_sample(base_pairs, links2, m, rng):
 
     # pairs are keyed on unit ids, which a link set read from a file has
     key, key2 = _pair_keys(base_pairs, links2)
-    linked = np.isin(key[chosen], key2)
+    linked = _member(key[chosen], np.sort(key2))
 
     matched = base_pairs.b_unit[chosen] == base_pairs.a_unit[chosen]
     n_matched = int(matched.sum())
@@ -333,6 +333,16 @@ def clerical_sample(base_pairs, links2, m, rng):
     recall_hat = float((matched & linked).sum() / n_matched) if n_matched else None
     precision_hat = float((linked & matched).sum() / n_linked) if n_linked else None
     return ClericalEstimates(recall_hat, precision_hat)
+
+
+def _member(keys, sorted_keys):
+    """np.isin(keys, sorted_keys) for a sorted second argument, by binary
+    search rather than by np.isin's sort of both arrays together."""
+    at = np.searchsorted(sorted_keys, keys)
+    inside = at < sorted_keys.size
+    found = np.zeros(keys.size, dtype=bool)
+    found[inside] = sorted_keys[at[inside]] == keys[inside]
+    return found
 
 
 def _pair_keys(*linksets):

@@ -11,16 +11,21 @@ without interactions (LogLinear(1)) or with 2nd-order interactions
 (LogLinear(2)).  The fitted coverage phi is the estimator of
 P(i in S_A).
 
-The objective is built once per fit (``_objective_multi``).  It is a
-block kernel: one call evaluates the points of all the fit's starts
+The objective is built once per class count (``_objective_multi``).
+It is a block kernel: one call evaluates the points of all the starts
 that the lockstep search asks for in a round, and gives each the bits
-it would get alone.  It keeps the per-fit constants, and each call
-spends two stacked matrix products on the k distinct count vectors: one
-for the exponents of every class's Poisson product and true-positive
-bracket, one for all weighted sums of the gradient.  A call costs
-mostly its fixed overhead: a round of five points costs about twice a
-call on one.  The weights, phi and the softmax are Python floats, per
-point.
+it would get alone.  select_G_multi, given both interaction orders, fits
+them together at each G, so one call takes the asking points of both,
+each laid out for its own design.  The kernel keeps the per-fit
+constants, and each call spends two stacked matrix products on the k
+distinct count vectors: one for the exponents of every class's Poisson
+product and true-positive bracket, one for all weighted sums of the
+gradient.  A call costs mostly its fixed overhead: on the 155 distinct
+vectors of one N=100k scenario-3 replication it takes about 50-60 us on
+one point, 95-115 us on five and 140-175 us on ten, and about 80 us on
+one point of each order, where two calls take about 115 us (G = 1..3,
+fastest of 300 calls, 2-vCPU VM, one BLAS thread).  The weights, phi
+and the softmax are Python floats, per point.
 
 The starts, the result types, the AIC selection and the JSON document
 come from the fit engine in ``_optim``.  The univariate kernel stays
@@ -201,8 +206,21 @@ class MultiCountHistogram:
     @classmethod
     def from_observations(cls, count_matrix):
         """Distinct rows in lexicographic order with their multiplicities,
-        as ``np.unique(axis=0, return_counts=True)`` gives them."""
+        as ``np.unique(axis=0, return_counts=True)`` gives them.
+
+        Rows of small non-negative counts are counted by np.bincount of
+        one mixed-radix code per row (radix the column maximum + 1, the
+        first column most significant, so codes sort as rows do); others
+        are sorted with np.lexsort.
+        """
         mat = np.atleast_2d(np.asarray(count_matrix, dtype=np.int64))
+        radix = [int(v) + 1 for v in mat.max(axis=0, initial=0)]
+        # the counting array stays within a small multiple of the input
+        if mat.min(initial=0) >= 0 and math.prod(radix) <= 16 * mat.size:
+            counts = np.bincount(np.ravel_multi_index(mat.T, radix))
+            codes = np.flatnonzero(counts)
+            return cls(np.stack(np.unravel_index(codes, radix), axis=1),
+                       counts[codes])
         rows = mat[np.lexsort(mat.T[::-1])]
         first = np.ones(rows.shape[0], dtype=bool)
         first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
@@ -294,10 +312,15 @@ def _unpack_multi(x, g, design):
         u=u, u_labels=design.labels)
 
 
-def _objective_multi(hist, tau, g, Z):
-    """The objective of one fit_multi call, a block kernel: X -> (the
-    negative mean capped log-likelihood at each row x of X, the analytic
-    gradients).  Each row gets the bits that the kernel gives it alone.
+def _objective_multi(hist, tau, g, designs):
+    """The objective of G-class fits to hist, a block kernel on a tuple
+    of blocks, block b's rows laid out for design designs[b]: X -> (the
+    negative mean capped log-likelihood at each row x of each block,
+    block by block, and the tuple of the blocks' analytic gradients; see
+    _optim.minimize).  Each row gets the bits that the kernel gives it
+    alone, so the fits of several interaction orders can share each
+    call.  Only the head differs by design: eta = Z u and the
+    u-gradient.
 
     It holds the per-fit constants: the columns [t | 1 | log t!] of the
     k count vectors with |t| <= tau, contiguous and transposed, their
@@ -313,12 +336,12 @@ def _objective_multi(hist, tau, g, Z):
     row, because one flat product of all rows rounds differently.  The
     weights, phi, the softmax and the tail's Poisson term are Python
     floats per row (math.exp, not np.exp, whose bits differ); the
-    logistic of X is one array call, which saturates where exp(-x) would
-    overflow.  Nothing of size k * g * m is formed.
+    logistic of each block is one array call, which saturates where
+    exp(-x) would overflow.  Nothing of size k * g * m is formed.
     """
     keys, log_fact, cnts, tail_count = _split_multi(hist, tau)
     k = keys.shape[0]
-    m = Z.shape[0]
+    m = designs[0].shape[0]
     total = float(hist.total)
     cols = np.empty((k, m + 2))
     cols[:, :m] = keys
@@ -331,7 +354,7 @@ def _objective_multi(hist, tau, g, Z):
     # [alpha a | alpha mix]; views[S] holds the first S rows of buffers
     # made for the largest block so far
     n_alpha = g - 1
-    n_head = n_alpha + 1 + Z.shape[1]
+    n_heads = [n_alpha + 1 + design.shape[1] for design in designs]
     views = []
 
     def grow(n_rows):
@@ -348,21 +371,26 @@ def _objective_multi(hist, tau, g, Z):
     expit, pdtr = scipy.special.expit, scipy.special.pdtr
     exp, log = math.exp, math.log
 
-    def objective(X):
-        n_rows = X.shape[0]
+    def objective(blocks):
+        n_rows = sum(block.shape[0] for block in blocks)
         if n_rows >= len(views):
             grow(n_rows)
         coef, a_mix = views[n_rows]
-        sig = expit(X)
-        etas = np.matmul(Z, X[:, n_alpha + 1:n_head, None])[:, :, 0].tolist()
-        sig_lam = sig[:, n_head:]
+        etas, sig_heads, sig_lams = [], [], []
+        for block, design, n_head in zip(blocks, designs, n_heads):
+            if block.shape[0]:
+                sig = expit(block)
+                etas += np.matmul(design, block[:, n_alpha + 1:n_head, None]
+                                  )[:, :, 0].tolist()
+                sig_heads += sig[:, :n_alpha + 1].tolist()
+                sig_lams.append(sig[:, n_head:])
+        sig_lam = np.concatenate(sig_lams)
         log_lam = np.add(log_lo, span * sig_lam.reshape(n_rows, g, m),
                          out=coef[:, :g, :m])
         lam = np.exp(log_lam)
         lam_sums = lam.sum(axis=2).tolist()
         heads, alphas, r, p, log_terms = [], [], [], [], []
-        for s, eta, lam_sum in zip(sig[:, :n_alpha + 1].tolist(), etas,
-                                   lam_sums):
+        for s, eta, lam_sum in zip(sig_heads, etas, lam_sums):
             stick, pieces = stick_pieces(s[:n_alpha])
             alpha = [nu + scale * piece for piece in pieces]
             phi = s[n_alpha]
@@ -430,19 +458,29 @@ def _objective_multi(hist, tau, g, Z):
         # chain rules
         dldp = d_p.sum(axis=1, keepdims=True)
         dldr = np.matmul(dldp, r)
-        grad = np.empty(X.shape)
-        grad[:, :n_alpha + 1] = [
+        d_heads = [
             [scale * gv for gv in stick_pieces_vjp(s[:n_alpha], stick, pieces,
                                                    d_alpha)]
             + [dr * phi * (1.0 - phi)]
             for (s, stick, pieces, phi), d_alpha, ((dr,),) in zip(
                 heads, d_alphas, dldr.tolist())]
-        np.matmul(p * (dldp - dldr), Z, out=grad[:, None, n_alpha + 1:n_head])
-        np.multiply(d_lam.reshape(n_rows, -1),
-                    lam.reshape(n_rows, -1) * span * sig_lam
-                    * (1.0 - sig_lam),
-                    out=grad[:, n_head:])
-        return [-v / total for v in ll], np.divide(grad, -total, out=grad)
+        d_cells = p * (dldp - dldr)
+        d_rates = d_lam.reshape(n_rows, -1) * (lam.reshape(n_rows, -1)
+                                               * span * sig_lam
+                                               * (1.0 - sig_lam))
+        grads, lo = [], 0
+        for block, design, n_head in zip(blocks, designs, n_heads):
+            hi = lo + block.shape[0]
+            grad = np.empty(block.shape)
+            if hi > lo:
+                grad[:, :n_alpha + 1] = d_heads[lo:hi]
+                np.matmul(d_cells[lo:hi], design,
+                          out=grad[:, None, n_alpha + 1:n_head])
+                grad[:, n_head:] = d_rates[lo:hi]
+                np.divide(grad, -total, out=grad)
+            grads.append(grad)
+            lo = hi
+        return [-v / total for v in ll], tuple(grads)
 
     return objective
 
@@ -586,33 +624,66 @@ def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
     """
     check_class_count(g)
     _require_three_binary_groups(hist)
-    nu, lam_max = NU, LAMBDA_MAX
-    design = build_design(constraint.d)
     if init is None:
         init = init_appendix_c(appendix_c_start(hist, tau, opts),
                                constraint.d)
+    return _fit_orders(hist, g, (constraint,), tau, opts, (init,))[0]
 
+
+def _fit_orders(hist, g, constraints, tau, opts, inits):
+    """The G-class fits of a tuple of constraints, one init bundle each,
+    as one lockstep search, each row of each kernel call laid out for
+    its own order: the tuple of the orders' FitResults.  The caller
+    checks g and hist.  One order hands minimize a plain block, as the
+    other fits do."""
+    designs = [build_design(c.d) for c in constraints]
+    x0s = tuple(_start_point(g, init, design)
+                for init, design in zip(inits, designs))
+    params_ats = tuple(lambda x, design=design: _unpack_multi(x, g, design)
+                       for design in designs)
+    objective = _objective_multi(hist, tau, g, tuple(d.Z for d in designs))
+    if len(designs) == 1:
+        return (fit_starts(minimize, _one_block(objective), x0s[0], (),
+                           float(hist.total), tau, params_ats[0], opts,
+                           salt=(71,)),)
+    return fit_starts(minimize, objective, x0s, (), float(hist.total), tau,
+                      params_ats, opts, salt=(71,))
+
+
+def _one_block(objective):
+    """The plain block kernel X -> (values, gradients) of a kernel that
+    takes a tuple of one block."""
+    def kernel(X):
+        values, (grads,) = objective((X,))
+        return values, grads
+    return kernel
+
+
+def _start_point(g, init, design):
+    """The first start of a G-class fit of design from an init bundle."""
+    nu, lam_max = NU, LAMBDA_MAX
     lam0 = np.tile(np.clip(init["lambda"], nu * 2, lam_max), (g, 1))
     # spread duplicated rate vectors a little so classes can separate
     if g > 1:
         scales = np.linspace(0.6, 1.6, g)[:, None]
         lam0 = np.clip(lam0 * scales, nu * 2, lam_max)
     # bundle coefficients are d=2 sized; main terms lead
-    x0 = np.concatenate([
+    return np.concatenate([
         stick_break_inverse(np.full(g, 1.0 / g), floor=nu),
         np.atleast_1d(logit(np.clip(init["phi"], 1e-6, 1 - 1e-6))),
         np.asarray(init["u"], dtype=float)[:design.Z.shape[1]],
         real_from_interval(np.clip(lam0.ravel(), nu * (1 + 1e-9), lam_max),
                            nu, lam_max)])
-    objective = _objective_multi(hist, tau, g, design.Z)
-    return fit_starts(
-        minimize, objective, x0, (), float(hist.total), tau,
-        lambda x: _unpack_multi(x, g, design), opts, salt=(71,))
 
 
 def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
                    opts=FitOptions(), start=None):
     """AIC selection of the class count (ties -> smallest G).
+
+    constraint may be a tuple of constraints: at each G the fits of
+    every order then run as one lockstep search, and the result is the
+    tuple of the orders' SelectionResults, each the one that its order's
+    own selection gives.  One order's fits run through fit_multi.
 
     start: appendix_c_start(hist, tau, opts), computed once and shared
     by the interaction orders fitted to one histogram; None computes it.
@@ -620,11 +691,21 @@ def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
     _require_three_binary_groups(hist)
     if start is None:
         start = appendix_c_start(hist, tau, opts)
-    init = init_appendix_c(start, constraint.d)
-    return select_aic(
-        lambda g: fit_multi(hist, g, constraint=constraint, tau=tau,
-                            opts=opts, init=init),
-        g_max)
+    many = isinstance(constraint, tuple)
+    constraints = constraint if many else (constraint,)
+    inits = tuple(init_appendix_c(start, c.d) for c in constraints)
+    if many:
+        def fit(g):
+            check_class_count(g)
+            return _fit_orders(hist, g, constraints, tau, opts, inits)
+    else:
+        def fit(g):
+            return (fit_multi(hist, g, constraint=constraint, tau=tau,
+                              opts=opts, init=inits[0]),)
+    by_g = [fit(g) for g in range(1, g_max + 1)]
+    selections = tuple(select_aic(lambda g, i=i: by_g[g - 1][i], g_max)
+                       for i in range(len(constraints)))
+    return selections if many else selections[0]
 
 
 def coverage_from_fit(params):

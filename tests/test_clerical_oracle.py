@@ -8,6 +8,7 @@ both must draw the same sample and give the same estimates.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linkcov import linkage as lk
@@ -121,3 +122,27 @@ def test_positions_are_not_needed(case):
                              np.random.default_rng(seed))
     assert got == lk.clerical_sample(base, links2, m,
                                      np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("ends_linked, recall, precision", [
+    (True, 1.0, 4 / 6), (False, 0.5, 0.5)], ids=["linked", "outside"])
+def test_shuffled_links_and_keys_at_both_ends(ends_linked, recall,
+                                              precision):
+    # every pair of a 4 x 4 grid is sampled, with unit ids equal to the
+    # positions, so the diagonal pairs match; rule 2's links come in
+    # shuffled order, and the smallest and the largest key of the grid,
+    # (0, 0) and (3, 3), are linked, or lie below and above every link
+    def linkset(pairs):
+        pos = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return lk.LinkSet(b_pos=pos[:, 0], a_pos=pos[:, 1],
+                          b_unit=pos[:, 0].copy(), a_unit=pos[:, 1].copy(),
+                          pattern_code=np.zeros(len(pos), dtype=np.int8))
+
+    base = linkset([(b, a) for b in range(4) for a in range(4)])
+    kept = [(1, 1), (2, 2), (1, 2), (2, 1)] + [(0, 0), (3, 3)] * ends_linked
+    links2 = linkset([kept[i] for i in
+                      np.random.default_rng(8).permutation(len(kept))])
+    got = lk.clerical_sample(base, links2, 16, np.random.default_rng(0))
+    assert got == lk.ClericalEstimates(recall, precision)
+    assert got == oracle_clerical_sample(base, links2, 16,
+                                         np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """What the univariate and multivariate count-mixture fits share: the JSON
 documents of their results, the parameter count that AIC charges, the
-settings and count caps they accept, and the choice of the best start.
+settings and count caps they accept, the choice of the best start, and
+when the L-BFGS-B loop evaluates a point again.
 
 The documents are pinned for hand-built results, so the pins do not
 depend on the optimizer or on the platform's floating-point libraries.
@@ -10,8 +11,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from linkcov._optim import NU, FitOptions, check_class_count, fit_starts
+from linkcov import neighbor_multi
+from linkcov._optim import (NU, FitOptions, _new_point, check_class_count,
+                            fit_starts, minimize, row_loop)
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, appendix_c_start,
                                     build_design, fit_multi,
@@ -191,9 +195,19 @@ class TestClassCountBound:
             select_G_multi(multi_hist, 0)
 
     @pytest.mark.parametrize("g", [0, -1])
-    def test_multivariate_fit(self, multi_hist, g):
+    def test_multivariate_fit(self, monkeypatch, multi_hist, g):
+        no_start(monkeypatch)
         with pytest.raises(ValueError, match="need at least one class"):
             fit_multi(multi_hist, g)
+
+
+def no_start(monkeypatch):
+    """Fail a fit_multi that builds its default init before it checks g:
+    that init runs seven univariate selections."""
+    def refused(*args, **kwargs):
+        raise AssertionError("init built before the class-count check")
+
+    monkeypatch.setattr(neighbor_multi, "appendix_c_start", refused)
 
 
 class TestFitOptionsValidation:
@@ -211,7 +225,9 @@ class TestFitOptionsValidation:
         with pytest.raises(ValueError, match="nu"):
             fit_uni(hist, round(1 / NU))
 
-    def test_multivariate_class_count_against_the_floor(self, multi_hist):
+    def test_multivariate_class_count_against_the_floor(self, monkeypatch,
+                                                        multi_hist):
+        no_start(monkeypatch)
         with pytest.raises(ValueError, match="nu"):
             fit_multi(multi_hist, round(1 / NU))
 
@@ -268,3 +284,51 @@ class TestBestStart:
         assert fit.loglik == -10.0
         assert fit.n_iter == 1
         np.testing.assert_array_equal(fit.params, [1.0, 1.0])
+
+
+class TestReaskedPoint:
+    """minimize evaluates a point again exactly when scipy's
+    not np.array_equal(x, x_eval) would: a NaN coordinate makes every
+    point new, and -0.0 is the point 0.0."""
+
+    @pytest.mark.parametrize("x, x_eval", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        ([1.5, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.5], [1.0, 2.0, 3.0]),
+        ([-0.0, 2.0, 0.0], [0.0, 2.0, -0.0]),
+        ([np.nan, 2.0, 3.0], [np.nan, 2.0, 3.0]),
+        ([1.0, 2.0, np.nan], [1.0, 2.0, np.nan]),
+        ([-0.0, np.nan], [0.0, np.nan]),
+    ])
+    def test_matches_scipy(self, x, x_eval):
+        x, x_eval = np.array(x), np.array(x_eval)
+        assert _new_point(x, x_eval) == (not np.array_equal(x, x_eval))
+
+    def test_first_point(self):
+        assert _new_point(np.zeros(2), None)
+
+    @pytest.mark.parametrize("nan_value", [False, True])
+    def test_nan_searches_end_as_scipy(self, nan_value):
+        # past x[0] = 0.5 the gradient, or the value, turns NaN: after a
+        # NaN gradient the search asks for points with NaN coordinates,
+        # which scipy evaluates every time; after a NaN value the line
+        # search fails and asks again for a point it evaluated, which
+        # scipy does not; the start holds a -0.0
+        def fun(x):
+            grad = 2.0 * (x - 1.0)
+            if x[0] <= 0.5:
+                return float(((x - 1.0) ** 2).sum()), grad
+            if nan_value:
+                return np.nan, grad
+            grad[1] = np.nan
+            return float(((x - 1.0) ** 2).sum()), grad
+
+        x0 = np.array([0.0, -0.0, 2.0])
+        options = {"maxiter": 50, "ftol": 1e-9, "gtol": 1e-7}
+        ref = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+                                      options=options)
+        (end,) = minimize(row_loop(fun), x0[None], jac=True,
+                          method="L-BFGS-B", options=options).starts
+        assert end.x.tobytes() == ref.x.tobytes()
+        assert (end.nfev, end.nit, end.success) == (ref.nfev, ref.nit,
+                                                    ref.success)

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import poisson
 
-from linkcov import neighbor_multi
+from linkcov import experiment, linkage, neighbor_multi
 from linkcov._optim import FitOptions
 from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, appendix_c_start,
@@ -201,6 +202,27 @@ class TestHistogramFromObservations:
         np.testing.assert_array_equal(hist.keys, keys)
         np.testing.assert_array_equal(hist.counts, counts)
 
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(8, 60), st.integers(1, 4)),
+                  elements=st.integers(0, 2)),
+           st.integers(0, 4), st.integers(2**20, 2**63 - 1))
+    def test_counting_and_sorting_paths(self, small, at, wide):
+        # small counts are counted by mixed-radix code; one wide column
+        # among them makes the codes too many, and the rows are sorted
+        column = np.where(small[:, 0] == 1, wide, 0)
+        column[0] = wide
+        widened = np.insert(small, min(at, small.shape[1]), column, axis=1)
+        for mat, counted in ((small, True), (widened, False)):
+            keys, counts = np.unique(mat, axis=0, return_counts=True)
+            with mock.patch.object(np, "bincount",
+                                   wraps=np.bincount) as bincount:
+                hist = MultiCountHistogram.from_observations(mat)
+            assert bincount.called == counted
+            assert hist.keys.dtype == keys.dtype
+            assert hist.counts.dtype == np.int64
+            np.testing.assert_array_equal(hist.keys, keys)
+            np.testing.assert_array_equal(hist.counts, counts)
+
 
 class TestSingleClassP:
     def test_zero_boundary(self):
@@ -381,6 +403,60 @@ class TestSelection:
         sel = select_G_multi(hist, 2, constraint=LogLinear(2), tau=10)
         assert sel.fit.params.p.shape == (sel.g_hat, 7)
         assert sel.fit.params.lam.shape == (sel.g_hat, 7)
+
+
+def _fit_fields(fit):
+    """Every field of an MN FitResult, arrays as bytes."""
+    p = fit.params
+    return ([np.asarray(getattr(p, name)).tobytes()
+             for name in ("alpha", "p", "lam", "phi", "u")], p.u_labels,
+            fit.loglik, fit.init_loglik, fit.converged, fit.n_iter,
+            fit.n_params, fit.tau)
+
+
+class TestJointSelection:
+    """Both orders' selections, run as one lockstep search per G, against
+    the two single-order selections."""
+
+    @pytest.fixture(scope="class")
+    def scenario3_hist(self):
+        cfg = experiment.ScenarioConfig.from_scenario(
+            3, n_population=20000, master_seed=11)
+        pop_rng, sample_rng, _ = experiment.replication_rngs(
+            cfg.master_seed, 0)
+        linked = experiment.link(*experiment.simulate(cfg, pop_rng,
+                                                      sample_rng),
+                                 cfg.rule_variant)
+        cv = linkage.counts(linked.links1, linked.panel_b.size)
+        return MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
+
+    @pytest.mark.parametrize("n_starts", [5, 1])
+    def test_equals_the_single_order_selections(self, monkeypatch,
+                                                scenario3_hist, n_starts):
+        hist = scenario3_hist
+        opts = FitOptions(n_starts=n_starts)
+        start = appendix_c_start(hist, 10)
+        orders = (LogLinear(1), LogLinear(2))
+        blocks, minimize = [], neighbor_multi.minimize
+
+        def recording(fun, x0, *args, **kwargs):
+            blocks.append([b.shape for b in x0])
+            return minimize(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(neighbor_multi, "minimize", recording)
+        joint = select_G_multi(hist, 3, constraint=orders, tau=10, opts=opts,
+                               start=start)
+        monkeypatch.undo()
+        # one search per G, on one block of n_starts rows per order
+        assert blocks == [[(n_starts, (g - 1) + 1 + d_u + 7 * g)
+                           for d_u in (3, 6)] for g in (1, 2, 3)]
+        assert len(joint) == len(orders)
+        for constraint, sel in zip(orders, joint):
+            own = select_G_multi(hist, 3, constraint=constraint, tau=10,
+                                 opts=opts, start=start)
+            assert sel.g_hat == own.g_hat
+            assert sel.trace == own.trace
+            assert _fit_fields(sel.fit) == _fit_fields(own.fit)
 
 
 class TestSharedRates:

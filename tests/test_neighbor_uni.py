@@ -129,13 +129,16 @@ def captured_objective(monkeypatch, module, fit, *fit_args, block=False,
     The fits hand over their starts as one (S, n) block and a block
     kernel; unless block is True, that kernel comes back as its one-row
     case, a point function, with the block's first row as the start.
+    The joint fits of several orders hand over a tuple of blocks, which
+    only block=True takes.
     """
     seen = []
 
     def stub(fun, x0, args=(), **kwargs):
         seen.append((fun, x0, args))
+        rows = [x for b in x0 for x in b] if isinstance(x0, tuple) else x0
         ends = [OptimizeResult(x=x, fun=f, success=True, nit=0, nfev=1)
-                for x, f in zip(x0, fun(x0, *args)[0])]
+                for x, f in zip(rows, fun(x0, *args)[0])]
         return OptimizeResult(nfev=len(ends), nit=0, starts=ends)
 
     monkeypatch.setattr(module, "minimize", stub)

@@ -484,3 +484,43 @@ class TestMultiBlockKernel:
                     rows = [(i - pos + j) % n for j in range(size)]
                     assert row_bytes(fun, points[rows], args,
                                      pos) == alone[i]
+
+    @MULTI_DATA
+    @TAILS
+    @pytest.mark.parametrize("g", GS)
+    def test_mixed_orders_match_alone(self, monkeypatch, g, tail, data):
+        # the joint fits of both orders call one kernel on a LogLinear(1)
+        # and a LogLinear(2) block; in calls of 2 to 10 rows, split
+        # between them in several ways, each row must get the bytes that
+        # its own order's kernel gives it alone
+        hist = _multi_hist(data)
+        tau = _tau(hist.keys.sum(axis=1).max(), tail)
+        points, alone = [], []
+        for constraint in MULTI_CONSTRAINTS:
+            fun, starts, args = captured_objective(
+                monkeypatch, neighbor_multi, fit_multi, hist, g,
+                constraint=constraint, tau=tau, opts=OPTS, init=MULTI_INIT,
+                block=True)
+            x0 = starts[0]
+            seed = 700 * g + 10 * constraint.d + tail
+            points.append(np.array([*jittered(x0, seed=seed),
+                                    *saturated(x0.size, seed=seed)]))
+            alone.append([row_bytes(fun, x[None], args, 0)
+                          for x in points[-1]])
+        joint, starts, args = captured_objective(
+            monkeypatch, neighbor_multi, neighbor_multi._fit_orders, hist, g,
+            tuple(MULTI_CONSTRAINTS), tau, OPTS, (MULTI_INIT, MULTI_INIT),
+            block=True)
+        assert [b.shape[1] for b in starts] == [p.shape[1] for p in points]
+        n = len(points[0])
+        for size in range(2, 11):
+            for first in sorted({1, size // 2, size - 1}):
+                for i in range(n):
+                    rows = [[(i + j) % n for j in range(first)],
+                            [(i + 3 + j) % n for j in range(size - first)]]
+                    values, grads = joint(
+                        tuple(p[r] for p, r in zip(points, rows)), *args)
+                    got = [(float(v).hex(), grad.tobytes()) for v, grad in
+                           zip(values, [*grads[0], *grads[1]])]
+                    assert got == [alone[b][k] for b in (0, 1)
+                                   for k in rows[b]]
