@@ -1,11 +1,14 @@
 """The fit engine of the univariate and multivariate count mixtures,
 whose L-BFGS-B loop also fits the Racinskij baseline on the boundary.
 
-The two mixtures differ only in their parameters and in the objective
-kernel that L-BFGS-B calls.  They share the settings (FitOptions and the
-constants below), the result types (FitResult, SelectionResult), the
-deterministic multi-start search (fit_starts), the AIC selection of the
-class count (select_aic) and the JSON of a result (result_document).
+The two mixtures differ only in their parameters, which give the
+true-positive cells: the univariate model has one cell, one p, and the
+multivariate model a log-linear design over seven.  L-BFGS-B calls one
+objective kernel for both (count_objective), with a head per model.
+They share the settings (FitOptions and the constants below), the result
+types (FitResult, SelectionResult), the deterministic multi-start search
+(fit_starts), the AIC selection of the class count (select_aic) and the
+JSON of a result (result_document).
 
 The fixed settings are module constants.  FTOL and the default
 FitOptions.max_iter are the paper's stop rule: a relative change of the
@@ -30,9 +33,10 @@ to scipy.optimize.minimize.
 A fit's starts run in lockstep: fit_starts hands minimize all of them
 as one block, minimize keeps one setulb state per start, and in each
 round the starts that ask for a new point are evaluated by one call of
-the objective on the block of their points.  A kernel whose cost is
-mostly per call, as the multivariate one is, pays that cost once per
-round instead of once per start; a point kernel joins through row_loop.
+the objective on the block of their points.  The count-mixture kernel,
+whose cost is mostly per call, pays that cost once per round instead of
+once per start; a point kernel, as the Racinskij boundary search and the
+plug-in cells of the multivariate start have, joins through row_loop.
 Several fits whose points differ in length, such as the multivariate
 fits of both interaction orders at one class count, run in one lockstep
 as a tuple of blocks, one per fit, and share each round's call.  Each
@@ -57,6 +61,7 @@ commands that fit nothing never load them.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,9 +80,12 @@ __all__ = [
     "SelectionResult",
     "best_end",
     "check_class_count",
+    "count_objective",
     "fit_starts",
     "minimize",
+    "one_block",
     "row_loop",
+    "split_counts",
     "select_aic",
     "result_document",
     "logit",
@@ -326,6 +334,223 @@ def row_loop(point):
     return block
 
 
+def one_block(objective):
+    """The plain block kernel X -> (values, gradients) of a kernel that
+    takes a tuple of one block."""
+    def kernel(X):
+        values, (grads,) = objective((X,))
+        return values, grads
+    return kernel
+
+
+def split_counts(keys, counts, tau):
+    """The (k, m) count vectors keys with |t| <= tau, their summed log
+    factorials and their multiplicities (of counts), and the tail count.
+    Refuses a cap tau below 1, which leaves the true-positive cells
+    unidentified."""
+    if tau < 1:
+        raise ValueError("tau must be at least 1")
+    low = keys.sum(axis=1) <= tau
+    low_keys = keys[low].astype(float)
+    return (low_keys, scipy.special.gammaln(low_keys + 1.0).sum(axis=1),
+            counts[low].astype(float), float(counts[~low].sum()))
+
+
+def count_objective(keys, counts, tau, g, designs):
+    """The objective of G-class count-mixture fits to the distinct (k, m)
+    count vectors keys, seen counts times each: a block kernel on a tuple
+    of blocks, block b's rows laid out for the head designs[b]: X -> (the
+    negative mean capped log-likelihood at each row x of each block,
+    block by block, and the tuple of the blocks' analytic gradients; see
+    minimize).  Each row gets the bits that the kernel gives it alone, so
+    the fits of several heads can share each call.
+
+    A row is [weight logits | head | rate reals].  Class c gives a count
+    vector t with |t| <= tau the mass alpha_c a_c times the bracket
+    1 - |p| + t . p / lam_c, a_c = prod_gamma Pois(t_gamma; lam_c,gamma);
+    the vectors above tau pool into one tail cell.  The classes share
+    the true-positive cells p, which the head gives: for a log-linear
+    design Z (the multivariate model), [logit phi | u] gives
+    p = phi * softmax(Z u) over the m cells and a zero cell; for None
+    (the univariate model, m = 1), one logit x gives
+    p = NU + (1 - 2 NU) sigma(x).
+
+    It holds the per-fit constants: the columns [t | 1 | log t!] of the
+    count vectors with |t| <= tau, contiguous and transposed, their
+    multiplicities, log NU and the log-span of the rates.  Per call, one
+    stacked product of the (S, 2g, m + 2) coefficient block with the
+    transposed columns gives, for each row and class, the exponents of
+    alpha_c a_c (the weight enters as log alpha_c) and the bracket.
+    [alpha a | alpha mix] fill one (S, 2g, k) block; q is the class sum
+    of its mix rows, floored at 1e-300 as the tail mass is, and one
+    stacked product of the w-weighted block with the columns gives the
+    four weighted sums of the gradient.  Every product is stacked, one
+    2-D product per row, because one flat product of all rows rounds
+    differently.  The weights, the head and the tail's Poisson term are
+    Python floats per row (math.exp, not np.exp, whose bits differ); the
+    logistic of each block is one array call, which saturates where
+    exp(-x) would overflow.  Nothing of size k * g * m is formed.  A
+    call costs mostly its fixed overhead: on the 155 distinct vectors of
+    one N=100k scenario-3 replication, about 50-60 us on one point and
+    140-175 us on ten (G = 1..3, 2-vCPU VM, one BLAS thread).
+    """
+    keys, log_fact, cnts, tail_count = split_counts(keys, counts, tau)
+    k, m = keys.shape
+    total = float(counts.sum())
+    cols = np.empty((k, m + 2))
+    cols[:, :m] = keys
+    cols[:, m] = 1.0
+    cols[:, m + 1] = log_fact
+    cols_t = np.ascontiguousarray(cols.T)
+    cols = np.ascontiguousarray(cols[:, :m + 1])
+    # per row, rows [log lam_c | log alpha_c - |lam_c| | -1] for c < g,
+    # then [p / lam_c | 1 - |p| | 0], and the (2g, k) block of
+    # [alpha a | alpha mix]; views[S] holds the first S rows of buffers
+    # made for the largest block so far
+    n_alpha = g - 1
+    n_heads = [n_alpha + 1 + (0 if design is None else design.shape[1])
+               for design in designs]
+    views = []
+
+    def grow(n_rows):
+        coef = np.zeros((n_rows, 2 * g, m + 2))
+        coef[:, :g, m + 1] = -1.0
+        a_mix = np.empty((n_rows, 2 * g, k))
+        views[:] = [(coef[:i], a_mix[:i]) for i in range(n_rows + 1)]
+
+    nu = NU
+    log_lo = math.log(nu)
+    span = math.log(LAMBDA_MAX) - log_lo
+    log_fact_tau = math.lgamma(tau + 1.0)
+    scale = 1.0 - g * nu
+    expit, pdtr = scipy.special.expit, scipy.special.pdtr
+    exp, log = math.exp, math.log
+
+    def objective(blocks):
+        n_rows = sum(block.shape[0] for block in blocks)
+        if n_rows >= len(views):
+            grow(n_rows)
+        coef, a_mix = views[n_rows]
+        etas, sig_heads, sig_lams = [], [], []
+        for block, design, n_head in zip(blocks, designs, n_heads):
+            if block.shape[0]:
+                sig = expit(block)
+                etas += ([None] * block.shape[0] if design is None else
+                         np.matmul(design, block[:, n_alpha + 1:n_head, None]
+                                   )[:, :, 0].tolist())
+                sig_heads += sig[:, :n_alpha + 1].tolist()
+                sig_lams.append(sig[:, n_head:])
+        sig_lam = np.concatenate(sig_lams)
+        log_lam = np.add(log_lo, span * sig_lam.reshape(n_rows, g, m),
+                         out=coef[:, :g, :m])
+        lam = np.exp(log_lam)
+        lam_sums = lam.sum(axis=2).tolist()
+        heads, alphas, r, p, log_terms = [], [], [], [], []
+        for s, eta, lam_sum in zip(sig_heads, etas, lam_sums):
+            stick, pieces = stick_pieces(s[:n_alpha])
+            alpha = [nu + scale * piece for piece in pieces]
+            sp = s[n_alpha]
+            # the head logit's gradient is (dl/dp . r) times slope's
+            # product: the softmax r and phi (1 - phi) for a design,
+            # r = 1 and (1 - 2 nu) sigma (1 - sigma) for None
+            if eta is None:
+                r_row = [1.0]
+                p += [nu + (1.0 - 2.0 * nu) * sp]
+                slope = ((1.0 - 2.0 * nu) * sp, 1.0 - sp)
+            else:
+                mx = max(0.0, max(eta))
+                e = [exp(et - mx) for et in eta]
+                den = exp(-mx) + sum(e)
+                r_row = [ei / den for ei in e]
+                p += [sp * ri for ri in r_row]
+                slope = (sp, 1.0 - sp)
+            r += r_row
+            heads.append((s, stick, pieces, slope))
+            alphas.append(alpha)
+            log_terms.append([log(ac) - ls for ac, ls in zip(alpha, lam_sum)])
+        r = np.array(r).reshape(n_rows, m, 1)
+        p = np.array(p).reshape(n_rows, 1, m)
+        psum = p.sum(axis=2)
+        coef[:, :g, m] = log_terms
+        coef[:, g:, m] = 1.0 - psum
+        np.divide(p, lam, out=coef[:, g:, :m])
+        expo = np.matmul(coef, cols_t)
+        a = np.exp(expo[:, :g], out=a_mix[:, :g])
+        mix = np.multiply(a, expo[:, g:], out=a_mix[:, g:])
+        q = mix.sum(axis=1)
+        np.maximum(q, 1e-300, out=q)
+        w = cnts / q
+        ll = np.matmul(cnts, np.log(q, out=q)[:, :, None]).ravel().tolist()
+        # sums[., c, gamma] = alpha_c sum_k w [a | mix]_c t_gamma, and in
+        # column m alpha_c sum_k w [a | mix]_c
+        sums = np.matmul(np.multiply(a_mix, w[:, None, :], out=a_mix), cols)
+        # dq/dp = alpha a (t/lam - 1); dq/dlam = alpha (mix (t/lam - 1)
+        # - a p t / lam^2); ratios[:, 0] is wat = sums[:, :g, :m] / lam
+        ratios = sums[:, :, :m].reshape(n_rows, 2, g, m) / lam[:, None]
+        diffs = ratios - sums[:, :, m:].reshape(n_rows, 2, g, 1)
+        d_p = diffs[:, 0]
+        d_lam = diffs[:, 1] - p * ratios[:, 0] / lam
+        d_alphas = [[sm / ac for sm, ac in zip(row_sums, alpha)]
+                    for row_sums, alpha in zip(sums[:, g:, m].tolist(),
+                                               alphas)]
+        if tail_count:
+            cdf_ts = pdtr(tau, lam_sums).tolist()
+            cdf_tm1s = pdtr(tau - 1, lam_sums).tolist()
+            tail_p, tail_lam = [], []
+            rows = zip(alphas, d_alphas, lam_sums, psum.ravel().tolist(),
+                       cdf_ts, cdf_tm1s)
+            for i, row in enumerate(rows):
+                alpha, d_alpha, lam_sum, ps, cdf_t, cdf_tm1 = row
+                below = [(1.0 - ps) * ct + ps * cm
+                         for ct, cm in zip(cdf_t, cdf_tm1)]
+                T = max(1.0 - sum([ac * b for ac, b in zip(alpha, below)]),
+                        1e-300)
+                ll[i] += tail_count * log(T)
+                wt = tail_count / T
+                row_p, row_lam = [], []
+                for c in range(g):
+                    ls = lam_sum[c]
+                    pmf_t = exp(tau * log(ls) - ls - log_fact_tau)
+                    d_alpha[c] -= wt * below[c]
+                    row_p.append(wt * (alpha[c] * (cdf_t[c] - cdf_tm1[c])))
+                    row_lam.append(wt * (alpha[c] * ((1.0 - ps) * pmf_t
+                                                     + ps * pmf_t * tau / ls)))
+                tail_p.append(row_p)
+                tail_lam.append(row_lam)
+            d_p += np.array(tail_p)[:, :, None]
+            d_lam += np.array(tail_lam)[:, :, None]
+
+        # chain rules
+        dldp = d_p.sum(axis=1, keepdims=True)
+        dldr = np.matmul(dldp, r)
+        d_heads = [
+            [scale * gv for gv in stick_pieces_vjp(s[:n_alpha], stick, pieces,
+                                                   d_alpha)]
+            + [dr * slope[0] * slope[1]]
+            for (s, stick, pieces, slope), d_alpha, ((dr,),) in zip(
+                heads, d_alphas, dldr.tolist())]
+        d_cells = p * (dldp - dldr)
+        d_rates = d_lam.reshape(n_rows, -1) * (lam.reshape(n_rows, -1)
+                                               * span * sig_lam
+                                               * (1.0 - sig_lam))
+        grads, lo = [], 0
+        for block, design, n_head in zip(blocks, designs, n_heads):
+            hi = lo + block.shape[0]
+            grad = np.empty(block.shape)
+            if hi > lo:
+                grad[:, :n_alpha + 1] = d_heads[lo:hi]
+                if design is not None:
+                    np.matmul(d_cells[lo:hi], design,
+                              out=grad[:, None, n_alpha + 1:n_head])
+                grad[:, n_head:] = d_rates[lo:hi]
+                np.divide(grad, -total, out=grad)
+            grads.append(grad)
+            lo = hi
+        return [-v / total for v in ll], tuple(grads)
+
+    return objective
+
+
 def best_end(ends):
     """The first of the searches' ends with the lowest fun; a NaN fun
     ranks below every number."""
@@ -344,8 +569,8 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
     so their searches run in lockstep; a later start replaces the best so
     far only with a strictly lower value (see best_end), and params_at
     maps the best end point to the model.  minimize is the one the
-    calling module names (see minimize).  tau, the cap of the fitted
-    counts, must be at least 1.
+    calling module names (see minimize).  tau is the cap of the fitted
+    counts, which the objective refuses below 1.
 
     x0 and params_at may also be tuples, one entry per model, for an
     objective that takes a tuple of blocks (see minimize): the models'
@@ -353,8 +578,6 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
     result is the tuple of the models' FitResults, each the one that
     fit_starts gives that model alone.
     """
-    if tau < 1:
-        raise ValueError("tau must be at least 1")
     many = isinstance(x0, tuple)
     x0s, params_ats = (x0, params_at) if many else ((x0,), (params_at,))
     firsts = tuple(x[None] for x in x0s)
@@ -461,12 +684,11 @@ def stick_pieces_vjp(v, stick, pieces, grad_s):
     """Pull a gradient w.r.t. the pieces back to the logits behind v.
 
     Uses d piece_h / dx_h = stick_h v_h (1 - v_h) and, for i > h,
-    d piece_i / dx_h = -piece_i v_h.  grad_s may omit the last piece,
-    whose entry is then taken as 0.
+    d piece_i / dx_h = -piece_i v_h.
     """
     n = len(v)
     out = [0.0] * n
-    later = grad_s[n] * pieces[n] if len(grad_s) > n else 0.0
+    later = grad_s[n] * pieces[n]
     for h in range(n - 1, -1, -1):
         vh = v[h]
         out[h] = grad_s[h] * stick[h] * vh * (1.0 - vh) - vh * later

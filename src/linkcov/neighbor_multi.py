@@ -11,25 +11,14 @@ without interactions (LogLinear(1)) or with 2nd-order interactions
 (LogLinear(2)).  The fitted coverage phi is the estimator of
 P(i in S_A).
 
-The objective is built once per class count (``_objective_multi``).
+The fits run the count-mixture kernel of ``_optim`` (count_objective),
+built once per class count, with the log-linear head of their design.
 It is a block kernel: one call evaluates the points of all the starts
 that the lockstep search asks for in a round, and gives each the bits
-it would get alone.  select_G_multi, given both interaction orders, fits
-them together at each G, so one call takes the asking points of both,
-each laid out for its own design.  The kernel keeps the per-fit
-constants, and each call spends two stacked matrix products on the k
-distinct count vectors: one for the exponents of every class's Poisson
-product and true-positive bracket, one for all weighted sums of the
-gradient.  A call costs mostly its fixed overhead: on the 155 distinct
-vectors of one N=100k scenario-3 replication it takes about 50-60 us on
-one point, 95-115 us on five and 140-175 us on ten, and about 80 us on
-one point of each order, where two calls take about 115 us (G = 1..3,
-fastest of 300 calls, 2-vCPU VM, one BLAS thread).  The weights, phi
-and the softmax are Python floats, per point.
-
-The starts, the result types, the AIC selection and the JSON document
-come from the fit engine in ``_optim``.  The univariate kernel stays
-apart: its p map nu + (1 - 2 nu) sigma(x) is not the cell map here.
+it would get alone.  select_G_multi, given both interaction orders,
+fits them together at each G, so one call takes the asking points of
+both, each laid out for its own design.  The starts, the result types,
+the AIC selection and the JSON document come from the same fit engine.
 """
 
 import itertools
@@ -45,19 +34,20 @@ from ._optim import (
     NU,
     FitOptions,
     check_class_count,
+    count_objective,
     fit_starts,
     interval_from_real,
     real_from_interval,
     logit,
     minimize,
+    one_block,
     result_document,
     row_loop,
     select_aic,
+    split_counts,
     stick_break,
     stick_break_inverse,
     stick_break_vjp,
-    stick_pieces,
-    stick_pieces_vjp,
 )
 from .neighbor_uni import CountHistogram, select_G
 from .popsim import PATTERNS as _ALL_PATTERNS
@@ -312,191 +302,6 @@ def _unpack_multi(x, g, design):
         u=u, u_labels=design.labels)
 
 
-def _objective_multi(hist, tau, g, designs):
-    """The objective of G-class fits to hist, a block kernel on a tuple
-    of blocks, block b's rows laid out for design designs[b]: X -> (the
-    negative mean capped log-likelihood at each row x of each block,
-    block by block, and the tuple of the blocks' analytic gradients; see
-    _optim.minimize).  Each row gets the bits that the kernel gives it
-    alone, so the fits of several interaction orders can share each
-    call.  Only the head differs by design: eta = Z u and the
-    u-gradient.
-
-    It holds the per-fit constants: the columns [t | 1 | log t!] of the
-    k count vectors with |t| <= tau, contiguous and transposed, their
-    multiplicities, log NU and the log-span of the rates.  Per call, one
-    stacked product of the (S, 2g, m + 2) coefficient block with the
-    transposed columns gives, for each row and class c, the exponent of
-    alpha_c a_c, where a_c = prod_gamma Pois(t_gamma; lam_c,gamma) and
-    the weight enters as log alpha_c, and the true-positive bracket
-    1 - |p| + t . p / lam_c.  [alpha a | alpha mix] fill one (S, 2g, k)
-    block; q is the class sum of its mix rows, and one stacked product
-    of the w-weighted block with the columns gives the four weighted
-    sums of the gradient.  Every product is stacked, one 2-D product per
-    row, because one flat product of all rows rounds differently.  The
-    weights, phi, the softmax and the tail's Poisson term are Python
-    floats per row (math.exp, not np.exp, whose bits differ); the
-    logistic of each block is one array call, which saturates where
-    exp(-x) would overflow.  Nothing of size k * g * m is formed.
-    """
-    keys, log_fact, cnts, tail_count = _split_multi(hist, tau)
-    k = keys.shape[0]
-    m = designs[0].shape[0]
-    total = float(hist.total)
-    cols = np.empty((k, m + 2))
-    cols[:, :m] = keys
-    cols[:, m] = 1.0
-    cols[:, m + 1] = log_fact
-    cols_t = np.ascontiguousarray(cols.T)
-    cols = np.ascontiguousarray(cols[:, :m + 1])
-    # per row, rows [log lam_c | log alpha_c - |lam_c| | -1] for c < g,
-    # then [p / lam_c | 1 - |p| | 0], and the (2g, k) block of
-    # [alpha a | alpha mix]; views[S] holds the first S rows of buffers
-    # made for the largest block so far
-    n_alpha = g - 1
-    n_heads = [n_alpha + 1 + design.shape[1] for design in designs]
-    views = []
-
-    def grow(n_rows):
-        coef = np.zeros((n_rows, 2 * g, m + 2))
-        coef[:, :g, m + 1] = -1.0
-        a_mix = np.empty((n_rows, 2 * g, k))
-        views[:] = [(coef[:i], a_mix[:i]) for i in range(n_rows + 1)]
-
-    nu = NU
-    log_lo = math.log(nu)
-    span = math.log(LAMBDA_MAX) - log_lo
-    log_fact_tau = math.lgamma(tau + 1.0)
-    scale = 1.0 - g * nu
-    expit, pdtr = scipy.special.expit, scipy.special.pdtr
-    exp, log = math.exp, math.log
-
-    def objective(blocks):
-        n_rows = sum(block.shape[0] for block in blocks)
-        if n_rows >= len(views):
-            grow(n_rows)
-        coef, a_mix = views[n_rows]
-        etas, sig_heads, sig_lams = [], [], []
-        for block, design, n_head in zip(blocks, designs, n_heads):
-            if block.shape[0]:
-                sig = expit(block)
-                etas += np.matmul(design, block[:, n_alpha + 1:n_head, None]
-                                  )[:, :, 0].tolist()
-                sig_heads += sig[:, :n_alpha + 1].tolist()
-                sig_lams.append(sig[:, n_head:])
-        sig_lam = np.concatenate(sig_lams)
-        log_lam = np.add(log_lo, span * sig_lam.reshape(n_rows, g, m),
-                         out=coef[:, :g, :m])
-        lam = np.exp(log_lam)
-        lam_sums = lam.sum(axis=2).tolist()
-        heads, alphas, r, p, log_terms = [], [], [], [], []
-        for s, eta, lam_sum in zip(sig_heads, etas, lam_sums):
-            stick, pieces = stick_pieces(s[:n_alpha])
-            alpha = [nu + scale * piece for piece in pieces]
-            phi = s[n_alpha]
-            mx = max(0.0, max(eta))
-            e = [exp(et - mx) for et in eta]
-            den = exp(-mx) + sum(e)
-            r_row = [ei / den for ei in e]
-            r += r_row
-            p += [phi * ri for ri in r_row]
-            heads.append((s, stick, pieces, phi))
-            alphas.append(alpha)
-            log_terms.append([log(ac) - ls for ac, ls in zip(alpha, lam_sum)])
-        r = np.array(r).reshape(n_rows, m, 1)
-        p = np.array(p).reshape(n_rows, 1, m)
-        psum = p.sum(axis=2)
-        coef[:, :g, m] = log_terms
-        coef[:, g:, m] = 1.0 - psum
-        np.divide(p, lam, out=coef[:, g:, :m])
-        expo = np.matmul(coef, cols_t)
-        a = np.exp(expo[:, :g], out=a_mix[:, :g])
-        mix = np.multiply(a, expo[:, g:], out=a_mix[:, g:])
-        q = mix.sum(axis=1)
-        np.maximum(q, 1e-300, out=q)
-        w = cnts / q
-        ll = np.matmul(cnts, np.log(q, out=q)[:, :, None]).ravel().tolist()
-        # sums[., c, gamma] = alpha_c sum_k w [a | mix]_c t_gamma, and in
-        # column m alpha_c sum_k w [a | mix]_c
-        sums = np.matmul(np.multiply(a_mix, w[:, None, :], out=a_mix), cols)
-        # dq/dp = alpha a (t/lam - 1); dq/dlam = alpha (mix (t/lam - 1)
-        # - a p t / lam^2); ratios[:, 0] is wat = sums[:, :g, :m] / lam
-        ratios = sums[:, :, :m].reshape(n_rows, 2, g, m) / lam[:, None]
-        diffs = ratios - sums[:, :, m:].reshape(n_rows, 2, g, 1)
-        d_p = diffs[:, 0]
-        d_lam = diffs[:, 1] - p * ratios[:, 0] / lam
-        d_alphas = [[sm / ac for sm, ac in zip(row_sums, alpha)]
-                    for row_sums, alpha in zip(sums[:, g:, m].tolist(),
-                                               alphas)]
-        if tail_count:
-            cdf_ts = pdtr(tau, lam_sums).tolist()
-            cdf_tm1s = pdtr(tau - 1, lam_sums).tolist()
-            tail_p, tail_lam = [], []
-            rows = zip(alphas, d_alphas, lam_sums, psum.ravel().tolist(),
-                       cdf_ts, cdf_tm1s)
-            for i, row in enumerate(rows):
-                alpha, d_alpha, lam_sum, ps, cdf_t, cdf_tm1 = row
-                below = [(1.0 - ps) * ct + ps * cm
-                         for ct, cm in zip(cdf_t, cdf_tm1)]
-                T = max(1.0 - sum([ac * b for ac, b in zip(alpha, below)]),
-                        1e-300)
-                ll[i] += tail_count * log(T)
-                wt = tail_count / T
-                row_p, row_lam = [], []
-                for c in range(g):
-                    ls = lam_sum[c]
-                    pmf_t = exp(tau * log(ls) - ls - log_fact_tau)
-                    d_alpha[c] -= wt * below[c]
-                    row_p.append(wt * (alpha[c] * (cdf_t[c] - cdf_tm1[c])))
-                    row_lam.append(wt * (alpha[c] * ((1.0 - ps) * pmf_t
-                                                     + ps * pmf_t * tau / ls)))
-                tail_p.append(row_p)
-                tail_lam.append(row_lam)
-            d_p += np.array(tail_p)[:, :, None]
-            d_lam += np.array(tail_lam)[:, :, None]
-
-        # chain rules
-        dldp = d_p.sum(axis=1, keepdims=True)
-        dldr = np.matmul(dldp, r)
-        d_heads = [
-            [scale * gv for gv in stick_pieces_vjp(s[:n_alpha], stick, pieces,
-                                                   d_alpha)]
-            + [dr * phi * (1.0 - phi)]
-            for (s, stick, pieces, phi), d_alpha, ((dr,),) in zip(
-                heads, d_alphas, dldr.tolist())]
-        d_cells = p * (dldp - dldr)
-        d_rates = d_lam.reshape(n_rows, -1) * (lam.reshape(n_rows, -1)
-                                               * span * sig_lam
-                                               * (1.0 - sig_lam))
-        grads, lo = [], 0
-        for block, design, n_head in zip(blocks, designs, n_heads):
-            hi = lo + block.shape[0]
-            grad = np.empty(block.shape)
-            if hi > lo:
-                grad[:, :n_alpha + 1] = d_heads[lo:hi]
-                np.matmul(d_cells[lo:hi], design,
-                          out=grad[:, None, n_alpha + 1:n_head])
-                grad[:, n_head:] = d_rates[lo:hi]
-                np.divide(grad, -total, out=grad)
-            grads.append(grad)
-            lo = hi
-        return [-v / total for v in ll], tuple(grads)
-
-    return objective
-
-
-def _split_multi(hist, tau):
-    """Count vectors with |t| <= tau, their summed log factorials, their
-    multiplicities, and the tail count.  Refuses a cap tau below 1, which
-    leaves the true-positive cells unidentified."""
-    if tau < 1:
-        raise ValueError("tau must be at least 1")
-    low = hist.keys.sum(axis=1) <= tau
-    keys = hist.keys[low].astype(float)
-    return (keys, scipy.special.gammaln(keys + 1.0).sum(axis=1),
-            hist.counts[low].astype(float), float(hist.counts[~low].sum()))
-
-
 def single_class_p_hat(hist, lambda_fixed, tau=10):
     """Single-class true-positive cells with the rates plugged in.
 
@@ -508,7 +313,8 @@ def single_class_p_hat(hist, lambda_fixed, tau=10):
     nu = NU
     lam = np.asarray(lambda_fixed, dtype=float)
     m = lam.size
-    keys, log_fact, cnts, tail_count = _split_multi(hist, tau)
+    keys, log_fact, cnts, tail_count = split_counts(hist.keys, hist.counts,
+                                                   tau)
     total = float(hist.total)
     log_a = keys @ np.log(lam) - lam.sum() - log_fact
     a = np.exp(log_a)
@@ -641,22 +447,14 @@ def _fit_orders(hist, g, constraints, tau, opts, inits):
                 for init, design in zip(inits, designs))
     params_ats = tuple(lambda x, design=design: _unpack_multi(x, g, design)
                        for design in designs)
-    objective = _objective_multi(hist, tau, g, tuple(d.Z for d in designs))
+    objective = count_objective(hist.keys, hist.counts, tau, g,
+                                tuple(d.Z for d in designs))
     if len(designs) == 1:
-        return (fit_starts(minimize, _one_block(objective), x0s[0], (),
+        return (fit_starts(minimize, one_block(objective), x0s[0], (),
                            float(hist.total), tau, params_ats[0], opts,
                            salt=(71,)),)
     return fit_starts(minimize, objective, x0s, (), float(hist.total), tau,
                       params_ats, opts, salt=(71,))
-
-
-def _one_block(objective):
-    """The plain block kernel X -> (values, gradients) of a kernel that
-    takes a tuple of one block."""
-    def kernel(X):
-        values, (grads,) = objective((X,))
-        return values, grads
-    return kernel
 
 
 def _start_point(g, init, design):

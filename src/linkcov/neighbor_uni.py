@@ -8,16 +8,15 @@ log-likelihood of the observed counts, the number of classes is chosen
 by AIC, and the fitted aggregates p_bar / lambda_bar translate into
 precision, coverage and recall estimates.
 
-The objective that L-BFGS-B calls (``_objective``) is a scalar kernel.
-A histogram holds a handful of distinct counts (3 to 11), so its sums
-over (class, value) run in Python floats; the only array call is one
-saturating logistic of all coordinates.  It serves every G and the tail
-cell, and meets the lockstep starts one row at a time (``row_loop``).
+The model is the one-rule case of the multivariate one: a class's
+component is Pois(n; lambda) * ((1 - p) + p n / lambda), with the same
+capped tail.  So its fits run the count-mixture kernel of ``_optim``
+(count_objective) with the one-cell head, p = NU + (1 - 2 NU) sigma(x),
+and the parameters packed as [weight logits | p logit | rate reals].
 The starts, the result types, the AIC selection and the JSON document
-come from the fit engine in ``_optim``.
+come from the same fit engine.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,18 +30,17 @@ from ._optim import (
     FitResult,
     SelectionResult,
     check_class_count,
+    count_objective,
     fit_starts,
     interval_from_real,
     real_from_interval,
     logit,
     minimize,
+    one_block,
     result_document,
-    row_loop,
     select_aic,
     stick_break,
     stick_break_inverse,
-    stick_pieces,
-    stick_pieces_vjp,
 )
 
 __all__ = [
@@ -188,16 +186,6 @@ def sample_counts(params, size, rng):
 
 # ----------------------------------------------------------------- fitting
 
-def _split_hist(hist, tau):
-    """Counts up to tau with their log factorials and multiplicities, as
-    lists of floats, and the tail count."""
-    low = hist.values <= tau
-    vals = hist.values[low].astype(float)
-    return (vals.tolist(), scipy.special.gammaln(vals + 1.0).tolist(),
-            hist.counts[low].astype(float).tolist(),
-            float(hist.counts[~low].sum()))
-
-
 def _unpack(x, g):
     """Parameters at x = [weight logits | p logit | rate reals]."""
     pos = g - 1
@@ -205,94 +193,6 @@ def _unpack(x, g):
     p = NU + (1.0 - 2.0 * NU) * scipy.special.expit(x[pos:pos + 1])
     lam, _ = interval_from_real(x[pos + 1:], NU, LAMBDA_MAX)
     return UniMixtureParams(alpha=alpha, p=np.full(g, p[0]), lam=lam)
-
-
-def _objective(x, vals, log_fact, cnts, tail_count, total, g, tau):
-    """Negative mean capped log-likelihood and its gradient.
-
-    A scalar kernel: vals, log_fact and cnts are the short lists of
-    ``_split_hist``, and every sum runs over (class, value) in Python
-    floats.  The one array call is the logistic of all coordinates; it
-    saturates where exp(-x) would overflow.  Per class, with
-    t_v = cnts_v / q_v * Pois(v; lam), the gradient needs only
-    T0 = sum t_v, T1 = sum t_v v and T2 = sum t_v v (v - 1).
-    """
-    sig = scipy.special.expit(x).tolist()
-    pos = g - 1
-    nu = NU
-
-    # weights: stick-breaking above the floor nu, as stick_break
-    stick, pieces = stick_pieces(sig[:pos])
-    scale = 1.0 - g * nu
-    alpha = [nu + scale * s for s in pieces]
-    # one p, shared by every class
-    p_sig = sig[pos:pos + 1]
-    p = [nu + (1.0 - 2.0 * nu) * s for s in p_sig] * g
-    # rates: logistic interpolation on the log scale, as interval_from_real
-    log_lo = math.log(nu)
-    span = math.log(LAMBDA_MAX) - log_lo
-    lam_sig = sig[pos + 1:]
-    log_lam = [log_lo + span * s for s in lam_sig]
-    exp, log = math.exp, math.log
-    lam = [exp(y) for y in log_lam]
-
-    # pois[c][v] = Poisson(v; lam_c);
-    # q_v = sum_c alpha_c pois[c][v] (1 - p_c + p_c v / lam_c)
-    pois = []
-    q = [0.0] * len(vals)
-    for a, pc, y, l in zip(alpha, p, log_lam, lam):
-        base, slope = a * (1.0 - pc), a * pc / l
-        row = [exp(v * y - l - lf) for v, lf in zip(vals, log_fact)]
-        pois.append(row)
-        q = [qv + pz * (base + slope * v) for qv, pz, v in zip(q, row, vals)]
-    ll = 0.0
-    w = []
-    for c, qv in zip(cnts, q):
-        if qv < 1e-300:
-            qv = 1e-300
-        ll += c * log(qv)
-        w.append(c / qv)
-
-    d_alpha, d_p, d_lam = [], [], []
-    for a, pc, l, row in zip(alpha, p, lam, pois):
-        t0 = t1 = t2 = 0.0
-        for wv, pz, v in zip(w, row, vals):
-            t = wv * pz
-            t0 += t
-            t *= v
-            t1 += t
-            t2 += t * (v - 1.0)
-        r = t1 / l
-        d_alpha.append((1.0 - pc) * t0 + pc * r)
-        d_p.append(a * (r - t0))
-        d_lam.append(a * ((1.0 - pc) * (r - t0) + pc / l * (t2 / l - t1)))
-
-    if tail_count:
-        pdtr = scipy.special.pdtr
-        cdf_t = pdtr(tau, lam).tolist()
-        cdf_tm1 = pdtr(tau - 1, lam).tolist()
-        log_fact_tau = math.lgamma(tau + 1.0)
-        below = [(1.0 - pc) * ct + pc * cm
-                 for pc, ct, cm in zip(p, cdf_t, cdf_tm1)]
-        T = max(1.0 - sum([a * b for a, b in zip(alpha, below)]), 1e-300)
-        ll += tail_count * log(T)
-        wt = tail_count / T
-        for c in range(g):
-            a, pc, l = alpha[c], p[c], lam[c]
-            pmf_t = exp(tau * log_lam[c] - l - log_fact_tau)
-            d_alpha[c] -= wt * below[c]
-            d_p[c] += wt * a * (cdf_t[c] - cdf_tm1[c])
-            d_lam[c] += wt * a * ((1.0 - pc) * pmf_t + pc * pmf_t * tau / l)
-
-    # chain to unconstrained coordinates
-    grad = [scale * gv
-            for gv in stick_pieces_vjp(sig[:pos], stick, pieces, d_alpha)]
-    d_p = [sum(d_p)]
-    grad += [dp * (1.0 - 2.0 * nu) * s * (1.0 - s)
-             for dp, s in zip(d_p, p_sig)]
-    grad += [dl * l * span * s * (1.0 - s)
-             for dl, l, s in zip(d_lam, lam, lam_sig)]
-    return -ll / total, np.array(grad) / -total
 
 
 def _start(hist, g):
@@ -321,10 +221,10 @@ def fit_uni(hist, g, tau=10, opts=FitOptions()):
     never falls below the initialization's.
     """
     check_class_count(g)
-    total = float(hist.total)
-    args = (*_split_hist(hist, tau), total, g, tau)
-    return fit_starts(minimize, row_loop(_objective), _start(hist, g), args,
-                      total, tau, lambda x: _unpack(x, g), opts)
+    objective = count_objective(hist.values[:, None], hist.counts, tau, g,
+                                (None,))
+    return fit_starts(minimize, one_block(objective), _start(hist, g), (),
+                      float(hist.total), tau, lambda x: _unpack(x, g), opts)
 
 
 def select_G(hist, g_max, tau=10, opts=FitOptions()):

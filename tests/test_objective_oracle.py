@@ -11,9 +11,11 @@ of the gradient's largest component, because a component that is a
 difference of large terms carries the rounding of those terms, not of
 itself.
 
-``fit_multi``'s objective is a block kernel, captured here through its
-one-row case.  TestMultiBlockKernel checks that each row of a block
-gets the same bytes as that row alone, wherever it sits in the block.
+Both fits hand L-BFGS-B one block kernel, ``fit_uni`` through its
+one-cell head, captured here through its one-row case.
+TestMultiBlockKernel checks, for both, that each row of a block gets the
+same bytes as that row alone, wherever it sits in the block.
+TestAllCountsInTail fits histograms with no count at or below the cap.
 
 At saturated points (|x| up to 800: weights, cells, phi and rates on
 their bounds) both objectives must return finite values and gradients
@@ -459,31 +461,45 @@ def row_bytes(fun, X, args, row):
     return float(values[row]).hex(), np.asarray(grads[row]).tobytes()
 
 
+def assert_rows_match_alone(fun, x0, args, g, tail):
+    """Each point around x0 gets, first, in the middle and last of
+    blocks of 2 to 5 beside the points after it, the bytes it gets
+    alone."""
+    points = np.array([*jittered(x0, seed=500 * g + tail),
+                       *saturated(x0.size, seed=600 * g + tail)])
+    n = len(points)
+    alone = [row_bytes(fun, x[None], args, 0) for x in points]
+    for size in range(2, 6):
+        for pos in sorted({0, size // 2, size - 1}):
+            for i in range(n):
+                rows = [(i - pos + j) % n for j in range(size)]
+                assert row_bytes(fun, points[rows], args, pos) == alone[i]
+
+
 class TestMultiBlockKernel:
     @MULTI_DATA
     @TAILS
     @pytest.mark.parametrize("constraint", MULTI_CONSTRAINTS, ids=str)
     @pytest.mark.parametrize("g", GS)
     def test_rows_match_alone(self, monkeypatch, g, constraint, tail, data):
-        # each point first, in the middle and last of blocks of 2 to 5,
-        # beside the points after it
         hist = _multi_hist(data)
         tau = _tau(hist.keys.sum(axis=1).max(), tail)
         fun, starts, args = captured_objective(
             monkeypatch, neighbor_multi, fit_multi, hist, g,
             constraint=constraint, tau=tau, opts=OPTS, init=MULTI_INIT,
             block=True)
-        x0 = starts[0]
-        points = np.array([*jittered(x0, seed=500 * g + tail),
-                           *saturated(x0.size, seed=600 * g + tail)])
-        n = len(points)
-        alone = [row_bytes(fun, x[None], args, 0) for x in points]
-        for size in range(2, 6):
-            for pos in sorted({0, size // 2, size - 1}):
-                for i in range(n):
-                    rows = [(i - pos + j) % n for j in range(size)]
-                    assert row_bytes(fun, points[rows], args,
-                                     pos) == alone[i]
+        assert_rows_match_alone(fun, starts[0], args, g, tail)
+
+    @TAILS
+    @pytest.mark.parametrize("g", GS)
+    def test_uni_rows_match_alone(self, monkeypatch, g, tail):
+        # the univariate fit runs the same kernel through its one-cell
+        # head, and its lockstep starts rely on the same property
+        hist = _uni_hist()
+        fun, starts, args = captured_objective(
+            monkeypatch, neighbor_uni, fit_uni, hist, g,
+            tau=_tau(hist.values.max(), tail), opts=OPTS, block=True)
+        assert_rows_match_alone(fun, starts[0], args, g, tail)
 
     @MULTI_DATA
     @TAILS
@@ -524,3 +540,20 @@ class TestMultiBlockKernel:
                            zip(values, [*grads[0], *grads[1]])]
                     assert got == [alone[b][k] for b in (0, 1)
                                    for k in rows[b]]
+
+
+class TestAllCountsInTail:
+    # no count vector at or below tau: the kernel sums over no cell, and
+    # the tail cell alone carries the log-likelihood
+    @pytest.mark.filterwarnings("error")
+    def test_uni(self):
+        fit = fit_uni(CountHistogram([12, 15], [30, 20]), 1, tau=10)
+        assert np.isfinite(fit.loglik) and fit.loglik <= 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("constraint", MULTI_CONSTRAINTS, ids=str)
+    def test_multi(self, constraint):
+        hist = MultiCountHistogram([[2, 2, 2, 2, 2, 1, 1],
+                                    [3, 2, 2, 2, 2, 2, 2]], [30, 20])
+        fit = fit_multi(hist, 1, constraint=constraint, tau=10)
+        assert np.isfinite(fit.loglik) and fit.loglik <= 0.0
