@@ -30,19 +30,19 @@ private to scipy and takes its current arguments from scipy 1.15 on, the
 floor pyproject.toml sets; tests/test_minimize_oracle.py pins the loop
 to scipy.optimize.minimize.
 
-A fit's starts run in lockstep: fit_starts hands minimize all of them
-as one block, minimize keeps one setulb state per start, and in each
-round the starts that ask for a new point are evaluated by one call of
-the objective on the block of their points.  The count-mixture kernel,
-whose cost is mostly per call, pays that cost once per round instead of
-once per start; a point kernel, as the Racinskij boundary search and the
-plug-in cells of the multivariate start have, joins through row_loop.
-Several fits whose points differ in length, such as the multivariate
-fits of both interaction orders at one class count, run in one lockstep
-as a tuple of blocks, one per fit, and share each round's call.  Each
-start still ends on the point, after the evaluations and iterations,
-that its own search would give, and minimize reports the evaluations
-and iterations as sums over its starts.
+A search's starts run in lockstep, and minimize takes them in one
+shape: a tuple of (S, n) blocks, one block per model, whose widths may
+differ.  fit_starts hands it a block of starts per model, minimize keeps
+one setulb state per start, and in each round the starts that ask for a
+new point are evaluated by one call of the objective on the tuple of
+each block's asking points.  The count-mixture kernel, whose cost is
+mostly per call, pays that cost once per round instead of once per
+start, and the multivariate fits of both interaction orders at one
+class count share it; a point kernel, as the Racinskij boundary search
+and the plug-in cells of the multivariate start have, joins as one block
+through row_loop.  Each start still ends on the point, after the
+evaluations and iterations, that its own search would give, and
+minimize reports the evaluations and iterations as sums over its starts.
 
 All count-mixture parameters live in boxes or simplices; their fits run
 an unconstrained quasi-Newton search, so each constrained quantity is
@@ -83,7 +83,6 @@ __all__ = [
     "count_objective",
     "fit_starts",
     "minimize",
-    "one_block",
     "row_loop",
     "split_counts",
     "select_aic",
@@ -161,40 +160,38 @@ class SelectionResult:
     trace: list = field(default_factory=list)
 
 
-def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
-    """L-BFGS-B from each row of the (S, n) block x0, in lockstep, bit
-    for bit as scipy.optimize.minimize runs it from that row alone.
+def minimize(fun, x0s, args=(), *, jac, method, options, bounds=None):
+    """L-BFGS-B from each row of each (S, n) block of the tuple x0s, in
+    lockstep, bit for bit as scipy.optimize.minimize runs it from that
+    row alone.
 
     Takes what scipy.optimize.minimize takes for method="L-BFGS-B" and
     jac=True, with the options maxiter, ftol and gtol, and refuses
     anything else.  bounds, as scipy takes it, is None or one (lo, hi)
     pair per coordinate, where None or an infinite value leaves that side
-    free; as scipy does, each start is first clipped into the box.  The
-    loop is the reverse-communication loop of scipy's L-BFGS-B around its
-    step routine setulb, with scipy's maxcor 10, maxls 20 and maxfun
-    15000, minus the ScalarFunction and MemoizeJac wrappers that scipy
-    puts around each evaluation.  setulb is private and takes these
-    arguments from scipy 1.15 on; tests/test_minimize_oracle.py pins the
-    loop to scipy.optimize.minimize, with and without bounds.
+    free; as scipy does, each start is first clipped into the box, and
+    the bounds apply to every block.  The loop is the
+    reverse-communication loop of scipy's L-BFGS-B around its step
+    routine setulb, with scipy's maxcor 10, maxls 20 and maxfun 15000,
+    minus the ScalarFunction and MemoizeJac wrappers that scipy puts
+    around each evaluation.  setulb is private and takes these arguments
+    from scipy 1.15 on; tests/test_minimize_oracle.py pins the loop to
+    scipy.optimize.minimize, with and without bounds.
 
-    fun(X, *args) returns the values (S',) and the gradients (S', n) at
-    the S' rows of X (row_loop makes it from a point function), and each
-    row's search runs its own setulb state.  In each round every running
-    search that asks for a new point joins one call of fun, and a
-    finished search drops out; a search that asks again for the point it
-    last evaluated gets that evaluation back, as scipy does, uncounted.
-    So each row ends where scipy would end from it alone, after the same
-    nfev and nit.  The result lists one scipy OptimizeResult per row in
-    starts (as scipy.optimize.shgo lists its local minima), each with x,
-    fun, jac, nfev, nit and success, and gives nfev and nit summed over
-    the rows.  A single search is a one-row block.
-
-    x0 may also be a tuple of blocks, whose widths may differ: the
-    searches of every block then run in one lockstep, fun takes the
-    tuple of each block's asking rows (an empty block has no rows) and
-    returns the values of all of them, block by block, and a tuple of
-    each block's gradients; starts lists the rows block by block, and
-    bounds apply to every block.
+    The blocks' widths may differ, one block per model.  fun(Xs, *args)
+    takes the tuple of each block's asking rows (a block with none
+    asking is empty) and returns the values of all of them, block by
+    block, and the tuple of each block's gradients (row_loop makes it
+    from a point function).  Each row's search runs its own setulb
+    state.  In each round every running search that asks for a new point
+    joins one call of fun, and a finished search drops out; a search
+    that asks again for the point it last evaluated gets that evaluation
+    back, as scipy does, uncounted.  So each row ends where scipy would
+    end from it alone, after the same nfev and nit.  The result lists
+    one scipy OptimizeResult per row in starts, block by block (as
+    scipy.optimize.shgo lists its local minima), each with x, fun, jac,
+    nfev, nit and success, and gives nfev and nit summed over the rows.
+    A single search is a one-row block.
 
     The fit modules import this name and call it as their own
     module-level minimize, so that a stub or a counter put in that
@@ -213,11 +210,9 @@ def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
     maxiter = options["maxiter"]
     factr = options["ftol"] / np.finfo(float).eps
     pgtol = options["gtol"]
-    many = isinstance(x0, tuple)
-    blocks = [np.array(b, dtype=np.float64) for b in (x0 if many else (x0,))]
+    blocks = [np.array(b, dtype=np.float64) for b in x0s]
     if any(b.ndim != 2 for b in blocks):
-        raise ValueError("x0 must be an (S, n) block of starts, or a tuple "
-                         "of them")
+        raise ValueError("x0s must be a tuple of (S, n) blocks of starts")
     searches = []
     for b, starts in enumerate(blocks):
         n = starts.shape[1]
@@ -261,10 +256,9 @@ def minimize(fun, x0, args=(), *, jac, method, options, bounds=None):
             X = [np.array([s.x for s in ask]) if ask
                  else np.empty((0, b.shape[1]))
                  for ask, b in zip(rows, blocks)]
-            values, grads = fun(tuple(X) if many else X[0], *args)
+            values, grads = fun(tuple(X), *args)
             values = iter(values)
-            for ask, points, block_grads in zip(rows, X,
-                                                grads if many else (grads,)):
+            for ask, points, block_grads in zip(rows, X, grads):
                 # setulb gets a copy of each gradient, made once per block
                 copies = np.array(block_grads, dtype=np.float64)
                 for s, x, grad, g in zip(ask, points, block_grads, copies):
@@ -328,18 +322,12 @@ class _Search:
 
 
 def row_loop(point):
-    """The block form of a point kernel: point(x, *args) at each row."""
-    def block(X, *args):
-        return list(zip(*[point(x, *args) for x in X]))
-    return block
-
-
-def one_block(objective):
-    """The plain block kernel X -> (values, gradients) of a kernel that
-    takes a tuple of one block."""
-    def kernel(X):
-        values, (grads,) = objective((X,))
-        return values, grads
+    """The one-block kernel of a point kernel: point(x, *args) at each
+    row of the one block."""
+    def kernel(Xs, *args):
+        (X,) = Xs
+        values, grads = zip(*[point(x, *args) for x in X])
+        return values, (grads,)
     return kernel
 
 
@@ -557,31 +545,25 @@ def best_end(ends):
     return min(ends, key=lambda end: (np.isnan(end.fun), end.fun))
 
 
-def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
+def fit_starts(minimize, objective, x0s, total, tau, params_ats, opts,
                salt=()):
-    """Fit by L-BFGS-B from x0 and n_starts - 1 jittered copies of it.
+    """Fit each model by L-BFGS-B from its start in x0s and n_starts - 1
+    jittered copies of it; the tuple of the models' FitResults.
 
-    objective(X, *args) gives, at each row x of X, the negative mean
-    log-likelihood of total observations and its gradient (row_loop
-    makes it from a point kernel); start s > 0 adds JITTER times normals
-    seeded by (JITTER_SEED, *salt, s).  The search stops by FTOL, GTOL
-    and opts.max_iter.  The starts go to minimize as one block,
-    so their searches run in lockstep; a later start replaces the best so
-    far only with a strictly lower value (see best_end), and params_at
-    maps the best end point to the model.  minimize is the one the
+    objective(Xs) takes a tuple of blocks, one per model, and gives, at
+    each row x of each block, the negative mean log-likelihood of total
+    observations and its gradient (see minimize); start s > 0 adds
+    JITTER times normals seeded by (JITTER_SEED, *salt, s).  The search
+    stops by FTOL, GTOL and opts.max_iter.  Each model's starts go to
+    minimize as one block, so the starts of every model run in one
+    lockstep; a later start replaces the best so far only with a
+    strictly lower value (see best_end), and the model's entry of
+    params_ats maps its best end point to the model.  Each FitResult is
+    the one that the model's fit alone gives.  minimize is the one the
     calling module names (see minimize).  tau is the cap of the fitted
     counts, which the objective refuses below 1.
-
-    x0 and params_at may also be tuples, one entry per model, for an
-    objective that takes a tuple of blocks (see minimize): the models'
-    starts then run in one lockstep, each model's as one block, and the
-    result is the tuple of the models' FitResults, each the one that
-    fit_starts gives that model alone.
     """
-    many = isinstance(x0, tuple)
-    x0s, params_ats = (x0, params_at) if many else ((x0,), (params_at,))
-    firsts = tuple(x[None] for x in x0s)
-    init_values = objective(firsts if many else firsts[0], *args)[0]
+    init_values = objective(tuple(x[None] for x in x0s))[0]
     blocks = []
     for x in x0s:
         starts = [x]
@@ -590,8 +572,7 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
             starts.append(x + JITTER * jrng.standard_normal(x.size))
         blocks.append(np.array(starts))
     res = minimize(
-        objective, tuple(blocks) if many else blocks[0], args=args, jac=True,
-        method="L-BFGS-B",
+        objective, tuple(blocks), jac=True, method="L-BFGS-B",
         options={"maxiter": opts.max_iter, "ftol": FTOL, "gtol": GTOL},
     )
     fits = []
@@ -607,7 +588,7 @@ def fit_starts(minimize, objective, x0, args, total, tau, params_at, opts,
             tau=tau,
             n_params=x.size,
         ))
-    return tuple(fits) if many else fits[0]
+    return tuple(fits)
 
 
 def select_aic(fit, g_max):

@@ -221,7 +221,8 @@ def racinskij_fit(pattern_hist, size_b):
         w, theta, eta = fit
         method, converged, boundary = "closed_form", True, False
     else:
-        res = minimize(row_loop(_ci_negloglik), _box_starts(counts, patterns),
+        res = minimize(row_loop(_ci_negloglik),
+                       (_box_starts(counts, patterns),),
                        args=(freq, patterns), jac=True,
                        method="L-BFGS-B", options=_BOX_OPTIONS,
                        bounds=[_BOX] * 7)

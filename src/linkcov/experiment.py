@@ -24,8 +24,7 @@ from . import linkage as lk
 from .baselines import CoverageEstimate, df_dt_estimators, lincoln_petersen, racinskij_fit
 from .frequencies import (build_soundex_index, load_frequency_table,
                           synthetic_age_table, synthetic_surname_table)
-from .neighbor_multi import (LogLinear, MultiCountHistogram, appendix_c_start,
-                             select_G_multi)
+from .neighbor_multi import LogLinear, MultiCountHistogram, select_G_multi
 from .neighbor_uni import (CountHistogram, accuracy_from_fit, select_G)
 from .popsim import PerturbationParams, draw_samples, generate_population
 
@@ -229,7 +228,7 @@ _MN_CONSTRAINTS = {"mn_no_interactions": LogLinear(1),
 
 def count_estimates(cv, estimators, tau, g_max):
     """The UN and MN estimates named in estimators, from link counts; the
-    MN modes' fits at each G run as one lockstep search."""
+    MN modes share one start, and their fits at each G one lockstep search."""
     estimates = {}
     if "un" in estimators:
         uh = CountHistogram.from_observations(cv.n_total)
@@ -244,11 +243,9 @@ def count_estimates(cv, estimators, tau, g_max):
     modes = [name for name in _MN_CONSTRAINTS if name in estimators]
     if modes:
         mh = MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
-        # the modes start from the same per-rule rates and plug-in cells
-        start = appendix_c_start(mh, tau)
         orders = tuple(_MN_CONSTRAINTS[name] for name in modes)
         for name, sel in zip(modes, select_G_multi(mh, g_max, orders,
-                                                   tau=tau, start=start)):
+                                                   tau=tau)):
             estimates[name] = CoverageEstimate(
                 name, float(sel.fit.params.phi),
                 diagnostics={"G": sel.g_hat, "converged": sel.fit.converged},
@@ -352,7 +349,7 @@ def _replications(cfg, todo, workers):
         build_soundex_index(surnames)
         import scipy.optimize  # noqa: F401
         import scipy.special  # noqa: F401
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
             yield from pool.map(run_replication, repeat(cfg), todo)
     else:
         for r in todo:

@@ -40,7 +40,6 @@ from ._optim import (
     real_from_interval,
     logit,
     minimize,
-    one_block,
     result_document,
     row_loop,
     select_aic,
@@ -275,7 +274,8 @@ def sample_multi_counts(params, size, rng):
         if not k:
             continue
         out[sel] = rng.poisson(params.lam[comp], size=(k, m))
-        cell_p = np.append(params.p[comp], 1.0 - params.p[comp].sum())
+        cell_p = np.append(params.p[comp],
+                           max(1.0 - params.p[comp].sum(), 0.0))
         cells = rng.choice(m + 1, size=k, p=cell_p)
         rows = np.flatnonzero(sel)
         hit = cells < m
@@ -308,11 +308,16 @@ def single_class_p_hat(hist, lambda_fixed, tau=10):
     The capped log-likelihood is concave in p, so this is a convex
     problem; it is solved through the simplex reparameterization to a
     tight gradient tolerance, from one start.  The cells sum to at most
-    1 - NU.
+    1 - NU.  The rates, one per histogram cell, must be finite and
+    positive.
     """
     nu = NU
     lam = np.asarray(lambda_fixed, dtype=float)
     m = lam.size
+    if lam.shape != (hist.width,):
+        raise ValueError("need one rate per histogram cell")
+    if not (np.isfinite(lam) & (lam > 0)).all():
+        raise ValueError("all rates must be finite and positive")
     keys, log_fact, cnts, tail_count = split_counts(hist.keys, hist.counts,
                                                    tau)
     total = float(hist.total)
@@ -340,7 +345,7 @@ def single_class_p_hat(hist, lambda_fixed, tau=10):
         gs = np.append((1.0 - nu) * d_p, 0.0)
         return -ll / total, -stick_break_vjp(xp, gs) / total
 
-    res = minimize(row_loop(objective), np.full((1, m), -1.0), jac=True,
+    res = minimize(row_loop(objective), (np.full((1, m), -1.0),), jac=True,
                    method="L-BFGS-B",
                    options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-8})
     cells = stick_break(res.starts[0].x)
@@ -438,10 +443,9 @@ def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
 
 def _fit_orders(hist, g, constraints, tau, opts, inits):
     """The G-class fits of a tuple of constraints, one init bundle each,
-    as one lockstep search, each row of each kernel call laid out for
+    as one lockstep search, each model's starts one block laid out for
     its own order: the tuple of the orders' FitResults.  The caller
-    checks g and hist.  One order hands minimize a plain block, as the
-    other fits do."""
+    checks g and hist."""
     designs = [build_design(c.d) for c in constraints]
     x0s = tuple(_start_point(g, init, design)
                 for init, design in zip(inits, designs))
@@ -449,11 +453,7 @@ def _fit_orders(hist, g, constraints, tau, opts, inits):
                        for design in designs)
     objective = count_objective(hist.keys, hist.counts, tau, g,
                                 tuple(d.Z for d in designs))
-    if len(designs) == 1:
-        return (fit_starts(minimize, one_block(objective), x0s[0], (),
-                           float(hist.total), tau, params_ats[0], opts,
-                           salt=(71,)),)
-    return fit_starts(minimize, objective, x0s, (), float(hist.total), tau,
+    return fit_starts(minimize, objective, x0s, float(hist.total), tau,
                       params_ats, opts, salt=(71,))
 
 
@@ -486,6 +486,8 @@ def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
     start: appendix_c_start(hist, tau, opts), computed once and shared
     by the interaction orders fitted to one histogram; None computes it.
     """
+    if g_max < 1:
+        raise ValueError("g_max must be at least 1")
     _require_three_binary_groups(hist)
     if start is None:
         start = appendix_c_start(hist, tau, opts)

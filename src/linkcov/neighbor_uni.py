@@ -36,7 +36,6 @@ from ._optim import (
     real_from_interval,
     logit,
     minimize,
-    one_block,
     result_document,
     select_aic,
     stick_break,
@@ -223,8 +222,9 @@ def fit_uni(hist, g, tau=10, opts=FitOptions()):
     check_class_count(g)
     objective = count_objective(hist.values[:, None], hist.counts, tau, g,
                                 (None,))
-    return fit_starts(minimize, one_block(objective), _start(hist, g), (),
-                      float(hist.total), tau, lambda x: _unpack(x, g), opts)
+    return fit_starts(minimize, objective, (_start(hist, g),),
+                      float(hist.total), tau, (lambda x: _unpack(x, g),),
+                      opts)[0]
 
 
 def select_G(hist, g_max, tau=10, opts=FitOptions()):

@@ -232,6 +232,40 @@ class TestRunExperiment:
             np.testing.assert_array_equal(m[2].estimates[name],
                                           m[1].estimates[name])
 
+    def test_no_more_workers_than_replications_left(self, tmp_path,
+                                                    monkeypatch):
+        # a pool forks all its workers at the first submit; this stub
+        # records the pool size and runs the replications here, starting
+        # no process
+        from linkcov import experiment
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(experiment, "run_replication", lambda c, r: (
+            ReplicationResult(r, {"naive": CoverageEstimate("naive", 0.9)},
+                              {})))
+        cfg = ScenarioConfig.from_scenario(1, estimators=("naive",), **TINY)
+        log = tmp_path / "reps.jsonl"
+        run_experiment(cfg, workers=8, log_path=log)
+        cfg5 = ScenarioConfig.from_scenario(
+            1, estimators=("naive",), **{**TINY, "replications": 5})
+        m = run_experiment(cfg5, workers=8, log_path=log, resume=True)
+        assert sizes == [2, 3]
+        assert m.replications == 5
+
     def test_workers_inherit_the_calibrated_table(self, tmp_path,
                                                   monkeypatch):
         # _brentq runs only in a cold calibration; each call appends the

@@ -190,7 +190,9 @@ class TestClassCountBound:
         with pytest.raises(ValueError, match="g_max"):
             select_G(CountHistogram([0, 1], [5, 3]), 0)
 
-    def test_multivariate(self, multi_hist):
+    def test_multivariate(self, monkeypatch, multi_hist):
+        # refused before the start's seven univariate selections run
+        no_start(monkeypatch)
         with pytest.raises(ValueError, match="g_max"):
             select_G_multi(multi_hist, 0)
 
@@ -272,15 +274,17 @@ class TestBestStart:
                                 nit=s)
                 for s, fun in enumerate([np.nan, 1.0, 2.0])]
 
-        def stub(objective, x0, **kwargs):
+        def stub(objective, x0s, **kwargs):
+            (x0,) = x0s
             assert len(x0) == len(ends)
             return SimpleNamespace(starts=ends)
 
-        def objective(X):
-            return np.zeros(len(X)), np.zeros_like(X)
+        def objective(Xs):
+            (X,) = Xs
+            return np.zeros(len(X)), (np.zeros_like(X),)
 
-        fit = fit_starts(stub, objective, np.zeros(2), (), 10.0, 1,
-                         lambda x: x, FitOptions(n_starts=3))
+        (fit,) = fit_starts(stub, objective, (np.zeros(2),), 10.0, 1,
+                            (lambda x: x,), FitOptions(n_starts=3))
         assert fit.loglik == -10.0
         assert fit.n_iter == 1
         np.testing.assert_array_equal(fit.params, [1.0, 1.0])
@@ -327,7 +331,7 @@ class TestReaskedPoint:
         options = {"maxiter": 50, "ftol": 1e-9, "gtol": 1e-7}
         ref = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
                                       options=options)
-        (end,) = minimize(row_loop(fun), x0[None], jac=True,
+        (end,) = minimize(row_loop(fun), (x0[None],), jac=True,
                           method="L-BFGS-B", options=options).starts
         assert end.x.tobytes() == ref.x.tobytes()
         assert (end.nfev, end.nit, end.success) == (ref.nfev, ref.nit,

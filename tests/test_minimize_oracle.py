@@ -1,10 +1,11 @@
 """The fits' L-BFGS-B loop against scipy.optimize.minimize.
 
 ``_optim.minimize`` runs scipy's private L-BFGS-B step routine in the
-loop of scipy's own L-BFGS-B, for a block of starts in lockstep (one
-start is a one-row block), without or with bounds.  Every search here
-must end where ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)``
-ends from that start alone, under the same bounds, bit for bit, after
+loop of scipy's own L-BFGS-B, for a tuple of blocks of starts in
+lockstep (one start is a one-row block), without or with bounds.  Every
+search here must end where
+``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` ends from that
+start alone, under the same bounds, bit for bit, after
 the same numbers of evaluations and iterations, so a scipy release that
 changes the routine or its calling convention fails here, and so does a
 lockstep loop that mixes up its starts.
@@ -23,7 +24,6 @@ from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     sample_multi_counts, single_class_p_hat)
 from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
                                   sample_counts)
-from test_neighbor_uni import one_row
 
 # the moment or Appendix-C start and two jittered copies of it
 OPTS = FitOptions(n_starts=3)
@@ -40,7 +40,7 @@ def assert_same_end(ours, ref):
 def assert_same_search(fun, x0, args=(), options=LBFGSB, bounds=None):
     """Run _optim.minimize from x0 as a one-row block of the point
     function fun, and scipy from x0; return the former's one end."""
-    ours = _optim.minimize(_optim.row_loop(fun), x0[None], args=args,
+    ours = _optim.minimize(_optim.row_loop(fun), (x0[None],), args=args,
                            jac=True, method="L-BFGS-B", options=options,
                            bounds=bounds)
     ref = scipy_minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
@@ -49,39 +49,51 @@ def assert_same_search(fun, x0, args=(), options=LBFGSB, bounds=None):
     return ours.starts[0]
 
 
-def assert_same_block(fun, starts, args=(), options=LBFGSB, bounds=None):
-    """Run _optim.minimize on the block kernel fun from the rows of
-    starts in lockstep; return its result after assert_ends_alone."""
-    ours = _optim.minimize(fun, starts, args=args, jac=True,
+def assert_same_block(fun, x0s, args=(), options=LBFGSB, bounds=None):
+    """Run _optim.minimize on the kernel fun from the rows of the tuple
+    of blocks x0s in lockstep; return its result after
+    assert_ends_alone."""
+    ours = _optim.minimize(fun, x0s, args=args, jac=True,
                            method="L-BFGS-B", options=options, bounds=bounds)
-    assert_ends_alone(fun, starts, ours, args, options, bounds)
+    assert_ends_alone(fun, x0s, ours, args, options, bounds)
     return ours
 
 
-def assert_ends_alone(fun, starts, ours, args=(), options=LBFGSB,
+def assert_ends_alone(fun, x0s, ours, args=(), options=LBFGSB,
                       bounds=None):
-    """Each start of the block result ours ends where scipy ends from
-    that start alone, on fun's one-row case; the block's counts are the
-    sums of the starts' counts."""
+    """Each start of the result ours ends where scipy ends from that
+    start alone, on fun's one-row case of the start's block; the counts
+    are the sums of the starts' counts."""
+    starts = [(b, x0) for b, block in enumerate(x0s) for x0 in block]
     assert len(ours.starts) == len(starts)
-    for x0, end in zip(starts, ours.starts):
+    for (b, x0), end in zip(starts, ours.starts):
         assert_same_end(end, scipy_minimize(
-            one_row(fun), x0, args=args, jac=True, method="L-BFGS-B",
-            options=options, bounds=bounds))
+            block_row(fun, x0s, b), x0, args=args, jac=True,
+            method="L-BFGS-B", options=options, bounds=bounds))
     assert ours.nfev == sum(end.nfev for end in ours.starts)
     assert ours.nit == sum(end.nit for end in ours.starts)
+
+
+def block_row(fun, x0s, b):
+    """The point function x -> (value, gradient) of block b of the kernel
+    fun on the tuple of blocks x0s, called with every other block empty."""
+    def point(x, *args):
+        values, grads = fun(tuple(x[None] if i == b else block[:0]
+                                  for i, block in enumerate(x0s)), *args)
+        return values[0], grads[b][0]
+    return point
 
 
 @pytest.fixture
 def searches(monkeypatch):
     """Let every search of the fit modules run through both and compare;
-    returns the list of the starts compared.  Every search hands over
-    its starts as one block, the plug-in cells a one-row block."""
+    returns the list of the starts compared.  Every search hands over a
+    tuple of blocks of starts, the plug-in cells a one-row block."""
     seen = []
 
-    def both(fun, x0, args=(), **kwargs):
-        seen.extend(x0)
-        return assert_same_block(fun, x0, args, kwargs["options"],
+    def both(fun, x0s, args=(), **kwargs):
+        seen.extend(x for block in x0s for x in block)
+        return assert_same_block(fun, x0s, args, kwargs["options"],
                                  kwargs.get("bounds"))
 
     for module in (neighbor_uni, neighbor_multi, baselines):
@@ -197,7 +209,8 @@ def test_bounded_search_ends_on_a_bound():
 def test_bounded_block():
     starts = np.array([INSIDE, OUTSIDE, np.linspace(2.0, -2.0, 6),
                        np.full(6, 0.5)])
-    res = assert_same_block(_optim.row_loop(rosenbrock), starts, bounds=BOX)
+    res = assert_same_block(_optim.row_loop(rosenbrock), (starts,),
+                            bounds=BOX)
     assert all(end.x[1] == BOX[1][1] for end in res.starts)
 
 
@@ -214,22 +227,24 @@ def test_racinskij_boundary_search(searches):
                          ids=["length", "order"])
 def test_refuses_bad_bounds(bounds):
     with pytest.raises(ValueError, match="bound"):
-        _optim.minimize(_optim.row_loop(rosenbrock), INSIDE[None], jac=True,
-                        method="L-BFGS-B", options=LBFGSB, bounds=bounds)
+        _optim.minimize(_optim.row_loop(rosenbrock), (INSIDE[None],),
+                        jac=True, method="L-BFGS-B", options=LBFGSB,
+                        bounds=bounds)
 
 
-def tagged(X, evaluated):
-    """A block kernel whose rows are rosenbrock (last coordinate 0) or
-    wrong_gradient (last coordinate 1) of the other coordinates.  The
+def tagged(Xs, evaluated):
+    """A one-block kernel whose rows are rosenbrock (last coordinate 0)
+    or wrong_gradient (last coordinate 1) of the other coordinates.  The
     last coordinate's gradient is 0, so no search moves it; each row
     evaluated is appended to evaluated."""
+    (X,) = Xs
     values, grads = [], []
     for x in X:
         evaluated.append(x.copy())
         f, grad = (wrong_gradient if x[-1] else rosenbrock)(x[:-1])
         values.append(f)
         grads.append(np.append(grad, 0.0))
-    return values, grads
+    return values, (grads,)
 
 
 def test_lockstep_block(monkeypatch):
@@ -252,11 +267,11 @@ def test_lockstep_block(monkeypatch):
 
     monkeypatch.setattr(_lbfgsb, "setulb", counting)
     evaluated = []
-    res = _optim.minimize(tagged, starts, args=(evaluated,), jac=True,
+    res = _optim.minimize(tagged, (starts,), args=(evaluated,), jac=True,
                           method="L-BFGS-B", options=options)
     monkeypatch.undo()
     wrong = [x for x in evaluated if x[-1] == 1.0]
-    assert_ends_alone(tagged, starts, res, (evaluated,), options)
+    assert_ends_alone(tagged, (starts,), res, (evaluated,), options)
     ends = res.starts
     assert len({end.nit for end in ends}) == len(ends)
     assert [end.success for end in ends] == [True, True, False, False]
@@ -267,6 +282,34 @@ def test_lockstep_block(monkeypatch):
     assert requests[1.0] > ends[3].nfev == len(wrong)
 
 
+def test_blocks_of_different_widths():
+    # a block of 6-wide rosenbrock starts beside a block of 5-wide
+    # wrong_gradient starts: the blocks' searches end in different
+    # rounds, so later calls hand the kernel an empty block
+    x0s = (np.array([np.linspace(-1.2, 1.0, 6), np.linspace(2.0, -2.0, 6),
+                     np.linspace(0.9, 1.1, 6)]),
+           np.array([np.linspace(-1.0, 1.0, 5), np.full(5, 0.3)]))
+    sizes = []
+
+    def kernel(Xs):
+        sizes.append([len(X) for X in Xs])
+        values, grads = [], []
+        for point, X in zip((rosenbrock, wrong_gradient), Xs):
+            ends = [point(x) for x in X]
+            values += [f for f, _ in ends]
+            grads.append([grad for _, grad in ends])
+        return values, tuple(grads)
+
+    options = {**LBFGSB, "ftol": 1e-12}
+    res = _optim.minimize(kernel, x0s, jac=True, method="L-BFGS-B",
+                          options=options)
+    assert [len(end.x) for end in res.starts] == [6, 6, 6, 5, 5]
+    # the wrong_gradient block ends first, and no call is empty
+    assert sizes[0] == [3, 2] and sizes[-1] == [1, 0]
+    assert all(sum(call) for call in sizes)
+    assert_ends_alone(kernel, x0s, res, options=options)
+
+
 @pytest.mark.parametrize("call", [
     {"method": "BFGS", "jac": True, "options": LBFGSB},
     {"method": "L-BFGS-B", "jac": False, "options": LBFGSB},
@@ -275,10 +318,14 @@ def test_lockstep_block(monkeypatch):
 ], ids=["method", "jac", "option"])
 def test_refuses_other_calls(call):
     with pytest.raises(ValueError):
-        _optim.minimize(_optim.row_loop(rosenbrock), np.zeros((1, 3)), **call)
+        _optim.minimize(_optim.row_loop(rosenbrock), (np.zeros((1, 3)),),
+                        **call)
 
 
 def test_refuses_a_single_point():
-    with pytest.raises(ValueError, match="block"):
-        _optim.minimize(_optim.row_loop(rosenbrock), np.zeros(3), jac=True,
-                        method="L-BFGS-B", options=LBFGSB)
+    # a point, a tuple holding a point, and a plain (S, n) block, which
+    # is not a tuple of blocks
+    for x0s in (np.zeros(3), (np.zeros(3),), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match="block"):
+            _optim.minimize(_optim.row_loop(rosenbrock), x0s, jac=True,
+                            method="L-BFGS-B", options=LBFGSB)

@@ -120,6 +120,19 @@ class TestMixturePmf:
             sd = np.sqrt(expected * (1 - expected) / draws.shape[0])
             assert abs(emp - expected) < 3.5 * sd
 
+    def test_sampling_cells_summing_just_above_one(self):
+        # the params take cells summing up to 1 + 1e-12; these sum to
+        # 1.0000000000000002, so the zero cell's mass 1 - |p| is -2.2e-16
+        p = [0.5538403709549613, 0.015514074952687095, 0.16294643151817853,
+             0.1250804300531725, 0.021035803801562728, 0.11843885831256824,
+             0.0031440304068696794]
+        params = MultiMixtureParams(alpha=[1.0], p=[p],
+                                    lam=[np.full(7, 0.1)])
+        draws = sample_multi_counts(params, 1000, np.random.default_rng(3))
+        assert draws.shape == (1000, 7)
+        # no draw falls in the zero cell: each holds its true positive
+        assert (draws.sum(axis=1) >= 1).all()
+
 
 class TestDesign:
     def test_main_terms_layout(self):
@@ -241,6 +254,26 @@ class TestSingleClassP:
         hist = MultiCountHistogram.from_observations(draws)
         p_hat = single_class_p_hat(hist, lam, tau=10)
         np.testing.assert_allclose(p_hat, p, atol=0.02)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_refuses_rates_not_finite_and_positive(self, bad):
+        # a search from such rates used to stop at once on a NaN value
+        # and return its start's cells
+        hist = MultiCountHistogram.from_observations(
+            np.random.default_rng(13).poisson(0.3, size=(500, 7)))
+        rates = np.full(7, 0.3)
+        rates[2] = bad
+        with pytest.raises(ValueError, match="rates must be finite and "
+                                             "positive"):
+            single_class_p_hat(hist, rates)
+
+    @pytest.mark.parametrize("n_rates", [6, 8])
+    def test_refuses_rates_not_one_per_cell(self, n_rates):
+        hist = MultiCountHistogram.from_observations(
+            np.random.default_rng(13).poisson(0.3, size=(500, 7)))
+        with pytest.raises(ValueError, match="one rate per histogram cell"):
+            single_class_p_hat(hist, np.full(n_rates, 0.3))
 
 
 class TestAppendixInit:

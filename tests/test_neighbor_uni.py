@@ -126,33 +126,32 @@ def captured_objective(monkeypatch, module, fit, *fit_args, block=False,
 
     The module's ``minimize`` is replaced by a stub that records its
     first call and returns the start points, so the fit runs no search.
-    The fits hand over their starts as one (S, n) block and a block
-    kernel; unless block is True, that kernel comes back as its one-row
-    case, a point function, with the block's first row as the start.
-    The joint fits of several orders hand over a tuple of blocks, which
-    only block=True takes.
+    The fits hand over a tuple of (S, n) blocks of starts, one per model,
+    and a kernel on a tuple of blocks; unless block is True, that kernel
+    comes back as its one-row case on the first block, a point function,
+    with that block's first row as the start.
     """
     seen = []
 
-    def stub(fun, x0, args=(), **kwargs):
-        seen.append((fun, x0, args))
-        rows = [x for b in x0 for x in b] if isinstance(x0, tuple) else x0
+    def stub(fun, x0s, args=(), **kwargs):
+        seen.append((fun, x0s, args))
+        rows = [x for b in x0s for x in b]
         ends = [OptimizeResult(x=x, fun=f, success=True, nit=0, nfev=1)
-                for x, f in zip(rows, fun(x0, *args)[0])]
+                for x, f in zip(rows, fun(x0s, *args)[0])]
         return OptimizeResult(nfev=len(ends), nit=0, starts=ends)
 
     monkeypatch.setattr(module, "minimize", stub)
     fit(*fit_args, **fit_kwargs)
-    fun, x0, args = seen[0]
+    fun, x0s, args = seen[0]
     if block:
-        return fun, x0, args
-    return one_row(fun), x0[0], args
+        return fun, x0s, args
+    return one_row(fun), x0s[0][0], args
 
 
 def one_row(fun):
-    """The point function x -> (value, gradient) of a block kernel."""
+    """The point function x -> (value, gradient) of a one-block kernel."""
     def point(x, *args):
-        values, grads = fun(x[None], *args)
+        values, (grads,) = fun((x[None],), *args)
         return values[0], grads[0]
     return point
 

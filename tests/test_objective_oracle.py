@@ -456,8 +456,9 @@ class TestMultiObjectiveOracle:
 
 
 def row_bytes(fun, X, args, row):
-    """The bytes of the value and the gradient that fun gives row of X."""
-    values, grads = fun(X, *args)
+    """The bytes of the value and the gradient that the one-block kernel
+    fun gives row of X."""
+    values, (grads,) = fun((X,), *args)
     return float(values[row]).hex(), np.asarray(grads[row]).tobytes()
 
 
@@ -488,7 +489,7 @@ class TestMultiBlockKernel:
             monkeypatch, neighbor_multi, fit_multi, hist, g,
             constraint=constraint, tau=tau, opts=OPTS, init=MULTI_INIT,
             block=True)
-        assert_rows_match_alone(fun, starts[0], args, g, tail)
+        assert_rows_match_alone(fun, starts[0][0], args, g, tail)
 
     @TAILS
     @pytest.mark.parametrize("g", GS)
@@ -499,7 +500,7 @@ class TestMultiBlockKernel:
         fun, starts, args = captured_objective(
             monkeypatch, neighbor_uni, fit_uni, hist, g,
             tau=_tau(hist.values.max(), tail), opts=OPTS, block=True)
-        assert_rows_match_alone(fun, starts[0], args, g, tail)
+        assert_rows_match_alone(fun, starts[0][0], args, g, tail)
 
     @MULTI_DATA
     @TAILS
@@ -517,7 +518,7 @@ class TestMultiBlockKernel:
                 monkeypatch, neighbor_multi, fit_multi, hist, g,
                 constraint=constraint, tau=tau, opts=OPTS, init=MULTI_INIT,
                 block=True)
-            x0 = starts[0]
+            x0 = starts[0][0]
             seed = 700 * g + 10 * constraint.d + tail
             points.append(np.array([*jittered(x0, seed=seed),
                                     *saturated(x0.size, seed=seed)]))
