@@ -1,48 +1,45 @@
-"""The fit engine of the univariate and multivariate count mixtures,
-whose L-BFGS-B loop also fits the Racinskij baseline on the boundary.
+"""The fit engine of the univariate and multivariate count mixtures.
 
 The two mixtures differ only in their parameters, which give the
 true-positive cells: the univariate model has one cell, one p, and the
 multivariate model a log-linear design over seven.  L-BFGS-B calls one
 objective kernel for both (count_objective), with a head per model.
-They share the settings (FitOptions and the constants below), the result
-types (FitResult, SelectionResult), the deterministic multi-start search
+They share the settings (the constants below), the result types
+(FitResult, SelectionResult), the deterministic multi-start search
 (fit_starts), the AIC selection of the class count (select_aic) and the
 JSON of a result (result_document).
 
-The fixed settings are module constants.  FTOL and the default
-FitOptions.max_iter are the paper's stop rule: a relative change of the
-mean log-likelihood below 1e-9, at most 1,000 iterations; GTOL is
-scipy's projected-gradient tolerance for L-BFGS-B.  Start s > 0 of a fit
-adds JITTER times standard normals, seeded by (JITTER_SEED, *salt, s).
-NU floors the probabilities (kept in [NU, 1 - NU]), the class weights
-and the rates, whose ceiling is LAMBDA_MAX.
+The settings are module constants.  FTOL and MAX_ITER are the paper's
+stop rule: a relative change of the mean log-likelihood below 1e-9, at
+most 1,000 iterations; GTOL is scipy's projected-gradient tolerance for
+L-BFGS-B.  A fit runs N_STARTS starts: the moment or Appendix-C start
+and N_STARTS - 1 copies of it, start s > 0 adding JITTER times standard
+normals seeded by (JITTER_SEED, *salt, s).  NU floors the probabilities
+(kept in [NU, 1 - NU]), the class weights and the rates, whose ceiling
+is LAMBDA_MAX.
 
-Each search is L-BFGS-B, run by minimize: a short loop that calls
-scipy's own L-BFGS-B step routine (scipy.optimize._lbfgsb.setulb)
-exactly as scipy.optimize.minimize(method="L-BFGS-B", jac=True) does,
-so the fits end on the same points after the same evaluations.  The
-count mixtures' searches are unbounded; the Racinskij boundary search
-(baselines) passes scipy's bounds.  scipy's loop wraps each evaluation
-in its ScalarFunction and MemoizeJac layers, which cost about as much as
-the fits' own objective kernels; this loop does not.  The routine is
-private to scipy and takes its current arguments from scipy 1.15 on, the
-floor pyproject.toml sets; tests/test_minimize_oracle.py pins the loop
-to scipy.optimize.minimize.
+Each fit is an unbounded L-BFGS-B search, run by minimize: a short loop
+that calls scipy's own L-BFGS-B step routine
+(scipy.optimize._lbfgsb.setulb) exactly as
+scipy.optimize.minimize(method="L-BFGS-B", jac=True) does, so the fits
+end on the same points after the same evaluations.  scipy's loop wraps
+each evaluation in its ScalarFunction and MemoizeJac layers, which cost
+about as much as the fits' own objective kernels; this loop does not.
+The routine is private to scipy and takes its current arguments from
+scipy 1.15 on, the floor pyproject.toml sets;
+tests/test_minimize_oracle.py pins the loop to scipy.optimize.minimize.
 
-A search's starts run in lockstep, and minimize takes them in one
-shape: a tuple of (S, n) blocks, one block per model, whose widths may
-differ.  fit_starts hands it a block of starts per model, minimize keeps
-one setulb state per start, and in each round the starts that ask for a
-new point are evaluated by one call of the objective on the tuple of
-each block's asking points.  The count-mixture kernel, whose cost is
-mostly per call, pays that cost once per round instead of once per
-start, and the multivariate fits of both interaction orders at one
-class count share it; a point kernel, as the Racinskij boundary search
-and the plug-in cells of the multivariate start have, joins as one block
-through row_loop.  Each start still ends on the point, after the
-evaluations and iterations, that its own search would give, and
-minimize reports the evaluations and iterations as sums over its starts.
+A fit's starts run in lockstep, and minimize takes them in one shape: a
+tuple of (S, n) blocks, one block per model, whose widths may differ.
+fit_starts hands it a block of starts per model, minimize keeps one
+setulb state per start, and in each round the starts that ask for a new
+point are evaluated by one call of the objective on the tuple of each
+block's asking points.  The count-mixture kernel, whose cost is mostly
+per call, pays that cost once per round instead of once per start, and
+the multivariate fits of both interaction orders at one class count
+share it.  Each start still ends on the point, after the evaluations and
+iterations, that its own search would give, and minimize reports the
+evaluations and iterations as sums over its starts.
 
 All count-mixture parameters live in boxes or simplices; their fits run
 an unconstrained quasi-Newton search, so each constrained quantity is
@@ -63,7 +60,6 @@ commands that fit nothing never load them.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy
@@ -75,7 +71,8 @@ __all__ = [
     "JITTER_SEED",
     "NU",
     "LAMBDA_MAX",
-    "FitOptions",
+    "MAX_ITER",
+    "N_STARTS",
     "FitResult",
     "SelectionResult",
     "best_end",
@@ -83,7 +80,6 @@ __all__ = [
     "count_objective",
     "fit_starts",
     "minimize",
-    "row_loop",
     "split_counts",
     "select_aic",
     "result_document",
@@ -104,24 +100,8 @@ JITTER = 0.3
 JITTER_SEED = 0
 NU = 1e-4
 LAMBDA_MAX = 100.0
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """The search settings a caller may set: the iteration cap max_iter
-    (the paper's 1,000 by default) and n_starts, the number of
-    deterministic starts: the moment or Appendix-C start plus
-    n_starts - 1 jittered copies.  The other settings are the module's
-    constants.
-    """
-
-    max_iter: int = 1000
-    n_starts: int = 5
-
-    def __post_init__(self):
-        for name in ("max_iter", "n_starts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+MAX_ITER = 1000
+N_STARTS = 5
 
 
 def check_class_count(g):
@@ -139,7 +119,7 @@ class FitResult:
     """Outcome of one maximum-composite-likelihood fit.
 
     n_params is the length of the packed parameter vector, the k that
-    AIC charges; a result built by hand may leave it unset.
+    AIC charges.
     """
 
     params: object
@@ -148,7 +128,7 @@ class FitResult:
     converged: bool
     n_iter: int
     tau: int
-    n_params: Optional[int] = None
+    n_params: int
 
 
 @dataclass(frozen=True)
@@ -160,38 +140,34 @@ class SelectionResult:
     trace: list = field(default_factory=list)
 
 
-def minimize(fun, x0s, args=(), *, jac, method, options, bounds=None):
-    """L-BFGS-B from each row of each (S, n) block of the tuple x0s, in
-    lockstep, bit for bit as scipy.optimize.minimize runs it from that
-    row alone.
+def minimize(fun, x0s, *, jac, method, options):
+    """Unbounded L-BFGS-B from each row of each (S, n) block of the
+    tuple x0s, in lockstep, bit for bit as scipy.optimize.minimize runs
+    it from that row alone.
 
     Takes what scipy.optimize.minimize takes for method="L-BFGS-B" and
-    jac=True, with the options maxiter, ftol and gtol, and refuses
-    anything else.  bounds, as scipy takes it, is None or one (lo, hi)
-    pair per coordinate, where None or an infinite value leaves that side
-    free; as scipy does, each start is first clipped into the box, and
-    the bounds apply to every block.  The loop is the
+    jac=True without bounds or args, with the options maxiter, ftol and
+    gtol, and refuses anything else.  The loop is the
     reverse-communication loop of scipy's L-BFGS-B around its step
     routine setulb, with scipy's maxcor 10, maxls 20 and maxfun 15000,
     minus the ScalarFunction and MemoizeJac wrappers that scipy puts
     around each evaluation.  setulb is private and takes these arguments
     from scipy 1.15 on; tests/test_minimize_oracle.py pins the loop to
-    scipy.optimize.minimize, with and without bounds.
+    scipy.optimize.minimize.
 
-    The blocks' widths may differ, one block per model.  fun(Xs, *args)
-    takes the tuple of each block's asking rows (a block with none
-    asking is empty) and returns the values of all of them, block by
-    block, and the tuple of each block's gradients (row_loop makes it
-    from a point function).  Each row's search runs its own setulb
-    state.  In each round every running search that asks for a new point
-    joins one call of fun, and a finished search drops out; a search
-    that asks again for the point it last evaluated gets that evaluation
-    back, as scipy does, uncounted.  So each row ends where scipy would
-    end from it alone, after the same nfev and nit.  The result lists
-    one scipy OptimizeResult per row in starts, block by block (as
-    scipy.optimize.shgo lists its local minima), each with x, fun, jac,
-    nfev, nit and success, and gives nfev and nit summed over the rows.
-    A single search is a one-row block.
+    The blocks' widths may differ, one block per model.  fun(Xs) takes
+    the tuple of each block's asking rows (a block with none asking is
+    empty) and returns the values of all of them, block by block, and
+    the tuple of each block's gradients, as count_objective does.  Each
+    row's search runs its own setulb state.  In each round every running
+    search that asks for a new point joins one call of fun, and a
+    finished search drops out; a search that asks again for the point it
+    last evaluated gets that evaluation back, as scipy does, uncounted.
+    So each row ends where scipy would end from it alone, after the same
+    nfev and nit.  The result lists one scipy OptimizeResult per row in
+    starts, block by block (as scipy.optimize.shgo lists its local
+    minima), each with x, fun, jac, nfev, nit and success, and gives
+    nfev and nit summed over the rows.
 
     The fit modules import this name and call it as their own
     module-level minimize, so that a stub or a counter put in that
@@ -213,20 +189,8 @@ def minimize(fun, x0s, args=(), *, jac, method, options, bounds=None):
     blocks = [np.array(b, dtype=np.float64) for b in x0s]
     if any(b.ndim != 2 for b in blocks):
         raise ValueError("x0s must be a tuple of (S, n) blocks of starts")
-    searches = []
-    for b, starts in enumerate(blocks):
-        n = starts.shape[1]
-        box = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
-        if bounds is not None:
-            lo, hi = _bound_arrays(bounds, n)
-            starts = np.clip(starts, lo, hi)
-            # setulb's nbd: 0 no bound, 1 lower only, 2 both, 3 upper
-            # only; it never reads the bound of a free side
-            lower, upper, nbd = box
-            has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-            nbd[:] = np.where(has_lo, 1 + has_hi, 3 * has_hi)
-            lower[has_lo], upper[has_hi] = lo[has_lo], hi[has_hi]
-        searches += [_Search(x, m, b, box) for x in starts]
+    searches = [_Search(x, m, b) for b, starts in enumerate(blocks)
+                for x in starts]
     running = searches
     while running:
         asking = []
@@ -256,7 +220,7 @@ def minimize(fun, x0s, args=(), *, jac, method, options, bounds=None):
             X = [np.array([s.x for s in ask]) if ask
                  else np.empty((0, b.shape[1]))
                  for ask, b in zip(rows, blocks)]
-            values, grads = fun(tuple(X), *args)
+            values, grads = fun(tuple(X))
             values = iter(values)
             for ask, points, block_grads in zip(rows, X, grads):
                 # setulb gets a copy of each gradient, made once per block
@@ -283,32 +247,20 @@ def _new_point(x, x_eval):
             or not (x == x_eval).all())
 
 
-def _bound_arrays(bounds, n):
-    """The lower and upper bounds of scipy's (lo, hi) pairs, a free side
-    infinite."""
-    if len(bounds) != n:
-        raise ValueError("bounds must give one (lo, hi) pair per coordinate")
-    lo, hi = (np.array([np.nan if v is None else v for v in side], float)
-              for side in zip(*bounds))
-    lo[np.isnan(lo)], hi[np.isnan(hi)] = -np.inf, np.inf
-    if (lo > hi).any():
-        raise ValueError("a lower bound exceeds its upper bound")
-    return lo, hi
-
-
 class _Search:
-    """The L-BFGS-B state of one start: its block and that block's
-    (lower, upper, nbd) box, setulb's work arrays, the point, the last
-    evaluation and the counts."""
+    """The L-BFGS-B state of one start: its block, setulb's all-zero
+    (lower, upper, nbd) box, which leaves every coordinate free, its work
+    arrays, the point, the last evaluation and the counts."""
 
     __slots__ = ("x", "block", "box", "f", "g", "wa", "iwa", "task",
                  "ln_task", "lsave", "isave", "dsave", "x_eval", "grad",
                  "nfev", "nit")
 
-    def __init__(self, x0, m, block, box):
+    def __init__(self, x0, m, block):
         n = x0.size
         self.x = x0.copy()
-        self.block, self.box = block, box
+        self.block = block
+        self.box = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
         self.f, self.g = 0.0, np.zeros(n)
         self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
         self.iwa = np.zeros(3 * n, np.int32)
@@ -319,16 +271,6 @@ class _Search:
         self.dsave = np.zeros(29)
         self.x_eval = self.grad = None
         self.nfev = self.nit = 0
-
-
-def row_loop(point):
-    """The one-block kernel of a point kernel: point(x, *args) at each
-    row of the one block."""
-    def kernel(Xs, *args):
-        (X,) = Xs
-        values, grads = zip(*[point(x, *args) for x in X])
-        return values, (grads,)
-    return kernel
 
 
 def split_counts(keys, counts, tau):
@@ -545,40 +487,40 @@ def best_end(ends):
     return min(ends, key=lambda end: (np.isnan(end.fun), end.fun))
 
 
-def fit_starts(minimize, objective, x0s, total, tau, params_ats, opts,
-               salt=()):
-    """Fit each model by L-BFGS-B from its start in x0s and n_starts - 1
+def fit_starts(minimize, objective, x0s, total, tau, params_ats, salt=()):
+    """Fit each model by L-BFGS-B from its start in x0s and N_STARTS - 1
     jittered copies of it; the tuple of the models' FitResults.
 
     objective(Xs) takes a tuple of blocks, one per model, and gives, at
     each row x of each block, the negative mean log-likelihood of total
     observations and its gradient (see minimize); start s > 0 adds
     JITTER times normals seeded by (JITTER_SEED, *salt, s).  The search
-    stops by FTOL, GTOL and opts.max_iter.  Each model's starts go to
-    minimize as one block, so the starts of every model run in one
-    lockstep; a later start replaces the best so far only with a
-    strictly lower value (see best_end), and the model's entry of
-    params_ats maps its best end point to the model.  Each FitResult is
-    the one that the model's fit alone gives.  minimize is the one the
-    calling module names (see minimize).  tau is the cap of the fitted
-    counts, which the objective refuses below 1.
+    stops by FTOL, GTOL and MAX_ITER; N_STARTS and MAX_ITER are read
+    when the fit runs.  Each model's starts go to minimize as one block,
+    so the starts of every model run in one lockstep; a later start
+    replaces the best so far only with a strictly lower value (see
+    best_end), and the model's entry of params_ats maps its best end
+    point to the model.  Each FitResult is the one that the model's fit
+    alone gives.  minimize is the one the calling module names (see
+    minimize).  tau is the cap of the fitted counts, which the objective
+    refuses below 1.
     """
     init_values = objective(tuple(x[None] for x in x0s))[0]
     blocks = []
     for x in x0s:
         starts = [x]
-        for start in range(1, opts.n_starts):
+        for start in range(1, N_STARTS):
             jrng = np.random.default_rng([JITTER_SEED, *salt, start])
             starts.append(x + JITTER * jrng.standard_normal(x.size))
         blocks.append(np.array(starts))
     res = minimize(
         objective, tuple(blocks), jac=True, method="L-BFGS-B",
-        options={"maxiter": opts.max_iter, "ftol": FTOL, "gtol": GTOL},
+        options={"maxiter": MAX_ITER, "ftol": FTOL, "gtol": GTOL},
     )
     fits = []
     for i, (x, at, init_value) in enumerate(zip(x0s, params_ats,
                                                 init_values)):
-        best = best_end(res.starts[i * opts.n_starts:(i + 1) * opts.n_starts])
+        best = best_end(res.starts[i * N_STARTS:(i + 1) * N_STARTS])
         fits.append(FitResult(
             params=at(best.x),
             loglik=float(-best.fun * total),

@@ -12,17 +12,18 @@ matched.
 The mixture has as many parameters as its pattern histogram has degrees
 of freedom, so its maximum likelihood fit takes the closed moment form
 of latent structure analysis whenever the maximum is interior; only a
-maximum on the boundary of the parameter space needs a search, a
-bounded L-BFGS-B run through the fit engine's minimize.  The estimate
-therefore depends on the data alone, not on an iteration cap or a
-restart count (racinskij_fit).
+maximum on the boundary of the parameter space needs a search, scipy's
+bounded L-BFGS-B from each of four fixed starts.  The estimate therefore
+depends on the data alone, not on an iteration cap or a restart count
+(racinskij_fit).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
-from ._optim import best_end, minimize, row_loop
+from ._optim import best_end
 from .popsim import PATTERNS
 
 __all__ = [
@@ -191,9 +192,10 @@ def racinskij_fit(pattern_hist, size_b):
 
     When A is singular, an eigenvalue is complex or a parameter falls
     outside (0, 1), the maximum lies on the boundary of the parameter
-    space.  Then one L-BFGS-B search over (w, theta, eta) in the box
-    [1e-10, 1 - 1e-10]^7, with the analytic gradient, runs from four
-    fixed starts in lockstep and keeps the best end.
+    space.  Then scipy.optimize.minimize's bounded L-BFGS-B searches
+    over (w, theta, eta) in the box [1e-10, 1 - 1e-10]^7, with the
+    analytic gradient, from each of four fixed starts, and the best end
+    is kept.  scipy.optimize is loaded by the first such search.
 
     The class with the larger sum of agreement probabilities is taken as
     the matched class; its weight times the pair total estimates the
@@ -221,12 +223,10 @@ def racinskij_fit(pattern_hist, size_b):
         w, theta, eta = fit
         method, converged, boundary = "closed_form", True, False
     else:
-        res = minimize(row_loop(_ci_negloglik),
-                       (_box_starts(counts, patterns),),
-                       args=(freq, patterns), jac=True,
-                       method="L-BFGS-B", options=_BOX_OPTIONS,
-                       bounds=[_BOX] * 7)
-        end = best_end(res.starts)
+        end = best_end([scipy.optimize.minimize(
+            _ci_negloglik, x0, args=(freq, patterns), jac=True,
+            method="L-BFGS-B", bounds=[_BOX] * 7, options=_BOX_OPTIONS)
+            for x0 in _box_starts(counts, patterns)])
         w, theta, eta = end.x[0], end.x[1:4], end.x[4:]
         method, converged = "lbfgsb_box", bool(end.success)
         boundary = bool(((end.x <= _BOX[0]) | (end.x >= _BOX[1])).any())

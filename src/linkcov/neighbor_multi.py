@@ -32,7 +32,6 @@ import scipy
 from ._optim import (
     LAMBDA_MAX,
     NU,
-    FitOptions,
     check_class_count,
     count_objective,
     fit_starts,
@@ -41,7 +40,6 @@ from ._optim import (
     logit,
     minimize,
     result_document,
-    row_loop,
     select_aic,
     split_counts,
     stick_break,
@@ -307,8 +305,9 @@ def single_class_p_hat(hist, lambda_fixed, tau=10):
 
     The capped log-likelihood is concave in p, so this is a convex
     problem; it is solved through the simplex reparameterization to a
-    tight gradient tolerance, from one start.  The cells sum to at most
-    1 - NU.  The rates, one per histogram cell, must be finite and
+    tight gradient tolerance, from one start, by scipy's own L-BFGS-B,
+    a single search of a few dozen evaluations.  The cells sum to at
+    most 1 - NU.  The rates, one per histogram cell, must be finite and
     positive.
     """
     nu = NU
@@ -345,10 +344,10 @@ def single_class_p_hat(hist, lambda_fixed, tau=10):
         gs = np.append((1.0 - nu) * d_p, 0.0)
         return -ll / total, -stick_break_vjp(xp, gs) / total
 
-    res = minimize(row_loop(objective), (np.full((1, m), -1.0),), jac=True,
-                   method="L-BFGS-B",
-                   options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-8})
-    cells = stick_break(res.starts[0].x)
+    res = scipy.optimize.minimize(
+        objective, np.full(m, -1.0), jac=True, method="L-BFGS-B",
+        options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-8})
+    cells = stick_break(res.x)
     return (1.0 - nu) * cells[:m]
 
 
@@ -358,7 +357,7 @@ def _require_three_binary_groups(hist):
                          f"three binary rule groups; got {hist.width}")
 
 
-def appendix_c_start(hist, tau=10, opts=FitOptions()):
+def appendix_c_start(hist, tau=10):
     """What the Appendix-C start of both interaction orders rests on:
     (rates, cells).
 
@@ -372,8 +371,7 @@ def appendix_c_start(hist, tau=10, opts=FitOptions()):
     _require_three_binary_groups(hist)
     rates = []
     for coord in range(hist.width):
-        sel = select_G(marginal_histogram(hist, coord), 2, tau=tau,
-                       opts=opts)
+        sel = select_G(marginal_histogram(hist, coord), 2, tau=tau)
         rates.append(sel.fit.params.lambda_bar)
     rates = np.clip(rates, NU, None)
     return rates, single_class_p_hat(hist, rates, tau=tau)
@@ -387,8 +385,8 @@ def init_appendix_c(start, d):
     formulas on the cells (logit-averaged ratios without interactions,
     log-ratio sums with them), and the starting coverage is
     sum(p) / sum(r) at those coefficients.  Returns the bundle that
-    fit_multi takes as init: "lambda" the rates, "p" the cells, "u" the
-    coefficients (d=2 sized, the interactions 0 for d=1) and "phi".
+    fit_multi takes as init: "lambda" the rates, "u" the coefficients
+    (d=2 sized, the interactions 0 for d=1) and "phi".
     """
     LogLinear(d)    # refuses any order but 1 and 2
     lam, p_hat = start
@@ -422,26 +420,35 @@ def init_appendix_c(start, d):
     eta = design.Z @ u
     r = np.exp(eta) / (1.0 + np.exp(eta).sum())
     phi = float(np.clip(p_hat.sum() / r.sum(), 1e-3, 1.0 - 1e-3))
-    return {"lambda": lam, "p": p_hat, "u": u, "phi": phi}
+    return {"lambda": lam, "u": u, "phi": phi}
 
 
-def fit_multi(hist, g, constraint=LogLinear(2), tau=10, opts=FitOptions(),
-              init=None):
+def fit_multi(hist, g, constraint=LogLinear(2), tau=10, init=None):
     """Fit a G-class multivariate mixture whose shared true-positive cells
-    follow the log-linear constraint, on three binary rule groups.
+    follow the log-linear constraint, a LogLinear, on three binary rule
+    groups.
 
     init may carry a bundle from init_appendix_c; otherwise the bundle is
     built here from appendix_c_start.
     """
     check_class_count(g)
     _require_three_binary_groups(hist)
+    _require_loglinear((constraint,))
     if init is None:
-        init = init_appendix_c(appendix_c_start(hist, tau, opts),
-                               constraint.d)
-    return _fit_orders(hist, g, (constraint,), tau, opts, (init,))[0]
+        init = init_appendix_c(appendix_c_start(hist, tau), constraint.d)
+    return _fit_orders(hist, g, (constraint,), tau, (init,))[0]
 
 
-def _fit_orders(hist, g, constraints, tau, opts, inits):
+def _require_loglinear(constraints):
+    """Refuse a tuple of constraints that is empty or holds anything but
+    a LogLinear."""
+    if not constraints or not all(isinstance(c, LogLinear)
+                                  for c in constraints):
+        raise ValueError("constraint must be a LogLinear, or a non-empty "
+                         f"tuple of them for select_G_multi: {constraints}")
+
+
+def _fit_orders(hist, g, constraints, tau, inits):
     """The G-class fits of a tuple of constraints, one init bundle each,
     as one lockstep search, each model's starts one block laid out for
     its own order: the tuple of the orders' FitResults.  The caller
@@ -454,7 +461,7 @@ def _fit_orders(hist, g, constraints, tau, opts, inits):
     objective = count_objective(hist.keys, hist.counts, tau, g,
                                 tuple(d.Z for d in designs))
     return fit_starts(minimize, objective, x0s, float(hist.total), tau,
-                      params_ats, opts, salt=(71,))
+                      params_ats, salt=(71,))
 
 
 def _start_point(g, init, design):
@@ -475,33 +482,35 @@ def _start_point(g, init, design):
 
 
 def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
-                   opts=FitOptions(), start=None):
+                   start=None):
     """AIC selection of the class count (ties -> smallest G).
 
-    constraint may be a tuple of constraints: at each G the fits of
-    every order then run as one lockstep search, and the result is the
-    tuple of the orders' SelectionResults, each the one that its order's
-    own selection gives.  One order's fits run through fit_multi.
+    constraint is a LogLinear or a non-empty tuple of them: at each G
+    the fits of a tuple's orders run as one lockstep search, and the
+    result is the tuple of the orders' SelectionResults, each the one
+    that its order's own selection gives.  One order's fits run through
+    fit_multi.
 
-    start: appendix_c_start(hist, tau, opts), computed once and shared
-    by the interaction orders fitted to one histogram; None computes it.
+    start: appendix_c_start(hist, tau), computed once and shared by the
+    interaction orders fitted to one histogram; None computes it.
     """
     if g_max < 1:
         raise ValueError("g_max must be at least 1")
     _require_three_binary_groups(hist)
-    if start is None:
-        start = appendix_c_start(hist, tau, opts)
     many = isinstance(constraint, tuple)
     constraints = constraint if many else (constraint,)
+    _require_loglinear(constraints)
+    if start is None:
+        start = appendix_c_start(hist, tau)
     inits = tuple(init_appendix_c(start, c.d) for c in constraints)
     if many:
         def fit(g):
             check_class_count(g)
-            return _fit_orders(hist, g, constraints, tau, opts, inits)
+            return _fit_orders(hist, g, constraints, tau, inits)
     else:
         def fit(g):
             return (fit_multi(hist, g, constraint=constraint, tau=tau,
-                              opts=opts, init=inits[0]),)
+                              init=inits[0]),)
     by_g = [fit(g) for g in range(1, g_max + 1)]
     selections = tuple(select_aic(lambda g, i=i: by_g[g - 1][i], g_max)
                        for i in range(len(constraints)))

@@ -26,7 +26,6 @@ import scipy
 from ._optim import (
     LAMBDA_MAX,
     NU,
-    FitOptions,
     FitResult,
     SelectionResult,
     check_class_count,
@@ -211,7 +210,7 @@ def _start(hist, g):
                            LAMBDA_MAX)])
 
 
-def fit_uni(hist, g, tau=10, opts=FitOptions()):
+def fit_uni(hist, g, tau=10):
     """Fit a G-class mixture with one p shared by the classes to a count
     histogram: 2G free parameters, G - 1 weights, p and G rates.
 
@@ -223,13 +222,12 @@ def fit_uni(hist, g, tau=10, opts=FitOptions()):
     objective = count_objective(hist.values[:, None], hist.counts, tau, g,
                                 (None,))
     return fit_starts(minimize, objective, (_start(hist, g),),
-                      float(hist.total), tau, (lambda x: _unpack(x, g),),
-                      opts)[0]
+                      float(hist.total), tau, (lambda x: _unpack(x, g),))[0]
 
 
-def select_G(hist, g_max, tau=10, opts=FitOptions()):
+def select_G(hist, g_max, tau=10):
     """Fit G = 1..g_max and keep the AIC minimizer (ties -> smallest G)."""
-    return select_aic(lambda g: fit_uni(hist, g, tau=tau, opts=opts), g_max)
+    return select_aic(lambda g: fit_uni(hist, g, tau=tau), g_max)
 
 
 @dataclass(frozen=True)

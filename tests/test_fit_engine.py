@@ -1,7 +1,7 @@
 """What the univariate and multivariate count-mixture fits share: the JSON
 documents of their results, the parameter count that AIC charges, the
-settings and count caps they accept, the choice of the best start, and
-when the L-BFGS-B loop evaluates a point again.
+class counts, constraints and count caps they accept, the choice of the
+best start, and when the L-BFGS-B loop evaluates a point again.
 
 The documents are pinned for hand-built results, so the pins do not
 depend on the optimizer or on the platform's floating-point libraries.
@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from linkcov import neighbor_multi
-from linkcov._optim import (NU, FitOptions, _new_point, check_class_count,
-                            fit_starts, minimize, row_loop)
+from linkcov import _optim, neighbor_multi
+from linkcov._optim import (NU, _new_point, check_class_count, fit_starts,
+                            minimize)
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, appendix_c_start,
                                     build_design, fit_multi,
@@ -24,6 +24,7 @@ from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
 from linkcov.neighbor_uni import (CountHistogram, FitResult,
                                   UniMixtureParams, fit_document, fit_uni,
                                   select_G)
+from test_minimize_oracle import point_block
 
 P7 = [0.125, 0.0625, 0.03125, 0.25, 0.015625, 0.0078125, 0.375]
 
@@ -127,7 +128,7 @@ class TestDocuments:
             params=UniMixtureParams(alpha=[0.75, 0.25], p=[0.875, 0.875],
                                     lam=[0.5, 0.0625]),
             loglik=-1234.5, init_loglik=-1300.1234567890123, converged=True,
-            n_iter=17, tau=10)
+            n_iter=17, tau=10, n_params=4)
         assert fit_document(fit, aic=2477.0) == UNI_DOC
 
     def test_multivariate_loglinear_with_aic(self):
@@ -136,7 +137,7 @@ class TestDocuments:
             phi=0.875, u=np.array([0.5, -1.0, 1.5, 0.0, 0.25, -0.75]),
             u_labels=build_design(2).labels)
         fit = FitResult(params=params, loglik=-2048.75, init_loglik=-2100.5,
-                        converged=False, n_iter=1000, tau=10)
+                        converged=False, n_iter=1000, tau=10, n_params=22)
         assert multi_fit_document(fit, aic=4157.5) == LOGLINEAR_DOC
 
     def test_multivariate_refuses_params_without_phi(self):
@@ -146,14 +147,17 @@ class TestDocuments:
             alpha=[1.0], p=[P7], lam=[[0.5, 0.25, 0.125, 1.0, 2.0, 0.0625,
                                        4.0]])
         fit = FitResult(params=params, loglik=-512.0, init_loglik=-640.125,
-                        converged=True, n_iter=3, tau=6)
+                        converged=True, n_iter=3, tau=6, n_params=14)
         with pytest.raises(ValueError, match="phi"):
             multi_fit_document(fit)
 
 
-# a few iterations from one start: the parameter count does not depend
-# on where the search stops
-QUICK = FitOptions(n_starts=1, max_iter=5)
+@pytest.fixture
+def quick(monkeypatch):
+    """A few iterations from one start: the parameter count does not
+    depend on where the search stops."""
+    monkeypatch.setattr(_optim, "N_STARTS", 1)
+    monkeypatch.setattr(_optim, "MAX_ITER", 5)
 
 
 @pytest.fixture(scope="module")
@@ -165,21 +169,20 @@ def multi_hist():
 
 
 class TestAicParameterCount:
-    def test_univariate(self):
+    def test_univariate(self, quick):
         # G - 1 weights, the shared p and G rates
         draws = np.random.default_rng(4).poisson(0.6, 3000)
-        sel = select_G(CountHistogram.from_observations(draws), 3,
-                       opts=QUICK)
+        sel = select_G(CountHistogram.from_observations(draws), 3)
         assert [row["k"] for row in sel.trace] == [2, 4, 6]
 
     @pytest.mark.parametrize("constraint", [LogLinear(1), LogLinear(2)],
                              ids=str)
-    def test_multivariate(self, multi_hist, constraint):
+    def test_multivariate(self, quick, multi_hist, constraint):
         # G - 1 weights, phi, d_u coefficients and G x 7 rates
         rates = np.full(7, 0.1)
         start = (rates, single_class_p_hat(multi_hist, rates))
         sel = select_G_multi(multi_hist, 3, constraint=constraint,
-                             opts=QUICK, start=start)
+                             start=start)
         d_u = {1: 3, 2: 6}[constraint.d]
         assert [row["k"] for row in sel.trace] == [
             (g - 1) + 1 + d_u + 7 * g for g in (1, 2, 3)]
@@ -212,14 +215,24 @@ def no_start(monkeypatch):
     monkeypatch.setattr(neighbor_multi, "appendix_c_start", refused)
 
 
-class TestFitOptionsValidation:
-    @pytest.mark.parametrize("field, value", [
-        ("n_starts", 0), ("max_iter", 0),
-    ])
-    def test_refuses(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            FitOptions(**{field: value})
+class TestMalformedConstraint:
+    """A constraint other than a LogLinear, or in select_G_multi a
+    non-empty tuple of them, is refused before the start's seven
+    univariate selections run."""
 
+    @pytest.mark.parametrize("fit", [
+        lambda hist: select_G_multi(hist, 2, ()),
+        lambda hist: select_G_multi(hist, 2, (LogLinear(1), 2)),
+        lambda hist: select_G_multi(hist, 2, "x"),
+        lambda hist: fit_multi(hist, 1, (LogLinear(1),))],
+        ids=["empty", "not_loglinear", "string", "fit_tuple"])
+    def test_refused(self, monkeypatch, multi_hist, fit):
+        no_start(monkeypatch)
+        with pytest.raises(ValueError, match="LogLinear"):
+            fit(multi_hist)
+
+
+class TestFitOptionsValidation:
     # g weights floored at NU exceed 1 from g = 1 / NU on
     def test_univariate_class_count_against_the_floor(self):
         check_class_count(round(1 / NU) - 1)
@@ -244,8 +257,7 @@ class TestCountCap:
             fit_uni(CountHistogram([0, 1, 2], [50, 30, 5]), 1, tau=tau)
 
     def test_multivariate_fit(self, multi_hist):
-        init = {"lambda": np.full(7, 0.1), "p": np.full(7, 0.1),
-                "u": np.zeros(6), "phi": 0.7}
+        init = {"lambda": np.full(7, 0.1), "u": np.zeros(6), "phi": 0.7}
         for tau in (0, -1):
             with pytest.raises(ValueError, match="tau must be at least 1"):
                 fit_multi(multi_hist, 1, tau=tau, init=init)
@@ -267,7 +279,7 @@ class TestCountCap:
 
 
 class TestBestStart:
-    def test_nan_value_ranks_below_every_number(self):
+    def test_nan_value_ranks_below_every_number(self, monkeypatch):
         # start 0's search ends on a NaN value, which must not hide the
         # lower value of start 1
         ends = [SimpleNamespace(x=np.full(2, float(s)), fun=fun, success=True,
@@ -283,8 +295,9 @@ class TestBestStart:
             (X,) = Xs
             return np.zeros(len(X)), (np.zeros_like(X),)
 
+        monkeypatch.setattr(_optim, "N_STARTS", 3)
         (fit,) = fit_starts(stub, objective, (np.zeros(2),), 10.0, 1,
-                            (lambda x: x,), FitOptions(n_starts=3))
+                            (lambda x: x,))
         assert fit.loglik == -10.0
         assert fit.n_iter == 1
         np.testing.assert_array_equal(fit.params, [1.0, 1.0])
@@ -331,7 +344,7 @@ class TestReaskedPoint:
         options = {"maxiter": 50, "ftol": 1e-9, "gtol": 1e-7}
         ref = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
                                       options=options)
-        (end,) = minimize(row_loop(fun), (x0[None],), jac=True,
+        (end,) = minimize(point_block(fun), (x0[None],), jac=True,
                           method="L-BFGS-B", options=options).starts
         assert end.x.tobytes() == ref.x.tobytes()
         assert (end.nfev, end.nit, end.success) == (ref.nfev, ref.nit,

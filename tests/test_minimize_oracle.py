@@ -1,14 +1,13 @@
 """The fits' L-BFGS-B loop against scipy.optimize.minimize.
 
 ``_optim.minimize`` runs scipy's private L-BFGS-B step routine in the
-loop of scipy's own L-BFGS-B, for a tuple of blocks of starts in
-lockstep (one start is a one-row block), without or with bounds.  Every
-search here must end where
-``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` ends from that
-start alone, under the same bounds, bit for bit, after
-the same numbers of evaluations and iterations, so a scipy release that
-changes the routine or its calling convention fails here, and so does a
-lockstep loop that mixes up its starts.
+loop of scipy's own unbounded L-BFGS-B, for a tuple of blocks of starts
+in lockstep (one start is a one-row block).  Every search here must end
+where ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` ends from
+that start alone, bit for bit, after the same numbers of evaluations and
+iterations, so a scipy release that changes the routine or its calling
+convention fails here, and so does a lockstep loop that mixes up its
+starts.
 """
 
 import collections
@@ -17,17 +16,17 @@ import numpy as np
 import pytest
 from scipy.optimize import _lbfgsb, minimize as scipy_minimize
 
-from linkcov import _optim, baselines, neighbor_multi, neighbor_uni
-from linkcov._optim import FTOL, GTOL, FitOptions
+from linkcov import _optim, neighbor_multi, neighbor_uni
+from linkcov._optim import FTOL, GTOL, MAX_ITER
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, fit_multi,
-                                    sample_multi_counts, single_class_p_hat)
+                                    sample_multi_counts)
 from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
                                   sample_counts)
 
 # the moment or Appendix-C start and two jittered copies of it
-OPTS = FitOptions(n_starts=3)
-LBFGSB = {"maxiter": OPTS.max_iter, "ftol": FTOL, "gtol": GTOL}
+N_STARTS = 3
+LBFGSB = {"maxiter": MAX_ITER, "ftol": FTOL, "gtol": GTOL}
 
 
 def assert_same_end(ours, ref):
@@ -37,30 +36,38 @@ def assert_same_end(ours, ref):
         ref.nfev, ref.nit, ref.success)
 
 
-def assert_same_search(fun, x0, args=(), options=LBFGSB, bounds=None):
+def point_block(point):
+    """The one-block kernel of a point function: point(x) at each row of
+    the one block."""
+    def kernel(Xs):
+        (X,) = Xs
+        values, grads = zip(*[point(x) for x in X])
+        return values, (grads,)
+    return kernel
+
+
+def assert_same_search(fun, x0, options=LBFGSB):
     """Run _optim.minimize from x0 as a one-row block of the point
     function fun, and scipy from x0; return the former's one end."""
-    ours = _optim.minimize(_optim.row_loop(fun), (x0[None],), args=args,
-                           jac=True, method="L-BFGS-B", options=options,
-                           bounds=bounds)
-    ref = scipy_minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
-                         options=options, bounds=bounds)
+    ours = _optim.minimize(point_block(fun), (x0[None],), jac=True,
+                           method="L-BFGS-B", options=options)
+    ref = scipy_minimize(fun, x0, jac=True, method="L-BFGS-B",
+                         options=options)
     assert_same_end(ours.starts[0], ref)
     return ours.starts[0]
 
 
-def assert_same_block(fun, x0s, args=(), options=LBFGSB, bounds=None):
+def assert_same_block(fun, x0s, options=LBFGSB):
     """Run _optim.minimize on the kernel fun from the rows of the tuple
     of blocks x0s in lockstep; return its result after
     assert_ends_alone."""
-    ours = _optim.minimize(fun, x0s, args=args, jac=True,
-                           method="L-BFGS-B", options=options, bounds=bounds)
-    assert_ends_alone(fun, x0s, ours, args, options, bounds)
+    ours = _optim.minimize(fun, x0s, jac=True, method="L-BFGS-B",
+                           options=options)
+    assert_ends_alone(fun, x0s, ours, options)
     return ours
 
 
-def assert_ends_alone(fun, x0s, ours, args=(), options=LBFGSB,
-                      bounds=None):
+def assert_ends_alone(fun, x0s, ours, options=LBFGSB):
     """Each start of the result ours ends where scipy ends from that
     start alone, on fun's one-row case of the start's block; the counts
     are the sums of the starts' counts."""
@@ -68,8 +75,8 @@ def assert_ends_alone(fun, x0s, ours, args=(), options=LBFGSB,
     assert len(ours.starts) == len(starts)
     for (b, x0), end in zip(starts, ours.starts):
         assert_same_end(end, scipy_minimize(
-            block_row(fun, x0s, b), x0, args=args, jac=True,
-            method="L-BFGS-B", options=options, bounds=bounds))
+            block_row(fun, x0s, b), x0, jac=True, method="L-BFGS-B",
+            options=options))
     assert ours.nfev == sum(end.nfev for end in ours.starts)
     assert ours.nit == sum(end.nit for end in ours.starts)
 
@@ -77,26 +84,26 @@ def assert_ends_alone(fun, x0s, ours, args=(), options=LBFGSB,
 def block_row(fun, x0s, b):
     """The point function x -> (value, gradient) of block b of the kernel
     fun on the tuple of blocks x0s, called with every other block empty."""
-    def point(x, *args):
+    def point(x):
         values, grads = fun(tuple(x[None] if i == b else block[:0]
-                                  for i, block in enumerate(x0s)), *args)
+                                  for i, block in enumerate(x0s)))
         return values[0], grads[b][0]
     return point
 
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Let every search of the fit modules run through both and compare;
-    returns the list of the starts compared.  Every search hands over a
-    tuple of blocks of starts, the plug-in cells a one-row block."""
+    """Let every search of the count-mixture fits run through both and
+    compare, from N_STARTS starts; returns the list of the starts
+    compared.  Every search hands over a tuple of blocks of starts."""
     seen = []
 
-    def both(fun, x0s, args=(), **kwargs):
+    def both(fun, x0s, **kwargs):
         seen.extend(x for block in x0s for x in block)
-        return assert_same_block(fun, x0s, args, kwargs["options"],
-                                 kwargs.get("bounds"))
+        return assert_same_block(fun, x0s, kwargs["options"])
 
-    for module in (neighbor_uni, neighbor_multi, baselines):
+    monkeypatch.setattr(_optim, "N_STARTS", N_STARTS)
+    for module in (neighbor_uni, neighbor_multi):
         monkeypatch.setattr(module, "minimize", both)
     return seen
 
@@ -136,29 +143,22 @@ def _multi_hist():
 
 
 MULTI_INIT = {"lambda": np.linspace(0.2, 0.5, 7),
-              "p": np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25]),
               "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
               "phi": 0.8}
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_univariate_fit(searches, g):
-    fit_uni(_uni_hist(), g, tau=6, opts=OPTS)
-    assert len(searches) == OPTS.n_starts
+    fit_uni(_uni_hist(), g, tau=6)
+    assert len(searches) == N_STARTS
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_multivariate_fit(searches, g, d):
-    fit_multi(_multi_hist(), g, constraint=LogLinear(d), tau=4, opts=OPTS,
+    fit_multi(_multi_hist(), g, constraint=LogLinear(d), tau=4,
               init=MULTI_INIT)
-    assert len(searches) == OPTS.n_starts
-
-
-def test_start_cells(searches):
-    # the plug-in cells' search asks for ftol 1e-14
-    single_class_p_hat(_multi_hist(), np.full(7, 0.3), tau=4)
-    assert len(searches) == 1
+    assert len(searches) == N_STARTS
 
 
 @pytest.mark.parametrize("options", [
@@ -185,66 +185,21 @@ def test_failed_line_search():
     assert not res.success
 
 
-# rosenbrock's minimum is at 1; these bounds leave sides free (None or
-# infinite) and cap the second coordinate at 0.8, where the minimum over
-# the box lies
-BOX = [(-0.5, None), (None, 0.8), (-np.inf, np.inf), (0.0, 2.0),
-       (None, None), (-2.0, 0.7)]
-INSIDE = np.linspace(-0.4, 0.6, 6)
-# coordinates 0, 1, 3 and 5 outside the box, so the start is clipped
-OUTSIDE = np.array([-1.2, 1.5, 0.3, 2.5, -0.7, 0.9])
-
-
-def test_bounded_start_outside_the_box():
-    res = assert_same_search(rosenbrock, OUTSIDE, bounds=BOX)
-    assert res.success
-
-
-def test_bounded_search_ends_on_a_bound():
-    res = assert_same_search(rosenbrock, INSIDE, bounds=BOX)
-    assert res.success
-    assert res.x[1] == BOX[1][1]
-
-
-def test_bounded_block():
-    starts = np.array([INSIDE, OUTSIDE, np.linspace(2.0, -2.0, 6),
-                       np.full(6, 0.5)])
-    res = assert_same_block(_optim.row_loop(rosenbrock), (starts,),
-                            bounds=BOX)
-    assert all(end.x[1] == BOX[1][1] for end in res.starts)
-
-
-def test_racinskij_boundary_search(searches):
-    # scenario 1, N=4k: the maximum lies on the box, so the fit runs its
-    # four starts as one bounded block
-    est = baselines.racinskij_fit([85, 179, 200, 473, 191, 490, 483, 1268],
-                                  size_b=3601)
-    assert est.diagnostics["method"] == "lbfgsb_box"
-    assert len(searches) == 4
-
-
-@pytest.mark.parametrize("bounds", [BOX[:5], [(1.0, 0.0)] * 6],
-                         ids=["length", "order"])
-def test_refuses_bad_bounds(bounds):
-    with pytest.raises(ValueError, match="bound"):
-        _optim.minimize(_optim.row_loop(rosenbrock), (INSIDE[None],),
-                        jac=True, method="L-BFGS-B", options=LBFGSB,
-                        bounds=bounds)
-
-
-def tagged(Xs, evaluated):
+def tagged(evaluated):
     """A one-block kernel whose rows are rosenbrock (last coordinate 0)
     or wrong_gradient (last coordinate 1) of the other coordinates.  The
     last coordinate's gradient is 0, so no search moves it; each row
     evaluated is appended to evaluated."""
-    (X,) = Xs
-    values, grads = [], []
-    for x in X:
-        evaluated.append(x.copy())
-        f, grad = (wrong_gradient if x[-1] else rosenbrock)(x[:-1])
-        values.append(f)
-        grads.append(np.append(grad, 0.0))
-    return values, (grads,)
+    def kernel(Xs):
+        (X,) = Xs
+        values, grads = [], []
+        for x in X:
+            evaluated.append(x.copy())
+            f, grad = (wrong_gradient if x[-1] else rosenbrock)(x[:-1])
+            values.append(f)
+            grads.append(np.append(grad, 0.0))
+        return values, (grads,)
+    return kernel
 
 
 def test_lockstep_block(monkeypatch):
@@ -267,11 +222,12 @@ def test_lockstep_block(monkeypatch):
 
     monkeypatch.setattr(_lbfgsb, "setulb", counting)
     evaluated = []
-    res = _optim.minimize(tagged, (starts,), args=(evaluated,), jac=True,
-                          method="L-BFGS-B", options=options)
+    kernel = tagged(evaluated)
+    res = _optim.minimize(kernel, (starts,), jac=True, method="L-BFGS-B",
+                          options=options)
     monkeypatch.undo()
     wrong = [x for x in evaluated if x[-1] == 1.0]
-    assert_ends_alone(tagged, (starts,), res, (evaluated,), options)
+    assert_ends_alone(kernel, (starts,), res, options)
     ends = res.starts
     assert len({end.nit for end in ends}) == len(ends)
     assert [end.success for end in ends] == [True, True, False, False]
@@ -307,7 +263,7 @@ def test_blocks_of_different_widths():
     # the wrong_gradient block ends first, and no call is empty
     assert sizes[0] == [3, 2] and sizes[-1] == [1, 0]
     assert all(sum(call) for call in sizes)
-    assert_ends_alone(kernel, x0s, res, options=options)
+    assert_ends_alone(kernel, x0s, res, options)
 
 
 @pytest.mark.parametrize("call", [
@@ -318,7 +274,7 @@ def test_blocks_of_different_widths():
 ], ids=["method", "jac", "option"])
 def test_refuses_other_calls(call):
     with pytest.raises(ValueError):
-        _optim.minimize(_optim.row_loop(rosenbrock), (np.zeros((1, 3)),),
+        _optim.minimize(point_block(rosenbrock), (np.zeros((1, 3)),),
                         **call)
 
 
@@ -327,5 +283,5 @@ def test_refuses_a_single_point():
     # is not a tuple of blocks
     for x0s in (np.zeros(3), (np.zeros(3),), np.zeros((1, 3))):
         with pytest.raises(ValueError, match="block"):
-            _optim.minimize(_optim.row_loop(rosenbrock), x0s, jac=True,
+            _optim.minimize(point_block(rosenbrock), x0s, jac=True,
                             method="L-BFGS-B", options=LBFGSB)

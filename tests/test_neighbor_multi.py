@@ -3,12 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import OptimizeResult
 from scipy.stats import poisson
 
-from linkcov import experiment, linkage, neighbor_multi
-from linkcov._optim import FitOptions
+from linkcov import _optim, experiment, linkage, neighbor_multi
 from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, appendix_c_start,
                                     build_design, coverage_from_fit,
@@ -322,10 +323,10 @@ class TestFitMulti:
         assert fit.loglik >= fit.init_loglik
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_cells_follow_the_loglinear_model(self, d):
+    def test_cells_follow_the_loglinear_model(self, monkeypatch, d):
         hist, init = _two_class_hist()
-        fit = fit_multi(hist, 2, constraint=LogLinear(d), tau=4,
-                        opts=FitOptions(n_starts=1), init=init)
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
+        fit = fit_multi(hist, 2, constraint=LogLinear(d), tau=4, init=init)
         params = fit.params
         design = build_design(d)
         assert params.u_labels == design.labels
@@ -335,14 +336,13 @@ class TestFitMulti:
         assert coverage_from_fit(params) == params.phi
 
     @pytest.mark.parametrize("fit", [
-        lambda hist, init, **kw: fit_multi(hist, 2, tau=4, init=init,
-                                           opts=FitOptions(n_starts=1), **kw),
+        lambda hist, init, **kw: fit_multi(hist, 2, tau=4, init=init, **kw),
         lambda hist, init, **kw: select_G_multi(
-            hist, 2, tau=4, opts=FitOptions(n_starts=1),
-            start=(init["lambda"], init["p"]), **kw).fit],
+            hist, 2, tau=4, start=(init["lambda"], TWO_CLASS_P), **kw).fit],
         ids=["fit", "select"])
-    def test_default_constraint_is_second_order(self, fit):
+    def test_default_constraint_is_second_order(self, monkeypatch, fit):
         hist, init = _two_class_hist()
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
         default = fit(hist, init)
         second = fit(hist, init, constraint=LogLinear(2))
         assert default.params.u_labels == build_design(2).labels
@@ -350,16 +350,20 @@ class TestFitMulti:
         np.testing.assert_array_equal(default.params.u, second.params.u)
 
 
+# the true-positive cells that _two_class_hist's classes share
+TWO_CLASS_P = np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25])
+
+
 def _two_class_hist():
     """5000 count vectors of two classes with shared cells, whose sums
     exceed 4, and a start bundle for them."""
-    p = np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25])
+    p = TWO_CLASS_P
     truth = MultiMixtureParams(
         alpha=[0.6, 0.4], p=[p, p],
         lam=[np.full(7, 0.1), np.full(7, 0.7)],
     )
     draws = sample_multi_counts(truth, 5000, np.random.default_rng(51))
-    init = {"lambda": np.linspace(0.2, 0.5, 7), "p": p,
+    init = {"lambda": np.linspace(0.2, 0.5, 7),
             "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
             "phi": 0.8}
     return MultiCountHistogram.from_observations(draws), init
@@ -373,31 +377,40 @@ class TestGradient:
         hist, init = _two_class_hist()
         tau = 4
         assert hist.keys.sum(axis=1).max() > tau    # tail cell active
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
         fun, x0, args = captured_objective(
             monkeypatch, neighbor_multi, fit_multi, hist, g,
-            constraint=constraint, tau=tau, opts=FitOptions(n_starts=1),
-            init=init)
+            constraint=constraint, tau=tau, init=init)
         assert_gradient_matches(fun, x0, args, seed=50 + g)
 
     def test_plug_in_cells_match_finite_differences(self, monkeypatch):
-        # the single-class cells' objective, with the rates plugged in
+        # the single-class cells' objective, with the rates plugged in,
+        # which single_class_p_hat hands to scipy.optimize.minimize; a
+        # stub records it and returns the start
         hist, init = _two_class_hist()
         tau = 4
         assert hist.keys.sum(axis=1).max() > tau    # tail cell active
-        fun, x0, args = captured_objective(
-            monkeypatch, neighbor_multi, single_class_p_hat, hist,
-            init["lambda"], tau=tau)
-        assert_gradient_matches(fun, x0, args, seed=60)
+        seen = []
+
+        def stub(fun, x0, **kwargs):
+            seen.append((fun, x0))
+            return OptimizeResult(x=x0)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", stub)
+        single_class_p_hat(hist, init["lambda"], tau=tau)
+        ((fun, x0),) = seen
+        assert_gradient_matches(fun, x0, (), seed=60)
 
 
 class TestSelection:
-    def test_parameter_counts(self):
+    def test_parameter_counts(self, monkeypatch):
         # G - 1 weights, phi, d_u coefficients and G x 7 rates
         hist, init = _two_class_hist()
-        quick = FitOptions(n_starts=1, max_iter=5)
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
+        monkeypatch.setattr(_optim, "MAX_ITER", 5)
         for d, count in ((1, 1 + 4 + 14), (2, 1 + 7 + 14)):
             fit = fit_multi(hist, 2, constraint=LogLinear(d), tau=4,
-                            opts=quick, init=init)
+                            init=init)
             assert fit.n_params == count
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -405,10 +418,10 @@ class TestSelection:
     def test_count_is_the_search_dimension(self, monkeypatch, g, d):
         # AIC charges exactly the coordinates that L-BFGS-B moves
         hist, init = _two_class_hist()
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
         _, x0, _ = captured_objective(
             monkeypatch, neighbor_multi, fit_multi, hist, g,
-            constraint=LogLinear(d), tau=4, opts=FitOptions(n_starts=1),
-            init=init)
+            constraint=LogLinear(d), tau=4, init=init)
         assert x0.size == (g - 1) + 1 + {1: 3, 2: 6}[d] + 7 * g
 
     def test_single_class_selected(self):
@@ -467,8 +480,8 @@ class TestJointSelection:
     def test_equals_the_single_order_selections(self, monkeypatch,
                                                 scenario3_hist, n_starts):
         hist = scenario3_hist
-        opts = FitOptions(n_starts=n_starts)
         start = appendix_c_start(hist, 10)
+        monkeypatch.setattr(_optim, "N_STARTS", n_starts)
         orders = (LogLinear(1), LogLinear(2))
         blocks, minimize = [], neighbor_multi.minimize
 
@@ -477,16 +490,16 @@ class TestJointSelection:
             return minimize(fun, x0, *args, **kwargs)
 
         monkeypatch.setattr(neighbor_multi, "minimize", recording)
-        joint = select_G_multi(hist, 3, constraint=orders, tau=10, opts=opts,
+        joint = select_G_multi(hist, 3, constraint=orders, tau=10,
                                start=start)
-        monkeypatch.undo()
+        monkeypatch.setattr(neighbor_multi, "minimize", minimize)
         # one search per G, on one block of n_starts rows per order
         assert blocks == [[(n_starts, (g - 1) + 1 + d_u + 7 * g)
                            for d_u in (3, 6)] for g in (1, 2, 3)]
         assert len(joint) == len(orders)
         for constraint, sel in zip(orders, joint):
             own = select_G_multi(hist, 3, constraint=constraint, tau=10,
-                                 opts=opts, start=start)
+                                 start=start)
             assert sel.g_hat == own.g_hat
             assert sel.trace == own.trace
             assert _fit_fields(sel.fit) == _fit_fields(own.fit)

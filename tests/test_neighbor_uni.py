@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult, approx_fprime
 
-from linkcov import neighbor_uni
-from linkcov._optim import FitOptions, stick_break, stick_break_inverse
+from linkcov import _optim, neighbor_uni
+from linkcov._optim import stick_break, stick_break_inverse
 from linkcov.neighbor_uni import (AccuracySummary, CountHistogram,
                                   UniMixtureParams, accuracy_from_fit,
                                   capped_loglik, comp_pmf, fit_document,
@@ -184,9 +184,9 @@ class TestGradient:
         hist = CountHistogram.from_observations(draws)
         tau = 3
         assert hist.values.max() > tau      # the tail cell is active
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
         fun, x0, args = captured_objective(
-            monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau,
-            opts=FitOptions(n_starts=1))
+            monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau)
         assert_gradient_matches(fun, x0, args, seed=10 * g + 1)
 
 
@@ -223,11 +223,12 @@ class TestSelection:
             hits += sel.g_hat == 1
         assert hits >= 9
 
-    def test_parameter_count(self):
+    def test_parameter_count(self, monkeypatch):
         # G - 1 weights, the shared p and G rates
         hist = CountHistogram([0, 1, 2, 3], [40, 30, 20, 10])
-        quick = FitOptions(n_starts=1, max_iter=5)
-        assert fit_uni(hist, 2, opts=quick).n_params == 4
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
+        monkeypatch.setattr(_optim, "MAX_ITER", 5)
+        assert fit_uni(hist, 2).n_params == 4
 
 
 class TestAccuracy:

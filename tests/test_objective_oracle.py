@@ -33,8 +33,8 @@ import numpy as np
 import pytest
 from scipy.special import expit, gammaln, pdtr
 
-from linkcov import neighbor_multi, neighbor_uni
-from linkcov._optim import LAMBDA_MAX, NU, FitOptions, interval_from_real
+from linkcov import _optim, neighbor_multi, neighbor_uni
+from linkcov._optim import LAMBDA_MAX, NU, interval_from_real
 from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, build_design,
                                     fit_multi, loglinear_probs,
@@ -280,9 +280,9 @@ def _oracle_split_multi(hist, tau):
 
 # ---------------------------------------------------------------- fixtures
 
-OPTS = FitOptions(n_starts=1)
+# the true-positive cells that the "flat" data's classes share
+FLAT_P = np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25])
 MULTI_INIT = {"lambda": np.linspace(0.2, 0.5, 7),
-              "p": np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25]),
               "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
               "phi": 0.8}
 MULTI_CONSTRAINTS = [LogLinear(1), LogLinear(2)]
@@ -299,7 +299,7 @@ def _multi_hist(data="flat"):
     classes whose rates differ by rule and whose log-linear cells carry
     strong interactions, spanning 0.005 to 0.45 ("interacting")."""
     if data == "flat":
-        p = MULTI_INIT["p"]
+        p = FLAT_P
         truth = MultiMixtureParams(
             alpha=[0.6, 0.4], p=[p, p],
             lam=[np.full(7, 0.1), np.full(7, 0.7)],
@@ -328,8 +328,9 @@ def uni_pair(monkeypatch, g, tail):
     fit_uni shares one p across the classes, the oracle's shared_p."""
     hist = _uni_hist()
     tau = _tau(hist.values.max(), tail)
+    monkeypatch.setattr(_optim, "N_STARTS", 1)
     fun, x0, args = captured_objective(
-        monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau, opts=OPTS)
+        monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau)
     oracle_args = (*_oracle_split_hist(hist, tau), float(hist.total), g,
                    True, tau, NU, LAMBDA_MAX)
     assert (oracle_args[3] > 0) == tail
@@ -340,9 +341,10 @@ def multi_pair(monkeypatch, g, constraint, tail, data):
     """(objective, x0, args) as fit_multi runs it, and the oracle's args."""
     hist = _multi_hist(data)
     tau = _tau(hist.keys.sum(axis=1).max(), tail)
+    monkeypatch.setattr(_optim, "N_STARTS", 1)
     fun, x0, args = captured_objective(
         monkeypatch, neighbor_multi, fit_multi, hist, g,
-        constraint=constraint, tau=tau, opts=OPTS, init=MULTI_INIT)
+        constraint=constraint, tau=tau, init=MULTI_INIT)
     m = len(PATTERNS)
     key = "loglinear"
     Zv = build_design(constraint.d).Z
@@ -485,9 +487,10 @@ class TestMultiBlockKernel:
     def test_rows_match_alone(self, monkeypatch, g, constraint, tail, data):
         hist = _multi_hist(data)
         tau = _tau(hist.keys.sum(axis=1).max(), tail)
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
         fun, starts, args = captured_objective(
             monkeypatch, neighbor_multi, fit_multi, hist, g,
-            constraint=constraint, tau=tau, opts=OPTS, init=MULTI_INIT,
+            constraint=constraint, tau=tau, init=MULTI_INIT,
             block=True)
         assert_rows_match_alone(fun, starts[0][0], args, g, tail)
 
@@ -497,9 +500,10 @@ class TestMultiBlockKernel:
         # the univariate fit runs the same kernel through its one-cell
         # head, and its lockstep starts rely on the same property
         hist = _uni_hist()
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
         fun, starts, args = captured_objective(
             monkeypatch, neighbor_uni, fit_uni, hist, g,
-            tau=_tau(hist.values.max(), tail), opts=OPTS, block=True)
+            tau=_tau(hist.values.max(), tail), block=True)
         assert_rows_match_alone(fun, starts[0][0], args, g, tail)
 
     @MULTI_DATA
@@ -512,11 +516,12 @@ class TestMultiBlockKernel:
         # its own order's kernel gives it alone
         hist = _multi_hist(data)
         tau = _tau(hist.keys.sum(axis=1).max(), tail)
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
         points, alone = [], []
         for constraint in MULTI_CONSTRAINTS:
             fun, starts, args = captured_objective(
                 monkeypatch, neighbor_multi, fit_multi, hist, g,
-                constraint=constraint, tau=tau, opts=OPTS, init=MULTI_INIT,
+                constraint=constraint, tau=tau, init=MULTI_INIT,
                 block=True)
             x0 = starts[0][0]
             seed = 700 * g + 10 * constraint.d + tail
@@ -526,7 +531,7 @@ class TestMultiBlockKernel:
                           for x in points[-1]])
         joint, starts, args = captured_objective(
             monkeypatch, neighbor_multi, neighbor_multi._fit_orders, hist, g,
-            tuple(MULTI_CONSTRAINTS), tau, OPTS, (MULTI_INIT, MULTI_INIT),
+            tuple(MULTI_CONSTRAINTS), tau, (MULTI_INIT, MULTI_INIT),
             block=True)
         assert [b.shape[1] for b in starts] == [p.shape[1] for p in points]
         n = len(points[0])
