@@ -59,7 +59,13 @@ class LinkageRuleSpec:
 
 @dataclass
 class RecordPanel:
-    """Columnar view of one sample's records."""
+    """Columnar view of one sample's records.
+
+    surname is each record's int32 index into its population's label
+    table, and code the int32 rank of that label's soundex code among
+    the table's distinct codes.  The two panels of one population share
+    the table, so equal ids mean equal surnames, or equal codes.
+    """
 
     unit_id: np.ndarray
     surname: np.ndarray
@@ -75,25 +81,20 @@ class RecordPanel:
 
 def sample_records(pop, flags):
     """Extract the S_B panel (second register) and S_A panel (first)."""
-    bsel = np.flatnonzero(flags.in_b)
-    asel = np.flatnonzero(flags.in_a)
-    panel_b = RecordPanel(
-        unit_id=bsel + 1,
-        surname=pop.surname_labels[pop.sidx_b[bsel]],
-        code=pop.surname_codes[pop.sidx_b[bsel]],
-        day=pop.day_b[bsel].astype(np.int32),
-        month=pop.month_b[bsel].astype(np.int32),
-        year=pop.year_b[bsel],
-    )
-    panel_a = RecordPanel(
-        unit_id=asel + 1,
-        surname=pop.surname_labels[pop.sidx_a[asel]],
-        code=pop.surname_codes[pop.sidx_a[asel]],
-        day=pop.day_a[asel].astype(np.int32),
-        month=pop.month_a[asel].astype(np.int32),
-        year=pop.year_a[asel],
-    )
-    return panel_b, panel_a
+    code_ids = np.unique(pop.surname_codes,
+                         return_inverse=True)[1].astype(np.int32)
+
+    def panel(sel, sidx, day, month, year):
+        sel = np.flatnonzero(sel)
+        surname = sidx[sel]
+        return RecordPanel(
+            unit_id=sel + 1, surname=surname, code=code_ids[surname],
+            day=day[sel].astype(np.int32), month=month[sel].astype(np.int32),
+            year=year[sel],
+        )
+
+    return (panel(flags.in_b, pop.sidx_b, pop.day_b, pop.month_b, pop.year_b),
+            panel(flags.in_a, pop.sidx_a, pop.day_a, pop.month_a, pop.year_a))
 
 
 @dataclass
@@ -111,37 +112,33 @@ class CandidatePairs:
 def _block_ids(panel_b, panel_a):
     """Dense (soundex, year) block number of every record, b then a.
 
-    A code's four ASCII characters pack into one 28-bit integer; the
-    block key is that integer times the year span plus the year's offset
-    from the earliest year.
+    The block key is the record's code id times the year span plus the
+    year's offset from the earliest year; np.unique numbers the keys.
     """
-    codes = np.concatenate([panel_b.code, panel_a.code])
-    if codes.dtype.kind != "U" or codes.dtype.itemsize > 16:
-        raise ValueError("soundex codes must be strings of at most four "
-                         "characters")
-    chars = codes.astype("U4").view(np.uint32).reshape(-1, 4)
-    if chars.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if chars.max() > 0x7F:
-        raise ValueError("soundex codes must be ASCII")
-    packed = ((chars[:, 0].astype(np.int64) << 21) | (chars[:, 1] << 14)
-              | (chars[:, 2] << 7) | chars[:, 3])
+    key = np.concatenate([panel_b.code, panel_a.code]).astype(np.int64)
+    if key.size == 0:
+        return key
     years = np.concatenate([panel_b.year, panel_a.year]).astype(np.int64)
-    offset = years - years.min()
-    span = int(offset.max()) + 1
-    if span > 1 << 35:
-        raise ValueError("birth years span more than 2**35")
-    return np.unique(packed * span + offset, return_inverse=True)[1]
+    years -= years.min()
+    span = int(years.max()) + 1
+    if (int(key.max()) + 1) * span > 1 << 63:
+        raise ValueError("block keys of these codes and years overflow int64")
+    key *= span
+    key += years
+    return np.unique(key, return_inverse=True)[1]
 
 
 def block_pairs(panel_b, panel_a):
     """Emit every pair agreeing on surname soundex and birth year.
 
-    Pairs come in b order, and for one b record in a order.
+    Pairs come in b order, and for one b record in a order.  The a
+    records are ordered by block, then position, with one sort of a key
+    that has no ties; a b record's pairs are a run of that order.  At
+    most three pair-length arrays are alive at once.
     """
     ids = _block_ids(panel_b, panel_a)
     id_b, id_a = ids[:panel_b.size], ids[panel_b.size:]
-    order_a = np.argsort(id_a, kind="stable")
+    order_a = np.argsort(id_a * id_a.size + np.arange(id_a.size))
     sizes = np.bincount(id_a, minlength=ids.max(initial=-1) + 1)
     starts = np.cumsum(sizes) - sizes
 
@@ -151,11 +148,11 @@ def block_pairs(panel_b, panel_a):
         empty = np.empty(0, dtype=np.int64)
         return CandidatePairs(empty, empty.copy())
     b_pos = np.repeat(np.arange(panel_b.size, dtype=np.int64), per_b)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(per_b) - per_b, per_b
-    )
-    a_pos = order_a[np.repeat(starts[id_b], per_b) + offsets]
-    return CandidatePairs(b_pos, a_pos.astype(np.int64))
+    # pair t of b record i has order position starts[id_b[i]] + t - first[i]
+    first = np.cumsum(per_b) - per_b
+    a_pos = np.repeat(starts[id_b] - first, per_b)
+    a_pos += np.arange(total)
+    return CandidatePairs(b_pos, order_a[a_pos])
 
 
 def _baseline_mask(panel_b, panel_a, pairs):

@@ -1,4 +1,5 @@
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,12 +11,23 @@ from linkcov.popsim import PATTERNS, PerturbationParams, draw_samples, generate_
 from linkcov.soundex import soundex
 
 
+# one id per string, shared by every panel the tests build, as the
+# panels of one population share its label table
+IDS = {}
+
+
+def ids(strings):
+    """The int32 ids of strings, numbered in order of first use."""
+    return np.array([IDS.setdefault(s, len(IDS)) for s in strings],
+                    dtype=np.int32)
+
+
 def panel(rows):
     """rows: (unit_id, surname, day, month, year)"""
     return lk.RecordPanel(
         unit_id=np.array([r[0] for r in rows]),
-        surname=np.array([r[1] for r in rows], dtype="U16"),
-        code=np.array([soundex(r[1]) for r in rows], dtype="U4"),
+        surname=ids(r[1] for r in rows),
+        code=ids(soundex(r[1]) for r in rows),
         day=np.array([r[2] for r in rows], dtype=np.int32),
         month=np.array([r[3] for r in rows], dtype=np.int32),
         year=np.array([r[4] for r in rows], dtype=np.int32),
@@ -60,6 +72,25 @@ class TestBlocking:
         assert linked <= cand
 
 
+class TestPanels:
+    def test_ids_into_the_label_table(self, replication):
+        pop, flags, pb, pa, _, _, _ = replication
+        for p, in_side, sidx in ((pb, flags.in_b, pop.sidx_b),
+                                 (pa, flags.in_a, pop.sidx_a)):
+            assert not [f.name for f in fields(lk.RecordPanel)
+                        if getattr(p, f.name).dtype.kind in "OSU"]
+            np.testing.assert_array_equal(p.surname, sidx[in_side])
+        # one code per label, and equal codes exactly for equal soundex
+        surname = np.concatenate([pb.surname, pa.surname])
+        code = np.concatenate([pb.code, pa.code])
+        used, first, at = np.unique(surname, return_index=True,
+                                    return_inverse=True)
+        np.testing.assert_array_equal(code, code[first][at])
+        sx = [soundex(name) for name in pop.surname_labels[used].tolist()]
+        pairs = set(zip(sx, code[first].tolist()))
+        assert len(pairs) == len(set(sx)) == len(set(code.tolist()))
+
+
 # codes that differ in one character or in the order of their characters,
 # and years at both ends of int32 beside two neighbouring ones
 CODES = ("A536", "A535", "A563", "A356", "B536", "Z000", "A500")
@@ -73,8 +104,8 @@ def code_panel(records):
     n = len(records)
     return lk.RecordPanel(
         unit_id=np.arange(1, n + 1),
-        surname=np.array(["X"] * n, dtype="U16"),
-        code=np.array([c for c, _ in records], dtype="U4"),
+        surname=ids(["X"] * n),
+        code=ids(c for c, _ in records),
         day=np.ones(n, dtype=np.int32), month=np.ones(n, dtype=np.int32),
         year=np.array([y for _, y in records], dtype=np.int32),
     )
@@ -96,14 +127,6 @@ class TestBlockPairsProperty:
         assert list(zip(pairs.b_pos.tolist(), pairs.a_pos.tolist())) \
             == expected
         assert pairs.b_pos.dtype == pairs.a_pos.dtype == np.int64
-
-    @pytest.mark.parametrize("code", ["A5361", "\u00c4536"])
-    def test_refuses_codes_it_cannot_pack(self, code):
-        pb = code_panel([("A536", 1980)])
-        pa = code_panel([("A536", 1980)])
-        pa.code = np.array([code])
-        with pytest.raises(ValueError, match="soundex codes"):
-            lk.block_pairs(pb, pa)
 
 
 def linked(rows_b, rows_a, variant=lk.RULE_BASELINE_ONLY):

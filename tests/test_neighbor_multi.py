@@ -378,10 +378,10 @@ class TestGradient:
         tau = 4
         assert hist.keys.sum(axis=1).max() > tau    # tail cell active
         monkeypatch.setattr(_optim, "N_STARTS", 1)
-        fun, x0, args = captured_objective(
+        fun, x0 = captured_objective(
             monkeypatch, neighbor_multi, fit_multi, hist, g,
             constraint=constraint, tau=tau, init=init)
-        assert_gradient_matches(fun, x0, args, seed=50 + g)
+        assert_gradient_matches(fun, x0, seed=50 + g)
 
     def test_plug_in_cells_match_finite_differences(self, monkeypatch):
         # the single-class cells' objective, with the rates plugged in,
@@ -399,7 +399,7 @@ class TestGradient:
         monkeypatch.setattr(scipy.optimize, "minimize", stub)
         single_class_p_hat(hist, init["lambda"], tau=tau)
         ((fun, x0),) = seen
-        assert_gradient_matches(fun, x0, (), seed=60)
+        assert_gradient_matches(fun, x0, seed=60)
 
 
 class TestSelection:
@@ -419,7 +419,7 @@ class TestSelection:
         # AIC charges exactly the coordinates that L-BFGS-B moves
         hist, init = _two_class_hist()
         monkeypatch.setattr(_optim, "N_STARTS", 1)
-        _, x0, _ = captured_objective(
+        _, x0 = captured_objective(
             monkeypatch, neighbor_multi, fit_multi, hist, g,
             constraint=LogLinear(d), tau=4, init=init)
         assert x0.size == (g - 1) + 1 + {1: 3, 2: 6}[d] + 7 * g

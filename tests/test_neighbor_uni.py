@@ -121,8 +121,8 @@ class TestFit:
 
 def captured_objective(monkeypatch, module, fit, *fit_args, block=False,
                        **fit_kwargs):
-    """The objective and arguments that ``fit`` hands to L-BFGS-B, with
-    its first start.
+    """The objective that ``fit`` hands to L-BFGS-B, with its first
+    start.
 
     The module's ``minimize`` is replaced by a stub that records its
     first call and returns the start points, so the fit runs no search.
@@ -133,30 +133,30 @@ def captured_objective(monkeypatch, module, fit, *fit_args, block=False,
     """
     seen = []
 
-    def stub(fun, x0s, args=(), **kwargs):
-        seen.append((fun, x0s, args))
+    def stub(fun, x0s, **kwargs):
+        seen.append((fun, x0s))
         rows = [x for b in x0s for x in b]
         ends = [OptimizeResult(x=x, fun=f, success=True, nit=0, nfev=1)
-                for x, f in zip(rows, fun(x0s, *args)[0])]
+                for x, f in zip(rows, fun(x0s)[0])]
         return OptimizeResult(nfev=len(ends), nit=0, starts=ends)
 
     monkeypatch.setattr(module, "minimize", stub)
     fit(*fit_args, **fit_kwargs)
-    fun, x0s, args = seen[0]
+    fun, x0s = seen[0]
     if block:
-        return fun, x0s, args
-    return one_row(fun), x0s[0][0], args
+        return fun, x0s
+    return one_row(fun), x0s[0][0]
 
 
 def one_row(fun):
     """The point function x -> (value, gradient) of a one-block kernel."""
-    def point(x, *args):
-        values, (grads,) = fun((x[None],), *args)
+    def point(x):
+        values, (grads,) = fun((x[None],))
         return values[0], grads[0]
     return point
 
 
-def assert_gradient_matches(fun, x0, args, seed, n_points=4, atol=1e-7):
+def assert_gradient_matches(fun, x0, seed, n_points=4, atol=1e-7):
     """Analytic gradient vs central differences at jittered points.
 
     Central differences are the mean of a forward and a backward
@@ -165,11 +165,11 @@ def assert_gradient_matches(fun, x0, args, seed, n_points=4, atol=1e-7):
     rng = np.random.default_rng(seed)
 
     def value(z):
-        return fun(z, *args)[0]
+        return fun(z)[0]
 
     for _ in range(n_points):
         x = x0 + 0.5 * rng.standard_normal(x0.size)
-        _, grad = fun(x, *args)
+        _, grad = fun(x)
         numeric = 0.5 * (approx_fprime(x, value, 1e-6)
                          + approx_fprime(x, value, -1e-6))
         np.testing.assert_allclose(grad, numeric, rtol=0, atol=atol)
@@ -185,9 +185,9 @@ class TestGradient:
         tau = 3
         assert hist.values.max() > tau      # the tail cell is active
         monkeypatch.setattr(_optim, "N_STARTS", 1)
-        fun, x0, args = captured_objective(
+        fun, x0 = captured_objective(
             monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau)
-        assert_gradient_matches(fun, x0, args, seed=10 * g + 1)
+        assert_gradient_matches(fun, x0, seed=10 * g + 1)
 
 
 class TestSelection:

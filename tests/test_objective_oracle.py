@@ -324,25 +324,25 @@ def _tau(max_count, tail):
 
 
 def uni_pair(monkeypatch, g, tail):
-    """(objective, x0, args) as fit_uni runs it, and the oracle's args:
+    """(objective, x0) as fit_uni runs it, and the oracle's args:
     fit_uni shares one p across the classes, the oracle's shared_p."""
     hist = _uni_hist()
     tau = _tau(hist.values.max(), tail)
     monkeypatch.setattr(_optim, "N_STARTS", 1)
-    fun, x0, args = captured_objective(
+    fun, x0 = captured_objective(
         monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau)
     oracle_args = (*_oracle_split_hist(hist, tau), float(hist.total), g,
                    True, tau, NU, LAMBDA_MAX)
     assert (oracle_args[3] > 0) == tail
-    return fun, x0, args, oracle_args
+    return fun, x0, oracle_args
 
 
 def multi_pair(monkeypatch, g, constraint, tail, data):
-    """(objective, x0, args) as fit_multi runs it, and the oracle's args."""
+    """(objective, x0) as fit_multi runs it, and the oracle's args."""
     hist = _multi_hist(data)
     tau = _tau(hist.keys.sum(axis=1).max(), tail)
     monkeypatch.setattr(_optim, "N_STARTS", 1)
-    fun, x0, args = captured_objective(
+    fun, x0 = captured_objective(
         monkeypatch, neighbor_multi, fit_multi, hist, g,
         constraint=constraint, tau=tau, init=MULTI_INIT)
     m = len(PATTERNS)
@@ -352,7 +352,7 @@ def multi_pair(monkeypatch, g, constraint, tail, data):
     oracle_args = (*_oracle_split_multi(hist, tau), float(hist.total), g, m,
                    _oracle_n_p(g, m, key, du), key, Zv, tau, NU, LAMBDA_MAX)
     assert (oracle_args[3] > 0) == tail
-    return fun, x0, args, oracle_args
+    return fun, x0, oracle_args
 
 
 def assert_matches_oracle(value, grad, ref_value, ref_grad):
@@ -381,11 +381,11 @@ def saturated(n, seed, n_points=6):
         yield rng.uniform(-800.0, 800.0, n)
 
 
-def evaluate_quietly(fun, x, args):
+def evaluate_quietly(fun, x):
     """The objective at x; any warning fails the test."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, grad = fun(x, *args)
+        value, grad = fun(x)
     return float(value), np.asarray(grad, dtype=float)
 
 
@@ -413,18 +413,18 @@ class TestUniObjectiveOracle:
     @TAILS
     @pytest.mark.parametrize("g", GS)
     def test_matches_oracle(self, monkeypatch, g, tail):
-        fun, x0, args, oracle_args = uni_pair(monkeypatch, g, tail)
+        fun, x0, oracle_args = uni_pair(monkeypatch, g, tail)
         for x in jittered(x0, seed=100 * g + 10 + tail):
-            value, grad = evaluate_quietly(fun, x, args)
+            value, grad = evaluate_quietly(fun, x)
             assert_matches_oracle(value, grad,
                                   *_oracle_objective(x, *oracle_args))
 
     @TAILS
     @pytest.mark.parametrize("g", GS)
     def test_saturated_points(self, monkeypatch, g, tail):
-        fun, x0, args, oracle_args = uni_pair(monkeypatch, g, tail)
+        fun, x0, oracle_args = uni_pair(monkeypatch, g, tail)
         for x in saturated(x0.size, seed=200 * g + 10 + tail):
-            value, grad = evaluate_quietly(fun, x, args)
+            value, grad = evaluate_quietly(fun, x)
             assert np.isfinite(value) and np.all(np.isfinite(grad))
             assert_value_matches(value, oracle_at(_oracle_objective, x,
                                                   oracle_args))
@@ -436,10 +436,10 @@ class TestMultiObjectiveOracle:
     @pytest.mark.parametrize("constraint", MULTI_CONSTRAINTS, ids=str)
     @pytest.mark.parametrize("g", GS)
     def test_matches_oracle(self, monkeypatch, g, constraint, tail, data):
-        fun, x0, args, oracle_args = multi_pair(monkeypatch, g, constraint,
+        fun, x0, oracle_args = multi_pair(monkeypatch, g, constraint,
                                                 tail, data)
         for x in jittered(x0, seed=300 * g + tail):
-            value, grad = evaluate_quietly(fun, x, args)
+            value, grad = evaluate_quietly(fun, x)
             assert_matches_oracle(value, grad,
                                   *_oracle_objective_multi(x, *oracle_args))
 
@@ -448,35 +448,35 @@ class TestMultiObjectiveOracle:
     @pytest.mark.parametrize("constraint", MULTI_CONSTRAINTS, ids=str)
     @pytest.mark.parametrize("g", GS)
     def test_saturated_points(self, monkeypatch, g, constraint, tail, data):
-        fun, x0, args, oracle_args = multi_pair(monkeypatch, g, constraint,
+        fun, x0, oracle_args = multi_pair(monkeypatch, g, constraint,
                                                 tail, data)
         for x in saturated(x0.size, seed=400 * g + tail):
-            value, grad = evaluate_quietly(fun, x, args)
+            value, grad = evaluate_quietly(fun, x)
             assert np.isfinite(value) and np.all(np.isfinite(grad))
             assert_value_matches(value, oracle_at(_oracle_objective_multi, x,
                                                   oracle_args))
 
 
-def row_bytes(fun, X, args, row):
+def row_bytes(fun, X, row):
     """The bytes of the value and the gradient that the one-block kernel
     fun gives row of X."""
-    values, (grads,) = fun((X,), *args)
+    values, (grads,) = fun((X,))
     return float(values[row]).hex(), np.asarray(grads[row]).tobytes()
 
 
-def assert_rows_match_alone(fun, x0, args, g, tail):
+def assert_rows_match_alone(fun, x0, g, tail):
     """Each point around x0 gets, first, in the middle and last of
     blocks of 2 to 5 beside the points after it, the bytes it gets
     alone."""
     points = np.array([*jittered(x0, seed=500 * g + tail),
                        *saturated(x0.size, seed=600 * g + tail)])
     n = len(points)
-    alone = [row_bytes(fun, x[None], args, 0) for x in points]
+    alone = [row_bytes(fun, x[None], 0) for x in points]
     for size in range(2, 6):
         for pos in sorted({0, size // 2, size - 1}):
             for i in range(n):
                 rows = [(i - pos + j) % n for j in range(size)]
-                assert row_bytes(fun, points[rows], args, pos) == alone[i]
+                assert row_bytes(fun, points[rows], pos) == alone[i]
 
 
 class TestMultiBlockKernel:
@@ -488,11 +488,11 @@ class TestMultiBlockKernel:
         hist = _multi_hist(data)
         tau = _tau(hist.keys.sum(axis=1).max(), tail)
         monkeypatch.setattr(_optim, "N_STARTS", 1)
-        fun, starts, args = captured_objective(
+        fun, starts = captured_objective(
             monkeypatch, neighbor_multi, fit_multi, hist, g,
             constraint=constraint, tau=tau, init=MULTI_INIT,
             block=True)
-        assert_rows_match_alone(fun, starts[0][0], args, g, tail)
+        assert_rows_match_alone(fun, starts[0][0], g, tail)
 
     @TAILS
     @pytest.mark.parametrize("g", GS)
@@ -501,10 +501,10 @@ class TestMultiBlockKernel:
         # head, and its lockstep starts rely on the same property
         hist = _uni_hist()
         monkeypatch.setattr(_optim, "N_STARTS", 1)
-        fun, starts, args = captured_objective(
+        fun, starts = captured_objective(
             monkeypatch, neighbor_uni, fit_uni, hist, g,
             tau=_tau(hist.values.max(), tail), block=True)
-        assert_rows_match_alone(fun, starts[0][0], args, g, tail)
+        assert_rows_match_alone(fun, starts[0][0], g, tail)
 
     @MULTI_DATA
     @TAILS
@@ -519,7 +519,7 @@ class TestMultiBlockKernel:
         monkeypatch.setattr(_optim, "N_STARTS", 1)
         points, alone = [], []
         for constraint in MULTI_CONSTRAINTS:
-            fun, starts, args = captured_objective(
+            fun, starts = captured_objective(
                 monkeypatch, neighbor_multi, fit_multi, hist, g,
                 constraint=constraint, tau=tau, init=MULTI_INIT,
                 block=True)
@@ -527,9 +527,9 @@ class TestMultiBlockKernel:
             seed = 700 * g + 10 * constraint.d + tail
             points.append(np.array([*jittered(x0, seed=seed),
                                     *saturated(x0.size, seed=seed)]))
-            alone.append([row_bytes(fun, x[None], args, 0)
+            alone.append([row_bytes(fun, x[None], 0)
                           for x in points[-1]])
-        joint, starts, args = captured_objective(
+        joint, starts = captured_objective(
             monkeypatch, neighbor_multi, neighbor_multi._fit_orders, hist, g,
             tuple(MULTI_CONSTRAINTS), tau, (MULTI_INIT, MULTI_INIT),
             block=True)
@@ -541,7 +541,7 @@ class TestMultiBlockKernel:
                     rows = [[(i + j) % n for j in range(first)],
                             [(i + 3 + j) % n for j in range(size - first)]]
                     values, grads = joint(
-                        tuple(p[r] for p, r in zip(points, rows)), *args)
+                        tuple(p[r] for p, r in zip(points, rows)))
                     got = [(float(v).hex(), grad.tobytes()) for v, grad in
                            zip(values, [*grads[0], *grads[1]])]
                     assert got == [alone[b][k] for b in (0, 1)
