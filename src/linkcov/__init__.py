@@ -13,7 +13,7 @@ from .soundex import soundex
 from .popsim import (PATTERNS, PerturbationParams, Population, SampleFlags,
                      draw_samples, generate_population, pattern_distribution)
 from .linkage import (ClericalEstimates, ConfusionMatrix, CountVector,
-                      LinkSet, LinkageRuleSpec, RULE_BASELINE_AND_ANY_EXACT,
+                      LinkSet, RULE_BASELINE_AND_ANY_EXACT,
                       RULE_BASELINE_ONLY, baseline_pairs, block_pairs,
                       clerical_sample, confusion, counts, dedupe_rule2,
                       link_rule1, sample_records)

@@ -67,9 +67,9 @@ from . import linkage as lk
 from .baselines import df_dt_estimators, lincoln_petersen, racinskij_fit
 from .experiment import (ALL_ESTIMATORS, ScenarioConfig,
                          aggregate_replications, baseline_estimates,
-                         estimates_document, link, read_replication_log,
-                         render_report, replication_rngs, run_experiment,
-                         simulate)
+                         check_estimators, estimates_document, link,
+                         read_replication_log, render_report,
+                         replication_rngs, run_experiment, simulate)
 from .neighbor_multi import (LogLinear, MultiCountHistogram,
                              multi_fit_document, select_G_multi)
 from .neighbor_uni import CountHistogram, fit_document, select_G
@@ -166,15 +166,16 @@ def _config_from(data):
         if not 0 < merged[key] <= 1:
             raise ValueError(f"config key {key!r} must lie in (0, 1]")
     for key in ("n_population", "replications", "tau", "g_max",
-                "clerical_m", "threads"):
-        if merged[key] < 1:
+                "clerical_m", "threads", "table_reference_size"):
+        if merged[key] is not None and merged[key] < 1:
             raise ValueError(f"config key {key!r} must be a positive integer")
+    for key in ("seed", "rep_index"):
+        if merged[key] < 0:
+            raise ValueError(f"config key {key!r} must be a non-negative "
+                             f"integer")
     if merged["d"] not in (1, 2):
         raise ValueError("config key 'd' must be 1 or 2")
-    bad = set(merged["estimators"]) - set(ALL_ESTIMATORS)
-    if bad:
-        raise ValueError(f"config key 'estimators' names unknown "
-                         f"estimator(s): {', '.join(sorted(bad))}")
+    check_estimators(merged["estimators"])
     merged["estimators"] = tuple(merged["estimators"])
     if merged["rule_variant"] not in (None, *lk.RULE_VARIANTS):
         raise ValueError(f"config key 'rule_variant' must be one of "

@@ -30,6 +30,7 @@ from .popsim import PerturbationParams, draw_samples, generate_population
 
 __all__ = [
     "ALL_ESTIMATORS",
+    "check_estimators",
     "ScenarioConfig",
     "ReplicationResult",
     "MetricsTable",
@@ -62,6 +63,15 @@ ESTIMATOR_LABELS = {
     "mn_with_interactions": "MN with 2nd order interactions",
 }
 
+
+def check_estimators(names):
+    """Refuse estimator names outside ALL_ESTIMATORS, naming them."""
+    bad = set(names) - set(ALL_ESTIMATORS)
+    if bad:
+        raise ValueError(f"config key 'estimators' names unknown "
+                         f"estimator(s): {', '.join(sorted(bad))}")
+
+
 # scenario id -> (main, pair, triple, rule variant)
 _SCENARIOS = {
     1: (1.0, 0.0, 0.0, lk.RULE_BASELINE_ONLY),
@@ -74,12 +84,15 @@ _SCENARIOS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation setting: population, perturbation, linkage, fits."""
+    """One simulation setting: population, perturbation, linkage, fits.
+
+    perturbation holds the log-linear coefficients of the agreement
+    patterns, the paper's Table 7 in the standard scenarios.  estimators
+    may name only ALL_ESTIMATORS; any other name is refused.
+    """
 
     scenario_id: int = 1
-    u_main: tuple = (1.0, 1.0, 1.0)
-    u_pair: tuple = (0.0, 0.0, 0.0)
-    u_triple: float = 0.0
+    perturbation: PerturbationParams = PerturbationParams()
     rule_variant: str = lk.RULE_BASELINE_ONLY
     n_population: int = 20000
     pi_a: float = 0.9
@@ -94,6 +107,9 @@ class ScenarioConfig:
     surname_csv: str = None
     age_csv: str = None
 
+    def __post_init__(self):
+        check_estimators(self.estimators)
+
     @classmethod
     def from_scenario(cls, scenario_id, **overrides):
         """Standard scenario settings, optionally overridden."""
@@ -102,17 +118,10 @@ class ScenarioConfig:
         main, pair, triple, variant = _SCENARIOS[scenario_id]
         base = cls(
             scenario_id=scenario_id,
-            u_main=(main,) * 3,
-            u_pair=(pair,) * 3,
-            u_triple=triple,
+            perturbation=PerturbationParams((main,) * 3, (pair,) * 3, triple),
             rule_variant=variant,
         )
         return replace(base, **overrides) if overrides else base
-
-    @property
-    def perturbation(self):
-        return PerturbationParams(u_main=self.u_main, u_pair=self.u_pair,
-                                  u_triple=self.u_triple)
 
     def tables(self):
         """Surname/age tables: ingested census files or synthetic.
@@ -197,7 +206,7 @@ def link(pop, flags, rule_variant):
     panel_b, panel_a = lk.sample_records(pop, flags)
     pairs = lk.block_pairs(panel_b, panel_a)
     base = lk.baseline_pairs(panel_b, panel_a, pairs)
-    links1 = lk.link_rule1(base, lk.LinkageRuleSpec(rule_variant))
+    links1 = lk.link_rule1(base, rule_variant)
     return Linked(panel_b, panel_a, pairs.size, base, links1,
                   lk.dedupe_rule2(links1))
 
@@ -238,7 +247,8 @@ def count_estimates(cv, estimators, tau, g_max):
             "un", acc.coverage_hat,
             diagnostics={"G": sel.g_hat, "p_bar": acc.p_bar,
                          "lambda_bar": acc.lambda_bar,
-                         "precision_hat": acc.precision_hat},
+                         "precision_hat": acc.precision_hat,
+                         "converged": sel.fit.converged},
         )
     modes = [name for name in _MN_CONSTRAINTS if name in estimators]
     if modes:
@@ -289,7 +299,8 @@ class MetricsTable:
     Conventions: relative bias is against the true coverage pi_a in
     percent; variance uses the sample (R-1) denominator; MSE is the mean
     squared deviation from the true coverage, so
-    mse = variance * (R-1)/R + bias^2 holds exactly.
+    mse = variance * (R-1)/R + bias^2 holds exactly.  An estimator with
+    fewer than two values has no sample variance and is refused.
     """
 
     true_coverage: float
@@ -302,13 +313,15 @@ class MetricsTable:
         rows = {}
         for name, values in self.estimates.items():
             values = np.asarray(values, dtype=float)
-            r = values.size
+            if values.size < 2:
+                raise ValueError(f"need at least two replications; "
+                                 f"{name!r} has {values.size}")
             mean = float(values.mean())
             bias = mean - self.true_coverage
             rows[name] = {
                 "mean": mean,
                 "rel_bias_pct": 100.0 * bias / self.true_coverage,
-                "variance": float(values.var(ddof=1)) if r > 1 else 0.0,
+                "variance": float(values.var(ddof=1)),
                 "mse": float(np.mean((values - self.true_coverage) ** 2)),
             }
         self.rows = rows

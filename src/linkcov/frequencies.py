@@ -345,13 +345,6 @@ class _OperatingPoint:
         return float(np.multiply(mass, work, out=work).sum())
 
 
-def _operating_point(code_probs, year_probs, n_population):
-    """Expected FP links per record and matched-link survival rate."""
-    code_probs = np.asarray(code_probs)
-    op = _OperatingPoint(year_probs, n_population, code_probs.size)
-    return op.fp_per_record(code_probs), op.survival(code_probs)
-
-
 # The relative tolerance and iteration cap of scipy.optimize.brentq.
 _BRENT_RTOL = 4 * np.finfo(float).eps
 _BRENT_MAXITER = 100

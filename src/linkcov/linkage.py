@@ -18,7 +18,6 @@ __all__ = [
     "RULE_BASELINE_ONLY",
     "RULE_BASELINE_AND_ANY_EXACT",
     "RULE_VARIANTS",
-    "LinkageRuleSpec",
     "RecordPanel",
     "CandidatePairs",
     "LinkSet",
@@ -44,17 +43,6 @@ __all__ = [
 RULE_BASELINE_ONLY = "baseline_only"
 RULE_BASELINE_AND_ANY_EXACT = "baseline_and_any_exact"
 RULE_VARIANTS = (RULE_BASELINE_ONLY, RULE_BASELINE_AND_ANY_EXACT)
-
-
-@dataclass(frozen=True)
-class LinkageRuleSpec:
-    """First-rule variant; the decision is a pure pair function."""
-
-    variant: str = RULE_BASELINE_ONLY
-
-    def __post_init__(self):
-        if self.variant not in RULE_VARIANTS:
-            raise ValueError(f"unknown rule variant {self.variant!r}")
 
 
 @dataclass
@@ -206,14 +194,17 @@ def _subset(links, keep):
     return LinkSet(*(getattr(links, f.name)[keep] for f in fields(LinkSet)))
 
 
-def link_rule1(base, spec=LinkageRuleSpec()):
-    """Apply the first linkage rule to the baseline_pairs link set.
+def link_rule1(base, variant=RULE_BASELINE_ONLY):
+    """Apply the first linkage rule, variant one of RULE_VARIANTS, to the
+    baseline_pairs link set; any other name is refused.
 
     baseline_and_any_exact keeps the pairs agreeing exactly on at least
     one field, in their order; baseline_only links every baseline pair
     and returns base itself, not a copy.
     """
-    if spec.variant == RULE_BASELINE_AND_ANY_EXACT:
+    if variant not in RULE_VARIANTS:
+        raise ValueError(f"unknown rule variant {variant!r}")
+    if variant == RULE_BASELINE_AND_ANY_EXACT:
         return _subset(base, base.pattern_code != 0)
     return base
 

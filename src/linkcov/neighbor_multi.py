@@ -198,7 +198,7 @@ class MultiCountHistogram:
         Rows of small non-negative counts are counted by np.bincount of
         one mixed-radix code per row (radix the column maximum + 1, the
         first column most significant, so codes sort as rows do); others
-        are sorted with np.lexsort.
+        go through np.unique itself.
         """
         mat = np.atleast_2d(np.asarray(count_matrix, dtype=np.int64))
         radix = [int(v) + 1 for v in mat.max(axis=0, initial=0)]
@@ -208,11 +208,7 @@ class MultiCountHistogram:
             codes = np.flatnonzero(counts)
             return cls(np.stack(np.unravel_index(codes, radix), axis=1),
                        counts[codes])
-        rows = mat[np.lexsort(mat.T[::-1])]
-        first = np.ones(rows.shape[0], dtype=bool)
-        first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-        starts = np.flatnonzero(first)
-        return cls(rows[starts], np.diff(np.append(starts, rows.shape[0])))
+        return cls(*np.unique(mat, axis=0, return_counts=True))
 
     @property
     def total(self):
@@ -481,18 +477,15 @@ def _start_point(g, init, design):
                            nu, lam_max)])
 
 
-def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
-                   start=None):
+def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10):
     """AIC selection of the class count (ties -> smallest G).
 
     constraint is a LogLinear or a non-empty tuple of them: at each G
     the fits of a tuple's orders run as one lockstep search, and the
     result is the tuple of the orders' SelectionResults, each the one
     that its order's own selection gives.  One order's fits run through
-    fit_multi.
-
-    start: appendix_c_start(hist, tau), computed once and shared by the
-    interaction orders fitted to one histogram; None computes it.
+    fit_multi.  Every fit starts from one appendix_c_start of the
+    histogram, computed here once for all orders and class counts.
     """
     if g_max < 1:
         raise ValueError("g_max must be at least 1")
@@ -500,8 +493,7 @@ def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10,
     many = isinstance(constraint, tuple)
     constraints = constraint if many else (constraint,)
     _require_loglinear(constraints)
-    if start is None:
-        start = appendix_c_start(hist, tau)
+    start = appendix_c_start(hist, tau)
     inits = tuple(init_appendix_c(start, c.d) for c in constraints)
     if many:
         def fit(g):

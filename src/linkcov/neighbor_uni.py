@@ -26,8 +26,6 @@ import scipy
 from ._optim import (
     LAMBDA_MAX,
     NU,
-    FitResult,
-    SelectionResult,
     check_class_count,
     count_objective,
     fit_starts,
@@ -45,8 +43,6 @@ __all__ = [
     "UniMixtureParams",
     "CountHistogram",
     "AccuracySummary",
-    "FitResult",
-    "SelectionResult",
     "comp_pmf",
     "mix_pmf",
     "capped_loglik",

@@ -56,7 +56,7 @@ def artifacts(tmp_path_factory):
     panel_b, panel_a = lk.sample_records(pop, flags)
     pairs = lk.block_pairs(panel_b, panel_a)
     links1 = lk.link_rule1(lk.baseline_pairs(panel_b, panel_a, pairs),
-                           lk.LinkageRuleSpec(scn.rule_variant))
+                           scn.rule_variant)
     links2 = lk.dedupe_rule2(links1)
     cv = lk.counts(links1, panel_b.size)
     lk.dump_linkset(links1, out / "links_rule1.csv")

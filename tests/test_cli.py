@@ -9,7 +9,9 @@ import pytest
 import linkcov
 from linkcov import cli
 from linkcov.cli import main, parse_config
-from linkcov.experiment import ScenarioConfig, run_replication
+from linkcov.baselines import CoverageEstimate
+from linkcov.experiment import (ReplicationResult, ScenarioConfig,
+                                run_replication, write_replication_log)
 from linkcov.linkage import RULE_BASELINE_AND_ANY_EXACT, RULE_BASELINE_ONLY
 
 
@@ -93,6 +95,10 @@ class TestParseConfig:
          "'estimators' names unknown estimator.*bogus"),
         ('{"d": 0}', "'d' must be 1 or 2"),
         ('{"d": 3}', "'d' must be 1 or 2"),
+        ('{"seed": -3}', "'seed' must be a non-negative integer"),
+        ('{"rep_index": -1}', "'rep_index' must be a non-negative integer"),
+        ('{"table_reference_size": 0}',
+         "'table_reference_size' must be a positive integer"),
     ])
     def test_key_types_refused_by_name(self, data, message):
         with pytest.raises(ValueError, match=message):
@@ -197,6 +203,17 @@ class TestCommands:
         md_first = (art / "report.md").read_bytes()
         assert main(["report", "--config", cfg_path]) == 0
         assert (art / "report.md").read_bytes() == md_first
+
+    def test_report_on_one_record_refused(self, tiny_cfg, capsys):
+        # one replication has no sample variance
+        cfg_path, art = tiny_cfg
+        art.mkdir()
+        write_replication_log(
+            [ReplicationResult(0, {"naive": CoverageEstimate("naive", 0.9)},
+                               {"rule1_recall": 1.0})],
+            art / "replications.jsonl")
+        assert main(["report", "--config", cfg_path]) == 1
+        assert "need at least two replications" in capsys.readouterr().err
 
     def test_error_exit_status(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -20,6 +20,7 @@ from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     loglinear_probs,
                                     sample_multi_counts, select_G_multi)
 from linkcov.neighbor_uni import UniMixtureParams, sample_counts
+from linkcov.popsim import PerturbationParams
 
 TINY = dict(n_population=4000, replications=2, g_max=2, master_seed=3,
             clerical_m=200)
@@ -27,17 +28,23 @@ TINY = dict(n_population=4000, replications=2, g_max=2, master_seed=3,
 
 class TestScenarioConfig:
     def test_table7_parameters(self):
-        s1 = ScenarioConfig.from_scenario(1)
+        s1 = ScenarioConfig.from_scenario(1).perturbation
         assert s1.u_pair == (0.0,) * 3 and s1.u_triple == 0.0
-        s3 = ScenarioConfig.from_scenario(3)
+        s3 = ScenarioConfig.from_scenario(3).perturbation
         assert s3.u_pair == (1.0,) * 3 and s3.u_triple == 0.25
         s4 = ScenarioConfig.from_scenario(4)
         assert s4.rule_variant == RULE_BASELINE_AND_ANY_EXACT
-        assert s4.u_pair == (1.0,) * 3
+        assert s4.perturbation.u_pair == (1.0,) * 3
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             ScenarioConfig.from_scenario(9)
+
+    def test_unknown_estimator_refused(self):
+        # refused, not dropped: the run would report Naive alone
+        with pytest.raises(ValueError,
+                           match="'estimators' names unknown estimator.*UN"):
+            ScenarioConfig.from_scenario(3, estimators=("UN", "naive"))
 
 
 class TestCensusTables:
@@ -83,7 +90,8 @@ class TestReplication:
         # estimator finds full coverage
         cfg = ScenarioConfig.from_scenario(
             1, n_population=500, pi_a=1.0, pi_b=1.0,
-            u_main=(60.0,) * 3, clerical_m=50, g_max=1, master_seed=5,
+            perturbation=PerturbationParams(u_main=(60.0,) * 3),
+            clerical_m=50, g_max=1, master_seed=5,
             rule_variant=RULE_BASELINE_AND_ANY_EXACT,
             table_reference_size=100000,   # diffuse table: no collisions
         )
@@ -117,6 +125,11 @@ class TestReplication:
         with pytest.raises(ValueError, match="tau must be at least 1"):
             run_replication(cfg, 0)
 
+    def test_un_fit_reports_converged(self):
+        cfg = ScenarioConfig.from_scenario(1, estimators=("un",), **TINY)
+        assert run_replication(cfg, 0).estimates["un"].diagnostics[
+            "converged"] is True
+
     def test_accuracy_record_fields(self):
         cfg = ScenarioConfig.from_scenario(1, estimators=("naive",), **TINY)
         res = run_replication(cfg, 0)
@@ -149,6 +162,13 @@ class TestMetrics:
         bias = r["mean"] - 0.9
         assert r["mse"] == pytest.approx(
             r["variance"] * 29 / 30 + bias ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("values", [[0.9], []])
+    def test_fewer_than_two_values_refused(self, values):
+        # one value has no sample variance
+        with pytest.raises(ValueError,
+                           match="need at least two replications; 'x' has"):
+            MetricsTable(0.9, len(values), {"x": np.array(values)}, {})
 
 
 class TestRunExperiment:

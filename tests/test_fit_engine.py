@@ -14,16 +14,15 @@ import pytest
 import scipy.optimize
 
 from linkcov import _optim, neighbor_multi
-from linkcov._optim import (NU, _new_point, check_class_count, fit_starts,
-                            minimize)
+from linkcov._optim import (NU, FitResult, _new_point, check_class_count,
+                            fit_starts, minimize)
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, appendix_c_start,
                                     build_design, fit_multi,
                                     multi_fit_document, sample_multi_counts,
                                     select_G_multi, single_class_p_hat)
-from linkcov.neighbor_uni import (CountHistogram, FitResult,
-                                  UniMixtureParams, fit_document, fit_uni,
-                                  select_G)
+from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams,
+                                  fit_document, fit_uni, select_G)
 from test_minimize_oracle import point_block
 
 P7 = [0.125, 0.0625, 0.03125, 0.25, 0.015625, 0.0078125, 0.375]
@@ -177,12 +176,13 @@ class TestAicParameterCount:
 
     @pytest.mark.parametrize("constraint", [LogLinear(1), LogLinear(2)],
                              ids=str)
-    def test_multivariate(self, quick, multi_hist, constraint):
+    def test_multivariate(self, monkeypatch, quick, multi_hist, constraint):
         # G - 1 weights, phi, d_u coefficients and G x 7 rates
         rates = np.full(7, 0.1)
         start = (rates, single_class_p_hat(multi_hist, rates))
-        sel = select_G_multi(multi_hist, 3, constraint=constraint,
-                             start=start)
+        monkeypatch.setattr(neighbor_multi, "appendix_c_start",
+                            lambda hist, tau: start)
+        sel = select_G_multi(multi_hist, 3, constraint=constraint)
         d_u = {1: 3, 2: 6}[constraint.d]
         assert [row["k"] for row in sel.trace] == [
             (g - 1) + 1 + d_u + 7 * g for g in (1, 2, 3)]

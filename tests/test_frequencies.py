@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from linkcov import frequencies as freq
 from linkcov.frequencies import (FrequencyTable, build_soundex_index,
                                  load_frequency_table, synthetic_age_table,
-                                 synthetic_surname_table, _operating_point)
+                                 synthetic_surname_table, _OperatingPoint)
 from linkcov.soundex import soundex
 
 
@@ -191,8 +191,10 @@ class TestSyntheticTables:
             masses = {}
             for label, prob in zip(t.labels, t.probs):
                 masses[soundex(label)] = masses.get(soundex(label), 0.0) + prob
-            fp, surv = _operating_point(np.array(list(masses.values())),
-                                        synthetic_age_table().probs, ref)
+            code_probs = np.array(list(masses.values()))
+            op = _OperatingPoint(synthetic_age_table().probs, ref,
+                                 code_probs.size)
+            fp, surv = op.fp_per_record(code_probs), op.survival(code_probs)
             precision = 0.9 / (0.9 + fp)
             assert 0.932 <= precision <= 0.972
             assert 0.92 <= surv <= 0.97
@@ -274,7 +276,8 @@ class TestCalibrationOracle:
         for n_codes in (1, 7, 3601, 3612):
             for n_population in (1000, 100000, 1000000):
                 code_probs = rng.dirichlet(np.full(n_codes, 0.5))
-                assert (_operating_point(code_probs, year_probs, n_population)
+                op = _OperatingPoint(year_probs, n_population, n_codes)
+                assert ((op.fp_per_record(code_probs), op.survival(code_probs))
                         == reference_operating_point(code_probs, year_probs,
                                                      n_population))
 

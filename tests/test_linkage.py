@@ -134,7 +134,7 @@ def linked(rows_b, rows_a, variant=lk.RULE_BASELINE_ONLY):
     (b_pos, a_pos, b_unit, a_unit, pattern) tuples."""
     pb, pa = panel(rows_b), panel(rows_a)
     base = lk.baseline_pairs(pb, pa, lk.block_pairs(pb, pa))
-    links = lk.link_rule1(base, lk.LinkageRuleSpec(variant))
+    links = lk.link_rule1(base, variant)
     return [list(zip(ls.b_pos.tolist(), ls.a_pos.tolist(), ls.b_unit.tolist(),
                      ls.a_unit.tolist(),
                      [PATTERNS[c] for c in ls.pattern_code.tolist()]))
@@ -204,10 +204,15 @@ class TestRule1:
     def test_any_exact_excludes_zero_pattern(self, replication):
         _, _, pb, pa, pairs, _, _ = replication
         base = lk.baseline_pairs(pb, pa, pairs)
-        strict = lk.link_rule1(
-            base, lk.LinkageRuleSpec(lk.RULE_BASELINE_AND_ANY_EXACT))
+        strict = lk.link_rule1(base, lk.RULE_BASELINE_AND_ANY_EXACT)
         assert strict.size == base.size - int((base.pattern_code == 0).sum())
         assert (strict.pattern_code != 0).all()
+
+    def test_unknown_variant_refused(self, replication):
+        _, _, pb, pa, pairs, _, _ = replication
+        base = lk.baseline_pairs(pb, pa, pairs)
+        with pytest.raises(ValueError, match="unknown rule variant 'bogus'"):
+            lk.link_rule1(base, "bogus")
 
     def test_shuffle_invariance(self, replication):
         # simple rule: decisions survive roster permutation

@@ -337,8 +337,8 @@ class TestFitMulti:
 
     @pytest.mark.parametrize("fit", [
         lambda hist, init, **kw: fit_multi(hist, 2, tau=4, init=init, **kw),
-        lambda hist, init, **kw: select_G_multi(
-            hist, 2, tau=4, start=(init["lambda"], TWO_CLASS_P), **kw).fit],
+        lambda hist, init, **kw: select_from(
+            (init["lambda"], TWO_CLASS_P), hist, 2, tau=4, **kw).fit],
         ids=["fit", "select"])
     def test_default_constraint_is_second_order(self, monkeypatch, fit):
         hist, init = _two_class_hist()
@@ -348,6 +348,14 @@ class TestFitMulti:
         assert default.params.u_labels == build_design(2).labels
         assert default.loglik == second.loglik
         np.testing.assert_array_equal(default.params.u, second.params.u)
+
+
+def select_from(start, hist, g_max, **kwargs):
+    """select_G_multi fitting from start, a (rates, cells) pair, in place
+    of the appendix_c_start it computes."""
+    with mock.patch.object(neighbor_multi, "appendix_c_start",
+                           lambda hist, tau: start):
+        return select_G_multi(hist, g_max, **kwargs)
 
 
 # the true-positive cells that _two_class_hist's classes share
@@ -490,16 +498,14 @@ class TestJointSelection:
             return minimize(fun, x0, *args, **kwargs)
 
         monkeypatch.setattr(neighbor_multi, "minimize", recording)
-        joint = select_G_multi(hist, 3, constraint=orders, tau=10,
-                               start=start)
+        joint = select_from(start, hist, 3, constraint=orders, tau=10)
         monkeypatch.setattr(neighbor_multi, "minimize", minimize)
         # one search per G, on one block of n_starts rows per order
         assert blocks == [[(n_starts, (g - 1) + 1 + d_u + 7 * g)
                            for d_u in (3, 6)] for g in (1, 2, 3)]
         assert len(joint) == len(orders)
         for constraint, sel in zip(orders, joint):
-            own = select_G_multi(hist, 3, constraint=constraint, tau=10,
-                                 start=start)
+            own = select_from(start, hist, 3, constraint=constraint, tau=10)
             assert sel.g_hat == own.g_hat
             assert sel.trace == own.trace
             assert _fit_fields(sel.fit) == _fit_fields(own.fit)
@@ -517,8 +523,8 @@ class TestSharedRates:
         hist = MultiCountHistogram.from_observations(draws)
         start = appendix_c_start(hist, 10)
         for d in (1, 2):
-            shared = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10,
-                                    start=start)
+            shared = select_from(start, hist, 3, constraint=LogLinear(d),
+                                 tau=10)
             own = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10)
             assert shared.g_hat == own.g_hat
             assert shared.fit.loglik == own.fit.loglik
@@ -537,8 +543,8 @@ class TestSharedRates:
         np.testing.assert_array_equal(
             cells, single_class_p_hat(hist, rates, tau=10))
         for d in (1, 2):
-            shared = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10,
-                                    start=(rates, cells))
+            shared = select_from((rates, cells), hist, 3,
+                                 constraint=LogLinear(d), tau=10)
             own = select_G_multi(hist, 3, constraint=LogLinear(d), tau=10)
             assert shared.g_hat == own.g_hat
             assert shared.trace == own.trace
@@ -546,8 +552,7 @@ class TestSharedRates:
 
     @pytest.mark.parametrize("fit", [
         lambda hist: select_G_multi(hist, 1),
-        lambda hist: select_G_multi(hist, 1, start=(np.ones(2),
-                                                    np.full(2, 0.1))),
+        lambda hist: select_from((np.ones(2), np.full(2, 0.1)), hist, 1),
         lambda hist: fit_multi(hist, 1),
         lambda hist: appendix_c_start(hist)],
         ids=["select", "passed", "fit", "init"])
