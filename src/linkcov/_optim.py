@@ -36,10 +36,10 @@ setulb state per start, and in each round the starts that ask for a new
 point are evaluated by one call of the objective on the tuple of each
 block's asking points.  The count-mixture kernel, whose cost is mostly
 per call, pays that cost once per round instead of once per start, and
-the multivariate fits of both interaction orders at one class count
-share it.  Each start still ends on the point, after the evaluations and
-iterations, that its own search would give, and minimize reports the
-evaluations and iterations as sums over its starts.
+the fits of several heads or histograms share it.  Each start still
+ends on the point, after the evaluations and iterations, that its own
+search would give (for histograms, see count_objective), and minimize
+reports the evaluations and iterations as sums over its starts.
 
 All count-mixture parameters live in boxes or simplices; their fits run
 an unconstrained quasi-Newton search, so each constrained quantity is
@@ -275,25 +275,30 @@ class _Search:
 
 def split_counts(keys, counts, tau):
     """The (k, m) count vectors keys with |t| <= tau, their summed log
-    factorials and their multiplicities (of counts), and the tail count.
-    Refuses a cap tau below 1, which leaves the true-positive cells
-    unidentified."""
+    factorials, their multiplicities and the tail count (for a count
+    matrix, a row and a count per block).  Refuses a cap tau below 1,
+    which leaves the true-positive cells unidentified."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
     low = keys.sum(axis=1) <= tau
     low_keys = keys[low].astype(float)
     return (low_keys, scipy.special.gammaln(low_keys + 1.0).sum(axis=1),
-            counts[low].astype(float), float(counts[~low].sum()))
+            counts[..., low].astype(float),
+            counts[..., ~low].sum(axis=-1).astype(float).tolist())
 
 
 def count_objective(keys, counts, tau, g, designs):
     """The objective of G-class count-mixture fits to the distinct (k, m)
-    count vectors keys, seen counts times each: a block kernel on a tuple
-    of blocks, block b's rows laid out for the head designs[b]: X -> (the
-    negative mean capped log-likelihood at each row x of each block,
-    block by block, and the tuple of the blocks' analytic gradients; see
-    minimize).  Each row gets the bits that the kernel gives it alone, so
-    the fits of several heads can share each call.
+    count vectors keys, seen counts[b] times each by block b's histogram
+    (rows of one total): a block kernel on a tuple of blocks, block b's
+    rows laid out for the head designs[b]: X -> (the negative mean capped
+    log-likelihood at each row x of each block, block by block, and the
+    tuple of the blocks' analytic gradients; see minimize).  Each row gets
+    the bits that the kernel gives it alone on its own histogram, so the
+    fits of several heads or histograms can share each call.  Zeros for
+    keys that a block's histogram lacks keep those bits up to 14 keys at
+    or below tau (OpenBLAS 0.3, x86-64); past that, a fit may match its
+    own only to the search's tolerance.
 
     A row is [weight logits | head | rate reals].  Class c gives a count
     vector t with |t| <= tau the mass alpha_c a_c times the bracket
@@ -314,19 +319,26 @@ def count_objective(keys, counts, tau, g, designs):
     [alpha a | alpha mix] fill one (S, 2g, k) block; q is the class sum
     of its mix rows, floored at 1e-300 as the tail mass is, and one
     stacked product of the w-weighted block with the columns gives the
-    four weighted sums of the gradient.  Every product is stacked, one
-    2-D product per row, because one flat product of all rows rounds
-    differently.  The weights, the head and the tail's Poisson term are
-    Python floats per row (math.exp, not np.exp, whose bits differ); the
-    logistic of each block is one array call, which saturates where
-    exp(-x) would overflow.  Nothing of size k * g * m is formed.  A
-    call costs mostly its fixed overhead: on the 155 distinct vectors of
-    one N=100k scenario-3 replication, about 50-60 us on one point and
-    140-175 us on ten (G = 1..3, 2-vCPU VM, one BLAS thread).
+    four weighted sums of the gradient (a zero count adds zeros).  Every
+    product is stacked, one 2-D product per row, on contiguous count rows,
+    because one flat product of all rows, or a strided row, rounds
+    differently.
+    The weights, the head and the tail's terms are Python floats per row
+    (math.exp, not np.exp, whose bits differ), the tail's only on rows
+    with a tail (adding 0.0 turns -0.0 into 0.0); the logistic of each
+    block is one array call, which saturates where exp(-x) would
+    overflow.  Nothing of size k * g * m is formed.  A call costs mostly
+    its fixed overhead: on the 155 distinct vectors of one N=100k
+    scenario-3 replication, about 50-60 us on one point and 140-175 us
+    on ten (G = 1..3, 2-vCPU VM, one BLAS thread).
     """
-    keys, log_fact, cnts, tail_count = split_counts(keys, counts, tau)
+    totals = np.sum(counts, axis=-1)
+    if np.shape(counts) != (len(designs), len(keys)) or np.ptp(totals):
+        raise ValueError(f"need one count row per block over the keys, of "
+                         f"one total; got {np.shape(counts)}, {totals}")
+    keys, log_fact, cnts, tail_counts = split_counts(keys, counts, tau)
     k, m = keys.shape
-    total = float(counts.sum())
+    total = float(totals[0])
     cols = np.empty((k, m + 2))
     cols[:, :m] = keys
     cols[:, m] = 1.0
@@ -357,7 +369,8 @@ def count_objective(keys, counts, tau, g, designs):
     exp, log = math.exp, math.log
 
     def objective(blocks):
-        n_rows = sum(block.shape[0] for block in blocks)
+        sizes = [block.shape[0] for block in blocks]
+        n_rows = sum(sizes)
         if n_rows >= len(views):
             grow(n_rows)
         coef, a_mix = views[n_rows]
@@ -409,8 +422,10 @@ def count_objective(keys, counts, tau, g, designs):
         mix = np.multiply(a, expo[:, g:], out=a_mix[:, g:])
         q = mix.sum(axis=1)
         np.maximum(q, 1e-300, out=q)
-        w = cnts / q
-        ll = np.matmul(cnts, np.log(q, out=q)[:, :, None]).ravel().tolist()
+        row_cnts = np.repeat(cnts, sizes, axis=0)
+        w = row_cnts / q
+        ll = np.matmul(row_cnts[:, None, :], np.log(q, out=q)[:, :, None]
+                       ).ravel().tolist()
         # sums[., c, gamma] = alpha_c sum_k w [a | mix]_c t_gamma, and in
         # column m alpha_c sum_k w [a | mix]_c
         sums = np.matmul(np.multiply(a_mix, w[:, None, :], out=a_mix), cols)
@@ -423,20 +438,22 @@ def count_objective(keys, counts, tau, g, designs):
         d_alphas = [[sm / ac for sm, ac in zip(row_sums, alpha)]
                     for row_sums, alpha in zip(sums[:, g:, m].tolist(),
                                                alphas)]
-        if tail_count:
+        row_tails = sum(([t] * n for t, n in zip(tail_counts, sizes)), [])
+        tail_rows = [i for i, t in enumerate(row_tails) if t]
+        if tail_rows:
             cdf_ts = pdtr(tau, lam_sums).tolist()
             cdf_tm1s = pdtr(tau - 1, lam_sums).tolist()
             tail_p, tail_lam = [], []
-            rows = zip(alphas, d_alphas, lam_sums, psum.ravel().tolist(),
-                       cdf_ts, cdf_tm1s)
-            for i, row in enumerate(rows):
-                alpha, d_alpha, lam_sum, ps, cdf_t, cdf_tm1 = row
+            rows = list(zip(alphas, d_alphas, lam_sums, psum.ravel().tolist(),
+                            cdf_ts, cdf_tm1s, row_tails))
+            for i in tail_rows:
+                alpha, d_alpha, lam_sum, ps, cdf_t, cdf_tm1, n_tail = rows[i]
                 below = [(1.0 - ps) * ct + ps * cm
                          for ct, cm in zip(cdf_t, cdf_tm1)]
                 T = max(1.0 - sum([ac * b for ac, b in zip(alpha, below)]),
                         1e-300)
-                ll[i] += tail_count * log(T)
-                wt = tail_count / T
+                ll[i] += n_tail * log(T)
+                wt = n_tail / T
                 row_p, row_lam = [], []
                 for c in range(g):
                     ls = lam_sum[c]
@@ -447,8 +464,10 @@ def count_objective(keys, counts, tau, g, designs):
                                                      + ps * pmf_t * tau / ls)))
                 tail_p.append(row_p)
                 tail_lam.append(row_lam)
-            d_p += np.array(tail_p)[:, :, None]
-            d_lam += np.array(tail_lam)[:, :, None]
+            # a slice of all rows adds in place, a list of some by copies
+            at = slice(None) if len(tail_rows) == n_rows else tail_rows
+            d_p[at] += np.array(tail_p)[:, :, None]
+            d_lam[at] += np.array(tail_lam)[:, :, None]
 
         # chain rules
         dldp = d_p.sum(axis=1, keepdims=True)

@@ -109,6 +109,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_estimators(self.estimators)
+        ref = self.table_reference_size
+        if ref is not None and ref < 1:
+            raise ValueError("config key 'table_reference_size' must be a "
+                             "positive integer")
 
     @classmethod
     def from_scenario(cls, scenario_id, **overrides):
@@ -132,8 +136,9 @@ class ScenarioConfig:
         if self.surname_csv:
             surnames = _census_table(self.surname_csv, "surname")
         else:
-            ref = self.table_reference_size or self.n_population
-            surnames = synthetic_surname_table(ref)
+            ref = self.table_reference_size
+            surnames = synthetic_surname_table(
+                self.n_population if ref is None else ref)
         if self.age_csv:
             ages = _census_table(self.age_csv, "age")
         else:

@@ -46,7 +46,8 @@ from ._optim import (
     stick_break_inverse,
     stick_break_vjp,
 )
-from .neighbor_uni import CountHistogram, select_G
+# select_G is not called here: perfbench/layers.py hooks it in this module.
+from .neighbor_uni import CountHistogram, fit_uni_many, select_G
 from .popsim import PATTERNS as _ALL_PATTERNS
 
 __all__ = [
@@ -358,18 +359,17 @@ def appendix_c_start(hist, tau=10):
     (rates, cells).
 
     rates holds, per rule, the aggregate rate lambda_bar of a univariate
-    shared-p fit (G = 1..2, AIC) of that rule's marginal counts, floored
-    at NU; cells are the single-class true-positive cells with those
-    rates plugged in (single_class_p_hat).  Neither depends on the
-    interaction order or on G, so one start serves every fit of the
-    histogram (see init_appendix_c).
+    shared-p fit (G = 1..2, AIC, the seven in one search per G) of that
+    rule's marginal counts, floored at NU; cells are the single-class
+    true-positive cells with those rates plugged in (single_class_p_hat).
+    Neither depends on the interaction order or on G, so one start serves
+    every fit of the histogram (see init_appendix_c).
     """
     _require_three_binary_groups(hist)
-    rates = []
-    for coord in range(hist.width):
-        sel = select_G(marginal_histogram(hist, coord), 2, tau=tau)
-        rates.append(sel.fit.params.lambda_bar)
-    rates = np.clip(rates, NU, None)
+    marginals = [marginal_histogram(hist, c) for c in range(hist.width)]
+    by_g = [fit_uni_many(marginals, g, tau) for g in (1, 2)]
+    rates = np.clip([select_aic(lambda g: by_g[g - 1][i], 2).fit.params
+                     .lambda_bar for i in range(hist.width)], NU, None)
     return rates, single_class_p_hat(hist, rates, tau=tau)
 
 
@@ -454,8 +454,9 @@ def _fit_orders(hist, g, constraints, tau, inits):
                 for init, design in zip(inits, designs))
     params_ats = tuple(lambda x, design=design: _unpack_multi(x, g, design)
                        for design in designs)
-    objective = count_objective(hist.keys, hist.counts, tau, g,
-                                tuple(d.Z for d in designs))
+    objective = count_objective(hist.keys,
+                                np.tile(hist.counts, (len(designs), 1)), tau,
+                                g, tuple(d.Z for d in designs))
     return fit_starts(minimize, objective, x0s, float(hist.total), tau,
                       params_ats, salt=(71,))
 

@@ -47,6 +47,7 @@ __all__ = [
     "mix_pmf",
     "capped_loglik",
     "fit_uni",
+    "fit_uni_many",
     "select_G",
     "accuracy_from_fit",
     "sample_counts",
@@ -214,11 +215,24 @@ def fit_uni(hist, g, tau=10):
     and keeps the best local maximizer.  The achieved log-likelihood
     never falls below the initialization's.
     """
+    return fit_uni_many((hist,), g, tau)[0]
+
+
+def fit_uni_many(hists, g, tau=10):
+    """fit_uni of each of hists, of one total, as one lockstep search, a
+    kernel block and count row each over the union of their values: each
+    FitResult bit for bit its own while that union is short (see
+    count_objective), as for appendix_c_start's seven marginals."""
     check_class_count(g)
-    objective = count_objective(hist.values[:, None], hist.counts, tau, g,
-                                (None,))
-    return fit_starts(minimize, objective, (_start(hist, g),),
-                      float(hist.total), tau, (lambda x: _unpack(x, g),))[0]
+    values = np.unique(np.concatenate([h.values for h in hists]))
+    counts = np.zeros((len(hists), values.size), np.int64)
+    for row, h in zip(counts, hists):
+        row[np.searchsorted(values, h.values)] = h.counts
+    objective = count_objective(values[:, None], counts, tau, g,
+                                (None,) * len(hists))
+    return fit_starts(minimize, objective, tuple(_start(h, g) for h in hists),
+                      float(hists[0].total), tau,
+                      (lambda x: _unpack(x, g),) * len(hists))
 
 
 def select_G(hist, g_max, tau=10):

@@ -46,6 +46,28 @@ class TestScenarioConfig:
                            match="'estimators' names unknown estimator.*UN"):
             ScenarioConfig.from_scenario(3, estimators=("UN", "naive"))
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_table_reference_size_below_one_refused(self, size):
+        # refused by key name, as the CLI refuses it, not calibrated at
+        # n_population without a word
+        with pytest.raises(ValueError, match="'table_reference_size' must "
+                                             "be a positive integer"):
+            ScenarioConfig.from_scenario(1, n_population=3000,
+                                         table_reference_size=size)
+
+    @pytest.mark.parametrize("size, calibrated", [(None, 3000), (1, 1),
+                                                  (5000, 5000)])
+    def test_tables_calibrate_at_the_reference_size(self, monkeypatch, size,
+                                                    calibrated):
+        from linkcov import experiment
+
+        seen = []
+        monkeypatch.setattr(experiment, "synthetic_surname_table",
+                            lambda n: seen.append(n))
+        ScenarioConfig.from_scenario(1, n_population=3000,
+                                     table_reference_size=size).tables()
+        assert seen == [calibrated]
+
 
 class TestCensusTables:
     def test_each_file_parsed_once(self, tmp_path, monkeypatch):

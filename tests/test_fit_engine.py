@@ -1,7 +1,9 @@
 """What the univariate and multivariate count-mixture fits share: the JSON
 documents of their results, the parameter count that AIC charges, the
 class counts, constraints and count caps they accept, the choice of the
-best start, and when the L-BFGS-B loop evaluates a point again.
+best start, when the L-BFGS-B loop evaluates a point again, and the
+kernel's count matrix, one row per block, with which one search fits
+many histograms.
 
 The documents are pinned for hand-built results, so the pins do not
 depend on the optimizer or on the platform's floating-point libraries.
@@ -13,17 +15,20 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from linkcov import _optim, neighbor_multi
+from linkcov import _optim, neighbor_multi, neighbor_uni
 from linkcov._optim import (NU, FitResult, _new_point, check_class_count,
-                            fit_starts, minimize)
+                            count_objective, fit_starts, minimize)
 from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, appendix_c_start,
                                     build_design, fit_multi,
                                     multi_fit_document, sample_multi_counts,
                                     select_G_multi, single_class_p_hat)
 from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams,
-                                  fit_document, fit_uni, select_G)
+                                  fit_document, fit_uni, fit_uni_many,
+                                  select_G)
 from test_minimize_oracle import point_block
+from test_neighbor_uni import (assert_gaps_and_tails, fit_bytes,
+                               histograms_of_one_total)
 
 P7 = [0.125, 0.0625, 0.03125, 0.25, 0.015625, 0.0078125, 0.375]
 
@@ -349,3 +354,56 @@ class TestReaskedPoint:
         assert end.x.tobytes() == ref.x.tobytes()
         assert (end.nfev, end.nit, end.success) == (ref.nfev, ref.nit,
                                                     ref.success)
+
+
+class TestManyHistograms:
+    """One lockstep search fits many histograms of one total, one block
+    and count row of the kernel each, as the Appendix-C start fits its
+    seven marginals."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_each_fit_is_its_own(self, monkeypatch, g):
+        hists = histograms_of_one_total(20)
+        tau = 8
+        assert_gaps_and_tails(hists, tau)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(neighbor_uni, "minimize", counting)
+        fits = fit_uni_many(hists, g, tau)
+        assert len(calls) == 1 and len(calls[0]) == len(hists)
+        assert [fit_bytes(fit) for fit in fits] == [
+            fit_bytes(fit_uni(hist, g, tau=tau)) for hist in hists]
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_wide_supports_fit_to_rounding(self, g):
+        # 50 keys at or below tau, most absent from most histograms: the
+        # zero counts enter the kernel's k-length sums, which BLAS groups
+        # differently on long supports, so a fit may leave its own by
+        # rounding, but not by more than the search's tolerance
+        hists = histograms_of_one_total(20, top=60.0)
+        tau = 50
+        assert_gaps_and_tails(hists, tau)
+        assert np.unique(np.concatenate([h.values for h in hists
+                                         ])).searchsorted(tau, "right") > 40
+        for fit, hist in zip(fit_uni_many(hists, g, tau), hists):
+            own = fit_uni(hist, g, tau=tau)
+            assert fit.converged == own.converged
+            assert fit.loglik == pytest.approx(own.loglik, rel=1e-8)
+
+    @pytest.mark.parametrize("counts, n_blocks", [
+        (np.ones((2, 3), np.int64), 3), (np.ones((2, 3), np.int64), 1),
+        (np.ones(3, np.int64), 1), (np.ones((1, 2), np.int64), 1)])
+    def test_one_count_row_per_block(self, counts, n_blocks):
+        with pytest.raises(ValueError, match="one count row per block"):
+            count_objective(np.arange(3)[:, None], counts, 2, 1,
+                            (None,) * n_blocks)
+
+    def test_rows_of_one_total(self):
+        counts = np.array([[5, 3, 1], [5, 3, 2]])
+        with pytest.raises(ValueError, match="of one total.*9 10"):
+            count_objective(np.arange(3)[:, None], counts, 2, 1,
+                            (None, None))

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import OptimizeResult
 from scipy.stats import poisson
 
-from linkcov import _optim, experiment, linkage, neighbor_multi
+from linkcov import (_optim, experiment, linkage, neighbor_multi,
+                     neighbor_uni)
 from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
                                     MultiMixtureParams, appendix_c_start,
                                     build_design, coverage_from_fit,
@@ -18,8 +19,10 @@ from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
                                     multi_comp_pmf,
                                     multi_mix_pmf, sample_multi_counts,
                                     select_G_multi, single_class_p_hat)
-from linkcov.neighbor_uni import UniMixtureParams, mix_pmf
-from test_neighbor_uni import assert_gradient_matches, captured_objective
+from linkcov._optim import NU
+from linkcov.neighbor_uni import UniMixtureParams, fit_uni, mix_pmf, select_G
+from test_neighbor_uni import (assert_gradient_matches, captured_objective,
+                               fit_bytes)
 
 
 def brute_pmf(t, p, lam):
@@ -510,6 +513,36 @@ class TestJointSelection:
             assert sel.trace == own.trace
             assert _fit_fields(sel.fit) == _fit_fields(own.fit)
 
+    def test_start_fits_the_marginals_in_two_searches(self, monkeypatch,
+                                                      scenario3_hist):
+        # appendix_c_start fits the seven marginals at G = 1 and at G = 2
+        # in one lockstep search each, one block per marginal; each fit
+        # ends as the marginal's own fit_uni, and each rate is its own
+        # selection's
+        hist = scenario3_hist
+        blocks, fits = [], []
+        minimize, fit_starts = neighbor_uni.minimize, neighbor_uni.fit_starts
+
+        def recording(fun, x0, *args, **kwargs):
+            blocks.append([b.shape for b in x0])
+            return minimize(fun, x0, *args, **kwargs)
+
+        def keeping(*args, **kwargs):
+            fits.append(fit_starts(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(neighbor_uni, "minimize", recording)
+        monkeypatch.setattr(neighbor_uni, "fit_starts", keeping)
+        rates, _ = appendix_c_start(hist, 10)
+        monkeypatch.undo()
+        assert blocks == [[(_optim.N_STARTS, 2 * g)] * 7 for g in (1, 2)]
+        for coord, rate in enumerate(rates):
+            marginal = marginal_histogram(hist, coord)
+            assert [fit_bytes(by_g[coord]) for by_g in fits] == [
+                fit_bytes(fit_uni(marginal, g)) for g in (1, 2)]
+            assert rate == max(select_G(marginal, 2).fit.params.lambda_bar,
+                               NU)
+
 
 class TestSharedRates:
     def test_passed_rates_reproduce_the_selection_exactly(self):
@@ -560,7 +593,7 @@ class TestSharedRates:
         def no_rates(*args, **kwargs):
             raise AssertionError("marginal rates fitted before the check")
 
-        monkeypatch.setattr(neighbor_multi, "select_G", no_rates)
+        monkeypatch.setattr(neighbor_multi, "fit_uni_many", no_rates)
         hist = MultiCountHistogram(keys=[[0, 1], [1, 0]], counts=[5, 3])
         with pytest.raises(ValueError, match="three binary rule groups"):
             fit(hist)

@@ -14,7 +14,9 @@ itself.
 Both fits hand L-BFGS-B one block kernel, ``fit_uni`` through its
 one-cell head, captured here through its one-row case.
 TestMultiBlockKernel checks, for both, that each row of a block gets the
-same bytes as that row alone, wherever it sits in the block.
+same bytes as that row alone, wherever it sits in the block, and, for
+the univariate kernel on several histograms, one count row per block,
+the bytes that its own histogram's kernel gives it.
 TestAllCountsInTail fits histograms with no count at or below the cap.
 
 At saturated points (|x| up to 800: weights, cells, phi and rates on
@@ -41,7 +43,8 @@ from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
                                     sample_multi_counts)
 from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
                                   sample_counts)
-from test_neighbor_uni import captured_objective
+from test_neighbor_uni import (assert_gaps_and_tails, captured_objective,
+                               histograms_of_one_total)
 
 RTOL = 1e-12
 
@@ -464,19 +467,25 @@ def row_bytes(fun, X, row):
     return float(values[row]).hex(), np.asarray(grads[row]).tobytes()
 
 
-def assert_rows_match_alone(fun, x0, g, tail):
-    """Each point around x0 gets, first, in the middle and last of
-    blocks of 2 to 5 beside the points after it, the bytes it gets
-    alone."""
-    points = np.array([*jittered(x0, seed=500 * g + tail),
-                       *saturated(x0.size, seed=600 * g + tail)])
-    n = len(points)
-    alone = [row_bytes(fun, x[None], 0) for x in points]
-    for size in range(2, 6):
-        for pos in sorted({0, size // 2, size - 1}):
-            for i in range(n):
-                rows = [(i - pos + j) % n for j in range(size)]
-                assert row_bytes(fun, points[rows], pos) == alone[i]
+def assert_rows_match_alone(fun, x0s, g, tail, owns=None):
+    """Each point around the start x0s[b] of each block b gets, in calls
+    of 1 to 5 points per block, at every place in its block, the bytes
+    that its own one-block kernel gives it alone: owns[b], the kernel of
+    block b's own histogram, or fun itself when it has one block."""
+    points = [np.array([*jittered(x0, seed=500 * g + tail + 7 * b),
+                        *saturated(x0.size, seed=600 * g + tail + 7 * b)])
+              for b, x0 in enumerate(x0s)]
+    alone = [[row_bytes(own, x[None], 0) for x in block]
+             for own, block in zip(owns or [fun], points)]
+    n = len(points[0])
+    for size in range(1, 6):
+        for i in range(n):
+            rows = [(i + j) % n for j in range(size)]
+            values, grads = fun(tuple(block[rows] for block in points))
+            got = [(float(v).hex(), grad.tobytes()) for v, grad in
+                   zip(values, [row for block in grads for row in block])]
+            assert got == [alone[b][r] for b in range(len(x0s))
+                           for r in rows]
 
 
 class TestMultiBlockKernel:
@@ -492,7 +501,7 @@ class TestMultiBlockKernel:
             monkeypatch, neighbor_multi, fit_multi, hist, g,
             constraint=constraint, tau=tau, init=MULTI_INIT,
             block=True)
-        assert_rows_match_alone(fun, starts[0][0], g, tail)
+        assert_rows_match_alone(fun, [starts[0][0]], g, tail)
 
     @TAILS
     @pytest.mark.parametrize("g", GS)
@@ -504,7 +513,27 @@ class TestMultiBlockKernel:
         fun, starts = captured_objective(
             monkeypatch, neighbor_uni, fit_uni, hist, g,
             tau=_tau(hist.values.max(), tail), block=True)
-        assert_rows_match_alone(fun, starts[0][0], g, tail)
+        assert_rows_match_alone(fun, [starts[0][0]], g, tail)
+
+    @TAILS
+    @pytest.mark.parametrize("g", GS)
+    def test_histogram_rows_match_alone(self, monkeypatch, g, tail):
+        # the Appendix-C marginal fits call one kernel on several
+        # histograms of one total, one count row per block: each row must
+        # get the bytes that its own histogram's kernel, as fit_uni builds
+        # it, gives it alone, whether a key is absent from its histogram
+        # and whether its block, or only another, has a tail cell
+        hists = histograms_of_one_total(4)
+        tau = 5 if tail else max(int(h.values.max()) for h in hists)
+        assert_gaps_and_tails(hists, tau, tails=tail)
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
+        owns = [captured_objective(monkeypatch, neighbor_uni, fit_uni, h, g,
+                                   tau=tau, block=True)[0] for h in hists]
+        fun, starts = captured_objective(
+            monkeypatch, neighbor_uni, neighbor_uni.fit_uni_many, hists,
+            g, tau, block=True)
+        assert_rows_match_alone(fun, [block[0] for block in starts], g, tail,
+                                owns)
 
     @MULTI_DATA
     @TAILS
