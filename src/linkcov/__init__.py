@@ -17,14 +17,12 @@ from .linkage import (ClericalEstimates, ConfusionMatrix, CountVector,
                       RULE_BASELINE_ONLY, baseline_pairs, block_pairs,
                       clerical_sample, confusion, counts, dedupe_rule2,
                       link_rule1, sample_records)
-from .neighbor_uni import (AccuracySummary, CountHistogram, UniMixtureParams,
-                           accuracy_from_fit, capped_loglik, comp_pmf,
-                           fit_uni, mix_pmf, sample_counts, select_G)
-from .neighbor_multi import (DesignMatrix, LogLinear, MultiCountHistogram,
-                             MultiMixtureParams, appendix_c_start,
+from ._optim import CountHistogram, MixtureParams, comp_pmf, mix_pmf
+from .neighbor_uni import (AccuracySummary, accuracy_from_fit, capped_loglik,
+                           fit_uni, sample_counts, select_G)
+from .neighbor_multi import (DesignMatrix, LogLinear, appendix_c_start,
                              build_design, coverage_from_fit, fit_multi,
                              init_appendix_c, loglinear_probs,
-                             multi_comp_pmf, multi_mix_pmf,
                              sample_multi_counts, select_G_multi,
                              single_class_p_hat)
 from .baselines import (CoverageEstimate, df_dt_estimators, lincoln_petersen,

@@ -1,13 +1,16 @@
 """The fit engine of the univariate and multivariate count mixtures.
 
-The two mixtures differ only in their parameters, which give the
-true-positive cells: the univariate model has one cell, one p, and the
-multivariate model a log-linear design over seven.  L-BFGS-B calls one
-objective kernel for both (count_objective), with a head per model.
-They share the settings (the constants below), the result types
-(FitResult, SelectionResult), the deterministic multi-start search
-(fit_starts), the AIC selection of the class count (select_aic) and the
-JSON of a result (result_document).
+The univariate model is the one-cell case of the multivariate one, so
+both read one histogram type (CountHistogram, count vectors of m cells:
+1, or 7 agreement patterns), take one parameter type (MixtureParams,
+p and lam G x m) and one pmf (comp_pmf, mix_pmf).  Their fits differ
+only in the head that gives the true-positive cells, one p or a
+log-linear design over seven cells: L-BFGS-B calls one objective kernel
+for both (count_objective), with a head per model.  They share the
+settings (the constants below), the result types (FitResult,
+SelectionResult), the deterministic multi-start search (fit_starts),
+the AIC selection of the class count (select_aic) and the JSON of a
+result (result_document).
 
 The settings are module constants.  FTOL and MAX_ITER are the paper's
 stop rule: a relative change of the mean log-likelihood below 1e-9, at
@@ -60,6 +63,7 @@ commands that fit nothing never load them.
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy
@@ -73,13 +77,17 @@ __all__ = [
     "LAMBDA_MAX",
     "MAX_ITER",
     "N_STARTS",
+    "CountHistogram",
+    "MixtureParams",
     "FitResult",
     "SelectionResult",
     "best_end",
     "check_class_count",
+    "comp_pmf",
     "count_objective",
     "fit_starts",
     "minimize",
+    "mix_pmf",
     "split_counts",
     "select_aic",
     "result_document",
@@ -271,6 +279,150 @@ class _Search:
         self.dsave = np.zeros(29)
         self.x_eval = self.grad = None
         self.nfev = self.nit = 0
+
+
+@dataclass(frozen=True)
+class CountHistogram:
+    """Multiplicities of observed count vectors: the distinct vectors as
+    the rows of a (k, m) key matrix, in lexicographic order, and how
+    often each was seen.  The univariate model reads width m = 1, the
+    multivariate model one cell per agreement pattern."""
+
+    keys: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        keys = np.asarray(self.keys, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if (keys.ndim != 2 or not keys.shape[1] or not counts.size
+                or counts.shape != keys.shape[:1]):
+            raise ValueError(f"histogram needs a non-empty (k, m) key matrix "
+                             f"and k counts; got shapes {keys.shape} and "
+                             f"{counts.shape}")
+        if np.any(keys < 0) or np.any(counts <= 0):
+            raise ValueError("histogram needs count vectors >= 0 and "
+                             "positive multiplicities")
+        order = np.lexsort(keys.T[::-1])
+        keys, counts = keys[order], counts[order]
+        if (keys[1:] == keys[:-1]).all(axis=1).any():
+            raise ValueError("histogram keys must be unique")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def from_observations(cls, count_matrix):
+        """The histogram of the rows of an (n, m) count matrix, as
+        ``np.unique(axis=0, return_counts=True)`` gives them.
+
+        Rows of small non-negative counts are counted by np.bincount of
+        one mixed-radix code per row (radix the column maximum + 1, the
+        first column most significant, so codes sort as rows do); others
+        go through np.unique itself.
+        """
+        mat = np.asarray(count_matrix, dtype=np.int64)
+        if mat.ndim != 2:
+            raise ValueError(f"observations must be an (n, m) matrix, one "
+                             f"count vector per row; got shape {mat.shape}")
+        radix = [int(v) + 1 for v in mat.max(axis=0, initial=0)]
+        # the counting array stays within a small multiple of the input
+        if mat.min(initial=0) >= 0 and math.prod(radix) <= 16 * mat.size:
+            counts = np.bincount(np.ravel_multi_index(mat.T, radix))
+            codes = np.flatnonzero(counts)
+            return cls(np.stack(np.unravel_index(codes, radix), axis=1),
+                       counts[codes])
+        return cls(*np.unique(mat, axis=0, return_counts=True))
+
+    @property
+    def total(self):
+        return int(self.counts.sum())
+
+    @property
+    def width(self):
+        return self.keys.shape[1]
+
+
+@dataclass(frozen=True)
+class MixtureParams:
+    """G-class count-mixture parameters over m cells in canonical class
+    order: the weights alpha, and p and lam, G x m, each class's
+    true-positive cells and false-positive rates (m = 1 for the
+    univariate model).  Classes sort by rate row, then p row, then
+    weight, rows compared lexicographically.  Fits share the cells
+    across the classes, and the multivariate fits store their log-linear
+    (phi, u); params that carry phi must share the cells.  Hand-built
+    params may leave phi unset, which coverage_from_fit and
+    multi_fit_document refuse.
+    """
+
+    alpha: np.ndarray
+    p: np.ndarray
+    lam: np.ndarray
+    phi: Optional[float] = None
+    u: Optional[np.ndarray] = None
+    u_labels: Optional[tuple] = None
+
+    def __post_init__(self):
+        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
+        p = np.atleast_2d(np.asarray(self.p, dtype=float))
+        lam = np.atleast_2d(np.asarray(self.lam, dtype=float))
+        if (alpha.ndim != 1 or p.ndim != 2 or p.shape[0] != alpha.size
+                or lam.shape != p.shape):
+            raise ValueError("parameter arrays inconsistent with G x cells")
+        if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha <= 0):
+            raise ValueError("invalid mixing weights")
+        if np.any(p < 0) or np.any(p.sum(axis=1) > 1.0 + 1e-12):
+            raise ValueError("true-positive cells must be >= 0, summing <= 1")
+        if np.any(lam <= 0):
+            raise ValueError("false-positive rates must be positive")
+        if self.phi is not None and not np.allclose(p, p[0]):
+            raise ValueError("log-linear params require shared p across "
+                             "classes")
+        order = np.lexsort((alpha, *p.T[::-1], *lam.T[::-1]))
+        object.__setattr__(self, "alpha", alpha[order])
+        object.__setattr__(self, "p", p[order])
+        object.__setattr__(self, "lam", lam[order])
+
+    @property
+    def n_components(self):
+        return self.alpha.size
+
+    @property
+    def p_bar(self):
+        """alpha . |p|: the share of records with a true link."""
+        return float(self.alpha @ self.p.sum(axis=1))
+
+    @property
+    def lambda_bar(self):
+        """alpha . |lam|: the mean number of false links per record."""
+        return float(self.alpha @ self.lam.sum(axis=1))
+
+
+def comp_pmf(t, p, lam):
+    """One class's pmf at the count vector t, or at each row of a (k, m)
+    matrix t: at most one true positive, in cell g with probability p_g,
+    plus independent Poisson(lam_g) counts.  Evaluates
+    (1-|p|) prod Pois(t_g) + sum_g p_g Pois(t_g - 1) prod', written as
+    prod Pois(t_g) * [(1-|p|) + sum_g p_g t_g / lambda_g]; the two forms
+    agree for every t including |t| = 0 and |t| = 1.
+    """
+    p = np.asarray(p, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
+        raise ValueError("all rates must be positive")
+    if np.any(p < 0) or p.sum() > 1.0 + 1e-12:
+        raise ValueError("cell probabilities must be >= 0 with sum <= 1")
+    t = np.asarray(t, dtype=float)
+    log_a = (t @ np.log(lam) - lam.sum()
+             - scipy.special.gammaln(t + 1.0).sum(axis=-1))
+    out = np.exp(log_a) * ((1.0 - p.sum()) + (t / lam) @ p)
+    return float(out) if out.ndim == 0 else out
+
+
+def mix_pmf(t, params):
+    """The mixture pmf of params at the count vector t, or at each row
+    of a (k, m) matrix t."""
+    return sum(a * comp_pmf(t, p, lam)
+               for a, p, lam in zip(params.alpha, params.p, params.lam))
 
 
 def split_counts(keys, counts, tau):

@@ -70,9 +70,9 @@ from .experiment import (ALL_ESTIMATORS, ScenarioConfig,
                          check_estimators, estimates_document, link,
                          read_replication_log, render_report,
                          replication_rngs, run_experiment, simulate)
-from .neighbor_multi import (LogLinear, MultiCountHistogram,
-                             multi_fit_document, select_G_multi)
-from .neighbor_uni import CountHistogram, fit_document, select_G
+from ._optim import CountHistogram
+from .neighbor_multi import LogLinear, multi_fit_document, select_G_multi
+from .neighbor_uni import fit_document, select_G
 from .popsim import dump_population, load_population
 
 CENSUS_DIR_ENV = "LINKCOV_CENSUS_DIR"
@@ -248,7 +248,7 @@ def cmd_link(cfg):
 def cmd_fit_uni(cfg):
     out = _outdir(cfg)
     _, n_total, _ = _counts_from_csv(cfg.counts_csv or out / "counts.csv")
-    hist = CountHistogram.from_observations(n_total)
+    hist = CountHistogram.from_observations(n_total[:, None])
     sel = select_G(hist, cfg.g_max, tau=cfg.tau)
     doc = fit_document(sel.fit, aic=sel.trace[sel.g_hat - 1]["aic"])
     (out / "fit_uni.json").write_text(doc + "\n", encoding="utf-8")
@@ -259,7 +259,7 @@ def cmd_fit_uni(cfg):
 def cmd_fit_multi(cfg):
     out = _outdir(cfg)
     _, _, patterns = _counts_from_csv(cfg.counts_csv or out / "counts.csv")
-    hist = MultiCountHistogram.from_observations(patterns)
+    hist = CountHistogram.from_observations(patterns)
     sel = select_G_multi(hist, cfg.g_max, constraint=LogLinear(cfg.d),
                          tau=cfg.tau)
     doc = multi_fit_document(sel.fit, aic=sel.trace[sel.g_hat - 1]["aic"])

@@ -24,8 +24,9 @@ from . import linkage as lk
 from .baselines import CoverageEstimate, df_dt_estimators, lincoln_petersen, racinskij_fit
 from .frequencies import (build_soundex_index, load_frequency_table,
                           synthetic_age_table, synthetic_surname_table)
-from .neighbor_multi import LogLinear, MultiCountHistogram, select_G_multi
-from .neighbor_uni import (CountHistogram, accuracy_from_fit, select_G)
+from ._optim import CountHistogram
+from .neighbor_multi import LogLinear, select_G_multi
+from .neighbor_uni import accuracy_from_fit, select_G
 from .popsim import PerturbationParams, draw_samples, generate_population
 
 __all__ = [
@@ -245,7 +246,7 @@ def count_estimates(cv, estimators, tau, g_max):
     MN modes share one start, and their fits at each G one lockstep search."""
     estimates = {}
     if "un" in estimators:
-        uh = CountHistogram.from_observations(cv.n_total)
+        uh = CountHistogram.from_observations(cv.n_total[:, None])
         sel = select_G(uh, g_max, tau=tau)
         acc = accuracy_from_fit(sel.fit.params, known_recall=1.0)
         estimates["un"] = CoverageEstimate(
@@ -257,7 +258,7 @@ def count_estimates(cv, estimators, tau, g_max):
         )
     modes = [name for name in _MN_CONSTRAINTS if name in estimators]
     if modes:
-        mh = MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
+        mh = CountHistogram.from_observations(cv.pattern_counts[:, 1:])
         orders = tuple(_MN_CONSTRAINTS[name] for name in modes)
         for name, sel in zip(modes, select_G_multi(mh, g_max, orders,
                                                    tau=tau)):

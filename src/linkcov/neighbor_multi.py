@@ -9,7 +9,8 @@ constrain the true-positive cells, shared by every class, through a
 log-linear design with a coverage factor, p = phi * softmax(Z u):
 without interactions (LogLinear(1)) or with 2nd-order interactions
 (LogLinear(2)).  The fitted coverage phi is the estimator of
-P(i in S_A).
+P(i in S_A).  The histograms, parameters and pmf are those of ``_optim``
+at width 7, and the fitted MixtureParams carry phi and u as well.
 
 The fits run the count-mixture kernel of ``_optim`` (count_objective),
 built once per class count, with the log-linear head of their design.
@@ -22,9 +23,7 @@ the AIC selection and the JSON document come from the same fit engine.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy
@@ -32,6 +31,8 @@ import scipy
 from ._optim import (
     LAMBDA_MAX,
     NU,
+    CountHistogram,
+    MixtureParams,
     check_class_count,
     count_objective,
     fit_starts,
@@ -47,19 +48,15 @@ from ._optim import (
     stick_break_vjp,
 )
 # select_G is not called here: perfbench/layers.py hooks it in this module.
-from .neighbor_uni import CountHistogram, fit_uni_many, select_G
+from .neighbor_uni import fit_uni_many, select_G
 from .popsim import PATTERNS as _ALL_PATTERNS
 
 __all__ = [
     "PATTERNS",
     "DesignMatrix",
-    "MultiMixtureParams",
-    "MultiCountHistogram",
     "LogLinear",
     "build_design",
     "loglinear_probs",
-    "multi_comp_pmf",
-    "multi_mix_pmf",
     "marginal_histogram",
     "single_class_p_hat",
     "appendix_c_start",
@@ -130,136 +127,15 @@ class LogLinear:
             raise ValueError(f"interaction order d={self.d!r} must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class MultiMixtureParams:
-    """Multivariate mixture parameters in canonical class order.
-
-    Classes sort by lexicographic comparison of their rate vectors.  p
-    and lam are G x m, with one column per cell; fits give m = 7, one
-    per pattern.  Fits also store the log-linear (phi, u), and params
-    that carry phi must give every class the same true-positive cells.
-    Hand-built params may leave phi unset, which coverage_from_fit and
-    multi_fit_document refuse.
-    """
-
-    alpha: np.ndarray
-    p: np.ndarray
-    lam: np.ndarray
-    phi: Optional[float] = None
-    u: Optional[np.ndarray] = None
-    u_labels: Optional[tuple] = None
-
-    def __post_init__(self):
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        p = np.atleast_2d(np.asarray(self.p, dtype=float))
-        lam = np.atleast_2d(np.asarray(self.lam, dtype=float))
-        if p.shape[0] != alpha.size or lam.shape != p.shape:
-            raise ValueError("parameter arrays inconsistent with G x cells")
-        if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha <= 0):
-            raise ValueError("invalid mixing weights")
-        if np.any(p < 0) or np.any(p.sum(axis=1) > 1.0 + 1e-12):
-            raise ValueError("true-positive cells must be >= 0, summing <= 1")
-        if np.any(lam <= 0):
-            raise ValueError("false-positive rates must be positive")
-        if self.phi is not None and not np.allclose(p, p[0]):
-            raise ValueError("log-linear params require shared p across "
-                             "classes")
-        order = sorted(range(alpha.size), key=lambda g: tuple(lam[g]))
-        object.__setattr__(self, "alpha", alpha[order])
-        object.__setattr__(self, "p", p[order])
-        object.__setattr__(self, "lam", lam[order])
-
-    @property
-    def n_components(self):
-        return self.alpha.size
-
-
-@dataclass(frozen=True)
-class MultiCountHistogram:
-    """Multiplicities of observed count vectors."""
-
-    keys: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        keys = np.atleast_2d(np.asarray(self.keys, dtype=np.int64))
-        counts = np.atleast_1d(np.asarray(self.counts, dtype=np.int64))
-        if keys.shape[0] != counts.size or counts.size == 0:
-            raise ValueError("histogram needs matching non-empty arrays")
-        if np.any(keys < 0) or np.any(counts <= 0):
-            raise ValueError("invalid histogram contents")
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_observations(cls, count_matrix):
-        """Distinct rows in lexicographic order with their multiplicities,
-        as ``np.unique(axis=0, return_counts=True)`` gives them.
-
-        Rows of small non-negative counts are counted by np.bincount of
-        one mixed-radix code per row (radix the column maximum + 1, the
-        first column most significant, so codes sort as rows do); others
-        go through np.unique itself.
-        """
-        mat = np.atleast_2d(np.asarray(count_matrix, dtype=np.int64))
-        radix = [int(v) + 1 for v in mat.max(axis=0, initial=0)]
-        # the counting array stays within a small multiple of the input
-        if mat.min(initial=0) >= 0 and math.prod(radix) <= 16 * mat.size:
-            counts = np.bincount(np.ravel_multi_index(mat.T, radix))
-            codes = np.flatnonzero(counts)
-            return cls(np.stack(np.unravel_index(codes, radix), axis=1),
-                       counts[codes])
-        return cls(*np.unique(mat, axis=0, return_counts=True))
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
-    @property
-    def width(self):
-        return self.keys.shape[1]
-
-
 def marginal_histogram(hist, coord):
-    """Univariate histogram of one coordinate of the count vectors."""
+    """The width-1 histogram of one coordinate of the count vectors."""
     vals, inv = np.unique(hist.keys[:, coord], return_inverse=True)
-    counts = np.zeros(vals.size, dtype=np.int64)
-    np.add.at(counts, inv, hist.counts)
-    return CountHistogram(vals, counts)
-
-
-def multi_comp_pmf(t, p_vec, lambda_vec):
-    """One-class PMF: incomplete multinomial * product of Poissons.
-
-    Evaluates (1-|p|) prod Pois(t_g) + sum_g p_g Pois(t_g - 1) prod',
-    written as prod Pois(t_g) * [(1-|p|) + sum_g p_g t_g / lambda_g];
-    the two forms agree for every t including |t| = 0 and |t| = 1.
-    """
-    p = np.asarray(p_vec, dtype=float)
-    lam = np.asarray(lambda_vec, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("all rates must be positive")
-    if np.any(p < 0) or p.sum() > 1.0 + 1e-12:
-        raise ValueError("cell probabilities must be >= 0 with sum <= 1")
-    t = np.atleast_2d(np.asarray(t, dtype=float))
-    log_a = (t @ np.log(lam) - lam.sum()
-             - scipy.special.gammaln(t + 1.0).sum(axis=1))
-    bracket = (1.0 - p.sum()) + (t / lam) @ p
-    out = np.exp(log_a) * bracket
-    return float(out[0]) if out.size == 1 else out
-
-
-def multi_mix_pmf(t, params):
-    """Mixture PMF at one or several count vectors."""
-    t = np.atleast_2d(np.asarray(t, dtype=np.int64))
-    out = np.zeros(t.shape[0])
-    for g in range(params.n_components):
-        out += params.alpha[g] * multi_comp_pmf(t, params.p[g], params.lam[g])
-    return float(out[0]) if out.shape[0] == 1 else out
+    return CountHistogram(vals[:, None], np.bincount(inv, hist.counts))
 
 
 def sample_multi_counts(params, size, rng):
-    """Draw count vectors from the generative model."""
+    """Draw size count vectors, one per row, from the generative model
+    (class, incomplete multinomial, Poissons)."""
     m = params.p.shape[1]
     g = rng.choice(params.n_components, size=size, p=params.alpha)
     out = np.empty((size, m), dtype=np.int64)
@@ -292,7 +168,7 @@ def _unpack_multi(x, g, design):
     e = np.exp(eta - mx)
     p = phi * (e / (np.exp(-mx) + e.sum()))[None, :]
     lam, _ = interval_from_real(x[n_head:], NU, LAMBDA_MAX)
-    return MultiMixtureParams(
+    return MixtureParams(
         alpha=alpha, p=p.repeat(g, axis=0), lam=lam.reshape(g, -1), phi=phi,
         u=u, u_labels=design.labels)
 

@@ -15,11 +15,10 @@ from linkcov.experiment import (ALL_ESTIMATORS, MetricsTable,
                                 write_replication_log)
 from linkcov.frequencies import load_frequency_table
 from linkcov.linkage import CountVector, RULE_BASELINE_AND_ANY_EXACT
-from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, build_design,
-                                    loglinear_probs,
+from linkcov._optim import CountHistogram, MixtureParams
+from linkcov.neighbor_multi import (LogLinear, build_design, loglinear_probs,
                                     sample_multi_counts, select_G_multi)
-from linkcov.neighbor_uni import UniMixtureParams, sample_counts
+from linkcov.neighbor_uni import sample_counts
 from linkcov.popsim import PerturbationParams
 
 TINY = dict(n_population=4000, replications=2, g_max=2, master_seed=3,
@@ -349,8 +348,8 @@ class TestAdjustIncomplete:
 
 
 def make_stratum(p, lam, n, seed):
-    params = UniMixtureParams(alpha=[1.0], p=[p], lam=[lam])
-    n_total = sample_counts(params, n, np.random.default_rng(seed))
+    params = MixtureParams(alpha=[1.0], p=[[p]], lam=[[lam]])
+    n_total = sample_counts(params, n, np.random.default_rng(seed))[:, 0]
     return CountVector(n_total=n_total,
                        pattern_counts=np.zeros((n, 8), dtype=np.int64))
 
@@ -390,7 +389,7 @@ class TestStratified:
         cv = make_multi_stratum(0.9, 0.05, 5000, 7)
         res = stratified_fit({"all": cv}, estimator=estimator, g_max=1,
                              min_size=100)
-        hist = MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
+        hist = CountHistogram.from_observations(cv.pattern_counts[:, 1:])
         sel = select_G_multi(hist, 1, constraint=LogLinear(d), tau=10)
         assert res.per_stratum["all"] == float(sel.fit.params.phi)
 
@@ -439,7 +438,7 @@ class TestRender:
 
 def make_multi_stratum(phi, lam, n, seed):
     p = loglinear_probs(phi, np.array([1.0, 1, 1, 0, 0, 0]), build_design(2))
-    params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[np.full(7, lam)])
+    params = MixtureParams(alpha=[1.0], p=[p], lam=[np.full(7, lam)])
     patterns = sample_multi_counts(params, n, np.random.default_rng(seed))
     return CountVector(n_total=patterns.sum(axis=1),
                        pattern_counts=np.column_stack(

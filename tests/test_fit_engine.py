@@ -1,14 +1,17 @@
-"""What the univariate and multivariate count-mixture fits share: the JSON
-documents of their results, the parameter count that AIC charges, the
-class counts, constraints and count caps they accept, the choice of the
-best start, when the L-BFGS-B loop evaluates a point again, and the
-kernel's count matrix, one row per block, with which one search fits
-many histograms.
+"""What the univariate and multivariate count-mixture fits share: the
+histogram and parameter types, at widths 1 and 7, and the samplers'
+draws from them, the JSON documents of their results, the parameter
+count that AIC charges, the class counts, constraints and count caps
+they accept, the choice of the best start, when the L-BFGS-B loop
+evaluates a point again, and the kernel's count matrix, one row per
+block, with which one search fits many histograms.
 
 The documents are pinned for hand-built results, so the pins do not
 depend on the optimizer or on the platform's floating-point libraries.
 """
 
+import hashlib
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,16 +19,15 @@ import pytest
 import scipy.optimize
 
 from linkcov import _optim, neighbor_multi, neighbor_uni
-from linkcov._optim import (NU, FitResult, _new_point, check_class_count,
+from linkcov._optim import (NU, CountHistogram, FitResult, MixtureParams,
+                            _new_point, check_class_count, comp_pmf,
                             count_objective, fit_starts, minimize)
-from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, appendix_c_start,
-                                    build_design, fit_multi,
-                                    multi_fit_document, sample_multi_counts,
-                                    select_G_multi, single_class_p_hat)
-from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams,
-                                  fit_document, fit_uni, fit_uni_many,
-                                  select_G)
+from linkcov.neighbor_multi import (LogLinear, appendix_c_start, build_design,
+                                    fit_multi, multi_fit_document,
+                                    sample_multi_counts, select_G_multi,
+                                    single_class_p_hat)
+from linkcov.neighbor_uni import (fit_document, fit_uni, fit_uni_many,
+                                  sample_counts, select_G)
 from test_minimize_oracle import point_block
 from test_neighbor_uni import (assert_gaps_and_tails, fit_bytes,
                                histograms_of_one_total)
@@ -129,14 +131,14 @@ LOGLINEAR_DOC = """\
 class TestDocuments:
     def test_univariate(self):
         fit = FitResult(
-            params=UniMixtureParams(alpha=[0.75, 0.25], p=[0.875, 0.875],
-                                    lam=[0.5, 0.0625]),
+            params=MixtureParams(alpha=[0.75, 0.25], p=[[0.875], [0.875]],
+                                 lam=[[0.5], [0.0625]]),
             loglik=-1234.5, init_loglik=-1300.1234567890123, converged=True,
             n_iter=17, tau=10, n_params=4)
         assert fit_document(fit, aic=2477.0) == UNI_DOC
 
     def test_multivariate_loglinear_with_aic(self):
-        params = MultiMixtureParams(
+        params = MixtureParams(
             alpha=[0.5, 0.5], p=[P7, P7], lam=[[0.5] * 7, [0.25] * 7],
             phi=0.875, u=np.array([0.5, -1.0, 1.5, 0.0, 0.25, -0.75]),
             u_labels=build_design(2).labels)
@@ -147,13 +149,123 @@ class TestDocuments:
     def test_multivariate_refuses_params_without_phi(self):
         # every fit is log-linear; hand-built cells without a coverage
         # would be written under the constant "constraint": "loglinear"
-        params = MultiMixtureParams(
+        params = MixtureParams(
             alpha=[1.0], p=[P7], lam=[[0.5, 0.25, 0.125, 1.0, 2.0, 0.0625,
                                        4.0]])
         fit = FitResult(params=params, loglik=-512.0, init_loglik=-640.125,
                         converged=True, n_iter=3, tau=6, n_params=14)
         with pytest.raises(ValueError, match="phi"):
             multi_fit_document(fit)
+
+
+# the univariate model's width and the multivariate model's
+WIDTHS = pytest.mark.parametrize("width", [1, 7])
+
+
+class TestCountHistogram:
+    @pytest.mark.parametrize("keys, order", [
+        ([[2], [0], [1]], [1, 2, 0]),
+        ([[1, 0, 0, 0, 0, 0, 2], [0, 5, 0, 0, 0, 0, 0],
+          [1, 0, 0, 0, 0, 0, 1]], [1, 2, 0])], ids=["1", "7"])
+    def test_keys_sort_lexicographically(self, keys, order):
+        hist = CountHistogram(keys, [5, 6, 7])
+        np.testing.assert_array_equal(hist.keys, np.array(keys)[order])
+        np.testing.assert_array_equal(hist.counts, np.array([5, 6, 7])[order])
+
+    @WIDTHS
+    def test_refuses_duplicate_keys(self, width):
+        keys = [np.arange(width), np.ones(width, np.int64), np.arange(width)]
+        with pytest.raises(ValueError, match="keys must be unique"):
+            CountHistogram(keys, [2, 3, 4])
+
+    @WIDTHS
+    def test_from_observations_refuses_a_vector(self, width):
+        # a flat vector used to become one key as long as the vector
+        obs = np.arange(3 * width).reshape(3, width)
+        assert CountHistogram.from_observations(obs).keys.shape == (3, width)
+        with pytest.raises(ValueError, match=r"an \(n, m\) matrix"):
+            CountHistogram.from_observations(obs.ravel())
+
+    @WIDTHS
+    def test_refuses_malformed_contents(self, width):
+        keys = np.arange(2 * width).reshape(2, width)
+        for bad_keys, bad_counts in ((keys.ravel(), [5, 3]), (keys, [5]),
+                                     (keys, [5, 0]), (-keys, [5, 3]),
+                                     (keys[:, :0], [5, 3])):
+            with pytest.raises(ValueError, match="histogram needs"):
+                CountHistogram(bad_keys, bad_counts)
+
+
+class TestMixtureParams:
+    @WIDTHS
+    def test_canonical_class_order(self, width):
+        # classes sort by rate row, compared lexicographically, then by p
+        # row, then by weight: class 1's rate row is the lowest only in
+        # its last cell, and classes 2 and 3 tie on both rows
+        alpha = np.array([0.4, 0.1, 0.3, 0.2])
+        p = np.repeat([[0.1], [0.1], [0.05], [0.05]], width, axis=1) / width
+        lam = np.full((4, width), 0.5)
+        lam[1, -1] = 0.2
+        order = [1, 3, 2, 0]
+        for perm in map(list, itertools.permutations(range(4))):
+            params = MixtureParams(alpha[perm], p[perm], lam[perm])
+            np.testing.assert_array_equal(params.alpha, alpha[order])
+            np.testing.assert_array_equal(params.p, p[order])
+            np.testing.assert_array_equal(params.lam, lam[order])
+
+    @WIDTHS
+    @pytest.mark.parametrize("field, value, match", [
+        ("alpha", [0.6, 0.3], "mixing weights"),
+        ("alpha", [1.2, -0.2], "mixing weights"),
+        # at most one true positive: the cells of a class sum to <= 1
+        ("p", 1.2, "true-positive cells"),
+        ("p", -0.1, "true-positive cells"),
+        ("lam", 0.0, "rates must be positive"),
+        ("lam", "one cell more", "G x cells")],
+        ids=["weights_sum", "negative_weight", "cells_above_one",
+             "negative_cell", "zero_rate", "cells_differ"])
+    def test_refuses(self, width, field, value, match):
+        args = {"alpha": [0.6, 0.4], "p": np.full((2, width), 0.1 / width),
+                "lam": np.full((2, width), 0.5)}
+        if field == "alpha":
+            args["alpha"] = value
+        elif value == "one cell more":
+            args["lam"] = np.full((2, width + 1), 0.5)
+        else:
+            args[field] = np.full((2, width), value / width)
+        with pytest.raises(ValueError, match=match):
+            MixtureParams(**args)
+
+    @WIDTHS
+    def test_p_bar_and_lambda_bar(self, width):
+        # alpha . |p| and alpha . |lam|: the share of records with a true
+        # link and the mean number of false links per record
+        params = MixtureParams(
+            [0.5, 0.5], np.repeat([[0.8], [0.6]], width, axis=1) / width,
+            np.repeat([[0.1], [0.3]], width, axis=1) / width)
+        assert params.p_bar == pytest.approx(0.7, rel=1e-12)
+        assert params.lambda_bar == pytest.approx(0.2, rel=1e-12)
+
+
+class TestSamplers:
+    """Their draws are the seeded data of many tests (the histograms of
+    histograms_of_one_total, the oracles' fixtures), pinned here by the
+    SHA-256 of 1,000 draws each, whose classes are given out of
+    canonical order."""
+
+    @pytest.mark.parametrize("sample, truth, digest", [
+        (sample_counts,
+         MixtureParams([0.3, 0.7], [[0.9], [0.8]], [[2.5], [0.3]]),
+         "33c639717f24e58e2cdcdba1299b14a1df39a84236b58da2e262e593e7020ba0"),
+        (sample_multi_counts,
+         MixtureParams([0.4, 0.6], [P7, P7], [[0.7] * 7, [0.1] * 7]),
+         "0c41eb94db71d51e393157fc6504a486e4b6788f5d4b7ef58dd52ff21b70ba29")],
+        ids=["univariate", "multivariate"])
+    def test_draws(self, sample, truth, digest):
+        draws = sample(truth, 1000, np.random.default_rng(0))
+        assert draws.shape == (1000, truth.p.shape[1])
+        assert draws.dtype == np.int64
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
 
 
 @pytest.fixture
@@ -166,16 +278,16 @@ def quick(monkeypatch):
 
 @pytest.fixture(scope="module")
 def multi_hist():
-    truth = MultiMixtureParams(alpha=[1.0], p=[np.full(7, 0.1)],
-                               lam=[np.full(7, 0.1)])
+    truth = MixtureParams(alpha=[1.0], p=[np.full(7, 0.1)],
+                          lam=[np.full(7, 0.1)])
     draws = sample_multi_counts(truth, 3000, np.random.default_rng(8))
-    return MultiCountHistogram.from_observations(draws)
+    return CountHistogram.from_observations(draws)
 
 
 class TestAicParameterCount:
     def test_univariate(self, quick):
         # G - 1 weights, the shared p and G rates
-        draws = np.random.default_rng(4).poisson(0.6, 3000)
+        draws = np.random.default_rng(4).poisson(0.6, (3000, 1))
         sel = select_G(CountHistogram.from_observations(draws), 3)
         assert [row["k"] for row in sel.trace] == [2, 4, 6]
 
@@ -196,7 +308,7 @@ class TestAicParameterCount:
 class TestClassCountBound:
     def test_univariate(self):
         with pytest.raises(ValueError, match="g_max"):
-            select_G(CountHistogram([0, 1], [5, 3]), 0)
+            select_G(CountHistogram([[0], [1]], [5, 3]), 0)
 
     def test_multivariate(self, monkeypatch, multi_hist):
         # refused before the start's seven univariate selections run
@@ -241,7 +353,7 @@ class TestFitOptionsValidation:
     # g weights floored at NU exceed 1 from g = 1 / NU on
     def test_univariate_class_count_against_the_floor(self):
         check_class_count(round(1 / NU) - 1)
-        hist = CountHistogram([0, 1, 2, 3], [40, 30, 20, 10])
+        hist = CountHistogram([[0], [1], [2], [3]], [40, 30, 20, 10])
         with pytest.raises(ValueError, match="nu"):
             fit_uni(hist, round(1 / NU))
 
@@ -259,7 +371,8 @@ class TestCountCap:
     @pytest.mark.parametrize("tau", [0, -1])
     def test_univariate_fit(self, tau):
         with pytest.raises(ValueError, match="tau must be at least 1"):
-            fit_uni(CountHistogram([0, 1, 2], [50, 30, 5]), 1, tau=tau)
+            fit_uni(CountHistogram([[0], [1], [2]], [50, 30, 5]), 1,
+                    tau=tau)
 
     def test_multivariate_fit(self, multi_hist):
         init = {"lambda": np.full(7, 0.1), "u": np.zeros(6), "phi": 0.7}
@@ -387,7 +500,7 @@ class TestManyHistograms:
         hists = histograms_of_one_total(20, top=60.0)
         tau = 50
         assert_gaps_and_tails(hists, tau)
-        assert np.unique(np.concatenate([h.values for h in hists
+        assert np.unique(np.concatenate([h.keys for h in hists
                                          ])).searchsorted(tau, "right") > 40
         for fit, hist in zip(fit_uni_many(hists, g, tau), hists):
             own = fit_uni(hist, g, tau=tau)

@@ -17,12 +17,10 @@ import pytest
 from scipy.optimize import _lbfgsb, minimize as scipy_minimize
 
 from linkcov import _optim, neighbor_multi, neighbor_uni
-from linkcov._optim import FTOL, GTOL, MAX_ITER
-from linkcov.neighbor_multi import (LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, fit_multi,
-                                    sample_multi_counts)
-from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
-                                  sample_counts)
+from linkcov._optim import (FTOL, GTOL, MAX_ITER, CountHistogram,
+                            MixtureParams)
+from linkcov.neighbor_multi import LogLinear, fit_multi, sample_multi_counts
+from linkcov.neighbor_uni import fit_uni, sample_counts
 
 # the moment or Appendix-C start and two jittered copies of it
 N_STARTS = 3
@@ -128,18 +126,18 @@ def wrong_gradient(x):
 
 
 def _uni_hist():
-    truth = UniMixtureParams(alpha=[0.7, 0.3], p=[0.8, 0.8],
-                             lam=[0.1, 1.5])
+    truth = MixtureParams(alpha=[0.7, 0.3], p=[[0.8], [0.8]],
+                          lam=[[0.1], [1.5]])
     draws = sample_counts(truth, 2000, np.random.default_rng(3))
     return CountHistogram.from_observations(draws)
 
 
 def _multi_hist():
     p = np.array([0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.25])
-    truth = MultiMixtureParams(alpha=[0.6, 0.4], p=[p, p],
-                               lam=[np.full(7, 0.1), np.full(7, 0.7)])
+    truth = MixtureParams(alpha=[0.6, 0.4], p=[p, p],
+                          lam=[np.full(7, 0.1), np.full(7, 0.7)])
     draws = sample_multi_counts(truth, 1500, np.random.default_rng(5))
-    return MultiCountHistogram.from_observations(draws)
+    return CountHistogram.from_observations(draws)
 
 
 MULTI_INIT = {"lambda": np.linspace(0.2, 0.5, 7),

@@ -11,16 +11,15 @@ from scipy.stats import poisson
 
 from linkcov import (_optim, experiment, linkage, neighbor_multi,
                      neighbor_uni)
-from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, appendix_c_start,
+from linkcov.neighbor_multi import (PATTERNS, LogLinear, appendix_c_start,
                                     build_design, coverage_from_fit,
                                     fit_multi, init_appendix_c,
                                     loglinear_probs, marginal_histogram,
-                                    multi_comp_pmf,
-                                    multi_mix_pmf, sample_multi_counts,
-                                    select_G_multi, single_class_p_hat)
-from linkcov._optim import NU
-from linkcov.neighbor_uni import UniMixtureParams, fit_uni, mix_pmf, select_G
+                                    sample_multi_counts, select_G_multi,
+                                    single_class_p_hat)
+from linkcov._optim import (NU, CountHistogram, MixtureParams, comp_pmf,
+                            mix_pmf)
+from linkcov.neighbor_uni import fit_uni, select_G
 from test_neighbor_uni import (assert_gradient_matches, captured_objective,
                                fit_bytes)
 
@@ -44,13 +43,13 @@ class TestComponentPmf:
     LAM2 = np.array([0.5, 1.0])
 
     def test_zero_vector(self):
-        assert multi_comp_pmf([0, 0], self.P2, self.LAM2) == pytest.approx(
+        assert comp_pmf([0, 0], self.P2, self.LAM2) == pytest.approx(
             0.5 * np.exp(-1.5), rel=1e-12)
-        assert multi_comp_pmf([0, 0], self.P2, self.LAM2) == pytest.approx(
+        assert comp_pmf([0, 0], self.P2, self.LAM2) == pytest.approx(
             0.111565, abs=1e-6)
 
     def test_single_count(self):
-        assert multi_comp_pmf([1, 0], self.P2, self.LAM2) == pytest.approx(
+        assert comp_pmf([1, 0], self.P2, self.LAM2) == pytest.approx(
             0.122721, abs=1e-6)
 
     def test_brute_force_oracle(self):
@@ -60,7 +59,7 @@ class TestComponentPmf:
             p = rng.dirichlet(np.ones(m + 1))[:m]
             lam = rng.uniform(0.05, 2.0, m)
             t = rng.integers(0, 4, m)
-            assert multi_comp_pmf(t, p, lam) == pytest.approx(
+            assert comp_pmf(t, p, lam) == pytest.approx(
                 brute_pmf(t, p, lam), rel=1e-11)
 
     def test_truncated_normalization(self):
@@ -68,27 +67,27 @@ class TestComponentPmf:
         lam = np.array([0.5, 1.0, 2.0])
         grid = np.array([t for t in itertools.product(range(31), repeat=3)
                          if sum(t) <= 30])
-        assert multi_comp_pmf(grid, p, lam).sum() == pytest.approx(
+        assert comp_pmf(grid, p, lam).sum() == pytest.approx(
             1.0, abs=1e-8)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            multi_comp_pmf([0, 0], [0.6, 0.6], [1.0, 1.0])
+            comp_pmf([0, 0], [0.6, 0.6], [1.0, 1.0])
         with pytest.raises(ValueError):
-            multi_comp_pmf([0, 0], [0.1, 0.1], [1.0, 0.0])
+            comp_pmf([0, 0], [0.1, 0.1], [1.0, 0.0])
 
 
 class TestMixturePmf:
     def test_single_class_reduces(self):
         p = np.array([[0.25, 0.3]])
         lam = np.array([[0.4, 0.9]])
-        params = MultiMixtureParams(alpha=[1.0], p=p, lam=lam)
+        params = MixtureParams(alpha=[1.0], p=p, lam=lam)
         t = np.array([[0, 1], [2, 0]])
-        np.testing.assert_allclose(multi_mix_pmf(t, params),
-                                   multi_comp_pmf(t, p[0], lam[0]))
+        np.testing.assert_allclose(mix_pmf(t, params),
+                                   comp_pmf(t, p[0], lam[0]))
 
     def test_marginal_matches_univariate(self):
-        params = MultiMixtureParams(
+        params = MixtureParams(
             alpha=[0.4, 0.6],
             p=np.array([[0.2, 0.3], [0.5, 0.1]]),
             lam=np.array([[0.3, 0.8], [1.2, 0.2]]),
@@ -97,19 +96,18 @@ class TestMixturePmf:
         grid = np.arange(60)
         for coord in (0, 1):
             # one rule's marginal counts: the classes' p and rate there
-            uni = UniMixtureParams(alpha=params.alpha,
-                                   p=params.p[:, coord],
-                                   lam=params.lam[:, coord])
+            uni = MixtureParams(alpha=params.alpha, p=params.p[:, [coord]],
+                                lam=params.lam[:, [coord]])
             for n in range(6):
                 t = np.zeros((60, 2), dtype=int)
                 t[:, coord] = n
                 t[:, 1 - coord] = grid
-                total = multi_mix_pmf(t, params).sum()
-                assert total == pytest.approx(float(mix_pmf(n, uni)),
+                total = mix_pmf(t, params).sum()
+                assert total == pytest.approx(mix_pmf([n], uni),
                                               abs=1e-10)
 
     def test_sampling_oracle(self):
-        params = MultiMixtureParams(
+        params = MixtureParams(
             alpha=[0.7, 0.3],
             p=np.array([[0.4, 0.2], [0.4, 0.2]]),
             lam=np.array([[0.1, 0.3], [1.0, 0.8]]),
@@ -117,7 +115,7 @@ class TestMixturePmf:
         rng = np.random.default_rng(17)
         draws = sample_multi_counts(params, 200000, rng)
         for t in itertools.product(range(3), repeat=2):
-            expected = multi_mix_pmf(np.array(t), params)
+            expected = mix_pmf(np.array(t), params)
             if expected < 1e-3:
                 continue
             emp = np.mean((draws == np.array(t)).all(axis=1))
@@ -130,8 +128,8 @@ class TestMixturePmf:
         p = [0.5538403709549613, 0.015514074952687095, 0.16294643151817853,
              0.1250804300531725, 0.021035803801562728, 0.11843885831256824,
              0.0031440304068696794]
-        params = MultiMixtureParams(alpha=[1.0], p=[p],
-                                    lam=[np.full(7, 0.1)])
+        params = MixtureParams(alpha=[1.0], p=[p],
+                               lam=[np.full(7, 0.1)])
         draws = sample_multi_counts(params, 1000, np.random.default_rng(3))
         assert draws.shape == (1000, 7)
         # no draw falls in the zero cell: each holds its true positive
@@ -213,7 +211,7 @@ class TestHistogramFromObservations:
     @example(np.array([[2**63 - 1, 0], [2**62, 5], [2**63 - 1, 0]]))
     def test_matches_unique(self, mat):
         keys, counts = np.unique(mat, axis=0, return_counts=True)
-        hist = MultiCountHistogram.from_observations(mat)
+        hist = CountHistogram.from_observations(mat)
         assert hist.keys.dtype == keys.dtype
         assert hist.counts.dtype == np.int64
         np.testing.assert_array_equal(hist.keys, keys)
@@ -233,7 +231,7 @@ class TestHistogramFromObservations:
             keys, counts = np.unique(mat, axis=0, return_counts=True)
             with mock.patch.object(np, "bincount",
                                    wraps=np.bincount) as bincount:
-                hist = MultiCountHistogram.from_observations(mat)
+                hist = CountHistogram.from_observations(mat)
             assert bincount.called == counted
             assert hist.keys.dtype == keys.dtype
             assert hist.counts.dtype == np.int64
@@ -246,16 +244,16 @@ class TestSingleClassP:
         lam = np.full(7, 0.3)
         rng = np.random.default_rng(10)
         counts = rng.poisson(lam, size=(20000, 7))
-        hist = MultiCountHistogram.from_observations(counts)
+        hist = CountHistogram.from_observations(counts)
         p_hat = single_class_p_hat(hist, lam, tau=10)
         assert np.all(p_hat < 0.01)
 
     def test_recovery(self):
         p = np.array([0.05, 0.1, 0.04, 0.2, 0.06, 0.15, 0.3])
         lam = np.full(7, 0.15)
-        params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam])
+        params = MixtureParams(alpha=[1.0], p=[p], lam=[lam])
         draws = sample_multi_counts(params, 50000, np.random.default_rng(12))
-        hist = MultiCountHistogram.from_observations(draws)
+        hist = CountHistogram.from_observations(draws)
         p_hat = single_class_p_hat(hist, lam, tau=10)
         np.testing.assert_allclose(p_hat, p, atol=0.02)
 
@@ -264,7 +262,7 @@ class TestSingleClassP:
     def test_refuses_rates_not_finite_and_positive(self, bad):
         # a search from such rates used to stop at once on a NaN value
         # and return its start's cells
-        hist = MultiCountHistogram.from_observations(
+        hist = CountHistogram.from_observations(
             np.random.default_rng(13).poisson(0.3, size=(500, 7)))
         rates = np.full(7, 0.3)
         rates[2] = bad
@@ -274,7 +272,7 @@ class TestSingleClassP:
 
     @pytest.mark.parametrize("n_rates", [6, 8])
     def test_refuses_rates_not_one_per_cell(self, n_rates):
-        hist = MultiCountHistogram.from_observations(
+        hist = CountHistogram.from_observations(
             np.random.default_rng(13).poisson(0.3, size=(500, 7)))
         with pytest.raises(ValueError, match="one rate per histogram cell"):
             single_class_p_hat(hist, np.full(n_rates, 0.3))
@@ -285,10 +283,10 @@ class TestAppendixInit:
         # build a histogram whose plug-in p_hat is (near) uniform
         p = np.full(7, 0.1)
         lam = np.full(7, 0.2)
-        params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam])
+        params = MixtureParams(alpha=[1.0], p=[p], lam=[lam])
         draws = sample_multi_counts(params, 200000,
                                     np.random.default_rng(14))
-        hist = MultiCountHistogram.from_observations(draws)
+        hist = CountHistogram.from_observations(draws)
         for d in (1, 2):
             init = init_appendix_c(
                 (lam, single_class_p_hat(hist, lam, tau=10)), d)
@@ -300,10 +298,10 @@ class TestAppendixInit:
         design = build_design(2)
         p = loglinear_probs(0.9, np.array([1.0, 1, 1, 0, 0, 0]), design)
         lam = np.full(7, 0.1)
-        params = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam])
+        params = MixtureParams(alpha=[1.0], p=[p], lam=[lam])
         draws = sample_multi_counts(params, 300000,
                                     np.random.default_rng(15))
-        hist = MultiCountHistogram.from_observations(draws)
+        hist = CountHistogram.from_observations(draws)
         init = init_appendix_c((lam, single_class_p_hat(hist, lam, tau=10)),
                                1)
         # under a no-interaction truth the logit-average starts sit near
@@ -318,9 +316,9 @@ class TestFitMulti:
         u = np.ones(6)
         p = loglinear_probs(0.9, u, design)
         lam = np.full(7, 0.05)
-        truth = MultiMixtureParams(alpha=[1.0], p=[p], lam=[lam])
+        truth = MixtureParams(alpha=[1.0], p=[p], lam=[lam])
         draws = sample_multi_counts(truth, 50000, np.random.default_rng(99))
-        hist = MultiCountHistogram.from_observations(draws)
+        hist = CountHistogram.from_observations(draws)
         fit = fit_multi(hist, 1, constraint=LogLinear(2), tau=10)
         assert fit.params.phi == pytest.approx(0.9, abs=0.01)
         assert fit.loglik >= fit.init_loglik
@@ -369,7 +367,7 @@ def _two_class_hist():
     """5000 count vectors of two classes with shared cells, whose sums
     exceed 4, and a start bundle for them."""
     p = TWO_CLASS_P
-    truth = MultiMixtureParams(
+    truth = MixtureParams(
         alpha=[0.6, 0.4], p=[p, p],
         lam=[np.full(7, 0.1), np.full(7, 0.7)],
     )
@@ -377,7 +375,7 @@ def _two_class_hist():
     init = {"lambda": np.linspace(0.2, 0.5, 7),
             "u": np.array([0.5, -0.3, 0.2, 0.1, -0.2, 0.3]),
             "phi": 0.8}
-    return MultiCountHistogram.from_observations(draws), init
+    return CountHistogram.from_observations(draws), init
 
 
 class TestGradient:
@@ -437,13 +435,13 @@ class TestSelection:
 
     def test_single_class_selected(self):
         p = np.full(7, 0.12)
-        truth = MultiMixtureParams(alpha=[1.0], p=[p],
-                                   lam=[np.full(7, 0.1)])
+        truth = MixtureParams(alpha=[1.0], p=[p],
+                              lam=[np.full(7, 0.1)])
         hits = 0
         for seed in range(5):
             draws = sample_multi_counts(truth, 20000,
                                         np.random.default_rng(seed))
-            hist = MultiCountHistogram.from_observations(draws)
+            hist = CountHistogram.from_observations(draws)
             sel = select_G_multi(hist, 2, constraint=LogLinear(2), tau=10)
             hits += sel.g_hat == 1
         assert hits >= 4
@@ -451,12 +449,12 @@ class TestSelection:
     def test_common_classes_across_rules(self):
         # one G and one partition serve all rules simultaneously
         p = np.full(7, 0.1)
-        truth = MultiMixtureParams(
+        truth = MixtureParams(
             alpha=[0.6, 0.4], p=[p, p],
             lam=[np.full(7, 0.05), np.full(7, 0.8)],
         )
         draws = sample_multi_counts(truth, 30000, np.random.default_rng(41))
-        hist = MultiCountHistogram.from_observations(draws)
+        hist = CountHistogram.from_observations(draws)
         sel = select_G_multi(hist, 2, constraint=LogLinear(2), tau=10)
         assert sel.fit.params.p.shape == (sel.g_hat, 7)
         assert sel.fit.params.lam.shape == (sel.g_hat, 7)
@@ -485,7 +483,7 @@ class TestJointSelection:
                                                       sample_rng),
                                  cfg.rule_variant)
         cv = linkage.counts(linked.links1, linked.panel_b.size)
-        return MultiCountHistogram.from_observations(cv.pattern_counts[:, 1:])
+        return CountHistogram.from_observations(cv.pattern_counts[:, 1:])
 
     @pytest.mark.parametrize("n_starts", [5, 1])
     def test_equals_the_single_order_selections(self, monkeypatch,
@@ -548,12 +546,12 @@ class TestSharedRates:
     def test_passed_rates_reproduce_the_selection_exactly(self):
         p = loglinear_probs(0.9, np.array([1.0, 0.5, 0.8, 0.3, 0, 0.2]),
                             build_design(2))
-        truth = MultiMixtureParams(
+        truth = MixtureParams(
             alpha=[0.7, 0.3], p=[p, p],
             lam=[np.full(7, 0.03), np.full(7, 0.3)],
         )
         draws = sample_multi_counts(truth, 20000, np.random.default_rng(61))
-        hist = MultiCountHistogram.from_observations(draws)
+        hist = CountHistogram.from_observations(draws)
         start = appendix_c_start(hist, 10)
         for d in (1, 2):
             shared = select_from(start, hist, 3, constraint=LogLinear(d),
@@ -566,12 +564,12 @@ class TestSharedRates:
     def test_passed_cells_reproduce_the_selection_exactly(self):
         p = loglinear_probs(0.85, np.array([0.8, 0.4, 1.0, 0.2, 0.1, 0]),
                             build_design(2))
-        truth = MultiMixtureParams(
+        truth = MixtureParams(
             alpha=[0.6, 0.4], p=[p, p],
             lam=[np.full(7, 0.05), np.full(7, 0.4)],
         )
         draws = sample_multi_counts(truth, 20000, np.random.default_rng(62))
-        hist = MultiCountHistogram.from_observations(draws)
+        hist = CountHistogram.from_observations(draws)
         rates, cells = appendix_c_start(hist, 10)
         np.testing.assert_array_equal(
             cells, single_class_p_hat(hist, rates, tau=10))
@@ -594,20 +592,20 @@ class TestSharedRates:
             raise AssertionError("marginal rates fitted before the check")
 
         monkeypatch.setattr(neighbor_multi, "fit_uni_many", no_rates)
-        hist = MultiCountHistogram(keys=[[0, 1], [1, 0]], counts=[5, 3])
+        hist = CountHistogram(keys=[[0, 1], [1, 0]], counts=[5, 3])
         with pytest.raises(ValueError, match="three binary rule groups"):
             fit(hist)
 
 
 class TestCoverage:
     def test_requires_loglinear_mode(self):
-        params = MultiMixtureParams(alpha=[1.0], p=[np.full(7, 0.1)],
-                                    lam=[np.full(7, 0.1)])
+        params = MixtureParams(alpha=[1.0], p=[np.full(7, 0.1)],
+                               lam=[np.full(7, 0.1)])
         with pytest.raises(ValueError):
             coverage_from_fit(params)
 
     def test_returns_phi(self):
-        params = MultiMixtureParams(
+        params = MixtureParams(
             alpha=[1.0], p=[np.full(7, 0.1)], lam=[np.full(7, 0.1)],
             phi=0.87, u=np.zeros(6), u_labels=("a",) * 6,
         )
@@ -615,29 +613,15 @@ class TestCoverage:
 
 
 class TestInvariants:
-    def test_mutual_exclusivity_constraint(self):
-        with pytest.raises(ValueError):
-            MultiMixtureParams(alpha=[1.0], p=[np.full(7, 0.2)],
-                               lam=[np.full(7, 0.1)])
-
     def test_phi_requires_shared_cells(self):
         p = np.full(7, 0.1)
         with pytest.raises(ValueError, match="shared p"):
-            MultiMixtureParams(alpha=[0.5, 0.5], p=[p, 0.5 * p],
-                               lam=[np.full(7, 0.1), np.full(7, 0.2)],
-                               phi=0.9)
-
-    def test_canonical_ordering_invariance(self):
-        p = np.array([[0.1, 0.1], [0.1, 0.1]])
-        lam_a = np.array([[0.5, 0.2], [0.1, 0.9]])
-        a = MultiMixtureParams(alpha=[0.3, 0.7], p=p, lam=lam_a)
-        b = MultiMixtureParams(alpha=[0.7, 0.3], p=p, lam=lam_a[::-1])
-        np.testing.assert_array_equal(a.lam, b.lam)
-        np.testing.assert_array_equal(a.alpha, b.alpha)
-        assert tuple(a.lam[0]) < tuple(a.lam[1])
+            MixtureParams(alpha=[0.5, 0.5], p=[p, 0.5 * p],
+                          lam=[np.full(7, 0.1), np.full(7, 0.2)],
+                          phi=0.9)
 
     def test_marginal_histogram(self):
-        hist = MultiCountHistogram(keys=[[0, 1], [2, 1], [0, 3]],
-                                   counts=[5, 2, 1])
+        hist = CountHistogram(keys=[[0, 1], [2, 1], [0, 3]],
+                              counts=[5, 2, 1])
         mh = marginal_histogram(hist, 0)
-        assert (mh.values.tolist(), mh.counts.tolist()) == ([0, 2], [6, 2])
+        assert (mh.keys.tolist(), mh.counts.tolist()) == ([[0], [2]], [6, 2])

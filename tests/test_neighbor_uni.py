@@ -4,52 +4,60 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult, approx_fprime
 
 from linkcov import _optim, neighbor_uni
-from linkcov._optim import stick_break, stick_break_inverse
-from linkcov.neighbor_uni import (AccuracySummary, CountHistogram,
-                                  UniMixtureParams, accuracy_from_fit,
-                                  capped_loglik, comp_pmf, fit_document,
-                                  fit_uni, mix_pmf, sample_counts, select_G)
+from linkcov._optim import (CountHistogram, MixtureParams, comp_pmf, mix_pmf,
+                            stick_break, stick_break_inverse)
+from linkcov.neighbor_uni import (accuracy_from_fit, capped_loglik,
+                                  fit_document, fit_uni, sample_counts,
+                                  select_G)
+
+
+def column(n):
+    """The width-1 count vectors 0 .. n - 1, one per row."""
+    return np.arange(n)[:, None]
 
 
 class TestComponentPmf:
     def test_zero_count(self):
-        assert comp_pmf(0, 0.9, 0.5) == pytest.approx(0.1 * np.exp(-0.5),
-                                                      rel=1e-12)
+        assert comp_pmf([0], [0.9], [0.5]) == pytest.approx(
+            0.1 * np.exp(-0.5), rel=1e-12)
 
     def test_one_count(self):
         # e^{-0.5} (0.9 + 0.1 * 0.5)
-        assert comp_pmf(1, 0.9, 0.5) == pytest.approx(0.576204, abs=1e-6)
+        assert comp_pmf([1], [0.9], [0.5]) == pytest.approx(0.576204,
+                                                            abs=1e-6)
 
     def test_truncated_normalization(self):
         for lam in (0.1, 1.0, 5.0, 10.0):
-            total = comp_pmf(np.arange(201), 0.7, lam).sum()
+            total = comp_pmf(column(201), [0.7], [lam]).sum()
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
-            comp_pmf(1, 0.5, 0.0)
+            comp_pmf([1], [0.5], [0.0])
 
 
 class TestMixturePmf:
     def test_single_class_reduces_to_component(self):
-        params = UniMixtureParams(alpha=[1.0], p=[0.3], lam=[0.8])
-        n = np.arange(10)
-        np.testing.assert_allclose(mix_pmf(n, params), comp_pmf(n, 0.3, 0.8))
+        params = MixtureParams(alpha=[1.0], p=[[0.3]], lam=[[0.8]])
+        n = column(10)
+        np.testing.assert_allclose(mix_pmf(n, params),
+                                   comp_pmf(n, [0.3], [0.8]))
 
     def test_identical_components_degenerate(self):
-        one = UniMixtureParams(alpha=[1.0], p=[0.4], lam=[0.6])
-        two = UniMixtureParams(alpha=[0.5, 0.5], p=[0.4, 0.4], lam=[0.6, 0.6])
-        n = np.arange(15)
+        one = MixtureParams(alpha=[1.0], p=[[0.4]], lam=[[0.6]])
+        two = MixtureParams(alpha=[0.5, 0.5], p=[[0.4], [0.4]],
+                            lam=[[0.6], [0.6]])
+        n = column(15)
         np.testing.assert_allclose(mix_pmf(n, two), mix_pmf(n, one),
                                    rtol=1e-14)
 
     def test_sampling_oracle(self):
-        params = UniMixtureParams(alpha=[0.6, 0.4], p=[0.8, 0.8],
-                                  lam=[0.2, 2.5])
+        params = MixtureParams(alpha=[0.6, 0.4], p=[[0.8], [0.8]],
+                               lam=[[0.2], [2.5]])
         rng = np.random.default_rng(42)
         draws = sample_counts(params, 200000, rng)
         for n in range(8):
-            expected = mix_pmf(n, params)
+            expected = mix_pmf([n], params)
             if expected < 1e-3:
                 continue
             emp = (draws == n).mean()
@@ -59,44 +67,64 @@ class TestMixturePmf:
     @given(st.floats(0.01, 0.99), st.floats(0.05, 8.0))
     @settings(max_examples=30, deadline=None)
     def test_normalization_property(self, p, lam):
-        params = UniMixtureParams(alpha=[1.0], p=[p], lam=[lam])
-        support = np.arange(int(np.ceil(lam)) * 20 + 50)
+        params = MixtureParams(alpha=[1.0], p=[[p]], lam=[[lam]])
+        support = column(int(np.ceil(lam)) * 20 + 50)
         assert mix_pmf(support, params).sum() == pytest.approx(1.0,
                                                                abs=1e-10)
 
 
 class TestCappedLoglik:
     def test_hand_histogram(self):
-        hist = CountHistogram(values=[0, 1], counts=[2, 1])
-        params = UniMixtureParams(alpha=[1.0], p=[0.5], lam=[1.0])
+        hist = CountHistogram(keys=[[0], [1]], counts=[2, 1])
+        params = MixtureParams(alpha=[1.0], p=[[0.5]], lam=[[1.0]])
         expect = 2 * np.log(0.5 * np.exp(-1)) + np.log(np.exp(-1))
         assert capped_loglik(hist, params, 10) == pytest.approx(expect,
                                                                 rel=1e-12)
 
     def test_no_tail_equals_uncapped(self):
-        hist = CountHistogram(values=[0, 1, 2], counts=[5, 3, 1])
-        params = UniMixtureParams(alpha=[1.0], p=[0.6], lam=[0.4])
-        full = float(hist.counts @ np.log(mix_pmf(hist.values, params)))
+        hist = CountHistogram(keys=[[0], [1], [2]], counts=[5, 3, 1])
+        params = MixtureParams(alpha=[1.0], p=[[0.6]], lam=[[0.4]])
+        full = float(hist.counts @ np.log(mix_pmf(hist.keys, params)))
         assert capped_loglik(hist, params, 10) == pytest.approx(full)
 
     def test_tail_term(self):
-        hist = CountHistogram(values=[0, 25], counts=[5, 2])
-        params = UniMixtureParams(alpha=[1.0], p=[0.6], lam=[0.4])
-        tail_mass = 1.0 - mix_pmf(np.arange(11), params).sum()
-        expect = 5 * np.log(mix_pmf(0, params)) + 2 * np.log(tail_mass)
+        hist = CountHistogram(keys=[[0], [25]], counts=[5, 2])
+        params = MixtureParams(alpha=[1.0], p=[[0.6]], lam=[[0.4]])
+        tail_mass = 1.0 - mix_pmf(column(11), params).sum()
+        expect = 5 * np.log(mix_pmf([0], params)) + 2 * np.log(tail_mass)
         assert capped_loglik(hist, params, 10) == pytest.approx(expect)
+
+
+WIDE = CountHistogram(keys=[[0, 1], [2, 0]], counts=[5, 2])
+NARROW = CountHistogram(keys=[[0], [1]], counts=[5, 2])
+PAIR = MixtureParams(alpha=[1.0], p=[[0.3, 0.3]], lam=[[0.4, 0.4]])
+ONE = MixtureParams(alpha=[1.0], p=[[0.6]], lam=[[0.4]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: capped_loglik(WIDE, ONE, 10),
+    lambda: capped_loglik(NARROW, PAIR, 10),
+    lambda: fit_uni(WIDE, 1),
+    lambda: neighbor_uni.fit_uni_many((NARROW, WIDE), 1),
+    lambda: sample_counts(PAIR, 10, np.random.default_rng(0))],
+    ids=["loglik_hist", "loglik_params", "fit", "fit_many", "sample"])
+def test_refuses_more_cells_than_one(call):
+    # the model counts one cell: its tail sums the pmf over the counts
+    # at or below tau, its head gives one p, its sampler one Bernoulli
+    with pytest.raises(ValueError, match="counts one cell"):
+        call()
 
 
 class TestFit:
     def test_parameter_recovery(self):
-        truth = UniMixtureParams(alpha=[1.0], p=[0.9], lam=[0.3])
+        truth = MixtureParams(alpha=[1.0], p=[[0.9]], lam=[[0.3]])
         draws = sample_counts(truth, 50000, np.random.default_rng(11))
         fit = fit_uni(CountHistogram.from_observations(draws), 1, tau=10)
-        assert fit.params.p[0] == pytest.approx(0.9, abs=0.02)
-        assert fit.params.lam[0] == pytest.approx(0.3, abs=0.02)
+        assert fit.params.p[0, 0] == pytest.approx(0.9, abs=0.02)
+        assert fit.params.lam[0, 0] == pytest.approx(0.3, abs=0.02)
 
     def test_nested_model_no_overfit_gain(self):
-        truth = UniMixtureParams(alpha=[1.0], p=[0.9], lam=[0.3])
+        truth = MixtureParams(alpha=[1.0], p=[[0.9]], lam=[[0.3]])
         draws = sample_counts(truth, 50000, np.random.default_rng(12))
         hist = CountHistogram.from_observations(draws)
         f1 = fit_uni(hist, 1, tau=10)
@@ -105,14 +133,14 @@ class TestFit:
         assert f2.loglik - f1.loglik < 2.0
 
     def test_all_zero_histogram_boundary(self):
-        hist = CountHistogram(values=[0], counts=[1000])
+        hist = CountHistogram(keys=[[0]], counts=[1000])
         fit = fit_uni(hist, 1, tau=10)
-        assert fit.params.p[0] < 0.01
-        assert fit.params.lam[0] < 0.01
+        assert fit.params.p[0, 0] < 0.01
+        assert fit.params.lam[0, 0] < 0.01
 
     def test_ascent_over_initialization(self):
-        truth = UniMixtureParams(alpha=[0.5, 0.5], p=[0.85, 0.85],
-                                 lam=[0.1, 1.5])
+        truth = MixtureParams(alpha=[0.5, 0.5], p=[[0.85], [0.85]],
+                              lam=[[0.1], [1.5]])
         draws = sample_counts(truth, 20000, np.random.default_rng(13))
         hist = CountHistogram.from_observations(draws)
         fit = fit_uni(hist, 2, tau=10)
@@ -167,8 +195,8 @@ def histograms_of_one_total(n, seed=14, size=400, top=8.0):
     rng = np.random.default_rng(seed)
     hists = []
     for lam in np.geomspace(0.1, top, n):
-        truth = UniMixtureParams(alpha=[0.9, 0.1], p=[0.8, 0.8],
-                                 lam=[lam / 4, lam])
+        truth = MixtureParams(alpha=[0.9, 0.1], p=[[0.8], [0.8]],
+                              lam=[[lam / 4], [lam]])
         hists.append(CountHistogram.from_observations(
             sample_counts(truth, size, rng)))
     return hists
@@ -187,9 +215,9 @@ def assert_gaps_and_tails(hists, tau, tails=True):
     """Some histogram lacks a count at most tau below its own maximum (a
     gap in the middle of the keys it shares), and some but not all have
     counts above tau (none when tails is False)."""
-    assert any(set(range(min(h.values.max(), tau + 1))) - set(h.values)
+    assert any(set(range(min(h.keys.max(), tau + 1))) - set(h.keys[:, 0])
                for h in hists)
-    above = [bool((h.values > tau).any()) for h in hists]
+    above = [bool((h.keys > tau).any()) for h in hists]
     assert (any(above) and not all(above)) if tails else not any(above)
 
 
@@ -215,12 +243,12 @@ def assert_gradient_matches(fun, x0, seed, n_points=4, atol=1e-7):
 class TestGradient:
     @pytest.mark.parametrize("g", [1, 3])
     def test_matches_finite_differences(self, monkeypatch, g):
-        truth = UniMixtureParams(alpha=[0.6, 0.4], p=[0.8, 0.9],
-                                 lam=[0.3, 2.5])
+        truth = MixtureParams(alpha=[0.6, 0.4], p=[[0.8], [0.9]],
+                              lam=[[0.3], [2.5]])
         draws = sample_counts(truth, 5000, np.random.default_rng(5))
         hist = CountHistogram.from_observations(draws)
         tau = 3
-        assert hist.values.max() > tau      # the tail cell is active
+        assert hist.keys.max() > tau        # the tail cell is active
         monkeypatch.setattr(_optim, "N_STARTS", 1)
         fun, x0 = captured_objective(
             monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau)
@@ -266,8 +294,8 @@ class TestGradient:
 
 class TestSelection:
     def test_two_separated_classes_recovered(self):
-        truth = UniMixtureParams(alpha=[0.5, 0.5], p=[0.9, 0.9],
-                                 lam=[0.2, 5.0])
+        truth = MixtureParams(alpha=[0.5, 0.5], p=[[0.9], [0.9]],
+                              lam=[[0.2], [5.0]])
         selections = {}
         for seed in range(21, 41):
             draws = sample_counts(truth, 50000, np.random.default_rng(seed))
@@ -280,7 +308,7 @@ class TestSelection:
         two = [sel for sel in selections.values() if sel.g_hat == 2]
         assert len(two) >= 15
         for sel in two:
-            np.testing.assert_allclose(sel.fit.params.lam, [0.2, 5.0],
+            np.testing.assert_allclose(sel.fit.params.lam[:, 0], [0.2, 5.0],
                                        atol=0.3)
         # per-record mean p + lambda is tightly identified even where the
         # Bernoulli/Poisson split within the heavy class is not
@@ -291,7 +319,7 @@ class TestSelection:
     def test_single_class_selected(self):
         hits = 0
         for seed in range(10):
-            truth = UniMixtureParams(alpha=[1.0], p=[0.9], lam=[0.5])
+            truth = MixtureParams(alpha=[1.0], p=[[0.9]], lam=[[0.5]])
             draws = sample_counts(truth, 20000, np.random.default_rng(seed))
             sel = select_G(CountHistogram.from_observations(draws), 2, tau=10)
             hits += sel.g_hat == 1
@@ -299,7 +327,7 @@ class TestSelection:
 
     def test_parameter_count(self, monkeypatch):
         # G - 1 weights, the shared p and G rates
-        hist = CountHistogram([0, 1, 2, 3], [40, 30, 20, 10])
+        hist = CountHistogram([[0], [1], [2], [3]], [40, 30, 20, 10])
         monkeypatch.setattr(_optim, "N_STARTS", 1)
         monkeypatch.setattr(_optim, "MAX_ITER", 5)
         assert fit_uni(hist, 2).n_params == 4
@@ -307,8 +335,8 @@ class TestSelection:
 
 class TestAccuracy:
     def test_weighted_means(self):
-        params = UniMixtureParams(alpha=[0.5, 0.5], p=[0.8, 0.6],
-                                  lam=[0.1, 0.3])
+        params = MixtureParams(alpha=[0.5, 0.5], p=[[0.8], [0.6]],
+                               lam=[[0.1], [0.3]])
         acc = accuracy_from_fit(params)
         assert acc.p_bar == pytest.approx(0.7)
         assert acc.lambda_bar == pytest.approx(0.2)
@@ -316,24 +344,17 @@ class TestAccuracy:
         assert acc.coverage_lower_bound == pytest.approx(0.7)
 
     def test_known_recall_gives_coverage(self):
-        params = UniMixtureParams(alpha=[1.0], p=[0.85], lam=[0.1])
+        params = MixtureParams(alpha=[1.0], p=[[0.85]], lam=[[0.1]])
         acc = accuracy_from_fit(params, known_recall=1.0)
         assert acc.coverage_hat == pytest.approx(0.85)
 
     def test_known_coverage_gives_recall(self):
-        params = UniMixtureParams(alpha=[1.0], p=[0.81], lam=[0.1])
+        params = MixtureParams(alpha=[1.0], p=[[0.81]], lam=[[0.1]])
         acc = accuracy_from_fit(params, known_coverage=0.9)
         assert acc.recall_hat == pytest.approx(0.9)
 
 
 class TestCanonicalOrder:
-    def test_permutation_invariance(self):
-        a = UniMixtureParams(alpha=[0.3, 0.7], p=[0.2, 0.9], lam=[1.5, 0.1])
-        b = UniMixtureParams(alpha=[0.7, 0.3], p=[0.9, 0.2], lam=[0.1, 1.5])
-        np.testing.assert_array_equal(a.alpha, b.alpha)
-        np.testing.assert_array_equal(a.lam, b.lam)
-        assert a.lam[0] < a.lam[1]
-
     def test_stick_breaking_round_trip(self):
         rng = np.random.default_rng(3)
         for g in (2, 3, 5):
@@ -346,7 +367,7 @@ class TestDocument:
     def test_json_fields(self):
         import json
 
-        truth = UniMixtureParams(alpha=[1.0], p=[0.9], lam=[0.3])
+        truth = MixtureParams(alpha=[1.0], p=[[0.9]], lam=[[0.3]])
         draws = sample_counts(truth, 5000, np.random.default_rng(2))
         fit = fit_uni(CountHistogram.from_observations(draws), 1, tau=10)
         doc = json.loads(fit_document(fit, aic=12.5))

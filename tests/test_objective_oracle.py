@@ -36,13 +36,12 @@ import pytest
 from scipy.special import expit, gammaln, pdtr
 
 from linkcov import _optim, neighbor_multi, neighbor_uni
-from linkcov._optim import LAMBDA_MAX, NU, interval_from_real
-from linkcov.neighbor_multi import (PATTERNS, LogLinear, MultiCountHistogram,
-                                    MultiMixtureParams, build_design,
+from linkcov._optim import (LAMBDA_MAX, NU, CountHistogram, MixtureParams,
+                            interval_from_real)
+from linkcov.neighbor_multi import (PATTERNS, LogLinear, build_design,
                                     fit_multi, loglinear_probs,
                                     sample_multi_counts)
-from linkcov.neighbor_uni import (CountHistogram, UniMixtureParams, fit_uni,
-                                  sample_counts)
+from linkcov.neighbor_uni import fit_uni, sample_counts
 from test_neighbor_uni import (assert_gaps_and_tails, captured_objective,
                                histograms_of_one_total)
 
@@ -102,8 +101,9 @@ def stick_break_vjp(x, grad_s, floor=0.0):
 
 def _oracle_split_hist(hist, tau):
     """Counts up to tau with their log factorials, and the tail count."""
-    low = hist.values <= tau
-    vals = hist.values[low].astype(float)
+    values = hist.keys[:, 0]
+    low = values <= tau
+    vals = values[low].astype(float)
     return (vals, gammaln(vals + 1.0), hist.counts[low].astype(float),
             float(hist.counts[~low].sum()))
 
@@ -292,7 +292,8 @@ MULTI_CONSTRAINTS = [LogLinear(1), LogLinear(2)]
 
 
 def _uni_hist():
-    truth = UniMixtureParams(alpha=[0.6, 0.4], p=[0.8, 0.9], lam=[0.3, 2.5])
+    truth = MixtureParams(alpha=[0.6, 0.4], p=[[0.8], [0.9]],
+                          lam=[[0.3], [2.5]])
     draws = sample_counts(truth, 5000, np.random.default_rng(5))
     return CountHistogram.from_observations(draws)
 
@@ -303,7 +304,7 @@ def _multi_hist(data="flat"):
     strong interactions, spanning 0.005 to 0.45 ("interacting")."""
     if data == "flat":
         p = FLAT_P
-        truth = MultiMixtureParams(
+        truth = MixtureParams(
             alpha=[0.6, 0.4], p=[p, p],
             lam=[np.full(7, 0.1), np.full(7, 0.7)],
         )
@@ -312,13 +313,13 @@ def _multi_hist(data="flat"):
         design = build_design(2)
         p = loglinear_probs(0.7, np.array([2.0, -1.0, 0.5, -1.5, 1.0, 0.8]),
                             design)
-        truth = MultiMixtureParams(
+        truth = MixtureParams(
             alpha=[0.5, 0.3, 0.2], p=[p, p, p],
             lam=[np.linspace(0.02, 0.2, 7), np.linspace(0.9, 0.1, 7),
                  np.full(7, 1.2)],
         )
         draws = sample_multi_counts(truth, 4000, np.random.default_rng(53))
-    return MultiCountHistogram.from_observations(draws)
+    return CountHistogram.from_observations(draws)
 
 
 def _tau(max_count, tail):
@@ -330,7 +331,7 @@ def uni_pair(monkeypatch, g, tail):
     """(objective, x0) as fit_uni runs it, and the oracle's args:
     fit_uni shares one p across the classes, the oracle's shared_p."""
     hist = _uni_hist()
-    tau = _tau(hist.values.max(), tail)
+    tau = _tau(hist.keys.max(), tail)
     monkeypatch.setattr(_optim, "N_STARTS", 1)
     fun, x0 = captured_objective(
         monkeypatch, neighbor_uni, fit_uni, hist, g, tau=tau)
@@ -512,7 +513,7 @@ class TestMultiBlockKernel:
         monkeypatch.setattr(_optim, "N_STARTS", 1)
         fun, starts = captured_objective(
             monkeypatch, neighbor_uni, fit_uni, hist, g,
-            tau=_tau(hist.values.max(), tail), block=True)
+            tau=_tau(hist.keys.max(), tail), block=True)
         assert_rows_match_alone(fun, [starts[0][0]], g, tail)
 
     @TAILS
@@ -524,7 +525,7 @@ class TestMultiBlockKernel:
         # it, gives it alone, whether a key is absent from its histogram
         # and whether its block, or only another, has a tail cell
         hists = histograms_of_one_total(4)
-        tau = 5 if tail else max(int(h.values.max()) for h in hists)
+        tau = 5 if tail else max(int(h.keys.max()) for h in hists)
         assert_gaps_and_tails(hists, tau, tails=tail)
         monkeypatch.setattr(_optim, "N_STARTS", 1)
         owns = [captured_objective(monkeypatch, neighbor_uni, fit_uni, h, g,
@@ -582,13 +583,13 @@ class TestAllCountsInTail:
     # the tail cell alone carries the log-likelihood
     @pytest.mark.filterwarnings("error")
     def test_uni(self):
-        fit = fit_uni(CountHistogram([12, 15], [30, 20]), 1, tau=10)
+        fit = fit_uni(CountHistogram([[12], [15]], [30, 20]), 1, tau=10)
         assert np.isfinite(fit.loglik) and fit.loglik <= 0.0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("constraint", MULTI_CONSTRAINTS, ids=str)
     def test_multi(self, constraint):
-        hist = MultiCountHistogram([[2, 2, 2, 2, 2, 1, 1],
-                                    [3, 2, 2, 2, 2, 2, 2]], [30, 20])
+        hist = CountHistogram([[2, 2, 2, 2, 2, 1, 1],
+                               [3, 2, 2, 2, 2, 2, 2]], [30, 20])
         fit = fit_multi(hist, 1, constraint=constraint, tau=10)
         assert np.isfinite(fit.loglik) and fit.loglik <= 0.0
