@@ -39,9 +39,11 @@ setulb state per start, and in each round the starts that ask for a new
 point are evaluated by one call of the objective on the tuple of each
 block's asking points.  The count-mixture kernel, whose cost is mostly
 per call, pays that cost once per round instead of once per start, and
-the fits of several heads or histograms share it.  Each start still
-ends on the point, after the evaluations and iterations, that its own
-search would give (for histograms, see count_objective), and minimize
+the fits of several heads, histograms or class counts share it: an AIC
+selection fits G = 1..g_max as one search, whose FitResults select_aic
+takes in G order.  Each start still ends on the point, after the
+evaluations and iterations, that its own search would give (for
+histograms and padded classes, see count_objective), and minimize
 reports the evaluations and iterations as sums over its starts.
 
 All count-mixture parameters live in boxes or simplices; their fits run
@@ -110,6 +112,11 @@ NU = 1e-4
 LAMBDA_MAX = 100.0
 MAX_ITER = 1000
 N_STARTS = 5
+
+
+# The weight term of a class that its row lacks: the exponents it enters
+# are at most this, so exp gives an exact zero (see count_objective).
+_PAD_LOG = -1e4
 
 
 def check_class_count(g):
@@ -223,8 +230,9 @@ def minimize(fun, x0s, *, jac, method, options):
                 else:
                     break
         if asking:
-            rows = [[s for s in asking if s.block == b]
-                    for b in range(len(blocks))]
+            rows = [[] for _ in blocks]
+            for s in asking:
+                rows[s.block].append(s)
             X = [np.array([s.x for s in ask]) if ask
                  else np.empty((0, b.shape[1]))
                  for ask, b in zip(rows, blocks)]
@@ -281,6 +289,21 @@ class _Search:
         self.nfev = self.nit = 0
 
 
+def _integers(values, what):
+    """values as an int64 array, refused unless each is an integer or an
+    integral float: truncating 1.5 or a NaN would count what was not
+    seen."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            integral = (arr == np.trunc(arr)) & (np.abs(arr) < 2.0 ** 63)
+        if integral.all():
+            return arr.astype(np.int64)
+    raise ValueError(f"histogram {what} must be finite integers")
+
+
 @dataclass(frozen=True)
 class CountHistogram:
     """Multiplicities of observed count vectors: the distinct vectors as
@@ -292,8 +315,8 @@ class CountHistogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        keys = np.asarray(self.keys, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        keys = _integers(self.keys, "keys")
+        counts = _integers(self.counts, "counts")
         if (keys.ndim != 2 or not keys.shape[1] or not counts.size
                 or counts.shape != keys.shape[:1]):
             raise ValueError(f"histogram needs a non-empty (k, m) key matrix "
@@ -319,7 +342,7 @@ class CountHistogram:
         first column most significant, so codes sort as rows do); others
         go through np.unique itself.
         """
-        mat = np.asarray(count_matrix, dtype=np.int64)
+        mat = _integers(count_matrix, "observations")
         if mat.ndim != 2:
             raise ValueError(f"observations must be an (n, m) matrix, one "
                              f"count vector per row; got shape {mat.shape}")
@@ -439,18 +462,24 @@ def split_counts(keys, counts, tau):
             counts[..., ~low].sum(axis=-1).astype(float).tolist())
 
 
-def count_objective(keys, counts, tau, g, designs):
-    """The objective of G-class count-mixture fits to the distinct (k, m)
-    count vectors keys, seen counts[b] times each by block b's histogram
-    (rows of one total): a block kernel on a tuple of blocks, block b's
-    rows laid out for the head designs[b]: X -> (the negative mean capped
-    log-likelihood at each row x of each block, block by block, and the
-    tuple of the blocks' analytic gradients; see minimize).  Each row gets
-    the bits that the kernel gives it alone on its own histogram, so the
-    fits of several heads or histograms can share each call.  Zeros for
-    keys that a block's histogram lacks keep those bits up to 14 keys at
-    or below tau (OpenBLAS 0.3, x86-64); past that, a fit may match its
-    own only to the search's tolerance.
+def count_objective(keys, counts, tau, gs, designs):
+    """The objective of count-mixture fits to the distinct (k, m) count
+    vectors keys, seen counts[b] times each by block b's histogram (rows
+    of one total): a block kernel on a tuple of blocks, block b's rows
+    laid out for gs[b] classes and the head designs[b]: X -> (the
+    negative mean capped log-likelihood at each row x of each block,
+    block by block, and the tuple of the blocks' analytic gradients; see
+    minimize).  Each row gets the bits that the kernel gives it alone on
+    its own histogram at its own class count, so the fits of several
+    heads, histograms or class counts can share each call.  Two layouts
+    keep those bits only as far as they were measured (OpenBLAS 0.3.31,
+    its Haswell kernel): zeros for keys that a block's histogram lacks
+    up to 14 keys at or below tau, and classes padded to max(gs), below,
+    at every support tried (up to 300 keys) for m = 7 but up to 15 keys
+    at or below tau for m = 1; both hold at tau = 10.  Past them, a fit
+    may match its own only to the search's tolerance, as may one of 4 or
+    more classes at m = 1 padded to 8 or more, whose class sums numpy's
+    pairwise summation regroups.
 
     A row is [weight logits | head | rate reals].  Class c gives a count
     vector t with |t| <= tau the mass alpha_c a_c times the bracket
@@ -464,30 +493,37 @@ def count_objective(keys, counts, tau, g, designs):
 
     It holds the per-fit constants: the columns [t | 1 | log t!] of the
     count vectors with |t| <= tau, contiguous and transposed, their
-    multiplicities, log NU and the log-span of the rates.  Per call, one
-    stacked product of the (S, 2g, m + 2) coefficient block with the
-    transposed columns gives, for each row and class, the exponents of
-    alpha_c a_c (the weight enters as log alpha_c) and the bracket.
-    [alpha a | alpha mix] fill one (S, 2g, k) block; q is the class sum
-    of its mix rows, floored at 1e-300 as the tail mass is, and one
-    stacked product of the w-weighted block with the columns gives the
-    four weighted sums of the gradient (a zero count adds zeros).  Every
-    product is stacked, one 2-D product per row, on contiguous count rows,
-    because one flat product of all rows, or a strided row, rounds
-    differently.
+    multiplicities, log NU and the log-span of the rates.  Every row is
+    laid out with G = max(gs) classes: a class that its row lacks gets
+    the rates NU and a weight term of _PAD_LOG, a finite log so far
+    below exp's range that its mass is an exact zero (an infinite one
+    would turn 0 * inf into NaN inside the products), so it adds zeros
+    to every class sum.  Per call, one stacked product of the
+    (S, 2G, m + 2) coefficient block with the transposed columns gives,
+    for each row and class, the exponents of alpha_c a_c (the weight
+    enters as log alpha_c) and the bracket.  [alpha a | alpha mix] fill
+    one (S, 2G, k) block; q is the class sum of its mix rows, floored at
+    1e-300 as the tail mass is, and one stacked product of the
+    w-weighted block with the columns gives the four weighted sums of
+    the gradient (a zero count adds zeros).  Every product is stacked,
+    one 2-D product per row, on contiguous count rows, because one flat
+    product of all rows, or a strided row, rounds differently.
     The weights, the head and the tail's terms are Python floats per row
     (math.exp, not np.exp, whose bits differ), the tail's only on rows
     with a tail (adding 0.0 turns -0.0 into 0.0); the logistic of each
     block is one array call, which saturates where exp(-x) would
-    overflow.  Nothing of size k * g * m is formed.  A call costs mostly
+    overflow.  Nothing of size k * G * m is formed.  A call costs mostly
     its fixed overhead: on the 155 distinct vectors of one N=100k
-    scenario-3 replication, about 50-60 us on one point and 140-175 us
-    on ten (G = 1..3, 2-vCPU VM, one BLAS thread).
+    scenario-3 replication, at G = 3 and m = 7, about 55 us on one point,
+    100 us on five and 175 us on ten (2-vCPU VM, one BLAS thread).
     """
     totals = np.sum(counts, axis=-1)
     if np.shape(counts) != (len(designs), len(keys)) or np.ptp(totals):
         raise ValueError(f"need one count row per block over the keys, of "
                          f"one total; got {np.shape(counts)}, {totals}")
+    if len(gs) != len(designs):
+        raise ValueError(f"need one class count per block; got {len(gs)} "
+                         f"for {len(designs)} blocks")
     keys, log_fact, cnts, tail_counts = split_counts(keys, counts, tau)
     k, m = keys.shape
     total = float(totals[0])
@@ -497,13 +533,15 @@ def count_objective(keys, counts, tau, g, designs):
     cols[:, m + 1] = log_fact
     cols_t = np.ascontiguousarray(cols.T)
     cols = np.ascontiguousarray(cols[:, :m + 1])
-    # per row, rows [log lam_c | log alpha_c - |lam_c| | -1] for c < g,
-    # then [p / lam_c | 1 - |p| | 0], and the (2g, k) block of
+    # per row, rows [log lam_c | log alpha_c - |lam_c| | -1] for c < G,
+    # then [p / lam_c | 1 - |p| | 0], and the (2G, k) block of
     # [alpha a | alpha mix]; views[S] holds the first S rows of buffers
     # made for the largest block so far
-    n_alpha = g - 1
-    n_heads = [n_alpha + 1 + (0 if design is None else design.shape[1])
-               for design in designs]
+    g = max(gs)
+    nu = NU
+    # per block: its classes, weight logits, head end and weight scale
+    layouts = [(gb, gb - 1, gb + (0 if design is None else design.shape[1]),
+                1.0 - gb * nu) for gb, design in zip(gs, designs)]
     views = []
 
     def grow(n_rows):
@@ -512,11 +550,9 @@ def count_objective(keys, counts, tau, g, designs):
         a_mix = np.empty((n_rows, 2 * g, k))
         views[:] = [(coef[:i], a_mix[:i]) for i in range(n_rows + 1)]
 
-    nu = NU
     log_lo = math.log(nu)
     span = math.log(LAMBDA_MAX) - log_lo
     log_fact_tau = math.lgamma(tau + 1.0)
-    scale = 1.0 - g * nu
     expit, pdtr = scipy.special.expit, scipy.special.pdtr
     exp, log = math.exp, math.log
 
@@ -526,22 +562,27 @@ def count_objective(keys, counts, tau, g, designs):
         if n_rows >= len(views):
             grow(n_rows)
         coef, a_mix = views[n_rows]
-        etas, sig_heads, sig_lams = [], [], []
-        for block, design, n_head in zip(blocks, designs, n_heads):
+        # the rate logistics, padded classes at 0 (rates NU)
+        sig_lam = np.zeros((n_rows, g * m))
+        etas, sig_heads, row_layouts, lo = [], [], [], 0
+        for block, design, layout in zip(blocks, designs, layouts):
             if block.shape[0]:
+                gb, n_alpha, n_head, _ = layout
                 sig = expit(block)
                 etas += ([None] * block.shape[0] if design is None else
                          np.matmul(design, block[:, n_alpha + 1:n_head, None]
                                    )[:, :, 0].tolist())
                 sig_heads += sig[:, :n_alpha + 1].tolist()
-                sig_lams.append(sig[:, n_head:])
-        sig_lam = np.concatenate(sig_lams)
+                row_layouts += [layout] * block.shape[0]
+                sig_lam[lo:lo + block.shape[0], :gb * m] = sig[:, n_head:]
+                lo += block.shape[0]
         log_lam = np.add(log_lo, span * sig_lam.reshape(n_rows, g, m),
                          out=coef[:, :g, :m])
         lam = np.exp(log_lam)
         lam_sums = lam.sum(axis=2).tolist()
         heads, alphas, r, p, log_terms = [], [], [], [], []
-        for s, eta, lam_sum in zip(sig_heads, etas, lam_sums):
+        for s, eta, lam_sum, (gb, n_alpha, _, scale) in zip(
+                sig_heads, etas, lam_sums, row_layouts):
             stick, pieces = stick_pieces(s[:n_alpha])
             alpha = [nu + scale * piece for piece in pieces]
             sp = s[n_alpha]
@@ -562,7 +603,8 @@ def count_objective(keys, counts, tau, g, designs):
             r += r_row
             heads.append((s, stick, pieces, slope))
             alphas.append(alpha)
-            log_terms.append([log(ac) - ls for ac, ls in zip(alpha, lam_sum)])
+            log_terms.append([log(ac) - ls for ac, ls in zip(alpha, lam_sum)]
+                             + [_PAD_LOG] * (g - gb))
         r = np.array(r).reshape(n_rows, m, 1)
         p = np.array(p).reshape(n_rows, 1, m)
         psum = p.sum(axis=2)
@@ -606,14 +648,14 @@ def count_objective(keys, counts, tau, g, designs):
                         1e-300)
                 ll[i] += n_tail * log(T)
                 wt = n_tail / T
-                row_p, row_lam = [], []
-                for c in range(g):
+                row_p, row_lam = [0.0] * g, [0.0] * g
+                for c in range(len(alpha)):
                     ls = lam_sum[c]
                     pmf_t = exp(tau * log(ls) - ls - log_fact_tau)
                     d_alpha[c] -= wt * below[c]
-                    row_p.append(wt * (alpha[c] * (cdf_t[c] - cdf_tm1[c])))
-                    row_lam.append(wt * (alpha[c] * ((1.0 - ps) * pmf_t
-                                                     + ps * pmf_t * tau / ls)))
+                    row_p[c] = wt * (alpha[c] * (cdf_t[c] - cdf_tm1[c]))
+                    row_lam[c] = wt * (alpha[c] * ((1.0 - ps) * pmf_t
+                                                   + ps * pmf_t * tau / ls))
                 tail_p.append(row_p)
                 tail_lam.append(row_lam)
             # a slice of all rows adds in place, a list of some by copies
@@ -628,14 +670,16 @@ def count_objective(keys, counts, tau, g, designs):
             [scale * gv for gv in stick_pieces_vjp(s[:n_alpha], stick, pieces,
                                                    d_alpha)]
             + [dr * slope[0] * slope[1]]
-            for (s, stick, pieces, slope), d_alpha, ((dr,),) in zip(
-                heads, d_alphas, dldr.tolist())]
+            for (s, stick, pieces, slope), d_alpha, ((dr,),),
+            (_, n_alpha, _, scale) in zip(heads, d_alphas, dldr.tolist(),
+                                          row_layouts)]
         d_cells = p * (dldp - dldr)
         d_rates = d_lam.reshape(n_rows, -1) * (lam.reshape(n_rows, -1)
                                                * span * sig_lam
                                                * (1.0 - sig_lam))
         grads, lo = [], 0
-        for block, design, n_head in zip(blocks, designs, n_heads):
+        for block, design, (gb, n_alpha, n_head, _) in zip(blocks, designs,
+                                                           layouts):
             hi = lo + block.shape[0]
             grad = np.empty(block.shape)
             if hi > lo:
@@ -643,7 +687,7 @@ def count_objective(keys, counts, tau, g, designs):
                 if design is not None:
                     np.matmul(d_cells[lo:hi], design,
                               out=grad[:, None, n_alpha + 1:n_head])
-                grad[:, n_head:] = d_rates[lo:hi]
+                grad[:, n_head:] = d_rates[lo:hi, :gb * m]
                 np.divide(grad, -total, out=grad)
             grads.append(grad)
             lo = hi
@@ -704,15 +748,12 @@ def fit_starts(minimize, objective, x0s, total, tau, params_ats, salt=()):
     return tuple(fits)
 
 
-def select_aic(fit, g_max):
-    """Fit G = 1..g_max with fit(G) and keep the AIC minimizer (ties ->
-    smallest G); AIC charges each fit its n_params."""
-    if g_max < 1:
-        raise ValueError("g_max must be at least 1")
+def select_aic(fits):
+    """Keep the AIC minimizer of fits, the FitResults of G = 1, 2, ...
+    in order (ties -> smallest G); AIC charges each fit its n_params."""
     trace = []
     best = None
-    for g in range(1, g_max + 1):
-        res = fit(g)
+    for g, res in enumerate(fits, start=1):
         k = res.n_params
         aic = 2.0 * k - 2.0 * res.loglik
         trace.append({"G": g, "loglik": res.loglik, "k": k, "aic": aic})

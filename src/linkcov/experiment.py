@@ -243,7 +243,8 @@ _MN_CONSTRAINTS = {"mn_no_interactions": LogLinear(1),
 
 def count_estimates(cv, estimators, tau, g_max):
     """The UN and MN estimates named in estimators, from link counts; the
-    MN modes share one start, and their fits at each G one lockstep search."""
+    MN modes share one start, and their fits at every G one lockstep
+    search."""
     estimates = {}
     if "un" in estimators:
         uh = CountHistogram.from_observations(cv.n_total[:, None])

@@ -288,20 +288,21 @@ _VARIANT_VOWELS = (
 _VARIANT_SHARES = (0.78, 0.08, 0.05, 0.04, 0.03, 0.02)
 
 
-def _family_names(family_index):
-    """Distinct surnames sharing one soundex code."""
-    letter = _FIRST_LETTERS[family_index % len(_FIRST_LETTERS)]
-    rest = family_index // len(_FIRST_LETTERS)
-    digits = (rest % 6 + 1, rest // 6 % 6 + 1, rest // 36 % 6 + 1)
-    names = []
-    for v, vowels in enumerate(_VARIANT_VOWELS):
-        parts = [letter]
-        for vowel, digit in zip(vowels, digits):
-            options = _DIGIT_CONSONANTS[digit]
-            parts.append(vowel)
-            parts.append(options[v % len(options)])
-        names.append("".join(parts))
-    return names
+def _name_tails():
+    """The surnames of a family after its first letter, one per variant,
+    for each of the 216 digit triples: family f takes the letter
+    f % 18 and the triple (rest % 6 + 1, rest // 6 % 6 + 1,
+    rest // 36 % 6 + 1) of rest = f // 18, which repeats with
+    rest % 216."""
+    tails = []
+    for triple in range(216):
+        digits = (triple % 6 + 1, triple // 6 % 6 + 1, triple // 36 % 6 + 1)
+        tails.append(tuple(
+            "".join(vowel + _DIGIT_CONSONANTS[digit][
+                v % len(_DIGIT_CONSONANTS[digit])]
+                for vowel, digit in zip(vowels, digits))
+            for v, vowels in enumerate(_VARIANT_VOWELS)))
+    return tails
 
 
 class _OperatingPoint:
@@ -323,24 +324,27 @@ class _OperatingPoint:
         self._mass = np.empty(max_codes * year_probs.size)
         self._work = np.empty_like(self._mass)
 
-    def _mass_and_lam(self, code_probs):
+    def _class_mass(self, code_probs):
+        """The class masses of code_probs, and the work array shaped
+        alike."""
         shape = (code_probs.size, self.year_probs.size)
         size = shape[0] * shape[1]
         mass = self._mass[:size].reshape(shape)
-        lam = self._work[:size].reshape(shape)
         np.outer(code_probs, self.year_probs, out=mass)
-        np.multiply(self.rate, mass, out=lam)
-        return mass, lam
+        return mass, self._work[:size].reshape(shape)
 
     def fp_per_record(self, code_probs):
         """Expected false-positive links per record."""
-        mass, lam = self._mass_and_lam(code_probs)
+        mass, lam = self._class_mass(code_probs)
+        np.multiply(self.rate, mass, out=lam)
         return float(np.multiply(mass, lam, out=lam).sum())
 
     def survival(self, code_probs):
         """Share of matched links that survive the one-to-one dedupe."""
-        mass, work = self._mass_and_lam(code_probs)
-        np.multiply(-2.0, work, out=work)
+        # -2 (rate mass) and (-2 rate) mass round alike: scaling by -2
+        # is exact
+        mass, work = self._class_mass(code_probs)
+        np.multiply(-2.0 * self.rate, mass, out=work)
         np.exp(work, out=work)
         return float(np.multiply(mass, work, out=work).sum())
 
@@ -514,10 +518,10 @@ def synthetic_surname_table(reference_size=50000):
     _, n_hot, hot_mass = best
 
     family_probs = cal.assemble(n_hot, hot_mass)
-    labels = []
-    probs = []
-    for f, fam_prob in enumerate(family_probs):
-        for name, share in zip(_family_names(f), _VARIANT_SHARES):
-            labels.append(name)
-            probs.append(fam_prob * share)
-    return FrequencyTable(tuple(labels), np.asarray(probs))
+    n_letters = len(_FIRST_LETTERS)
+    tails = _name_tails()
+    labels = tuple(_FIRST_LETTERS[f % n_letters] + tail
+                   for f in range(family_probs.size)
+                   for tail in tails[f // n_letters % 216])
+    probs = np.multiply.outer(family_probs, _VARIANT_SHARES).ravel()
+    return FrequencyTable(labels, probs)

@@ -12,14 +12,15 @@ without interactions (LogLinear(1)) or with 2nd-order interactions
 P(i in S_A).  The histograms, parameters and pmf are those of ``_optim``
 at width 7, and the fitted MixtureParams carry phi and u as well.
 
-The fits run the count-mixture kernel of ``_optim`` (count_objective),
-built once per class count, with the log-linear head of their design.
-It is a block kernel: one call evaluates the points of all the starts
-that the lockstep search asks for in a round, and gives each the bits
-it would get alone.  select_G_multi, given both interaction orders,
-fits them together at each G, so one call takes the asking points of
-both, each laid out for its own design.  The starts, the result types,
-the AIC selection and the JSON document come from the same fit engine.
+The fits run the count-mixture kernel of ``_optim`` (count_objective)
+with the log-linear head of their design.  It is a block kernel: one
+call evaluates the points of all the starts that the lockstep search
+asks for in a round, each laid out for its own class count and design,
+and gives each the bits it would get alone.  So select_G_multi fits
+every class count 1..g_max, and both interaction orders when given
+both, in one search, and appendix_c_start fits its seven marginals at
+G = 1 and 2 in another.  The starts, the result types, the AIC
+selection and the JSON document come from the same fit engine.
 """
 
 import itertools
@@ -235,17 +236,19 @@ def appendix_c_start(hist, tau=10):
     (rates, cells).
 
     rates holds, per rule, the aggregate rate lambda_bar of a univariate
-    shared-p fit (G = 1..2, AIC, the seven in one search per G) of that
-    rule's marginal counts, floored at NU; cells are the single-class
-    true-positive cells with those rates plugged in (single_class_p_hat).
-    Neither depends on the interaction order or on G, so one start serves
-    every fit of the histogram (see init_appendix_c).
+    shared-p fit (G = 1..2, AIC) of that rule's marginal counts, floored
+    at NU; the fourteen fits, seven marginals at two class counts, run
+    as one search.  cells are the single-class true-positive cells with
+    those rates plugged in (single_class_p_hat).  Neither depends on the
+    interaction order or on G, so one start serves every fit of the
+    histogram (see init_appendix_c).
     """
     _require_three_binary_groups(hist)
-    marginals = [marginal_histogram(hist, c) for c in range(hist.width)]
-    by_g = [fit_uni_many(marginals, g, tau) for g in (1, 2)]
-    rates = np.clip([select_aic(lambda g: by_g[g - 1][i], 2).fit.params
-                     .lambda_bar for i in range(hist.width)], NU, None)
+    m = hist.width
+    marginals = [marginal_histogram(hist, c) for c in range(m)]
+    fits = fit_uni_many(marginals * 2, (1,) * m + (2,) * m, tau)
+    rates = np.clip([select_aic(fits[i::m]).fit.params.lambda_bar
+                     for i in range(m)], NU, None)
     return rates, single_class_p_hat(hist, rates, tau=tau)
 
 
@@ -308,7 +311,7 @@ def fit_multi(hist, g, constraint=LogLinear(2), tau=10, init=None):
     _require_loglinear((constraint,))
     if init is None:
         init = init_appendix_c(appendix_c_start(hist, tau), constraint.d)
-    return _fit_orders(hist, g, (constraint,), tau, (init,))[0]
+    return _fit_blocks(hist, (g,), (constraint,), tau, (init,))[0]
 
 
 def _require_loglinear(constraints):
@@ -320,19 +323,21 @@ def _require_loglinear(constraints):
                          f"tuple of them for select_G_multi: {constraints}")
 
 
-def _fit_orders(hist, g, constraints, tau, inits):
-    """The G-class fits of a tuple of constraints, one init bundle each,
-    as one lockstep search, each model's starts one block laid out for
-    its own order: the tuple of the orders' FitResults.  The caller
-    checks g and hist."""
+def _fit_blocks(hist, gs, constraints, tau, inits):
+    """The fits of hist at each class count of gs under the constraint
+    and from the init bundle of the same place, as one lockstep search,
+    each fit's starts one block laid out for its own G and order: the
+    tuple of their FitResults.  The caller checks the class counts and
+    hist."""
     designs = [build_design(c.d) for c in constraints]
     x0s = tuple(_start_point(g, init, design)
-                for init, design in zip(inits, designs))
-    params_ats = tuple(lambda x, design=design: _unpack_multi(x, g, design)
-                       for design in designs)
+                for g, init, design in zip(gs, inits, designs))
+    params_ats = tuple(
+        lambda x, g=g, design=design: _unpack_multi(x, g, design)
+        for g, design in zip(gs, designs))
     objective = count_objective(hist.keys,
                                 np.tile(hist.counts, (len(designs), 1)), tau,
-                                g, tuple(d.Z for d in designs))
+                                tuple(gs), tuple(d.Z for d in designs))
     return fit_starts(minimize, objective, x0s, float(hist.total), tau,
                       params_ats, salt=(71,))
 
@@ -357,32 +362,28 @@ def _start_point(g, init, design):
 def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10):
     """AIC selection of the class count (ties -> smallest G).
 
-    constraint is a LogLinear or a non-empty tuple of them: at each G
-    the fits of a tuple's orders run as one lockstep search, and the
-    result is the tuple of the orders' SelectionResults, each the one
-    that its order's own selection gives.  One order's fits run through
-    fit_multi.  Every fit starts from one appendix_c_start of the
-    histogram, computed here once for all orders and class counts.
+    constraint is a LogLinear or a non-empty tuple of them; for a tuple
+    the result is the tuple of the orders' SelectionResults, each the
+    one that its order's own selection gives.  The fits of every class
+    count 1..g_max and every order run as one lockstep search, one block
+    per (G, order), each fit the one that fit_multi gives at its G.
+    Every fit starts from one appendix_c_start of the histogram,
+    computed here once for all orders and class counts.
     """
     if g_max < 1:
         raise ValueError("g_max must be at least 1")
+    check_class_count(g_max)
     _require_three_binary_groups(hist)
     many = isinstance(constraint, tuple)
     constraints = constraint if many else (constraint,)
     _require_loglinear(constraints)
     start = appendix_c_start(hist, tau)
     inits = tuple(init_appendix_c(start, c.d) for c in constraints)
-    if many:
-        def fit(g):
-            check_class_count(g)
-            return _fit_orders(hist, g, constraints, tau, inits)
-    else:
-        def fit(g):
-            return (fit_multi(hist, g, constraint=constraint, tau=tau,
-                              init=inits[0]),)
-    by_g = [fit(g) for g in range(1, g_max + 1)]
-    selections = tuple(select_aic(lambda g, i=i: by_g[g - 1][i], g_max)
-                       for i in range(len(constraints)))
+    n = len(constraints)
+    fits = _fit_blocks(hist, [g for g in range(1, g_max + 1)
+                              for _ in constraints],
+                       constraints * g_max, tau, inits * g_max)
+    selections = tuple(select_aic(fits[i::n]) for i in range(n))
     return selections if many else selections[0]
 
 

@@ -131,30 +131,38 @@ def fit_uni(hist, g, tau=10):
     and keeps the best local maximizer.  The achieved log-likelihood
     never falls below the initialization's.
     """
-    return fit_uni_many((hist,), g, tau)[0]
+    return fit_uni_many((hist,), (g,), tau)[0]
 
 
-def fit_uni_many(hists, g, tau=10):
-    """fit_uni of each of hists, of one total, as one lockstep search, a
-    kernel block and count row each over the union of their counts: each
-    FitResult bit for bit its own while that union is short (see
-    count_objective), as for appendix_c_start's seven marginals."""
-    check_class_count(g)
+def fit_uni_many(hists, gs, tau=10):
+    """fit_uni of each of hists, of one total, at its class count in gs,
+    as one lockstep search: one kernel block and count row per fit over
+    the union of their counts, laid out with max(gs) classes.  Each
+    FitResult is bit for bit its own while that union is short (see
+    count_objective), as for select_G's class counts and
+    appendix_c_start's seven marginals at G = 1 and 2."""
+    for g in gs:
+        check_class_count(g)
     _require_one_cell(*(h.width for h in hists))
     values = np.unique(np.concatenate([h.keys[:, 0] for h in hists]))
     counts = np.zeros((len(hists), values.size), np.int64)
     for row, h in zip(counts, hists):
         row[np.searchsorted(values, h.keys[:, 0])] = h.counts
-    objective = count_objective(values[:, None], counts, tau, g,
+    objective = count_objective(values[:, None], counts, tau, tuple(gs),
                                 (None,) * len(hists))
-    return fit_starts(minimize, objective, tuple(_start(h, g) for h in hists),
+    return fit_starts(minimize, objective,
+                      tuple(_start(h, g) for h, g in zip(hists, gs)),
                       float(hists[0].total), tau,
-                      (lambda x: _unpack(x, g),) * len(hists))
+                      tuple(lambda x, g=g: _unpack(x, g) for g in gs))
 
 
 def select_G(hist, g_max, tau=10):
-    """Fit G = 1..g_max and keep the AIC minimizer (ties -> smallest G)."""
-    return select_aic(lambda g: fit_uni(hist, g, tau=tau), g_max)
+    """Fit G = 1..g_max, as one lockstep search, and keep the AIC
+    minimizer (ties -> smallest G)."""
+    if g_max < 1:
+        raise ValueError("g_max must be at least 1")
+    return select_aic(fit_uni_many((hist,) * g_max, range(1, g_max + 1),
+                                   tau))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from linkcov.neighbor_uni import (fit_document, fit_uni, fit_uni_many,
                                   sample_counts, select_G)
 from test_minimize_oracle import point_block
 from test_neighbor_uni import (assert_gaps_and_tails, fit_bytes,
-                               histograms_of_one_total)
+                               histograms_of_one_total, record_searches)
 
 P7 = [0.125, 0.0625, 0.03125, 0.25, 0.015625, 0.0078125, 0.375]
 
@@ -194,6 +194,31 @@ class TestCountHistogram:
                                      (keys[:, :0], [5, 3])):
             with pytest.raises(ValueError, match="histogram needs"):
                 CountHistogram(bad_keys, bad_counts)
+
+    @pytest.mark.parametrize("keys, counts", [
+        ([[1.5], [2.9]], [2, 1]), ([[1], [2]], [2.7, 1]),
+        ([[np.nan], [2]], [2, 1]), ([[1], [np.inf]], [2, 1]),
+        ([[1], [2]], [np.nan, 1]), ([[1], [2]], [2, 1e20]),
+        ([[0, 1.25], [1, 0]], [2, 1])],
+        ids=["fraction_key", "fraction_count", "nan_key", "inf_key",
+             "nan_count", "count_past_int64", "wide_fraction_key"])
+    def test_refuses_non_integers(self, keys, counts):
+        # truncating them would count vectors that were not seen
+        with pytest.raises(ValueError, match="finite integers"):
+            CountHistogram(keys, counts)
+
+    def test_takes_integral_floats(self):
+        hist = CountHistogram([[2.0], [1.0]], [1.0, 3.0])
+        assert hist.keys.dtype == hist.counts.dtype == np.int64
+        np.testing.assert_array_equal(hist.keys, [[1], [2]])
+        np.testing.assert_array_equal(hist.counts, [3, 1])
+
+    @pytest.mark.parametrize("obs", [[[0.5]], [[1], [np.nan]],
+                                     [[0, np.inf], [1, 2]]],
+                             ids=["fraction", "nan", "inf"])
+    def test_from_observations_refuses_non_integers(self, obs):
+        with pytest.raises(ValueError, match="finite integers"):
+            CountHistogram.from_observations(obs)
 
 
 class TestMixtureParams:
@@ -486,7 +511,7 @@ class TestManyHistograms:
             return minimize(*args, **kwargs)
 
         monkeypatch.setattr(neighbor_uni, "minimize", counting)
-        fits = fit_uni_many(hists, g, tau)
+        fits = fit_uni_many(hists, (g,) * len(hists), tau)
         assert len(calls) == 1 and len(calls[0]) == len(hists)
         assert [fit_bytes(fit) for fit in fits] == [
             fit_bytes(fit_uni(hist, g, tau=tau)) for hist in hists]
@@ -502,7 +527,8 @@ class TestManyHistograms:
         assert_gaps_and_tails(hists, tau)
         assert np.unique(np.concatenate([h.keys for h in hists
                                          ])).searchsorted(tau, "right") > 40
-        for fit, hist in zip(fit_uni_many(hists, g, tau), hists):
+        for fit, hist in zip(fit_uni_many(hists, (g,) * len(hists), tau),
+                             hists):
             own = fit_uni(hist, g, tau=tau)
             assert fit.converged == own.converged
             assert fit.loglik == pytest.approx(own.loglik, rel=1e-8)
@@ -512,11 +538,39 @@ class TestManyHistograms:
         (np.ones(3, np.int64), 1), (np.ones((1, 2), np.int64), 1)])
     def test_one_count_row_per_block(self, counts, n_blocks):
         with pytest.raises(ValueError, match="one count row per block"):
-            count_objective(np.arange(3)[:, None], counts, 2, 1,
-                            (None,) * n_blocks)
+            count_objective(np.arange(3)[:, None], counts, 2,
+                            (1,) * n_blocks, (None,) * n_blocks)
+
+    def test_one_class_count_per_block(self):
+        with pytest.raises(ValueError, match="one class count per block"):
+            count_objective(np.arange(3)[:, None], np.ones((2, 3), np.int64),
+                            2, (1,), (None, None))
 
     def test_rows_of_one_total(self):
         counts = np.array([[5, 3, 1], [5, 3, 2]])
         with pytest.raises(ValueError, match="of one total.*9 10"):
-            count_objective(np.arange(3)[:, None], counts, 2, 1,
+            count_objective(np.arange(3)[:, None], counts, 2, (1, 1),
                             (None, None))
+
+
+class TestOneSearchPerSelection:
+    """select_G fits G = 1..g_max in one lockstep search, one block per
+    class count on one histogram, and each fit ends as fit_uni at its G;
+    for the multivariate selections see TestJointSelection
+    (tests/test_neighbor_multi.py)."""
+
+    @pytest.mark.parametrize("tau", [3, 13], ids=["tail", "no_tail"])
+    def test_univariate(self, monkeypatch, tau):
+        truth = MixtureParams(alpha=[0.6, 0.4], p=[[0.8], [0.9]],
+                              lam=[[0.3], [2.5]])
+        hist = CountHistogram.from_observations(
+            sample_counts(truth, 3000, np.random.default_rng(9)))
+        assert (hist.keys.max() > tau) == (tau == 3)
+        shapes, fits = record_searches(monkeypatch, neighbor_uni)
+        sel = select_G(hist, 3, tau=tau)
+        assert shapes == [[(_optim.N_STARTS, 2 * g) for g in (1, 2, 3)]]
+        (fits,) = fits
+        monkeypatch.undo()
+        assert [fit_bytes(fit) for fit in fits] == [
+            fit_bytes(fit_uni(hist, g, tau=tau)) for g in (1, 2, 3)]
+        assert sel.fit is fits[sel.g_hat - 1]

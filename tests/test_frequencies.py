@@ -206,8 +206,9 @@ class TestSyntheticTables:
 
 
 # The operating point and the calibration loop as they were before the
-# calibration reused its arrays, kept verbatim as the oracle that the
-# calibrated table must reproduce bit for bit.
+# calibration reused its arrays, and the family names as they were
+# before the table built them from shared tails, kept verbatim as the
+# oracle that the calibrated table must reproduce bit for bit.
 def reference_operating_point(code_probs, year_probs, n_population):
     class_mass = np.outer(code_probs, year_probs)
     lam = (freq.SAMPLING_RATE * (n_population - 1) * freq.DATE_WINDOW
@@ -215,6 +216,22 @@ def reference_operating_point(code_probs, year_probs, n_population):
     fp_per_record = float((class_mass * lam).sum())
     survival = float((class_mass * np.exp(-2.0 * lam)).sum())
     return fp_per_record, survival
+
+
+def reference_family_names(family_index):
+    """Distinct surnames sharing one soundex code."""
+    letter = freq._FIRST_LETTERS[family_index % len(freq._FIRST_LETTERS)]
+    rest = family_index // len(freq._FIRST_LETTERS)
+    digits = (rest % 6 + 1, rest // 6 % 6 + 1, rest // 36 % 6 + 1)
+    names = []
+    for v, vowels in enumerate(freq._VARIANT_VOWELS):
+        parts = [letter]
+        for vowel, digit in zip(vowels, digits):
+            options = freq._DIGIT_CONSONANTS[digit]
+            parts.append(vowel)
+            parts.append(options[v % len(options)])
+        names.append("".join(parts))
+    return names
 
 
 def reference_surname_table(reference_size, n_cold=3600):
@@ -252,7 +269,8 @@ def reference_surname_table(reference_size, n_cold=3600):
     labels = []
     probs = []
     for f, fam_prob in enumerate(family_probs):
-        for name, share in zip(freq._family_names(f), freq._VARIANT_SHARES):
+        for name, share in zip(reference_family_names(f),
+                                     freq._VARIANT_SHARES):
             labels.append(name)
             probs.append(fam_prob * share)
     return FrequencyTable(tuple(labels), np.asarray(probs))

@@ -21,7 +21,7 @@ from linkcov._optim import (NU, CountHistogram, MixtureParams, comp_pmf,
                             mix_pmf)
 from linkcov.neighbor_uni import fit_uni, select_G
 from test_neighbor_uni import (assert_gradient_matches, captured_objective,
-                               fit_bytes)
+                               fit_bytes, record_searches)
 
 
 def brute_pmf(t, p, lam):
@@ -470,8 +470,9 @@ def _fit_fields(fit):
 
 
 class TestJointSelection:
-    """Both orders' selections, run as one lockstep search per G, against
-    the two single-order selections."""
+    """Every class count's fits, and both orders' when both are asked
+    for, run as one lockstep search, against the single-order selections
+    and the fits of fit_multi."""
 
     @pytest.fixture(scope="class")
     def scenario3_hist(self):
@@ -492,18 +493,11 @@ class TestJointSelection:
         start = appendix_c_start(hist, 10)
         monkeypatch.setattr(_optim, "N_STARTS", n_starts)
         orders = (LogLinear(1), LogLinear(2))
-        blocks, minimize = [], neighbor_multi.minimize
-
-        def recording(fun, x0, *args, **kwargs):
-            blocks.append([b.shape for b in x0])
-            return minimize(fun, x0, *args, **kwargs)
-
-        monkeypatch.setattr(neighbor_multi, "minimize", recording)
+        shapes, _ = record_searches(monkeypatch, neighbor_multi)
         joint = select_from(start, hist, 3, constraint=orders, tau=10)
-        monkeypatch.setattr(neighbor_multi, "minimize", minimize)
-        # one search per G, on one block of n_starts rows per order
-        assert blocks == [[(n_starts, (g - 1) + 1 + d_u + 7 * g)
-                           for d_u in (3, 6)] for g in (1, 2, 3)]
+        # one search, on one block of n_starts rows per (G, order)
+        assert shapes == [[(n_starts, (g - 1) + 1 + d_u + 7 * g)
+                           for g in (1, 2, 3) for d_u in (3, 6)]]
         assert len(joint) == len(orders)
         for constraint, sel in zip(orders, joint):
             own = select_from(start, hist, 3, constraint=constraint, tau=10)
@@ -511,32 +505,43 @@ class TestJointSelection:
             assert sel.trace == own.trace
             assert _fit_fields(sel.fit) == _fit_fields(own.fit)
 
-    def test_start_fits_the_marginals_in_two_searches(self, monkeypatch,
-                                                      scenario3_hist):
-        # appendix_c_start fits the seven marginals at G = 1 and at G = 2
-        # in one lockstep search each, one block per marginal; each fit
-        # ends as the marginal's own fit_uni, and each rate is its own
+    @pytest.mark.parametrize("constraint", [
+        LogLinear(1), LogLinear(2), (LogLinear(1), LogLinear(2))],
+        ids=["d1", "d2", "both"])
+    def test_every_fit_is_its_own(self, monkeypatch, scenario3_hist,
+                                  constraint):
+        # one search fits G = 1..3 of one order or of both, and each fit
+        # ends as fit_multi at its G and order, field for field
+        hist = scenario3_hist
+        start = appendix_c_start(hist, 10)
+        orders = constraint if isinstance(constraint, tuple) else (
+            constraint,)
+        shapes, fits = record_searches(monkeypatch, neighbor_multi)
+        select_from(start, hist, 3, constraint=constraint, tau=10)
+        assert len(shapes) == 1 and len(fits) == 1
+        (fits,) = fits
+        monkeypatch.undo()
+        assert [_fit_fields(fit) for fit in fits] == [
+            _fit_fields(fit_multi(hist, g, constraint=c, tau=10,
+                                  init=init_appendix_c(start, c.d)))
+            for g in (1, 2, 3) for c in orders]
+
+    def test_start_fits_the_marginals_in_one_search(self, monkeypatch,
+                                                    scenario3_hist):
+        # appendix_c_start fits the seven marginals at G = 1 and 2 in one
+        # lockstep search, one block per marginal and class count; each
+        # fit ends as the marginal's own fit_uni, and each rate is its own
         # selection's
         hist = scenario3_hist
-        blocks, fits = [], []
-        minimize, fit_starts = neighbor_uni.minimize, neighbor_uni.fit_starts
-
-        def recording(fun, x0, *args, **kwargs):
-            blocks.append([b.shape for b in x0])
-            return minimize(fun, x0, *args, **kwargs)
-
-        def keeping(*args, **kwargs):
-            fits.append(fit_starts(*args, **kwargs))
-            return fits[-1]
-
-        monkeypatch.setattr(neighbor_uni, "minimize", recording)
-        monkeypatch.setattr(neighbor_uni, "fit_starts", keeping)
+        shapes, fits = record_searches(monkeypatch, neighbor_uni)
         rates, _ = appendix_c_start(hist, 10)
         monkeypatch.undo()
-        assert blocks == [[(_optim.N_STARTS, 2 * g)] * 7 for g in (1, 2)]
+        assert shapes == [[(_optim.N_STARTS, 2)] * 7
+                          + [(_optim.N_STARTS, 4)] * 7]
+        (fits,) = fits
         for coord, rate in enumerate(rates):
             marginal = marginal_histogram(hist, coord)
-            assert [fit_bytes(by_g[coord]) for by_g in fits] == [
+            assert [fit_bytes(fit) for fit in fits[coord::7]] == [
                 fit_bytes(fit_uni(marginal, g)) for g in (1, 2)]
             assert rate == max(select_G(marginal, 2).fit.params.lambda_bar,
                                NU)

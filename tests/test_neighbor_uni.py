@@ -105,7 +105,7 @@ ONE = MixtureParams(alpha=[1.0], p=[[0.6]], lam=[[0.4]])
     lambda: capped_loglik(WIDE, ONE, 10),
     lambda: capped_loglik(NARROW, PAIR, 10),
     lambda: fit_uni(WIDE, 1),
-    lambda: neighbor_uni.fit_uni_many((NARROW, WIDE), 1),
+    lambda: neighbor_uni.fit_uni_many((NARROW, WIDE), (1, 1)),
     lambda: sample_counts(PAIR, 10, np.random.default_rng(0))],
     ids=["loglik_hist", "loglik_params", "fit", "fit_many", "sample"])
 def test_refuses_more_cells_than_one(call):
@@ -174,6 +174,26 @@ def captured_objective(monkeypatch, module, fit, *fit_args, block=False,
     if block:
         return fun, x0s
     return one_row(fun), x0s[0][0]
+
+
+def record_searches(monkeypatch, module):
+    """(shapes, fits): the block shapes of each call of module's
+    ``minimize`` and the FitResults of each call of its ``fit_starts``,
+    filled in as the module's fits run."""
+    shapes, fits = [], []
+    minimize, fit_starts = module.minimize, module.fit_starts
+
+    def recording(fun, x0s, *args, **kwargs):
+        shapes.append([b.shape for b in x0s])
+        return minimize(fun, x0s, *args, **kwargs)
+
+    def keeping(*args, **kwargs):
+        fits.append(fit_starts(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(module, "minimize", recording)
+    monkeypatch.setattr(module, "fit_starts", keeping)
+    return shapes, fits
 
 
 def one_row(fun, block=0, n_blocks=1):
@@ -265,7 +285,7 @@ class TestGradient:
         monkeypatch.setattr(_optim, "N_STARTS", 1)
         fun, starts = captured_objective(
             monkeypatch, neighbor_uni, neighbor_uni.fit_uni_many, hists,
-            g, tau, block=True)
+            (g,) * len(hists), tau, block=True)
         for b, block in enumerate(starts):
             assert_gradient_matches(one_row(fun, b, len(hists)), block[0],
                                     seed=10 * g + 1)
@@ -279,7 +299,8 @@ class TestGradient:
         hists = histograms_of_one_total(4)
         monkeypatch.setattr(_optim, "N_STARTS", 1)
         fun, _ = captured_objective(monkeypatch, neighbor_uni,
-                                    neighbor_uni.fit_uni_many, hists, 1, 5,
+                                    neighbor_uni.fit_uni_many, hists,
+                                    (1,) * len(hists), 5,
                                     block=True)
         point = one_row(fun, 2, len(hists))
         x = np.array([1.00851939, -0.96991115])

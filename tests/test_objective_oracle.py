@@ -14,9 +14,11 @@ itself.
 Both fits hand L-BFGS-B one block kernel, ``fit_uni`` through its
 one-cell head, captured here through its one-row case.
 TestMultiBlockKernel checks, for both, that each row of a block gets the
-same bytes as that row alone, wherever it sits in the block, and, for
-the univariate kernel on several histograms, one count row per block,
-the bytes that its own histogram's kernel gives it.
+same bytes as that row alone, wherever it sits in the block, and that a
+row of a kernel on several blocks gets the bytes that its own kernel
+gives it: for the univariate kernel on several histograms, one count
+row per block, and for both on blocks of different class counts over
+one histogram, laid out with the largest.
 TestAllCountsInTail fits histograms with no count at or below the cap.
 
 At saturated points (|x| up to 800: weights, cells, phi and rates on
@@ -472,7 +474,8 @@ def assert_rows_match_alone(fun, x0s, g, tail, owns=None):
     """Each point around the start x0s[b] of each block b gets, in calls
     of 1 to 5 points per block, at every place in its block, the bytes
     that its own one-block kernel gives it alone: owns[b], the kernel of
-    block b's own histogram, or fun itself when it has one block."""
+    block b's own histogram, class count and head, or fun itself when it
+    has one block."""
     points = [np.array([*jittered(x0, seed=500 * g + tail + 7 * b),
                         *saturated(x0.size, seed=600 * g + tail + 7 * b)])
               for b, x0 in enumerate(x0s)]
@@ -532,9 +535,47 @@ class TestMultiBlockKernel:
                                    tau=tau, block=True)[0] for h in hists]
         fun, starts = captured_objective(
             monkeypatch, neighbor_uni, neighbor_uni.fit_uni_many, hists,
-            g, tau, block=True)
+            (g,) * len(hists), tau, block=True)
         assert_rows_match_alone(fun, [block[0] for block in starts], g, tail,
                                 owns)
+
+    @TAILS
+    def test_class_count_rows_match_alone(self, monkeypatch, tail):
+        # select_G calls one kernel on blocks of G = 1..3 over one
+        # histogram, every row laid out with three classes: each row must
+        # get the bytes that its own G's kernel gives it alone
+        hist = _uni_hist()
+        tau = _tau(hist.keys.max(), tail)
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
+        owns = [captured_objective(monkeypatch, neighbor_uni, fit_uni, hist,
+                                   g, tau=tau, block=True)[0] for g in GS]
+        fun, starts = captured_objective(
+            monkeypatch, neighbor_uni, neighbor_uni.fit_uni_many,
+            (hist,) * len(GS), GS, tau, block=True)
+        assert_rows_match_alone(fun, [block[0] for block in starts],
+                                len(GS), tail, owns)
+
+    @MULTI_DATA
+    @TAILS
+    def test_class_count_and_order_rows_match_alone(self, monkeypatch, tail,
+                                                    data):
+        # select_G_multi calls one kernel on a block per (G, order), G =
+        # 1..3, every row laid out with three classes: each row must get
+        # the bytes that fit_multi's kernel at its G and order gives it
+        hist = _multi_hist(data)
+        tau = _tau(hist.keys.sum(axis=1).max(), tail)
+        monkeypatch.setattr(_optim, "N_STARTS", 1)
+        pairs = [(g, c) for g in GS for c in MULTI_CONSTRAINTS]
+        owns = [captured_objective(monkeypatch, neighbor_multi, fit_multi,
+                                   hist, g, constraint=c, tau=tau,
+                                   init=MULTI_INIT, block=True)[0]
+                for g, c in pairs]
+        fun, starts = captured_objective(
+            monkeypatch, neighbor_multi, neighbor_multi._fit_blocks, hist,
+            [g for g, _ in pairs], tuple(c for _, c in pairs), tau,
+            (MULTI_INIT,) * len(pairs), block=True)
+        assert_rows_match_alone(fun, [block[0] for block in starts],
+                                len(GS), tail, owns)
 
     @MULTI_DATA
     @TAILS
@@ -560,8 +601,8 @@ class TestMultiBlockKernel:
             alone.append([row_bytes(fun, x[None], 0)
                           for x in points[-1]])
         joint, starts = captured_objective(
-            monkeypatch, neighbor_multi, neighbor_multi._fit_orders, hist, g,
-            tuple(MULTI_CONSTRAINTS), tau, (MULTI_INIT, MULTI_INIT),
+            monkeypatch, neighbor_multi, neighbor_multi._fit_blocks, hist,
+            (g, g), tuple(MULTI_CONSTRAINTS), tau, (MULTI_INIT, MULTI_INIT),
             block=True)
         assert [b.shape[1] for b in starts] == [p.shape[1] for p in points]
         n = len(points[0])
