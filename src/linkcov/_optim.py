@@ -39,12 +39,16 @@ setulb state per start, and in each round the starts that ask for a new
 point are evaluated by one call of the objective on the tuple of each
 block's asking points.  The count-mixture kernel, whose cost is mostly
 per call, pays that cost once per round instead of once per start, and
-the fits of several heads, histograms or class counts share it: an AIC
-selection fits G = 1..g_max as one search, whose FitResults select_aic
-takes in G order.  Each start still ends on the point, after the
-evaluations and iterations, that its own search would give (for
-histograms and padded classes, see count_objective), and minimize
-reports the evaluations and iterations as sums over its starts.
+the fits of several histograms or class counts, or of several designs
+of one head kind, share it: an AIC selection fits G = 1..g_max as one
+search, whose FitResults select_aic takes in G order.  Within a call,
+every step of the kernel runs as one array pass over all its rows,
+with the bits that a loop over each row's Python floats gives (math.exp
+and math.log included; see count_objective).  Each start still ends on
+the point, after the evaluations and iterations, that its own search
+would give (for histograms and padded classes, see count_objective),
+and minimize reports the evaluations and iterations as sums over its
+starts.
 
 All count-mixture parameters live in boxes or simplices; their fits run
 an unconstrained quasi-Newton search, so each constrained quantity is
@@ -99,8 +103,6 @@ __all__ = [
     "stick_break",
     "stick_break_inverse",
     "stick_break_vjp",
-    "stick_pieces",
-    "stick_pieces_vjp",
 ]
 
 
@@ -374,7 +376,9 @@ class MixtureParams:
     across the classes, and the multivariate fits store their log-linear
     (phi, u); params that carry phi must share the cells.  Hand-built
     params may leave phi unset, which coverage_from_fit and
-    multi_fit_document refuse.
+    multi_fit_document refuse.  Weights must be positive and sum to one,
+    each class's cells be >= 0 and sum to at most one, and rates be
+    positive and finite; NaN meets none of these.
     """
 
     alpha: np.ndarray
@@ -391,12 +395,14 @@ class MixtureParams:
         if (alpha.ndim != 1 or p.ndim != 2 or p.shape[0] != alpha.size
                 or lam.shape != p.shape):
             raise ValueError("parameter arrays inconsistent with G x cells")
-        if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha <= 0):
+        # each check reads "not (within bounds)", which NaN fails
+        if not (abs(alpha.sum() - 1.0) <= 1e-9 and np.all(alpha > 0)):
             raise ValueError("invalid mixing weights")
-        if np.any(p < 0) or np.any(p.sum(axis=1) > 1.0 + 1e-12):
+        if not (np.all(p >= 0) and np.all(p.sum(axis=1) <= 1.0 + 1e-12)):
             raise ValueError("true-positive cells must be >= 0, summing <= 1")
-        if np.any(lam <= 0):
-            raise ValueError("false-positive rates must be positive")
+        if not np.all((lam > 0) & (lam < np.inf)):
+            raise ValueError("false-positive rates must be positive and "
+                             "finite")
         if self.phi is not None and not np.allclose(p, p[0]):
             raise ValueError("log-linear params require shared p across "
                              "classes")
@@ -489,33 +495,67 @@ def count_objective(keys, counts, tau, gs, designs):
     design Z (the multivariate model), [logit phi | u] gives
     p = phi * softmax(Z u) over the m cells and a zero cell; for None
     (the univariate model, m = 1), one logit x gives
-    p = NU + (1 - 2 NU) sigma(x).
+    p = NU + (1 - 2 NU) sigma(x).  A kernel has one head kind: designs
+    holds a design for every block or None for every block, and a tuple
+    that mixes them is refused.
 
     It holds the per-fit constants: the columns [t | 1 | log t!] of the
     count vectors with |t| <= tau, contiguous and transposed, their
     multiplicities, log NU and the log-span of the rates.  Every row is
-    laid out with G = max(gs) classes: a class that its row lacks gets
-    the rates NU and a weight term of _PAD_LOG, a finite log so far
-    below exp's range that its mass is an exact zero (an infinite one
-    would turn 0 * inf into NaN inside the products), so it adds zeros
-    to every class sum.  Per call, one stacked product of the
-    (S, 2G, m + 2) coefficient block with the transposed columns gives,
-    for each row and class, the exponents of alpha_c a_c (the weight
-    enters as log alpha_c) and the bracket.  [alpha a | alpha mix] fill
-    one (S, 2G, k) block; q is the class sum of its mix rows, floored at
-    1e-300 as the tail mass is, and one stacked product of the
-    w-weighted block with the columns gives the four weighted sums of
-    the gradient (a zero count adds zeros).  Every product is stacked,
-    one 2-D product per row, on contiguous count rows, because one flat
-    product of all rows, or a strided row, rounds differently.
-    The weights, the head and the tail's terms are Python floats per row
-    (math.exp, not np.exp, whose bits differ), the tail's only on rows
-    with a tail (adding 0.0 turns -0.0 into 0.0); the logistic of each
-    block is one array call, which saturates where exp(-x) would
-    overflow.  Nothing of size k * G * m is formed.  A call costs mostly
-    its fixed overhead: on the 155 distinct vectors of one N=100k
-    scenario-3 replication, at G = 3 and m = 7, about 55 us on one point,
-    100 us on five and 175 us on ten (2-vCPU VM, one BLAS thread).
+    laid out with G = max(gs) classes.  A class that its row lacks gets
+    the weight logistic 1.0 (so the row's last piece is the stick left
+    and the later pieces are 0), the rates NU and a weight term of
+    _PAD_LOG, a finite log so far below exp's range that its mass is an
+    exact zero (an infinite one would turn 0 * inf into NaN inside the
+    products), so it adds zeros to every class sum.
+
+    Every step runs as one array pass over all rows of a call.  One
+    scatter copies the blocks' rows into an (S, width) input of [-inf |
+    weight logits | +inf | head logit | rate reals | u], whose padded
+    logits are +inf and padded rate reals -inf, and one logistic of it
+    gives the weight logistics (between a 0.0 and a 1.0), the head and
+    the rate logistics; the logistic saturates where exp(-x) would
+    overflow.  The
+    weights break the stick column by column (see _stick_rows), and the
+    head, the log weights, the tail and the stick's gradient
+    (_stick_rows_vjp) follow as arrays; the gradient is laid out as the
+    input, and one gather gives each block's.  Only the log-linear
+    products eta = Z u and Z^T (dl/d eta) run per block.  These steps
+    keep the bits that the earlier kernel's per-row Python floats gave
+    (tests/test_objective_oracle.py holds that kernel): every expression
+    keeps Python's order of operations; a sum over cells or classes adds
+    column by column (np.add.accumulate), as Python's sum does up to
+    3.11, because numpy's sum(axis=...) groups 8 or more terms
+    differently; exp and log are math.exp and math.log mapped over flat
+    lists, because np.exp differs from math.exp in 46,756 of 10^6 values
+    uniform on [-20, 0], and np.log from math.log in 3,591 of 10^6
+    uniform on [1e-4, 1] (numpy 2.4 on AVX-512); the tail's terms enter
+    only the rows with a tail (adding 0.0 turns -0.0 into 0.0).
+
+    The per-row constants of a row layout, the tuple of the blocks'
+    shapes, and its pre-padded input are built when a call's layout
+    differs from the last call's (_Rows), and only the last is kept: a
+    search's starts leave it one by one, so its rows per block never
+    grow back after the first round, and the three searches of an N=100k
+    scenario-3 replication build each of their 13, 36 and 28 layouts
+    once.  Keeping every layout would hold up to 0.3 MB in each search
+    until it ends.
+
+    Per call, one stacked product of the (S, 2G, m + 2) coefficient
+    block with the transposed columns gives, for each row and class, the
+    exponents of alpha_c a_c (the weight enters as log alpha_c) and the
+    bracket.  [alpha a | alpha mix] fill one (S, 2G, k) block; q is the
+    class sum of its mix rows, floored at 1e-300 as the tail mass is,
+    and one stacked product of the w-weighted block with the columns
+    gives the four weighted sums of the gradient (a zero count adds
+    zeros).  Every product is stacked, one 2-D product per row, on
+    contiguous count rows, because one flat product of all rows, or a
+    strided row, rounds differently.  Nothing of size k * G * m is
+    formed.  A call costs mostly its fixed overhead: on the 155 distinct
+    vectors of one N=100k scenario-3 replication, one block at G = 3 and
+    m = 7 takes 80-85 us on one row, 120 us on five and 145-160 us on
+    ten, where the per-row Python loop took 70-75, 130 and 200-215 us
+    (2-vCPU VM, one BLAS thread, the two timed alternately, two runs).
     """
     totals = np.sum(counts, axis=-1)
     if np.shape(counts) != (len(designs), len(keys)) or np.ptp(totals):
@@ -524,6 +564,10 @@ def count_objective(keys, counts, tau, gs, designs):
     if len(gs) != len(designs):
         raise ValueError(f"need one class count per block; got {len(gs)} "
                          f"for {len(designs)} blocks")
+    loglinear = designs[0] is not None
+    if any((design is not None) != loglinear for design in designs):
+        raise ValueError("need one head kind per kernel: a log-linear "
+                         "design for every block or None for every block")
     keys, log_fact, cnts, tail_counts = split_counts(keys, counts, tau)
     k, m = keys.shape
     total = float(totals[0])
@@ -536,13 +580,39 @@ def count_objective(keys, counts, tau, gs, designs):
     # per row, rows [log lam_c | log alpha_c - |lam_c| | -1] for c < G,
     # then [p / lam_c | 1 - |p| | 0], and the (2G, k) block of
     # [alpha a | alpha mix]; views[S] holds the first S rows of buffers
-    # made for the largest block so far
+    # made for the largest call so far
     g = max(gs)
     nu = NU
-    # per block: its classes, weight logits, head end and weight scale
-    layouts = [(gb, gb - 1, gb + (0 if design is None else design.shape[1]),
-                1.0 - gb * nu) for gb, design in zip(gs, designs)]
+    # per block: its classes, weight logits and head end
+    layouts = [(gb, gb - 1, gb + (0 if design is None else design.shape[1]))
+               for gb, design in zip(gs, designs)]
+    # a row of block b, [weight logits | head logit | u | rate reals],
+    # goes to places[b] of the (S, width) input and gradient rows
+    # [-inf | weight logits | +inf | head logit | rate reals | u]
+    u_at = g + 2 + g * m
+    row_places = [np.concatenate([
+        1 + np.arange(n_alpha), [g + 1],
+        u_at + np.arange(n_head - n_alpha - 1), g + 2 + np.arange(gb * m)])
+        for gb, n_alpha, n_head in layouts]
+    widths = np.array([row.size for row in row_places])
+    places = np.zeros((len(layouts), widths.max()), np.int64)
+    for row, place in zip(places, row_places):
+        row[:place.size] = place
+    width = u_at + max(n_head - n_alpha - 1 for _, n_alpha, n_head in layouts)
+    block_gs = np.array(gs)
+    # each block's input row before its values go in: the -inf and +inf
+    # around every row's weight logits, padded logits at +inf, padded
+    # rate reals at -inf
+    pad_rows = np.zeros((len(layouts), width))
+    for row, gb in zip(pad_rows, gs):
+        row[0] = -np.inf
+        row[gb:g + 1] = np.inf
+        row[g + 2 + gb * m:u_at] = -np.inf
+    empty_grads = [np.empty((0, n_head + gb * m))
+                   for gb, _, n_head in layouts]
     views = []
+    # the row layout of the last call and its _Rows
+    last = [None, None]
 
     def grow(n_rows):
         coef = np.zeros((n_rows, 2 * g, m + 2))
@@ -557,69 +627,69 @@ def count_objective(keys, counts, tau, gs, designs):
     exp, log = math.exp, math.log
 
     def objective(blocks):
-        sizes = [block.shape[0] for block in blocks]
-        n_rows = sum(sizes)
+        shapes = tuple([block.shape for block in blocks])
+        if shapes != last[0]:
+            last[:] = shapes, _Rows(shapes, block_gs, pad_rows, places,
+                                    widths, tail_counts)
+        rows = last[1]
+        n_rows = rows.n
         if n_rows >= len(views):
             grow(n_rows)
         coef, a_mix = views[n_rows]
-        # the rate logistics, padded classes at 0 (rates NU)
-        sig_lam = np.zeros((n_rows, g * m))
-        etas, sig_heads, row_layouts, lo = [], [], [], 0
-        for block, design, layout in zip(blocks, designs, layouts):
-            if block.shape[0]:
-                gb, n_alpha, n_head, _ = layout
-                sig = expit(block)
-                etas += ([None] * block.shape[0] if design is None else
-                         np.matmul(design, block[:, n_alpha + 1:n_head, None]
-                                   )[:, :, 0].tolist())
-                sig_heads += sig[:, :n_alpha + 1].tolist()
-                row_layouts += [layout] * block.shape[0]
-                sig_lam[lo:lo + block.shape[0], :gb * m] = sig[:, n_head:]
-                lo += block.shape[0]
+        x_in = rows.x
+        x_in.put(rows.at, np.concatenate(blocks, axis=None))
+        sig = expit(x_in)
+        v, sp, sig_lam = sig[:, :g + 1], sig[:, g + 1], sig[:, g + 2:u_at]
+        rests, pieces = _stick_rows(v)
+        alpha = nu + rows.scale * pieces
         log_lam = np.add(log_lo, span * sig_lam.reshape(n_rows, g, m),
                          out=coef[:, :g, :m])
         lam = np.exp(log_lam)
-        lam_sums = lam.sum(axis=2).tolist()
-        heads, alphas, r, p, log_terms = [], [], [], [], []
-        for s, eta, lam_sum, (gb, n_alpha, _, scale) in zip(
-                sig_heads, etas, lam_sums, row_layouts):
-            stick, pieces = stick_pieces(s[:n_alpha])
-            alpha = [nu + scale * piece for piece in pieces]
-            sp = s[n_alpha]
-            # the head logit's gradient is (dl/dp . r) times slope's
-            # product: the softmax r and phi (1 - phi) for a design,
-            # r = 1 and (1 - 2 nu) sigma (1 - sigma) for None
-            if eta is None:
-                r_row = [1.0]
-                p += [nu + (1.0 - 2.0 * nu) * sp]
-                slope = ((1.0 - 2.0 * nu) * sp, 1.0 - sp)
-            else:
-                mx = max(0.0, max(eta))
-                e = [exp(et - mx) for et in eta]
-                den = exp(-mx) + sum(e)
-                r_row = [ei / den for ei in e]
-                p += [sp * ri for ri in r_row]
-                slope = (sp, 1.0 - sp)
-            r += r_row
-            heads.append((s, stick, pieces, slope))
-            alphas.append(alpha)
-            log_terms.append([log(ac) - ls for ac, ls in zip(alpha, lam_sum)]
-                             + [_PAD_LOG] * (g - gb))
-        r = np.array(r).reshape(n_rows, m, 1)
-        p = np.array(p).reshape(n_rows, 1, m)
-        psum = p.sum(axis=2)
-        coef[:, :g, m] = log_terms
+        lam_sum = np.add.reduce(lam, axis=2)
+        # the head logit's gradient is (dl/dp . r) times slope (1 - sp):
+        # the softmax r and slope phi for a design, r = 1 and slope
+        # (1 - 2 nu) sigma for None
+        if loglinear:
+            eta = np.empty((n_rows, m + 1))
+            for b, lo, hi, _, _ in rows.filled:
+                _, n_alpha, n_head = layouts[b]
+                eta[lo:hi, :m] = np.matmul(
+                    designs[b], blocks[b][:, n_alpha + 1:n_head, None]
+                )[:, :, 0]
+            mx = np.maximum.reduce(eta[:, :m], axis=1, initial=0.0)
+            eta[:, :m] -= mx[:, None]
+            np.negative(mx, out=eta[:, m])
+            # [exp(eta - mx) | exp(-mx)], whose running sum ends on
+            # exp(-mx) + sum(exp(eta - mx))
+            e = np.fromiter(map(exp, eta.ravel().tolist()), float,
+                            eta.size).reshape(eta.shape)
+            r = e[:, :m] / np.add.accumulate(e, axis=1)[:, m:]
+            p = sp[:, None] * r
+            slope = sp
+        else:
+            r = np.ones(n_rows)
+            p = nu + (1.0 - 2.0 * nu) * sp
+            slope = (1.0 - 2.0 * nu) * sp
+        r = r.reshape(n_rows, m, 1)
+        p = p.reshape(n_rows, 1, m)
+        psum = np.add.reduce(p, axis=2)
+        log_terms = np.subtract(
+            np.fromiter(map(log, alpha.ravel().tolist()), float,
+                        alpha.size).reshape(alpha.shape),
+            lam_sum, out=coef[:, :g, m])
+        if rows.pad is not None:
+            np.copyto(log_terms, _PAD_LOG, where=rows.pad)
         coef[:, g:, m] = 1.0 - psum
         np.divide(p, lam, out=coef[:, g:, :m])
         expo = np.matmul(coef, cols_t)
         a = np.exp(expo[:, :g], out=a_mix[:, :g])
         mix = np.multiply(a, expo[:, g:], out=a_mix[:, g:])
-        q = mix.sum(axis=1)
+        q = np.add.reduce(mix, axis=1)
         np.maximum(q, 1e-300, out=q)
-        row_cnts = np.repeat(cnts, sizes, axis=0)
+        row_cnts = cnts.take(rows.block, axis=0)
         w = row_cnts / q
         ll = np.matmul(row_cnts[:, None, :], np.log(q, out=q)[:, :, None]
-                       ).ravel().tolist()
+                       ).ravel()
         # sums[., c, gamma] = alpha_c sum_k w [a | mix]_c t_gamma, and in
         # column m alpha_c sum_k w [a | mix]_c
         sums = np.matmul(np.multiply(a_mix, w[:, None, :], out=a_mix), cols)
@@ -629,71 +699,105 @@ def count_objective(keys, counts, tau, gs, designs):
         diffs = ratios - sums[:, :, m:].reshape(n_rows, 2, g, 1)
         d_p = diffs[:, 0]
         d_lam = diffs[:, 1] - p * ratios[:, 0] / lam
-        d_alphas = [[sm / ac for sm, ac in zip(row_sums, alpha)]
-                    for row_sums, alpha in zip(sums[:, g:, m].tolist(),
-                                               alphas)]
-        row_tails = sum(([t] * n for t, n in zip(tail_counts, sizes)), [])
-        tail_rows = [i for i, t in enumerate(row_tails) if t]
-        if tail_rows:
-            cdf_ts = pdtr(tau, lam_sums).tolist()
-            cdf_tm1s = pdtr(tau - 1, lam_sums).tolist()
-            tail_p, tail_lam = [], []
-            rows = list(zip(alphas, d_alphas, lam_sums, psum.ravel().tolist(),
-                            cdf_ts, cdf_tm1s, row_tails))
-            for i in tail_rows:
-                alpha, d_alpha, lam_sum, ps, cdf_t, cdf_tm1, n_tail = rows[i]
-                below = [(1.0 - ps) * ct + ps * cm
-                         for ct, cm in zip(cdf_t, cdf_tm1)]
-                T = max(1.0 - sum([ac * b for ac, b in zip(alpha, below)]),
-                        1e-300)
-                ll[i] += n_tail * log(T)
-                wt = n_tail / T
-                row_p, row_lam = [0.0] * g, [0.0] * g
-                for c in range(len(alpha)):
-                    ls = lam_sum[c]
-                    pmf_t = exp(tau * log(ls) - ls - log_fact_tau)
-                    d_alpha[c] -= wt * below[c]
-                    row_p[c] = wt * (alpha[c] * (cdf_t[c] - cdf_tm1[c]))
-                    row_lam[c] = wt * (alpha[c] * ((1.0 - ps) * pmf_t
-                                                   + ps * pmf_t * tau / ls))
-                tail_p.append(row_p)
-                tail_lam.append(row_lam)
-            # a slice of all rows adds in place, a list of some by copies
-            at = slice(None) if len(tail_rows) == n_rows else tail_rows
-            d_p[at] += np.array(tail_p)[:, :, None]
-            d_lam[at] += np.array(tail_lam)[:, :, None]
+        d_alpha = sums[:, g:, m] / alpha
+        at = rows.tail
+        if at is not None:
+            n_tail, ls, ps, alpha_t = (rows.n_tail, lam_sum[at], psum[at],
+                                       alpha[at])
+            cdf_t, cdf_tm1 = pdtr(tau, ls), pdtr(tau - 1, ls)
+            below = (1.0 - ps) * cdf_t + ps * cdf_tm1
+            terms = alpha_t * below
+            if rows.tail_pad is not None:
+                np.copyto(terms, 0.0, where=rows.tail_pad)
+            T = np.maximum(1.0 - np.add.accumulate(terms, axis=1)[:, g - 1:],
+                           1e-300)
+            logs = np.fromiter(
+                map(log, ls.ravel().tolist() + T.ravel().tolist()), float,
+                ls.size + T.size)
+            ll[at] += n_tail[:, 0] * logs[ls.size:]
+            wt = n_tail / T
+            pmf_t = np.fromiter(
+                map(exp, (tau * logs[:ls.size].reshape(ls.shape) - ls
+                          - log_fact_tau).ravel().tolist()),
+                float, ls.size).reshape(ls.shape)
+            d_alpha[at] -= wt * below
+            tail_p = wt * (alpha_t * (cdf_t - cdf_tm1))
+            tail_lam = wt * (alpha_t * ((1.0 - ps) * pmf_t
+                                        + ps * pmf_t * tau / ls))
+            if rows.tail_pad is not None:
+                np.copyto(tail_p, 0.0, where=rows.tail_pad)
+                np.copyto(tail_lam, 0.0, where=rows.tail_pad)
+            d_p[at] += tail_p[:, :, None]
+            d_lam[at] += tail_lam[:, :, None]
 
-        # chain rules
-        dldp = d_p.sum(axis=1, keepdims=True)
+        # chain rules, into one (S, width) gradient laid out as x_in
+        dldp = np.add.reduce(d_p, axis=1, keepdims=True)
         dldr = np.matmul(dldp, r)
-        d_heads = [
-            [scale * gv for gv in stick_pieces_vjp(s[:n_alpha], stick, pieces,
-                                                   d_alpha)]
-            + [dr * slope[0] * slope[1]]
-            for (s, stick, pieces, slope), d_alpha, ((dr,),),
-            (_, n_alpha, _, scale) in zip(heads, d_alphas, dldr.tolist(),
-                                          row_layouts)]
-        d_cells = p * (dldp - dldr)
-        d_rates = d_lam.reshape(n_rows, -1) * (lam.reshape(n_rows, -1)
-                                               * span * sig_lam
-                                               * (1.0 - sig_lam))
-        grads, lo = [], 0
-        for block, design, (gb, n_alpha, n_head, _) in zip(blocks, designs,
-                                                           layouts):
-            hi = lo + block.shape[0]
-            grad = np.empty(block.shape)
-            if hi > lo:
-                grad[:, :n_alpha + 1] = d_heads[lo:hi]
-                if design is not None:
-                    np.matmul(d_cells[lo:hi], design,
-                              out=grad[:, None, n_alpha + 1:n_head])
-                grad[:, n_head:] = d_rates[lo:hi, :gb * m]
-                np.divide(grad, -total, out=grad)
-            grads.append(grad)
-            lo = hi
-        return [-v / total for v in ll], tuple(grads)
+        out = np.empty(x_in.shape)
+        d_weights = _stick_rows_vjp(v, rests, pieces, d_alpha, rows.pad,
+                                    out=out[:, 1:g])
+        np.multiply(d_weights, rows.scale, out=d_weights)
+        np.multiply(dldr[:, 0, 0] * slope, 1.0 - sp, out=out[:, g + 1])
+        np.multiply(d_lam.reshape(n_rows, -1),
+                    lam.reshape(n_rows, -1) * span * sig_lam * (1.0 - sig_lam),
+                    out=out[:, g + 2:u_at])
+        if loglinear:
+            d_cells = p * (dldp - dldr)
+            for b, lo, hi, _, _ in rows.filled:
+                np.matmul(d_cells[lo:hi], designs[b], out=out[
+                    lo:hi, None, u_at:u_at + designs[b].shape[1]])
+        flat = out.take(rows.at)
+        np.divide(flat, -total, out=flat)
+        # an empty block's gradient is a shared (0, n) array
+        grads = list(empty_grads)
+        for b, _, _, lo, hi in rows.filled:
+            grads[b] = flat[lo:hi].reshape(blocks[b].shape)
+        return (-ll / total).tolist(), tuple(grads)
 
     return objective
+
+
+class _Rows:
+    """The constants of one row layout of a count_objective call, the
+    tuple of its blocks' shapes, which it refuses unless each block is
+    (S_b, n_b) with block b's width n_b: each block with rows, its row
+    bounds and the bounds of its elements in the call (filled), and the
+    elements' places (at) in the (S, width) input and gradient; per row
+    its block, the weight scale 1 - G_b NU and the padded classes (pad,
+    None when no row has one); the rows with a tail cell (tail: None,
+    every row, or their indices), with their tail counts and padded
+    classes; and the input x, its padding set, whose values each call of
+    the layout fills in."""
+
+    __slots__ = ("n", "filled", "at", "block", "scale", "pad", "tail",
+                 "n_tail", "tail_pad", "x")
+
+    def __init__(self, shapes, gs, pad_rows, places, widths, tail_counts):
+        if [shape[1:] for shape in shapes] != [(w,) for w in widths]:
+            raise ValueError(f"need blocks of shapes (S, n) with widths "
+                             f"{widths.tolist()}; got {shapes}")
+        sizes = tuple(shape[0] for shape in shapes)
+        g = gs.max()
+        width = pad_rows.shape[1]
+        self.n = n = sum(sizes)
+        bounds = np.cumsum((0,) + sizes).tolist()
+        ends = np.cumsum([0, *(np.array(sizes) * widths)]).tolist()
+        self.filled = [(b, bounds[b], bounds[b + 1], ends[b], ends[b + 1])
+                       for b, size in enumerate(sizes) if size]
+        self.block = block = np.repeat(np.arange(len(sizes)), sizes)
+        self.at = (np.arange(n)[:, None] * width + places[block])[
+            np.arange(places.shape[1]) < widths[block][:, None]]
+        row_g = gs[block][:, None]
+        self.scale = 1.0 - row_g * NU
+        pad = np.arange(g) >= row_g
+        self.pad = pad if pad.any() else None
+        row_tails = np.repeat(tail_counts, sizes)
+        with_tail = np.flatnonzero(row_tails)
+        self.tail = (None if not with_tail.size else
+                     slice(None) if with_tail.size == n else with_tail)
+        self.n_tail = row_tails[with_tail][:, None]
+        self.tail_pad = None if self.pad is None else pad[with_tail]
+        self.x = pad_rows.take(block, axis=0)
 
 
 def best_end(ends):
@@ -797,38 +901,49 @@ def real_from_interval(v, lo, hi):
     return logit(frac)
 
 
-def stick_pieces(v):
-    """Stick-breaking over logistic values v, in Python floats.
+def _stick_rows(v):
+    """Stick-breaking of each row of v, the (S, G + 1) logistics of
+    [-inf | G - 1 logits | +inf], that is [0 | v_1 .. v_G-1 | 1], column
+    by column as a loop over one row's floats runs it: (rests, pieces),
+    rests[:, c] the stick left before break c and the pieces
+    v[:, 1:] * rests (summing to one per row); stick_break is
+    floor + (1 - G floor) * pieces.  A row whose later logistics are 1.0
+    ends its stick there: its pieces after that column are 0."""
+    rests = np.multiply.accumulate(1.0 - v[:, :-1], axis=1)
+    return rests, v[:, 1:] * rests
 
-    Returns the stick left before each break and the len(v) + 1 pieces
-    (summing to one); stick_break is floor + (1 - G floor) * pieces.
-    The lists hold a few elements, where array calls would cost more
-    than the arithmetic.
+
+def _stick_rows_vjp(v, rests, pieces, grad, pad=None, out=None):
+    """Pull a gradient w.r.t. the pieces of _stick_rows back to the
+    logits behind v, row by row, as a loop over one row's floats runs it;
+    v, rests and pieces are as _stick_rows takes and gives them; pad
+    marks the pieces after each row's last (None for none), whose
+    entries of the result mean nothing.
+
+    Uses d piece_h / dx_h = rest_h v_h (1 - v_h) and, for i > h,
+    d piece_i / dx_h = -piece_i v_h: the pull to x_h is
+    grad_h rest_h v_h (1 - v_h) - v_h later_h, where later_h sums
+    grad_i piece_i over i > h from the last piece down.
     """
-    stick, pieces = [], []
-    rest = 1.0
-    for vi in v:
-        stick.append(rest)
-        pieces.append(vi * rest)
-        rest *= 1.0 - vi
-    pieces.append(rest)
-    return stick, pieces
+    v = v[:, 1:-1]
+    later = grad * pieces
+    if pad is not None:
+        # -0.0 adds nothing to any sum, -0.0 included
+        np.copyto(later, -0.0, where=pad)
+    later = np.add.accumulate(later[:, :0:-1], axis=1)[:, ::-1]
+    d_v = grad[:, :-1] * rests[:, :-1]
+    d_v *= v
+    d_v *= 1.0 - v
+    return np.subtract(d_v, v * later, out=out)
 
 
-def stick_pieces_vjp(v, stick, pieces, grad_s):
-    """Pull a gradient w.r.t. the pieces back to the logits behind v.
-
-    Uses d piece_h / dx_h = stick_h v_h (1 - v_h) and, for i > h,
-    d piece_i / dx_h = -piece_i v_h.
-    """
-    n = len(v)
-    out = [0.0] * n
-    later = grad_s[n] * pieces[n]
-    for h in range(n - 1, -1, -1):
-        vh = v[h]
-        out[h] = grad_s[h] * stick[h] * vh * (1.0 - vh) - vh * later
-        later += grad_s[h] * pieces[h]
-    return out
+def _stick_row(x):
+    """(v, rests, pieces) of _stick_rows for the one row of logits x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.ones((1, x.size + 2))
+    v[0, 0] = 0.0
+    v[0, 1:-1] = scipy.special.expit(x)
+    return (v, *_stick_rows(v))
 
 
 def stick_break(x, floor=0.0):
@@ -837,9 +952,8 @@ def stick_break(x, floor=0.0):
     With a positive floor the weights live in [floor, 1] and still sum
     to one; floor * G must stay below 1.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _, pieces = stick_pieces(scipy.special.expit(x).tolist())
-    return floor + (1.0 - len(pieces) * floor) * np.array(pieces)
+    pieces = _stick_row(x)[2][0]
+    return floor + (1.0 - pieces.size * floor) * pieces
 
 
 def stick_break_inverse(weights, floor=0.0):
@@ -863,8 +977,6 @@ def stick_break_inverse(weights, floor=0.0):
 def stick_break_vjp(x, grad_s):
     """Pull a gradient w.r.t. the weights of stick_break(x) back to the
     free logits x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = scipy.special.expit(x).tolist()
-    stick, pieces = stick_pieces(v)
-    grad_s = np.asarray(grad_s, dtype=float).tolist()
-    return np.array(stick_pieces_vjp(v, stick, pieces, grad_s))
+    v, rests, pieces = _stick_row(x)
+    grad = np.asarray(grad_s, dtype=float)[None]
+    return _stick_rows_vjp(v, rests, pieces, grad)[0]

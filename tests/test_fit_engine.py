@@ -1,10 +1,11 @@
 """What the univariate and multivariate count-mixture fits share: the
 histogram and parameter types, at widths 1 and 7, and the samplers'
-draws from them, the JSON documents of their results, the parameter
-count that AIC charges, the class counts, constraints and count caps
-they accept, the choice of the best start, when the L-BFGS-B loop
-evaluates a point again, and the kernel's count matrix, one row per
-block, with which one search fits many histograms.
+draws from them, the JSON documents of their results, the bits of the
+stick-breaking map, the parameter count that AIC charges, the class
+counts, constraints and count caps they accept, the choice of the best
+start, when the L-BFGS-B loop evaluates a point again, and the kernel's
+count matrix, one row per block, with which one search fits many
+histograms, its one head kind and the block widths it takes.
 
 The documents are pinned for hand-built results, so the pins do not
 depend on the optimizer or on the platform's floating-point libraries.
@@ -21,7 +22,8 @@ import scipy.optimize
 from linkcov import _optim, neighbor_multi, neighbor_uni
 from linkcov._optim import (NU, CountHistogram, FitResult, MixtureParams,
                             _new_point, check_class_count, comp_pmf,
-                            count_objective, fit_starts, minimize)
+                            count_objective, fit_starts, minimize,
+                            stick_break, stick_break_vjp)
 from linkcov.neighbor_multi import (LogLinear, appendix_c_start, build_design,
                                     fit_multi, multi_fit_document,
                                     sample_multi_counts, select_G_multi,
@@ -246,9 +248,19 @@ class TestMixtureParams:
         ("p", 1.2, "true-positive cells"),
         ("p", -0.1, "true-positive cells"),
         ("lam", 0.0, "rates must be positive"),
-        ("lam", "one cell more", "G x cells")],
+        ("lam", "one cell more", "G x cells"),
+        # NaN meets no bound, and the infinities lie outside them
+        ("alpha", [np.nan, 0.4], "mixing weights"),
+        ("alpha", [np.inf, 0.4], "mixing weights"),
+        ("p", np.nan, "true-positive cells"),
+        ("p", np.inf, "true-positive cells"),
+        ("p", -np.inf, "true-positive cells"),
+        ("lam", np.nan, "rates must be positive and finite"),
+        ("lam", np.inf, "rates must be positive and finite")],
         ids=["weights_sum", "negative_weight", "cells_above_one",
-             "negative_cell", "zero_rate", "cells_differ"])
+             "negative_cell", "zero_rate", "cells_differ", "nan_weight",
+             "infinite_weight", "nan_cell", "infinite_cell",
+             "minus_infinite_cell", "nan_rate", "infinite_rate"])
     def test_refuses(self, width, field, value, match):
         args = {"alpha": [0.6, 0.4], "p": np.full((2, width), 0.1 / width),
                 "lam": np.full((2, width), 0.5)}
@@ -291,6 +303,32 @@ class TestSamplers:
         assert draws.shape == (1000, truth.p.shape[1])
         assert draws.dtype == np.int64
         assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+
+
+class TestStickBreaking:
+    def test_bits(self):
+        # stick_break, stick_break_vjp and the univariate unpacking that
+        # calls them, pinned by the SHA-256 of their results over seeded
+        # points, 0 to 4 logits at scales up to saturation
+        rng = np.random.default_rng(2403)
+        digest = hashlib.sha256()
+        for n in range(5):
+            for scale in (1.0, 3.0, 30.0, 800.0):
+                for _ in range(20):
+                    x = scale * rng.standard_normal(n)
+                    grad = rng.standard_normal(n + 1)
+                    for floor in (0.0, NU):
+                        digest.update(stick_break(x, floor=floor).tobytes())
+                    digest.update(stick_break_vjp(x, grad).tobytes())
+        for g in (1, 2, 3, 4):
+            for scale in (1.0, 3.0, 30.0):
+                for _ in range(20):
+                    params = neighbor_uni._unpack(
+                        scale * rng.standard_normal(2 * g), g)
+                    for arr in (params.alpha, params.p, params.lam):
+                        digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "35663a1d50d079aad535c083373cbd62e5df0b6bfba5251cfe860017f0a42763")
 
 
 @pytest.fixture
@@ -445,6 +483,25 @@ class TestBestStart:
         assert fit.n_iter == 1
         np.testing.assert_array_equal(fit.params, [1.0, 1.0])
 
+    def test_every_start_on_nan_raises(self, monkeypatch):
+        # every search ends on NaN: the best end's parameters are NaN,
+        # which MixtureParams refuses, so the fit raises rather than
+        # recording a NaN fit
+        ends = [SimpleNamespace(x=np.full(4, np.nan), fun=np.nan,
+                                success=False, nit=s) for s in range(3)]
+
+        def stub(objective, x0s, **kwargs):
+            return SimpleNamespace(starts=ends)
+
+        def objective(Xs):
+            (X,) = Xs
+            return np.zeros(len(X)), (np.zeros_like(X),)
+
+        monkeypatch.setattr(_optim, "N_STARTS", 3)
+        with pytest.raises(ValueError, match="invalid mixing weights"):
+            fit_starts(stub, objective, (np.zeros(4),), 10.0, 1,
+                       (lambda x: neighbor_uni._unpack(x, 2),))
+
 
 class TestReaskedPoint:
     """minimize evaluates a point again exactly when scipy's
@@ -545,6 +602,26 @@ class TestManyHistograms:
         with pytest.raises(ValueError, match="one class count per block"):
             count_objective(np.arange(3)[:, None], np.ones((2, 3), np.int64),
                             2, (1,), (None, None))
+
+    @pytest.mark.parametrize("heads", [(None, 1), (1, None)],
+                             ids=["none_first", "design_first"])
+    def test_one_head_kind_per_kernel(self, heads):
+        design = build_design(1).Z
+        keys = np.vstack([np.zeros(7, np.int64), np.eye(7, dtype=np.int64)])
+        with pytest.raises(ValueError, match="one head kind per kernel"):
+            count_objective(keys, np.ones((2, 8), np.int64), 2, (1, 1),
+                            tuple(None if h is None else design
+                                  for h in heads))
+
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 3), (4,)])
+    def test_block_widths(self, shape):
+        # a G = 2 univariate block is 4 wide: 1 weight logit, the p logit
+        # and 2 rate reals
+        objective = count_objective(np.arange(3)[:, None],
+                                    np.ones((1, 3), np.int64), 2, (2,),
+                                    (None,))
+        with pytest.raises(ValueError, match="widths \\[4\\]"):
+            objective((np.zeros(shape),))
 
     def test_rows_of_one_total(self):
         counts = np.array([[5, 3, 1], [5, 3, 2]])

@@ -29,17 +29,32 @@ oracle's.  The gradients are not: with densities down to 1e-300, a
 component is the difference of terms as large as cnts / q, and both
 forms carry rounding far above its size (0.20 against 0.07 at one
 tied LogLinear(2) point).
+
+``reference_count_objective`` is a verbatim copy of the block kernel as
+it was when it ran its weights, head, log weights, tail and stick
+gradient in Python floats, row by row.  TestPerRowKernelOracle holds
+count_objective, which runs those steps as array passes over the rows
+of a call, to its bytes: for both heads, blocks of G = 1..3 in one call,
+histograms with and without a tail cell, calls of one row, of uneven
+rows per block and with empty blocks, at ordinary and saturated points,
+where neither kernel may warn.  The per-row kernel adds with Python's
+sum, which compensates its rounding from Python 3.12 on, so the bytes
+are held on Python up to 3.11.
 """
 
+import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 from scipy.special import expit, gammaln, pdtr
 
 from linkcov import _optim, neighbor_multi, neighbor_uni
-from linkcov._optim import (LAMBDA_MAX, NU, CountHistogram, MixtureParams,
-                            interval_from_real)
+from linkcov._optim import (_PAD_LOG, LAMBDA_MAX, NU, CountHistogram,
+                            MixtureParams, count_objective,
+                            interval_from_real, split_counts)
 from linkcov.neighbor_multi import (PATTERNS, LogLinear, build_design,
                                     fit_multi, loglinear_probs,
                                     sample_multi_counts)
@@ -281,6 +296,229 @@ def _oracle_split_multi(hist, tau):
     keys = hist.keys[low].astype(float)
     return (keys, gammaln(keys + 1.0).sum(axis=1),
             hist.counts[low].astype(float), float(hist.counts[~low].sum()))
+
+
+# ------------------------------------------------- the per-row block kernel
+
+# _optim.count_objective as it was before its per-row steps ran as array
+# passes over the rows of a call: the weights, the head, the log weights,
+# the tail and the stick's gradient in Python floats, row by row, with
+# the stick-breaking helpers it called.  Kept verbatim as the oracle
+# that the array kernel must reproduce byte for byte.
+def stick_pieces(v):
+    """Stick-breaking over logistic values v, in Python floats.
+
+    Returns the stick left before each break and the len(v) + 1 pieces
+    (summing to one); stick_break is floor + (1 - G floor) * pieces.
+    The lists hold a few elements, where array calls would cost more
+    than the arithmetic.
+    """
+    stick, pieces = [], []
+    rest = 1.0
+    for vi in v:
+        stick.append(rest)
+        pieces.append(vi * rest)
+        rest *= 1.0 - vi
+    pieces.append(rest)
+    return stick, pieces
+
+
+def stick_pieces_vjp(v, stick, pieces, grad_s):
+    """Pull a gradient w.r.t. the pieces back to the logits behind v.
+
+    Uses d piece_h / dx_h = stick_h v_h (1 - v_h) and, for i > h,
+    d piece_i / dx_h = -piece_i v_h.
+    """
+    n = len(v)
+    out = [0.0] * n
+    later = grad_s[n] * pieces[n]
+    for h in range(n - 1, -1, -1):
+        vh = v[h]
+        out[h] = grad_s[h] * stick[h] * vh * (1.0 - vh) - vh * later
+        later += grad_s[h] * pieces[h]
+    return out
+
+
+def reference_count_objective(keys, counts, tau, gs, designs):
+    """The per-row block kernel: count_objective's arguments and
+    result."""
+    totals = np.sum(counts, axis=-1)
+    if np.shape(counts) != (len(designs), len(keys)) or np.ptp(totals):
+        raise ValueError(f"need one count row per block over the keys, of "
+                         f"one total; got {np.shape(counts)}, {totals}")
+    if len(gs) != len(designs):
+        raise ValueError(f"need one class count per block; got {len(gs)} "
+                         f"for {len(designs)} blocks")
+    keys, log_fact, cnts, tail_counts = split_counts(keys, counts, tau)
+    k, m = keys.shape
+    total = float(totals[0])
+    cols = np.empty((k, m + 2))
+    cols[:, :m] = keys
+    cols[:, m] = 1.0
+    cols[:, m + 1] = log_fact
+    cols_t = np.ascontiguousarray(cols.T)
+    cols = np.ascontiguousarray(cols[:, :m + 1])
+    # per row, rows [log lam_c | log alpha_c - |lam_c| | -1] for c < G,
+    # then [p / lam_c | 1 - |p| | 0], and the (2G, k) block of
+    # [alpha a | alpha mix]; views[S] holds the first S rows of buffers
+    # made for the largest block so far
+    g = max(gs)
+    nu = NU
+    # per block: its classes, weight logits, head end and weight scale
+    layouts = [(gb, gb - 1, gb + (0 if design is None else design.shape[1]),
+                1.0 - gb * nu) for gb, design in zip(gs, designs)]
+    views = []
+
+    def grow(n_rows):
+        coef = np.zeros((n_rows, 2 * g, m + 2))
+        coef[:, :g, m + 1] = -1.0
+        a_mix = np.empty((n_rows, 2 * g, k))
+        views[:] = [(coef[:i], a_mix[:i]) for i in range(n_rows + 1)]
+
+    log_lo = math.log(nu)
+    span = math.log(LAMBDA_MAX) - log_lo
+    log_fact_tau = math.lgamma(tau + 1.0)
+    expit, pdtr = scipy.special.expit, scipy.special.pdtr
+    exp, log = math.exp, math.log
+
+    def objective(blocks):
+        sizes = [block.shape[0] for block in blocks]
+        n_rows = sum(sizes)
+        if n_rows >= len(views):
+            grow(n_rows)
+        coef, a_mix = views[n_rows]
+        # the rate logistics, padded classes at 0 (rates NU)
+        sig_lam = np.zeros((n_rows, g * m))
+        etas, sig_heads, row_layouts, lo = [], [], [], 0
+        for block, design, layout in zip(blocks, designs, layouts):
+            if block.shape[0]:
+                gb, n_alpha, n_head, _ = layout
+                sig = expit(block)
+                etas += ([None] * block.shape[0] if design is None else
+                         np.matmul(design, block[:, n_alpha + 1:n_head, None]
+                                   )[:, :, 0].tolist())
+                sig_heads += sig[:, :n_alpha + 1].tolist()
+                row_layouts += [layout] * block.shape[0]
+                sig_lam[lo:lo + block.shape[0], :gb * m] = sig[:, n_head:]
+                lo += block.shape[0]
+        log_lam = np.add(log_lo, span * sig_lam.reshape(n_rows, g, m),
+                         out=coef[:, :g, :m])
+        lam = np.exp(log_lam)
+        lam_sums = lam.sum(axis=2).tolist()
+        heads, alphas, r, p, log_terms = [], [], [], [], []
+        for s, eta, lam_sum, (gb, n_alpha, _, scale) in zip(
+                sig_heads, etas, lam_sums, row_layouts):
+            stick, pieces = stick_pieces(s[:n_alpha])
+            alpha = [nu + scale * piece for piece in pieces]
+            sp = s[n_alpha]
+            # the head logit's gradient is (dl/dp . r) times slope's
+            # product: the softmax r and phi (1 - phi) for a design,
+            # r = 1 and (1 - 2 nu) sigma (1 - sigma) for None
+            if eta is None:
+                r_row = [1.0]
+                p += [nu + (1.0 - 2.0 * nu) * sp]
+                slope = ((1.0 - 2.0 * nu) * sp, 1.0 - sp)
+            else:
+                mx = max(0.0, max(eta))
+                e = [exp(et - mx) for et in eta]
+                den = exp(-mx) + sum(e)
+                r_row = [ei / den for ei in e]
+                p += [sp * ri for ri in r_row]
+                slope = (sp, 1.0 - sp)
+            r += r_row
+            heads.append((s, stick, pieces, slope))
+            alphas.append(alpha)
+            log_terms.append([log(ac) - ls for ac, ls in zip(alpha, lam_sum)]
+                             + [_PAD_LOG] * (g - gb))
+        r = np.array(r).reshape(n_rows, m, 1)
+        p = np.array(p).reshape(n_rows, 1, m)
+        psum = p.sum(axis=2)
+        coef[:, :g, m] = log_terms
+        coef[:, g:, m] = 1.0 - psum
+        np.divide(p, lam, out=coef[:, g:, :m])
+        expo = np.matmul(coef, cols_t)
+        a = np.exp(expo[:, :g], out=a_mix[:, :g])
+        mix = np.multiply(a, expo[:, g:], out=a_mix[:, g:])
+        q = mix.sum(axis=1)
+        np.maximum(q, 1e-300, out=q)
+        row_cnts = np.repeat(cnts, sizes, axis=0)
+        w = row_cnts / q
+        ll = np.matmul(row_cnts[:, None, :], np.log(q, out=q)[:, :, None]
+                       ).ravel().tolist()
+        # sums[., c, gamma] = alpha_c sum_k w [a | mix]_c t_gamma, and in
+        # column m alpha_c sum_k w [a | mix]_c
+        sums = np.matmul(np.multiply(a_mix, w[:, None, :], out=a_mix), cols)
+        # dq/dp = alpha a (t/lam - 1); dq/dlam = alpha (mix (t/lam - 1)
+        # - a p t / lam^2); ratios[:, 0] is wat = sums[:, :g, :m] / lam
+        ratios = sums[:, :, :m].reshape(n_rows, 2, g, m) / lam[:, None]
+        diffs = ratios - sums[:, :, m:].reshape(n_rows, 2, g, 1)
+        d_p = diffs[:, 0]
+        d_lam = diffs[:, 1] - p * ratios[:, 0] / lam
+        d_alphas = [[sm / ac for sm, ac in zip(row_sums, alpha)]
+                    for row_sums, alpha in zip(sums[:, g:, m].tolist(),
+                                               alphas)]
+        row_tails = sum(([t] * n for t, n in zip(tail_counts, sizes)), [])
+        tail_rows = [i for i, t in enumerate(row_tails) if t]
+        if tail_rows:
+            cdf_ts = pdtr(tau, lam_sums).tolist()
+            cdf_tm1s = pdtr(tau - 1, lam_sums).tolist()
+            tail_p, tail_lam = [], []
+            rows = list(zip(alphas, d_alphas, lam_sums, psum.ravel().tolist(),
+                            cdf_ts, cdf_tm1s, row_tails))
+            for i in tail_rows:
+                alpha, d_alpha, lam_sum, ps, cdf_t, cdf_tm1, n_tail = rows[i]
+                below = [(1.0 - ps) * ct + ps * cm
+                         for ct, cm in zip(cdf_t, cdf_tm1)]
+                T = max(1.0 - sum([ac * b for ac, b in zip(alpha, below)]),
+                        1e-300)
+                ll[i] += n_tail * log(T)
+                wt = n_tail / T
+                row_p, row_lam = [0.0] * g, [0.0] * g
+                for c in range(len(alpha)):
+                    ls = lam_sum[c]
+                    pmf_t = exp(tau * log(ls) - ls - log_fact_tau)
+                    d_alpha[c] -= wt * below[c]
+                    row_p[c] = wt * (alpha[c] * (cdf_t[c] - cdf_tm1[c]))
+                    row_lam[c] = wt * (alpha[c] * ((1.0 - ps) * pmf_t
+                                                   + ps * pmf_t * tau / ls))
+                tail_p.append(row_p)
+                tail_lam.append(row_lam)
+            # a slice of all rows adds in place, a list of some by copies
+            at = slice(None) if len(tail_rows) == n_rows else tail_rows
+            d_p[at] += np.array(tail_p)[:, :, None]
+            d_lam[at] += np.array(tail_lam)[:, :, None]
+
+        # chain rules
+        dldp = d_p.sum(axis=1, keepdims=True)
+        dldr = np.matmul(dldp, r)
+        d_heads = [
+            [scale * gv for gv in stick_pieces_vjp(s[:n_alpha], stick, pieces,
+                                                   d_alpha)]
+            + [dr * slope[0] * slope[1]]
+            for (s, stick, pieces, slope), d_alpha, ((dr,),),
+            (_, n_alpha, _, scale) in zip(heads, d_alphas, dldr.tolist(),
+                                          row_layouts)]
+        d_cells = p * (dldp - dldr)
+        d_rates = d_lam.reshape(n_rows, -1) * (lam.reshape(n_rows, -1)
+                                               * span * sig_lam
+                                               * (1.0 - sig_lam))
+        grads, lo = [], 0
+        for block, design, (gb, n_alpha, n_head, _) in zip(blocks, designs,
+                                                           layouts):
+            hi = lo + block.shape[0]
+            grad = np.empty(block.shape)
+            if hi > lo:
+                grad[:, :n_alpha + 1] = d_heads[lo:hi]
+                if design is not None:
+                    np.matmul(d_cells[lo:hi], design,
+                              out=grad[:, None, n_alpha + 1:n_head])
+                grad[:, n_head:] = d_rates[lo:hi, :gb * m]
+                np.divide(grad, -total, out=grad)
+            grads.append(grad)
+            lo = hi
+        return [-v / total for v in ll], tuple(grads)
+
+    return objective
 
 
 # ---------------------------------------------------------------- fixtures
@@ -634,3 +872,90 @@ class TestAllCountsInTail:
                                [3, 2, 2, 2, 2, 2, 2]], [30, 20])
         fit = fit_multi(hist, 1, constraint=constraint, tau=10)
         assert np.isfinite(fit.loglik) and fit.loglik <= 0.0
+
+
+# ----------------------------------------------- the per-row kernel oracle
+
+def result_bytes(result):
+    """The bytes of a block kernel's values and gradients."""
+    values, grads = result
+    return ([float(v).hex() for v in values],
+            [(grad.shape, grad.tobytes()) for grad in grads])
+
+
+def assert_matches_per_row_kernel(args, x0s, seed):
+    """count_objective(*args) gives the bytes of the per-row kernel on
+    calls of one row in one block, one row in each block, and uneven
+    rows per block with empty blocks among them, drawn from points
+    around each block's start x0s[b] and saturated points; neither
+    kernel warns."""
+    kernel, reference = count_objective(*args), reference_count_objective(
+        *args)
+    points = [np.array([*jittered(x0, seed=seed + 7 * b),
+                        *saturated(x0.size, seed=seed + 7 * b)])
+              for b, x0 in enumerate(x0s)]
+    n_blocks, n_points = len(points), len(points[0])
+    rng = np.random.default_rng(seed)
+    layouts = ([tuple(int(b == i) for b in range(n_blocks))
+                for i in range(n_blocks)] + [(1,) * n_blocks]
+               + [tuple(rng.integers(0, 6, n_blocks)) for _ in range(6)])
+    for sizes in layouts:
+        for first in range(0, n_points, 4):
+            blocks = tuple(
+                block[[(first + 3 * b + j) % n_points for j in range(size)]]
+                for b, (block, size) in enumerate(zip(points, sizes)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got, want = kernel(blocks), reference(blocks)
+            assert result_bytes(got) == result_bytes(want)
+
+
+def histogram_rows(hists):
+    """The union of the width-1 histograms' keys and a count row per
+    histogram over it, as fit_uni_many lays them out."""
+    values = np.unique(np.concatenate([h.keys[:, 0] for h in hists]))
+    counts = np.zeros((len(hists), values.size), np.int64)
+    for row, h in zip(counts, hists):
+        row[np.searchsorted(values, h.keys[:, 0])] = h.counts
+    return values[:, None], counts
+
+
+# the per-row kernel sums with Python's sum, which from 3.12 on
+# compensates its rounding; the array kernel adds as sum did up to 3.11
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="sum() compensates its rounding from 3.12 on")
+class TestPerRowKernelOracle:
+    @TAILS
+    def test_univariate(self, tail):
+        hist = _uni_hist()
+        tau = _tau(hist.keys.max(), tail)
+        args = (hist.keys, np.tile(hist.counts, (len(GS), 1)), tau,
+                tuple(GS), (None,) * len(GS))
+        assert (split_counts(hist.keys, hist.counts, tau)[3] > 0) == tail
+        x0s = [neighbor_uni._start(hist, g) for g in GS]
+        assert_matches_per_row_kernel(args, x0s, seed=800 + tail)
+
+    def test_univariate_histograms(self):
+        # four histograms, some with a tail cell and some without, and
+        # keys that some lack, at G = 1, 2, 3, 2
+        hists = histograms_of_one_total(4)
+        tau = 5
+        assert_gaps_and_tails(hists, tau)
+        gs = (1, 2, 3, 2)
+        args = (*histogram_rows(hists), tau, gs, (None,) * len(gs))
+        x0s = [neighbor_uni._start(h, g) for h, g in zip(hists, gs)]
+        assert_matches_per_row_kernel(args, x0s, seed=810)
+
+    @MULTI_DATA
+    @TAILS
+    def test_multivariate(self, tail, data):
+        # a block per (G, order), G = 1..3, as select_G_multi lays them
+        hist = _multi_hist(data)
+        tau = _tau(hist.keys.sum(axis=1).max(), tail)
+        pairs = [(g, c) for g in GS for c in MULTI_CONSTRAINTS]
+        designs = [build_design(c.d) for _, c in pairs]
+        args = (hist.keys, np.tile(hist.counts, (len(pairs), 1)), tau,
+                tuple(g for g, _ in pairs), tuple(d.Z for d in designs))
+        x0s = [neighbor_multi._start_point(g, MULTI_INIT, design)
+               for (g, _), design in zip(pairs, designs)]
+        assert_matches_per_row_kernel(args, x0s, seed=820 + tail)
