@@ -20,9 +20,8 @@ from .linkage import (ClericalEstimates, ConfusionMatrix, CountVector,
 from ._optim import CountHistogram, MixtureParams, comp_pmf, mix_pmf
 from .neighbor_uni import (AccuracySummary, accuracy_from_fit, capped_loglik,
                            fit_uni, sample_counts, select_G)
-from .neighbor_multi import (DesignMatrix, LogLinear, appendix_c_start,
-                             build_design, coverage_from_fit, fit_multi,
-                             init_appendix_c, loglinear_probs,
+from .neighbor_multi import (LogLinear, appendix_c_start, coverage_from_fit,
+                             fit_multi, init_appendix_c, loglinear_probs,
                              sample_multi_counts, select_G_multi,
                              single_class_p_hat)
 from .baselines import (CoverageEstimate, df_dt_estimators, lincoln_petersen,

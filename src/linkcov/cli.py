@@ -43,6 +43,11 @@ at inputs outside the output directory: population_csv the link stage,
 counts_csv the two fits and log_jsonl the report.  Census CSV paths
 resolve against $LINKCOV_CENSUS_DIR when relative.
 
+The g_max key defaults to 5, ScenarioConfig's g_max to 3, and every
+command that fits, experiment included, takes the key's.  So the CLI
+and a harness run at ScenarioConfig's defaults can select different
+class counts on the same counts.
+
 simulate, link and report load neither scipy.optimize nor
 scipy.special: the calibration solves its root in-repo, and each fit
 loads both at its first call: fit-uni, fit-multi, an experiment with
@@ -71,7 +76,8 @@ from .experiment import (ALL_ESTIMATORS, ScenarioConfig,
                          read_replication_log, render_report,
                          replication_rngs, run_experiment, simulate)
 from ._optim import CountHistogram
-from .neighbor_multi import LogLinear, multi_fit_document, select_G_multi
+from .neighbor_multi import (LogLinear, coverage_from_fit,
+                             multi_fit_document, select_G_multi)
 from .neighbor_uni import fit_document, select_G
 from .popsim import dump_population, load_population
 
@@ -265,7 +271,7 @@ def cmd_fit_multi(cfg):
     doc = multi_fit_document(sel.fit, aic=sel.trace[sel.g_hat - 1]["aic"])
     (out / "fit_multi.json").write_text(doc + "\n", encoding="utf-8")
     print(f"wrote {out / 'fit_multi.json'} (G={sel.g_hat}, "
-          f"coverage={sel.fit.params.phi:.4f})")
+          f"coverage={coverage_from_fit(sel.fit.params):.4f})")
     return 0
 
 

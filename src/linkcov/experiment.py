@@ -25,7 +25,7 @@ from .baselines import CoverageEstimate, df_dt_estimators, lincoln_petersen, rac
 from .frequencies import (build_soundex_index, load_frequency_table,
                           synthetic_age_table, synthetic_surname_table)
 from ._optim import CountHistogram
-from .neighbor_multi import LogLinear, select_G_multi
+from .neighbor_multi import LogLinear, coverage_from_fit, select_G_multi
 from .neighbor_uni import accuracy_from_fit, select_G
 from .popsim import PerturbationParams, draw_samples, generate_population
 
@@ -264,7 +264,7 @@ def count_estimates(cv, estimators, tau, g_max):
         for name, sel in zip(modes, select_G_multi(mh, g_max, orders,
                                                    tau=tau)):
             estimates[name] = CoverageEstimate(
-                name, float(sel.fit.params.phi),
+                name, coverage_from_fit(sel.fit.params),
                 diagnostics={"G": sel.g_hat, "converged": sel.fit.converged},
             )
     return estimates

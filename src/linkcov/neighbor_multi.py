@@ -8,23 +8,24 @@ with independent Poisson false-positive counts per cell.  The fits
 constrain the true-positive cells, shared by every class, through a
 log-linear design with a coverage factor, p = phi * softmax(Z u):
 without interactions (LogLinear(1)) or with 2nd-order interactions
-(LogLinear(2)).  The fitted coverage phi is the estimator of
-P(i in S_A).  The histograms, parameters and pmf are those of ``_optim``
-at width 7, and the fitted MixtureParams carry phi and u as well.
+(LogLinear(2)), each of which carries its design Z.  The fitted
+coverage phi is the estimator of P(i in S_A).  The histograms,
+parameters and pmf are those of ``_optim`` at width 7, and the fitted
+MixtureParams carry phi and u as well.
 
 The fits run the count-mixture kernel of ``_optim`` (count_objective)
-with the log-linear head of their design.  It is a block kernel: one
-call evaluates the points of all the starts that the lockstep search
-asks for in a round, each laid out for its own class count and design,
-and gives each the bits it would get alone.  So select_G_multi fits
-every class count 1..g_max, and both interaction orders when given
+with the log-linear head of their LogLinear's Z.  It is a block kernel:
+one call evaluates the points of all the starts that the lockstep
+search asks for in a round, each laid out for its own class count and
+order, and gives each the bits it would get alone.  So select_G_multi
+fits every class count 1..g_max, and both interaction orders when given
 both, in one search, and appendix_c_start fits its seven marginals at
 G = 1 and 2 in another.  The starts, the result types, the AIC
 selection and the JSON document come from the same fit engine.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
@@ -54,9 +55,7 @@ from .popsim import PATTERNS as _ALL_PATTERNS
 
 __all__ = [
     "PATTERNS",
-    "DesignMatrix",
     "LogLinear",
-    "build_design",
     "loglinear_probs",
     "marginal_histogram",
     "single_class_p_hat",
@@ -77,32 +76,43 @@ PATTERNS = _ALL_PATTERNS[1:]
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Dummy-coded covariate rows z^(gamma) for a log-linear p model."""
+class LogLinear:
+    """Log-linear constraint on the shared true-positive cells: main
+    effects only (d=1), or with their 2nd-order interactions (d=2).
 
-    Z: np.ndarray
-    labels: tuple
-
-
-def build_design(d):
-    """Main effects plus interactions up to order d, dummy coded.
-
-    Columns: the main terms u_k(1) for k = 1..3, then for d = 2 the
-    pairwise terms u_kl(11) for the group pairs in lexicographic order.
-    Row gamma holds 1 where every group of the term agrees in gamma.
+    It carries its dummy-coded design, built from d, which alone sets
+    equality, hash and repr.  Z has a row z^(gamma) per pattern of
+    PATTERNS, holding 1 where every group of a column's term agrees in
+    gamma; labels names the columns: the main terms u_k(1) for k = 1..3,
+    then for d = 2 the pairwise terms u_kl(11) in lexicographic order.
     """
-    if not 1 <= d <= 2:
-        raise ValueError(f"interaction order d={d} outside 1..2")
-    terms = [combo for t in range(1, d + 1)
-             for combo in itertools.combinations(range(3), t)]
-    Z = np.array([[1.0 if all(g[k] for k in combo) else 0.0
-                   for combo in terms] for g in PATTERNS])
-    labels = tuple("u_" + "".join(str(k + 1) for k in combo)
-                   + "(" + "1" * len(combo) + ")" for combo in terms)
-    return DesignMatrix(Z=Z, labels=labels)
+
+    d: int = 2
+    Z: np.ndarray = field(init=False, compare=False, repr=False)
+    labels: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.d not in (1, 2):
+            raise ValueError(f"interaction order d={self.d!r} must be 1 or 2")
+        terms = [combo for t in range(1, self.d + 1)
+                 for combo in itertools.combinations(range(3), t)]
+        object.__setattr__(self, "Z", np.array(
+            [[1.0 if all(g[k] for k in combo) else 0.0 for combo in terms]
+             for g in PATTERNS]))
+        object.__setattr__(self, "labels", tuple(
+            "u_" + "".join(str(k + 1) for k in combo)
+            + "(" + "1" * len(combo) + ")" for combo in terms))
 
 
-def loglinear_probs(phi, u, design):
+def _cells(phi, u, constraint):
+    """loglinear_probs for any phi, 0 included."""
+    eta = constraint.Z @ u
+    m = max(0.0, float(eta.max()))
+    e = np.exp(eta - m)
+    return phi * (e / (np.exp(-m) + e.sum()))
+
+
+def loglinear_probs(phi, u, constraint):
     """True-positive cell probabilities phi * softmax(Z u) over PATTERNS.
 
     The implicit zero pattern carries the remaining softmax mass, so
@@ -110,22 +120,7 @@ def loglinear_probs(phi, u, design):
     """
     if not 0 < phi <= 1:
         raise ValueError("coverage must lie in (0, 1]")
-    eta = design.Z @ np.asarray(u, dtype=float)
-    m = max(0.0, float(eta.max()))
-    denom = np.exp(-m) + np.exp(eta - m).sum()
-    return phi * np.exp(eta - m) / denom
-
-
-@dataclass(frozen=True)
-class LogLinear:
-    """Log-linear constraint on the shared true-positive cells: main
-    effects only (d=1), or with their 2nd-order interactions (d=2)."""
-
-    d: int = 2
-
-    def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError(f"interaction order d={self.d!r} must be 1 or 2")
+    return _cells(phi, np.asarray(u, dtype=float), constraint)
 
 
 def marginal_histogram(hist, coord):
@@ -157,21 +152,18 @@ def sample_multi_counts(params, size, rng):
 
 # ----------------------------------------------------------------- fitting
 
-def _unpack_multi(x, g, design):
+def _unpack_multi(x, g, constraint):
     """Parameters at x = [weight logits | logit phi | u | rate reals]."""
     n_alpha = g - 1
-    n_head = n_alpha + 1 + design.Z.shape[1]
+    n_head = n_alpha + 1 + constraint.Z.shape[1]
     alpha = stick_break(x[:n_alpha], floor=NU) if g > 1 else np.ones(1)
     phi = float(scipy.special.expit(x[n_alpha]))
     u = x[n_alpha + 1:n_head]
-    eta = design.Z @ u
-    mx = max(0.0, float(eta.max()))
-    e = np.exp(eta - mx)
-    p = phi * (e / (np.exp(-mx) + e.sum()))[None, :]
+    p = _cells(phi, u, constraint)[None, :]
     lam, _ = interval_from_real(x[n_head:], NU, LAMBDA_MAX)
     return MixtureParams(
         alpha=alpha, p=p.repeat(g, axis=0), lam=lam.reshape(g, -1), phi=phi,
-        u=u, u_labels=design.labels)
+        u=u, u_labels=constraint.labels)
 
 
 def single_class_p_hat(hist, lambda_fixed, tau=10):
@@ -252,9 +244,10 @@ def appendix_c_start(hist, tau=10):
     return rates, single_class_p_hat(hist, rates, tau=tau)
 
 
-def init_appendix_c(start, d):
+def init_appendix_c(start, constraint):
     """Moment-based starting values for the log-linear multivariate fit
-    of interaction order d, from the (rates, cells) of appendix_c_start.
+    under constraint, a LogLinear, from the (rates, cells) of
+    appendix_c_start.
 
     The starting log-linear coefficients follow the stated moment
     formulas on the cells (logit-averaged ratios without interactions,
@@ -263,10 +256,9 @@ def init_appendix_c(start, d):
     fit_multi takes as init: "lambda" the rates, "u" the coefficients
     (d=2 sized, the interactions 0 for d=1) and "phi".
     """
-    LogLinear(d)    # refuses any order but 1 and 2
     lam, p_hat = start
     pat = dict(zip(PATTERNS, p_hat))
-    if d == 1:
+    if constraint.d == 1:
         q = {k: sum(v for g, v in pat.items() if g[k] == 1) for k in range(3)}
         qq = {(k1, k2): sum(v for g, v in pat.items() if g[k1] == 1 and g[k2] == 1)
               for k1, k2 in ((0, 1), (0, 2), (1, 2))}
@@ -291,8 +283,8 @@ def init_appendix_c(start, d):
             -bracket + lr[(0, 0, 1)],
         ])
 
-    design = build_design(2)
-    eta = design.Z @ u
+    # unshifted, unlike _cells: every MN fit starts from these bits
+    eta = LogLinear(2).Z @ u
     r = np.exp(eta) / (1.0 + np.exp(eta).sum())
     phi = float(np.clip(p_hat.sum() / r.sum(), 1e-3, 1.0 - 1e-3))
     return {"lambda": lam, "u": u, "phi": phi}
@@ -310,7 +302,7 @@ def fit_multi(hist, g, constraint=LogLinear(2), tau=10, init=None):
     _require_three_binary_groups(hist)
     _require_loglinear((constraint,))
     if init is None:
-        init = init_appendix_c(appendix_c_start(hist, tau), constraint.d)
+        init = init_appendix_c(appendix_c_start(hist, tau), constraint)
     return _fit_blocks(hist, (g,), (constraint,), tau, (init,))[0]
 
 
@@ -329,21 +321,19 @@ def _fit_blocks(hist, gs, constraints, tau, inits):
     each fit's starts one block laid out for its own G and order: the
     tuple of their FitResults.  The caller checks the class counts and
     hist."""
-    designs = [build_design(c.d) for c in constraints]
-    x0s = tuple(_start_point(g, init, design)
-                for g, init, design in zip(gs, inits, designs))
-    params_ats = tuple(
-        lambda x, g=g, design=design: _unpack_multi(x, g, design)
-        for g, design in zip(gs, designs))
-    objective = count_objective(hist.keys,
-                                np.tile(hist.counts, (len(designs), 1)), tau,
-                                tuple(gs), tuple(d.Z for d in designs))
+    x0s = tuple(_start_point(g, init, c)
+                for g, init, c in zip(gs, inits, constraints))
+    params_ats = tuple(lambda x, g=g, c=c: _unpack_multi(x, g, c)
+                       for g, c in zip(gs, constraints))
+    objective = count_objective(
+        hist.keys, np.tile(hist.counts, (len(constraints), 1)), tau,
+        tuple(gs), tuple(c.Z for c in constraints))
     return fit_starts(minimize, objective, x0s, float(hist.total), tau,
                       params_ats, salt=(71,))
 
 
-def _start_point(g, init, design):
-    """The first start of a G-class fit of design from an init bundle."""
+def _start_point(g, init, constraint):
+    """The first start of a G-class fit under constraint from init."""
     nu, lam_max = NU, LAMBDA_MAX
     lam0 = np.tile(np.clip(init["lambda"], nu * 2, lam_max), (g, 1))
     # spread duplicated rate vectors a little so classes can separate
@@ -354,7 +344,7 @@ def _start_point(g, init, design):
     return np.concatenate([
         stick_break_inverse(np.full(g, 1.0 / g), floor=nu),
         np.atleast_1d(logit(np.clip(init["phi"], 1e-6, 1 - 1e-6))),
-        np.asarray(init["u"], dtype=float)[:design.Z.shape[1]],
+        np.asarray(init["u"], dtype=float)[:constraint.Z.shape[1]],
         real_from_interval(np.clip(lam0.ravel(), nu * (1 + 1e-9), lam_max),
                            nu, lam_max)])
 
@@ -378,7 +368,7 @@ def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10):
     constraints = constraint if many else (constraint,)
     _require_loglinear(constraints)
     start = appendix_c_start(hist, tau)
-    inits = tuple(init_appendix_c(start, c.d) for c in constraints)
+    inits = tuple(init_appendix_c(start, c) for c in constraints)
     n = len(constraints)
     fits = _fit_blocks(hist, [g for g in range(1, g_max + 1)
                               for _ in constraints],

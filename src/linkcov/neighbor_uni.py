@@ -172,7 +172,6 @@ class AccuracySummary:
     p_bar: float
     lambda_bar: float
     precision_hat: Optional[float]
-    coverage_lower_bound: float
     coverage_hat: Optional[float] = None
     recall_hat: Optional[float] = None
 
@@ -201,8 +200,7 @@ def accuracy_from_fit(params, known_recall=None, known_coverage=None):
         recall_hat = p_bar / known_coverage
     return AccuracySummary(
         p_bar=p_bar, lambda_bar=lambda_bar, precision_hat=precision,
-        coverage_lower_bound=p_bar, coverage_hat=coverage_hat,
-        recall_hat=recall_hat,
+        coverage_hat=coverage_hat, recall_hat=recall_hat,
     )
 
 

@@ -16,7 +16,7 @@ from linkcov.experiment import (ALL_ESTIMATORS, MetricsTable,
 from linkcov.frequencies import load_frequency_table
 from linkcov.linkage import CountVector, RULE_BASELINE_AND_ANY_EXACT
 from linkcov._optim import CountHistogram, MixtureParams
-from linkcov.neighbor_multi import (LogLinear, build_design, loglinear_probs,
+from linkcov.neighbor_multi import (LogLinear, loglinear_probs,
                                     sample_multi_counts, select_G_multi)
 from linkcov.neighbor_uni import sample_counts
 from linkcov.popsim import PerturbationParams
@@ -437,7 +437,7 @@ class TestRender:
 
 
 def make_multi_stratum(phi, lam, n, seed):
-    p = loglinear_probs(phi, np.array([1.0, 1, 1, 0, 0, 0]), build_design(2))
+    p = loglinear_probs(phi, np.array([1.0, 1, 1, 0, 0, 0]), LogLinear(2))
     params = MixtureParams(alpha=[1.0], p=[p], lam=[np.full(7, lam)])
     patterns = sample_multi_counts(params, n, np.random.default_rng(seed))
     return CountVector(n_total=patterns.sum(axis=1),

@@ -24,10 +24,9 @@ from linkcov._optim import (NU, CountHistogram, FitResult, MixtureParams,
                             _new_point, check_class_count, comp_pmf,
                             count_objective, fit_starts, minimize,
                             stick_break, stick_break_vjp)
-from linkcov.neighbor_multi import (LogLinear, appendix_c_start, build_design,
-                                    fit_multi, multi_fit_document,
-                                    sample_multi_counts, select_G_multi,
-                                    single_class_p_hat)
+from linkcov.neighbor_multi import (LogLinear, appendix_c_start, fit_multi,
+                                    multi_fit_document, sample_multi_counts,
+                                    select_G_multi, single_class_p_hat)
 from linkcov.neighbor_uni import (fit_document, fit_uni, fit_uni_many,
                                   sample_counts, select_G)
 from test_minimize_oracle import point_block
@@ -143,7 +142,7 @@ class TestDocuments:
         params = MixtureParams(
             alpha=[0.5, 0.5], p=[P7, P7], lam=[[0.5] * 7, [0.25] * 7],
             phi=0.875, u=np.array([0.5, -1.0, 1.5, 0.0, 0.25, -0.75]),
-            u_labels=build_design(2).labels)
+            u_labels=LogLinear(2).labels)
         fit = FitResult(params=params, loglik=-2048.75, init_loglik=-2100.5,
                         converged=False, n_iter=1000, tau=10, n_params=22)
         assert multi_fit_document(fit, aic=4157.5) == LOGLINEAR_DOC
@@ -606,7 +605,7 @@ class TestManyHistograms:
     @pytest.mark.parametrize("heads", [(None, 1), (1, None)],
                              ids=["none_first", "design_first"])
     def test_one_head_kind_per_kernel(self, heads):
-        design = build_design(1).Z
+        design = LogLinear(1).Z
         keys = np.vstack([np.zeros(7, np.int64), np.eye(7, dtype=np.int64)])
         with pytest.raises(ValueError, match="one head kind per kernel"):
             count_objective(keys, np.ones((2, 8), np.int64), 2, (1, 1),

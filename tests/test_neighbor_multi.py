@@ -12,11 +12,10 @@ from scipy.stats import poisson
 from linkcov import (_optim, experiment, linkage, neighbor_multi,
                      neighbor_uni)
 from linkcov.neighbor_multi import (PATTERNS, LogLinear, appendix_c_start,
-                                    build_design, coverage_from_fit,
-                                    fit_multi, init_appendix_c,
-                                    loglinear_probs, marginal_histogram,
-                                    sample_multi_counts, select_G_multi,
-                                    single_class_p_hat)
+                                    coverage_from_fit, fit_multi,
+                                    init_appendix_c, loglinear_probs,
+                                    marginal_histogram, sample_multi_counts,
+                                    select_G_multi, single_class_p_hat)
 from linkcov._optim import (NU, CountHistogram, MixtureParams, comp_pmf,
                             mix_pmf)
 from linkcov.neighbor_uni import fit_uni, select_G
@@ -138,51 +137,66 @@ class TestMixturePmf:
 
 class TestDesign:
     def test_main_terms_layout(self):
-        d1 = build_design(1)
-        row = d1.Z[PATTERNS.index((1, 0, 1))]
+        row = LogLinear(1).Z[PATTERNS.index((1, 0, 1))]
         np.testing.assert_array_equal(row, [1, 0, 1])
 
     def test_pairwise_layout(self):
-        d2 = build_design(2)
+        d2 = LogLinear(2)
         assert d2.Z.shape == (7, 6)
         row = d2.Z[PATTERNS.index((1, 0, 1))]
         np.testing.assert_array_equal(row, [1, 0, 1, 0, 1, 0])
         assert d2.labels == ("u_1(1)", "u_2(1)", "u_3(1)", "u_12(11)",
                              "u_13(11)", "u_23(11)")
 
-    def test_order_bounds(self):
-        with pytest.raises(ValueError):
-            build_design(3)
-        with pytest.raises(ValueError):
-            build_design(0)
-
     @pytest.mark.parametrize("d", [0, 3, -1])
     def test_loglinear_order_refused(self, d):
         with pytest.raises(ValueError, match=f"d={d} must be 1 or 2"):
             LogLinear(d)
 
+    def test_the_order_alone_is_compared(self):
+        # the design is derived from d and takes no part in equality,
+        # hash or repr, so an order serves as a dict key
+        assert LogLinear(1) == LogLinear(1) != LogLinear(2)
+        assert hash(LogLinear(2)) == hash(LogLinear(2))
+        assert repr(LogLinear(1)) == "LogLinear(d=1)"
+        assert LogLinear() == LogLinear(2)
+        by_order = {LogLinear(1): "d1", LogLinear(2): "d2"}
+        assert by_order[LogLinear(1)] == "d1"
+        assert by_order[LogLinear(2)] == "d2"
+
 
 class TestLogLinearProbs:
     def test_uniform_case(self):
-        design = build_design(2)
-        p = loglinear_probs(0.9, np.zeros(6), design)
+        p = loglinear_probs(0.9, np.zeros(6), LogLinear(2))
         np.testing.assert_allclose(p, 0.9 / 8, rtol=1e-14)
 
     def test_softmax_normalization(self):
-        design = build_design(2)
+        constraint = LogLinear(2)
         rng = np.random.default_rng(4)
         u = rng.normal(size=6)
-        p = loglinear_probs(0.9, u, design)
-        r0 = 1.0 / (1.0 + np.exp(design.Z @ u).sum())
+        p = loglinear_probs(0.9, u, constraint)
+        r0 = 1.0 / (1.0 + np.exp(constraint.Z @ u).sum())
         assert p.sum() / 0.9 + r0 == pytest.approx(1.0, abs=1e-14)
 
     def test_interaction_ratio(self):
         # all coefficients one: p(111)/p(100) = exp(u2+u3+u12+u13+u23) = e^5
-        design = build_design(2)
-        p = loglinear_probs(0.9, np.ones(6), design)
+        p = loglinear_probs(0.9, np.ones(6), LogLinear(2))
         i111 = PATTERNS.index((1, 1, 1))
         i100 = PATTERNS.index((1, 0, 0))
         assert p[i111] / p[i100] == pytest.approx(np.exp(5.0), rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.0, -0.1, 1.5, np.nan])
+    def test_coverage_outside_the_unit_interval_refused(self, phi):
+        with pytest.raises(ValueError, match="coverage must lie in"):
+            loglinear_probs(phi, np.zeros(6), LogLinear(2))
+
+    def test_fitted_cells_at_zero_coverage(self):
+        # below logit phi = -745 expit gives 0.0, which a search may
+        # reach: the params there hold zero cells, not a refusal
+        x = np.concatenate([[-800.0], np.ones(6), np.zeros(7)])
+        params = neighbor_multi._unpack_multi(x, 1, LogLinear(2))
+        assert params.phi == 0.0
+        np.testing.assert_array_equal(params.p, 0.0)
 
 
 class TestInversion:
@@ -190,7 +204,7 @@ class TestInversion:
 
     def test_exactly_determined_at_second_order(self):
         # seven cells determine coverage plus six coefficients
-        assert build_design(2).Z.shape[1] + 1 == len(PATTERNS)
+        assert LogLinear(2).Z.shape[1] + 1 == len(PATTERNS)
 
 
 _COUNT_MATRICES = st.tuples(
@@ -289,21 +303,21 @@ class TestAppendixInit:
         hist = CountHistogram.from_observations(draws)
         for d in (1, 2):
             init = init_appendix_c(
-                (lam, single_class_p_hat(hist, lam, tau=10)), d)
+                (lam, single_class_p_hat(hist, lam, tau=10)), LogLinear(d))
             assert np.max(np.abs(init["u"])) < 0.25
             assert init["phi"] == pytest.approx(0.8, abs=0.05)
 
     def test_exact_formula_values(self):
         # moment formulas applied to exact cell probabilities
-        design = build_design(2)
-        p = loglinear_probs(0.9, np.array([1.0, 1, 1, 0, 0, 0]), design)
+        p = loglinear_probs(0.9, np.array([1.0, 1, 1, 0, 0, 0]),
+                            LogLinear(2))
         lam = np.full(7, 0.1)
         params = MixtureParams(alpha=[1.0], p=[p], lam=[lam])
         draws = sample_multi_counts(params, 300000,
                                     np.random.default_rng(15))
         hist = CountHistogram.from_observations(draws)
         init = init_appendix_c((lam, single_class_p_hat(hist, lam, tau=10)),
-                               1)
+                               LogLinear(1))
         # under a no-interaction truth the logit-average starts sit near
         # the generating main effects
         np.testing.assert_allclose(init["u"][:3], 1.0, atol=0.2)
@@ -312,9 +326,7 @@ class TestAppendixInit:
 
 class TestFitMulti:
     def test_loglinear_recovery(self):
-        design = build_design(2)
-        u = np.ones(6)
-        p = loglinear_probs(0.9, u, design)
+        p = loglinear_probs(0.9, np.ones(6), LogLinear(2))
         lam = np.full(7, 0.05)
         truth = MixtureParams(alpha=[1.0], p=[p], lam=[lam])
         draws = sample_multi_counts(truth, 50000, np.random.default_rng(99))
@@ -329,11 +341,13 @@ class TestFitMulti:
         monkeypatch.setattr(_optim, "N_STARTS", 1)
         fit = fit_multi(hist, 2, constraint=LogLinear(d), tau=4, init=init)
         params = fit.params
-        design = build_design(d)
-        assert params.u_labels == design.labels
-        np.testing.assert_allclose(
-            params.p, np.tile(loglinear_probs(params.phi, params.u, design),
-                              (2, 1)), rtol=1e-12)
+        constraint = LogLinear(d)
+        assert params.u_labels == constraint.labels
+        # one spelling of the cells: the fitted ones are loglinear_probs'
+        # to the bit
+        np.testing.assert_array_equal(
+            params.p, np.tile(loglinear_probs(params.phi, params.u,
+                                              constraint), (2, 1)))
         assert coverage_from_fit(params) == params.phi
 
     @pytest.mark.parametrize("fit", [
@@ -346,7 +360,7 @@ class TestFitMulti:
         monkeypatch.setattr(_optim, "N_STARTS", 1)
         default = fit(hist, init)
         second = fit(hist, init, constraint=LogLinear(2))
-        assert default.params.u_labels == build_design(2).labels
+        assert default.params.u_labels == LogLinear(2).labels
         assert default.loglik == second.loglik
         np.testing.assert_array_equal(default.params.u, second.params.u)
 
@@ -523,7 +537,7 @@ class TestJointSelection:
         monkeypatch.undo()
         assert [_fit_fields(fit) for fit in fits] == [
             _fit_fields(fit_multi(hist, g, constraint=c, tau=10,
-                                  init=init_appendix_c(start, c.d)))
+                                  init=init_appendix_c(start, c)))
             for g in (1, 2, 3) for c in orders]
 
     def test_start_fits_the_marginals_in_one_search(self, monkeypatch,
@@ -550,7 +564,7 @@ class TestJointSelection:
 class TestSharedRates:
     def test_passed_rates_reproduce_the_selection_exactly(self):
         p = loglinear_probs(0.9, np.array([1.0, 0.5, 0.8, 0.3, 0, 0.2]),
-                            build_design(2))
+                            LogLinear(2))
         truth = MixtureParams(
             alpha=[0.7, 0.3], p=[p, p],
             lam=[np.full(7, 0.03), np.full(7, 0.3)],
@@ -568,7 +582,7 @@ class TestSharedRates:
 
     def test_passed_cells_reproduce_the_selection_exactly(self):
         p = loglinear_probs(0.85, np.array([0.8, 0.4, 1.0, 0.2, 0.1, 0]),
-                            build_design(2))
+                            LogLinear(2))
         truth = MixtureParams(
             alpha=[0.6, 0.4], p=[p, p],
             lam=[np.full(7, 0.05), np.full(7, 0.4)],

@@ -362,7 +362,6 @@ class TestAccuracy:
         assert acc.p_bar == pytest.approx(0.7)
         assert acc.lambda_bar == pytest.approx(0.2)
         assert acc.precision_hat == pytest.approx(7 / 9)
-        assert acc.coverage_lower_bound == pytest.approx(0.7)
 
     def test_known_recall_gives_coverage(self):
         params = MixtureParams(alpha=[1.0], p=[[0.85]], lam=[[0.1]])

@@ -55,9 +55,8 @@ from linkcov import _optim, neighbor_multi, neighbor_uni
 from linkcov._optim import (_PAD_LOG, LAMBDA_MAX, NU, CountHistogram,
                             MixtureParams, count_objective,
                             interval_from_real, split_counts)
-from linkcov.neighbor_multi import (PATTERNS, LogLinear, build_design,
-                                    fit_multi, loglinear_probs,
-                                    sample_multi_counts)
+from linkcov.neighbor_multi import (PATTERNS, LogLinear, fit_multi,
+                                    loglinear_probs, sample_multi_counts)
 from linkcov.neighbor_uni import fit_uni, sample_counts
 from test_neighbor_uni import (assert_gaps_and_tails, captured_objective,
                                histograms_of_one_total)
@@ -550,9 +549,8 @@ def _multi_hist(data="flat"):
         )
         draws = sample_multi_counts(truth, 5000, np.random.default_rng(51))
     else:
-        design = build_design(2)
         p = loglinear_probs(0.7, np.array([2.0, -1.0, 0.5, -1.5, 1.0, 0.8]),
-                            design)
+                            LogLinear(2))
         truth = MixtureParams(
             alpha=[0.5, 0.3, 0.2], p=[p, p, p],
             lam=[np.linspace(0.02, 0.2, 7), np.linspace(0.9, 0.1, 7),
@@ -591,7 +589,7 @@ def multi_pair(monkeypatch, g, constraint, tail, data):
         constraint=constraint, tau=tau, init=MULTI_INIT)
     m = len(PATTERNS)
     key = "loglinear"
-    Zv = build_design(constraint.d).Z
+    Zv = constraint.Z
     du = Zv.shape[1]
     oracle_args = (*_oracle_split_multi(hist, tau), float(hist.total), g, m,
                    _oracle_n_p(g, m, key, du), key, Zv, tau, NU, LAMBDA_MAX)
@@ -953,9 +951,8 @@ class TestPerRowKernelOracle:
         hist = _multi_hist(data)
         tau = _tau(hist.keys.sum(axis=1).max(), tail)
         pairs = [(g, c) for g in GS for c in MULTI_CONSTRAINTS]
-        designs = [build_design(c.d) for _, c in pairs]
         args = (hist.keys, np.tile(hist.counts, (len(pairs), 1)), tau,
-                tuple(g for g, _ in pairs), tuple(d.Z for d in designs))
-        x0s = [neighbor_multi._start_point(g, MULTI_INIT, design)
-               for (g, _), design in zip(pairs, designs)]
+                tuple(g for g, _ in pairs), tuple(c.Z for _, c in pairs))
+        x0s = [neighbor_multi._start_point(g, MULTI_INIT, c)
+               for g, c in pairs]
         assert_matches_per_row_kernel(args, x0s, seed=820 + tail)
