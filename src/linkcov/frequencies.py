@@ -16,6 +16,7 @@ ones.
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -50,9 +51,23 @@ MONTH_WINDOW = (10 * 3 + 2 * 2) / 12.0 ** 2
 DATE_WINDOW = DAY_WINDOW * MONTH_WINDOW
 
 
+# Surname labels are stored as fixed-width strings of this many characters.
+LABEL_WIDTH = 16
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Discrete distribution over string or integer labels."""
+    """Discrete distribution over string or integer labels.
+
+    Constants derived from the table are built on first use and kept
+    with it: the soundex index, the draw table of ``draw`` and the
+    fixed-width label array.  ``draw`` transcribes ``Generator.choice``
+    by the guide-table method (Chen & Asau 1974; see _GuideTable), so
+    that a population depends on the generator's stream and not on
+    numpy keeping choice's algorithm; the population digests of
+    tests/test_population_golden.py and perfbench/reference.json pin
+    its bits.
+    """
 
     labels: tuple
     probs: np.ndarray
@@ -87,6 +102,98 @@ class FrequencyTable:
     def soundex_index(self):
         """The table grouped by soundex code; see build_soundex_index."""
         return SoundexIndex(self)
+
+    @cached_property
+    def fixed_width_labels(self):
+        """The labels as a read-only array of LABEL_WIDTH-character
+        strings; a longer label raises ValueError."""
+        return _read_only(_fixed_width(self.labels))
+
+    @cached_property
+    def _guide(self):
+        return _GuideTable(self.probs)
+
+    def draw(self, rng, n):
+        """n label indices, as rng.choice(self.size, size=n,
+        p=self.probs) draws them: the same int64 indices from the same
+        n uniforms, so rng is left in the same state."""
+        return self._guide.draw(rng, n)
+
+
+def _fixed_width(names):
+    """Surname labels as a LABEL_WIDTH-character string array; an
+    overlong one is refused."""
+    names = np.asarray(names, dtype=str)
+    long = names[np.char.str_len(names) > LABEL_WIDTH]
+    if long.size:
+        raise ValueError(f"surname {str(long[0])!r} is longer than "
+                         f"{LABEL_WIDTH} characters")
+    return names.astype(f"U{LABEL_WIDTH}")
+
+
+# rng.choice refuses probabilities whose sum is further than this from 1
+_SUM_ATOL = math.sqrt(np.finfo(float).eps)
+# The fewest buckets of a guide table, and the most passes of its
+# search: at 100k draws a pass takes about 0.2 ms, searchsorted on the
+# 21,612-label synthetic surname table 12 ms.
+_MIN_BUCKETS = 1024
+_MAX_PASSES = 32
+
+
+class _GuideTable:
+    """Draws of ``Generator.choice(k, size=n, p=probs)``, bit for bit,
+    by the guide-table inverse-cdf method (Chen & Asau 1974, *AIIE
+    Transactions*; Devroye 1986, *Non-Uniform Random Variate
+    Generation*, section III.2.4).
+
+    The cdf is choice's own: ``probs.cumsum()`` divided by its last
+    entry.  A draw takes the same ``rng.random(n)`` uniforms as choice
+    and must end where ``cdf.searchsorted(u, side="right")`` does, but
+    without its binary search.  The unit interval is cut into B
+    buckets, B a power of two of at least k (so ``u * B`` is exact), and
+    ``lo[j]``, the count of cdf entries at or below ``j / B``, is where
+    the search for any u of bucket j starts.  Each pass of
+    ``idx += cdf[idx] <= u`` moves every draw at most one entry on, and
+    no draw passes its answer, so ``passes``, the widest
+    ``lo[j + 1] - lo[j]`` (with k - 1 after the last bucket), is enough
+    for every u.  A table whose tail packs more than _MAX_PASSES entries
+    into one bucket, such as a long power law, is searched by
+    searchsorted itself, as choice does.
+
+    Probabilities are checked as choice checks them: NaN, a negative
+    entry or a sum further than sqrt(eps) from 1 is refused with
+    choice's message.  The sum is taken with math.fsum, where choice
+    uses a Kahan sum; the two differ only for sums within a few eps of
+    the tolerance.
+    """
+
+    def __init__(self, probs):
+        probs = np.asarray(probs, dtype=float)
+        if np.isnan(probs.sum()):
+            raise ValueError("probabilities contain NaN")
+        if (probs < 0).any():
+            raise ValueError("probabilities are not non-negative")
+        if abs(math.fsum(probs) - 1.0) > _SUM_ATOL:
+            raise ValueError("probabilities do not sum to 1")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        k = probs.size
+        self.buckets = 1 << max(k - 1, _MIN_BUCKETS - 1).bit_length()
+        self.lo = cdf.searchsorted(np.arange(self.buckets) / self.buckets,
+                                   side="right")
+        # no u < 1 gets past the last entry, which is 1
+        ends = np.append(self.lo[1:], k - 1)
+        self.passes = int((ends - self.lo).max())
+        self.cdf = cdf
+
+    def draw(self, rng, n):
+        u = rng.random(n)
+        if self.passes > _MAX_PASSES:
+            return self.cdf.searchsorted(u, side="right")
+        idx = self.lo[(u * self.buckets).astype(np.intp)]
+        for _ in range(self.passes):
+            idx += self.cdf[idx] <= u
+        return idx
 
 
 # C0 control characters; csv leaves a lone CR unquoted, so a surname

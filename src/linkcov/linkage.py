@@ -97,11 +97,26 @@ class CandidatePairs:
         return self.b_pos.size
 
 
+# _block_ids numbers block keys through a presence array over their
+# range when that range is at most this many times the record count
+_DENSE_KEYS_PER_RECORD = 16
+
+
 def _block_ids(panel_b, panel_a):
     """Dense (soundex, year) block number of every record, b then a.
 
     The block key is the record's code id times the year span plus the
-    year's offset from the earliest year; np.unique numbers the keys.
+    year's offset from the earliest year.  Blocks are numbered in key
+    order, as np.unique's inverse numbers them.  When the keys range
+    over at most _DENSE_KEYS_PER_RECORD values per record, as the
+    synthetic tables' few thousand codes and 86 years do from about
+    N=20k on, a presence array over the range and its cumulative sum
+    number them without a sort; otherwise np.unique does, as in
+    CountHistogram.from_observations.  Both give the same numbers, so
+    the pairs that follow from them stay those that the block_pairs
+    digest of tests/test_population_golden.py and the linkage counts of
+    perfbench/reference.json pin, on populations whose draws transcribe
+    Generator.choice (see generate_population).
     """
     key = np.concatenate([panel_b.code, panel_a.code]).astype(np.int64)
     if key.size == 0:
@@ -113,7 +128,14 @@ def _block_ids(panel_b, panel_a):
         raise ValueError("block keys of these codes and years overflow int64")
     key *= span
     key += years
-    return np.unique(key, return_inverse=True)[1]
+    size = int(key.max()) + 1
+    if size > _DENSE_KEYS_PER_RECORD * key.size:
+        return np.unique(key, return_inverse=True)[1]
+    present = np.zeros(size, dtype=bool)
+    present[key] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    return rank[key]
 
 
 def block_pairs(panel_b, panel_a):
@@ -226,12 +248,21 @@ class CountVector:
         return self.n_total.size
 
 
+def _refuse_without_positions(links):
+    if links.b_pos is None:
+        raise ValueError("the link set carries no panel positions (b_pos "
+                         "is None), as one read from a file does")
+
+
 def counts(links, size_b):
     """Count links per S_B record, overall and per pattern."""
+    _refuse_without_positions(links)
     n_total = np.bincount(links.b_pos, minlength=size_b).astype(np.int64)
-    mat = np.zeros((size_b, len(PATTERNS)), dtype=np.int64)
-    np.add.at(mat, (links.b_pos, links.pattern_code), 1)
-    return CountVector(n_total=n_total, pattern_counts=mat)
+    m = len(PATTERNS)
+    cells = np.bincount(links.b_pos * m + links.pattern_code,
+                        minlength=size_b * m)
+    return CountVector(n_total=n_total, pattern_counts=cells.astype(
+        np.int64, copy=False).reshape(size_b, m))
 
 
 def dedupe_rule2(links):
@@ -240,6 +271,7 @@ def dedupe_rule2(links):
     Degrees are computed once on the input set, so the rule deletes
     every link touching a multi-linked record rather than thinning.
     """
+    _refuse_without_positions(links)
     if links.size == 0:
         return links
     deg_b = np.bincount(links.b_pos)

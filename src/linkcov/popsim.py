@@ -16,6 +16,7 @@ import numpy as np
 
 from . import frequencies
 from ._csvio import int_text, quoted_text, read_rows, write_columns
+from .frequencies import LABEL_WIDTH, _fixed_width, _GuideTable
 from .soundex import soundex_array
 
 __all__ = [
@@ -35,9 +36,6 @@ __all__ = [
 PATTERNS = tuple(
     (g1, g2, g3) for g1 in (0, 1) for g2 in (0, 1) for g3 in (0, 1)
 )
-
-# Surname labels are stored as fixed-width strings of this many characters.
-LABEL_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def pattern_distribution(params):
 
 
 def _draw_patterns(params, rng, n):
-    return rng.choice(8, size=n, p=pattern_distribution(params))
+    return _GuideTable(pattern_distribution(params)).draw(rng, n)
 
 
 def _shift_by_one(values, keep, lo, hi, rng):
@@ -198,27 +196,34 @@ def generate_population(n, surnames, years, params, rng):
 
     The draw order is fixed (surnames, years, months, days, patterns,
     day shifts, month shifts, surname redraws), so identical generator
-    states give bitwise-identical populations.  The surname redraws
-    consume the stream as one rng.choice per affected name would, in
-    ascending name index, each over that name's affected units in
-    ascending unit order, from the other names of its soundex class
-    with their within-class probabilities renormalized.  A shifted
+    states give bitwise-identical populations.  The surname, year and
+    pattern draws are those of rng.choice(k, size=n, p=probs), which
+    FrequencyTable.draw transcribes by the guide-table method (Chen &
+    Asau 1974; see frequencies._GuideTable), so that the population
+    does not depend on numpy keeping choice's algorithm; the population
+    digests of tests/test_population_golden.py and
+    perfbench/reference.json pin them.  The surname redraws consume the
+    stream as one rng.choice per affected name would, in ascending name
+    index, each over that name's affected units in ascending unit
+    order, from the other names of its soundex class with their
+    within-class probabilities renormalized.  A shifted
     day or month moves up from 1 and down from 30 or 12; a surname alone
     in its soundex class is kept and counted in singleton_fallbacks.
     The soundex classes are those of build_soundex_index(surnames),
     which builds the index on the table's first use and keeps it with
-    the table.  A surname label longer than LABEL_WIDTH characters
-    raises ValueError.
+    the table.  The population's surname_labels is the table's
+    read-only fixed_width_labels, kept with the table as well.  A
+    surname label longer than LABEL_WIDTH characters raises ValueError.
     """
     if n < 1:
         raise ValueError("population size must be at least 1")
     # looked up in frequencies at call time, so that a wrapper put on
     # that name (perfbench/layers.py times it) sees the call
     soundex_index = frequencies.build_soundex_index(surnames)
-    labels = _labels(surnames.labels)
-    sidx_a = rng.choice(surnames.size, size=n, p=surnames.probs).astype(np.int32)
+    labels = surnames.fixed_width_labels
+    sidx_a = surnames.draw(rng, n).astype(np.int32)
     year_labels = np.asarray([int(y) for y in years.labels])
-    year_a = year_labels[rng.choice(years.size, size=n, p=years.probs)]
+    year_a = year_labels[years.draw(rng, n)]
     month_a = rng.integers(1, 13, size=n).astype(np.int16)
     day_a = rng.integers(1, 31, size=n).astype(np.int16)
 
@@ -266,16 +271,6 @@ _DUMP_DTYPE = np.dtype([
 ])
 
 
-def _labels(names):
-    """Surname labels as a fixed-width array; overlong ones are refused."""
-    names = np.asarray(names, dtype=str)
-    long = names[np.char.str_len(names) > LABEL_WIDTH]
-    if long.size:
-        raise ValueError(f"surname {str(long[0])!r} is longer than "
-                         f"{LABEL_WIDTH} characters")
-    return names.astype(f"U{LABEL_WIDTH}")
-
-
 def dump_population(pop, flags, dest):
     """Write the population and sample flags as delimited text."""
     # each surname in use is quoted once
@@ -310,7 +305,7 @@ def _factorize(*columns):
     sidx[:] = np.fromiter(map(rank.__getitem__, names), dtype=np.int32,
                           count=sidx.size)
     del names, rank
-    return _labels(distinct), sidx
+    return _fixed_width(distinct), sidx
 
 
 def load_population(source):

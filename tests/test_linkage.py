@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linkcov import linkage as lk
+from linkcov.experiment import ScenarioConfig, replication_rngs, simulate
 from linkcov.frequencies import synthetic_age_table, synthetic_surname_table
 from linkcov.popsim import PATTERNS, PerturbationParams, draw_samples, generate_population
 from linkcov.soundex import soundex
@@ -129,6 +130,54 @@ class TestBlockPairsProperty:
         assert pairs.b_pos.dtype == pairs.a_pos.dtype == np.int64
 
 
+class UniqueSpy:
+    """np.unique, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.unique = np.unique
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.unique(*args, **kwargs)
+
+
+def unique_block_ids(panel_b, panel_a):
+    """The block numbers as np.unique's inverse gives them."""
+    code = np.concatenate([panel_b.code, panel_a.code]).astype(np.int64)
+    year = np.concatenate([panel_b.year, panel_a.year]).astype(np.int64)
+    key = code * (int(year.max()) - int(year.min()) + 1) + year - year.min()
+    return np.unique(key, return_inverse=True)[1]
+
+
+class TestBlockIds:
+    @pytest.mark.parametrize("scenario", [1, 3, 5])
+    @pytest.mark.parametrize("n", [20000, 100000])
+    def test_dense_numbering_is_that_of_unique(self, scenario, n,
+                                               monkeypatch):
+        cfg = ScenarioConfig.from_scenario(scenario, n_population=n)
+        pop, flags = simulate(cfg, *replication_rngs(cfg.master_seed, 0)[:2])
+        pb, pa = lk.sample_records(pop, flags)
+        want = unique_block_ids(pb, pa)
+        spy = UniqueSpy()
+        monkeypatch.setattr(np, "unique", spy)
+        got = lk._block_ids(pb, pa)
+        assert spy.calls == 0
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_extreme_years_are_sorted(self, monkeypatch):
+        recs = [("A536", -2 ** 31), ("A536", 2 ** 31 - 1), ("Z000", 1980),
+                ("A536", -2 ** 31)]
+        pb, pa = code_panel(recs), code_panel(recs[::-1])
+        want = unique_block_ids(pb, pa)
+        spy = UniqueSpy()
+        monkeypatch.setattr(np, "unique", spy)
+        got = lk._block_ids(pb, pa)
+        assert spy.calls == 1
+        np.testing.assert_array_equal(got, want)
+
+
 def linked(rows_b, rows_a, variant=lk.RULE_BASELINE_ONLY):
     """Baseline pairs and rule-1 links of two panels, as lists of
     (b_pos, a_pos, b_unit, a_unit, pattern) tuples."""
@@ -236,10 +285,52 @@ TOY_LINKS = lk.LinkSet(
 )
 
 
+def add_at_counts(links, size_b):
+    """counts as np.add.at fills it, one link at a time."""
+    n_total = np.zeros(size_b, dtype=np.int64)
+    np.add.at(n_total, links.b_pos, 1)
+    mat = np.zeros((size_b, len(PATTERNS)), dtype=np.int64)
+    np.add.at(mat, (links.b_pos, links.pattern_code), 1)
+    return n_total, mat
+
+
 class TestCountsAndDedupe:
     def test_toy_counts(self):
         cv = lk.counts(TOY_LINKS, size_b=2)
         np.testing.assert_array_equal(cv.n_total, [2, 2])
+
+    @pytest.mark.parametrize("which", ["rule1", "rule2", "none"])
+    def test_matches_add_at(self, replication, which):
+        _, _, pb, _, _, links1, _ = replication
+        links = {"rule1": links1, "rule2": lk.dedupe_rule2(links1),
+                 "none": lk._subset(links1, np.zeros(links1.size, bool))}
+        links = links[which]
+        # B records past the last linked one, and some within, have none
+        size_b = pb.size + 5
+        assert np.bincount(links.b_pos, minlength=size_b).min() == 0
+        cv = lk.counts(links, size_b)
+        n_total, mat = add_at_counts(links, size_b)
+        for got, want in ((cv.n_total, n_total),
+                          (cv.pattern_counts, mat)):
+            assert got.dtype == np.int64 and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_b_record(self):
+        empty = lk._subset(TOY_LINKS, np.zeros(TOY_LINKS.size, bool))
+        cv = lk.counts(empty, 0)
+        assert cv.n_total.shape == (0,)
+        assert cv.pattern_counts.shape == (0, len(PATTERNS))
+
+    @pytest.mark.parametrize("stage", [lk.counts, lk.dedupe_rule2])
+    def test_link_set_from_a_file_refused(self, stage):
+        buf = io.StringIO()
+        lk.dump_linkset(TOY_LINKS, buf)
+        buf.seek(0)
+        loaded = lk.load_linkset(buf)
+        assert loaded.b_pos is None
+        args = (loaded, 2) if stage is lk.counts else (loaded,)
+        with pytest.raises(ValueError, match="carries no panel positions"):
+            stage(*args)
 
     def test_no_links_zero(self):
         cv = lk.counts(lk.dedupe_rule2(TOY_LINKS), size_b=2)
