@@ -12,6 +12,15 @@ SelectionResult), the deterministic multi-start search (fit_starts),
 the AIC selection of the class count (select_aic) and the JSON of a
 result (result_document).
 
+This module owns every step of a fit that does not depend on the model.
+The packed parameter vector [weight logits | head | rate reals] is laid
+out by pack, read back by unpack and read by count_objective; the fit
+modules give only the head's start coordinates.  fit_counts lays
+several histograms out over the union of their keys, one count row
+each, and runs their fits as one search.  minimize is the only
+unbounded L-BFGS-B loop: every count-mixture fit runs on it, the
+plug-in cells of the Appendix-C start included.
+
 The settings are module constants.  FTOL and MAX_ITER are the paper's
 stop rule: a relative change of the mean log-likelihood below 1e-9, at
 most 1,000 iterations; GTOL is scipy's projected-gradient tolerance for
@@ -91,9 +100,12 @@ __all__ = [
     "check_class_count",
     "comp_pmf",
     "count_objective",
+    "fit_counts",
     "fit_starts",
     "minimize",
     "mix_pmf",
+    "pack",
+    "unpack",
     "split_counts",
     "select_aic",
     "result_document",
@@ -850,6 +862,74 @@ def fit_starts(minimize, objective, x0s, total, tau, params_ats, salt=()):
             n_params=x.size,
         ))
     return tuple(fits)
+
+
+def pack(g, head, lam):
+    """The packed start [weight logits | head | rate reals] of a G-class
+    fit: equal weights, then head, the head's coordinates, then the rates
+    lam, class by class, clipped into (NU, LAMBDA_MAX].  Refuses the
+    class count first (see check_class_count)."""
+    check_class_count(g)
+    return np.concatenate([
+        stick_break_inverse(np.full(g, 1.0 / g), floor=NU), head,
+        real_from_interval(np.clip(np.ravel(lam), NU * (1 + 1e-9),
+                                   LAMBDA_MAX), NU, LAMBDA_MAX)])
+
+
+def unpack(x, g, head):
+    """The MixtureParams of a G-class fit at the packed point x.  The
+    head is None, one logit x_p giving p = NU + (1 - 2 NU) sigma(x_p) in
+    one cell, or a LogLinear, [logit phi | u] giving its cells(phi, u)
+    and the params' phi, u and u_labels."""
+    n_alpha = g - 1
+    n_head = n_alpha + 1 + (0 if head is None else head.Z.shape[1])
+    alpha = stick_break(x[:n_alpha], floor=NU) if g > 1 else np.ones(1)
+    lam, _ = interval_from_real(x[n_head:], NU, LAMBDA_MAX)
+    if head is None:
+        cells = NU + (1.0 - 2.0 * NU) * scipy.special.expit(
+            x[n_alpha:n_head])
+        loglinear = {}
+    else:
+        phi = float(scipy.special.expit(x[n_alpha]))
+        u = x[n_alpha + 1:n_head]
+        cells = head.cells(phi, u)
+        loglinear = dict(phi=phi, u=u, u_labels=head.labels)
+    return MixtureParams(alpha=alpha, p=np.repeat(cells[None], g, axis=0),
+                         lam=lam.reshape(g, -1), **loglinear)
+
+
+def _key_union(hists):
+    """The union of the histograms' keys, in lexicographic order, and one
+    count row per histogram over it, zero where a histogram lacks a key:
+    one histogram given n times gives its own keys and n copies of its
+    counts."""
+    keys = np.concatenate([h.keys for h in hists])
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(keys), bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    rows = np.repeat(np.arange(len(hists)), [h.keys.shape[0] for h in hists])
+    counts = np.zeros((len(hists), first.sum()), np.int64)
+    counts[rows[order], np.cumsum(first) - 1] = np.concatenate(
+        [h.counts for h in hists])[order]
+    return keys[first], counts
+
+
+def fit_counts(minimize, hists, gs, heads, x0s, tau, salt):
+    """The fits of each of hists, of one total, at its class count in gs
+    under its head in heads (None for every fit, or a LogLinear each; see
+    count_objective) from its packed start in x0s, as one lockstep
+    search: the tuple of their FitResults.  One kernel block and count
+    row per fit runs over the union of the histograms' keys (_key_union),
+    laid out with max(gs) classes; fit_starts seeds the jitter with salt
+    and runs minimize, the calling module's (see minimize)."""
+    keys, counts = _key_union(hists)
+    objective = count_objective(
+        keys, counts, tau, tuple(gs),
+        tuple(None if head is None else head.Z for head in heads))
+    return fit_starts(minimize, objective, tuple(x0s), float(hists[0].total),
+                      tau, tuple(lambda x, g=g, head=head: unpack(x, g, head)
+                                 for g, head in zip(gs, heads)), salt)
 
 
 def select_aic(fits):

@@ -230,6 +230,8 @@ class SoundexIndex:
     Classes are numbered in the order of their first label in the table.
 
     - ``codes``: the U4 soundex code of each label, in table order;
+    - ``code_ids``: the int32 rank of each label's code among the
+      table's distinct codes;
     - ``label_class``: the class of each label;
     - ``members``, ``starts``: label indices grouped by class, in table
       order within a class; class c holds
@@ -263,6 +265,7 @@ class SoundexIndex:
             within[pos] = _renormalized(
                 counts / counts.sum(axis=1, keepdims=True))
         self.codes = _read_only(codes)
+        self.code_ids = _read_only(inv.astype(np.int32))
         self.label_class = _read_only(label_class)
         self.members = _read_only(members)
         self.within = _read_only(within)

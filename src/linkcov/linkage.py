@@ -69,14 +69,12 @@ class RecordPanel:
 
 def sample_records(pop, flags):
     """Extract the S_B panel (second register) and S_A panel (first)."""
-    code_ids = np.unique(pop.surname_codes,
-                         return_inverse=True)[1].astype(np.int32)
-
     def panel(sel, sidx, day, month, year):
         sel = np.flatnonzero(sel)
         surname = sidx[sel]
         return RecordPanel(
-            unit_id=sel + 1, surname=surname, code=code_ids[surname],
+            unit_id=sel + 1, surname=surname,
+            code=pop.surname_code_ids[surname],
             day=day[sel].astype(np.int32), month=month[sel].astype(np.int32),
             year=year[sel],
         )

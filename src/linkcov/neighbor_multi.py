@@ -13,15 +13,17 @@ coverage phi is the estimator of P(i in S_A).  The histograms,
 parameters and pmf are those of ``_optim`` at width 7, and the fitted
 MixtureParams carry phi and u as well.
 
-The fits run the count-mixture kernel of ``_optim`` (count_objective)
-with the log-linear head of their LogLinear's Z.  It is a block kernel:
-one call evaluates the points of all the starts that the lockstep
-search asks for in a round, each laid out for its own class count and
-order, and gives each the bits it would get alone.  So select_G_multi
-fits every class count 1..g_max, and both interaction orders when given
-both, in one search, and appendix_c_start fits its seven marginals at
-G = 1 and 2 in another.  The starts, the result types, the AIC
-selection and the JSON document come from the same fit engine.
+The fits run the fit engine of ``_optim`` (fit_counts) with their
+LogLinear as the head.  Its kernel evaluates, in one call, the points
+of all the starts that the lockstep search asks for in a round, each
+laid out for its own class count and order, and gives each the bits it
+would get alone.  So select_G_multi fits every class count 1..g_max,
+and both interaction orders when given both, in one search, and
+appendix_c_start fits its seven marginals at G = 1 and 2 in another.
+The engine packs and unpacks the parameters and gives the result types,
+the AIC selection and the JSON document; this module adds the
+Appendix-C start, its plug-in cells (single_class_p_hat, on the same
+L-BFGS-B loop) and the model's own fields of the document.
 """
 
 import itertools
@@ -34,19 +36,15 @@ from ._optim import (
     LAMBDA_MAX,
     NU,
     CountHistogram,
-    MixtureParams,
     check_class_count,
-    count_objective,
-    fit_starts,
-    interval_from_real,
-    real_from_interval,
+    fit_counts,
     logit,
     minimize,
+    pack,
     result_document,
     select_aic,
     split_counts,
     stick_break,
-    stick_break_inverse,
     stick_break_vjp,
 )
 # select_G is not called here: perfbench/layers.py hooks it in this module.
@@ -103,13 +101,12 @@ class LogLinear:
             "u_" + "".join(str(k + 1) for k in combo)
             + "(" + "1" * len(combo) + ")" for combo in terms))
 
-
-def _cells(phi, u, constraint):
-    """loglinear_probs for any phi, 0 included."""
-    eta = constraint.Z @ u
-    m = max(0.0, float(eta.max()))
-    e = np.exp(eta - m)
-    return phi * (e / (np.exp(-m) + e.sum()))
+    def cells(self, phi, u):
+        """loglinear_probs for any phi, 0 included."""
+        eta = self.Z @ u
+        m = max(0.0, float(eta.max()))
+        e = np.exp(eta - m)
+        return phi * (e / (np.exp(-m) + e.sum()))
 
 
 def loglinear_probs(phi, u, constraint):
@@ -120,7 +117,7 @@ def loglinear_probs(phi, u, constraint):
     """
     if not 0 < phi <= 1:
         raise ValueError("coverage must lie in (0, 1]")
-    return _cells(phi, np.asarray(u, dtype=float), constraint)
+    return constraint.cells(phi, np.asarray(u, dtype=float))
 
 
 def marginal_histogram(hist, coord):
@@ -152,29 +149,15 @@ def sample_multi_counts(params, size, rng):
 
 # ----------------------------------------------------------------- fitting
 
-def _unpack_multi(x, g, constraint):
-    """Parameters at x = [weight logits | logit phi | u | rate reals]."""
-    n_alpha = g - 1
-    n_head = n_alpha + 1 + constraint.Z.shape[1]
-    alpha = stick_break(x[:n_alpha], floor=NU) if g > 1 else np.ones(1)
-    phi = float(scipy.special.expit(x[n_alpha]))
-    u = x[n_alpha + 1:n_head]
-    p = _cells(phi, u, constraint)[None, :]
-    lam, _ = interval_from_real(x[n_head:], NU, LAMBDA_MAX)
-    return MixtureParams(
-        alpha=alpha, p=p.repeat(g, axis=0), lam=lam.reshape(g, -1), phi=phi,
-        u=u, u_labels=constraint.labels)
-
-
 def single_class_p_hat(hist, lambda_fixed, tau=10):
     """Single-class true-positive cells with the rates plugged in.
 
     The capped log-likelihood is concave in p, so this is a convex
     problem; it is solved through the simplex reparameterization to a
-    tight gradient tolerance, from one start, by scipy's own L-BFGS-B,
-    a single search of a few dozen evaluations.  The cells sum to at
-    most 1 - NU.  The rates, one per histogram cell, must be finite and
-    positive.
+    tight gradient tolerance, from one start, by the fits' L-BFGS-B
+    (minimize, on one block of one start), a single search of a few
+    dozen evaluations.  The cells sum to at most 1 - NU.  The rates, one
+    per histogram cell, must be finite and positive.
     """
     nu = NU
     lam = np.asarray(lambda_fixed, dtype=float)
@@ -194,7 +177,8 @@ def single_class_p_hat(hist, lambda_fixed, tau=10):
         cdf_t = float(scipy.special.pdtr(tau, s))
         cdf_tm1 = float(scipy.special.pdtr(tau - 1, s))
 
-    def objective(xp):
+    def objective(blocks):
+        xp = blocks[0][0]
         cells = stick_break(xp)
         p = (1.0 - nu) * cells[:m]
         bracket = (1.0 - p.sum()) + ratio @ p
@@ -208,12 +192,12 @@ def single_class_p_hat(hist, lambda_fixed, tau=10):
             ll += tail_count * np.log(T)
             d_p += tail_count / T * (cdf_t - cdf_tm1)
         gs = np.append((1.0 - nu) * d_p, 0.0)
-        return -ll / total, -stick_break_vjp(xp, gs) / total
+        return [-ll / total], (-stick_break_vjp(xp, gs)[None] / total,)
 
-    res = scipy.optimize.minimize(
-        objective, np.full(m, -1.0), jac=True, method="L-BFGS-B",
+    res = minimize(
+        objective, (np.full((1, m), -1.0),), jac=True, method="L-BFGS-B",
         options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-8})
-    cells = stick_break(res.x)
+    cells = stick_break(res.starts[0].x)
     return (1.0 - nu) * cells[:m]
 
 
@@ -283,7 +267,8 @@ def init_appendix_c(start, constraint):
             -bracket + lr[(0, 0, 1)],
         ])
 
-    # unshifted, unlike _cells: every MN fit starts from these bits
+    # unshifted, unlike LogLinear.cells: every MN fit starts from these
+    # bits
     eta = LogLinear(2).Z @ u
     r = np.exp(eta) / (1.0 + np.exp(eta).sum())
     phi = float(np.clip(p_hat.sum() / r.sum(), 1e-3, 1.0 - 1e-3))
@@ -303,7 +288,8 @@ def fit_multi(hist, g, constraint=LogLinear(2), tau=10, init=None):
     _require_loglinear((constraint,))
     if init is None:
         init = init_appendix_c(appendix_c_start(hist, tau), constraint)
-    return _fit_blocks(hist, (g,), (constraint,), tau, (init,))[0]
+    return fit_counts(minimize, (hist,), (g,), (constraint,),
+                      (_start_point(g, init, constraint),), tau, (71,))[0]
 
 
 def _require_loglinear(constraints):
@@ -315,38 +301,17 @@ def _require_loglinear(constraints):
                          f"tuple of them for select_G_multi: {constraints}")
 
 
-def _fit_blocks(hist, gs, constraints, tau, inits):
-    """The fits of hist at each class count of gs under the constraint
-    and from the init bundle of the same place, as one lockstep search,
-    each fit's starts one block laid out for its own G and order: the
-    tuple of their FitResults.  The caller checks the class counts and
-    hist."""
-    x0s = tuple(_start_point(g, init, c)
-                for g, init, c in zip(gs, inits, constraints))
-    params_ats = tuple(lambda x, g=g, c=c: _unpack_multi(x, g, c)
-                       for g, c in zip(gs, constraints))
-    objective = count_objective(
-        hist.keys, np.tile(hist.counts, (len(constraints), 1)), tau,
-        tuple(gs), tuple(c.Z for c in constraints))
-    return fit_starts(minimize, objective, x0s, float(hist.total), tau,
-                      params_ats, salt=(71,))
-
-
 def _start_point(g, init, constraint):
     """The first start of a G-class fit under constraint from init."""
-    nu, lam_max = NU, LAMBDA_MAX
-    lam0 = np.tile(np.clip(init["lambda"], nu * 2, lam_max), (g, 1))
+    lam0 = np.tile(np.clip(init["lambda"], NU * 2, LAMBDA_MAX), (g, 1))
     # spread duplicated rate vectors a little so classes can separate
     if g > 1:
         scales = np.linspace(0.6, 1.6, g)[:, None]
-        lam0 = np.clip(lam0 * scales, nu * 2, lam_max)
+        lam0 = np.clip(lam0 * scales, NU * 2, LAMBDA_MAX)
     # bundle coefficients are d=2 sized; main terms lead
-    return np.concatenate([
-        stick_break_inverse(np.full(g, 1.0 / g), floor=nu),
-        np.atleast_1d(logit(np.clip(init["phi"], 1e-6, 1 - 1e-6))),
-        np.asarray(init["u"], dtype=float)[:constraint.Z.shape[1]],
-        real_from_interval(np.clip(lam0.ravel(), nu * (1 + 1e-9), lam_max),
-                           nu, lam_max)])
+    return pack(g, np.append(logit(np.clip(init["phi"], 1e-6, 1 - 1e-6)),
+                             np.asarray(init["u"], dtype=float)[
+                                 :constraint.Z.shape[1]]), lam0)
 
 
 def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10):
@@ -370,9 +335,11 @@ def select_G_multi(hist, g_max, constraint=LogLinear(2), tau=10):
     start = appendix_c_start(hist, tau)
     inits = tuple(init_appendix_c(start, c) for c in constraints)
     n = len(constraints)
-    fits = _fit_blocks(hist, [g for g in range(1, g_max + 1)
-                              for _ in constraints],
-                       constraints * g_max, tau, inits * g_max)
+    gs = [g for g in range(1, g_max + 1) for _ in constraints]
+    x0s = [_start_point(g, init, c)
+           for g, init, c in zip(gs, inits * g_max, constraints * g_max)]
+    fits = fit_counts(minimize, (hist,) * len(gs), gs, constraints * g_max,
+                      x0s, tau, (71,))
     selections = tuple(select_aic(fits[i::n]) for i in range(n))
     return selections if many else selections[0]
 

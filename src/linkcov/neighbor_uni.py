@@ -13,36 +13,28 @@ component is Pois(n; lambda) * ((1 - p) + p n / lambda), with the same
 capped tail.  So it reads the CountHistogram of ``_optim`` at width 1,
 its parameters are MixtureParams whose p and lam are G x 1, and
 comp_pmf and mix_pmf evaluate it; the functions here refuse other
-widths.  Its fits run the count-mixture kernel of ``_optim``
-(count_objective) with the one-cell head, p = NU + (1 - 2 NU) sigma(x),
-and the parameters packed as [weight logits | p logit | rate reals].
-The starts, the result types, the AIC selection and the JSON document
-come from the same fit engine.
+widths.  Its fits run the fit engine of ``_optim`` (fit_counts) with
+the one-cell head None, p = NU + (1 - 2 NU) sigma(x).  The engine packs
+and unpacks the parameters and gives the result types, the AIC
+selection and the JSON document; this module adds the moment start and
+the model's own fields of the document.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from ._optim import (
-    LAMBDA_MAX,
     NU,
-    MixtureParams,
-    check_class_count,
-    count_objective,
-    fit_starts,
-    interval_from_real,
-    real_from_interval,
+    fit_counts,
     logit,
     minimize,
     mix_pmf,
+    pack,
     result_document,
     select_aic,
     split_counts,
-    stick_break,
-    stick_break_inverse,
 )
 
 __all__ = [
@@ -95,16 +87,6 @@ def sample_counts(params, size, rng):
 
 # ----------------------------------------------------------------- fitting
 
-def _unpack(x, g):
-    """Parameters at x = [weight logits | p logit | rate reals]."""
-    pos = g - 1
-    alpha = stick_break(x[:pos], floor=NU) if g > 1 else np.ones(1)
-    p = NU + (1.0 - 2.0 * NU) * scipy.special.expit(x[pos:pos + 1])
-    lam, _ = interval_from_real(x[pos + 1:], NU, LAMBDA_MAX)
-    return MixtureParams(alpha=alpha, p=np.full((g, 1), p[0]),
-                         lam=lam[:, None])
-
-
 def _start(hist, g):
     """The moment initialization, packed: equal weights, p from the share
     of nonzero counts, rates spread evenly about the mean count minus p."""
@@ -117,10 +99,7 @@ def _start(hist, g):
     lam = base * 2.0 * np.arange(1, g + 1) / (g + 1.0)
     frac = np.clip((np.full(1, p0) - NU) / (1.0 - 2.0 * NU), 1e-12,
                    1 - 1e-12)
-    return np.concatenate([
-        stick_break_inverse(np.full(g, 1.0 / g), floor=NU), logit(frac),
-        real_from_interval(np.clip(lam, NU * (1 + 1e-9), LAMBDA_MAX), NU,
-                           LAMBDA_MAX)])
+    return pack(g, logit(frac), lam)
 
 
 def fit_uni(hist, g, tau=10):
@@ -136,24 +115,13 @@ def fit_uni(hist, g, tau=10):
 
 def fit_uni_many(hists, gs, tau=10):
     """fit_uni of each of hists, of one total, at its class count in gs,
-    as one lockstep search: one kernel block and count row per fit over
-    the union of their counts, laid out with max(gs) classes.  Each
-    FitResult is bit for bit its own while that union is short (see
+    as one lockstep search (see fit_counts).  Each FitResult is bit for
+    bit its own while the union of their counts is short (see
     count_objective), as for select_G's class counts and
     appendix_c_start's seven marginals at G = 1 and 2."""
-    for g in gs:
-        check_class_count(g)
     _require_one_cell(*(h.width for h in hists))
-    values = np.unique(np.concatenate([h.keys[:, 0] for h in hists]))
-    counts = np.zeros((len(hists), values.size), np.int64)
-    for row, h in zip(counts, hists):
-        row[np.searchsorted(values, h.keys[:, 0])] = h.counts
-    objective = count_objective(values[:, None], counts, tau, tuple(gs),
-                                (None,) * len(hists))
-    return fit_starts(minimize, objective,
-                      tuple(_start(h, g) for h, g in zip(hists, gs)),
-                      float(hists[0].total), tau,
-                      tuple(lambda x, g=g: _unpack(x, g) for g in gs))
+    return fit_counts(minimize, hists, gs, (None,) * len(hists),
+                      [_start(h, g) for h, g in zip(hists, gs)], tau, ())
 
 
 def select_G(hist, g_max, tau=10):

@@ -63,10 +63,12 @@ class Population:
     """Columnar store of N units with their two records.
 
     surname_labels is the shared name universe; sidx_* index into it.
+    surname_code_ids holds, per label, the int32 rank of its soundex code
+    among the labels' distinct codes.
     """
 
     surname_labels: np.ndarray
-    surname_codes: np.ndarray
+    surname_code_ids: np.ndarray
     sidx_a: np.ndarray
     day_a: np.ndarray
     month_a: np.ndarray
@@ -239,7 +241,7 @@ def generate_population(n, surnames, years, params, rng):
         sidx_a, np.flatnonzero(g1 == 0), soundex_index, rng)
 
     return Population(
-        surname_labels=labels, surname_codes=soundex_index.codes,
+        surname_labels=labels, surname_code_ids=soundex_index.code_ids,
         sidx_a=sidx_a, day_a=day_a, month_a=month_a,
         year_a=year_a.astype(np.int32),
         sidx_b=sidx_b, day_b=day_b, month_b=month_b,
@@ -335,7 +337,8 @@ def load_population(source):
 
     labels, sidx = _factorize(body["surname_a"], body["surname_b"])
     pop = Population(
-        surname_labels=labels, surname_codes=soundex_array(labels),
+        surname_labels=labels, surname_code_ids=np.unique(
+            soundex_array(labels), return_inverse=True)[1].astype(np.int32),
         sidx_a=sidx[:n], sidx_b=sidx[n:],
         **{c: body[c].copy() for c in ("day_a", "month_a", "year_a",
                                        "day_b", "month_b", "year_b")},

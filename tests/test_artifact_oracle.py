@@ -29,6 +29,14 @@ from linkcov.popsim import (LABEL_WIDTH, PATTERNS, Population, SampleFlags,
 from linkcov.soundex import soundex
 
 
+def soundex_ranks(labels):
+    """The int32 rank of each label's soundex code among the labels'
+    distinct codes, as a Population carries them: equal ranks exactly
+    where the codes are equal."""
+    codes = [soundex(label) for label in np.asarray(labels).tolist()]
+    return np.unique(codes, return_inverse=True)[1].astype(np.int32)
+
+
 # ------------------------------------------------- the writers, frozen
 
 _DUMP_COLUMNS = ("unit_id", "surname_a", "day_a", "month_a", "year_a",
@@ -131,7 +139,7 @@ def populations(draw, labels=LABELS, min_units=0):
     year = (_INT32.min, _INT32.max) if wide else (1900, 2010)
     pop = Population(
         surname_labels=np.asarray(names, dtype=f"U{LABEL_WIDTH}"),
-        surname_codes=np.asarray([soundex(l) for l in names], dtype="U4"),
+        surname_code_ids=soundex_ranks(names),
         sidx_a=column(0, len(names) - 1, np.int32),
         day_a=column(*day, np.int16), month_a=column(*month, np.int16),
         year_a=column(*year, np.int32),
@@ -178,7 +186,7 @@ def fixed_world(names, n):
     k = np.arange(n)
     pop = Population(
         surname_labels=np.asarray(names, dtype=f"U{LABEL_WIDTH}"),
-        surname_codes=np.asarray([soundex(l) for l in names], dtype="U4"),
+        surname_code_ids=soundex_ranks(names),
         sidx_a=(k % len(names)).astype(np.int32),
         day_a=(k % 31 + 1).astype(np.int16),
         month_a=(k % 12 + 1).astype(np.int16),
@@ -273,8 +281,9 @@ class TestReadersRoundTrip:
         assert pop2.surname_labels.tolist() == sorted(
             set(pop.surname_labels[np.concatenate([pop.sidx_a,
                                                    pop.sidx_b])].tolist()))
-        assert pop2.surname_codes.tolist() == [
-            soundex(l) for l in pop2.surname_labels.tolist()]
+        assert pop2.surname_code_ids.dtype == np.int32
+        assert pop2.surname_code_ids.tolist() == soundex_ranks(
+            pop2.surname_labels).tolist()
         for name in ("day_a", "month_a", "year_a", "day_b", "month_b",
                      "year_b"):
             got, want = getattr(pop2, name), getattr(pop, name)

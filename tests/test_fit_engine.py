@@ -1,11 +1,12 @@
 """What the univariate and multivariate count-mixture fits share: the
 histogram and parameter types, at widths 1 and 7, and the samplers'
 draws from them, the JSON documents of their results, the bits of the
-stick-breaking map, the parameter count that AIC charges, the class
-counts, constraints and count caps they accept, the choice of the best
-start, when the L-BFGS-B loop evaluates a point again, and the kernel's
-count matrix, one row per block, with which one search fits many
-histograms, its one head kind and the block widths it takes.
+stick-breaking map and of both heads' parameter unpacking, the
+parameter count that AIC charges, the class counts, constraints and
+count caps they accept, the choice of the best start, when the L-BFGS-B
+loop evaluates a point again, and the kernel's count matrix, one row
+per block over the union of the histograms' keys, with which one search
+fits many histograms, its one head kind and the block widths it takes.
 
 The documents are pinned for hand-built results, so the pins do not
 depend on the optimizer or on the platform's floating-point libraries.
@@ -22,8 +23,8 @@ import scipy.optimize
 from linkcov import _optim, neighbor_multi, neighbor_uni
 from linkcov._optim import (NU, CountHistogram, FitResult, MixtureParams,
                             _new_point, check_class_count, comp_pmf,
-                            count_objective, fit_starts, minimize,
-                            stick_break, stick_break_vjp)
+                            _key_union, count_objective, fit_starts,
+                            minimize, stick_break, stick_break_vjp, unpack)
 from linkcov.neighbor_multi import (LogLinear, appendix_c_start, fit_multi,
                                     multi_fit_document, sample_multi_counts,
                                     select_G_multi, single_class_p_hat)
@@ -322,12 +323,32 @@ class TestStickBreaking:
         for g in (1, 2, 3, 4):
             for scale in (1.0, 3.0, 30.0):
                 for _ in range(20):
-                    params = neighbor_uni._unpack(
-                        scale * rng.standard_normal(2 * g), g)
+                    params = unpack(scale * rng.standard_normal(2 * g), g,
+                                    None)
                     for arr in (params.alpha, params.p, params.lam):
                         digest.update(arr.tobytes())
         assert digest.hexdigest() == (
             "35663a1d50d079aad535c083373cbd62e5df0b6bfba5251cfe860017f0a42763")
+
+    def test_loglinear_bits(self):
+        # the log-linear unpacking, pinned as test_bits pins the
+        # univariate one, at both orders; the last point of each (G,
+        # order) has a coverage logit below -745, where phi is 0.0
+        rng = np.random.default_rng(2404)
+        digest = hashlib.sha256()
+        for g in (1, 2, 3, 4):
+            for head in (LogLinear(1), LogLinear(2)):
+                n = g + head.Z.shape[1] + 7 * g
+                points = [scale * rng.standard_normal(n)
+                          for scale in (1.0, 3.0, 30.0) for _ in range(20)]
+                points[-1][g - 1] = -800.0
+                for x in points:
+                    params = unpack(x, g, head)
+                    for arr in (params.alpha, params.p, params.lam,
+                                np.float64(params.phi), params.u):
+                        digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "181b69da9c24ab2d88a491822e906e3f0cdfbbdbc1e05fc081d1464881f2bd4f")
 
 
 @pytest.fixture
@@ -499,7 +520,7 @@ class TestBestStart:
         monkeypatch.setattr(_optim, "N_STARTS", 3)
         with pytest.raises(ValueError, match="invalid mixing weights"):
             fit_starts(stub, objective, (np.zeros(4),), 10.0, 1,
-                       (lambda x: neighbor_uni._unpack(x, 2),))
+                       (lambda x: unpack(x, 2, None),))
 
 
 class TestReaskedPoint:
@@ -552,8 +573,8 @@ class TestReaskedPoint:
 
 class TestManyHistograms:
     """One lockstep search fits many histograms of one total, one block
-    and count row of the kernel each, as the Appendix-C start fits its
-    seven marginals."""
+    and count row of the kernel each over the union of their keys, as
+    the Appendix-C start fits its seven marginals."""
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_each_fit_is_its_own(self, monkeypatch, g):
@@ -588,6 +609,36 @@ class TestManyHistograms:
             own = fit_uni(hist, g, tau=tau)
             assert fit.converged == own.converged
             assert fit.loglik == pytest.approx(own.loglik, rel=1e-8)
+
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_key_union_of_supports(self, width):
+        # the union of the keys in lexicographic order, and each
+        # histogram's counts at its own keys, zero at the others
+        rng = np.random.default_rng(33)
+        hists = [CountHistogram.from_observations(
+            rng.poisson(lam, (300, width))) for lam in (0.05, 0.4, 1.5)]
+        keys, counts = _key_union(hists)
+        np.testing.assert_array_equal(keys, np.unique(
+            np.concatenate([h.keys for h in hists]), axis=0))
+        assert keys.dtype == counts.dtype == np.int64
+        assert counts.shape == (len(hists), len(keys))
+        for hist, row in zip(hists, counts):
+            at = [np.flatnonzero((keys == key).all(axis=1))[0]
+                  for key in hist.keys]
+            np.testing.assert_array_equal(row[at], hist.counts)
+            assert np.count_nonzero(row) == len(hist.keys)
+        assert (counts[:2] == 0).any(axis=1).all()
+
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_key_union_of_one_histogram(self, width):
+        # one histogram given three times, as a selection fits it at
+        # three class counts: its own keys and its counts tiled
+        hist = CountHistogram.from_observations(
+            np.random.default_rng(34).poisson(0.4, (500, width)))
+        keys, counts = _key_union((hist,) * 3)
+        assert keys.tobytes() == hist.keys.tobytes()
+        assert keys.shape == hist.keys.shape
+        np.testing.assert_array_equal(counts, np.tile(hist.counts, (3, 1)))
 
     @pytest.mark.parametrize("counts, n_blocks", [
         (np.ones((2, 3), np.int64), 3), (np.ones((2, 3), np.int64), 1),

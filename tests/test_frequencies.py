@@ -163,10 +163,15 @@ class TestSoundexIndexArrays:
             assert np.all(idx.label_class[members] == c)
             assert np.all(idx.codes[members] == code)
         assert idx.starts[-1] == len(table.labels)
+        # code_ids rank the codes: equal ids exactly where codes are equal
+        assert idx.code_ids.dtype == np.int32
+        order = np.unique(idx.codes)
+        np.testing.assert_array_equal(order[idx.code_ids], idx.codes)
 
     def test_read_only(self, table):
         idx = build_soundex_index(table)
-        for name in ("codes", "label_class", "members", "starts", "within"):
+        for name in ("codes", "code_ids", "label_class", "members",
+                     "starts", "within"):
             with pytest.raises(ValueError):
                 getattr(idx, name)[0] = getattr(idx, name)[1]
 

@@ -3,10 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import OptimizeResult
 from scipy.stats import poisson
 
 from linkcov import (_optim, experiment, linkage, neighbor_multi,
@@ -194,7 +192,7 @@ class TestLogLinearProbs:
         # below logit phi = -745 expit gives 0.0, which a search may
         # reach: the params there hold zero cells, not a refusal
         x = np.concatenate([[-800.0], np.ones(6), np.zeros(7)])
-        params = neighbor_multi._unpack_multi(x, 1, LogLinear(2))
+        params = _optim.unpack(x, 1, LogLinear(2))
         assert params.phi == 0.0
         np.testing.assert_array_equal(params.p, 0.0)
 
@@ -408,20 +406,13 @@ class TestGradient:
 
     def test_plug_in_cells_match_finite_differences(self, monkeypatch):
         # the single-class cells' objective, with the rates plugged in,
-        # which single_class_p_hat hands to scipy.optimize.minimize; a
-        # stub records it and returns the start
+        # which single_class_p_hat hands to the module's minimize
         hist, init = _two_class_hist()
         tau = 4
         assert hist.keys.sum(axis=1).max() > tau    # tail cell active
-        seen = []
-
-        def stub(fun, x0, **kwargs):
-            seen.append((fun, x0))
-            return OptimizeResult(x=x0)
-
-        monkeypatch.setattr(scipy.optimize, "minimize", stub)
-        single_class_p_hat(hist, init["lambda"], tau=tau)
-        ((fun, x0),) = seen
+        fun, x0 = captured_objective(monkeypatch, neighbor_multi,
+                                     single_class_p_hat, hist,
+                                     init["lambda"], tau=tau)
         assert_gradient_matches(fun, x0, seed=60)
 
 

@@ -178,10 +178,10 @@ def captured_objective(monkeypatch, module, fit, *fit_args, block=False,
 
 def record_searches(monkeypatch, module):
     """(shapes, fits): the block shapes of each call of module's
-    ``minimize`` and the FitResults of each call of its ``fit_starts``,
-    filled in as the module's fits run."""
+    ``minimize`` and the FitResults of each call of the engine's
+    ``fit_starts``, filled in as the module's fits run."""
     shapes, fits = [], []
-    minimize, fit_starts = module.minimize, module.fit_starts
+    minimize, fit_starts = module.minimize, _optim.fit_starts
 
     def recording(fun, x0s, *args, **kwargs):
         shapes.append([b.shape for b in x0s])
@@ -192,7 +192,7 @@ def record_searches(monkeypatch, module):
         return fits[-1]
 
     monkeypatch.setattr(module, "minimize", recording)
-    monkeypatch.setattr(module, "fit_starts", keeping)
+    monkeypatch.setattr(_optim, "fit_starts", keeping)
     return shapes, fits
 
 

@@ -728,6 +728,16 @@ def assert_rows_match_alone(fun, x0s, g, tail, owns=None):
                            for r in rows]
 
 
+def fit_blocks(hist, gs, constraints, tau):
+    """The fits of hist at each class count of gs under the constraint
+    of the same place, from MULTI_INIT, as one lockstep search on
+    neighbor_multi's minimize, as select_G_multi runs its fits."""
+    x0s = [neighbor_multi._start_point(g, MULTI_INIT, c)
+           for g, c in zip(gs, constraints)]
+    return _optim.fit_counts(neighbor_multi.minimize, (hist,) * len(gs), gs,
+                             constraints, x0s, tau, (71,))
+
+
 class TestMultiBlockKernel:
     @MULTI_DATA
     @TAILS
@@ -807,9 +817,9 @@ class TestMultiBlockKernel:
                                    init=MULTI_INIT, block=True)[0]
                 for g, c in pairs]
         fun, starts = captured_objective(
-            monkeypatch, neighbor_multi, neighbor_multi._fit_blocks, hist,
+            monkeypatch, neighbor_multi, fit_blocks, hist,
             [g for g, _ in pairs], tuple(c for _, c in pairs), tau,
-            (MULTI_INIT,) * len(pairs), block=True)
+            block=True)
         assert_rows_match_alone(fun, [block[0] for block in starts],
                                 len(GS), tail, owns)
 
@@ -837,9 +847,8 @@ class TestMultiBlockKernel:
             alone.append([row_bytes(fun, x[None], 0)
                           for x in points[-1]])
         joint, starts = captured_objective(
-            monkeypatch, neighbor_multi, neighbor_multi._fit_blocks, hist,
-            (g, g), tuple(MULTI_CONSTRAINTS), tau, (MULTI_INIT, MULTI_INIT),
-            block=True)
+            monkeypatch, neighbor_multi, fit_blocks, hist, (g, g),
+            tuple(MULTI_CONSTRAINTS), tau, block=True)
         assert [b.shape[1] for b in starts] == [p.shape[1] for p in points]
         n = len(points[0])
         for size in range(2, 11):
@@ -910,7 +919,8 @@ def assert_matches_per_row_kernel(args, x0s, seed):
 
 def histogram_rows(hists):
     """The union of the width-1 histograms' keys and a count row per
-    histogram over it, as fit_uni_many lays them out."""
+    histogram over it, by np.unique and searchsorted: the layout that
+    _optim._key_union gives them."""
     values = np.unique(np.concatenate([h.keys[:, 0] for h in hists]))
     counts = np.zeros((len(hists), values.size), np.int64)
     for row, h in zip(counts, hists):

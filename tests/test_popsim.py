@@ -145,10 +145,11 @@ class TestGeneratePopulation:
             rng = np.random.default_rng(8)
             pop = generate_population(2000, table, ages, SCEN1, rng)
             # the table keeps the index the population was built with
-            assert pop.surname_codes is vars(table)["soundex_index"].codes
+            assert (pop.surname_code_ids
+                    is vars(table)["soundex_index"].code_ids)
             pops.append(pop)
             states.append(rng.bit_generator.state)
-        for fld in ("surname_labels", "surname_codes", "sidx_a", "day_a",
+        for fld in ("surname_labels", "surname_code_ids", "sidx_a", "day_a",
                     "month_a", "year_a", "sidx_b", "day_b", "month_b",
                     "year_b"):
             np.testing.assert_array_equal(getattr(pops[0], fld),
@@ -181,11 +182,11 @@ class TestGeneratePopulation:
         surnames, ages = small_world
         pop = generate_population(5000, surnames, ages, SCEN1,
                                   np.random.default_rng(11))
-        codes = pop.surname_codes
+        ids = pop.surname_code_ids
         assert (pop.year_a == pop.year_b).all()
         assert (np.abs(pop.day_a.astype(int) - pop.day_b) <= 1).all()
         assert (np.abs(pop.month_a.astype(int) - pop.month_b) <= 1).all()
-        assert (codes[pop.sidx_a] == codes[pop.sidx_b]).all()
+        assert (ids[pop.sidx_a] == ids[pop.sidx_b]).all()
 
     def test_empirical_pattern_frequencies(self, small_world):
         surnames, ages = small_world
